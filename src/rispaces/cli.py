@@ -29,7 +29,6 @@ from .dichotomy import (
     DEFAULT_KRUGLOV_T_GRID,
     classify,
     kruglov_check,
-    lorentz_operator_norm,
     sup_indicator_ratio,
 )
 from .generators import GridConfig, parse_generator
@@ -150,8 +149,8 @@ def _bad(flag: str):
 
 def _cmd_opnorm(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     psi = parse_generator(args.psi)
-    value = lorentz_operator_norm(psi, args.n, j_max=args.j_max)
     sup = sup_indicator_ratio(psi, args.n, j_max=args.j_max)
+    value = args.n * sup  # lorentz_operator_norm, without a second search
     payload = {
         "command": "opnorm",
         "psi": args.psi,

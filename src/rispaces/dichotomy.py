@@ -25,6 +25,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import gammaln
 
+from ._numeric import LN2
 from ._search import golden_max
 from .generators import (
     DEFAULT_GRID,
@@ -50,8 +51,6 @@ __all__ = [
     "kruglov_check",
     "DEFAULT_KRUGLOV_T_GRID",
 ]
-
-LN2 = math.log(2.0)
 
 # Slowly-varying generators need thousands of octaves before their dilation
 # ratios settle to within 1e-3; the deep grid is cheap because every built-in
@@ -95,6 +94,8 @@ def sup_indicator_ratio(psi: ConcaveGenerator, n: int, j_max: int = 40) -> float
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
+    if j_max < 0:
+        raise ValueError("j_max must be nonnegative")
     lus = -np.arange(0, j_max + 1, dtype=float) * LN2
 
     def g(lu: float) -> float:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
+from ._numeric import LN2, finite_float, log_binom
 from .gaussian import erfc_inverse, erfc_inverse_log
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "chained_power_ratio_bound",
 ]
 
-LN2 = math.log(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 
 
@@ -299,9 +298,9 @@ def parse_generator(token: str) -> ConcaveGenerator:
     head = head.strip().lower()
     try:
         if head == "power":
-            return power(float(rest))
+            return power(finite_float(rest))
         if head == "logpow":
-            return logpow(float(rest))
+            return logpow(finite_float(rest))
         if head in ("example7", "invsqrtlog"):
             return inv_sqrt_log()
         if head == "gauss":
@@ -417,10 +416,6 @@ def limsup_power_ratio(
     return _window_estimate(ratios, grid, grid.j_max)
 
 
-def _log_binom(n: int, s: np.ndarray) -> np.ndarray:
-    return gammaln(n + 1) - gammaln(s + 1) - gammaln(n - s + 1)
-
-
 def limsup_tail_sum_ratio(
     psi: ConcaveGenerator, n: int, grid: GridConfig = DEFAULT_GRID
 ) -> LimitEstimate:
@@ -435,7 +430,7 @@ def limsup_tail_sum_ratio(
     j_lo = max(grid.j_min, math.ceil(math.log2(n)) if n > 1 else grid.j_min)
     js = np.arange(j_lo, grid.j_max + 1)
     s = np.arange(1, n + 1, dtype=float)
-    lcomb = (1.0 - s) * LN2 + _log_binom(n, s)
+    lcomb = (1.0 - s) * LN2 + log_binom(n, s)
     ratios = np.empty(js.size)
     for i, j in enumerate(js):
         lu = -float(j) * LN2

@@ -22,6 +22,7 @@ from typing import Callable, Tuple, Union
 import numpy as np
 from scipy.special import logsumexp
 
+from ._numeric import LN2, finite_float
 from ._search import golden_max, golden_max_vec
 from .generators import ConcaveGenerator, parse_generator
 from .stepfn import StepFunction
@@ -44,8 +45,6 @@ __all__ = [
     "parse_space",
     "space_label",
 ]
-
-LN2 = math.log(2.0)
 
 
 class OrliczFunction:
@@ -174,10 +173,10 @@ def parse_space(token: str) -> SpaceSpec:
             kind, _, param = rest.partition(":")
             if kind.strip().lower() != "np":
                 raise ValueError(f"unknown Orlicz family {kind!r}")
-            return Orlicz(exp_lp(float(param)))
+            return Orlicz(exp_lp(finite_float(param)))
         if head == "lpq":
             p, _, q = rest.partition(":")
-            return Lpq(float(p), float(q))
+            return Lpq(finite_float(p), finite_float(q))
     except ValueError as exc:
         raise ValueError(f"bad space token {token!r}: {exc}") from None
     raise ValueError(f"unknown space token {token!r}")

@@ -1,31 +1,28 @@
 """Laws of symmetric Bernoulli walks and signed indicator sums.
 
 ``walk_distribution(k)`` is the law of a sum of k independent symmetric signs.
-``signed_indicator_sum_tail(n, u, s)`` is the exact upper tail of |sum of n
-independent copies of (indicator of measure u) * (independent sign)|: condition
-on the number k of active indicators (binomial) and apply the walk tail,
+``signed_indicator_sum_tail(n, u, s)`` is the upper tail P(|S_n| >= s) of the
+sum of n independent copies of (indicator of measure u) * (independent sign).
 
-    P(|S_n| >= s) = sum_{k=s}^n C(n,k) u^k (1-u)^(n-k) P(|W_k| >= s).
-
-Two arithmetic backends.  Exact ``fractions.Fraction`` is the default up to
-k <= 64, where it is both fast and bit-reproducible.  Beyond that everything
-runs in log space (gammaln log-binomials, logaddexp accumulation): the deep
-tail atoms carry probabilities far below float underflow yet still dominate
-weighted-rearrangement norms, so they must not be truncated to zero.
+Exact ``fractions.Fraction`` arithmetic is the default up to n <= 64, where it
+is fast and bit-reproducible.  Float routes run in log space: the deep tail
+atoms lie far below float underflow yet still dominate weighted-rearrangement
+norms.  Walk rows use gammaln log-binomials; the law of S_n comes, for every n,
+from one O(n) backward three-term recurrence (``signed_indicator_sum_log_tails``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import logsumexp
 
+from ._numeric import LN2, log_binom
 from .stepfn import StepFunction
 
 __all__ = [
@@ -39,8 +36,6 @@ __all__ = [
     "signed_indicator_sum_tail_leading",
     "signed_indicator_sum_expectation",
 ]
-
-LN2 = math.log(2.0)
 
 # Exact rational arithmetic on k-step walks costs ~k^2 big-int digits per
 # cumulative tail; 64 steps stays below a millisecond, 2^14 steps costs ~10 s.
@@ -194,20 +189,7 @@ def _abs_tail_fractions(k: int) -> Tuple[Fraction, ...]:
 
 def _log_walk_row(k: int) -> np.ndarray:
     """log P(W_k = k - 2j) for j = 0..k."""
-    j = np.arange(k + 1, dtype=float)
-    return gammaln(k + 1) - gammaln(j + 1) - gammaln(k - j + 1) - k * LN2
-
-
-@lru_cache(maxsize=8)
-def _log_walk_tail_matrix(n: int) -> np.ndarray:
-    """M[k, s] = log P(|W_k| >= s) for 0 <= k, s <= n.  Memory is O(n^2)."""
-    M = np.full((n + 1, n + 1), -np.inf)
-    M[:, 0] = 0.0
-    for k in range(1, n + 1):
-        H = np.logaddexp.accumulate(_log_walk_row(k))
-        s = np.arange(1, k + 1)
-        M[k, 1 : k + 1] = LN2 + H[(k - s) // 2]
-    return M
+    return log_binom(k, np.arange(k + 1, dtype=float)) - k * LN2
 
 
 def walk_abs_tail(k: int, s: int, exact: Optional[bool] = None) -> Prob:
@@ -273,47 +255,43 @@ def signed_indicator_sum_tail(
             binom = math.comb(n, k) * uf**k * (1 - uf) ** (n - k)
             total += binom * _abs_tail_fractions(k)[s]
         return total
-    if n <= 2048:
-        return float(np.exp(signed_indicator_sum_log_tails(n, float(u))[s - 1]))
-    # One level at very large n: skip the O(n^2) tail matrix.
-    u = float(u)
-    k = np.arange(n + 1, dtype=float)
-    lB = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    if u == 1.0:
-        lB = np.full(n + 1, -np.inf)
-        lB[n] = 0.0
-    else:
-        lB = lB + k * math.log(u) + (n - k) * math.log1p(-u)
-    pieces = [
-        lB[kk] + LN2 + np.logaddexp.accumulate(_log_walk_row(kk))[(kk - s) // 2]
-        for kk in range(s, n + 1)
-    ]
-    return float(np.exp(min(logsumexp(np.asarray(pieces)), 0.0)))
+    return float(np.exp(signed_indicator_sum_log_tails(n, float(u))[s - 1]))
 
 
 def signed_indicator_sum_log_tails(n: int, u: float) -> np.ndarray:
-    """log P(|S_n| >= s) for s = 1..n, assembled fully in log space."""
+    """log P(|S_n| >= s) for s = 1..n, in O(n) time and memory.
+
+    P(S_n = m) is the coefficient c_m of (a + b z + b/z)^n, a = 1 - u, b = u/2,
+    and (n-m+1) c_{m-1} = (n+m+1) c_{m+1} + (a/b) m c_m.  Run backward from
+    c_{n+1} = 0, c_n = b^n, it adds only nonnegative terms, so nothing cancels.
+    It runs on e_m = c_m ((a+b)/b)^m, whose coefficients alpha = a/(a+b) and
+    beta = (b/(a+b))^2 lie in [0, 1] for every u (alpha = 0 at u = 1 decouples
+    the odd and even chains); e is rescaled whenever it leaves [1e-200, 1e200].
+    The tails 2 * sum_{m >= s} c_m are one reverse logaddexp accumulation.
+    """
     _validate_nus(n, u)
     u = float(u)
-    k = np.arange(n + 1, dtype=float)
-    lbinom = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    if u == 1.0:
-        lB = np.full(n + 1, -np.inf)
-        lB[n] = 0.0
-    else:
-        lB = lbinom + k * math.log(u) + (n - k) * math.log1p(-u)
-    if n <= 2048:
-        M = _log_walk_tail_matrix(n)
-        return np.minimum(logsumexp(M[:, 1:] + lB[:, None], axis=0), 0.0)
-    # beyond the cached-matrix cap, accumulate per k in O(n) memory
-    out = np.full(n, -np.inf)
-    for kk in range(1, n + 1):
-        if lB[kk] == -np.inf:
-            continue
-        acc = np.logaddexp.accumulate(_log_walk_row(kk))
-        s = np.arange(1, kk + 1)
-        np.logaddexp(out[:kk], lB[kk] + LN2 + acc[(kk - s) // 2], out=out[:kk])
-    return np.minimum(out, 0.0)
+    a_plus_b = 1.0 - 0.5 * u
+    alpha = (1.0 - u) / a_plus_b
+    beta = (0.5 * u / a_plus_b) ** 2
+    e = [0.0] * (n + 1)
+    log_scale = [0.0] * (n + 1)
+    e[n] = 1.0  # e_n = (a+b)^n, restored by the n * log(a+b) shift below
+    cur, nxt, scale = 1.0, 0.0, 0.0  # e_m and e_{m+1}, both divided by exp(scale)
+    for m in range(n, 0, -1):
+        prev = (alpha * m * cur + beta * (n + m + 1) * nxt) / (n - m + 1)
+        if prev > 1e200 or 0.0 < prev < 1e-200:
+            scale += math.log(prev)
+            cur /= prev
+            prev = 1.0
+        nxt, cur = cur, prev
+        e[m - 1] = prev
+        log_scale[m - 1] = scale
+    log_ab = math.log1p(-0.5 * u)
+    log_rho = log_ab - (math.log(u) - LN2)
+    with np.errstate(divide="ignore"):  # e_m = 0 off the parity of n when u = 1
+        log_c = np.log(e) + log_scale + (n * log_ab - np.arange(n + 1) * log_rho)
+    return np.minimum(LN2 + np.logaddexp.accumulate(log_c[:0:-1])[::-1], 0.0)
 
 
 def signed_indicator_sum_tail_leading(
@@ -325,12 +303,8 @@ def signed_indicator_sum_tail_leading(
         exact = isinstance(u, Rational)
     if exact:
         return Fraction(2 * math.comb(n, s), 2**s) * Fraction(u) ** s
-    lead = (1 - s) * LN2 + _log_binom_scalar(n, s) + s * math.log(float(u))
+    lead = (1 - s) * LN2 + float(log_binom(n, s)) + s * math.log(float(u))
     return float(np.exp(lead))
-
-
-def _log_binom_scalar(n: int, s: int) -> float:
-    return float(gammaln(n + 1) - gammaln(s + 1) - gammaln(n - s + 1))
 
 
 def signed_indicator_sum_expectation(

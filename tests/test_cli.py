@@ -224,3 +224,30 @@ def test_console_script_round_trip():
     )
     assert proc.returncode == 0
     assert proc.stdout == "0.5\n"
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (("norm", "--space", "lpq:inf:1", "--indicator", "1/4"), "finite"),
+        (("norm", "--space", "lorentz:logpow:inf", "--indicator", "1/4"), "finite"),
+        (("opnorm", "--psi", "power:0.5", "--n", "4", "--j-max", "-1"), "j_max"),
+    ],
+    ids=["lpq-inf", "logpow-inf", "negative-j-max"],
+)
+def test_invalid_parameters_exit_two(capsys, argv, fragment):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert fragment in err
+
+
+def test_module_entry_point_is_warning_free():
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "rispaces.cli", "norm",
+         "--space", "lpq:2:1", "--indicator", "1/4"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
 from rispaces import (
     EXACT_MAX_STEPS,
@@ -100,18 +102,68 @@ def test_float_path_required_beyond_cap():
     assert sum(dist.prob(v) for v in dist.support()) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_log_tails_match_closed_form_at_edge():
-    # the big-n route must keep the 2^(1-n) u^n corner in log space
-    lt = signed_indicator_sum_log_tails(2100, 0.5)
-    assert lt.shape == (2100,)
-    assert lt[-1] == pytest.approx((1 - 2100) * LN2 + 2100 * math.log(0.5), rel=1e-12)
+def exact_abs_tails(n_max, u):
+    """Exact P(|S_n| >= s), s = 1..n, for n = 1..n_max, by expanding (a + b z + b/z)^n."""
+    a, b = 1 - u, u / 2
+    coeffs = [Fraction(1)]  # P(S_n = m) at index m + n
+    out = {}
+    for n in range(1, n_max + 1):
+        padded = [Fraction(0)] * 2 + coeffs + [Fraction(0)] * 2
+        coeffs = [b * padded[i] + a * padded[i + 1] + b * padded[i + 2] for i in range(2 * n + 1)]
+        upper = list(itertools.accumulate(reversed(coeffs[n + 1 :])))[::-1]
+        out[n] = [2 * t for t in upper]
+    return out
+
+
+def log_fraction(x):
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+@pytest.mark.parametrize("u", [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 1000)])
+def test_log_tails_match_exact_law(u):
+    for n, tails in exact_abs_tails(64, u).items():
+        got = signed_indicator_sum_log_tails(n, float(u))
+        want = np.asarray([log_fraction(t) for t in tails])
+        assert np.max(np.abs(got - want)) <= 1e-12, n
+
+
+@functools.lru_cache(maxsize=1)
+def matrix_route_walk_tails(n):
+    """M[k, s] = log P(|W_k| >= s), 0 <= k, s <= n: the O(n^2) table of the earlier route."""
+    M = np.full((n + 1, n + 1), -np.inf)
+    M[:, 0] = 0.0
+    for k in range(1, n + 1):
+        j = np.arange(k + 1, dtype=float)
+        row = gammaln(k + 1) - gammaln(j + 1) - gammaln(k - j + 1) - k * LN2
+        H = np.logaddexp.accumulate(row)
+        s = np.arange(1, k + 1)
+        M[k, 1 : k + 1] = LN2 + H[(k - s) // 2]
+    return M
+
+
+def matrix_route_log_tails(n, u):
+    """Condition on the active count k ~ Bin(n, u) and sum the walk tails in log space."""
+    k = np.arange(n + 1, dtype=float)
+    if u == 1.0:
+        lB = np.full(n + 1, -np.inf)
+        lB[n] = 0.0
+    else:
+        lB = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+        lB = lB + k * math.log(u) + (n - k) * math.log1p(-u)
+    M = matrix_route_walk_tails(n)
+    return np.minimum(logsumexp(M[:, 1:] + lB[:, None], axis=0), 0.0)
+
+
+@pytest.mark.parametrize("u", [1.0, 0.5, 2.0**-40, 1e-12])
+@pytest.mark.parametrize("n", [512, 2048, 2100])
+def test_log_tails_match_matrix_route(n, u):
+    lt = signed_indicator_sum_log_tails(n, u)
+    assert lt.shape == (n,)
     assert np.all(lt <= 0.0)
     assert np.all(np.diff(lt) <= 1e-12)
-    # spot-check against the scalar route, which accumulates independently
-    for s in (1, 7, 800):
-        assert lt[s - 1] == pytest.approx(
-            math.log(signed_indicator_sum_tail(2100, 0.5, s)), rel=1e-10
-        )
+    # the 2^(1-n) u^n corner stays in log space
+    assert lt[-1] == pytest.approx((1 - n) * LN2 + n * math.log(u), rel=1e-12)
+    assert np.max(np.abs(lt - matrix_route_log_tails(n, u))) <= 1e-9
 
 
 def test_walk_layers_consistent_with_tails():
