@@ -8,8 +8,8 @@ series, and ``mc`` prices a Monte Carlo i.i.d. sum.
 Output is deterministic byte for byte: floats render with repr, JSON sorts
 its keys, and every random draw is seeded (flag, config file, or the
 RISPACES_SEED environment variable, in that order of precedence).  Exit codes:
-0 on a conclusive result, 1 when a verdict is inconclusive or a fit is
-degenerate, 2 on usage or input errors.
+0 on a conclusive result, 1 when a verdict is inconclusive, a fit is
+degenerate or a numerical search does not converge, 2 on usage or input errors.
 """
 
 from __future__ import annotations
@@ -394,6 +394,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # numerical non-convergence
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return 1
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -96,6 +96,8 @@ def sup_indicator_ratio(psi: ConcaveGenerator, n: int, j_max: int = 40) -> float
         raise ValueError("n must be a positive integer")
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
+    if j_max > 1074:  # 2^-1074 is the smallest positive double
+        raise ValueError("j_max must be <= 1074: u = 2^-j underflows to 0 beyond it")
     lus = -np.arange(0, j_max + 1, dtype=float) * LN2
 
     def g(lu: float) -> float:

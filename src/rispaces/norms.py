@@ -96,8 +96,8 @@ def exp_lp(p) -> OrliczFunction:
         return np.expm1(np.asarray(u, dtype=float) ** p)
 
     def log_fn(u):
-        up = np.asarray(u, dtype=float) ** p
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
+            up = np.asarray(u, dtype=float) ** p  # inf past the float range: M = inf
             # log(e^x - 1): x + log1p(-e^-x) for large x, log(expm1 x) below.
             return np.where(
                 up > 30.0,

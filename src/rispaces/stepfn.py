@@ -307,9 +307,20 @@ class StepFunction:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "StepFunction":
+        if not (
+            isinstance(d, dict)
+            and isinstance(d.get("breakpoints"), list)
+            and isinstance(d.get("values"), list)
+        ):
+            raise ValueError(
+                'a step function is a JSON object with list-valued "breakpoints" and "values"'
+            )
+
         def dec(x):
             if isinstance(x, str):
                 return Fraction(x)
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise ValueError(f"step entries must be numbers or rational strings, got {x!r}")
             return x
 
         return cls([dec(t) for t in d["breakpoints"]], [dec(v) for v in d["values"]])

@@ -216,11 +216,11 @@ def test_bad_flags_exit_two():
     assert exc.value.code == 2
 
 
-def test_console_script_round_trip():
+def test_console_script_round_trip(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "rispaces.cli", "norm", "--space", "lorentz:power:0.5",
          "--indicator", "0.25"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "0.5\n"
@@ -232,8 +232,9 @@ def test_console_script_round_trip():
         (("norm", "--space", "lpq:inf:1", "--indicator", "1/4"), "finite"),
         (("norm", "--space", "lorentz:logpow:inf", "--indicator", "1/4"), "finite"),
         (("opnorm", "--psi", "power:0.5", "--n", "4", "--j-max", "-1"), "j_max"),
+        (("opnorm", "--psi", "power:0.5", "--n", "4", "--j-max", "1075"), "j_max must be <= 1074"),
     ],
-    ids=["lpq-inf", "logpow-inf", "negative-j-max"],
+    ids=["lpq-inf", "logpow-inf", "negative-j-max", "underflowing-j-max"],
 )
 def test_invalid_parameters_exit_two(capsys, argv, fragment):
     code, out, err = run_cli(capsys, *argv)
@@ -243,11 +244,38 @@ def test_invalid_parameters_exit_two(capsys, argv, fragment):
     assert fragment in err
 
 
-def test_module_entry_point_is_warning_free():
+def test_module_entry_point_is_warning_free(child_env):
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "rispaces.cli", "norm",
          "--space", "lpq:2:1", "--indicator", "1/4"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env,
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["[1, 2]", '{"breakpoints": [0, 1]}', '{"breakpoints": [0, null], "values": [1]}'],
+    ids=["top-level-list", "missing-values", "null-entry"],
+)
+def test_malformed_step_file_exits_two(capsys, tmp_path, content):
+    p = tmp_path / "step.json"
+    p.write_text(content)
+    code, out, err = run_cli(capsys, "norm", "--space", "lpq:2:1", "--step", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_orlicz_non_convergence_is_inconclusive(child_env):
+    # M(u) = e^(u^1e308) - 1 jumps from 0 to inf at u = 1: the root search cannot close
+    proc = subprocess.run(
+        [sys.executable, "-m", "rispaces.cli", "norm", "--space", "orlicz:np:1e308",
+         "--indicator", "1/4"],
+        capture_output=True, text=True, env=child_env,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("inconclusive:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +33,9 @@ from rispaces import (
     space_norm,
     walk_distribution,
 )
-from rispaces.experiments import _draw_sums
+from rispaces.experiments import _draw_sums, _lattice_norm, fftconvolve
+from rispaces.gaussian import erfc_inverse, upper_tail
+from rispaces.generators import gauss
 
 ALL_SPACES = [
     Lorentz(power(0.5)),
@@ -159,6 +163,52 @@ def test_selfsimilarity_ratio_is_sqrt_n():
     for n in (2, 4):
         r = gaussian_selfsimilarity_check(n, 2**12)
         assert r == pytest.approx(math.sqrt(n), rel=1e-3)
+
+
+@pytest.mark.parametrize("na, nb", [(1, 1), (1, 6), (2, 2), (3, 2), (7, 7), (64, 33), (1000, 17)])
+def test_fftconvolve_matches_direct_convolution(na, nb):
+    rng = np.random.default_rng(na * 1000 + nb)
+    a, b = rng.random(na), rng.random(nb)
+    a, b = a / a.sum(), b / b.sum()  # probability vectors, as in the self-similarity check
+    want = np.convolve(a, b)
+    got = fftconvolve(a, b)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert np.max(np.abs(fftconvolve(a, a) - np.convolve(a, a))) <= 1e-13
+
+
+def _selfsimilarity_by_sequential_convolution(n: int, grid_size: int) -> float:
+    # the route before binary powering: n - 1 direct products, each clipped
+    space = Marcinkiewicz(gauss())
+    L = float(erfc_inverse(1.0 / grid_size))
+    edges = np.linspace(-L, L, grid_size + 1)
+    pmf = np.diff(0.5 * upper_tail(-edges))
+    tail_mass = 0.5 * float(upper_tail(L))
+    pmf[0] += tail_mass
+    pmf[-1] += tail_mass
+    pmf /= pmf.sum()
+    conv = pmf
+    for _ in range(n - 1):
+        conv = np.convolve(conv, pmf)
+        conv[conv < conv.max() * 1e-13] = 0.0
+        conv = conv / conv.sum()
+    return _lattice_norm(conv, edges, space) / _lattice_norm(pmf, edges, space)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_selfsimilarity_binary_powering_matches_sequential_route(n):
+    want = _selfsimilarity_by_sequential_convolution(n, 2**12)
+    assert gaussian_selfsimilarity_check(n, 2**12) == pytest.approx(want, rel=1e-10)
+
+
+def test_import_does_not_load_scipy_signal(child_env):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rispaces; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True, env=child_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_selfsimilarity_grid_validation():
