@@ -59,7 +59,10 @@ def _float_list(text: str) -> List[float]:
 
 def _parse_measure(text: str):
     # "1/4" stays an exact rational; "0.25" goes through the float path
-    return Fraction(text) if "/" in text else float(text)
+    try:
+        return Fraction(text) if "/" in text else float(text)
+    except ZeroDivisionError:
+        raise ValueError(f"measure {text!r} divides by zero") from None
 
 
 def _default_seed() -> int:

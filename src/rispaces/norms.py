@@ -50,12 +50,12 @@ __all__ = [
 class OrliczFunction:
     """Convex Young function M with M(0) = 0, M increasing on [0, inf).
 
-    Carries stable companions: ``log_fn(u) = log M(u)`` and
-    ``inverse_log(ly)`` solving M(x) = e^ly, both usable far outside the
-    float range of M itself.
+    Carries stable companions: ``log_fn(u) = log M(u)``, ``inverse_log(ly)``
+    solving M(x) = e^ly, both usable far outside the float range of M itself,
+    and ``elasticity(u) = u M'(u) / M(u)``, the slope of log M in log u.
     """
 
-    __slots__ = ("fn", "inverse", "log_fn", "inverse_log", "label")
+    __slots__ = ("fn", "inverse", "log_fn", "inverse_log", "elasticity", "label")
 
     def __init__(
         self,
@@ -63,12 +63,14 @@ class OrliczFunction:
         inverse: Callable,
         log_fn: Callable,
         inverse_log: Callable,
+        elasticity: Callable,
         label: str,
     ):
         self.fn = fn
         self.inverse = inverse
         self.log_fn = log_fn
         self.inverse_log = inverse_log
+        self.elasticity = elasticity
         self.label = label
 
     def __call__(self, u):
@@ -96,14 +98,22 @@ def exp_lp(p) -> OrliczFunction:
         return np.expm1(np.asarray(u, dtype=float) ** p)
 
     def log_fn(u):
-        with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(over="ignore"):
             up = np.asarray(u, dtype=float) ** p  # inf past the float range: M = inf
-            # log(e^x - 1): x + log1p(-e^-x) for large x, log(expm1 x) below.
-            return np.where(
-                up > 30.0,
-                up + np.log1p(-np.exp(-np.minimum(up, 745.0))),
-                np.log(np.expm1(np.minimum(up, 30.0))),
-            )
+        out = np.empty(np.shape(up))
+        # log(e^x - 1): x + log1p(-e^-x) for large x, log(expm1 x) below.
+        big = up > 30.0
+        x = up[big]
+        out[big] = x + np.log1p(-np.exp(-np.minimum(x, 745.0)))
+        with np.errstate(divide="ignore"):
+            out[~big] = np.log(np.expm1(up[~big]))
+        return out
+
+    def elasticity(u):
+        # u M'(u) / M(u) = p x / (1 - e^-x) with x = u^p; it tends to p as x -> 0.
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.asarray(u, dtype=float) ** p
+            return np.where(x > 0.0, p * x / -np.expm1(-x), p)
 
     def inverse(y):
         return np.log1p(np.asarray(y, dtype=float)) ** (1.0 / p)
@@ -112,7 +122,7 @@ def exp_lp(p) -> OrliczFunction:
         # solve e^(x^p) - 1 = e^ly: x = log(1 + e^ly)^(1/p), stably in ly.
         return np.logaddexp(0.0, np.asarray(ly, dtype=float)) ** (1.0 / p)
 
-    return OrliczFunction(fn, inverse, log_fn, inverse_log, f"Np:{p:g}")
+    return OrliczFunction(fn, inverse, log_fn, inverse_log, elasticity, f"Np:{p:g}")
 
 
 # ------------------------------------------------------------ space descriptors
@@ -270,42 +280,66 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: OrliczFunction) -> float
     keep = values > 0
     v = values[keep]
     ll = _log_lengths(lT)[keep]
-    l_mu = lT[np.nonzero(keep)[0][-1]]  # log measure of the support
-    vmax = float(v[0])
-
-    def log_modular(lam: float) -> float:
-        return float(logsumexp(ll + M.log_fn(v / lam)))
-
-    lo = vmax / float(M.inverse_log(-l_mu))
-    hi = vmax * max(1.0, 1.0 / float(M.inverse(1.0)))
+    # The modular is at least T_k M(v_k / lam) for every layer k, so each layer
+    # bounds the root from below; for a single layer the bound is the root.
+    with np.errstate(over="ignore"):
+        lam = float(np.max(v / M.inverse_log(-lT[keep])))
+    lo, hi, L_hi = 0.0, math.inf, math.nan
+    last = before = math.inf  # |change of log lam| over the last two steps
+    pruned = False
+    # Safeguarded Newton on L(s) = log modular(e^s), convex and decreasing in
+    # s = log lam: from below the root (L > 0) its steps rise to the root.
     for _ in range(200):
-        if log_modular(lo) >= 0.0:
-            break
-        lo /= 2.0
-    for _ in range(200):
-        if log_modular(hi) <= 0.0:
-            break
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        lm = log_modular(mid)
-        if math.isnan(lm):
+        terms = ll + M.log_fn(v / lam)
+        L = float(logsumexp(terms))
+        if math.isnan(L):
             raise RuntimeError("Orlicz modular evaluated to NaN: degenerate M")
-        if abs(lm) <= 1e-13:
-            return mid
-        if lm > 0.0:
-            lo = mid
+        if abs(L) <= 1e-13:
+            return lam
+        if L > 0.0:
+            lo = lam
         else:
-            hi = mid
-        if hi - lo <= 2.0 * np.spacing(hi):
+            hi, L_hi = lam, L
+        if lo > 0.0 and hi <= np.nextafter(lo, math.inf):
             # The bracket is at float resolution; accept the feasible end if
             # the modular is continuous there, otherwise M jumps across 1.
-            if abs(log_modular(hi)) <= 1e-9:
+            if abs(L_hi) <= 1e-9:
                 return hi
             raise RuntimeError(
-                "Orlicz bisection stalled with modular away from 1: degenerate M"
+                "Orlicz root search stalled with modular away from 1: degenerate M"
             )
-    raise RuntimeError("Orlicz bisection failed after 200 iterations: degenerate M")
+        # L'(s) = -sum_i w_i E(u_i): softmax weights of the terms times the
+        # elasticity of M; NaN once a term is infinite, which fails the test below.
+        with np.errstate(all="ignore"):
+            slope = -float(np.dot(np.exp(terms - L), M.elasticity(v / lam)))
+            step = float(lam * np.exp(-L / slope))
+        if step == lam:  # a step below float resolution still moves one ulp
+            step = float(np.nextafter(lam, math.inf if L > 0.0 else 0.0))
+        if L > 0.0 and not pruned:
+            # Every later lam is at least this one and the terms fall as lam
+            # grows, so the layers dropped here hold below e^-60 of the modular
+            # for the rest of the search.
+            big = terms >= -60.0 - math.log(terms.size)
+            v, ll, pruned = v[big], ll[big], True
+        # Newton's step must land inside the bracket and, once the bracket is
+        # finite, move less than half as far as the step before the last one
+        # (as in rtsafe), so an inexact elasticity cannot make it oscillate;
+        # otherwise halve or double lam, or bisect in log lam.
+        if lo < step < hi and (
+            hi == math.inf or abs(math.log(step / lam)) <= 0.5 * before
+        ):
+            move, nxt = abs(math.log(step / lam)), step
+        elif lo == 0.0:
+            move, nxt = LN2, hi / 2.0
+        elif hi == math.inf:
+            move, nxt = LN2, lo * 2.0
+        else:
+            nxt = math.exp(0.5 * (math.log(lo) + math.log(hi)))
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            move = abs(math.log(nxt / lam))
+        before, last, lam = last, move, nxt
+    raise RuntimeError("Orlicz root search failed after 200 iterations: degenerate M")
 
 
 def _lpq_core(values: np.ndarray, lT: np.ndarray, p: float, q: float) -> float:
@@ -337,7 +371,8 @@ def marcinkiewicz_norm(f: StepFunction, phi: ConcaveGenerator) -> float:
 def orlicz_norm(f: StepFunction, M: OrliczFunction) -> float:
     """Luxemburg norm: the lambda at which the modular of f/lambda equals 1.
 
-    Bisection; at the return value the modular is within 1e-12 of 1 for
+    Safeguarded Newton in log lambda from a lower bound that costs no
+    evaluation; at the return value the modular is within 1e-12 of 1 for
     continuous strictly increasing M (and within 1e-9 when the modular is so
     steep that float lambda granularity is the binding constraint).
     """

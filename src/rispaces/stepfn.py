@@ -317,11 +317,14 @@ class StepFunction:
             )
 
         def dec(x):
-            if isinstance(x, str):
-                return Fraction(x)
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
+            if isinstance(x, bool) or not isinstance(x, (int, float, str)):
                 raise ValueError(f"step entries must be numbers or rational strings, got {x!r}")
-            return x
+            try:
+                y = Fraction(x) if isinstance(x, str) else x
+                float(y)  # the norms price in floats
+            except (ZeroDivisionError, OverflowError):
+                raise ValueError(f"step entry {x!r} is not a float-sized number") from None
+            return y
 
         return cls([dec(t) for t in d["breakpoints"]], [dec(v) for v in d["values"]])
 

@@ -1,11 +1,17 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rispaces import DichotomyReport, StepFunction, lorentz_operator_norm, power
 from rispaces.cli import main, parse_config_file
@@ -279,3 +285,90 @@ def test_orlicz_non_convergence_is_inconclusive(child_env):
     assert proc.stdout == ""
     assert proc.stderr.startswith("inconclusive:") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+_NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.fractions(min_value=-2, max_value=2, max_denominator=10**6).map(str),
+    st.sampled_from(["0", "1/0", "-0.0", "1e308", "1e-320", "5e-324", "abc", ""]),
+)
+_ORDER_TEXT = st.one_of(
+    st.floats(min_value=1.0, max_value=1e6).map(repr),
+    st.sampled_from(["1", "1.5", "2", "7", "1e3", "1e5", "1e10", "1e100", "1e308"]),
+    _NUMBER_TEXT,
+)
+_MEASURE_TEXT = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True).map(repr),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**9).map(str),
+    _NUMBER_TEXT,
+)
+_STEP_VALUE = st.one_of(
+    st.floats(min_value=0.0, max_value=1e300),
+    st.integers(min_value=0, max_value=10**6),
+    st.fractions(min_value=0, max_value=10**6).map(str),
+    st.sampled_from([10**308, 10**400, "1/" + "9" * 400]),
+)
+_STEP_ENTRY = st.one_of(
+    _STEP_VALUE,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from(["1/0", "x", None, True]),
+)
+
+
+def _step_files():
+    cuts = st.sets(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True), max_size=5
+    ).map(sorted)
+    proper = st.builds(
+        lambda cs, vals: {"breakpoints": [0.0, *cs, 1.0], "values": vals[: len(cs) + 1]},
+        cuts,
+        st.lists(_STEP_VALUE, min_size=6, max_size=6),
+    )
+    loose = st.fixed_dictionaries(
+        {"breakpoints": st.lists(_STEP_ENTRY, max_size=5), "values": st.lists(_STEP_ENTRY, max_size=5)}
+    )
+    return st.one_of(proper, loose)
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@example(p="2", indicator="1/0", step={}, use_step=False, fmt="text")
+@example(p="2", indicator="", step={"breakpoints": [0, 1], "values": ["1/0"]}, use_step=True,
+         fmt="text")
+@example(p="2", indicator="", step={"breakpoints": [0.0, 1.0], "values": [10**400]},
+         use_step=True, fmt="json")
+@given(
+    p=_ORDER_TEXT,
+    indicator=_MEASURE_TEXT,
+    step=_step_files(),
+    use_step=st.booleans(),
+    fmt=st.sampled_from(["text", "json"]),
+)
+def test_orlicz_norm_cli_fuzz(p, indicator, step, use_step, fmt):
+    argv = ["norm", "--space", f"orlicz:np:{p}", "--format", fmt]
+    with tempfile.TemporaryDirectory() as tmp:
+        if use_step:
+            path = os.path.join(tmp, "step.json")
+            with open(path, "w") as fh:
+                json.dump(step, fh)
+            argv += ["--step", path]
+        else:
+            argv += ["--indicator", indicator]
+        # in-process, an exception main() lets through fails the test here
+        code, out, err = _run_in_process(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert not re.search(r"nan|inf", out, re.IGNORECASE)
+    else:
+        assert out == ""

@@ -1,14 +1,17 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from rispaces import (
     Lorentz,
     Lpq,
     Marcinkiewicz,
     Orlicz,
+    OrliczFunction,
     StepFunction,
     dilation_norm_lorentz,
     exp_lp,
@@ -22,8 +25,10 @@ from rispaces import (
     space_label,
     space_norm,
     space_norm_from_layers,
+    walk_abs_layers,
     walk_distribution,
 )
+from rispaces.norms import _layers_from_step, _log_lengths, _orlicz_core
 
 ALL_SPACES = [
     Lorentz(power(0.5)),
@@ -237,3 +242,192 @@ def test_layers_validation():
         space_norm_from_layers(
             np.array([2.0, 1.0]), np.array([0.0, -1.0]), Lorentz(power(1.0))
         )
+
+
+# ------------------------------------------------------- Orlicz root oracles
+
+
+def _orlicz_bisection(values, lT, M):
+    """The former root search, kept as the oracle: halve, double, then bisect in lambda."""
+    if values[0] <= 0:
+        return 0.0
+    keep = values > 0
+    v = values[keep]
+    ll = _log_lengths(lT)[keep]
+    l_mu = lT[np.nonzero(keep)[0][-1]]
+    vmax = float(v[0])
+
+    def log_modular(lam):
+        return float(logsumexp(ll + M.log_fn(v / lam)))
+
+    lo = vmax / float(M.inverse_log(-l_mu))
+    hi = vmax * max(1.0, 1.0 / float(M.inverse(1.0)))
+    for _ in range(200):
+        if log_modular(lo) >= 0.0:
+            break
+        lo /= 2.0
+    for _ in range(200):
+        if log_modular(hi) <= 0.0:
+            break
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lm = log_modular(mid)
+        if math.isnan(lm):
+            raise RuntimeError("Orlicz modular evaluated to NaN: degenerate M")
+        if abs(lm) <= 1e-13:
+            return mid
+        if lm > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 2.0 * np.spacing(hi):
+            if abs(log_modular(hi)) <= 1e-9:
+                return hi
+            raise RuntimeError("Orlicz bisection stalled with modular away from 1")
+    raise RuntimeError("Orlicz bisection failed after 200 iterations")
+
+
+class _CountingYoung:
+    """An Orlicz function that counts its log_fn calls, one per modular evaluation."""
+
+    def __init__(self, M):
+        self._M = M
+        self.calls = 0
+
+    def log_fn(self, u):
+        self.calls += 1
+        return self._M.log_fn(u)
+
+    def __getattr__(self, attr):
+        return getattr(self._M, attr)
+
+
+def _random_float_steps(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 40))
+        bps = np.concatenate(([0.0], np.sort(rng.random(n - 1)), [1.0]))
+        yield StepFunction(bps, rng.exponential(size=n) * 10.0 ** rng.uniform(-3, 3))
+
+
+def test_exp_lp_log_fn_matches_two_branch_expression():
+    # the expression each layer used to evaluate on both branches
+    def both_branches(u, p):
+        with np.errstate(divide="ignore", over="ignore"):
+            up = np.asarray(u, dtype=float) ** p
+            return np.where(
+                up > 30.0,
+                up + np.log1p(-np.exp(-np.minimum(up, 745.0))),
+                np.log(np.expm1(np.minimum(up, 30.0))),
+            )
+
+    for p in (1.0, 2.0, 7.5):
+        switch = 30.0 ** (1.0 / p)
+        u = np.array(
+            [0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, np.nextafter(switch, 0.0), switch,
+             np.nextafter(switch, np.inf), 100.0, 745.0 ** (1.0 / p), 745.0, 746.0,
+             1e300, np.inf]
+        )
+        np.testing.assert_array_equal(exp_lp(p).log_fn(u), both_branches(u, p))
+        assert exp_lp(p).log_fn(switch) == both_branches(switch, p)
+
+
+def test_exp_lp_elasticity_is_log_derivative():
+    for p in (1.0, 2.0, 7.5):
+        M = exp_lp(p)
+        u = np.array([1e-3, 0.3, 1.0, 1.7])
+        h = 1e-6
+        numeric = (M.log_fn(u * math.exp(h)) - M.log_fn(u * math.exp(-h))) / (2 * h)
+        np.testing.assert_allclose(M.elasticity(u), numeric, rtol=1e-7)
+        assert M.elasticity(np.array([0.0, 5e-324]))[0] == p
+        assert M.elasticity(np.array([5e-324]))[0] == pytest.approx(p)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 8.0])
+@pytest.mark.parametrize("n", [2**4, 2**8, 2**12, 2**16])
+def test_orlicz_root_matches_bisection_on_walk_layers(n, p):
+    values, lT = walk_abs_layers(n)
+    M = exp_lp(p)
+    assert _orlicz_core(values, lT, M) == pytest.approx(
+        _orlicz_bisection(values, lT, M), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 8.0])
+def test_orlicz_root_matches_bisection_on_random_steps(p):
+    M = exp_lp(p)
+    for f in _random_float_steps(11, 25):
+        values, lT = _layers_from_step(f)
+        assert _orlicz_core(values, lT, M) == pytest.approx(
+            _orlicz_bisection(values, lT, M), rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 7.0, 1e3, 1e5, 1e10, 1e100])
+@pytest.mark.parametrize("u", [1.0, 0.5, 1e-5, 1e-300, 5e-324])
+def test_orlicz_root_matches_bisection_on_indicators(p, u):
+    # steep M: the modular jumps across 1 between adjacent floats, and both
+    # routes must then report non-convergence; near |log terms| ~ 700 the
+    # float spacing of the terms sets how close L can get to 0.  Either way
+    # a single layer costs at most three modular evaluations.
+    values, lT, M = np.array([1.0]), np.array([math.log(u)]), _CountingYoung(exp_lp(p))
+    try:
+        want = _orlicz_bisection(values, lT, exp_lp(p))
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            _orlicz_core(values, lT, M)
+    else:
+        assert _orlicz_core(values, lT, M) == pytest.approx(want, rel=1e-12)
+    assert M.calls <= 3
+
+
+def test_orlicz_root_survives_inexact_elasticity():
+    # a slope off by a factor 2 sends unguarded Newton back and forth across
+    # the root; the search must fall back to bisection and still converge
+    M = exp_lp(2.0)
+    rough = OrliczFunction(
+        M.fn, M.inverse, M.log_fn, M.inverse_log, lambda u: 0.5 * M.elasticity(u), "rough"
+    )
+    for f in _random_float_steps(3, 10):
+        values, lT = _layers_from_step(f)
+        assert _orlicz_core(values, lT, rough) == pytest.approx(
+            _orlicz_bisection(values, lT, M), rel=1e-12
+        )
+
+
+def _mp_modular(values, lT, p, lam):
+    """Modular of the layers at lam, in 50-digit arithmetic from the float inputs."""
+    with mpmath.workdps(50):
+        total, prev = mpmath.mpf(0), mpmath.mpf(0)
+        for v, lt in zip(values, lT):
+            T = mpmath.exp(mpmath.mpf(float(lt)))
+            if v > 0:
+                u = mpmath.mpf(float(v)) / mpmath.mpf(lam)
+                total += (T - prev) * mpmath.expm1(u**p)
+            prev = T
+        return total
+
+
+def test_orlicz_root_modular_residual_in_high_precision():
+    three = StepFunction(
+        [Fraction(0), Fraction(1, 7), Fraction(2, 5), Fraction(1)],
+        [Fraction(9, 2), Fraction(2), Fraction(1, 3)],
+    )
+    cases = [
+        _layers_from_step(StepFunction.indicator(Fraction(1, 4))),
+        _layers_from_step(three),
+        walk_abs_layers(64),
+    ]
+    for values, lT in cases:
+        for p in (1.0, 2.0, 4.0):
+            lam = _orlicz_core(values, lT, exp_lp(p))
+            assert abs(_mp_modular(values, lT, p, lam) - 1) <= 1e-12
+
+
+def test_orlicz_root_evaluation_counts():
+    for k in (12, 14, 16, 18):
+        values, lT = walk_abs_layers(2**k)
+        M = _CountingYoung(exp_lp(2.0))
+        _orlicz_core(values, lT, M)
+        assert M.calls <= 15
