@@ -300,8 +300,15 @@ def _cmd_growth(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
 # ------------------------------------------------------------------ plumbing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one ``<prog>: error: <message>`` line and exit 2, no usage block."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rispaces",
         description="Norms, operator growth, and series criteria for "
         "rearrangement-invariant function spaces on (0, 1].",

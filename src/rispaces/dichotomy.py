@@ -23,9 +23,8 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln
 
-from ._numeric import LN2
+from ._numeric import LN2, log_factorial
 from ._search import golden_max
 from .generators import (
     DEFAULT_GRID,
@@ -322,11 +321,17 @@ class KruglovVerdict:
         )
 
 
+def _log_factorials(num_terms: int) -> np.ndarray:
+    """log n! for n = 1..N, shared by every t of a probe."""
+    return log_factorial(np.arange(1, num_terms + 1, dtype=float))
+
+
 def _kruglov_partial_terms(
-    phi: ConcaveGenerator, t: float, num_terms: int
+    phi: ConcaveGenerator, t: float, log_n_fact: np.ndarray
 ) -> np.ndarray:
-    n = np.arange(1, num_terms + 1, dtype=float)
-    largs = n * math.log(t) - gammaln(n + 1.0)  # log(t^n / n!)
+    largs = np.arange(1, log_n_fact.size + 1, dtype=float)
+    largs *= math.log(t)
+    largs -= log_n_fact  # log(t^n / n!)
     return np.exp(
         np.asarray(phi.log_eval(largs)) - float(phi.log_eval(math.log(t)))
     )
@@ -339,7 +344,8 @@ def kruglov_series(phi: ConcaveGenerator, t, num_terms: int) -> float:
         raise ValueError("t must lie in (0, 1]")
     if not isinstance(num_terms, int) or num_terms < 1:
         raise ValueError("num_terms must be a positive integer")
-    return float(np.sum(_kruglov_partial_terms(phi, t, num_terms)))
+    terms = _kruglov_partial_terms(phi, t, _log_factorials(num_terms))
+    return float(np.sum(terms))
 
 
 def kruglov_check(
@@ -362,11 +368,12 @@ def kruglov_check(
     best = -math.inf
     best_t = float(t_grid[0])
     any_unsettled = False
+    log_n_fact = _log_factorials(num_terms)
     for t in t_grid:
         t = float(t)
         if not 0.0 < t <= 1.0:
             raise ValueError("t_grid values must lie in (0, 1]")
-        terms = _kruglov_partial_terms(phi, t, num_terms)
+        terms = _kruglov_partial_terms(phi, t, log_n_fact)
         csum = np.cumsum(terms)
         crossed = np.nonzero(csum >= threshold)[0]
         if crossed.size:

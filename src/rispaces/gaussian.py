@@ -6,6 +6,9 @@ N(0, 1/2).  ``erfc_inverse`` inverts it with one Newton polish so the residual
 upper_tail(G(z)) - z sits at machine precision; ``erfc_inverse_log`` solves
 log(upper_tail(x)) = lz for arguments far below float underflow via the
 asymptotic expansion erfc(x) ~ exp(-x^2) / (x sqrt(pi)) * (1 - 1/(2x^2) + ...).
+
+``scipy.special`` is imported inside the functions, on first call, so only the
+Gaussian law loads SciPy; the rest of the package runs on NumPy alone.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 __all__ = ["upper_tail", "erfc_inverse", "erfc_inverse_log"]
 
@@ -22,11 +24,15 @@ _SQRT_PI = math.sqrt(math.pi)
 
 def upper_tail(x):
     """erfc(x), the measure of {|N(0, 1/2)| > x}."""
+    from scipy import special
+
     return special.erfc(x)
 
 
 def erfc_inverse(z):
     """Inverse of ``upper_tail`` on (0, 2), Newton-polished."""
+    from scipy import special
+
     zz = np.asarray(z, dtype=float)
     if np.any((zz <= 0) | (zz >= 2)):
         raise ValueError("argument must lie in (0, 2)")

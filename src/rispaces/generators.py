@@ -421,8 +421,8 @@ def limsup_tail_sum_ratio(
 ) -> LimitEstimate:
     """Estimate limsup_{u->0} (1/psi(u)) * sum_{s=1}^n psi(2^(1-s) C(n,s) u^s).
 
-    The summand arguments are assembled in log space (log-binomials via
-    gammaln), so the s-large terms survive far past float underflow.  The true
+    The summand arguments are assembled in log space (log-binomials from
+    log-factorials), so the s-large terms survive far past float underflow.  The true
     limit lies in (0, n]; finite-u probes exceed n by O(u).
     """
     if not isinstance(n, int) or n < 1:

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, Tuple, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
-from ._numeric import LN2, finite_float
+from ._numeric import LN2, finite_float, logsumexp
 from ._search import golden_max, golden_max_vec
 from .generators import ConcaveGenerator, parse_generator
 from .stepfn import StepFunction
@@ -284,6 +283,8 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: OrliczFunction) -> float
     # bounds the root from below; for a single layer the bound is the root.
     with np.errstate(over="ignore"):
         lam = float(np.max(v / M.inverse_log(-lT[keep])))
+    if lam == math.inf:  # a lower bound past the largest float
+        raise ValueError("Orlicz norm exceeds the float range")
     lo, hi, L_hi = 0.0, math.inf, math.nan
     last = before = math.inf  # |change of log lam| over the last two steps
     pruned = False

@@ -7,8 +7,9 @@ sum of n independent copies of (indicator of measure u) * (independent sign).
 Exact ``fractions.Fraction`` arithmetic is the default up to n <= 64, where it
 is fast and bit-reproducible.  Float routes run in log space: the deep tail
 atoms lie far below float underflow yet still dominate weighted-rearrangement
-norms.  Walk rows use gammaln log-binomials; the law of S_n comes, for every n,
-from one O(n) backward three-term recurrence (``signed_indicator_sum_log_tails``).
+norms.  Walk rows come from one table of log-factorials; the law of S_n comes,
+for every n, from one O(n) backward three-term recurrence
+(``signed_indicator_sum_log_tails``).
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from numbers import Rational
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
-from ._numeric import LN2, log_binom
+from ._numeric import LN2, log_binom, log_factorial, logsumexp
 from .stepfn import StepFunction
 
 __all__ = [
@@ -188,8 +188,12 @@ def _abs_tail_fractions(k: int) -> Tuple[Fraction, ...]:
 
 
 def _log_walk_row(k: int) -> np.ndarray:
-    """log P(W_k = k - 2j) for j = 0..k."""
-    return log_binom(k, np.arange(k + 1, dtype=float)) - k * LN2
+    """log P(W_k = k - 2j) = log k! - log j! - log (k-j)! - k log 2 for j = 0..k."""
+    lf = log_factorial(np.arange(k + 1, dtype=float))
+    row = lf[k] - lf
+    row -= lf[::-1]
+    row -= k * LN2
+    return row
 
 
 def walk_abs_tail(k: int, s: int, exact: Optional[bool] = None) -> Prob:

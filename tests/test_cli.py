@@ -18,7 +18,10 @@ from rispaces.cli import main, parse_config_file
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -233,20 +236,24 @@ def test_console_script_round_trip(child_env):
 
 
 @pytest.mark.parametrize(
-    "argv, fragment",
+    "argv, lead, fragment",
     [
-        (("norm", "--space", "lpq:inf:1", "--indicator", "1/4"), "finite"),
-        (("norm", "--space", "lorentz:logpow:inf", "--indicator", "1/4"), "finite"),
-        (("opnorm", "--psi", "power:0.5", "--n", "4", "--j-max", "-1"), "j_max"),
-        (("opnorm", "--psi", "power:0.5", "--n", "4", "--j-max", "1075"), "j_max must be <= 1074"),
+        (("norm", "--space", "lpq:inf:1", "--indicator", "1/4"), "error:", "finite"),
+        (("norm", "--space", "lorentz:logpow:inf", "--indicator", "1/4"), "error:", "finite"),
+        (("opnorm", "--psi", "power:0.5", "--n", "4", "--j-max", "-1"), "error:", "j_max"),
+        (("opnorm", "--psi", "power:0.5", "--n", "4", "--j-max", "1075"), "error:",
+         "j_max must be <= 1074"),
+        # argparse reads "-inf" as an option, not a value: a usage error, still one line
+        (("norm", "--space", "orlicz:np:2", "--indicator", "-inf"), "rispaces norm: error:",
+         "expected one argument"),
     ],
-    ids=["lpq-inf", "logpow-inf", "negative-j-max", "underflowing-j-max"],
+    ids=["lpq-inf", "logpow-inf", "negative-j-max", "underflowing-j-max", "option-like-value"],
 )
-def test_invalid_parameters_exit_two(capsys, argv, fragment):
+def test_invalid_parameters_exit_two(capsys, argv, lead, fragment):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.startswith(lead) and err.count("\n") == 1
     assert fragment in err
 
 
@@ -272,6 +279,15 @@ def test_malformed_step_file_exits_two(capsys, tmp_path, content):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_orlicz_norm_past_float_range_exits_two(capsys, tmp_path):
+    p = tmp_path / "step.json"
+    p.write_text('{"breakpoints": [0, 1], "values": [1.7e308]}')
+    code, out, err = run_cli(capsys, "norm", "--space", "orlicz:np:1", "--step", str(p))
+    assert code == 2
+    assert out == ""
+    assert err == "error: Orlicz norm exceeds the float range\n"
 
 
 def test_orlicz_non_convergence_is_inconclusive(child_env):
@@ -307,6 +323,8 @@ _STEP_VALUE = st.one_of(
     st.integers(min_value=0, max_value=10**6),
     st.fractions(min_value=0, max_value=10**6).map(str),
     st.sampled_from([10**308, 10**400, "1/" + "9" * 400]),
+    # the largest floats: the Orlicz norm itself then leaves the float range
+    st.floats(min_value=1e307, max_value=1.7976931348623157e308),
 )
 _STEP_ENTRY = st.one_of(
     _STEP_VALUE,
@@ -347,6 +365,8 @@ def _run_in_process(argv):
          fmt="text")
 @example(p="2", indicator="", step={"breakpoints": [0.0, 1.0], "values": [10**400]},
          use_step=True, fmt="json")
+@example(p="1", indicator="", step={"breakpoints": [0.0, 1.0], "values": [1.7e308]},
+         use_step=True, fmt="text")
 @given(
     p=_ORDER_TEXT,
     indicator=_MEASURE_TEXT,

@@ -211,6 +211,36 @@ def test_import_does_not_load_scipy_signal(child_env):
     assert proc.stdout == "False\n"
 
 
+_SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+
+
+def test_only_the_gaussian_law_loads_scipy(child_env):
+    script = (
+        "import sys, contextlib, io\n"
+        "import rispaces\n"
+        f"print({_SCIPY_LOADED})\n"
+        "from rispaces.cli import main\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv.split())\n"
+        f"    print(code, {_SCIPY_LOADED}, 'scipy.special' in sys.modules)\n"
+    )
+    commands = [
+        "growth --space orlicz:np:2 --ns 16,32,64,128",
+        "opnorm --psi power:0.5 --n 32",
+        "kruglov --psi logpow:2 --max-terms 4096",
+        "norm --space marcinkiewicz:gauss --indicator 1/4",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *commands],
+        capture_output=True, text=True, env=child_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False", "0 False False", "0 False False", "0 False False", "0 True True",
+    ]
+
+
 def test_selfsimilarity_grid_validation():
     with pytest.raises(ValueError):
         gaussian_selfsimilarity_check(2, 512)

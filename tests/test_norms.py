@@ -431,3 +431,12 @@ def test_orlicz_root_evaluation_counts():
         M = _CountingYoung(exp_lp(2.0))
         _orlicz_core(values, lT, M)
         assert M.calls <= 15
+
+
+def test_orlicz_norm_past_float_range_raises_before_evaluating():
+    # the norm of 1.7e308 on (0, 1] in exp(L_1) is 1.7e308 / log 2: its lower
+    # bound already overflows, so no modular evaluation can help
+    values, lT, M = np.array([1.7e308]), np.array([0.0]), _CountingYoung(exp_lp(1.0))
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        _orlicz_core(values, lT, M)
+    assert M.calls == 0
