@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -41,6 +42,20 @@ __all__ = ["main"]
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _jsonable(x):
+    """The JSON form of a report: dataclasses become dicts of their fields,
+    dict keys strings, tuples lists, and an infinite float the string "inf"."""
+    if dataclasses.is_dataclass(x):
+        return {f.name: _jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, float) and math.isinf(x):
+        return "inf"
+    return x
 
 
 def _int_list(text: str) -> List[int]:
@@ -197,7 +212,7 @@ def _cmd_classify(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int
         with_kruglov=args.with_kruglov,
     )
     payload = {"command": "classify", "psi": args.psi}
-    payload.update(report.to_json_dict())
+    payload.update(_jsonable(report))
     lines = [
         f"branch: {report.branch}"
         + (" (INCONCLUSIVE)" if report.inconclusive else ""),
@@ -249,7 +264,7 @@ def _cmd_kruglov(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]
         phi, t_grid=t_grid, num_terms=args.max_terms, threshold=args.threshold
     )
     payload = {"command": "kruglov", "psi": args.psi, "threshold": args.threshold}
-    payload.update(verdict.to_json_dict())
+    payload.update(_jsonable(verdict))
     return (
         payload,
         _kruglov_lines(verdict, args.threshold),
@@ -281,7 +296,7 @@ def _cmd_growth(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
         "sampler": None if sampler is None else sampler.label(),
         "seed": seed,
     }
-    payload.update(fit.to_json_dict())
+    payload.update(_jsonable(fit))
     width = max(len(str(n)) for n, _ in fit.pairs)
     lines = [f"{'n'.rjust(width)}  value"]
     for n, v in fit.pairs:

@@ -145,45 +145,6 @@ class DichotomyReport:
     inconclusive: bool = False
     kruglov: Optional["KruglovVerdict"] = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "margin": self.margin,
-            "a_estimates": {str(k): e.to_json_dict() for k, e in self.a_estimates.items()},
-            "c_estimates": {str(l): e.to_json_dict() for l, e in self.c_estimates.items()},
-            "opnorms": {str(n): v for n, v in self.opnorms.items()},
-            "witness_n0": self.witness_n0,
-            "q": self.q,
-            "C": self.C,
-            "failing_condition": self.failing_condition,
-            "inconclusive": self.inconclusive,
-            "kruglov": None if self.kruglov is None else self.kruglov.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DichotomyReport":
-        return cls(
-            branch=d["branch"],
-            margin=float(d["margin"]),
-            a_estimates={
-                int(k): LimitEstimate.from_json_dict(e)
-                for k, e in d["a_estimates"].items()
-            },
-            c_estimates={
-                int(l): LimitEstimate.from_json_dict(e)
-                for l, e in d["c_estimates"].items()
-            },
-            opnorms={int(n): float(v) for n, v in d["opnorms"].items()},
-            witness_n0=None if d["witness_n0"] is None else int(d["witness_n0"]),
-            q=None if d["q"] is None else float(d["q"]),
-            C=None if d["C"] is None else float(d["C"]),
-            failing_condition=d["failing_condition"],
-            inconclusive=bool(d["inconclusive"]),
-            kruglov=None
-            if d.get("kruglov") is None
-            else KruglovVerdict.from_json_dict(d["kruglov"]),
-        )
-
 
 def classify(
     psi: ConcaveGenerator,
@@ -203,6 +164,8 @@ def classify(
     """
     if not (k_list and l_list and n_list):
         raise ValueError("probe lists must be nonempty")
+    if not 0.0 <= margin < 1.0:
+        raise ValueError(f"margin must lie in [0, 1), got {margin!r}")
     a_est = {int(k): limsup_dilation_ratio(psi, int(k), grid) for k in k_list}
     c_est = {int(l): limsup_power_ratio(psi, int(l), grid) for l in l_list}
     inconclusive = any(not e.converged for e in a_est.values()) or any(
@@ -300,26 +263,6 @@ class KruglovVerdict:
     t_argmax: float
     inconclusive: bool = False
 
-    def to_json_dict(self) -> dict:
-        return {
-            "finite": self.finite,
-            "sup_value": "inf" if math.isinf(self.sup_value) else self.sup_value,
-            "N_used": self.N_used,
-            "t_argmax": self.t_argmax,
-            "inconclusive": self.inconclusive,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "KruglovVerdict":
-        sup = d["sup_value"]
-        return cls(
-            finite=bool(d["finite"]),
-            sup_value=math.inf if sup == "inf" else float(sup),
-            N_used=int(d["N_used"]),
-            t_argmax=float(d["t_argmax"]),
-            inconclusive=bool(d["inconclusive"]),
-        )
-
 
 def _log_factorials(num_terms: int) -> np.ndarray:
     """log n! for n = 1..N, shared by every t of a probe."""
@@ -365,6 +308,8 @@ def kruglov_check(
         raise ValueError("t_grid must be nonempty")
     if num_terms < 4:
         raise ValueError("num_terms must allow an N/4 checkpoint")
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
     best = -math.inf
     best_t = float(t_grid[0])
     any_unsettled = False

@@ -18,7 +18,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -309,28 +309,6 @@ class GrowthFit:
     residual: float
     burn_in: int
     degenerate: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pairs": [[n, v] for n, v in self.pairs],
-            "q": self.q,
-            "C": self.C,
-            "residual": self.residual,
-            "burn_in": self.burn_in,
-            "degenerate": self.degenerate,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GrowthFit":
-        return cls(
-            pairs=tuple((int(n), float(v)) for n, v in d["pairs"]),
-            q=float(d["q"]),
-            C=float(d["C"]),
-            residual=float(d["residual"]),
-            burn_in=int(d["burn_in"]),
-            degenerate=bool(d["degenerate"]),
-        )
-
 
 def fit_growth(pairs: Iterable[Tuple[int, float]], burn_in: int = 2) -> GrowthFit:
     """Fit (q, C) by least squares on (log n, log value), dropping a burn-in."""

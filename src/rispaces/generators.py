@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,42 +59,23 @@ def _ufunc(f):
 class ConcaveGenerator:
     """Increasing concave psi on (0, 1] with psi(0+) = 0.
 
-    ``fn`` evaluates psi, ``log_fn`` (if given) evaluates log psi(e^lt) from
-    lt = log t, ``derivative`` is optional.  All callables accept floats or
-    float arrays.
+    ``fn`` evaluates psi and ``log_fn`` evaluates log psi(e^lt) from lt = log t.
+    Both accept floats or float arrays.
     """
 
-    __slots__ = ("_fn", "_log_fn", "derivative", "label")
+    __slots__ = ("_fn", "_log_fn", "label")
 
-    def __init__(
-        self,
-        fn: Callable,
-        *,
-        log_fn: Optional[Callable] = None,
-        derivative: Optional[Callable] = None,
-        label: str = "psi",
-    ):
+    def __init__(self, fn: Callable, *, log_fn: Callable, label: str = "psi"):
         self._fn = fn
         self._log_fn = log_fn
-        self.derivative = derivative
         self.label = label
 
     def __call__(self, t):
         return self._fn(t)
 
     def log_eval(self, lt):
-        """log psi(e^lt).  The fallback route requires e^lt not to underflow."""
-        if self._log_fn is not None:
-            return self._log_fn(lt)
-        ltt = np.asarray(lt, dtype=float)
-        t = np.exp(ltt)
-        if np.any(t == 0.0):
-            raise ValueError(
-                f"generator {self.label!r} has no log-scale evaluator and "
-                "exp(log t) underflows"
-            )
-        out = np.log(self._fn(t))
-        return out if ltt.ndim else float(out)
+        """log psi(e^lt)."""
+        return self._log_fn(lt)
 
     def __repr__(self):
         return f"ConcaveGenerator({self.label})"
@@ -138,7 +119,6 @@ def power(alpha) -> ConcaveGenerator:
         log_fn=lambda lt: a * np.asarray(lt, dtype=float)
         if np.ndim(lt)
         else a * float(lt),
-        derivative=_ufunc(lambda t: a * t ** (a - 1.0)),
         label=f"power:{a:g}",
     )
 
@@ -158,13 +138,7 @@ def logpow(p) -> ConcaveGenerator:
         out = ltt + ip * np.log1p(-ltt)
         return out if ltt.ndim else float(out)
 
-    def deriv(t):
-        L = np.log(np.e / t)
-        return L**ip - ip * L ** (ip - 1.0)
-
-    return ConcaveGenerator(
-        _ufunc(fn), log_fn=log_fn, derivative=_ufunc(deriv), label=f"logpow:{p:g}"
-    )
+    return ConcaveGenerator(_ufunc(fn), log_fn=log_fn, label=f"logpow:{p:g}")
 
 
 # Slowly-varying generator: inverse square root of log(1/t), capped linearly so
@@ -195,19 +169,7 @@ def inv_sqrt_log() -> ConcaveGenerator:
         out[~curved] = np.log(_ISL_PSI0 + _ISL_SLOPE * (np.exp(lt[~curved]) - _ISL_T0))
         return out
 
-    def deriv(t):
-        t = np.asarray(t, dtype=float)
-        curved = t <= _ISL_T0
-        out = np.full_like(t, _ISL_SLOPE)
-        out[curved] = 0.5 / t[curved] * (-np.log(t[curved])) ** -1.5
-        return out
-
-    return ConcaveGenerator(
-        _ufunc(fn),
-        log_fn=_ufunc(log_fn),
-        derivative=_ufunc(deriv),
-        label="invsqrtlog",
-    )
+    return ConcaveGenerator(_ufunc(fn), log_fn=_ufunc(log_fn), label="invsqrtlog")
 
 
 def gauss() -> ConcaveGenerator:
@@ -224,9 +186,7 @@ def gauss() -> ConcaveGenerator:
         g = erfc_inverse_log(lt)
         return -np.square(g) - 0.5 * math.log(math.pi)
 
-    return ConcaveGenerator(
-        _ufunc(fn), log_fn=_ufunc(log_fn), derivative=_ufunc(erfc_inverse), label="gauss"
-    )
+    return ConcaveGenerator(_ufunc(fn), log_fn=_ufunc(log_fn), label="gauss")
 
 
 def table(points: Sequence, label: str = "table") -> ConcaveGenerator:
@@ -345,25 +305,6 @@ class LimitEstimate:
     window: int
     converged: bool
     j_max: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "grid_min": self.grid_min,
-            "window": self.window,
-            "converged": self.converged,
-            "j_max": self.j_max,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "LimitEstimate":
-        return cls(
-            value=float(d["value"]),
-            grid_min=float(d["grid_min"]),
-            window=int(d["window"]),
-            converged=bool(d["converged"]),
-            j_max=int(d["j_max"]),
-        )
 
 
 def _window_estimate(ratios: np.ndarray, grid: GridConfig, j_max: int) -> LimitEstimate:

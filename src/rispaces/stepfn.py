@@ -11,9 +11,6 @@ pieces sharing a value), so equimeasurability checks are plain data comparisons.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from fractions import Fraction
 from numbers import Rational
@@ -192,9 +189,6 @@ class StepFunction:
             )
         return float(math.fsum(self._values * np.diff(self._breakpoints)))
 
-    def sup(self):
-        return max(self._values) if self._exact else float(np.max(self._values))
-
     def scale(self, c: Number) -> "StepFunction":
         if c < 0:
             raise ValueError("scale factor must be nonnegative")
@@ -232,10 +226,6 @@ class StepFunction:
         if self._exact and other._exact:
             return StepFunction(bp, [a + b for a, b in zip(vf, vg)])
         return StepFunction(bp, vf + vg)
-
-    def pointwise_leq(self, other: "StepFunction", tol: Number = 0) -> bool:
-        _, vf, vg = self._refined_against(other)
-        return all(a <= b + tol for a, b in zip(vf, vg))
 
     # ------------------------------------------------------------- operations
 
@@ -293,20 +283,9 @@ class StepFunction:
 
     # ---------------------------------------------------------- serialization
 
-    def to_json_dict(self) -> dict:
-        if self._exact:
-            enc = lambda x: int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-            return {
-                "breakpoints": [enc(t) for t in self._breakpoints],
-                "values": [enc(v) for v in self._values],
-            }
-        return {
-            "breakpoints": [float(t) for t in self._breakpoints],
-            "values": [float(v) for v in self._values],
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "StepFunction":
+        """Read ``{"breakpoints": [...], "values": [...]}``; entries are numbers or "p/q"."""
         if not (
             isinstance(d, dict)
             and isinstance(d.get("breakpoints"), list)
@@ -328,32 +307,6 @@ class StepFunction:
 
         return cls([dec(t) for t in d["breakpoints"]], [dec(v) for v in d["values"]])
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "StepFunction":
-        return cls.from_json_dict(json.loads(s))
-
-    def write_csv(self, file) -> None:
-        """Rows t_left,t_right,value (float-rendered)."""
-        own = isinstance(file, (str,))
-        fh = open(file, "w", newline="") if own else file
-        try:
-            w = csv.writer(fh)
-            w.writerow(["t_left", "t_right", "value"])
-            bp = self._breakpoints
-            for i, v in enumerate(self._values):
-                w.writerow([repr(float(bp[i])), repr(float(bp[i + 1])), repr(float(v))])
-        finally:
-            if own:
-                fh.close()
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
-
     # -------------------------------------------------------------- equality
 
     def __eq__(self, other):
@@ -371,10 +324,6 @@ class StepFunction:
         )
 
     __hash__ = None
-
-    def approx_equal(self, other: "StepFunction", tol: float = 1e-12) -> bool:
-        bp, vf, vg = self._refined_against(other)
-        return all(abs(float(a) - float(b)) <= tol for a, b in zip(vf, vg))
 
     def __repr__(self):
         mode = "exact" if self._exact else "float"

@@ -29,7 +29,6 @@ __all__ = [
     "EXACT_MAX_STEPS",
     "IntegerDistribution",
     "walk_distribution",
-    "walk_abs_tail",
     "walk_abs_layers",
     "signed_indicator_sum_tail",
     "signed_indicator_sum_log_tails",
@@ -93,17 +92,6 @@ class IntegerDistribution:
             out[a] = out.get(a, Fraction(0) if self._exact else 0.0) + p
         return dict(sorted(out.items()))
 
-    def tail_abs(self, s: int) -> Prob:
-        """P(|X| >= s)."""
-        vals = [p for v, p in self._atoms.items() if abs(v) >= s]
-        if not vals:
-            return Fraction(0) if self._exact else 0.0
-        return sum(vals) if self._exact else math.fsum(vals)
-
-    def expectation_abs(self) -> Prob:
-        vals = [abs(v) * p for v, p in self._atoms.items()]
-        return sum(vals) if self._exact else math.fsum(vals)
-
     def to_step_function(self) -> StepFunction:
         """Decreasing rearrangement of |X| as a step function on (0, 1]."""
         law = sorted(self.abs_law().items(), key=lambda kv: -kv[0])
@@ -117,20 +105,6 @@ class IntegerDistribution:
         bps = np.concatenate(([0.0], np.cumsum(np.asarray(probs, dtype=float))))
         bps[-1] = 1.0
         return StepFunction(bps, np.asarray(values, dtype=float))
-
-    def to_json_dict(self) -> dict:
-        atoms = [
-            [v, f"{p.numerator}/{p.denominator}" if self._exact else p]
-            for v, p in self._atoms.items()
-        ]
-        return {"atoms": atoms}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "IntegerDistribution":
-        atoms: Dict[int, Prob] = {}
-        for v, p in d["atoms"]:
-            atoms[int(v)] = Fraction(p) if isinstance(p, str) else float(p)
-        return cls(atoms)
 
     def __eq__(self, other):
         if not isinstance(other, IntegerDistribution):
@@ -194,22 +168,6 @@ def _log_walk_row(k: int) -> np.ndarray:
     row -= lf[::-1]
     row -= k * LN2
     return row
-
-
-def walk_abs_tail(k: int, s: int, exact: Optional[bool] = None) -> Prob:
-    """P(|W_k| >= s)."""
-    if k < 0 or s < 0:
-        raise ValueError("k and s must be nonnegative")
-    if exact is None:
-        exact = k <= EXACT_MAX_STEPS
-    if s > k:
-        return Fraction(0) if exact else 0.0
-    if exact:
-        return _abs_tail_fractions(k)[s]
-    if s == 0:
-        return 1.0
-    H = np.logaddexp.accumulate(_log_walk_row(k))
-    return float(np.exp(LN2 + H[(k - s) // 2]))
 
 
 def walk_abs_layers(k: int) -> Tuple[np.ndarray, np.ndarray]:

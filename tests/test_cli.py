@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rispaces import DichotomyReport, StepFunction, lorentz_operator_norm, power
+from rispaces import lorentz_operator_norm, power
 from rispaces.cli import main, parse_config_file
 
 
@@ -40,9 +40,8 @@ def test_norm_rational_indicator(capsys):
 
 
 def test_norm_step_file(capsys, tmp_path):
-    f = StepFunction.indicator(0.25).scale(3.0)
     p = tmp_path / "step.json"
-    p.write_text(f.to_json())
+    p.write_text(json.dumps({"breakpoints": [0.0, 0.25, 1.0], "values": [3.0, 0.0]}))
     code, out, _ = run_cli(capsys, "norm", "--space", "lorentz:power:1", "--step", str(p))
     assert code == 0
     assert float(out) == pytest.approx(0.75, rel=1e-12)
@@ -95,9 +94,22 @@ def test_classify_json_reparses_into_report(capsys):
     code, out, _ = run_cli(capsys, "classify", "--psi", "power:0.5", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    report = DichotomyReport.from_json_dict(payload)
-    assert report.branch == "PowerBound"
-    assert report.q == pytest.approx(0.7075187496394222, abs=1e-9)
+    assert payload["branch"] == "PowerBound"
+    assert payload["q"] == pytest.approx(0.7075187496394222, abs=1e-9)
+
+
+def test_classify_json_shape(capsys):
+    code, out, _ = run_cli(
+        capsys, "classify", "--psi", "power:0.5", "--k-list", "2,3,16", "--n-list", "16",
+        "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)  # keeps the key order of the text
+    # integer keys are strings and sort as strings: "16" comes before "2"
+    assert list(payload["a_estimates"]) == ["16", "2", "3"]
+    assert list(payload["opnorms"]) == sorted(str(n) for n in range(1, 17))
+    for est in (*payload["a_estimates"].values(), *payload["c_estimates"].values()):
+        assert set(est) == {"value", "grid_min", "window", "converged", "j_max"}
 
 
 def test_classify_shallow_grid_is_inconclusive(capsys):
@@ -121,6 +133,21 @@ def test_kruglov_divergent(capsys):
     code, out, _ = run_cli(capsys, "kruglov", "--psi", "example7", "--t-grid", "0.01")
     assert code == 0
     assert "divergent" in out
+    code, out, _ = run_cli(
+        capsys, "kruglov", "--psi", "example7", "--t-grid", "0.01", "--format", "json"
+    )
+    assert code == 0
+    assert '"sup_value": "inf"' in out
+
+
+def test_kruglov_inconclusive(capsys):
+    # N = 8 terms of sum 1/n!: the N/4 sum 1.5 and the N sum 1.71827877 differ by > 1e-6
+    code, out, _ = run_cli(
+        capsys, "kruglov", "--psi", "power:1", "--t-grid", "1", "--max-terms", "8",
+        "--threshold", "1e9",
+    )
+    assert code == 1
+    assert "INCONCLUSIVE" in out
 
 
 def test_growth_exact_csv(capsys):
@@ -152,6 +179,8 @@ def test_growth_config_file_with_flag_override(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["seed"] == 9
     assert [p[0] for p in payload["pairs"]] == [16, 32, 64, 128]
+    assert all(isinstance(p, list) and len(p) == 2 and isinstance(p[1], float)
+               for p in payload["pairs"])
     code2, out2, _ = run_cli(
         capsys, "growth", "--config", str(cfg), "--seed", "11", "--format", "json"
     )
@@ -246,8 +275,15 @@ def test_console_script_round_trip(child_env):
         # argparse reads "-inf" as an option, not a value: a usage error, still one line
         (("norm", "--space", "orlicz:np:2", "--indicator", "-inf"), "rispaces norm: error:",
          "expected one argument"),
+        (("classify", "--psi", "power:0.5", "--margin", "nan"), "error:", "margin"),
+        (("classify", "--psi", "power:0.5", "--margin", "inf"), "error:", "margin"),
+        (("kruglov", "--psi", "power:1", "--t-grid", "1", "--threshold", "-1"), "error:",
+         "threshold"),
+        (("kruglov", "--psi", "power:1", "--t-grid", "1", "--threshold", "nan"), "error:",
+         "threshold"),
     ],
-    ids=["lpq-inf", "logpow-inf", "negative-j-max", "underflowing-j-max", "option-like-value"],
+    ids=["lpq-inf", "logpow-inf", "negative-j-max", "underflowing-j-max", "option-like-value",
+         "nan-margin", "inf-margin", "negative-threshold", "nan-threshold"],
 )
 def test_invalid_parameters_exit_two(capsys, argv, lead, fragment):
     code, out, err = run_cli(capsys, *argv)

@@ -1,14 +1,10 @@
-import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rispaces import (
     DEFAULT_KRUGLOV_T_GRID,
-    DichotomyReport,
-    KruglovVerdict,
     classify,
     indicator_ratio,
     indicator_ratio_small_u_limit,
@@ -127,12 +123,24 @@ def test_classify_zero_margin_falls_back_on_norm_measurement():
 def test_classify_validation():
     with pytest.raises(ValueError):
         classify(power(1.0), k_list=())
+    for margin in (math.nan, math.inf, -1e-3, 1.0):
+        with pytest.raises(ValueError, match="margin"):
+            classify(power(0.5), margin=margin)
 
 
-def test_report_json_round_trip():
-    rep = classify(power(0.5))
-    back = DichotomyReport.from_json_dict(json.loads(json.dumps(rep.to_json_dict())))
-    assert back == rep
+def test_kruglov_check_threshold_validation():
+    for threshold in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="threshold"):
+            kruglov_check(power(1.0), t_grid=(1.0,), threshold=threshold)
+
+
+def test_kruglov_check_inconclusive():
+    # N = 8: the N/4 partial sum is 1 + 1/2, the N sum is sum_{n <= 8} 1/n!
+    v = kruglov_check(power(1.0), t_grid=(1.0,), num_terms=8, threshold=1e9)
+    assert v.inconclusive and not v.finite
+    assert v.sup_value == pytest.approx(math.fsum(1 / math.factorial(n) for n in range(1, 9)),
+                                        rel=1e-14)
+    assert v.N_used == 8 and v.t_argmax == 1.0
 
 
 def test_kruglov_series_anchors():
@@ -166,12 +174,6 @@ def test_kruglov_check_slowly_varying_divergent():
     assert math.isinf(v.sup_value)
     assert v.N_used < 10**6
     assert v.t_argmax == pytest.approx(0.01)
-
-
-def test_kruglov_verdict_json_round_trip_with_inf():
-    v = KruglovVerdict(finite=False, sup_value=math.inf, N_used=5, t_argmax=0.25)
-    back = KruglovVerdict.from_json_dict(json.loads(json.dumps(v.to_json_dict())))
-    assert back == v
 
 
 def test_default_t_grid_probes_deep():

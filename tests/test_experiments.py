@@ -1,4 +1,3 @@
-import json
 import math
 import subprocess
 import sys
@@ -8,7 +7,6 @@ import numpy as np
 import pytest
 
 from rispaces import (
-    GrowthFit,
     Lorentz,
     Lpq,
     Marcinkiewicz,
@@ -92,6 +90,9 @@ def test_draw_distributions_match_laws():
     assert abs(float(np.mean(s == 0.0)) - 0.75) < 0.005
     g = _draw_sums(gaussian_law(seed=3), n, trials)
     assert abs(g.std() - 1.0) < 0.01
+    c = _draw_sums(custom_sampler([-2.0, -1.0, 1.0, 2.0], seed=4), n, trials)
+    assert set(np.unique(c)) == {-2.0, -1.0, 1.0, 2.0}
+    assert abs(float(np.mean(np.abs(c) == 2.0)) - 0.5) < 0.005
 
 
 # -------------------------------------------------------------- exact norms
@@ -133,6 +134,21 @@ def test_mc_matches_exact_within_three_standard_errors():
             exact = rademacher_sum_norm(n, sp)
             vals = [
                 mc_iid_sum_norm(rademacher(seed=s), n, sp, trials=20_000, m=20_000)
+                for s in range(6)
+            ]
+            mean = float(np.mean(vals))
+            se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
+            assert abs(mean - exact) <= 3.0 * se
+
+
+def test_mc_custom_two_atom_law_matches_rademacher():
+    # custom:[-1, 1] is the Rademacher law; same protocol and tolerance as above
+    for sp in ALL_SPACES:
+        for n in (4, 16):
+            exact = rademacher_sum_norm(n, sp)
+            vals = [
+                mc_iid_sum_norm(custom_sampler([-1.0, 1.0], seed=s), n, sp,
+                                trials=20_000, m=20_000)
                 for s in range(6)
             ]
             mean = float(np.mean(vals))
@@ -277,12 +293,6 @@ def test_fit_growth_validation():
         fit_growth([(2, 1.0), (4, 0.0)], burn_in=0)
     with pytest.raises(ValueError):
         fit_growth([(2, 1.0), (4, 2.0)], burn_in=2)
-
-
-def test_growth_fit_json_round_trip():
-    fit = fit_growth([(n, 2.0 * n**0.5) for n in (4, 8, 16, 32)], burn_in=1)
-    back = GrowthFit.from_json_dict(json.loads(json.dumps(fit.to_json_dict())))
-    assert back == fit
 
 
 def test_growth_table_exact_sqrt_scale():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from rispaces import (
     ConcaveGenerator,
     DEFAULT_GRID,
     GridConfig,
-    LimitEstimate,
     chained_power_ratio_bound,
     erfc_inverse,
     gauss,
@@ -31,15 +29,18 @@ def test_builtins_validate():
 
 
 def test_validate_rejects_non_concave():
-    bad = ConcaveGenerator(lambda t: np.asarray(t) ** 2, label="square")
-    with pytest.raises(ValueError):
+    bad = ConcaveGenerator(lambda t: np.asarray(t) ** 2, log_fn=lambda lt: 2.0 * lt,
+                           label="square")
+    with pytest.raises(ValueError, match="midpoint concavity"):
         bad.validate()
 
 
 def test_validate_rejects_not_vanishing():
-    bad = ConcaveGenerator(lambda t: 1.0 + 0.0 * np.asarray(t), label="one")
-    with pytest.raises(ValueError):
-        bad.validate()
+    bad = ConcaveGenerator(lambda t: 0.5 + np.asarray(t), log_fn=lambda lt: np.log(0.5 + np.exp(lt)),
+                           label="half-plus-t")
+    # 40 octaves keep 0.5 + 2^-j strictly increasing in floats, so the vanishing check decides
+    with pytest.raises(ValueError, match="does not vanish"):
+        bad.validate(j_max=40)
 
 
 def test_power_values():
@@ -75,7 +76,6 @@ def test_gauss_matches_quantile_integral():
     for t in (0.9, 0.5, 0.1, 1e-3):
         integral, err = quad(lambda s: float(erfc_inverse(s)), 0.0, t)
         assert abs(psi(t) - integral) <= 1e-10
-    assert psi.derivative(0.25) == pytest.approx(float(erfc_inverse(0.25)), rel=1e-13)
 
 
 def test_table_generator():
@@ -86,6 +86,14 @@ def test_table_generator():
     assert psi(0.5) == pytest.approx(0.5 + 0.25 * 2 / 3, rel=1e-14)
     # below the first node the extension is linear, so log-linear
     assert psi.log_eval(-700.0) == pytest.approx(math.log(2.0) - 700.0, rel=1e-12)
+
+
+def test_table_extends_past_last_node_with_final_slope():
+    psi = table([(0.25, 0.5), (0.5, 0.75)])
+    psi.validate()
+    assert psi(0.75) == pytest.approx(1.0, rel=1e-15)
+    assert psi(1.0) == pytest.approx(1.25, rel=1e-15)
+    assert psi.log_eval(math.log(0.75)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_table_rejects_increasing_slopes():
@@ -158,7 +166,3 @@ def test_grid_too_shallow_rejected():
         limsup_dilation_ratio(power(1.0), 2, GridConfig(j_min=1, j_max=5, window=10, tol=1e-3))
 
 
-def test_limit_estimate_json_round_trip():
-    est = limsup_dilation_ratio(power(1.0), 2)
-    back = LimitEstimate.from_json_dict(json.loads(json.dumps(est.to_json_dict())))
-    assert back == est

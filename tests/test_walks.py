@@ -1,6 +1,5 @@
 import functools
 import itertools
-import json
 import math
 from fractions import Fraction
 
@@ -16,9 +15,9 @@ from rispaces import (
     signed_indicator_sum_tail,
     signed_indicator_sum_tail_leading,
     walk_abs_layers,
-    walk_abs_tail,
     walk_distribution,
 )
+from rispaces.walks import _abs_tail_fractions
 
 LN2 = math.log(2.0)
 
@@ -60,10 +59,10 @@ def test_walk_distribution_matches_sign_enumeration():
 
 
 def test_walk_tail_anchors():
-    assert walk_abs_tail(4, 2) == Fraction(5, 8)
-    assert walk_abs_tail(5, 5) == Fraction(1, 16)
-    assert walk_abs_tail(2, 1) == Fraction(1, 2)
-    assert walk_abs_tail(3, 1) == 1
+    assert _abs_tail_fractions(4)[2] == Fraction(5, 8)
+    assert _abs_tail_fractions(5)[5] == Fraction(1, 16)
+    assert _abs_tail_fractions(2)[1] == Fraction(1, 2)
+    assert _abs_tail_fractions(3)[1] == 1
 
 
 def test_signed_sum_tail_anchors():
@@ -80,9 +79,19 @@ def test_extreme_tail_identity():
             assert signed_indicator_sum_tail_leading(n, u, n) == expect
 
 
+def test_leading_term_float_path_matches_exact():
+    for n in (1, 2, 7, 30, 64):
+        for u in (Fraction(1, 1000), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1)):
+            for s in range(1, n + 1):
+                exact = float(signed_indicator_sum_tail_leading(n, u, s))
+                got = signed_indicator_sum_tail_leading(n, float(u), s)
+                assert isinstance(got, float)
+                assert got == pytest.approx(exact, rel=1e-13)
+
+
 def test_u_equal_one_reduces_to_walk():
     for s in range(1, 7):
-        assert signed_indicator_sum_tail(6, Fraction(1), s) == walk_abs_tail(6, s)
+        assert signed_indicator_sum_tail(6, Fraction(1), s) == _abs_tail_fractions(6)[s]
 
 
 def test_exact_vs_float_paths_agree():
@@ -171,7 +180,7 @@ def test_walk_layers_consistent_with_tails():
     assert np.all(np.diff(values) < 0)
     assert np.all(log_tails <= 0.0)
     for v, lt in zip(values, log_tails):
-        assert lt == pytest.approx(math.log(float(walk_abs_tail(12, int(v)))), rel=1e-12)
+        assert lt == pytest.approx(math.log(float(_abs_tail_fractions(12)[int(v)])), rel=1e-12)
 
 
 def test_walk_layers_deep_tail():
@@ -209,7 +218,7 @@ def test_validation():
     with pytest.raises(ValueError):
         signed_indicator_sum_tail(4, Fraction(1, 2), 5)
     with pytest.raises(ValueError):
-        walk_abs_tail(-1, 1)
+        walk_abs_layers(-1)
 
 
 def test_distribution_to_step_function():
@@ -220,16 +229,6 @@ def test_distribution_to_step_function():
     g = walk_distribution(3).to_step_function()
     assert list(g.breakpoints) == [0, Fraction(1, 4), 1]
     assert list(g.values) == [3, 1]
-
-
-def test_distribution_json_round_trip():
-    dist = walk_distribution(7)
-    back = IntegerDistribution.from_json_dict(json.loads(json.dumps(dist.to_json_dict())))
-    assert back == dist
-    assert back.is_exact
-    fdist = walk_distribution(70)
-    fback = IntegerDistribution.from_json_dict(json.loads(json.dumps(fdist.to_json_dict())))
-    assert fback == fdist
 
 
 def test_distribution_mass_validation():
