@@ -111,6 +111,20 @@ def _merged_config(args: argparse.Namespace) -> Dict[str, str]:
     return cfg
 
 
+# Caps on the Monte Carlo sizing values, flag or config key alike, checked
+# before any draw.  The sums and the quantile pieces hold 8 bytes each, and a
+# chunk of draws holds at least two sums of n draws.
+_MC_CAPS = {"n": 2**20, "ns": 2**20, "trials": 10**7, "m": 10**7}
+
+
+def _check_caps(**sizes) -> None:
+    for key, value in sizes.items():
+        cap = _MC_CAPS[key]
+        for v in value if isinstance(value, list) else [value]:
+            if v > cap:
+                raise ValueError(f"{key} = {v} is past its cap of {cap}")
+
+
 def _pick(flag, cfg: Dict[str, str], key: str, conv, default):
     if flag is not None:
         return flag
@@ -146,6 +160,7 @@ def _cmd_mc(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
         _bad("--n")
     trials = _pick(args.trials, cfg, "trials", int, 100_000)
     m = _pick(args.m, cfg, "m", int, 4096)
+    _check_caps(n=n, trials=trials, m=m)
     sampler = parse_sampler(token, seed)
     value = mc_iid_sum_norm(sampler, n, space, trials=trials, m=m)
     payload = {
@@ -284,6 +299,8 @@ def _cmd_growth(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     trials = _pick(args.trials, cfg, "trials", int, 100_000)
     m = _pick(args.m, cfg, "m", int, 4096)
     burn_in = _pick(args.burn_in, cfg, "burn_in", int, 2)
+    if mode == "mc":
+        _check_caps(ns=ns, trials=trials, m=m)
     token = _pick(args.sampler, cfg, "sampler", str, None)
     sampler = parse_sampler(token, seed) if token else None
     fit = growth_table(
@@ -361,7 +378,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", required=True)
     p.add_argument("--t-grid", type=_float_list, default=None)
     p.add_argument("--max-terms", type=int, default=1_048_576)
-    p.add_argument("--threshold", type=float, default=1e3)
+    p.add_argument("--threshold", type=float, default=1e3,
+                   help="divergence bound on the partial sums; finite and > 1, "
+                   "since the first term is 1")
     common(p)
 
     p = sub.add_parser("growth", help="norm-vs-n table and power fit")

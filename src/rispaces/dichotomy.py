@@ -308,8 +308,9 @@ def kruglov_check(
         raise ValueError("t_grid must be nonempty")
     if num_terms < 4:
         raise ValueError("num_terms must allow an N/4 checkpoint")
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
+    # the n = 1 term phi(t)/phi(t) is 1, so a threshold <= 1 is crossed at once
+    if not (math.isfinite(threshold) and threshold > 1):
+        raise ValueError(f"threshold must be finite and > 1, got {threshold!r}")
     best = -math.inf
     best_t = float(t_grid[0])
     any_unsettled = False

@@ -9,7 +9,11 @@ function, and prices that.  ``fit_growth`` turns either table into (C, q) with
 
 Reproducibility contract: every sampler carries its own seed, and the draw for
 size n uses an independent child stream keyed by n, so results are identical
-across runs, call orders, and batch sizes.
+across runs, call orders, and batch sizes.  The sign laws (Rademacher and
+signed indicators) are decoded from raw PCG64 words into exactly the draws
+NumPy's ``integers`` and ``random`` would make; the Gaussian and custom laws
+use NumPy's samplers.  Sums are formed a chunk of at most ``_MC_CHUNK``
+generator words at a time, which bounds memory and never changes a result.
 """
 
 from __future__ import annotations
@@ -47,7 +51,9 @@ __all__ = [
 ]
 
 MAX_EXACT_N = 2**20
-_MC_CHUNK = 2**22  # draws per chunk: keeps the trials x n matrix under ~32 MB
+# Generator words per Monte Carlo chunk (2 MB of them): one word per draw, or
+# two Rademacher draws per word.  It sets memory only, never a result.
+_MC_CHUNK = 2**18
 
 
 # ------------------------------------------------------------------- samplers
@@ -129,13 +135,43 @@ def _rng_for(spec: SamplerSpec, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(stream,)))
 
 
-def _draw_block(spec: SamplerSpec, rng: np.random.Generator, shape) -> np.ndarray:
+def _signed_thresholds(u: float) -> Tuple[np.uint64, np.uint64]:
+    """Raw-word form of ``random() < u/2`` and ``random() > 1 - u/2``.
+
+    ``random()`` is (w >> 11) * 2^-53 exactly, so the first test is
+    w < ceil(u/2 * 2^53) * 2^11 and the second, with 1 - u/2 rounded to a float
+    first, is (w >> 11) > floor((1 - u/2) * 2^53).
+    """
+    half = u / 2.0
+    below = math.ceil(half * 2.0**53) << 11
+    above = (math.floor((1.0 - half) * 2.0**53) << 11) | 0x7FF
+    return np.uint64(below), np.uint64(min(above, 2**64 - 1))
+
+
+def _sign_draws(spec: SamplerSpec, rng: np.random.Generator, count: int):
+    """Masks of the +1 and of the -1 values among the next count draws of a sign law.
+
+    ``integers(0, 2)`` is bit 31 of a 32-bit output, and PCG64 hands out the
+    low half of each 64-bit word before the high half, which it keeps for the
+    next call; ``random_raw`` bypasses that buffer.  So an odd count is only
+    the same as NumPy's draw when nothing is drawn after it.
+    """
     if spec.kind == "rademacher":
-        return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
-    if spec.kind == "signed_indicator":
-        roll = rng.random(size=shape)
-        half = spec.u / 2.0
-        return np.where(roll < half, 1.0, np.where(roll > 1.0 - half, -1.0, 0.0))
+        words = rng.bit_generator.random_raw((count + 1) // 2)
+        plus = words.astype("<u8", copy=False).view("<i4")[:count] < 0  # bit 31 set
+        return plus, ~plus
+    below, above = _signed_thresholds(spec.u)
+    words = rng.bit_generator.random_raw(count)
+    return words < below, words > above
+
+
+_SIGN_KINDS = ("rademacher", "signed_indicator")
+
+
+def _draw_block(spec: SamplerSpec, rng: np.random.Generator, shape) -> np.ndarray:
+    if spec.kind in _SIGN_KINDS:
+        plus, minus = _sign_draws(spec, rng, math.prod(shape))
+        return (plus.astype(np.float64) - minus).reshape(shape)
     if spec.kind == "gaussian":
         return rng.standard_normal(size=shape)
     if spec.kind == "custom":
@@ -147,11 +183,19 @@ def _draw_block(spec: SamplerSpec, rng: np.random.Generator, shape) -> np.ndarra
 def _draw_sums(spec: SamplerSpec, n: int, trials: int) -> np.ndarray:
     rng = _rng_for(spec, n)
     out = np.empty(trials)
-    rows_per_chunk = max(1, _MC_CHUNK // n)
+    # An even row count keeps every chunk but the last on a whole number of
+    # Rademacher words, so no half-word is left over between chunks.
+    rows_per_chunk = 2 * max(1, _MC_CHUNK // (2 * n))
     done = 0
     while done < trials:
         c = min(rows_per_chunk, trials - done)
-        out[done : done + c] = _draw_block(spec, rng, (c, n)).sum(axis=1)
+        if spec.kind in _SIGN_KINDS:
+            plus, minus = _sign_draws(spec, rng, c * n)
+            out[done : done + c] = np.count_nonzero(
+                plus.reshape(c, n), axis=1
+            ) - np.count_nonzero(minus.reshape(c, n), axis=1)
+        else:
+            out[done : done + c] = _draw_block(spec, rng, (c, n)).sum(axis=1)
         done += c
     return out
 

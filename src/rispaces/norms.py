@@ -16,6 +16,7 @@ float step function.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Tuple, Union
 
@@ -298,10 +299,12 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: OrliczFunction) -> float
         if abs(L) <= 1e-13:
             return lam
         if L > 0.0:
+            if lam == sys.float_info.max:  # the root lies past the largest float
+                raise ValueError("Orlicz norm exceeds the float range")
             lo = lam
         else:
             hi, L_hi = lam, L
-        if lo > 0.0 and hi <= np.nextafter(lo, math.inf):
+        if lo > 0.0 and hi <= math.nextafter(lo, math.inf):
             # The bracket is at float resolution; accept the feasible end if
             # the modular is continuous there, otherwise M jumps across 1.
             if abs(L_hi) <= 1e-9:

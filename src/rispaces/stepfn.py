@@ -32,26 +32,65 @@ def _is_exact(x) -> bool:
     return isinstance(x, Rational) and not isinstance(x, bool)
 
 
+def _merge_starts(v: np.ndarray) -> np.ndarray:
+    """Mask of the values that open a merged piece: the first value of a run wins.
+
+    A value opens a new piece when it differs from the anchor, the value that
+    opened the current piece, by more than ``_MERGE_RTOL`` relative.  An exact
+    tie with its neighbour never does.  A neighbour gap above three times the
+    tolerance always does, since the anchor lies within one tolerance of the
+    neighbour; twice would do in exact arithmetic, but with a margin of order
+    tolerance squared, which rounding can eat.  Only the values in between
+    need the anchor, so only they are decided one by one.
+    """
+    starts = np.ones(v.size, dtype=bool)
+    if v.size < 2:
+        return starts
+    gap = np.abs(np.diff(v))
+    forced = gap > 3.0 * _MERGE_RTOL * np.maximum(v[1:], v[:-1])
+    starts[1:] = forced
+    unsure = np.flatnonzero((gap > 0) & ~forced) + 1
+    if unsure.size:
+        # the last forced start at or before each position
+        last_forced = np.maximum.accumulate(np.where(starts, np.arange(v.size), 0))
+        anchor = 0
+        for i in unsure.tolist():
+            anchor = max(anchor, int(last_forced[i]))
+            a, b = v[anchor], v[i]
+            if abs(a - b) > _MERGE_RTOL * max(abs(a), abs(b)):
+                starts[i] = True
+                anchor = i
+    return starts
+
+
 class StepFunction:
     """Nonnegative step function on [0, 1] in canonical form."""
 
     __slots__ = ("_breakpoints", "_values", "_exact")
 
     def __init__(self, breakpoints: Sequence[Number], values: Sequence[Number]):
-        bps = list(breakpoints)
-        vals = list(values)
+        floats = all(
+            isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind == "f"
+            for a in (breakpoints, values)
+        )
+        bps = breakpoints if floats else list(breakpoints)
+        vals = values if floats else list(values)
         if len(bps) != len(vals) + 1:
             raise ValueError(
                 "need len(breakpoints) == len(values) + 1, got %d and %d"
                 % (len(bps), len(vals))
             )
-        if not vals:
+        if not len(vals):
             raise ValueError("a step function needs at least one piece")
-        exact = all(_is_exact(x) for x in bps) and all(_is_exact(x) for x in vals)
-        if exact:
+        if floats:
+            self._init_float(np.array(bps, dtype=float), np.array(vals, dtype=float))
+        elif all(_is_exact(x) for x in bps) and all(_is_exact(x) for x in vals):
             self._init_exact(bps, vals)
         else:
-            self._init_float(bps, vals)
+            self._init_float(
+                np.asarray([float(x) for x in bps], dtype=float),
+                np.asarray([float(x) for x in vals], dtype=float),
+            )
 
     def _init_exact(self, bps, vals):
         bps = [Fraction(x) for x in bps]
@@ -78,9 +117,8 @@ class StepFunction:
         self._values = tuple(m_vals)
         self._exact = True
 
-    def _init_float(self, bps, vals):
-        bp = np.asarray([float(x) for x in bps], dtype=float)
-        v = np.asarray([float(x) for x in vals], dtype=float)
+    def _init_float(self, bp: np.ndarray, v: np.ndarray):
+        """Check fresh float arrays, which the instance then keeps, and canonicalize."""
         if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(v))):
             raise ValueError("breakpoints and values must be finite")
         if abs(bp[0]) > _ENDPOINT_ATOL or abs(bp[-1] - 1.0) > _ENDPOINT_ATOL:
@@ -90,23 +128,21 @@ class StepFunction:
             raise ValueError("breakpoints must be nondecreasing")
         if np.any(v < 0):
             raise ValueError("values must be nonnegative")
+        self._set_float(bp, v)
+
+    def _set_float(self, bp: np.ndarray, v: np.ndarray):
+        """Canonical form of nondecreasing breakpoints from 0 to 1 and nonnegative values."""
         # Zero-length pieces arise from cumulative sums of underflowed masses; drop them.
         keep = np.diff(bp) > 0
         if not keep.any():
             raise ValueError("all pieces have zero length")
         bp = np.concatenate(([0.0], bp[1:][keep]))
         v = v[keep]
-        # Merge adjacent values within relative tolerance (first value wins).
-        if v.size > 1:
-            keep_idx = [0]
-            for i in range(1, v.size):
-                a, b = v[keep_idx[-1]], v[i]
-                if abs(a - b) > _MERGE_RTOL * max(abs(a), abs(b)):
-                    keep_idx.append(i)
-            keep_idx = np.asarray(keep_idx)
-            ends = np.concatenate((keep_idx[1:] - 1, [v.size - 1]))
+        starts = np.flatnonzero(_merge_starts(v))
+        if starts.size < v.size:
+            ends = np.concatenate((starts[1:] - 1, [v.size - 1]))
             bp = np.concatenate(([0.0], bp[1:][ends]))
-            v = v[keep_idx]
+            v = v[starts]
         bp.flags.writeable = False
         v.flags.writeable = False
         self._breakpoints = bp
@@ -244,7 +280,12 @@ class StepFunction:
         lens = np.diff(self._breakpoints)[order]
         bp = np.concatenate(([0.0], np.cumsum(lens)))
         bp[-1] = 1.0
-        return StepFunction(bp, self._values[order])
+        # The values are already checked; only the rounded sums can misplace a breakpoint.
+        if np.any(np.diff(bp) < 0):
+            raise ValueError("breakpoints must be nondecreasing")
+        out = StepFunction.__new__(StepFunction)
+        out._set_float(bp, self._values[order])
+        return out
 
     def dilate(self, tau: Number) -> "StepFunction":
         """Time dilation: t |-> f(t / tau) on (0, min(1, tau)], zero beyond."""
@@ -295,6 +336,17 @@ class StepFunction:
                 'a step function is a JSON object with list-valued "breakpoints" and "values"'
             )
 
+        bps, vals = d["breakpoints"], d["values"]
+        kinds = set(map(type, bps)) | set(map(type, vals))
+        if float in kinds and kinds <= {float, int}:
+            # all plain numbers, not all integers: the float path, decoded at once
+            try:
+                entries = np.array(bps + vals, dtype=float)
+            except OverflowError:  # an integer past the float range: reported below
+                pass
+            else:
+                return cls(entries[: len(bps)], entries[len(bps) :])
+
         def dec(x):
             if isinstance(x, bool) or not isinstance(x, (int, float, str)):
                 raise ValueError(f"step entries must be numbers or rational strings, got {x!r}")
@@ -305,7 +357,7 @@ class StepFunction:
                 raise ValueError(f"step entry {x!r} is not a float-sized number") from None
             return y
 
-        return cls([dec(t) for t in d["breakpoints"]], [dec(v) for v in d["values"]])
+        return cls([dec(t) for t in bps], [dec(v) for v in vals])
 
     # -------------------------------------------------------------- equality
 

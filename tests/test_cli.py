@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rispaces import lorentz_operator_norm, power
-from rispaces.cli import main, parse_config_file
+from rispaces import experiments, lorentz_operator_norm, power
+from rispaces.cli import _MC_CAPS, main, parse_config_file
 
 
 def run_cli(capsys, *argv):
@@ -204,6 +204,41 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     assert "trails" in err
 
 
+_MC = ("mc", "--space", "lorentz:power:1", "--sampler", "rademacher")
+_GROWTH_MC = ("growth", "--space", "lpq:2:1", "--mode", "mc", "--sampler", "rademacher")
+
+
+@pytest.mark.parametrize(
+    "argv, config, key",
+    [
+        ((*_MC, "--n", "{n}"), "", "n"),
+        ((*_MC, "--n", "4", "--trials", "{trials}"), "", "trials"),
+        ((*_MC, "--n", "4", "--m", "{m}"), "", "m"),
+        ((*_MC,), "n = 4\nm = {m}\n", "m"),
+        ((*_GROWTH_MC, "--ns", "16,32,64,{ns}"), "", "ns"),
+        ((*_GROWTH_MC, "--ns", "16,32,64,128", "--trials", "{trials}"), "", "trials"),
+        ((*_GROWTH_MC, "--ns", "16,32,64,128", "--m", "{m}"), "", "m"),
+        ((*_GROWTH_MC,), "ns = 16,32,64,128\ntrials = {trials}\n", "trials"),
+    ],
+    ids=["mc-n", "mc-trials", "mc-m", "mc-config-m", "growth-ns", "growth-trials", "growth-m",
+         "growth-config-trials"],
+)
+def test_monte_carlo_sizes_past_caps_exit_two(capsys, monkeypatch, tmp_path, argv, config, key):
+    def no_draws(*args):
+        raise AssertionError("drew samples past a size cap")
+
+    monkeypatch.setattr(experiments, "_draw_sums", no_draws)
+    over = {k: cap + 1 for k, cap in _MC_CAPS.items()}
+    argv = [a.format(**over) for a in argv]
+    if config:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(config.format(**over))
+        argv += ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {key} = {over[key]} is past its cap of {_MC_CAPS[key]}\n"
+
+
 def test_mc_deterministic_output(capsys):
     args = ("mc", "--space", "lorentz:power:1", "--sampler", "rademacher",
             "--n", "16", "--trials", "2000", "--m", "256", "--format", "json")
@@ -281,9 +316,14 @@ def test_console_script_round_trip(child_env):
          "threshold"),
         (("kruglov", "--psi", "power:1", "--t-grid", "1", "--threshold", "nan"), "error:",
          "threshold"),
+        (("kruglov", "--psi", "logpow:2", "--t-grid", "1", "--threshold", "0.5"), "error:",
+         "threshold must be finite and > 1"),
+        (("kruglov", "--psi", "logpow:2", "--t-grid", "1", "--threshold", "1.0"), "error:",
+         "threshold must be finite and > 1"),
     ],
     ids=["lpq-inf", "logpow-inf", "negative-j-max", "underflowing-j-max", "option-like-value",
-         "nan-margin", "inf-margin", "negative-threshold", "nan-threshold"],
+         "nan-margin", "inf-margin", "negative-threshold", "nan-threshold", "half-threshold",
+         "unit-threshold"],
 )
 def test_invalid_parameters_exit_two(capsys, argv, lead, fragment):
     code, out, err = run_cli(capsys, *argv)
@@ -321,6 +361,18 @@ def test_orlicz_norm_past_float_range_exits_two(capsys, tmp_path):
     p = tmp_path / "step.json"
     p.write_text('{"breakpoints": [0, 1], "values": [1.7e308]}')
     code, out, err = run_cli(capsys, "norm", "--space", "orlicz:np:1", "--step", str(p))
+    assert code == 2
+    assert out == ""
+    assert err == "error: Orlicz norm exceeds the float range\n"
+
+
+def test_orlicz_norm_just_past_the_largest_float_exits_two(capsys, tmp_path):
+    # the start point is the largest float itself and the modular there is still
+    # above 1; bracketing the root from it used to overflow np.nextafter
+    p = tmp_path / "step.json"
+    p.write_text('{"breakpoints": [0.0, 1.0], "values": [1.7976931348623157e+308]}')
+    code, out, err = run_cli(capsys, "norm", "--space", "orlicz:np:8467029476126897.0",
+                             "--step", str(p))
     assert code == 2
     assert out == ""
     assert err == "error: Orlicz norm exceeds the float range\n"

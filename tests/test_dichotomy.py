@@ -129,7 +129,7 @@ def test_classify_validation():
 
 
 def test_kruglov_check_threshold_validation():
-    for threshold in (math.nan, math.inf, 0.0, -1.0):
+    for threshold in (math.nan, math.inf, 0.0, -1.0, 0.5, 1.0):
         with pytest.raises(ValueError, match="threshold"):
             kruglov_check(power(1.0), t_grid=(1.0,), threshold=threshold)
 

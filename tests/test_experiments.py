@@ -31,7 +31,8 @@ from rispaces import (
     space_norm,
     walk_distribution,
 )
-from rispaces.experiments import _draw_sums, _lattice_norm, fftconvolve
+from rispaces import experiments
+from rispaces.experiments import _draw_sums, _lattice_norm, _rng_for, fftconvolve
 from rispaces.gaussian import erfc_inverse, upper_tail
 from rispaces.generators import gauss
 
@@ -93,6 +94,76 @@ def test_draw_distributions_match_laws():
     c = _draw_sums(custom_sampler([-2.0, -1.0, 1.0, 2.0], seed=4), n, trials)
     assert set(np.unique(c)) == {-2.0, -1.0, 1.0, 2.0}
     assert abs(float(np.mean(np.abs(c) == 2.0)) - 0.5) < 0.005
+
+
+# The draws as NumPy's samplers make them, one float per draw: the route the
+# raw-word decoding of the sign laws replaced, kept here as its oracle.
+
+
+def _old_draw_block(spec, rng, shape):
+    if spec.kind == "rademacher":
+        return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
+    if spec.kind == "signed_indicator":
+        roll = rng.random(size=shape)
+        half = spec.u / 2.0
+        return np.where(roll < half, 1.0, np.where(roll > 1.0 - half, -1.0, 0.0))
+    raise AssertionError(spec.kind)
+
+
+def _old_draw_sums(spec, n, trials, chunk=2**22):
+    rng = _rng_for(spec, n)
+    out = np.empty(trials)
+    rows_per_chunk = max(1, chunk // n)
+    done = 0
+    while done < trials:
+        c = min(rows_per_chunk, trials - done)
+        out[done : done + c] = _old_draw_block(spec, rng, (c, n)).sum(axis=1)
+        done += c
+    return out
+
+
+def _old_kruglov_sampler(law, trials):
+    rng = _rng_for(law, 0)
+    counts = rng.poisson(1.0, size=trials)
+    draws = _old_draw_block(law, rng, (int(counts.sum()),))
+    csum = np.concatenate(([0.0], np.cumsum(draws)))
+    ends = np.cumsum(counts)
+    return csum[ends] - csum[ends - counts]
+
+
+SIGN_LAWS = [rademacher(seed=21)] + [
+    signed_indicator(u, seed=22) for u in (1.0, 0.5, 1.0 / 3.0, 1e-9)
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 513, 1024, 4095])
+def test_sign_draws_match_numpy_samplers(monkeypatch, n):
+    for spec in SIGN_LAWS:
+        for trials in (1000, 1001):
+            want = _old_draw_sums(spec, n, trials)
+            # the chunk sets memory only: odd sizes split rows and words anywhere
+            for chunk in (experiments._MC_CHUNK, 99, 1501, 4097):
+                monkeypatch.setattr(experiments, "_MC_CHUNK", chunk)
+                got = _draw_sums(spec, n, trials)
+                monkeypatch.undo()
+                assert np.array_equal(got, want), (spec.label(), n, trials, chunk)
+
+
+def test_sign_draw_thresholds_at_the_edges():
+    # u = 1: random() == 0.5 draws 0, the only value neither test takes
+    below, above = experiments._signed_thresholds(1.0)
+    assert int(below) == 2**63 and int(above) == 2**63 + 2**11 - 1
+    # u so small that 1 - u/2 rounds to 1: no word can draw -1
+    below, above = experiments._signed_thresholds(1e-17)
+    assert int(below) == 2**11 and int(above) == 2**64 - 1
+    spec = signed_indicator(1e-17, seed=1)
+    assert np.array_equal(_draw_sums(spec, 4, 1000), _old_draw_sums(spec, 4, 1000))
+
+
+@pytest.mark.parametrize("spec", SIGN_LAWS, ids=lambda s: s.label())
+def test_kruglov_sampler_matches_numpy_samplers(spec):
+    for trials in (1, 999, 20_000):
+        assert np.array_equal(kruglov_sampler(spec, trials), _old_kruglov_sampler(spec, trials))
 
 
 # -------------------------------------------------------------- exact norms

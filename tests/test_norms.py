@@ -396,6 +396,50 @@ def test_orlicz_root_survives_inexact_elasticity():
         )
 
 
+class _LambdaLog:
+    """An Orlicz function that logs u = v / lambda of the first layer at each evaluation."""
+
+    def __init__(self, M):
+        self._M = M
+        self.first_u = []
+
+    def log_fn(self, u):
+        self.first_u.append(float(u[0]))
+        return self._M.log_fn(u)
+
+    def __getattr__(self, attr):
+        return getattr(self._M, attr)
+
+
+def test_orlicz_root_halve_and_double_fallbacks():
+    # An elasticity of the wrong sign points every Newton step away from the
+    # root and out of the bracket.  From the free lower bound the search must
+    # double lam until it passes the root; from a start above the root (an
+    # inverse 64 times too small) it must halve lam.  Doubling lam halves every
+    # u = v / lam exactly, so the log of the first layer's u shows each fallback.
+    M = exp_lp(2.0)
+    backward = OrliczFunction(
+        M.fn, M.inverse, M.log_fn, M.inverse_log, lambda u: -M.elasticity(u), "backward"
+    )
+    high_start = OrliczFunction(
+        M.fn, M.inverse, M.log_fn, lambda ly: M.inverse_log(ly) / 64.0,
+        lambda u: -M.elasticity(u), "high start",
+    )
+    layers = [_layers_from_step(f) for f in _random_float_steps(5, 8)]
+    layers += [walk_abs_layers(2**8), walk_abs_layers(2**12)]
+    halved = doubled = 0
+    for wrong in (backward, high_start):
+        for values, lT in layers:
+            logged = _LambdaLog(wrong)
+            assert _orlicz_core(values, lT, logged) == pytest.approx(
+                _orlicz_bisection(values, lT, M), rel=1e-12
+            )
+            u = logged.first_u
+            doubled += sum(b == a / 2.0 for a, b in zip(u, u[1:]))
+            halved += sum(b == a * 2.0 for a, b in zip(u, u[1:]))
+    assert doubled > 0 and halved > 0
+
+
 def _mp_modular(values, lT, p, lam):
     """Modular of the layers at lam, in 50-digit arithmetic from the float inputs."""
     with mpmath.workdps(50):

@@ -153,3 +153,106 @@ def test_json_round_trip_float():
     assert not g.is_exact
 
 
+
+
+# The float canonicalization as one Python loop, first value wins: the route
+# the vectorized merge replaced, kept here as its oracle.
+def _old_float_canonical(bps, vals):
+    bp = np.asarray([float(x) for x in bps], dtype=float)
+    v = np.asarray([float(x) for x in vals], dtype=float)
+    bp[0], bp[-1] = 0.0, 1.0
+    keep = np.diff(bp) > 0
+    bp = np.concatenate(([0.0], bp[1:][keep]))
+    v = v[keep]
+    if v.size > 1:
+        keep_idx = [0]
+        for i in range(1, v.size):
+            a, b = v[keep_idx[-1]], v[i]
+            if abs(a - b) > 1e-15 * max(abs(a), abs(b)):
+                keep_idx.append(i)
+        keep_idx = np.asarray(keep_idx)
+        ends = np.concatenate((keep_idx[1:] - 1, [v.size - 1]))
+        bp = np.concatenate(([0.0], bp[1:][ends]))
+        v = v[keep_idx]
+    return bp, v
+
+
+def _near_equal_chains(rng, size):
+    """Runs of values spaced below, at and just above the merge tolerance."""
+    v = np.empty(size)
+    i = 0
+    while i < size:
+        run = int(rng.integers(1, 40))
+        base = float(rng.exponential(1.0)) if rng.random() < 0.9 else 0.0
+        # relative steps in units of the tolerance; drift, alternate or mix
+        style = rng.integers(3)
+        k = np.arange(run)
+        if style == 0:
+            steps = k * rng.choice([0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 2.5])
+        elif style == 1:
+            steps = (-1.0) ** k * rng.choice([0.4, 0.5, 0.6, 1.0, 1.4, 2.0])
+        else:
+            steps = rng.integers(-3, 4, size=run) * rng.choice([0.5, 1.0])
+        v[i : i + run] = (base * (1.0 + steps[: size - i] * 1e-15))[: size - i]
+        i += run
+    # plus a few ulp-level nudges, which the float grid rounds either way
+    nudge = rng.random(size) < 0.2
+    v[nudge] = np.nextafter(v[nudge], np.inf)
+    return np.abs(v)
+
+
+def _float_cases():
+    rng = np.random.default_rng(20240607)
+    for size in (1, 2, 3, 17, 500, 5000):
+        cuts = np.sort(rng.random(size - 1))
+        bp = np.concatenate(([0.0], cuts, [1.0]))
+        yield bp, rng.exponential(1.0, size)  # generic data
+        yield bp, rng.integers(0, 3, size).astype(float)  # exact ties
+        zl = bp.copy()
+        zl[1:-1][rng.random(size - 1) < 0.3] = 0.0
+        yield np.maximum.accumulate(zl), rng.exponential(1.0, size)  # zero-length pieces
+        yield bp, _near_equal_chains(rng, size)
+
+
+def test_float_canonicalization_matches_sequential_merge():
+    for bp, v in _float_cases():
+        f = StepFunction(bp, v)
+        want_bp, want_v = _old_float_canonical(bp, v)
+        assert np.array_equal(f.breakpoints, want_bp)
+        assert np.array_equal(f.values, want_v)
+        # the caller's arrays are copied, not frozen or snapped
+        assert bp.flags.writeable and v.flags.writeable
+        # the same data as Python lists takes the per-entry route to the same result
+        assert StepFunction(bp.tolist(), v.tolist()) == f
+
+
+def test_float_rearrange_matches_full_constructor():
+    for bp, v in _float_cases():
+        f = StepFunction(bp, v)
+        order = np.argsort(-f.values, kind="stable")
+        sums = np.concatenate(([0.0], np.cumsum(np.diff(f.breakpoints)[order])))
+        sums[-1] = 1.0
+        want_bp, want_v = _old_float_canonical(sums, f.values[order])
+        r = f.rearrange()
+        assert np.array_equal(r.breakpoints, want_bp)
+        assert np.array_equal(r.values, want_v)
+
+
+def test_json_float_decoding_matches_per_entry_decoding():
+    for bp, v in _float_cases():
+        d = {"breakpoints": bp.tolist(), "values": v.tolist()}
+        d["breakpoints"][0] = 0  # a plain integer among the floats
+        g = StepFunction.from_json_dict(d)
+        assert not g.is_exact
+        assert g == StepFunction([float(x) for x in d["breakpoints"]], d["values"])
+    # all integers stay exact; a huge integer, a bool and NaN keep their errors
+    assert StepFunction.from_json_dict({"breakpoints": [0, 1], "values": [3]}).is_exact
+    bad = [
+        ({"breakpoints": [0.0, 1.0], "values": [10**400]}, "float-sized"),
+        ({"breakpoints": [0.0, 1.0], "values": [True]}, "numbers or rational"),
+        ({"breakpoints": [0.0, 1.0], "values": [float("nan")]}, "finite"),
+        ({"breakpoints": [0.0, 0.5], "values": [1.0]}, "end at 1"),
+    ]
+    for d, fragment in bad:
+        with pytest.raises(ValueError, match=fragment):
+            StepFunction.from_json_dict(d)
