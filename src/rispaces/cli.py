@@ -111,15 +111,16 @@ def _merged_config(args: argparse.Namespace) -> Dict[str, str]:
     return cfg
 
 
-# Caps on the Monte Carlo sizing values, flag or config key alike, checked
-# before any draw.  The sums and the quantile pieces hold 8 bytes each, and a
-# chunk of draws holds at least two sums of n draws.
-_MC_CAPS = {"n": 2**20, "ns": 2**20, "trials": 10**7, "m": 10**7}
+# Caps on the values that size memory, flag or config key alike, checked before
+# any compute: Monte Carlo sums, draw chunks and quantile pieces, walk laws
+# (O(n) floats each), limit grids (O(j_max)) and Kruglov log-factorials.
+_CAPS = {"n": 2**20, "ns": 2**20, "n_list": 2**20, "trials": 10**7, "m": 10**7,
+         "j_max": 10**5, "max_terms": 2**22}
 
 
 def _check_caps(**sizes) -> None:
     for key, value in sizes.items():
-        cap = _MC_CAPS[key]
+        cap = _CAPS[key]
         for v in value if isinstance(value, list) else [value]:
             if v > cap:
                 raise ValueError(f"{key} = {v} is past its cap of {cap}")
@@ -182,6 +183,7 @@ def _bad(flag: str):
 
 def _cmd_opnorm(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     psi = parse_generator(args.psi)
+    _check_caps(n=args.n)
     sup = sup_indicator_ratio(psi, args.n, j_max=args.j_max)
     value = args.n * sup  # lorentz_operator_norm, without a second search
     payload = {
@@ -217,6 +219,7 @@ def _estimate_line(label: str, est) -> str:
 def _cmd_classify(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     psi = parse_generator(args.psi)
     grid = _grid_from_args(args)
+    _check_caps(n_list=args.n_list, j_max=grid.j_max)
     report = classify(
         psi,
         k_list=tuple(args.k_list),
@@ -274,7 +277,8 @@ def _kruglov_lines(verdict, threshold: float) -> List[str]:
 
 def _cmd_kruglov(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     phi = parse_generator(args.psi)
-    t_grid = tuple(args.t_grid) if args.t_grid else DEFAULT_KRUGLOV_T_GRID
+    _check_caps(max_terms=args.max_terms)
+    t_grid = DEFAULT_KRUGLOV_T_GRID if args.t_grid is None else tuple(args.t_grid)
     verdict = kruglov_check(
         phi, t_grid=t_grid, num_terms=args.max_terms, threshold=args.threshold
     )

@@ -216,7 +216,7 @@ def rademacher_sum_norm(n: int, space: SpaceSpec) -> float:
     if n > MAX_EXACT_N:
         raise ValueError(f"exact path supports n <= {MAX_EXACT_N}")
     if n <= EXACT_MAX_STEPS:
-        return space_norm(walk_distribution(n).to_step_function(), space)
+        return space_norm(walk_distribution(n), space)
     values, log_tails = walk_abs_layers(n)
     return space_norm_from_layers(values, log_tails, space)
 

@@ -35,9 +35,6 @@ __all__ = [
     "SpaceSpec",
     "OrliczFunction",
     "exp_lp",
-    "lorentz_norm",
-    "marcinkiewicz_norm",
-    "orlicz_norm",
     "lpq_norm",
     "space_norm",
     "space_norm_from_layers",
@@ -362,51 +359,39 @@ def _lpq_core(values: np.ndarray, lT: np.ndarray, p: float, q: float) -> float:
 # --------------------------------------------------------------- public norms
 
 
-def lorentz_norm(f: StepFunction, psi: ConcaveGenerator) -> float:
-    """Integral of the decreasing rearrangement against d psi (Stieltjes sum)."""
-    return _lorentz_core(*_layers_from_step(f), psi)
-
-
-def marcinkiewicz_norm(f: StepFunction, phi: ConcaveGenerator) -> float:
-    """sup over tau of the running integral of f* divided by phi(tau)."""
-    return _marcinkiewicz_core(*_layers_from_step(f), phi)
-
-
-def orlicz_norm(f: StepFunction, M: OrliczFunction) -> float:
-    """Luxemburg norm: the lambda at which the modular of f/lambda equals 1.
-
-    Safeguarded Newton in log lambda from a lower bound that costs no
-    evaluation; at the return value the modular is within 1e-12 of 1 for
-    continuous strictly increasing M (and within 1e-9 when the modular is so
-    steep that float lambda granularity is the binding constraint).
-    """
-    return _orlicz_core(*_layers_from_step(f), M)
-
-
-def lpq_norm(f: StepFunction, p: float, q: float) -> float:
-    """Two-parameter norm with the prefactor-inside convention: ||χ_(0,u]|| = u^(1/p)."""
-    if not p > 1.0:
-        raise ValueError("lpq_norm needs p > 1")
-    if not q >= 1.0:
-        raise ValueError("lpq_norm needs q >= 1")
-    return _lpq_core(*_layers_from_step(f), p, q)
-
-
-def space_norm(f: StepFunction, space: SpaceSpec) -> float:
+def _price(values: np.ndarray, lT: np.ndarray, space: SpaceSpec) -> float:
     if isinstance(space, Lorentz):
-        return lorentz_norm(f, space.psi)
+        return _lorentz_core(values, lT, space.psi)
     if isinstance(space, Marcinkiewicz):
-        return marcinkiewicz_norm(f, space.phi)
+        return _marcinkiewicz_core(values, lT, space.phi)
     if isinstance(space, Orlicz):
-        return orlicz_norm(f, space.M)
+        return _orlicz_core(values, lT, space.M)
     if isinstance(space, Lpq):
-        return lpq_norm(f, space.p, space.q)
+        return _lpq_core(values, lT, space.p, space.q)
     raise TypeError(f"not a space spec: {space!r}")
 
 
-def space_norm_from_layers(
-    values, log_tails, space: SpaceSpec
-) -> float:
+def space_norm(f: StepFunction, space: SpaceSpec) -> float:
+    """Norm of f in the space, priced on the layers of the rearrangement f*.
+
+    - ``Lorentz(psi)``: the integral of f* against d psi (a Stieltjes sum).
+    - ``Marcinkiewicz(phi)``: sup over tau of (integral of f* up to tau) / phi(tau).
+    - ``Orlicz(M)``: the Luxemburg norm, the lambda at which the modular of
+      f/lambda equals 1, by safeguarded Newton in log lambda from a lower bound
+      that costs no evaluation.  There the modular is within 1e-12 of 1 for
+      continuous strictly increasing M (within 1e-9 when the modular is so
+      steep that float lambda granularity is the binding constraint).
+    - ``Lpq(p, q)``: the prefactor-inside convention, ||chi_(0,u]|| = u^(1/p).
+    """
+    return _price(*_layers_from_step(f), space)
+
+
+def lpq_norm(f: StepFunction, p: float, q: float) -> float:
+    """``space_norm(f, Lpq(p, q))``."""
+    return _price(*_layers_from_step(f), Lpq(p, q))
+
+
+def space_norm_from_layers(values, log_tails, space: SpaceSpec) -> float:
     """Norm from layered data: values descending, log P(|X| >= value) increasing.
 
     Accepts tails below float underflow; this is the only route that prices
@@ -415,15 +400,7 @@ def space_norm_from_layers(
     values = np.asarray(values, dtype=float)
     log_tails = np.asarray(log_tails, dtype=float)
     _check_layers(values, log_tails)
-    if isinstance(space, Lorentz):
-        return _lorentz_core(values, log_tails, space.psi)
-    if isinstance(space, Marcinkiewicz):
-        return _marcinkiewicz_core(values, log_tails, space.phi)
-    if isinstance(space, Orlicz):
-        return _orlicz_core(values, log_tails, space.M)
-    if isinstance(space, Lpq):
-        return _lpq_core(values, log_tails, space.p, space.q)
-    raise TypeError(f"not a space spec: {space!r}")
+    return _price(values, log_tails, space)
 
 
 def dilation_norm_lorentz(tau, psi: ConcaveGenerator) -> float:

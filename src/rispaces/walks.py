@@ -1,15 +1,18 @@
 """Laws of symmetric Bernoulli walks and signed indicator sums.
 
-``walk_distribution(k)`` is the law of a sum of k independent symmetric signs.
-``signed_indicator_sum_tail(n, u, s)`` is the upper tail P(|S_n| >= s) of the
-sum of n independent copies of (indicator of measure u) * (independent sign).
+``walk_distribution(k)`` is the decreasing rearrangement of |W_k|, W_k the sum
+of k independent symmetric signs, as an exact ``Fraction`` step function for
+k <= 64; ``walk_abs_layers(k)`` is the same law, for any k, as float layers
+(values descending, log-tails).  ``signed_indicator_sum_tail(n, u, s)`` is the
+upper tail P(|S_n| >= s) of the sum of n independent copies of (indicator of
+measure u) * (independent sign).
 
-Exact ``fractions.Fraction`` arithmetic is the default up to n <= 64, where it
-is fast and bit-reproducible.  Float routes run in log space: the deep tail
-atoms lie far below float underflow yet still dominate weighted-rearrangement
-norms.  Walk rows come from one table of log-factorials; the law of S_n comes,
-for every n, from one O(n) backward three-term recurrence
-(``signed_indicator_sum_log_tails``).
+A rational u with n <= 64 runs in exact ``fractions.Fraction`` arithmetic,
+which is fast and bit-reproducible there; anything else runs in floats.  Float
+routes run in log space: the deep tail atoms lie far below float underflow yet
+still dominate weighted-rearrangement norms.  Walk rows come from one table of
+log-factorials; the law of S_n comes, for every n, from one O(n) backward
+three-term recurrence (``signed_indicator_sum_log_tails``).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .stepfn import StepFunction
 
 __all__ = [
     "EXACT_MAX_STEPS",
-    "IntegerDistribution",
     "walk_distribution",
     "walk_abs_layers",
     "signed_indicator_sum_tail",
@@ -43,101 +45,17 @@ EXACT_MAX_STEPS = 64
 Prob = Union[Fraction, float]
 
 
-class IntegerDistribution:
-    """Probability law on a finite set of integers.
+def walk_distribution(k: int) -> StepFunction:
+    """Decreasing rearrangement of |W_k|, W_k the k-step symmetric walk, exactly.
 
-    Atom weights are either all ``Fraction`` (exact mode: mass must equal 1)
-    or all floats (mass within 1e-12 of 1).  Zero-probability atoms are
-    dropped on construction.
+    The value v = k, k - 2, ... holds on (P(|W_k| > v), P(|W_k| >= v)].  Past
+    ``EXACT_MAX_STEPS`` steps the law lives in log space: ``walk_abs_layers``.
     """
-
-    __slots__ = ("_atoms", "_exact")
-
-    def __init__(self, atoms: Dict[int, Prob]):
-        cleaned = {int(v): p for v, p in atoms.items() if p != 0}
-        if not cleaned:
-            raise ValueError("distribution needs at least one atom")
-        exact = all(isinstance(p, Rational) for p in cleaned.values())
-        if exact:
-            cleaned = {v: Fraction(p) for v, p in cleaned.items()}
-            if any(p < 0 for p in cleaned.values()):
-                raise ValueError("negative probability")
-            if sum(cleaned.values()) != 1:
-                raise ValueError("probabilities must sum to 1")
-        else:
-            cleaned = {v: float(p) for v, p in cleaned.items()}
-            if any(p < 0 for p in cleaned.values()):
-                raise ValueError("negative probability")
-            if abs(math.fsum(cleaned.values()) - 1.0) > 1e-12:
-                raise ValueError("probabilities must sum to 1 within 1e-12")
-        self._atoms = dict(sorted(cleaned.items()))
-        self._exact = exact
-
-    @property
-    def is_exact(self) -> bool:
-        return self._exact
-
-    def support(self) -> Tuple[int, ...]:
-        return tuple(self._atoms)
-
-    def prob(self, v: int) -> Prob:
-        zero = Fraction(0) if self._exact else 0.0
-        return self._atoms.get(int(v), zero)
-
-    def abs_law(self) -> Dict[int, Prob]:
-        """Law of |X| as a value -> probability dict."""
-        out: Dict[int, Prob] = {}
-        for v, p in self._atoms.items():
-            a = abs(v)
-            out[a] = out.get(a, Fraction(0) if self._exact else 0.0) + p
-        return dict(sorted(out.items()))
-
-    def to_step_function(self) -> StepFunction:
-        """Decreasing rearrangement of |X| as a step function on (0, 1]."""
-        law = sorted(self.abs_law().items(), key=lambda kv: -kv[0])
-        values = [kv[0] for kv in law]
-        probs = [kv[1] for kv in law]
-        if self._exact:
-            bps = [Fraction(0)]
-            for p in probs:
-                bps.append(bps[-1] + p)
-            return StepFunction(bps, [Fraction(v) for v in values])
-        bps = np.concatenate(([0.0], np.cumsum(np.asarray(probs, dtype=float))))
-        bps[-1] = 1.0
-        return StepFunction(bps, np.asarray(values, dtype=float))
-
-    def __eq__(self, other):
-        if not isinstance(other, IntegerDistribution):
-            return NotImplemented
-        return self._exact == other._exact and self._atoms == other._atoms
-
-    __hash__ = None
-
-    def __repr__(self):
-        kind = "exact" if self._exact else "float"
-        return f"IntegerDistribution({len(self._atoms)} atoms, {kind})"
-
-
-def walk_distribution(k: int, exact: Optional[bool] = None) -> IntegerDistribution:
-    """Law of the k-step symmetric walk: P(W_k = k - 2j) = C(k,j) / 2^k."""
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    if exact is None:
-        exact = k <= EXACT_MAX_STEPS
-    if exact:
-        if k > EXACT_MAX_STEPS:
-            raise ValueError(f"exact mode is capped at k <= {EXACT_MAX_STEPS}")
-        denom = 2**k
-        atoms: Dict[int, Prob] = {
-            k - 2 * j: Fraction(math.comb(k, j), denom) for j in range(k + 1)
-        }
-    else:
-        lp = _log_walk_row(k)
-        atoms = {k - 2 * j: float(np.exp(lp[j])) for j in range(k + 1)}
-        # exp() truncates the far tail; renormalize the visible part.
-        total = math.fsum(atoms.values())
-        atoms = {v: p / total for v, p in atoms.items() if p > 0}
-    return IntegerDistribution(atoms)
+    tails = _abs_tail_fractions(k)
+    values = range(k, -1, -2)
+    return StepFunction([Fraction(0), *(tails[v] for v in values)], values)
 
 
 @lru_cache(maxsize=256)
@@ -174,8 +92,8 @@ def walk_abs_layers(k: int) -> Tuple[np.ndarray, np.ndarray]:
     """(values, log_tails) of |W_k|: values descending, log P(|W_k| >= value).
 
     This is the layered form of the decreasing rearrangement used by the
-    log-space norm routines; unlike ``walk_distribution`` it stays O(k) in
-    memory and keeps the deep tail at full log precision.
+    log-space norm routines; unlike ``walk_distribution`` it serves every k
+    in O(k) memory and keeps the deep tail at full log precision.
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
@@ -199,18 +117,13 @@ def _validate_nus(n: int, u, s: Optional[int] = None) -> None:
         raise ValueError("level s must satisfy 1 <= s <= n")
 
 
-def signed_indicator_sum_tail(
-    n: int, u, s: int, exact: Optional[bool] = None
-) -> Prob:
-    """P(|S_n| >= s) for the n-fold signed indicator sum with measure u."""
+def signed_indicator_sum_tail(n: int, u, s: int) -> Prob:
+    """P(|S_n| >= s) for the n-fold signed indicator sum with measure u.
+
+    Exact for a rational u and n <= ``EXACT_MAX_STEPS``, a float otherwise.
+    """
     _validate_nus(n, u, s)
-    if exact is None:
-        exact = isinstance(u, Rational) and n <= EXACT_MAX_STEPS
-    if exact:
-        if not isinstance(u, Rational):
-            raise ValueError("exact mode needs a rational u")
-        if n > EXACT_MAX_STEPS:
-            raise ValueError(f"exact mode is capped at n <= {EXACT_MAX_STEPS}")
+    if isinstance(u, Rational) and n <= EXACT_MAX_STEPS:
         uf = Fraction(u)
         total = Fraction(0)
         for k in range(s, n + 1):
@@ -256,29 +169,25 @@ def signed_indicator_sum_log_tails(n: int, u: float) -> np.ndarray:
     return np.minimum(LN2 + np.logaddexp.accumulate(log_c[:0:-1])[::-1], 0.0)
 
 
-def signed_indicator_sum_tail_leading(
-    n: int, u, s: int, exact: Optional[bool] = None
-) -> Prob:
-    """Small-u leading term 2^(1-s) C(n,s) u^s of the tail at level s."""
+def signed_indicator_sum_tail_leading(n: int, u, s: int) -> Prob:
+    """Small-u leading term 2^(1-s) C(n,s) u^s of the tail at level s.
+
+    Exact for a rational u, a float otherwise.
+    """
     _validate_nus(n, u, s)
-    if exact is None:
-        exact = isinstance(u, Rational)
-    if exact:
+    if isinstance(u, Rational):
         return Fraction(2 * math.comb(n, s), 2**s) * Fraction(u) ** s
     lead = (1 - s) * LN2 + float(log_binom(n, s)) + s * math.log(float(u))
     return float(np.exp(lead))
 
 
-def signed_indicator_sum_expectation(
-    n: int, u, exact: Optional[bool] = None
-) -> Prob:
-    """E|S_n| = sum_{s>=1} P(|S_n| >= s) (integer layer-cake)."""
+def signed_indicator_sum_expectation(n: int, u) -> Prob:
+    """E|S_n| = sum_{s>=1} P(|S_n| >= s) (integer layer-cake).
+
+    Exact for a rational u and n <= ``EXACT_MAX_STEPS``, a float otherwise.
+    """
     _validate_nus(n, u)
-    if exact is None:
-        exact = isinstance(u, Rational) and n <= EXACT_MAX_STEPS
-    if exact:
-        return sum(
-            signed_indicator_sum_tail(n, u, s, exact=True) for s in range(1, n + 1)
-        )
+    if isinstance(u, Rational) and n <= EXACT_MAX_STEPS:
+        return sum(signed_indicator_sum_tail(n, u, s) for s in range(1, n + 1))
     lt = signed_indicator_sum_log_tails(n, float(u))
     return float(np.exp(logsumexp(lt)))

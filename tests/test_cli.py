@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rispaces import experiments, lorentz_operator_norm, power
-from rispaces.cli import _MC_CAPS, main, parse_config_file
+from rispaces import cli
+from rispaces.cli import _CAPS, main, parse_config_file
 
 
 def run_cli(capsys, *argv):
@@ -228,7 +229,7 @@ def test_monte_carlo_sizes_past_caps_exit_two(capsys, monkeypatch, tmp_path, arg
         raise AssertionError("drew samples past a size cap")
 
     monkeypatch.setattr(experiments, "_draw_sums", no_draws)
-    over = {k: cap + 1 for k, cap in _MC_CAPS.items()}
+    over = {k: cap + 1 for k, cap in _CAPS.items()}
     argv = [a.format(**over) for a in argv]
     if config:
         cfg = tmp_path / "exp.cfg"
@@ -236,7 +237,29 @@ def test_monte_carlo_sizes_past_caps_exit_two(capsys, monkeypatch, tmp_path, arg
         argv += ["--config", str(cfg)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == f"error: {key} = {over[key]} is past its cap of {_MC_CAPS[key]}\n"
+    assert err == f"error: {key} = {over[key]} is past its cap of {_CAPS[key]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, target, key",
+    [
+        (("opnorm", "--psi", "power:0.5", "--n", "{n}"), "sup_indicator_ratio", "n"),
+        (("classify", "--psi", "power:0.5", "--n-list", "2,4,{n_list}"), "classify", "n_list"),
+        (("classify", "--psi", "power:0.5", "--j-max", "{j_max}"), "classify", "j_max"),
+        (("kruglov", "--psi", "power:1", "--max-terms", "{max_terms}"), "kruglov_check",
+         "max_terms"),
+    ],
+    ids=["opnorm-n", "classify-n-list", "classify-j-max", "kruglov-max-terms"],
+)
+def test_operator_sizes_past_caps_exit_two(capsys, monkeypatch, argv, target, key):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed past a size cap")
+
+    monkeypatch.setattr(cli, target, no_compute)
+    over = {k: cap + 1 for k, cap in _CAPS.items()}
+    code, out, err = run_cli(capsys, *(a.format(**over) for a in argv))
+    assert code == 2 and out == ""
+    assert err == f"error: {key} = {over[key]} is past its cap of {_CAPS[key]}\n"
 
 
 def test_mc_deterministic_output(capsys):
@@ -320,10 +343,12 @@ def test_console_script_round_trip(child_env):
          "threshold must be finite and > 1"),
         (("kruglov", "--psi", "logpow:2", "--t-grid", "1", "--threshold", "1.0"), "error:",
          "threshold must be finite and > 1"),
+        (("kruglov", "--psi", "power:1", "--t-grid", ""), "error:", "t_grid must be nonempty"),
+        (("kruglov", "--psi", "power:1", "--t-grid", ","), "error:", "t_grid must be nonempty"),
     ],
     ids=["lpq-inf", "logpow-inf", "negative-j-max", "underflowing-j-max", "option-like-value",
          "nan-margin", "inf-margin", "negative-threshold", "nan-threshold", "half-threshold",
-         "unit-threshold"],
+         "unit-threshold", "empty-t-grid", "comma-t-grid"],
 )
 def test_invalid_parameters_exit_two(capsys, argv, lead, fragment):
     code, out, err = run_cli(capsys, *argv)

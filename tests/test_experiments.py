@@ -172,7 +172,7 @@ def test_kruglov_sampler_matches_numpy_samplers(spec):
 def test_rademacher_sum_norm_small_is_exact_law_norm():
     sp = Lorentz(power(1.0))
     for n in (1, 2, 5, 16):
-        direct = space_norm(walk_distribution(n).to_step_function(), sp)
+        direct = space_norm(walk_distribution(n), sp)
         assert rademacher_sum_norm(n, sp) == pytest.approx(direct, rel=1e-12)
 
 

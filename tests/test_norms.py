@@ -16,10 +16,7 @@ from rispaces import (
     dilation_norm_lorentz,
     exp_lp,
     logpow,
-    lorentz_norm,
     lpq_norm,
-    marcinkiewicz_norm,
-    orlicz_norm,
     parse_space,
     power,
     space_label,
@@ -44,15 +41,17 @@ def two_step(v1, v2, t1):
 
 def test_lorentz_indicator_closed_form():
     for u in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
-        got = lorentz_norm(StepFunction.indicator(u), power(0.5))
+        got = space_norm(StepFunction.indicator(u), Lorentz(power(0.5)))
         assert got == pytest.approx(math.sqrt(float(u)), rel=1e-13)
 
 
 def test_lorentz_two_step_closed_form():
     f = two_step(Fraction(3), Fraction(1), Fraction(1, 4))
     # (3-1) * psi(1/4) + 1 * psi(1)
-    assert lorentz_norm(f, power(0.5)) == pytest.approx(2.0, rel=1e-13)
-    assert lorentz_norm(f, power(1.0)) == pytest.approx(3 * 0.25 + 1 * 0.75, rel=1e-13)
+    assert space_norm(f, Lorentz(power(0.5))) == pytest.approx(2.0, rel=1e-13)
+    assert space_norm(f, Lorentz(power(1.0))) == pytest.approx(
+        3 * 0.25 + 1 * 0.75, rel=1e-13
+    )
 
 
 def test_lorentz_rearranges_first():
@@ -61,8 +60,8 @@ def test_lorentz_rearranges_first():
         [Fraction(1), Fraction(3), Fraction(1)],
     )
     g = f.rearrange()
-    assert lorentz_norm(f, power(0.5)) == pytest.approx(
-        lorentz_norm(g, power(0.5)), rel=1e-13
+    assert space_norm(f, Lorentz(power(0.5))) == pytest.approx(
+        space_norm(g, Lorentz(power(0.5))), rel=1e-13
     )
 
 
@@ -70,28 +69,29 @@ def test_marcinkiewicz_indicator_closed_form():
     # t / phi(t) is nondecreasing for concave phi, so the sup sits at u
     for phi in (power(0.5), logpow(1.0), logpow(2.0)):
         for u in (0.03, 0.25, 1.0):
-            got = marcinkiewicz_norm(StepFunction.indicator(float(u)), phi)
+            got = space_norm(StepFunction.indicator(float(u)), Marcinkiewicz(phi))
             assert got == pytest.approx(u / phi(u), rel=1e-12)
 
 
 def test_marcinkiewicz_unit_indicator_logpow():
-    assert marcinkiewicz_norm(StepFunction.indicator(1.0), logpow(2.0)) == pytest.approx(
-        1.0, rel=1e-13
-    )
+    one = StepFunction.indicator(1.0)
+    assert space_norm(one, Marcinkiewicz(logpow(2.0))) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_marcinkiewicz_two_step():
     f = two_step(Fraction(2), Fraction(1), Fraction(1, 4))
     # phi = t: ratio is the running average of the rearrangement, maximal early
-    assert marcinkiewicz_norm(f, power(1.0)) == pytest.approx(2.0, rel=1e-12)
+    assert space_norm(f, Marcinkiewicz(power(1.0))) == pytest.approx(2.0, rel=1e-12)
     # phi = sqrt(t): candidates 2 sqrt(1/4) = 1.0 and (1/4 + 3/4 * 1)/1 = 1.25
-    assert marcinkiewicz_norm(f, power(0.5)) == pytest.approx(1.25, rel=1e-12)
+    assert space_norm(f, Marcinkiewicz(power(0.5))) == pytest.approx(1.25, rel=1e-12)
 
 
 def test_orlicz_unit_indicator_closed_forms():
     one = StepFunction.indicator(1.0)
-    assert orlicz_norm(one, exp_lp(1.0)) == pytest.approx(1.0 / math.log(2.0), rel=1e-10)
-    assert orlicz_norm(one, exp_lp(2.0)) == pytest.approx(
+    assert space_norm(one, Orlicz(exp_lp(1.0))) == pytest.approx(
+        1.0 / math.log(2.0), rel=1e-10
+    )
+    assert space_norm(one, Orlicz(exp_lp(2.0))) == pytest.approx(
         1.0 / math.sqrt(math.log(2.0)), rel=1e-10
     )
 
@@ -100,14 +100,14 @@ def test_orlicz_indicator_closed_form():
     # u * (exp((1/lam)^p) - 1) = 1  =>  lam = log1p(1/u)^(-1/p)
     for p in (1.0, 2.0, 4.0):
         for u in (0.25, 0.5, 1.0):
-            got = orlicz_norm(StepFunction.indicator(u), exp_lp(p))
+            got = space_norm(StepFunction.indicator(u), Orlicz(exp_lp(p)))
             assert got == pytest.approx(math.log1p(1.0 / u) ** (-1.0 / p), rel=1e-10)
 
 
 def test_orlicz_scaled_indicator_homogeneous():
     f = StepFunction.indicator(0.25).scale(7.0)
-    assert orlicz_norm(f, exp_lp(2.0)) == pytest.approx(
-        7.0 * orlicz_norm(StepFunction.indicator(0.25), exp_lp(2.0)), rel=1e-10
+    assert space_norm(f, Orlicz(exp_lp(2.0))) == pytest.approx(
+        7.0 * space_norm(StepFunction.indicator(0.25), Orlicz(exp_lp(2.0))), rel=1e-10
     )
 
 
@@ -176,8 +176,7 @@ def test_monotonicity_all_spaces():
 
 def test_three_route_agreement_on_walk_laws():
     for n in (8, 48):
-        dist = walk_distribution(n)
-        f_exact = dist.to_step_function()
+        f_exact = walk_distribution(n)
         f_float = StepFunction(
             [float(b) for b in f_exact.breakpoints], [float(v) for v in f_exact.values]
         )
@@ -198,7 +197,7 @@ def test_exponential_orlicz_comparable_to_log_marcinkiewicz():
         M, phi = exp_lp(p), logpow(p)
         for j in range(1, 41):
             f = StepFunction.indicator(2.0**-j)
-            ratio = orlicz_norm(f, M) / marcinkiewicz_norm(f, phi)
+            ratio = space_norm(f, Orlicz(M)) / space_norm(f, Marcinkiewicz(phi))
             assert 0.25 <= ratio <= 4.0
 
 

@@ -1,9 +1,13 @@
-"""Byte-for-byte guard on the Monte Carlo and float step-function reports.
+"""Byte-for-byte guard on the Monte Carlo, step-function and exact-law reports.
 
 Each command runs in-process and the sha256 of its stdout is compared with a
-hash recorded before the draws moved to raw generator words and the float
-step function lost its Python loops.  Those rewrites promise the same bytes,
-so any change in a hash here is a change of results, not of speed.
+recorded hash.  The Monte Carlo and float step-function hashes were recorded
+before the draws moved to raw generator words and the float step function lost
+its Python loops.  The exact growth tables (n <= 64, priced on the rational
+walk law) and the rational indicator norm were recorded before the walk law
+became a single ``Fraction`` step function and the norms one dispatch.  Those
+rewrites promise the same bytes, so any change in a hash here is a change of
+results, not of speed.
 
 The hashes were recorded with NumPy 2.4 on x86-64 Linux.  NumPy pins the PCG64
 streams and the samplers used here, but the float norms pass through libm, so
@@ -61,6 +65,11 @@ COMMANDS = [
                           "--sampler", "signed:0.25", "--ns", "8,16,32,64",
                           "--trials", "2000", "--m", "256", "--seed", "11"]),
     ("norm-step", ["norm", "--space", "marcinkiewicz:logpow:2", "--step", "{step}"]),
+    ("growth-exact-orlicz", ["growth", "--space", "orlicz:np:2", "--ns", "8,16,32,64",
+                             "--seed", "0"]),
+    ("growth-exact-marcinkiewicz", ["growth", "--space", "marcinkiewicz:logpow:2",
+                                    "--ns", "8,16,32,64", "--seed", "0"]),
+    ("norm-indicator-third", ["norm", "--space", "lpq:2:1", "--indicator", "1/3"]),
 ]
 
 EXPECTED = {
@@ -72,6 +81,9 @@ EXPECTED = {
     "mc-custom": "b6bb8b2e46972221b8b1a051c2f7f0e4430033517e5d5dec8cce8f3b4785db20",
     "growth-mc-signed": "59d5e94ef2184bb002418a45660c8d229606679939f02c92c3e708c21497954c",
     "norm-step": "267bb1a8995052536efc94c74e8e59376fc753d4e9c601949209e02655faf95e",
+    "growth-exact-orlicz": "a8695fe223c66762168d0bc2d535b90154b495be7072b7900f59ce509de3c141",
+    "growth-exact-marcinkiewicz": "58e65683e1d28535cacab06a9f8713a0bfa35faf078118954d367beee4da03f7",
+    "norm-indicator-third": "2c5c6b4e9095d6f70066a5b220a5814265b3562fcb09409b509e53e38bfe13f0",
 }
 
 

@@ -9,7 +9,7 @@ from scipy.special import gammaln, logsumexp
 
 from rispaces import (
     EXACT_MAX_STEPS,
-    IntegerDistribution,
+    StepFunction,
     signed_indicator_sum_expectation,
     signed_indicator_sum_log_tails,
     signed_indicator_sum_tail,
@@ -50,12 +50,27 @@ def test_walk_distribution_matches_sign_enumeration():
     for k in (1, 2, 3, 6, 9):
         law = {}
         for signs in itertools.product((-1, 1), repeat=k):
-            law[sum(signs)] = law.get(sum(signs), Fraction(0)) + Fraction(1, 2**k)
-        dist = walk_distribution(k)
-        assert dist.is_exact
-        for v, p in law.items():
-            assert dist.prob(v) == p
-        assert sum(dist.prob(v) for v in dist.support()) == 1
+            w = abs(sum(signs))
+            law[w] = law.get(w, Fraction(0)) + Fraction(1, 2**k)
+        f = walk_distribution(k)
+        assert f.is_exact
+        # the piece of value v ends at P(|W_k| >= v)
+        assert list(f.values) == sorted(law, reverse=True)
+        for v, end in zip(f.values, f.breakpoints[1:]):
+            assert end == sum(p for w, p in law.items() if w >= v)
+        assert f.breakpoints[-1] == 1
+
+
+def test_walk_distribution_matches_binomial_fold():
+    """Oracle: fold the atoms C(k, j) / 2^k by |k - 2j| and accumulate the masses."""
+    for k in range(EXACT_MAX_STEPS + 1):
+        law = {}
+        for j in range(k + 1):
+            v = abs(k - 2 * j)
+            law[v] = law.get(v, Fraction(0)) + Fraction(math.comb(k, j), 2**k)
+        values = sorted(law, reverse=True)
+        ends = list(itertools.accumulate(law[v] for v in values))
+        assert walk_distribution(k) == StepFunction([Fraction(0), *ends], values), k
 
 
 def test_walk_tail_anchors():
@@ -98,17 +113,15 @@ def test_exact_vs_float_paths_agree():
     for n in (8, 33, 64):
         for u in (Fraction(1, 4), Fraction(2, 3)):
             for s in (1, n // 2 or 1, n):
-                exact = float(signed_indicator_sum_tail(n, u, s, exact=True))
+                exact = float(signed_indicator_sum_tail(n, u, s))
                 approx = signed_indicator_sum_tail(n, float(u), s)
                 assert approx == pytest.approx(exact, rel=1e-10, abs=1e-300)
 
 
 def test_float_path_required_beyond_cap():
+    walk_distribution(EXACT_MAX_STEPS)
     with pytest.raises(ValueError):
-        walk_distribution(EXACT_MAX_STEPS + 1, exact=True)
-    dist = walk_distribution(80)
-    assert not dist.is_exact
-    assert sum(dist.prob(v) for v in dist.support()) == pytest.approx(1.0, abs=1e-12)
+        walk_distribution(EXACT_MAX_STEPS + 1)
 
 
 def exact_abs_tails(n_max, u):
@@ -222,17 +235,11 @@ def test_validation():
 
 
 def test_distribution_to_step_function():
-    f = walk_distribution(2).to_step_function()
+    f = walk_distribution(2)
     assert f.is_exact
     assert list(f.breakpoints) == [0, Fraction(1, 2), 1]
     assert list(f.values) == [2, 0]
-    g = walk_distribution(3).to_step_function()
+    g = walk_distribution(3)
     assert list(g.breakpoints) == [0, Fraction(1, 4), 1]
     assert list(g.values) == [3, 1]
-
-
-def test_distribution_mass_validation():
-    with pytest.raises(ValueError):
-        IntegerDistribution({0: Fraction(1, 2), 1: Fraction(1, 3)})
-    with pytest.raises(ValueError):
-        IntegerDistribution({0: 0.5, 1: 0.6})
+    assert walk_distribution(0) == StepFunction.constant(0)
