@@ -303,8 +303,9 @@ def _cmd_growth(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     trials = _pick(args.trials, cfg, "trials", int, 100_000)
     m = _pick(args.m, cfg, "m", int, 4096)
     burn_in = _pick(args.burn_in, cfg, "burn_in", int, 2)
+    _check_caps(ns=ns)
     if mode == "mc":
-        _check_caps(ns=ns, trials=trials, m=m)
+        _check_caps(trials=trials, m=m)
     token = _pick(args.sampler, cfg, "sampler", str, None)
     sampler = parse_sampler(token, seed) if token else None
     fit = growth_table(
@@ -439,17 +440,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         payload, lines, rows, code = _HANDLERS[args.command](args)
         text = _render(payload, lines, rows, args.format)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # numerical non-convergence
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

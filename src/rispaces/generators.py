@@ -200,6 +200,8 @@ def table(points: Sequence, label: str = "table") -> ConcaveGenerator:
         raise ValueError("table needs at least one node")
     ts = np.asarray([p[0] for p in pts])
     ys = np.asarray([p[1] for p in pts])
+    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(ys))):
+        raise ValueError("table nodes must be finite")
     if ts[0] <= 0.0 or ts[-1] > 1.0:
         raise ValueError("table nodes must lie in (0, 1]")
     if np.any(np.diff(ts) <= 0):

@@ -200,13 +200,9 @@ def _log_fraction(fr) -> float:
 def _layers_from_step(f: StepFunction) -> Tuple[np.ndarray, np.ndarray]:
     """(values descending, log cumulative measure at each piece end) of f*."""
     x = f.rearrange()
-    if x.is_exact:
-        values = np.asarray([float(v) for v in x.values])
-        lT = np.asarray([_log_fraction(b) for b in x.breakpoints[1:]])
-    else:
-        values = np.asarray(x.values, dtype=float)
-        lT = np.log(np.asarray(x.breakpoints[1:], dtype=float))
-    return values, lT
+    ends = x.breakpoints[1:]
+    lT = np.array([_log_fraction(b) for b in ends]) if x.is_exact else np.log(ends)
+    return x.values.astype(float, copy=False), lT
 
 
 def _check_layers(values: np.ndarray, log_tails: np.ndarray) -> None:
@@ -236,9 +232,7 @@ def _lorentz_core(values: np.ndarray, lT: np.ndarray, psi: ConcaveGenerator) -> 
     return float(math.fsum(drops * psis))
 
 
-def _marcinkiewicz_core(
-    values: np.ndarray, lT: np.ndarray, phi: ConcaveGenerator, refine: bool = True
-) -> float:
+def _marcinkiewicz_core(values: np.ndarray, lT: np.ndarray, phi: ConcaveGenerator) -> float:
     if values[0] <= 0:
         return 0.0
     log_len = _log_lengths(lT)
@@ -250,7 +244,7 @@ def _marcinkiewicz_core(
     # For concave phi the per-piece objective is minimized in the interior, so
     # the breakpoint candidates already carry the sup; the golden pass guards
     # the nearly-linear pieces of table generators at negligible cost.
-    if refine and values.size > 1:
+    if values.size > 1:
         T = np.exp(lT)
         I = np.exp(logI)
         Tprev = np.concatenate(([0.0], T[:-1]))

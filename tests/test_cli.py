@@ -248,8 +248,10 @@ def test_monte_carlo_sizes_past_caps_exit_two(capsys, monkeypatch, tmp_path, arg
         (("classify", "--psi", "power:0.5", "--j-max", "{j_max}"), "classify", "j_max"),
         (("kruglov", "--psi", "power:1", "--max-terms", "{max_terms}"), "kruglov_check",
          "max_terms"),
+        (("growth", "--space", "orlicz:np:2", "--ns", "4,16,{ns}"), "growth_table", "ns"),
     ],
-    ids=["opnorm-n", "classify-n-list", "classify-j-max", "kruglov-max-terms"],
+    ids=["opnorm-n", "classify-n-list", "classify-j-max", "kruglov-max-terms",
+         "growth-exact-ns"],
 )
 def test_operator_sizes_past_caps_exit_two(capsys, monkeypatch, argv, target, key):
     def no_compute(*args, **kwargs):
@@ -345,10 +347,12 @@ def test_console_script_round_trip(child_env):
          "threshold must be finite and > 1"),
         (("kruglov", "--psi", "power:1", "--t-grid", ""), "error:", "t_grid must be nonempty"),
         (("kruglov", "--psi", "power:1", "--t-grid", ","), "error:", "t_grid must be nonempty"),
+        (("norm", "--space", "lpq:2:1", "--indicator", "1/4", "--out", "/nonexistent/dir/x"),
+         "error:", "No such file or directory"),
     ],
     ids=["lpq-inf", "logpow-inf", "negative-j-max", "underflowing-j-max", "option-like-value",
          "nan-margin", "inf-margin", "negative-threshold", "nan-threshold", "half-threshold",
-         "unit-threshold", "empty-t-grid", "comma-t-grid"],
+         "unit-threshold", "empty-t-grid", "comma-t-grid", "unwritable-out"],
 )
 def test_invalid_parameters_exit_two(capsys, argv, lead, fragment):
     code, out, err = run_cli(capsys, *argv)
@@ -366,6 +370,21 @@ def test_module_entry_point_is_warning_free(child_env):
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("column", [0, 1], ids=["t", "psi"])
+def test_non_finite_table_node_exits_two(capsys, tmp_path, bad, column):
+    row = ["0.5", "0.75"]
+    row[column] = bad
+    p = tmp_path / "psi.csv"
+    p.write_text("t,psi\n0.25,0.5\n" + ",".join(row) + "\n1,1\n")
+    for argv in (("norm", "--space", f"lorentz:table:{p}", "--indicator", "1/4"),
+                 ("opnorm", "--psi", f"table:{p}", "--n", "4")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "table nodes must be finite" in err
 
 
 @pytest.mark.parametrize(

@@ -101,6 +101,15 @@ def test_table_rejects_increasing_slopes():
         table([(0.5, 0.25), (1.0, 1.0)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", [0, 1], ids=["t", "psi"])
+def test_table_rejects_non_finite_nodes(bad, column):
+    node = [0.5, 0.75]
+    node[column] = bad
+    with pytest.raises(ValueError, match="table nodes must be finite"):
+        table([(0.25, 0.5), tuple(node), (1.0, 1.0)])
+
+
 def test_table_csv_round_trip(tmp_path):
     p = tmp_path / "gen.csv"
     p.write_text("0.25,0.5\n1.0,1.0\n")

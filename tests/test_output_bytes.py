@@ -5,8 +5,10 @@ recorded hash.  The Monte Carlo and float step-function hashes were recorded
 before the draws moved to raw generator words and the float step function lost
 its Python loops.  The exact growth tables (n <= 64, priced on the rational
 walk law) and the rational indicator norm were recorded before the walk law
-became a single ``Fraction`` step function and the norms one dispatch.  Those
-rewrites promise the same bytes, so any change in a hash here is a change of
+became a single ``Fraction`` step function and the norms one dispatch.  The
+rational step-file norms, one per family, were recorded while exact step
+functions still kept their data in tuples, before they moved to NumPy object
+arrays.  Those rewrites promise the same bytes, so any change in a hash here is a change of
 results, not of speed.
 
 The hashes were recorded with NumPy 2.4 on x86-64 Linux.  NumPy pins the PCG64
@@ -29,6 +31,8 @@ from rispaces.cli import main
 
 # a two-atom custom law: +-1.5 with equal mass
 CUSTOM_CSV = "-1.5\n1.5\n"
+# an exact step function given as rational strings, one piece worth zero
+RATIONAL_STEP = {"breakpoints": ["0", "1/7", "2/7", "1/2", "1"], "values": ["3", "1/3", "5/2", "0"]}
 
 
 def _step_file() -> dict:
@@ -46,7 +50,7 @@ def _step_file() -> dict:
     return {"breakpoints": bps, "values": values}
 
 
-# (id, argv); "{custom}" and "{step}" name files written by the test
+# (id, argv); "{custom}", "{step}" and "{rational}" name files written by the test
 COMMANDS = [
     ("mc-rademacher-odd", ["mc", "--space", "orlicz:np:2", "--sampler", "rademacher",
                            "--n", "7", "--trials", "2001", "--m", "256", "--seed", "5"]),
@@ -70,6 +74,11 @@ COMMANDS = [
     ("growth-exact-marcinkiewicz", ["growth", "--space", "marcinkiewicz:logpow:2",
                                     "--ns", "8,16,32,64", "--seed", "0"]),
     ("norm-indicator-third", ["norm", "--space", "lpq:2:1", "--indicator", "1/3"]),
+    ("norm-rational-lorentz", ["norm", "--space", "lorentz:power:0.5", "--step", "{rational}"]),
+    ("norm-rational-marcinkiewicz", ["norm", "--space", "marcinkiewicz:logpow:2",
+                                     "--step", "{rational}"]),
+    ("norm-rational-orlicz", ["norm", "--space", "orlicz:np:2", "--step", "{rational}"]),
+    ("norm-rational-lpq", ["norm", "--space", "lpq:2:1", "--step", "{rational}"]),
 ]
 
 EXPECTED = {
@@ -84,14 +93,20 @@ EXPECTED = {
     "growth-exact-orlicz": "a8695fe223c66762168d0bc2d535b90154b495be7072b7900f59ce509de3c141",
     "growth-exact-marcinkiewicz": "58e65683e1d28535cacab06a9f8713a0bfa35faf078118954d367beee4da03f7",
     "norm-indicator-third": "2c5c6b4e9095d6f70066a5b220a5814265b3562fcb09409b509e53e38bfe13f0",
+    "norm-rational-lorentz": "0124ba7266c2250ec526fa6a048276b6ed56159bf19927ea617eaae7f1035000",
+    "norm-rational-marcinkiewicz": "85d855e754de320aedc49110a14e016ce3464609c2d85cad11e153a6bd891b86",
+    "norm-rational-orlicz": "39a217e4f5ec39be09d926865a10ee07d2d4e67b599307050a8a57f35e2a9f89",
+    "norm-rational-lpq": "9709a5a8d801ebd6e2f429acefaabbbccedbb3967256162b78bdeefa0ea99396",
 }
 
 
 def _run(argv, tmp: Path) -> bytes:
-    custom, step = tmp / "atoms.csv", tmp / "step.json"
+    custom, step, rational = tmp / "atoms.csv", tmp / "step.json", tmp / "rational.json"
     custom.write_text(CUSTOM_CSV)
     step.write_text(json.dumps(_step_file()))
-    argv = [a.format(custom=custom, step=step) for a in argv] + ["--format", "json"]
+    rational.write_text(json.dumps(RATIONAL_STEP))
+    argv = [a.format(custom=custom, step=step, rational=rational) for a in argv]
+    argv += ["--format", "json"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)

@@ -20,6 +20,10 @@ def test_ctor_validation():
         StepFunction.indicator(0.0)
     with pytest.raises(ValueError):
         StepFunction.indicator(Fraction(5, 4))
+    # a repeated breakpoint is an empty piece, dropped in both arithmetics
+    half = Fraction(1, 2)
+    assert StepFunction([0, half, half, 1], [1, 5, 2]) == StepFunction([0, half, 1], [1, 2])
+    assert StepFunction([0.0, 0.5, 0.5, 1.0], [1, 5, 2]) == StepFunction([0.0, 0.5, 1.0], [1, 2])
 
 
 def test_exactness_detection():
@@ -49,6 +53,17 @@ def test_scale_add():
     assert h.integral() == Fraction(3, 2) + Fraction(1, 4)
 
 
+def test_add_keeps_one_ulp_pieces():
+    # the midpoint of (0.25, 0.25 + ulp] rounds onto 0.25, the end of the piece before it
+    x = 0.25
+    y = float(np.nextafter(x, 1.0))
+    f = StepFunction(np.array([0.0, x, 1.0]), np.array([1.0, 2.0]))
+    g = StepFunction(np.array([0.0, y, 1.0]), np.array([5.0, 7.0]))
+    h = f + g
+    assert list(h.breakpoints) == [0.0, x, y, 1.0]
+    assert list(h.values) == [6.0, 7.0, 9.0]
+
+
 def test_rearrange_sorts_descending():
     f = StepFunction(
         [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)],
@@ -68,7 +83,7 @@ _fracs = st.integers(1, 16).flatmap(
 
 
 @st.composite
-def exact_steps(draw):
+def exact_data(draw):
     inner = draw(_fracs)
     bps = [Fraction(0)] + inner
     if bps[-1] != 1:
@@ -77,7 +92,131 @@ def exact_steps(draw):
         Fraction(draw(st.integers(0, 8)), draw(st.integers(1, 4)))
         for _ in range(len(bps) - 1)
     ]
-    return StepFunction(bps, vals)
+    return bps, vals
+
+
+def exact_steps():
+    return exact_data().map(lambda d: StepFunction(*d))
+
+
+class _TupleStep:
+    """The exact step function as tuples of ``Fraction`` and Python loops, the
+    route the NumPy object arrays replaced, kept here as their oracle."""
+
+    def __init__(self, bps, vals):
+        bps = [Fraction(x) for x in bps]
+        vals = [Fraction(x) for x in vals]
+        if bps[0] != 0 or bps[-1] != 1:
+            raise ValueError("breakpoints must start at 0 and end at 1")
+        if any(b <= a for a, b in zip(bps, bps[1:])):
+            raise ValueError("breakpoints must be strictly increasing")
+        if any(v < 0 for v in vals):
+            raise ValueError("values must be nonnegative")
+        m_bps, m_vals = [bps[0]], []
+        for t, v in zip(bps[1:], vals):
+            if m_vals and v == m_vals[-1]:
+                m_bps[-1] = t
+            else:
+                m_bps.append(t)
+                m_vals.append(v)
+        self.breakpoints, self.values = tuple(m_bps), tuple(m_vals)
+
+    def lengths(self):
+        return [b - a for a, b in zip(self.breakpoints, self.breakpoints[1:])]
+
+    def __call__(self, t):
+        if t == 0:
+            return self.values[0]
+        for i, edge in enumerate(self.breakpoints[1:]):
+            if t <= edge:
+                return self.values[i]
+        return self.values[-1]
+
+    def measure_above(self, s):
+        total = Fraction(0)
+        for v, ln in zip(self.values, self.lengths()):
+            if v > s:
+                total += ln
+        return total
+
+    def integral(self):
+        return sum(v * ln for v, ln in zip(self.values, self.lengths()))
+
+    def scale(self, c):
+        return _TupleStep(self.breakpoints, [v * c for v in self.values])
+
+    def __add__(self, other):
+        bp = sorted(set(self.breakpoints) | set(other.breakpoints))
+        return _TupleStep(bp, [self(t) + other(t) for t in bp[1:]])
+
+    def rearrange(self):
+        pieces = sorted(zip(self.values, self.lengths()), key=lambda p: p[0], reverse=True)
+        bp = [Fraction(0)]
+        for _, ln in pieces:
+            bp.append(bp[-1] + ln)
+        return _TupleStep(bp, [v for v, _ in pieces])
+
+    def dilate(self, tau):
+        bp, vals = [Fraction(0)], []
+        for v, edge in zip(self.values, self.breakpoints[1:]):
+            if edge * tau >= 1:
+                return _TupleStep(bp + [Fraction(1)], vals + [v])
+            bp.append(edge * tau)
+            vals.append(v)
+        return _TupleStep(bp + [Fraction(1)], vals + [Fraction(0)])
+
+
+def _fraction_list(xs):
+    xs = list(xs)
+    assert all(type(x) is Fraction for x in xs)
+    return xs
+
+
+def _same_exact(f, oracle):
+    assert f.is_exact
+    assert _fraction_list(f.breakpoints) == list(oracle.breakpoints)
+    assert _fraction_list(f.values) == list(oracle.values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    exact_data(),
+    exact_data(),
+    st.fractions(min_value=0, max_value=1),
+    st.fractions(min_value=0, max_value=8),
+    st.fractions(min_value=0, max_value=4),
+    st.fractions(min_value=Fraction(1, 8), max_value=4),
+)
+def test_exact_operations_match_tuple_oracle(d, e, t, s, c, tau):
+    f, g = StepFunction(*d), StepFunction(*e)
+    F, G = _TupleStep(*d), _TupleStep(*e)
+    _same_exact(f, F)
+    _same_exact(f.rearrange(), F.rearrange())
+    _same_exact(f + g, F + G)
+    _same_exact(f.scale(c), F.scale(c))
+    _same_exact(f.dilate(tau), F.dilate(tau))
+    at = [t, *F.breakpoints]
+    assert _fraction_list([f(x) for x in at]) == [F(x) for x in at]
+    assert _fraction_list([f.measure_above(s), f.integral()]) == [F.measure_above(s), F.integral()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    exact_data(),
+    exact_data(),
+    st.floats(min_value=0.125, max_value=4),
+    st.floats(min_value=0, max_value=4),
+)
+def test_float_operand_gives_the_float_result(d, e, tau, c):
+    # an exact function meeting a float runs as its float copy would
+    def floated(data):
+        return StepFunction(*(np.array(a, dtype=float) for a in data))
+
+    f, g, fl, gl = StepFunction(*d), StepFunction(*e), floated(d), floated(e)
+    pairs = [(f.dilate(tau), fl.dilate(tau)), (f.scale(c), fl.scale(c)), (f + gl, fl + gl),
+             (fl + g, fl + gl)]
+    for got, want in pairs:
+        assert not got.is_exact and got == want
 
 
 @settings(max_examples=60, deadline=None)
