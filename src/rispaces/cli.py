@@ -113,7 +113,8 @@ def _merged_config(args: argparse.Namespace) -> Dict[str, str]:
 
 # Caps on the values that size memory, flag or config key alike, checked before
 # any compute: Monte Carlo sums, draw chunks and quantile pieces, walk laws
-# (O(n) floats each), limit grids (O(j_max)) and Kruglov log-factorials.
+# (O(n) floats each) and limit grids (O(j_max)); the Kruglov probe sums in
+# bounded chunks, so its term cap bounds time only.
 _CAPS = {"n": 2**20, "ns": 2**20, "n_list": 2**20, "trials": 10**7, "m": 10**7,
          "j_max": 10**5, "max_terms": 2**22}
 

@@ -264,31 +264,58 @@ class KruglovVerdict:
     inconclusive: bool = False
 
 
-def _log_factorials(num_terms: int) -> np.ndarray:
-    """log n! for n = 1..N, shared by every t of a probe."""
-    return log_factorial(np.arange(1, num_terms + 1, dtype=float))
+# Terms per chunk of the Kruglov walk: the probe holds a few arrays of this
+# size, whatever its num_terms.
+_KRUGLOV_CHUNK = 2**14
 
 
-def _kruglov_partial_terms(
-    phi: ConcaveGenerator, t: float, log_n_fact: np.ndarray
-) -> np.ndarray:
-    largs = np.arange(1, log_n_fact.size + 1, dtype=float)
-    largs *= math.log(t)
-    largs -= log_n_fact  # log(t^n / n!)
-    return np.exp(
-        np.asarray(phi.log_eval(largs)) - float(phi.log_eval(math.log(t)))
-    )
+def _kruglov_walk(
+    phi: ConcaveGenerator, t: float, num_terms: int, threshold: float = math.inf
+) -> Tuple[int, Optional[float], float]:
+    """Walk the partial sums of (1/phi(t)) * sum_{n=1}^N phi(t^n / n!) in chunks.
+
+    Returns (crossing, quarter, full): the first n whose partial sum reaches
+    the threshold, or 0 if none does, and the partial sums at n = N/4 and N.
+    A crossing ends the walk at the end of its chunk, whose sum is then
+    ``full``; ``quarter`` is None if the walk had not reached it.  The chunking
+    and the early stop leave every sum as in one N-term pass; ``kruglov_check``
+    says why.
+    """
+    log_t = math.log(t)
+    log_phi_t = float(phi.log_eval(log_t))
+    quarter_n = num_terms // 4
+    quarter = None
+    total = 0.0
+    for start in range(1, num_terms + 1, _KRUGLOV_CHUNK):
+        n = np.arange(start, min(start + _KRUGLOV_CHUNK, num_terms + 1), dtype=float)
+        largs = n * log_t
+        largs -= log_factorial(n)  # log(t^n / n!)
+        terms = np.exp(np.asarray(phi.log_eval(largs)) - log_phi_t)
+        underflowed = terms[-1] == 0.0
+        terms[0] += total
+        csum = np.cumsum(terms, out=terms)
+        if start <= quarter_n < start + csum.size:
+            quarter = float(csum[quarter_n - start])
+        crossed = np.flatnonzero(csum >= threshold)
+        if crossed.size:
+            return start + int(crossed[0]), quarter, float(csum[-1])
+        total = float(csum[-1])
+        if underflowed:
+            break
+    return 0, total if quarter is None else quarter, total
 
 
 def kruglov_series(phi: ConcaveGenerator, t, num_terms: int) -> float:
-    """Partial sum (1/phi(t)) * sum_{n=1}^N phi(t^n / n!), in log space."""
+    """Partial sum (1/phi(t)) * sum_{n=1}^N phi(t^n / n!), in log space.
+
+    The sum is sequential, the N-term sum of the walk ``kruglov_check`` takes.
+    """
     t = float(t)
     if not 0.0 < t <= 1.0:
         raise ValueError("t must lie in (0, 1]")
     if not isinstance(num_terms, int) or num_terms < 1:
         raise ValueError("num_terms must be a positive integer")
-    terms = _kruglov_partial_terms(phi, t, _log_factorials(num_terms))
-    return float(np.sum(terms))
+    return _kruglov_walk(phi, t, num_terms)[2]
 
 
 def kruglov_check(
@@ -302,7 +329,24 @@ def kruglov_check(
 
     Divergent as soon as some t's partial sum crosses the threshold (the
     crossing index is reported); finite when every t stabilizes, i.e. the
-    partial sums at N/4 and N agree within the relative tolerance.
+    partial sums at N/4 and N agree within the relative tolerance.  The whole
+    t-grid is validated before any term is summed.
+
+    Each t walks n = 1..N in chunks of ``_KRUGLOV_CHUNK`` terms, so memory does
+    not grow with N.  A chunk evaluates log(t^n / n!) elementwise, which gives
+    the terms one N-term array would hold, and the running sum enters the
+    chunk's cumsum through its first term, so every partial sum is the
+    sequential sum of the whole series, bit for bit.
+
+    The walk of a t stops after a chunk whose last term is an exact 0.0, and
+    the N/4 and N sums are then the running sum (the N/4 sum, if it came
+    earlier, as taken).  The stop is exact.  For t <= 1, t^n / n! decreases in
+    n and phi increases, so each later term is at most the one that underflowed.
+    Float rounding may break that order, but only by the rounding of a
+    log-space value, far less than the gap of some 700 between exp underflow
+    and 2^-54: a later term is 0 or subnormal.  The first term is
+    phi(t)/phi(t) = 1, so the running sum is at least 1 and absorbs any term
+    below 2^-54 unchanged.
     """
     if not t_grid:
         raise ValueError("t_grid must be nonempty")
@@ -311,26 +355,18 @@ def kruglov_check(
     # the n = 1 term phi(t)/phi(t) is 1, so a threshold <= 1 is crossed at once
     if not (math.isfinite(threshold) and threshold > 1):
         raise ValueError(f"threshold must be finite and > 1, got {threshold!r}")
+    ts = [float(t) for t in t_grid]
+    if not all(0.0 < t <= 1.0 for t in ts):
+        raise ValueError("t_grid values must lie in (0, 1]")
     best = -math.inf
-    best_t = float(t_grid[0])
+    best_t = ts[0]
     any_unsettled = False
-    log_n_fact = _log_factorials(num_terms)
-    for t in t_grid:
-        t = float(t)
-        if not 0.0 < t <= 1.0:
-            raise ValueError("t_grid values must lie in (0, 1]")
-        terms = _kruglov_partial_terms(phi, t, log_n_fact)
-        csum = np.cumsum(terms)
-        crossed = np.nonzero(csum >= threshold)[0]
-        if crossed.size:
+    for t in ts:
+        crossing, quarter, full = _kruglov_walk(phi, t, num_terms, threshold)
+        if crossing:
             return KruglovVerdict(
-                finite=False,
-                sup_value=math.inf,
-                N_used=int(crossed[0]) + 1,
-                t_argmax=t,
+                finite=False, sup_value=math.inf, N_used=crossing, t_argmax=t
             )
-        full = float(csum[-1])
-        quarter = float(csum[num_terms // 4 - 1])
         if abs(full - quarter) > stabilization_rtol * max(1.0, abs(full)):
             any_unsettled = True
         if full > best:

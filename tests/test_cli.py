@@ -347,12 +347,18 @@ def test_console_script_round_trip(child_env):
          "threshold must be finite and > 1"),
         (("kruglov", "--psi", "power:1", "--t-grid", ""), "error:", "t_grid must be nonempty"),
         (("kruglov", "--psi", "power:1", "--t-grid", ","), "error:", "t_grid must be nonempty"),
+        # t = 0.01 crosses at once: the bad value after it must still be caught
+        (("kruglov", "--psi", "invsqrtlog", "--t-grid", "0.01,2"), "error:",
+         "t_grid values must lie in (0, 1]"),
+        (("kruglov", "--psi", "invsqrtlog", "--t-grid", "0.01,nan"), "error:",
+         "t_grid values must lie in (0, 1]"),
         (("norm", "--space", "lpq:2:1", "--indicator", "1/4", "--out", "/nonexistent/dir/x"),
          "error:", "No such file or directory"),
     ],
     ids=["lpq-inf", "logpow-inf", "negative-j-max", "underflowing-j-max", "option-like-value",
          "nan-margin", "inf-margin", "negative-threshold", "nan-threshold", "half-threshold",
-         "unit-threshold", "empty-t-grid", "comma-t-grid", "unwritable-out"],
+         "unit-threshold", "empty-t-grid", "comma-t-grid", "t-above-one-after-crossing",
+         "nan-t-after-crossing", "unwritable-out"],
 )
 def test_invalid_parameters_exit_two(capsys, argv, lead, fragment):
     code, out, err = run_cli(capsys, *argv)
@@ -524,3 +530,44 @@ def test_orlicz_norm_cli_fuzz(p, indicator, step, use_step, fmt):
         assert not re.search(r"nan|inf", out, re.IGNORECASE)
     else:
         assert out == ""
+
+
+_T_TEXT = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True).map(repr),
+    st.sampled_from(["1", "0.5", "0.01", "1e-300", "5e-324"]),
+)
+_BAD_T_TEXT = st.sampled_from(
+    ["nan", "inf", "-inf", "0", "-0.0", "-0.5", "1.0000000000000002", "2", "1e308"]
+)
+_THRESHOLD_TEXT = st.one_of(
+    st.floats(min_value=1.0, max_value=1e12).map(repr),
+    st.sampled_from(["1.5", "2", "1e3", "1e9", "1e308", "1", "nan", "inf", "0", "-1"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+# t = 0.01 crosses within a few terms; the bad value after it must still be rejected
+@example(psi="invsqrtlog", t_grid=["0.01"], bad_t=["2"], threshold="2", max_terms=4096)
+@example(psi="invsqrtlog", t_grid=["0.01"], bad_t=["nan"], threshold="1.5", max_terms=8)
+@given(
+    psi=st.sampled_from(["invsqrtlog", "power:0.5"]),
+    t_grid=st.lists(_T_TEXT, min_size=1, max_size=4),
+    bad_t=st.lists(_BAD_T_TEXT, max_size=1),  # placed after the valid values
+    threshold=_THRESHOLD_TEXT,
+    max_terms=st.integers(min_value=-2, max_value=2**12),
+)
+def test_kruglov_cli_fuzz(psi, t_grid, bad_t, threshold, max_terms):
+    # "=" keeps a leading "-" a value rather than an option
+    argv = ["kruglov", "--psi", psi, f"--t-grid={','.join(t_grid + bad_t)}",
+            f"--threshold={threshold}", f"--max-terms={max_terms}", "--format", "json"]
+    code, out, err = _run_in_process(argv)
+    assert "Traceback" not in err
+    threshold_ok = math.isfinite(float(threshold)) and float(threshold) > 1
+    if bad_t or not threshold_ok or max_terms < 4:
+        assert code == 2 and out == "" and err.count("\n") == 1
+        return
+    assert code in (0, 1)
+    assert not re.search(r"nan", out, re.IGNORECASE)
+    report = json.loads(out)
+    # the one documented non-finite value: the sup of a divergent probe
+    assert report["sup_value"] != "inf" or not (report["finite"] or report["inconclusive"])

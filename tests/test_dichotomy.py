@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rispaces import (
     DEFAULT_KRUGLOV_T_GRID,
+    KruglovVerdict,
     classify,
     indicator_ratio,
     indicator_ratio_small_u_limit,
@@ -15,7 +17,11 @@ from rispaces import (
     lorentz_operator_norm,
     power,
     sup_indicator_ratio,
+    table,
 )
+from rispaces._numeric import log_factorial
+from rispaces.dichotomy import _KRUGLOV_CHUNK
+from rispaces.generators import ConcaveGenerator, parse_generator
 
 SQRT_8_3 = math.sqrt(8.0 / 3.0)
 
@@ -179,3 +185,80 @@ def test_kruglov_check_slowly_varying_divergent():
 def test_default_t_grid_probes_deep():
     assert min(DEFAULT_KRUGLOV_T_GRID) <= 1e-300
     assert max(DEFAULT_KRUGLOV_T_GRID) == 1.0
+
+
+def test_kruglov_check_crossing_counts_a_sum_equal_to_the_threshold():
+    # at t = 1 the partial sums of 1/n! are 1, 1.5, ...: 1.5 is reached at n = 2
+    v = kruglov_check(power(1.0), t_grid=(1.0,), num_terms=8, threshold=1.5)
+    assert not v.finite and math.isinf(v.sup_value) and v.N_used == 2
+
+
+def _kruglov_check_full(phi, t_grid, num_terms, threshold, stabilization_rtol=1e-6):
+    """The probe as one N-term array per t: the oracle of the chunked walk."""
+    best = -math.inf
+    best_t = float(t_grid[0])
+    any_unsettled = False
+    log_n_fact = log_factorial(np.arange(1, num_terms + 1, dtype=float))
+    for t in t_grid:
+        t = float(t)
+        largs = np.arange(1, num_terms + 1, dtype=float)
+        largs *= math.log(t)
+        largs -= log_n_fact
+        terms = np.exp(np.asarray(phi.log_eval(largs)) - float(phi.log_eval(math.log(t))))
+        csum = np.cumsum(terms)
+        crossed = np.nonzero(csum >= threshold)[0]
+        if crossed.size:
+            return KruglovVerdict(finite=False, sup_value=math.inf,
+                                  N_used=int(crossed[0]) + 1, t_argmax=t)
+        full = float(csum[-1])
+        quarter = float(csum[num_terms // 4 - 1])
+        if abs(full - quarter) > stabilization_rtol * max(1.0, abs(full)):
+            any_unsettled = True
+        if full > best:
+            best, best_t = full, t
+    if any_unsettled:
+        return KruglovVerdict(finite=False, sup_value=best, N_used=num_terms,
+                              t_argmax=best_t, inconclusive=True)
+    return KruglovVerdict(finite=True, sup_value=best, N_used=num_terms, t_argmax=best_t)
+
+
+_KRUGLOV_GENERATORS = {
+    **{tok: parse_generator(tok) for tok in
+       ("logpow:1", "logpow:2", "power:1", "power:0.5", "invsqrtlog", "example7", "gauss")},
+    "table": table([(1e-3, 0.02), (0.05, 0.3), (0.4, 0.8), (1.0, 1.0)]),
+    # phi(t) = (1 + log(1/t))^-2: increasing, with terms ~ (n log n)^-2 that
+    # never underflow, so a stop on a small but nonzero term would show
+    "logdecay": ConcaveGenerator(lambda t: np.log(np.e / t) ** -2.0,
+                                 log_fn=lambda lt: -2.0 * np.log1p(-np.asarray(lt))),
+}
+_C = _KRUGLOV_CHUNK
+# The crossing, the N/4 checkpoint and the stop fall on and off chunk edges.
+# Threshold 1e9 makes the small-N probes inconclusive; at 2^20 it adds only the
+# no-crossing walk of the slowly varying generator, which 4C + 3 terms cover.
+_KRUGLOV_CASES = [(n, thr) for n in (4, 5, 8, _C - 1, _C, _C + 1, 4 * _C + 3)
+                  for thr in (1e3, 1e9)] + [(2**20, 1e3)]
+
+
+@pytest.mark.parametrize("token", list(_KRUGLOV_GENERATORS))
+def test_kruglov_check_matches_full_array_oracle(token):
+    phi = _KRUGLOV_GENERATORS[token]
+    for t_grid in (DEFAULT_KRUGLOV_T_GRID, (1.0,), (0.01,), (5e-324,)):
+        for num_terms, threshold in _KRUGLOV_CASES:
+            want = _kruglov_check_full(phi, t_grid, num_terms, threshold)
+            got = kruglov_check(phi, t_grid, num_terms=num_terms, threshold=threshold)
+            assert repr(got) == repr(want), (t_grid, num_terms, threshold)
+
+
+@pytest.mark.parametrize("phi, kwargs", [
+    (power(1.0), {}),  # every t stops within its first chunk
+    (inv_sqrt_log(), {"t_grid": (1.0,), "threshold": 1e9}),  # no stop: 256 chunks
+], ids=["stops", "walks-to-the-end"])
+def test_kruglov_check_memory_does_not_grow_with_terms(phi, kwargs):
+    tracemalloc.start()
+    try:
+        kruglov_check(phi, num_terms=2**22, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a few chunk-sized arrays; one 2^22-term array alone is 32 MB
+    assert peak < 16 * 8 * _KRUGLOV_CHUNK

@@ -1,4 +1,4 @@
-"""Byte-for-byte guard on the Monte Carlo, step-function and exact-law reports.
+"""Byte-for-byte guard on the Monte Carlo, step-function, exact-law and series-probe reports.
 
 Each command runs in-process and the sha256 of its stdout is compared with a
 recorded hash.  The Monte Carlo and float step-function hashes were recorded
@@ -8,7 +8,9 @@ walk law) and the rational indicator norm were recorded before the walk law
 became a single ``Fraction`` step function and the norms one dispatch.  The
 rational step-file norms, one per family, were recorded while exact step
 functions still kept their data in tuples, before they moved to NumPy object
-arrays.  Those rewrites promise the same bytes, so any change in a hash here is a change of
+arrays.  The Kruglov series probes were recorded while every t still summed
+one N-term array, before the walk moved to bounded chunks with an early stop.
+Those rewrites promise the same bytes, so any change in a hash here is a change of
 results, not of speed.
 
 The hashes were recorded with NumPy 2.4 on x86-64 Linux.  NumPy pins the PCG64
@@ -79,7 +81,14 @@ COMMANDS = [
                                      "--step", "{rational}"]),
     ("norm-rational-orlicz", ["norm", "--space", "orlicz:np:2", "--step", "{rational}"]),
     ("norm-rational-lpq", ["norm", "--space", "lpq:2:1", "--step", "{rational}"]),
+    ("kruglov-logpow2", ["kruglov", "--psi", "logpow:2"]),
+    ("kruglov-invsqrtlog-divergent", ["kruglov", "--psi", "invsqrtlog"]),
+    ("kruglov-power1-inconclusive", ["kruglov", "--psi", "power:1", "--t-grid", "1",
+                                     "--max-terms", "8", "--threshold", "1e9"]),
+    ("classify-invsqrtlog-kruglov", ["classify", "--psi", "invsqrtlog", "--with-kruglov"]),
 ]
+# every other command exits 0
+EXIT_CODES = {"kruglov-power1-inconclusive": 1}
 
 EXPECTED = {
     "mc-rademacher-odd": "5f626f6c1a03daa661cbe41f6559ca6af40a73e113dafd22a7d4c7b3332ad992",
@@ -97,10 +106,14 @@ EXPECTED = {
     "norm-rational-marcinkiewicz": "85d855e754de320aedc49110a14e016ce3464609c2d85cad11e153a6bd891b86",
     "norm-rational-orlicz": "39a217e4f5ec39be09d926865a10ee07d2d4e67b599307050a8a57f35e2a9f89",
     "norm-rational-lpq": "9709a5a8d801ebd6e2f429acefaabbbccedbb3967256162b78bdeefa0ea99396",
+    "kruglov-logpow2": "0b06ddc8ced6e63d75c30ea9dfcdf4509023ec543cf32eba2662f6c3daba034c",
+    "kruglov-invsqrtlog-divergent": "1d975751146489bbed53df0c68ab00f49b44b62fbfe711f2fc81558f0ee24beb",
+    "kruglov-power1-inconclusive": "48ca101e76057f2f684ff003f70e86c6c6a2beeaf5a82d95aa04520e12434af5",
+    "classify-invsqrtlog-kruglov": "941ee652eb39fe6420ae69168d47ce54524b2ace2a79356987b7cb91b611505e",
 }
 
 
-def _run(argv, tmp: Path) -> bytes:
+def _run(cid, argv, tmp: Path) -> bytes:
     custom, step, rational = tmp / "atoms.csv", tmp / "step.json", tmp / "rational.json"
     custom.write_text(CUSTOM_CSV)
     step.write_text(json.dumps(_step_file()))
@@ -110,16 +123,16 @@ def _run(argv, tmp: Path) -> bytes:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    assert code == 0
+    assert code == EXIT_CODES.get(cid, 0)
     return out.getvalue().encode()
 
 
 @pytest.mark.parametrize("cid, argv", COMMANDS, ids=[c for c, _ in COMMANDS])
 def test_report_bytes_unchanged(tmp_path, cid, argv):
-    assert hashlib.sha256(_run(argv, tmp_path)).hexdigest() == EXPECTED[cid]
+    assert hashlib.sha256(_run(cid, argv, tmp_path)).hexdigest() == EXPECTED[cid]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as d:
         for cid, argv in COMMANDS:
-            print(f'    "{cid}": "{hashlib.sha256(_run(argv, Path(d))).hexdigest()}",')
+            print(f'    "{cid}": "{hashlib.sha256(_run(cid, argv, Path(d))).hexdigest()}",')
