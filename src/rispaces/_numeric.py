@@ -52,24 +52,26 @@ def log_binom(n, k):
     return log_factorial(n) - log_factorial(k) - log_factorial(n - k)
 
 
-def logsumexp(a) -> float:
+def logsumexp(a, out=None) -> float:
     """log(sum(exp(a))) over a 1-D array, step for step as scipy.special.logsumexp.
 
     The entries equal to the maximum are set aside and counted (m), the rest
     summed as s = sum exp(a - max), and the result is log1p(s / m) + log m + max.
     A non-finite maximum (an infinite or NaN entry, or all -inf) takes
     log(sum(exp(a))) directly, which follows exp and log at the extremes.
+    ``out``, an array of a's shape (a itself if a may be overwritten), takes
+    the shifted terms in place of a new array.
     """
     a = np.asarray(a, dtype=float)
     a_max = a.max()
     if not np.isfinite(a_max):
         with np.errstate(over="ignore", divide="ignore"):
-            return float(np.log(np.sum(np.exp(a))))
+            return float(np.log(np.sum(np.exp(a, out=out))))
     at_max = a == a_max
     m = np.float64(np.count_nonzero(at_max))
-    shifted = a - a_max
+    shifted = np.subtract(a, a_max, out=out)
     shifted[at_max] = -math.inf
-    s = np.sum(np.exp(shifted))
+    s = np.sum(np.exp(shifted, out=shifted))
     if s != 0.0:
         s /= m
     # NumPy's log1p, not math.log1p: the two differ in the last bit on some inputs.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -270,39 +270,56 @@ _KRUGLOV_CHUNK = 2**14
 
 
 def _kruglov_walk(
-    phi: ConcaveGenerator, t: float, num_terms: int, threshold: float = math.inf
-) -> Tuple[int, Optional[float], float]:
+    phi: ConcaveGenerator,
+    ts: Sequence[float],
+    num_terms: int,
+    threshold: float = math.inf,
+) -> List[Tuple[int, Optional[float], float]]:
     """Walk the partial sums of (1/phi(t)) * sum_{n=1}^N phi(t^n / n!) in chunks.
 
-    Returns (crossing, quarter, full): the first n whose partial sum reaches
-    the threshold, or 0 if none does, and the partial sums at n = N/4 and N.
-    A crossing ends the walk at the end of its chunk, whose sum is then
-    ``full``; ``quarter`` is None if the walk had not reached it.  The chunking
-    and the early stop leave every sum as in one N-term pass; ``kruglov_check``
-    says why.
+    Returns (crossing, quarter, full) for each t of ``ts``: the first n whose
+    partial sum reaches the threshold, or 0 if none does, and the partial sums
+    at n = N/4 and N.  The walks run side by side, a chunk of n at a time, and
+    share the chunk's log n!.  A crossing ends the walk of its t at the end of
+    its chunk, whose sum is then ``full`` (``quarter`` is None if the walk had
+    not reached it), and drops every later t of ``ts``, whose entries are then
+    partial: only the first crossing in grid order sets a verdict.  The
+    chunking and the early stop leave every sum as in one N-term pass;
+    ``kruglov_check`` says why.
     """
-    log_t = math.log(t)
-    log_phi_t = float(phi.log_eval(log_t))
+    log_ts = [math.log(t) for t in ts]
+    log_phi_ts = [float(phi.log_eval(lt)) for lt in log_ts]
     quarter_n = num_terms // 4
-    quarter = None
-    total = 0.0
+    walks = [[0, None, 0.0] for _ in ts]  # crossing, quarter, total
+    active = list(range(len(ts)))
     for start in range(1, num_terms + 1, _KRUGLOV_CHUNK):
-        n = np.arange(start, min(start + _KRUGLOV_CHUNK, num_terms + 1), dtype=float)
-        largs = n * log_t
-        largs -= log_factorial(n)  # log(t^n / n!)
-        terms = np.exp(np.asarray(phi.log_eval(largs)) - log_phi_t)
-        underflowed = terms[-1] == 0.0
-        terms[0] += total
-        csum = np.cumsum(terms, out=terms)
-        if start <= quarter_n < start + csum.size:
-            quarter = float(csum[quarter_n - start])
-        crossed = np.flatnonzero(csum >= threshold)
-        if crossed.size:
-            return start + int(crossed[0]), quarter, float(csum[-1])
-        total = float(csum[-1])
-        if underflowed:
+        if not active:
             break
-    return 0, total if quarter is None else quarter, total
+        n = np.arange(start, min(start + _KRUGLOV_CHUNK, num_terms + 1), dtype=float)
+        log_n_fact = log_factorial(n)
+        still = []
+        for i in active:
+            walk = walks[i]
+            largs = n * log_ts[i]
+            largs -= log_n_fact  # log(t^n / n!)
+            terms = np.exp(np.asarray(phi.log_eval(largs)) - log_phi_ts[i])
+            underflowed = terms[-1] == 0.0
+            terms[0] += walk[2]
+            csum = np.cumsum(terms, out=terms)
+            if start <= quarter_n < start + csum.size:
+                walk[1] = float(csum[quarter_n - start])
+            walk[2] = float(csum[-1])
+            crossed = np.flatnonzero(csum >= threshold)
+            if crossed.size:
+                walk[0] = start + int(crossed[0])
+                break
+            if not underflowed:
+                still.append(i)
+        active = still
+    return [
+        (crossing, total if crossing == 0 and quarter is None else quarter, total)
+        for crossing, quarter, total in walks
+    ]
 
 
 def kruglov_series(phi: ConcaveGenerator, t, num_terms: int) -> float:
@@ -315,7 +332,7 @@ def kruglov_series(phi: ConcaveGenerator, t, num_terms: int) -> float:
         raise ValueError("t must lie in (0, 1]")
     if not isinstance(num_terms, int) or num_terms < 1:
         raise ValueError("num_terms must be a positive integer")
-    return _kruglov_walk(phi, t, num_terms)[2]
+    return _kruglov_walk(phi, [t], num_terms)[0][2]
 
 
 def kruglov_check(
@@ -332,11 +349,15 @@ def kruglov_check(
     partial sums at N/4 and N agree within the relative tolerance.  The whole
     t-grid is validated before any term is summed.
 
-    Each t walks n = 1..N in chunks of ``_KRUGLOV_CHUNK`` terms, so memory does
-    not grow with N.  A chunk evaluates log(t^n / n!) elementwise, which gives
+    The t's walk n = 1..N side by side in chunks of ``_KRUGLOV_CHUNK`` terms,
+    so memory does not grow with N, and each chunk's log n! serves every t
+    still walking.  A chunk evaluates log(t^n / n!) elementwise, which gives
     the terms one N-term array would hold, and the running sum enters the
     chunk's cumsum through its first term, so every partial sum is the
-    sequential sum of the whole series, bit for bit.
+    sequential sum of the whole series, bit for bit.  Once a t crosses, the
+    t's after it in the grid stop (they cannot set the verdict) and the ones
+    before it walk on: the verdict is that of the first crossing t in grid
+    order, as if the t's were walked one after another.
 
     The walk of a t stops after a chunk whose last term is an exact 0.0, and
     the N/4 and N sums are then the running sum (the N/4 sum, if it came
@@ -361,8 +382,7 @@ def kruglov_check(
     best = -math.inf
     best_t = ts[0]
     any_unsettled = False
-    for t in ts:
-        crossing, quarter, full = _kruglov_walk(phi, t, num_terms, threshold)
+    for t, (crossing, quarter, full) in zip(ts, _kruglov_walk(phi, ts, num_terms, threshold)):
         if crossing:
             return KruglovVerdict(
                 finite=False, sup_value=math.inf, N_used=crossing, t_argmax=t

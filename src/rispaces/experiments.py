@@ -151,6 +151,8 @@ def _signed_thresholds(u: float) -> Tuple[np.uint64, np.uint64]:
 def _sign_draws(spec: SamplerSpec, rng: np.random.Generator, count: int):
     """Masks of the +1 and of the -1 values among the next count draws of a sign law.
 
+    A Rademacher draw is -1 wherever it is not +1, so its -1 mask is None.
+
     ``integers(0, 2)`` is bit 31 of a 32-bit output, and PCG64 hands out the
     low half of each 64-bit word before the high half, which it keeps for the
     next call; ``random_raw`` bypasses that buffer.  So an odd count is only
@@ -158,8 +160,7 @@ def _sign_draws(spec: SamplerSpec, rng: np.random.Generator, count: int):
     """
     if spec.kind == "rademacher":
         words = rng.bit_generator.random_raw((count + 1) // 2)
-        plus = words.astype("<u8", copy=False).view("<i4")[:count] < 0  # bit 31 set
-        return plus, ~plus
+        return words.astype("<u8", copy=False).view("<i4")[:count] < 0, None  # bit 31 set
     below, above = _signed_thresholds(spec.u)
     words = rng.bit_generator.random_raw(count)
     return words < below, words > above
@@ -171,7 +172,7 @@ _SIGN_KINDS = ("rademacher", "signed_indicator")
 def _draw_block(spec: SamplerSpec, rng: np.random.Generator, shape) -> np.ndarray:
     if spec.kind in _SIGN_KINDS:
         plus, minus = _sign_draws(spec, rng, math.prod(shape))
-        return (plus.astype(np.float64) - minus).reshape(shape)
+        return (plus.astype(np.float64) - (~plus if minus is None else minus)).reshape(shape)
     if spec.kind == "gaussian":
         return rng.standard_normal(size=shape)
     if spec.kind == "custom":
@@ -191,9 +192,11 @@ def _draw_sums(spec: SamplerSpec, n: int, trials: int) -> np.ndarray:
         c = min(rows_per_chunk, trials - done)
         if spec.kind in _SIGN_KINDS:
             plus, minus = _sign_draws(spec, rng, c * n)
-            out[done : done + c] = np.count_nonzero(
-                plus.reshape(c, n), axis=1
-            ) - np.count_nonzero(minus.reshape(c, n), axis=1)
+            row_plus = np.count_nonzero(plus.reshape(c, n), axis=1)
+            if minus is None:  # Rademacher: the n - row_plus others are -1
+                out[done : done + c] = 2 * row_plus - n
+            else:
+                out[done : done + c] = row_plus - np.count_nonzero(minus.reshape(c, n), axis=1)
         else:
             out[done : done + c] = _draw_block(spec, rng, (c, n)).sum(axis=1)
         done += c
@@ -254,8 +257,8 @@ def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     size = a.size + b.size - 1
     nfft = 1 << (size - 1).bit_length()  # power of two: a fast length
     fa = np.fft.rfft(a, nfft)
-    fb = fa if b is a else np.fft.rfft(b, nfft)
-    return np.fft.irfft(fa * fb, nfft)[:size]
+    fa *= fa if b is a else np.fft.rfft(b, nfft)
+    return np.fft.irfft(fa, nfft)[:size]
 
 
 def gaussian_selfsimilarity_check(n: int, grid_size: int = 2**16) -> float:
@@ -294,7 +297,8 @@ def gaussian_selfsimilarity_check(n: int, grid_size: int = 2**16) -> float:
         # FFT noise (~1e-16 absolute) fabricates extreme-tail mass that the
         # maximal-average norm prices heavily; clip it, then renormalize.
         conv[conv < conv.max() * 1e-13] = 0.0
-        return conv / conv.sum()
+        conv /= conv.sum()
+        return conv
 
     base_norm = _lattice_norm(pmf, edges, space)
     conv, power, k = None, pmf, n
@@ -313,26 +317,23 @@ def _lattice_norm(pmf: np.ndarray, base_edges: np.ndarray, space: SpaceSpec) -> 
     """Norm of a symmetric law on a uniform value lattice, via layers."""
     h = base_edges[1] - base_edges[0]
     size = pmf.size
-    centers = (np.arange(size) - (size - 1) / 2.0) * h
-    # fold the symmetric lattice onto |values|, descending
+    # Fold the symmetric lattice onto |values|, descending: cell size - 1 - m
+    # and its mirror m, for the size // 2 cells above the centre (an odd
+    # lattice's centre cell, the value 0, is left out).
     half = size // 2
-    if size % 2:
-        probs = pmf[half + 1 :] + pmf[half - 1 :: -1]
-        vals = centers[half + 1 :]
-    else:
-        probs = pmf[half:] + pmf[half - 1 :: -1]
-        vals = centers[half:]
-    probs = probs[::-1].copy()
-    vals = vals[::-1].copy()
-    keep = probs > 0
-    probs, vals = probs[keep], vals[keep]
-    tails = np.cumsum(probs)
+    tails = pmf[: size - half - 1 : -1] + pmf[:half]
+    vals = (np.arange(size - 1, size - half - 1, -1) - (size - 1) / 2.0) * h
+    keep = tails > 0
+    tails, vals = tails[keep], vals[keep]
+    np.cumsum(tails, out=tails)
     ok = np.empty(tails.size, dtype=bool)
     ok[0] = tails[0] > 0
-    ok[1:] = np.diff(tails) > 0  # drop sub-ulp layers that stall the cumsum
+    np.greater(tails[1:], tails[:-1], out=ok[1:])  # drop sub-ulp layers that stall the cumsum
+    log_tails, vals = tails[ok], vals[ok]
+    del tails
     with np.errstate(divide="ignore"):
-        log_tails = np.minimum(np.log(tails[ok]), 0.0)
-    return space_norm_from_layers(vals[ok], log_tails, space)
+        np.log(log_tails, out=log_tails)
+    return space_norm_from_layers(vals, np.minimum(log_tails, 0.0, out=log_tails), space)
 
 
 # ------------------------------------------------------------------ growth fits

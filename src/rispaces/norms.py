@@ -96,21 +96,30 @@ def exp_lp(p) -> OrliczFunction:
 
     def log_fn(u):
         with np.errstate(over="ignore"):
-            up = np.asarray(u, dtype=float) ** p  # inf past the float range: M = inf
-        out = np.empty(np.shape(up))
-        # log(e^x - 1): x + log1p(-e^-x) for large x, log(expm1 x) below.
-        big = up > 30.0
-        x = up[big]
-        out[big] = x + np.log1p(-np.exp(-np.minimum(x, 745.0)))
+            x = np.asarray(np.asarray(u, dtype=float) ** p)  # inf past the float range: M = inf
+        # log(e^x - 1): x + log1p(-e^-x) for large x, log(expm1 x) below, in place.
+        big = x > 30.0
+        y = np.minimum(x, 745.0, out=np.empty_like(x), where=big)
+        for f in (np.negative, np.exp, np.negative, np.log1p):
+            f(y, out=y, where=big)
+        np.add(x, y, out=x, where=big)
+        small = ~big
+        np.expm1(x, out=x, where=small)
         with np.errstate(divide="ignore"):
-            out[~big] = np.log(np.expm1(up[~big]))
-        return out
+            return np.log(x, out=x, where=small)
 
     def elasticity(u):
         # u M'(u) / M(u) = p x / (1 - e^-x) with x = u^p; it tends to p as x -> 0.
         with np.errstate(over="ignore", invalid="ignore"):
-            x = np.asarray(u, dtype=float) ** p
-            return np.where(x > 0.0, p * x / -np.expm1(-x), p)
+            x = np.asarray(np.asarray(u, dtype=float) ** p)
+            positive = x > 0.0
+            denom = np.negative(x, out=np.empty_like(x))
+            np.expm1(denom, out=denom)
+            np.negative(denom, out=denom)
+            x *= p
+            x /= denom
+        x[~positive] = p
+        return x
 
     def inverse(y):
         return np.log1p(np.asarray(y, dtype=float)) ** (1.0 / p)
@@ -208,59 +217,87 @@ def _layers_from_step(f: StepFunction) -> Tuple[np.ndarray, np.ndarray]:
 def _check_layers(values: np.ndarray, log_tails: np.ndarray) -> None:
     if values.size == 0 or values.size != log_tails.size:
         raise ValueError("layers need matching nonempty value/log-tail arrays")
-    if np.any(values < 0) or np.any(np.diff(values) > 0):
+    # written so that a NaN fails: the cores take the positive values as a prefix
+    if not np.all(values >= 0) or np.any(np.diff(values) > 0):
         raise ValueError("layer values must be nonnegative and nonincreasing")
-    if np.any(log_tails > 0) or np.any(np.diff(log_tails) <= 0):
+    if not np.all(log_tails <= 0) or np.any(np.diff(log_tails) <= 0):
         raise ValueError("log tails must be strictly increasing and <= 0")
+
+
+# The cores below keep the operation order of the plain array expressions and
+# run them in place (``out=``, reused buffers), so their results are the same
+# bits with a few layer-sized temporaries instead of a dozen.
+
+
+def _positive_count(values: np.ndarray) -> int:
+    """Number of positive values, a prefix since layer values descend; values[0] > 0."""
+    return values.size - int(np.argmax(values[::-1] > 0))
+
+
+# Layers per call of the elasticity in ``_orlicz_core``: its temporaries stay
+# this size while the weights and the layers are held.
+_ORLICZ_CHUNK = 2**14
+
+
+def _log_eval(gen: ConcaveGenerator, lT: np.ndarray) -> np.ndarray:
+    """gen.log_eval(lT) as a float array that the caller may overwrite."""
+    out = np.asarray(gen.log_eval(lT), dtype=float)
+    return out.copy() if np.may_share_memory(out, lT) else out
 
 
 def _log_lengths(lT: np.ndarray) -> np.ndarray:
     out = np.empty_like(lT)
     out[0] = lT[0]
     if lT.size > 1:
+        d = np.subtract(lT[:-1], lT[1:], out=out[1:])
         with np.errstate(divide="ignore"):
-            out[1:] = lT[1:] + np.log1p(-np.exp(lT[:-1] - lT[1:]))
+            np.log1p(np.negative(np.exp(d, out=d), out=d), out=d)
+        d += lT[1:]
     return out
 
 
 def _lorentz_core(values: np.ndarray, lT: np.ndarray, psi: ConcaveGenerator) -> float:
     if values[0] <= 0:
         return 0.0
-    psis = np.exp(np.asarray(psi.log_eval(lT)))
-    drops = values - np.concatenate((values[1:], [0.0]))
+    psis = _log_eval(psi, lT)
+    np.exp(psis, out=psis)
+    drops = np.empty_like(values)
+    np.subtract(values[:-1], values[1:], out=drops[:-1])
+    drops[-1] = values[-1]  # the last layer drops to 0
+    drops *= psis
     # Abel form of the Stieltjes sum: every term is nonnegative, no cancellation.
-    return float(math.fsum(drops * psis))
+    return float(math.fsum(drops))
 
 
 def _marcinkiewicz_core(values: np.ndarray, lT: np.ndarray, phi: ConcaveGenerator) -> float:
     if values[0] <= 0:
         return 0.0
-    log_len = _log_lengths(lT)
+    logI = _log_lengths(lT)
     with np.errstate(divide="ignore"):
-        logv = np.log(values)
-    logI = np.logaddexp.accumulate(logv + log_len)
-    cand = logI - np.asarray(phi.log_eval(lT))
+        logI += np.log(values)
+    np.logaddexp.accumulate(logI, out=logI)
+    cand = _log_eval(phi, lT)
+    np.subtract(logI, cand, out=cand)
     best = float(np.exp(np.max(cand)))
     # For concave phi the per-piece objective is minimized in the interior, so
     # the breakpoint candidates already carry the sup; the golden pass guards
     # the nearly-linear pieces of table generators at negligible cost.
     if values.size > 1:
-        T = np.exp(lT)
-        I = np.exp(logI)
-        Tprev = np.concatenate(([0.0], T[:-1]))
-        Iprev = np.concatenate(([0.0], I[:-1]))
         order = np.argsort(cand)[::-1][:32]
-        sel = order[
-            (T[order] > 1e-300) & (T[order] > Tprev[order]) & (values[order] > 0)
-        ]
-        if sel.size:
-            lo = Tprev[sel] + (T[sel] - Tprev[sel]) * 1e-9
-            base_I, slope, base_T = Iprev[sel], values[sel], Tprev[sel]
+        # T and I at the candidates and at the pieces before them (0 before the first)
+        first = order == 0
+        T, Tprev, Iprev = np.exp(lT[order]), np.exp(lT[order - 1]), np.exp(logI[order - 1])
+        Tprev[first] = Iprev[first] = 0.0
+        keep = (T > 1e-300) & (T > Tprev) & (values[order] > 0)
+        if keep.any():
+            T, base_T, base_I = T[keep], Tprev[keep], Iprev[keep]
+            slope = values[order[keep]]
+            lo = base_T + (T - base_T) * 1e-9
 
             def obj(taus):
                 return (base_I + slope * (taus - base_T)) / np.asarray(phi(taus))
 
-            _, ref = golden_max_vec(obj, lo, T[sel])
+            _, ref = golden_max_vec(obj, lo, T)
             best = max(best, float(np.max(ref)))
     return best
 
@@ -268,13 +305,13 @@ def _marcinkiewicz_core(values: np.ndarray, lT: np.ndarray, phi: ConcaveGenerato
 def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: OrliczFunction) -> float:
     if values[0] <= 0:
         return 0.0
-    keep = values > 0
-    v = values[keep]
-    ll = _log_lengths(lT)[keep]
+    k = _positive_count(values)
+    v = values[:k]
+    ll = _log_lengths(lT)[:k]
     # The modular is at least T_k M(v_k / lam) for every layer k, so each layer
     # bounds the root from below; for a single layer the bound is the root.
     with np.errstate(over="ignore"):
-        lam = float(np.max(v / M.inverse_log(-lT[keep])))
+        lam = float(np.max(v / M.inverse_log(-lT[:k])))
     if lam == math.inf:  # a lower bound past the largest float
         raise ValueError("Orlicz norm exceeds the float range")
     lo, hi, L_hi = 0.0, math.inf, math.nan
@@ -283,7 +320,8 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: OrliczFunction) -> float
     # Safeguarded Newton on L(s) = log modular(e^s), convex and decreasing in
     # s = log lam: from below the root (L > 0) its steps rise to the root.
     for _ in range(200):
-        terms = ll + M.log_fn(v / lam)
+        terms = np.asarray(M.log_fn(v / lam), dtype=float)
+        terms += ll
         L = float(logsumexp(terms))
         if math.isnan(L):
             raise RuntimeError("Orlicz modular evaluated to NaN: degenerate M")
@@ -303,19 +341,26 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: OrliczFunction) -> float
             raise RuntimeError(
                 "Orlicz root search stalled with modular away from 1: degenerate M"
             )
+        prune = L > 0.0 and not pruned
+        if prune:
+            # Every later lam is at least this one and the terms fall as lam
+            # grows, so the layers dropped here hold below e^-60 of the modular
+            # for the rest of the search.  The slope below still takes them all.
+            big = terms >= -60.0 - math.log(terms.size)
+            ll, pruned = ll[big], True
         # L'(s) = -sum_i w_i E(u_i): softmax weights of the terms times the
         # elasticity of M; NaN once a term is infinite, which fails the test below.
         with np.errstate(all="ignore"):
-            slope = -float(np.dot(np.exp(terms - L), M.elasticity(v / lam)))
+            weights = np.exp(np.subtract(terms, L, out=terms), out=terms)
+            elasticity = np.empty(v.size)
+            for i in range(0, v.size, _ORLICZ_CHUNK):
+                elasticity[i : i + _ORLICZ_CHUNK] = M.elasticity(v[i : i + _ORLICZ_CHUNK] / lam)
+            slope = -float(np.dot(weights, elasticity))
             step = float(lam * np.exp(-L / slope))
         if step == lam:  # a step below float resolution still moves one ulp
             step = float(np.nextafter(lam, math.inf if L > 0.0 else 0.0))
-        if L > 0.0 and not pruned:
-            # Every later lam is at least this one and the terms fall as lam
-            # grows, so the layers dropped here hold below e^-60 of the modular
-            # for the rest of the search.
-            big = terms >= -60.0 - math.log(terms.size)
-            v, ll, pruned = v[big], ll[big], True
+        if prune:
+            v = v[big]
         # Newton's step must land inside the bracket and, once the bracket is
         # finite, move less than half as far as the step before the last one
         # (as in rtsafe), so an inexact elasticity cannot make it oscillate;
@@ -340,14 +385,24 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: OrliczFunction) -> float
 def _lpq_core(values: np.ndarray, lT: np.ndarray, p: float, q: float) -> float:
     if values[0] <= 0:
         return 0.0
-    k = int(np.nonzero(values > 0)[0][-1]) + 1
+    k = _positive_count(values)
     v, lt = values[:k], lT[:k]
-    ltprev = np.concatenate(([-np.inf], lt[:-1]))
     r = q / p
+    # terms = q log v + (r lt + log1p(-exp(r (lt_prev - lt)))), lt_prev = -inf first
+    terms = np.empty(k)
+    terms[0] = -np.inf
+    terms[1:] = lt[:-1]
+    terms -= lt
+    terms *= r
     with np.errstate(divide="ignore"):
-        ldiff = r * lt + np.log1p(-np.exp(r * (ltprev - lt)))
-        terms = q * np.log(v) + ldiff
-    return float(np.exp(logsumexp(terms) / q))
+        np.log1p(np.negative(np.exp(terms, out=terms), out=terms), out=terms)
+        ldiff = np.multiply(lt, r)
+        ldiff += terms
+        np.log(v, out=terms)
+    terms *= q
+    terms += ldiff
+    del ldiff
+    return float(np.exp(logsumexp(terms, out=terms) / q))
 
 
 # --------------------------------------------------------------- public norms

@@ -10,9 +10,11 @@ measure u) * (independent sign).
 A rational u with n <= 64 runs in exact ``fractions.Fraction`` arithmetic,
 which is fast and bit-reproducible there; anything else runs in floats.  Float
 routes run in log space: the deep tail atoms lie far below float underflow yet
-still dominate weighted-rearrangement norms.  Walk rows come from one table of
-log-factorials; the law of S_n comes, for every n, from one O(n) backward
-three-term recurrence (``signed_indicator_sum_log_tails``).
+still dominate weighted-rearrangement norms.  Walk layers come from the half of
+the symmetric binomial row that the tails read, built from log-factorials in
+fixed-size chunks (``walk_abs_layers`` says why that is bit-exact); the law of
+S_n comes, for every n, from one O(n) backward three-term recurrence
+(``signed_indicator_sum_log_tails``).
 """
 
 from __future__ import annotations
@@ -79,13 +81,9 @@ def _abs_tail_fractions(k: int) -> Tuple[Fraction, ...]:
     return tuple(tails)
 
 
-def _log_walk_row(k: int) -> np.ndarray:
-    """log P(W_k = k - 2j) = log k! - log j! - log (k-j)! - k log 2 for j = 0..k."""
-    lf = log_factorial(np.arange(k + 1, dtype=float))
-    row = lf[k] - lf
-    row -= lf[::-1]
-    row -= k * LN2
-    return row
+# Values of j per log-factorial call in ``walk_abs_layers``: the temporaries of
+# one call are a few arrays of this size, whatever k.
+_ROW_CHUNK = 2**14
 
 
 def walk_abs_layers(k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -94,18 +92,35 @@ def walk_abs_layers(k: int) -> Tuple[np.ndarray, np.ndarray]:
     This is the layered form of the decreasing rearrangement used by the
     log-space norm routines; unlike ``walk_distribution`` it serves every k
     in O(k) memory and keeps the deep tail at full log precision.
+
+    The value v = k - 2j > 0 has log P(|W_k| >= v) = log 2 + log sum_{i <= j}
+    P(W_k = k - 2i), by the symmetry of the row, so only j = 0..k//2 of the
+    k + 1 row entries log k! - log j! - log (k-j)! - k log 2 are built.  They
+    are written in chunks of ``_ROW_CHUNK`` into the buffer that becomes the
+    log-tails, accumulated there with one sequential ``logaddexp`` and shifted
+    in place.  Each entry takes the same operations on the same log-factorials
+    (elementwise, so the chunk a j falls in cannot change them) as in the full
+    row, and a sequential accumulation's prefix does not depend on what follows
+    it, so the result is bit for bit that of the full row.
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
     if k == 0:
         return np.asarray([0.0]), np.asarray([0.0])
     values = np.arange(k, -1 if k % 2 == 0 else 0, -2, dtype=float)
-    H = np.logaddexp.accumulate(_log_walk_row(k))
     log_tails = np.empty(values.size)
-    pos = values > 0
-    log_tails[pos] = LN2 + H[((k - values[pos].astype(int)) // 2)]
-    log_tails[~pos] = 0.0
-    return values, np.minimum(log_tails, 0.0)
+    log_k_fact = log_factorial(k)
+    for start in range(0, values.size, _ROW_CHUNK):
+        j = np.arange(start, min(start + _ROW_CHUNK, values.size), dtype=float)
+        row = log_tails[start : start + j.size]
+        np.subtract(log_k_fact, log_factorial(j), out=row)
+        row -= log_factorial(k - j)
+        row -= k * LN2
+    np.logaddexp.accumulate(log_tails, out=log_tails)
+    log_tails += LN2
+    if k % 2 == 0:
+        log_tails[-1] = 0.0  # the value 0 has the whole measure
+    return values, np.minimum(log_tails, 0.0, out=log_tails)
 
 
 def _validate_nus(n: int, u, s: Optional[int] = None) -> None:

@@ -262,3 +262,15 @@ def test_kruglov_check_memory_does_not_grow_with_terms(phi, kwargs):
         tracemalloc.stop()
     # a few chunk-sized arrays; one 2^22-term array alone is 32 MB
     assert peak < 16 * 8 * _KRUGLOV_CHUNK
+
+
+def test_kruglov_check_first_crossing_in_grid_order_wins():
+    # At threshold 100, invsqrtlog crosses at n = 56966 for t = 1, 24483 for
+    # t = 0.5 and 5584 for t = 0.01, in the fourth, second and first chunks.
+    # The walks run side by side, yet the verdict is that of the first t in
+    # grid order that crosses at all.
+    phi = inv_sqrt_log()
+    alone = {t: kruglov_check(phi, t_grid=(t,), threshold=100.0) for t in (1.0, 0.5, 0.01)}
+    assert [alone[t].N_used // _KRUGLOV_CHUNK for t in alone] == [3, 1, 0]
+    for grid in ((1.0, 0.5, 0.01), (0.5, 1.0, 0.01), (0.01, 1.0)):
+        assert kruglov_check(phi, t_grid=grid, threshold=100.0) == alone[grid[0]]

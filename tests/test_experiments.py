@@ -252,6 +252,13 @@ def test_selfsimilarity_ratio_is_sqrt_n():
         assert r == pytest.approx(math.sqrt(n), rel=1e-3)
 
 
+def test_selfsimilarity_at_sixteen_keeps_its_bits():
+    # Recorded before the lattice fold, the FFT products and the clipping ran
+    # in place.  The ratio prices an even lattice (one variable, 2^16 cells)
+    # and an odd one (the sum, 2^20 - 15 cells), so both folds are pinned.
+    assert repr(gaussian_selfsimilarity_check(16)) == "3.9999671964023635"
+
+
 @pytest.mark.parametrize("na, nb", [(1, 1), (1, 6), (2, 2), (3, 2), (7, 7), (64, 33), (1000, 17)])
 def test_fftconvolve_matches_direct_convolution(na, nb):
     rng = np.random.default_rng(na * 1000 + nb)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -25,7 +26,16 @@ from rispaces import (
     walk_abs_layers,
     walk_distribution,
 )
-from rispaces.norms import _layers_from_step, _log_lengths, _orlicz_core
+from rispaces._search import golden_max_vec
+from rispaces.generators import ConcaveGenerator, inv_sqrt_log
+from rispaces.norms import (
+    _layers_from_step,
+    _log_lengths,
+    _lorentz_core,
+    _lpq_core,
+    _marcinkiewicz_core,
+    _orlicz_core,
+)
 
 ALL_SPACES = [
     Lorentz(power(0.5)),
@@ -341,6 +351,163 @@ def test_exp_lp_elasticity_is_log_derivative():
         np.testing.assert_allclose(M.elasticity(u), numeric, rtol=1e-7)
         assert M.elasticity(np.array([0.0, 5e-324]))[0] == p
         assert M.elasticity(np.array([5e-324]))[0] == pytest.approx(p)
+
+
+def test_exp_lp_elasticity_matches_where_expression():
+    # the expression the elasticity evaluated before it ran in place
+    def where_expression(u, p):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.asarray(u, dtype=float) ** p
+            return np.where(x > 0.0, p * x / -np.expm1(-x), p)
+
+    rng = np.random.default_rng(8)
+    u = np.concatenate(
+        ([0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, 30.0, 745.0, 1e300, np.inf, np.nan],
+         rng.exponential(10.0, 2000))
+    )
+    for p in (1.0, 1.5, 2.0, 7.5):
+        M = exp_lp(p)
+        np.testing.assert_array_equal(M.elasticity(u), where_expression(u, p))
+        assert M.elasticity(3.0) == where_expression(3.0, p)
+
+
+# ------------------------------------------------- in-place cores: oracles
+
+
+def _log_lengths_plain(lT):
+    out = np.empty_like(lT)
+    out[0] = lT[0]
+    if lT.size > 1:
+        with np.errstate(divide="ignore"):
+            out[1:] = lT[1:] + np.log1p(-np.exp(lT[:-1] - lT[1:]))
+    return out
+
+
+def _lorentz_core_plain(values, lT, psi):
+    """The Lorentz core as plain array expressions, before it ran in place."""
+    if values[0] <= 0:
+        return 0.0
+    psis = np.exp(np.asarray(psi.log_eval(lT)))
+    drops = values - np.concatenate((values[1:], [0.0]))
+    return float(math.fsum(drops * psis))
+
+
+def _lpq_core_plain(values, lT, p, q):
+    """The Lpq core as plain array expressions, before it ran in place."""
+    if values[0] <= 0:
+        return 0.0
+    k = int(np.nonzero(values > 0)[0][-1]) + 1
+    v, lt = values[:k], lT[:k]
+    ltprev = np.concatenate(([-np.inf], lt[:-1]))
+    r = q / p
+    with np.errstate(divide="ignore"):
+        ldiff = r * lt + np.log1p(-np.exp(r * (ltprev - lt)))
+        terms = q * np.log(v) + ldiff
+    return float(np.exp(logsumexp(terms) / q))
+
+
+def _marcinkiewicz_core_plain(values, lT, phi):
+    """The Marcinkiewicz core on full T and I arrays, before it ran in place."""
+    if values[0] <= 0:
+        return 0.0
+    with np.errstate(divide="ignore"):
+        logv = np.log(values)
+    logI = np.logaddexp.accumulate(logv + _log_lengths_plain(lT))
+    cand = logI - np.asarray(phi.log_eval(lT))
+    best = float(np.exp(np.max(cand)))
+    if values.size > 1:
+        T = np.exp(lT)
+        I = np.exp(logI)
+        Tprev = np.concatenate(([0.0], T[:-1]))
+        Iprev = np.concatenate(([0.0], I[:-1]))
+        order = np.argsort(cand)[::-1][:32]
+        sel = order[(T[order] > 1e-300) & (T[order] > Tprev[order]) & (values[order] > 0)]
+        if sel.size:
+            lo = Tprev[sel] + (T[sel] - Tprev[sel]) * 1e-9
+            base_I, slope, base_T = Iprev[sel], values[sel], Tprev[sel]
+
+            def obj(taus):
+                return (base_I + slope * (taus - base_T)) / np.asarray(phi(taus))
+
+            _, ref = golden_max_vec(obj, lo, T[sel])
+            best = max(best, float(np.max(ref)))
+    return best
+
+
+def _oracle_layers():
+    """Walk layers of both parities and around the chunk sizes, and random layers."""
+    cases = [walk_abs_layers(k) for k in (1, 2, 3, 64, 65, 1025, 2**14 + 1, 2**16)]
+    cases += [_layers_from_step(f) for f in _random_float_steps(11, 20)]
+    rng = np.random.default_rng(12)
+    for i in range(20):
+        m = int(rng.integers(1, 3000))
+        values = np.sort(rng.exponential(1.0, m))[::-1]
+        if i % 2:
+            values[m - m // 3 :] = 0.0  # a zero tail
+        if i % 3 == 0:
+            values[: m // 4] = values[0]  # ties at the top
+        lT = np.unique(rng.uniform(-700.0 if i % 2 else -30.0, 0.0, m))
+        cases.append((values[: lT.size], lT))
+    return cases
+
+
+def test_in_place_cores_match_plain_expressions():
+    generators = [power(0.5), power(1.0), logpow(2.0), logpow(1.0), inv_sqrt_log()]
+    for values, lT in _oracle_layers():
+        assert np.array_equal(_log_lengths(lT), _log_lengths_plain(lT))
+        for g in generators:
+            assert _lorentz_core(values, lT, g) == _lorentz_core_plain(values, lT, g)
+            assert _marcinkiewicz_core(values, lT, g) == _marcinkiewicz_core_plain(values, lT, g)
+        for p, q in ((2.0, 1.0), (1.5, 1.2), (3.0, 2.0), (1.1, 7.0)):
+            assert _lpq_core(values, lT, p, q) == _lpq_core_plain(values, lT, p, q)
+
+
+def test_cores_leave_the_log_tails_alone_when_log_eval_returns_them():
+    # psi(t) = t with log_eval the identity hands lT itself back to the core
+    identity = ConcaveGenerator(lambda t: t, log_fn=lambda lt: lt, label="identity")
+    values, lT = walk_abs_layers(101)
+    kept = lT.copy()
+    assert _lorentz_core(values, lT, identity) == _lorentz_core_plain(values, lT, power(1.0))
+    assert _marcinkiewicz_core(values, lT, identity) == _marcinkiewicz_core_plain(
+        values, lT, power(1.0)
+    )
+    assert np.array_equal(lT, kept)
+
+
+@pytest.fixture(scope="module")
+def layers_2_20():
+    return walk_abs_layers(2**20)
+
+
+@pytest.mark.parametrize("space, bound_mib", [
+    (Lorentz(power(0.5)), 12.0),
+    (Lpq(2.0, 1.0), 10.0),
+    (Orlicz(exp_lp(2.0)), 18.5),
+    (Marcinkiewicz(logpow(2.0)), 18.0),
+], ids=["lorentz", "lpq", "orlicz", "marcinkiewicz"])
+def test_core_memory_on_the_largest_walk(layers_2_20, space, bound_mib):
+    # Each layer array is 4 MiB.  The plain expressions peaked at 12.0, 20.5,
+    # 37.0 and 36.0 MiB above the layers.
+    tracemalloc.start()
+    try:
+        space_norm_from_layers(*layers_2_20, space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
+
+
+def test_layers_with_nan_are_rejected():
+    good_values, good_lT = np.array([2.0, 1.0, 0.5]), np.array([-2.0, -1.0, 0.0])
+    for values, lT in (
+        (np.array([2.0, np.nan, 0.5]), good_lT),
+        (np.array([np.nan, 1.0, 0.5]), good_lT),
+        (good_values, np.array([-2.0, np.nan, 0.0])),
+        (good_values, np.array([np.nan, -1.0, 0.0])),
+    ):
+        for space in ALL_SPACES:
+            with pytest.raises(ValueError):
+                space_norm_from_layers(values, lT, space)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 8.0])

@@ -76,3 +76,5 @@ def test_logsumexp_is_bit_identical_to_scipy():
         got, want = logsumexp(a), float(special.logsumexp(a))
         assert type(got) is float
         assert got == want or (math.isnan(got) and math.isnan(want)), a
+        scratch = a.copy()  # the shifted terms overwrite a copy of a
+        assert repr(logsumexp(scratch, out=scratch)) == repr(got), a

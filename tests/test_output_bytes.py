@@ -1,4 +1,4 @@
-"""Byte-for-byte guard on the Monte Carlo, step-function, exact-law and series-probe reports.
+"""Byte-for-byte guard on the Monte Carlo, step-function, exact-law, layer and series-probe reports.
 
 Each command runs in-process and the sha256 of its stdout is compared with a
 recorded hash.  The Monte Carlo and float step-function hashes were recorded
@@ -10,6 +10,10 @@ rational step-file norms, one per family, were recorded while exact step
 functions still kept their data in tuples, before they moved to NumPy object
 arrays.  The Kruglov series probes were recorded while every t still summed
 one N-term array, before the walk moved to bounded chunks with an early stop.
+The growth tables priced on walk layers (n > 64: Lorentz and Lpq up to 2^20
+steps, Orlicz on odd n, Marcinkiewicz up to 2^14) were recorded while the
+layers came from the whole binomial row and the four cores evaluated plain
+array expressions, before the half row and the in-place cores.
 Those rewrites promise the same bytes, so any change in a hash here is a change of
 results, not of speed.
 
@@ -86,6 +90,12 @@ COMMANDS = [
     ("kruglov-power1-inconclusive", ["kruglov", "--psi", "power:1", "--t-grid", "1",
                                      "--max-terms", "8", "--threshold", "1e9"]),
     ("classify-invsqrtlog-kruglov", ["classify", "--psi", "invsqrtlog", "--with-kruglov"]),
+    ("growth-layers-lorentz", ["growth", "--space", "lorentz:power:0.5",
+                               "--ns", "16384,65536,262144,1048576"]),
+    ("growth-layers-lpq", ["growth", "--space", "lpq:2:1", "--ns", "16384,65536,262144,1048576"]),
+    ("growth-layers-orlicz-odd", ["growth", "--space", "orlicz:np:2", "--ns", "65,129,1025,4097"]),
+    ("growth-layers-marcinkiewicz", ["growth", "--space", "marcinkiewicz:logpow:2",
+                                     "--ns", "128,256,512,1024,2048,4096,8192,16384"]),
 ]
 # every other command exits 0
 EXIT_CODES = {"kruglov-power1-inconclusive": 1}
@@ -110,6 +120,10 @@ EXPECTED = {
     "kruglov-invsqrtlog-divergent": "1d975751146489bbed53df0c68ab00f49b44b62fbfe711f2fc81558f0ee24beb",
     "kruglov-power1-inconclusive": "48ca101e76057f2f684ff003f70e86c6c6a2beeaf5a82d95aa04520e12434af5",
     "classify-invsqrtlog-kruglov": "941ee652eb39fe6420ae69168d47ce54524b2ace2a79356987b7cb91b611505e",
+    "growth-layers-lorentz": "47314abdd31e0bce5c3dc7f3858e33be68e27a807e6e4abac02b887cfd5797fc",
+    "growth-layers-lpq": "9380ebeae6b65595b1bf4dd3962ba1134b461c373ea1b16a29124278ff4a0043",
+    "growth-layers-orlicz-odd": "6c199c21bb68f419e98a0558dc8972a44e5c017dbe1a39118b2460acd1bf393d",
+    "growth-layers-marcinkiewicz": "afa7113d249f3ab90f0eb1e537b48ebbf3c926be115bf601f6e5dfe033749049",
 }
 
 

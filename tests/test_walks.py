@@ -1,10 +1,13 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
 from rispaces import (
@@ -17,7 +20,8 @@ from rispaces import (
     walk_abs_layers,
     walk_distribution,
 )
-from rispaces.walks import _abs_tail_fractions
+from rispaces._numeric import log_factorial
+from rispaces.walks import _ROW_CHUNK, _abs_tail_fractions
 
 LN2 = math.log(2.0)
 
@@ -200,6 +204,65 @@ def test_walk_layers_deep_tail():
     values, log_tails = walk_abs_layers(2**14)
     assert values[0] == 2**14
     assert log_tails[0] == pytest.approx((1 - 2**14) * LN2, rel=1e-12)
+
+
+def _walk_abs_layers_full(k):
+    """The former walk layers, kept as the oracle: the whole row of k + 1 entries."""
+    if k == 0:
+        return np.asarray([0.0]), np.asarray([0.0])
+    lf = log_factorial(np.arange(k + 1, dtype=float))
+    row = lf[k] - lf
+    row -= lf[::-1]
+    row -= k * LN2
+    values = np.arange(k, -1 if k % 2 == 0 else 0, -2, dtype=float)
+    H = np.logaddexp.accumulate(row)
+    log_tails = np.empty(values.size)
+    pos = values > 0
+    log_tails[pos] = LN2 + H[((k - values[pos].astype(int)) // 2)]
+    log_tails[~pos] = 0.0
+    return values, np.minimum(log_tails, 0.0)
+
+
+def _assert_walk_matches_full_row(k):
+    values, log_tails = walk_abs_layers(k)
+    want_values, want_log_tails = _walk_abs_layers_full(k)
+    assert np.array_equal(values, want_values), k
+    assert np.array_equal(log_tails, want_log_tails), k
+
+
+# k for which the half row (k // 2 + 1 entries) has one, two or three chunks,
+# give or take one entry, of either parity; then the largest walks of the CLI
+_CHUNK_EDGE_KS = sorted(
+    {2 * (m * _ROW_CHUNK + d - 1) + odd for m in (1, 2) for d in (-1, 0, 1) for odd in (0, 1)}
+    | {2**20 - 1, 2**20}
+)
+
+
+def test_walk_layers_match_full_row_small():
+    for k in range(301):
+        _assert_walk_matches_full_row(k)
+
+
+@pytest.mark.parametrize("k", _CHUNK_EDGE_KS)
+def test_walk_layers_match_full_row_at_chunk_edges(k):
+    _assert_walk_matches_full_row(k)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=2**18))
+def test_walk_layers_match_full_row_drawn(k):
+    _assert_walk_matches_full_row(k)
+
+
+def test_walk_layers_memory_is_the_result():
+    tracemalloc.start()
+    try:
+        walk_abs_layers(2**20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result is 2 * 8 * (2^19 + 1) bytes, 8 MiB; the full row held 37 MiB
+    assert peak < 16 * 2**20
 
 
 def test_expectation_strictly_below_mean_of_absolute_sum():
