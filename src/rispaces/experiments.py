@@ -28,9 +28,17 @@ import numpy as np
 
 from .gaussian import erfc_inverse, upper_tail
 from .generators import gauss
-from .norms import Marcinkiewicz, SpaceSpec, space_norm, space_norm_from_layers
+from .norms import (
+    Lorentz,
+    Lpq,
+    Marcinkiewicz,
+    SpaceSpec,
+    _price_chunks,
+    space_norm,
+    space_norm_from_layers,
+)
 from .stepfn import StepFunction, quantile_from_samples
-from .walks import EXACT_MAX_STEPS, walk_abs_layers, walk_distribution
+from .walks import EXACT_MAX_STEPS, _walk_abs_chunks, walk_abs_layers, walk_distribution
 
 __all__ = [
     "SamplerSpec",
@@ -212,7 +220,9 @@ def rademacher_sum_norm(n: int, space: SpaceSpec) -> float:
     Small n builds the rational step function; beyond the exact cap the law is
     priced through its log-space layers, which keeps the extreme tail (mass
     2^(1-n)) in play — truncating it to zero would visibly bias the fitted
-    exponents for the exponential-Orlicz scale.
+    exponents for the exponential-Orlicz scale.  The Lorentz and Lpq norms
+    take one pass over the n // 2 + 1 layers, so they price each chunk of the
+    law as it is built and never hold the whole of it.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
@@ -220,6 +230,8 @@ def rademacher_sum_norm(n: int, space: SpaceSpec) -> float:
         raise ValueError(f"exact path supports n <= {MAX_EXACT_N}")
     if n <= EXACT_MAX_STEPS:
         return space_norm(walk_distribution(n), space)
+    if isinstance(space, (Lorentz, Lpq)):
+        return _price_chunks(_walk_abs_chunks(n), n // 2 + 1, space)
     values, log_tails = walk_abs_layers(n)
     return space_norm_from_layers(values, log_tails, space)
 

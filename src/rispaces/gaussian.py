@@ -36,26 +36,36 @@ def erfc_inverse(z):
     zz = np.asarray(z, dtype=float)
     if np.any((zz <= 0) | (zz >= 2)):
         raise ValueError("argument must lie in (0, 2)")
-    x = special.erfcinv(zz)
+    flat = zz.reshape(-1)
+    x = special.erfcinv(flat)
     # One Newton step on erfc(x) - z; derivative -2/sqrt(pi) exp(-x^2).
     # Skip where exp(x^2) would overflow (the seed is already at full precision there).
     safe = np.abs(x) < 26.0
-    corr = np.where(
-        safe,
-        (special.erfc(np.where(safe, x, 0.0)) - zz)
-        * (_SQRT_PI / 2.0)
-        * np.exp(np.where(safe, x, 0.0) ** 2),
-        0.0,
-    )
-    out = x + corr
-    return out if zz.ndim else float(out)
+    xs = np.where(safe, x, 0.0)
+    corr = special.erfc(xs)
+    corr -= flat
+    corr *= _SQRT_PI / 2.0
+    corr *= np.exp(np.square(xs, out=xs), out=xs)
+    np.add(x, corr, out=x, where=safe)  # x + 0.0 is x elsewhere: there |x| >= 26
+    return x.reshape(zz.shape) if zz.ndim else float(x[0])
 
 
 def _log_erfc_asymptotic(x):
-    # ln erfc(x) for large x via the first four terms of the tail series.
-    ix2 = 1.0 / (x * x)
-    series = 1.0 + ix2 * (-0.5 + ix2 * (0.75 - 1.875 * ix2))
-    return -x * x - np.log(x * _SQRT_PI) + np.log(series)
+    # ln erfc(x) for large x via the first four terms of the tail series:
+    # -x*x - ln(x sqrt(pi)) + ln(1 + ix2 (-1/2 + ix2 (3/4 - 15/8 ix2))), ix2 = 1/(x*x).
+    ix2 = np.multiply(x, x)
+    np.divide(1.0, ix2, out=ix2)
+    series = np.multiply(-1.875, ix2)  # Horner; adding -b is subtracting b, bit for bit
+    for c in (0.75, -0.5):
+        series += c
+        series *= ix2
+    series += 1.0
+    log_x = np.log(np.multiply(x, _SQRT_PI, out=ix2), out=ix2)
+    out = np.negative(x)
+    out *= x
+    out -= log_x
+    out += np.log(series, out=series)
+    return out
 
 
 def erfc_inverse_log(lz):
@@ -71,13 +81,19 @@ def erfc_inverse_log(lz):
     out = np.empty_like(lzz)
     direct = lzz >= -667.0
     if np.any(direct):
-        out[direct] = erfc_inverse(np.exp(lzz[direct]))
+        z = lzz[direct]
+        out[direct] = erfc_inverse(np.exp(z, out=z))
     deep = ~direct
     if np.any(deep):
         t = lzz[deep]
-        x = np.sqrt(-t)
+        x = np.negative(t)
+        np.sqrt(x, out=x)
         # d/dx ln erfc = -2x / series; the series is ~1 at this depth.
         for _ in range(6):
-            x = x + (_log_erfc_asymptotic(x) - t) / (2.0 * x)
+            step = _log_erfc_asymptotic(x)
+            step -= t
+            step /= 2.0 * x
+            x += step
+            del step  # before the next step is built
         out[deep] = x
     return out if lzz.ndim else float(out)

@@ -10,20 +10,23 @@ logs is what makes the large-n experiments honest.
 
 ``space_norm_from_layers`` exposes the layered entry point directly for laws
 that are generated as (value, log-tail) pairs without ever materializing a
-float step function.
+float step function.  The Lorentz and Lpq norms read the layers once, so they
+also take them as a stream of consecutive chunks (``_price_chunks``), with the
+same bits wherever the stream is cut (the comment on the cores says why).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Tuple, Union
+from typing import Callable, Iterable, Iterator, Tuple, Union
 
 import numpy as np
 
 from ._numeric import LN2, finite_float, logsumexp
-from ._search import golden_max, golden_max_vec
+from ._search import golden_max_vec
 from .generators import ConcaveGenerator, parse_generator
 from .stepfn import StepFunction
 
@@ -38,7 +41,6 @@ __all__ = [
     "lpq_norm",
     "space_norm",
     "space_norm_from_layers",
-    "dilation_norm_lorentz",
     "parse_space",
     "space_label",
 ]
@@ -200,13 +202,15 @@ def parse_space(token: str) -> SpaceSpec:
 
 # ------------------------------------------------------------- layered internals
 
+Layers = Tuple[np.ndarray, np.ndarray]  # (values descending, log-tails increasing)
+
 
 def _log_fraction(fr) -> float:
     # log of a positive rational whose float conversion may over/underflow.
     return math.log(fr.numerator) - math.log(fr.denominator)
 
 
-def _layers_from_step(f: StepFunction) -> Tuple[np.ndarray, np.ndarray]:
+def _layers_from_step(f: StepFunction) -> Layers:
     """(values descending, log cumulative measure at each piece end) of f*."""
     x = f.rearrange()
     ends = x.breakpoints[1:]
@@ -224,9 +228,26 @@ def _check_layers(values: np.ndarray, log_tails: np.ndarray) -> None:
         raise ValueError("log tails must be strictly increasing and <= 0")
 
 
+def _checked_chunks(chunks: Iterable[Layers]) -> Iterator[Layers]:
+    """The chunks, each checked as it comes and against the last layer before it."""
+    before = None
+    for values, log_tails in chunks:
+        _check_layers(values, log_tails)
+        if before is not None and not (before[0] >= values[0] and before[1] < log_tails[0]):
+            raise ValueError("a chunk of layers must continue the layers before it")
+        before = values[-1], log_tails[-1]
+        yield values, log_tails
+
+
 # The cores below keep the operation order of the plain array expressions and
 # run them in place (``out=``, reused buffers), so their results are the same
-# bits with a few layer-sized temporaries instead of a dozen.
+# bits with a few layer-sized temporaries instead of a dozen.  The Lorentz and
+# Lpq cores take one pass over the layers, so they take them as a stream of
+# consecutive (values, log-tails) chunks; an array enters as a single chunk.
+# Their results do not depend on where the stream is cut: each term is an
+# elementwise expression of its own layer and the one before it, which is
+# carried across the cut, and the terms are summed once, after the stream, in
+# ``math.fsum`` (correctly rounded, so in any grouping) or in one buffer.
 
 
 def _positive_count(values: np.ndarray) -> int:
@@ -256,17 +277,25 @@ def _log_lengths(lT: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lorentz_core(values: np.ndarray, lT: np.ndarray, psi: ConcaveGenerator) -> float:
-    if values[0] <= 0:
-        return 0.0
-    psis = _log_eval(psi, lT)
-    np.exp(psis, out=psis)
-    drops = np.empty_like(values)
-    np.subtract(values[:-1], values[1:], out=drops[:-1])
-    drops[-1] = values[-1]  # the last layer drops to 0
-    drops *= psis
+def _lorentz_core(chunks: Iterable[Layers], psi: ConcaveGenerator) -> float:
+    def products():
+        last = None  # value and psi of the last layer of the chunk before
+        for values, lT in chunks:
+            if values[0] <= 0:
+                continue  # zero from here on: the drop into it is the final term
+            psis = _log_eval(psi, lT)
+            np.exp(psis, out=psis)
+            if last is not None:
+                yield ((last[0] - values[0]) * last[1],)
+            drops = np.subtract(values[:-1], values[1:])
+            drops *= psis[:-1]
+            yield drops
+            last = values[-1], psis[-1]
+        if last is not None:
+            yield (last[0] * last[1],)  # the last positive layer drops to 0
+
     # Abel form of the Stieltjes sum: every term is nonnegative, no cancellation.
-    return float(math.fsum(drops))
+    return float(math.fsum(itertools.chain.from_iterable(products())))
 
 
 def _marcinkiewicz_core(values: np.ndarray, lT: np.ndarray, phi: ConcaveGenerator) -> float:
@@ -382,26 +411,33 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: OrliczFunction) -> float
     raise RuntimeError("Orlicz root search failed after 200 iterations: degenerate M")
 
 
-def _lpq_core(values: np.ndarray, lT: np.ndarray, p: float, q: float) -> float:
-    if values[0] <= 0:
-        return 0.0
-    k = _positive_count(values)
-    v, lt = values[:k], lT[:k]
+def _lpq_core(chunks: Iterable[Layers], size: int, p: float, q: float) -> float:
+    """The Lpq norm of at most ``size`` layers, its terms summed in one buffer."""
     r = q / p
     # terms = q log v + (r lt + log1p(-exp(r (lt_prev - lt)))), lt_prev = -inf first
-    terms = np.empty(k)
-    terms[0] = -np.inf
-    terms[1:] = lt[:-1]
-    terms -= lt
-    terms *= r
-    with np.errstate(divide="ignore"):
-        np.log1p(np.negative(np.exp(terms, out=terms), out=terms), out=terms)
-        ldiff = np.multiply(lt, r)
-        ldiff += terms
-        np.log(v, out=terms)
-    terms *= q
-    terms += ldiff
-    del ldiff
+    buf = np.empty(size)
+    k, lt_prev = 0, -math.inf
+    for values, lT in chunks:
+        if values[0] <= 0:
+            continue
+        m = _positive_count(values)
+        v, lt, terms = values[:m], lT[:m], buf[k : k + m]
+        terms[0] = lt_prev
+        terms[1:] = lt[:-1]
+        terms -= lt
+        terms *= r
+        with np.errstate(divide="ignore"):
+            np.log1p(np.negative(np.exp(terms, out=terms), out=terms), out=terms)
+            ldiff = np.multiply(lt, r)
+            ldiff += terms
+            np.log(v, out=terms)
+        terms *= q
+        terms += ldiff
+        del ldiff
+        k, lt_prev = k + m, lt[-1]
+    if k == 0:
+        return 0.0
+    terms = buf[:k]
     return float(np.exp(logsumexp(terms, out=terms) / q))
 
 
@@ -410,14 +446,29 @@ def _lpq_core(values: np.ndarray, lT: np.ndarray, p: float, q: float) -> float:
 
 def _price(values: np.ndarray, lT: np.ndarray, space: SpaceSpec) -> float:
     if isinstance(space, Lorentz):
-        return _lorentz_core(values, lT, space.psi)
+        return _lorentz_core([(values, lT)], space.psi)
     if isinstance(space, Marcinkiewicz):
         return _marcinkiewicz_core(values, lT, space.phi)
     if isinstance(space, Orlicz):
         return _orlicz_core(values, lT, space.M)
     if isinstance(space, Lpq):
-        return _lpq_core(values, lT, space.p, space.q)
+        return _lpq_core([(values, lT)], values.size, space.p, space.q)
     raise TypeError(f"not a space spec: {space!r}")
+
+
+def _price_chunks(chunks: Iterable[Layers], size: int, space: SpaceSpec) -> float:
+    """Lorentz or Lpq norm of ``size`` layers that come as consecutive chunks.
+
+    Each chunk is checked as ``space_norm_from_layers`` checks its arrays, and
+    against the layer before it.  The Marcinkiewicz and Orlicz cores revisit
+    layers, so they take whole arrays only.
+    """
+    chunks = _checked_chunks(chunks)
+    if isinstance(space, Lorentz):
+        return _lorentz_core(chunks, space.psi)
+    if isinstance(space, Lpq):
+        return _lpq_core(chunks, size, space.p, space.q)
+    raise TypeError(f"layer chunks price Lorentz and Lpq norms only, not {space!r}")
 
 
 def space_norm(f: StepFunction, space: SpaceSpec) -> float:
@@ -451,34 +502,3 @@ def space_norm_from_layers(values, log_tails, space: SpaceSpec) -> float:
     _check_layers(values, log_tails)
     return _price(values, log_tails, space)
 
-
-def dilation_norm_lorentz(tau, psi: ConcaveGenerator) -> float:
-    """Norm of the dilation-by-tau operator on the psi-weighted space.
-
-    Realized on indicators: sup over u in (0,1] of psi(min(1, tau*u)) / psi(u),
-    probed on a geometric grid with golden refinement around the argmax.
-    """
-    tau = float(tau)
-    if tau <= 0.0:
-        raise ValueError("dilation factor must be positive")
-    if tau == 1.0:
-        return 1.0
-    ltau = math.log(tau)
-
-    def obj(lu):
-        lu = np.asarray(lu, dtype=float)
-        return np.exp(
-            np.asarray(psi.log_eval(np.minimum(0.0, ltau + lu)))
-            - np.asarray(psi.log_eval(lu))
-        )
-
-    lus = -np.arange(0, 61, dtype=float) * LN2
-    if tau > 1.0:
-        lus = np.concatenate((lus, [-ltau]))  # kink where tau*u reaches 1
-    lus = np.sort(lus)
-    vals = obj(lus)
-    i = int(np.argmax(vals))
-    lo = lus[max(0, i - 1)]
-    hi = lus[min(lus.size - 1, i + 1)]
-    _, refined = golden_max(lambda lu: float(obj(lu)), lo, hi)
-    return max(float(np.max(vals)), float(refined))

@@ -11,10 +11,10 @@ A rational u with n <= 64 runs in exact ``fractions.Fraction`` arithmetic,
 which is fast and bit-reproducible there; anything else runs in floats.  Float
 routes run in log space: the deep tail atoms lie far below float underflow yet
 still dominate weighted-rearrangement norms.  Walk layers come from the half of
-the symmetric binomial row that the tails read, built from log-factorials in
-fixed-size chunks (``walk_abs_layers`` says why that is bit-exact); the law of
-S_n comes, for every n, from one O(n) backward three-term recurrence
-(``signed_indicator_sum_log_tails``).
+the symmetric binomial row that the tails read, in fixed-size chunks that are
+bit for bit slices of the whole (``_walk_abs_chunks`` says why), so a norm that
+reads them once never holds the whole law; the law of S_n comes, for every n,
+from one O(n) backward three-term recurrence (``signed_indicator_sum_log_tails``).
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from ._numeric import LN2, log_binom, log_factorial, logsumexp
+from ._numeric import LN2, log_factorial, logsumexp
 from .stepfn import StepFunction
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "walk_abs_layers",
     "signed_indicator_sum_tail",
     "signed_indicator_sum_log_tails",
-    "signed_indicator_sum_tail_leading",
     "signed_indicator_sum_expectation",
 ]
 
@@ -81,9 +80,43 @@ def _abs_tail_fractions(k: int) -> Tuple[Fraction, ...]:
     return tuple(tails)
 
 
-# Values of j per log-factorial call in ``walk_abs_layers``: the temporaries of
-# one call are a few arrays of this size, whatever k.
+# Layers per chunk of the walk law: the temporaries of one chunk are a few
+# arrays of this size, whatever k.
 _ROW_CHUNK = 2**14
+
+
+def _walk_abs_chunks(k: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The layers of ``walk_abs_layers(k)`` as consecutive chunks of ``_ROW_CHUNK``.
+
+    The value v = k - 2j > 0 has log P(|W_k| >= v) = log 2 + log sum_{i <= j}
+    P(W_k = k - 2i), by the symmetry of the row, so only j = 0..k//2 of the
+    k + 1 row entries log k! - log j! - log (k-j)! - k log 2 are built, a chunk
+    at a time.  Each chunk is accumulated with one sequential ``logaddexp``
+    whose first entry takes in the last unshifted sum of the chunk before, and
+    then shifted in place.  Each entry takes the same operations on the same
+    log-factorials (elementwise, so the chunk a j falls in cannot change them)
+    as in the full row, and a sequential accumulation's prefix does not depend
+    on what follows it or on where it is cut, so every chunk is bit for bit
+    its slice of the full row's layers.
+    """
+    size = k // 2 + 1  # the values k, k - 2, ..., down to 1 or 0
+    log_k_fact = log_factorial(k)
+    carry = None  # log sum_{i < start} P(W_k = k - 2i)
+    for start in range(0, size, _ROW_CHUNK):
+        stop = min(start + _ROW_CHUNK, size)
+        j = np.arange(start, stop, dtype=float)
+        row = np.subtract(log_k_fact, log_factorial(j))
+        row -= log_factorial(k - j)
+        row -= k * LN2
+        if carry is not None:
+            row[0] = np.logaddexp(carry, row[0])
+        np.logaddexp.accumulate(row, out=row)
+        carry = row[-1]
+        row += LN2
+        if stop == size and k % 2 == 0:
+            row[-1] = 0.0  # the value 0 has the whole measure
+        values = np.arange(k - 2 * start, k - 2 * stop, -2, dtype=float)
+        yield values, np.minimum(row, 0.0, out=row)
 
 
 def walk_abs_layers(k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -91,36 +124,18 @@ def walk_abs_layers(k: int) -> Tuple[np.ndarray, np.ndarray]:
 
     This is the layered form of the decreasing rearrangement used by the
     log-space norm routines; unlike ``walk_distribution`` it serves every k
-    in O(k) memory and keeps the deep tail at full log precision.
-
-    The value v = k - 2j > 0 has log P(|W_k| >= v) = log 2 + log sum_{i <= j}
-    P(W_k = k - 2i), by the symmetry of the row, so only j = 0..k//2 of the
-    k + 1 row entries log k! - log j! - log (k-j)! - k log 2 are built.  They
-    are written in chunks of ``_ROW_CHUNK`` into the buffer that becomes the
-    log-tails, accumulated there with one sequential ``logaddexp`` and shifted
-    in place.  Each entry takes the same operations on the same log-factorials
-    (elementwise, so the chunk a j falls in cannot change them) as in the full
-    row, and a sequential accumulation's prefix does not depend on what follows
-    it, so the result is bit for bit that of the full row.
+    in O(k) memory and keeps the deep tail at full log precision.  The layers
+    are the chunks of ``_walk_abs_chunks`` (which says why they are exact)
+    laid end to end.
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    if k == 0:
-        return np.asarray([0.0]), np.asarray([0.0])
-    values = np.arange(k, -1 if k % 2 == 0 else 0, -2, dtype=float)
-    log_tails = np.empty(values.size)
-    log_k_fact = log_factorial(k)
-    for start in range(0, values.size, _ROW_CHUNK):
-        j = np.arange(start, min(start + _ROW_CHUNK, values.size), dtype=float)
-        row = log_tails[start : start + j.size]
-        np.subtract(log_k_fact, log_factorial(j), out=row)
-        row -= log_factorial(k - j)
-        row -= k * LN2
-    np.logaddexp.accumulate(log_tails, out=log_tails)
-    log_tails += LN2
-    if k % 2 == 0:
-        log_tails[-1] = 0.0  # the value 0 has the whole measure
-    return values, np.minimum(log_tails, 0.0, out=log_tails)
+    values, log_tails = np.empty(k // 2 + 1), np.empty(k // 2 + 1)
+    start = 0
+    for v, lt in _walk_abs_chunks(k):
+        values[start : start + v.size], log_tails[start : start + v.size] = v, lt
+        start += v.size
+    return values, log_tails
 
 
 def _validate_nus(n: int, u, s: Optional[int] = None) -> None:
@@ -182,18 +197,6 @@ def signed_indicator_sum_log_tails(n: int, u: float) -> np.ndarray:
     with np.errstate(divide="ignore"):  # e_m = 0 off the parity of n when u = 1
         log_c = np.log(e) + log_scale + (n * log_ab - np.arange(n + 1) * log_rho)
     return np.minimum(LN2 + np.logaddexp.accumulate(log_c[:0:-1])[::-1], 0.0)
-
-
-def signed_indicator_sum_tail_leading(n: int, u, s: int) -> Prob:
-    """Small-u leading term 2^(1-s) C(n,s) u^s of the tail at level s.
-
-    Exact for a rational u, a float otherwise.
-    """
-    _validate_nus(n, u, s)
-    if isinstance(u, Rational):
-        return Fraction(2 * math.comb(n, s), 2**s) * Fraction(u) ** s
-    lead = (1 - s) * LN2 + float(log_binom(n, s)) + s * math.log(float(u))
-    return float(np.exp(lead))
 
 
 def signed_indicator_sum_expectation(n: int, u) -> Prob:

@@ -14,15 +14,17 @@ from rispaces import (
     Orlicz,
     OrliczFunction,
     StepFunction,
-    dilation_norm_lorentz,
     exp_lp,
     logpow,
     lpq_norm,
+    parse_generator,
     parse_space,
     power,
+    rademacher_sum_norm,
     space_label,
     space_norm,
     space_norm_from_layers,
+    table,
     walk_abs_layers,
     walk_distribution,
 )
@@ -35,7 +37,9 @@ from rispaces.norms import (
     _lpq_core,
     _marcinkiewicz_core,
     _orlicz_core,
+    _price_chunks,
 )
+from rispaces.walks import _ROW_CHUNK
 
 ALL_SPACES = [
     Lorentz(power(0.5)),
@@ -209,26 +213,6 @@ def test_exponential_orlicz_comparable_to_log_marcinkiewicz():
             f = StepFunction.indicator(2.0**-j)
             ratio = space_norm(f, Orlicz(M)) / space_norm(f, Marcinkiewicz(phi))
             assert 0.25 <= ratio <= 4.0
-
-
-def test_dilation_norm_lorentz_power():
-    psi = power(1.0)
-    assert dilation_norm_lorentz(1.0, psi) == 1.0
-    assert dilation_norm_lorentz(2.0, psi) == pytest.approx(2.0, rel=1e-9)
-    assert dilation_norm_lorentz(0.5, psi) == pytest.approx(0.5, rel=1e-9)
-    half = power(0.5)
-    assert dilation_norm_lorentz(0.25, half) == pytest.approx(0.5, rel=1e-9)
-    assert dilation_norm_lorentz(4.0, half) == pytest.approx(2.0, rel=1e-9)
-
-
-def test_dilation_norm_submultiplicative():
-    psi = logpow(2.0)
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        tau, sig = rng.uniform(0.05, 3.0, size=2)
-        lhs = dilation_norm_lorentz(tau * sig, psi)
-        rhs = dilation_norm_lorentz(tau, psi) * dilation_norm_lorentz(sig, psi)
-        assert lhs <= rhs * (1 + 1e-9)
 
 
 def test_parse_space_and_labels():
@@ -451,15 +435,47 @@ def _oracle_layers():
     return cases
 
 
+def _cut(values, lT, rng):
+    """The layers as consecutive chunks, cut at a few random places (one chunk if one layer)."""
+    cuts = np.unique(rng.integers(1, values.size, size=min(values.size - 1, 4)))
+    return list(zip(np.split(values, cuts), np.split(lT, cuts)))
+
+
 def test_in_place_cores_match_plain_expressions():
     generators = [power(0.5), power(1.0), logpow(2.0), logpow(1.0), inv_sqrt_log()]
+    rng = np.random.default_rng(14)
     for values, lT in _oracle_layers():
         assert np.array_equal(_log_lengths(lT), _log_lengths_plain(lT))
+        chunks = _cut(values, lT, rng)
         for g in generators:
-            assert _lorentz_core(values, lT, g) == _lorentz_core_plain(values, lT, g)
+            want = _lorentz_core_plain(values, lT, g)
+            assert _lorentz_core([(values, lT)], g) == want
+            assert _lorentz_core(chunks, g) == want
             assert _marcinkiewicz_core(values, lT, g) == _marcinkiewicz_core_plain(values, lT, g)
         for p, q in ((2.0, 1.0), (1.5, 1.2), (3.0, 2.0), (1.1, 7.0)):
-            assert _lpq_core(values, lT, p, q) == _lpq_core_plain(values, lT, p, q)
+            want = _lpq_core_plain(values, lT, p, q)
+            assert _lpq_core([(values, lT)], values.size, p, q) == want
+            assert _lpq_core(chunks, values.size, p, q) == want
+
+
+# walks whose k // 2 + 1 layers fill one chunk, spill one zero or one positive
+# layer into a second, fill two, or end on a short third; then 2^18 and the
+# largest walks of the CLI
+_STREAM_KS = [2 * _ROW_CHUNK - 2, 2 * _ROW_CHUNK, 2 * _ROW_CHUNK + 1, 4 * _ROW_CHUNK - 1,
+              4 * _ROW_CHUNK + 2, 2**18, 2**20 - 1, 2**20]
+_STREAM_SPACES = [
+    *(Lorentz(parse_generator(g)) for g in ("power:0.5", "logpow:2", "example7", "invsqrtlog",
+                                               "gauss")),
+    Lorentz(table([(1e-6, 1e-3), (1e-3, 0.05), (0.1, 0.4), (1.0, 1.0)])),
+    Lpq(2.0, 1.0), Lpq(1.5, 1.2), Lpq(4.0, 3.0),
+]
+
+
+@pytest.mark.parametrize("k", _STREAM_KS)
+def test_walk_chunk_route_matches_array_route(k):
+    layers = walk_abs_layers(k)
+    for space in _STREAM_SPACES:
+        assert rademacher_sum_norm(k, space) == space_norm_from_layers(*layers, space), space
 
 
 def test_cores_leave_the_log_tails_alone_when_log_eval_returns_them():
@@ -467,7 +483,9 @@ def test_cores_leave_the_log_tails_alone_when_log_eval_returns_them():
     identity = ConcaveGenerator(lambda t: t, log_fn=lambda lt: lt, label="identity")
     values, lT = walk_abs_layers(101)
     kept = lT.copy()
-    assert _lorentz_core(values, lT, identity) == _lorentz_core_plain(values, lT, power(1.0))
+    assert _lorentz_core([(values, lT)], identity) == _lorentz_core_plain(
+        values, lT, power(1.0)
+    )
     assert _marcinkiewicz_core(values, lT, identity) == _marcinkiewicz_core_plain(
         values, lT, power(1.0)
     )
@@ -508,6 +526,41 @@ def test_layers_with_nan_are_rejected():
         for space in ALL_SPACES:
             with pytest.raises(ValueError):
                 space_norm_from_layers(values, lT, space)
+
+
+@pytest.mark.parametrize("space", [Lorentz(power(0.5)), Lpq(2.0, 1.0)], ids=["lorentz", "lpq"])
+def test_walk_norm_memory_on_the_largest_walk(space):
+    # Both read the 2^19 + 1 layers once, a chunk at a time as the walk law is
+    # built; the whole law and a core's two layer-sized temporaries came to
+    # 16.0 MiB.  Lpq keeps one buffer of its terms, 4 MiB.
+    rademacher_sum_norm(2**14, space)  # the one-time caches fill outside the trace
+    tracemalloc.start()
+    try:
+        rademacher_sum_norm(2**20, space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2.0 if isinstance(space, Lorentz) else 6.0) * 2**20
+
+
+def test_layer_chunks_are_checked_across_the_cut():
+    values, lT = np.array([4.0, 3.0, 2.0, 1.0]), np.array([-4.0, -3.0, -2.0, -1.0])
+    bad_cuts = [
+        (values[:2], lT[:2], np.array([3.5, 1.0]), lT[2:]),  # a value rises at the cut
+        (values[:2], lT[:2], values[2:], np.array([-3.0, -1.0])),  # a tail repeats at the cut
+        (values[:2], lT[:2], np.array([np.nan, 1.0]), lT[2:]),
+        (values[:2], lT[:2], values[2:], np.array([np.nan, -1.0])),
+        (values[:2], lT[:2], np.array([]), np.array([])),
+    ]
+    for space in (Lorentz(power(0.5)), Lpq(2.0, 1.0)):
+        assert _price_chunks(_cut(values, lT, np.random.default_rng(0)), 4, space) == (
+            space_norm_from_layers(values, lT, space)
+        )
+        for v1, l1, v2, l2 in bad_cuts:
+            with pytest.raises(ValueError):
+                _price_chunks([(v1, l1), (v2, l2)], 4, space)
+    with pytest.raises(TypeError):
+        _price_chunks([(values, lT)], 4, Orlicz(exp_lp(2.0)))
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 8.0])

@@ -13,7 +13,10 @@ one N-term array, before the walk moved to bounded chunks with an early stop.
 The growth tables priced on walk layers (n > 64: Lorentz and Lpq up to 2^20
 steps, Orlicz on odd n, Marcinkiewicz up to 2^14) were recorded while the
 layers came from the whole binomial row and the four cores evaluated plain
-array expressions, before the half row and the in-place cores.
+array expressions, before the half row and the in-place cores.  Two more
+walk-layer tables, Lorentz with the Gaussian generator and Lpq with (p, q) =
+(1.5, 1.2), were recorded while the Lorentz and Lpq cores still took the whole
+law as two arrays, before they read it as a stream of chunks.
 Those rewrites promise the same bytes, so any change in a hash here is a change of
 results, not of speed.
 
@@ -93,6 +96,10 @@ COMMANDS = [
     ("growth-layers-lorentz", ["growth", "--space", "lorentz:power:0.5",
                                "--ns", "16384,65536,262144,1048576"]),
     ("growth-layers-lpq", ["growth", "--space", "lpq:2:1", "--ns", "16384,65536,262144,1048576"]),
+    ("growth-layers-lorentz-gauss", ["growth", "--space", "lorentz:gauss",
+                                     "--ns", "16384,65536,262144,1048576"]),
+    ("growth-layers-lpq-1.5-1.2", ["growth", "--space", "lpq:1.5:1.2",
+                                   "--ns", "16384,65536,262144,1048576"]),
     ("growth-layers-orlicz-odd", ["growth", "--space", "orlicz:np:2", "--ns", "65,129,1025,4097"]),
     ("growth-layers-marcinkiewicz", ["growth", "--space", "marcinkiewicz:logpow:2",
                                      "--ns", "128,256,512,1024,2048,4096,8192,16384"]),
@@ -122,6 +129,8 @@ EXPECTED = {
     "classify-invsqrtlog-kruglov": "941ee652eb39fe6420ae69168d47ce54524b2ace2a79356987b7cb91b611505e",
     "growth-layers-lorentz": "47314abdd31e0bce5c3dc7f3858e33be68e27a807e6e4abac02b887cfd5797fc",
     "growth-layers-lpq": "9380ebeae6b65595b1bf4dd3962ba1134b461c373ea1b16a29124278ff4a0043",
+    "growth-layers-lorentz-gauss": "e3fabb85e3e9aa7a35094ca917918e2d6b70da0539552a335877b7e065302ff4",
+    "growth-layers-lpq-1.5-1.2": "a83559d3b19a27cb5393a1ad1e5c69bfed850b1f6de542413c75eb704a10385c",
     "growth-layers-orlicz-odd": "6c199c21bb68f419e98a0558dc8972a44e5c017dbe1a39118b2460acd1bf393d",
     "growth-layers-marcinkiewicz": "afa7113d249f3ab90f0eb1e537b48ebbf3c926be115bf601f6e5dfe033749049",
 }

@@ -16,7 +16,6 @@ from rispaces import (
     signed_indicator_sum_expectation,
     signed_indicator_sum_log_tails,
     signed_indicator_sum_tail,
-    signed_indicator_sum_tail_leading,
     walk_abs_layers,
     walk_distribution,
 )
@@ -95,17 +94,6 @@ def test_extreme_tail_identity():
         for u in (Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)):
             expect = Fraction(2, 2**n) * u**n
             assert signed_indicator_sum_tail(n, u, n) == expect
-            assert signed_indicator_sum_tail_leading(n, u, n) == expect
-
-
-def test_leading_term_float_path_matches_exact():
-    for n in (1, 2, 7, 30, 64):
-        for u in (Fraction(1, 1000), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1)):
-            for s in range(1, n + 1):
-                exact = float(signed_indicator_sum_tail_leading(n, u, s))
-                got = signed_indicator_sum_tail_leading(n, float(u), s)
-                assert isinstance(got, float)
-                assert got == pytest.approx(exact, rel=1e-13)
 
 
 def test_u_equal_one_reduces_to_walk():
