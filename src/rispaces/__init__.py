@@ -5,145 +5,27 @@ L_{p,q} spaces, computes exact laws of signed-indicator walks, measures the
 norms of the averaged dilation operators, classifies their growth (norm equal
 to n versus a C * n^q power bound), probes the compound-Poisson series
 criterion, and runs exact and Monte Carlo growth experiments.
+
+Each submodule's ``__all__`` is its public surface; the package re-exports them.
 """
 
-from .stepfn import StepFunction, quantile_from_samples
-from .gaussian import upper_tail, erfc_inverse, erfc_inverse_log
-from .generators import (
-    ConcaveGenerator,
-    GridConfig,
-    DEFAULT_GRID,
-    LimitEstimate,
-    power,
-    logpow,
-    inv_sqrt_log,
-    gauss,
-    table,
-    table_from_csv,
-    parse_generator,
-    limsup_dilation_ratio,
-    limsup_power_ratio,
-    limsup_tail_sum_ratio,
-    chained_power_ratio_bound,
-)
-from .walks import (
-    EXACT_MAX_STEPS,
-    walk_distribution,
-    walk_abs_layers,
-    signed_indicator_sum_tail,
-    signed_indicator_sum_log_tails,
-    signed_indicator_sum_expectation,
-)
-from .norms import (
-    OrliczFunction,
-    exp_lp,
-    Lorentz,
-    Marcinkiewicz,
-    Orlicz,
-    Lpq,
-    SpaceSpec,
-    space_label,
-    parse_space,
-    lpq_norm,
-    space_norm,
-    space_norm_from_layers,
-)
-from .dichotomy import (
-    indicator_ratio,
-    indicator_ratio_small_u_limit,
-    sup_indicator_ratio,
-    lorentz_operator_norm,
-    DichotomyReport,
-    classify,
-    CLASSIFY_GRID,
-    KruglovVerdict,
-    kruglov_series,
-    kruglov_check,
-    DEFAULT_KRUGLOV_T_GRID,
-)
-from .experiments import (
-    SamplerSpec,
-    rademacher,
-    signed_indicator,
-    gaussian_law,
-    custom_sampler,
-    parse_sampler,
-    rademacher_sum_norm,
-    mc_iid_sum_norm,
-    gaussian_selfsimilarity_check,
-    GrowthFit,
-    fit_growth,
-    growth_table,
-    gamma_iid_endpoint,
-    disjoint_sum_norm,
-    kruglov_sampler,
-)
+from . import dichotomy, experiments, gaussian, generators, norms, stepfn, walks
+from .stepfn import *
+from .gaussian import *
+from .generators import *
+from .walks import *
+from .norms import *
+from .dichotomy import *
+from .experiments import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "StepFunction",
-    "quantile_from_samples",
-    "upper_tail",
-    "erfc_inverse",
-    "erfc_inverse_log",
-    "ConcaveGenerator",
-    "GridConfig",
-    "DEFAULT_GRID",
-    "LimitEstimate",
-    "power",
-    "logpow",
-    "inv_sqrt_log",
-    "gauss",
-    "table",
-    "table_from_csv",
-    "parse_generator",
-    "limsup_dilation_ratio",
-    "limsup_power_ratio",
-    "limsup_tail_sum_ratio",
-    "chained_power_ratio_bound",
-    "EXACT_MAX_STEPS",
-    "walk_distribution",
-    "walk_abs_layers",
-    "signed_indicator_sum_tail",
-    "signed_indicator_sum_log_tails",
-    "signed_indicator_sum_expectation",
-    "OrliczFunction",
-    "exp_lp",
-    "Lorentz",
-    "Marcinkiewicz",
-    "Orlicz",
-    "Lpq",
-    "SpaceSpec",
-    "space_label",
-    "parse_space",
-    "lpq_norm",
-    "space_norm",
-    "space_norm_from_layers",
-    "indicator_ratio",
-    "indicator_ratio_small_u_limit",
-    "sup_indicator_ratio",
-    "lorentz_operator_norm",
-    "DichotomyReport",
-    "classify",
-    "CLASSIFY_GRID",
-    "KruglovVerdict",
-    "kruglov_series",
-    "kruglov_check",
-    "DEFAULT_KRUGLOV_T_GRID",
-    "SamplerSpec",
-    "rademacher",
-    "signed_indicator",
-    "gaussian_law",
-    "custom_sampler",
-    "parse_sampler",
-    "rademacher_sum_norm",
-    "mc_iid_sum_norm",
-    "gaussian_selfsimilarity_check",
-    "GrowthFit",
-    "fit_growth",
-    "growth_table",
-    "gamma_iid_endpoint",
-    "disjoint_sum_norm",
-    "kruglov_sampler",
+    *stepfn.__all__,
+    *gaussian.__all__,
+    *generators.__all__,
+    *walks.__all__,
+    *norms.__all__,
+    *dichotomy.__all__,
+    *experiments.__all__,
 ]

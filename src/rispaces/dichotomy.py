@@ -19,7 +19,7 @@ space so t can probe down to 1e-300.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,7 +27,6 @@ import numpy as np
 from ._numeric import LN2, log_factorial
 from ._search import golden_max
 from .generators import (
-    DEFAULT_GRID,
     ConcaveGenerator,
     GridConfig,
     LimitEstimate,
@@ -39,14 +38,12 @@ from .walks import signed_indicator_sum_log_tails
 
 __all__ = [
     "indicator_ratio",
-    "indicator_ratio_small_u_limit",
     "sup_indicator_ratio",
     "lorentz_operator_norm",
     "DichotomyReport",
     "classify",
     "CLASSIFY_GRID",
     "KruglovVerdict",
-    "kruglov_series",
     "kruglov_check",
     "DEFAULT_KRUGLOV_T_GRID",
 ]
@@ -72,19 +69,6 @@ def indicator_ratio(psi: ConcaveGenerator, n: int, u) -> float:
     return float(math.fsum(terms) / (n * math.exp(float(psi.log_eval(math.log(u))))))
 
 
-def indicator_ratio_small_u_limit(
-    psi: ConcaveGenerator, n: int, grid: GridConfig = DEFAULT_GRID
-) -> LimitEstimate:
-    """Estimate of limsup_{u->0} g(n, u), via the leading tail terms.
-
-    As u -> 0 each tail collapses to its leading term 2^(1-s) C(n,s) u^s, so
-    the limit is the tail-sum ratio estimate divided by n.  The convergence
-    flag is inherited.
-    """
-    est = limsup_tail_sum_ratio(psi, n, grid)
-    return replace(est, value=est.value / n)
-
-
 def sup_indicator_ratio(psi: ConcaveGenerator, n: int, j_max: int = 40) -> float:
     """sup over u in (0, 1] of g(n, u), grid + golden refinement + u->0 limit.
 
@@ -108,8 +92,8 @@ def sup_indicator_ratio(psi: ConcaveGenerator, n: int, j_max: int = 40) -> float
     hi = lus[max(0, i - 1)]
     _, refined = golden_max(g, lo, hi, iters=60)
     best = max(float(np.max(vals)), float(refined))
-    limit = indicator_ratio_small_u_limit(psi, n, GridConfig(j_max=max(60, j_max)))
-    return min(1.0, max(best, limit.value))
+    limit = limsup_tail_sum_ratio(psi, n, GridConfig(j_max=max(60, j_max))).value / n
+    return min(1.0, max(best, limit))
 
 
 def lorentz_operator_norm(psi: ConcaveGenerator, n: int, j_max: int = 40) -> float:
@@ -320,19 +304,6 @@ def _kruglov_walk(
         (crossing, total if crossing == 0 and quarter is None else quarter, total)
         for crossing, quarter, total in walks
     ]
-
-
-def kruglov_series(phi: ConcaveGenerator, t, num_terms: int) -> float:
-    """Partial sum (1/phi(t)) * sum_{n=1}^N phi(t^n / n!), in log space.
-
-    The sum is sequential, the N-term sum of the walk ``kruglov_check`` takes.
-    """
-    t = float(t)
-    if not 0.0 < t <= 1.0:
-        raise ValueError("t must lie in (0, 1]")
-    if not isinstance(num_terms, int) or num_terms < 1:
-        raise ValueError("num_terms must be a positive integer")
-    return _kruglov_walk(phi, [t], num_terms)[0][2]
 
 
 def kruglov_check(

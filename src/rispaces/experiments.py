@@ -21,8 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .norms import (
     space_norm,
     space_norm_from_layers,
 )
-from .stepfn import StepFunction, quantile_from_samples
+from .stepfn import quantile_from_samples
 from .walks import EXACT_MAX_STEPS, _walk_abs_chunks, walk_abs_layers, walk_distribution
 
 __all__ = [
@@ -54,8 +53,6 @@ __all__ = [
     "fit_growth",
     "growth_table",
     "gamma_iid_endpoint",
-    "disjoint_sum_norm",
-    "kruglov_sampler",
 ]
 
 MAX_EXACT_N = 2**20
@@ -178,9 +175,6 @@ _SIGN_KINDS = ("rademacher", "signed_indicator")
 
 
 def _draw_block(spec: SamplerSpec, rng: np.random.Generator, shape) -> np.ndarray:
-    if spec.kind in _SIGN_KINDS:
-        plus, minus = _sign_draws(spec, rng, math.prod(shape))
-        return (plus.astype(np.float64) - (~plus if minus is None else minus)).reshape(shape)
     if spec.kind == "gaussian":
         return rng.standard_normal(size=shape)
     if spec.kind == "custom":
@@ -433,40 +427,3 @@ def gamma_iid_endpoint(fit: GrowthFit) -> float:
     if not 0.0 < fit.q <= 1.0:
         raise ValueError(f"fitted exponent q={fit.q:.4f} outside (0, 1]")
     return 1.0 / fit.q
-
-
-# ------------------------------------------------------------------ disjoint sums
-
-
-def disjoint_sum_norm(blocks: Sequence[StepFunction], space: SpaceSpec) -> float:
-    """Exact norm of a sum of step functions with pairwise disjoint supports."""
-    blocks = list(blocks)
-    if not blocks:
-        raise ValueError("need at least one block")
-    intervals: List[Tuple[float, float, int]] = []
-    for i, b in enumerate(blocks):
-        for a, t in b.support_intervals():
-            intervals.append((float(a), float(t), i))
-    intervals.sort()
-    for (a1, b1, i1), (a2, b2, i2) in zip(intervals, intervals[1:]):
-        if i1 != i2 and a2 < b1 - 1e-12:
-            raise ValueError(
-                f"blocks {i1} and {i2} overlap on ({a2:.6g}, {min(b1, b2):.6g})"
-            )
-    return space_norm(reduce(lambda f, g: f + g, blocks), space)
-
-
-# ---------------------------------------------------------- compound Poisson
-
-
-def kruglov_sampler(law: SamplerSpec, trials: int) -> np.ndarray:
-    """Samples of a Poisson(1)-compound sum of the law, deterministic per seed."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = _rng_for(law, 0)
-    counts = rng.poisson(1.0, size=trials)
-    total = int(counts.sum())
-    draws = _draw_block(law, rng, (total,)) if total else np.empty(0)
-    csum = np.concatenate(([0.0], np.cumsum(draws)))
-    ends = np.cumsum(counts)
-    return csum[ends] - csum[ends - counts]

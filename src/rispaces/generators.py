@@ -35,11 +35,11 @@ __all__ = [
     "table_from_csv",
     "parse_generator",
     "GridConfig",
+    "DEFAULT_GRID",
     "LimitEstimate",
     "limsup_dilation_ratio",
     "limsup_power_ratio",
     "limsup_tail_sum_ratio",
-    "chained_power_ratio_bound",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -239,16 +239,15 @@ def table(points: Sequence, label: str = "table") -> ConcaveGenerator:
 
 
 def table_from_csv(path: str) -> ConcaveGenerator:
-    """Read t,psi rows (optional header) into a table generator."""
+    """Read t,psi rows (the first non-blank one may be a header) into a table generator."""
     pts = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip():
-                continue
+        rows = (row for row in csv.reader(fh) if row and row[0].strip())
+        for i, row in enumerate(rows):
             try:
                 pts.append((float(row[0]), float(row[1])))
             except (ValueError, IndexError):
-                if pts:
+                if i:
                     raise ValueError(f"bad table row {row!r} in {path}")
                 # header row
     return table(pts, label=f"table:{path}")
@@ -381,16 +380,3 @@ def limsup_tail_sum_ratio(
         terms = np.exp(np.asarray(psi.log_eval(largs)) - float(psi.log_eval(lu)))
         ratios[i] = float(np.sum(terms))
     return _window_estimate(ratios, grid, grid.j_max)
-
-
-def chained_power_ratio_bound(c: float, m: int, l: int) -> float:
-    """Upper bound c^(log m / log l - 1) for the m-th power ratio given the l-th.
-
-    Valid for 0 < c < 1 and integers m >= l >= 2: chaining r steps of the
-    l-ratio bounds the m-ratio by c^r with l^r <= m, and r >= log m / log l - 1.
-    """
-    if not 0.0 < c < 1.0:
-        raise ValueError("ratio bound c must lie in (0, 1)")
-    if not (isinstance(m, int) and isinstance(l, int) and m >= l >= 2):
-        raise ValueError("need integers m >= l >= 2")
-    return c ** (math.log(m) / math.log(l) - 1.0)

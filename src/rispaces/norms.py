@@ -260,6 +260,11 @@ def _positive_count(values: np.ndarray) -> int:
 _ORLICZ_CHUNK = 2**14
 
 
+# Terms per list handed to ``math.fsum``: it sums Python floats without boxing
+# each NumPy scalar, and the slice bounds the list.
+_FSUM_SLICE = 2**14
+
+
 def _log_eval(gen: ConcaveGenerator, lT: np.ndarray) -> np.ndarray:
     """gen.log_eval(lT) as a float array that the caller may overwrite."""
     out = np.asarray(gen.log_eval(lT), dtype=float)
@@ -289,7 +294,8 @@ def _lorentz_core(chunks: Iterable[Layers], psi: ConcaveGenerator) -> float:
                 yield ((last[0] - values[0]) * last[1],)
             drops = np.subtract(values[:-1], values[1:])
             drops *= psis[:-1]
-            yield drops
+            for k in range(0, drops.size, _FSUM_SLICE):
+                yield drops[k : k + _FSUM_SLICE].tolist()
             last = values[-1], psis[-1]
         if last is not None:
             yield (last[0] * last[1],)  # the last positive layer drops to 0

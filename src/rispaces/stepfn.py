@@ -173,13 +173,6 @@ class StepFunction:
     def constant(cls, c: Number) -> "StepFunction":
         return cls([0, 1] if _is_exact(c) else [0.0, 1.0], [c])
 
-    def __call__(self, t: Number):
-        """Value at t in (0, 1]; the convention f(0) = f(0+)."""
-        if not 0 <= t <= 1:
-            raise ValueError("argument must lie in [0, 1]")
-        i = int(np.searchsorted(self._breakpoints, _like(t, self.is_exact), side="left")) - 1
-        return self._values.item(min(max(i, 0), self.num_pieces - 1))
-
     def measure_above(self, s: Number):
         """Lebesgue measure of {f > s}."""
         lens = self.piece_lengths()[self._values > _like(s, self.is_exact)]
@@ -222,31 +215,6 @@ class StepFunction:
             raise ValueError("breakpoints must be nondecreasing")
         out = StepFunction.__new__(StepFunction)
         out._canonicalize(bp, self._values[order])
-        return out
-
-    def dilate(self, tau: Number) -> "StepFunction":
-        """Time dilation: t |-> f(t / tau) on (0, min(1, tau)], zero beyond."""
-        if tau <= 0:
-            raise ValueError("dilation factor must be positive")
-        # 0 and 1 in the arithmetic of the result: exact only if tau is too
-        bp = self._breakpoints * _like(tau, self.is_exact)
-        zero, one = bp[:1], np.ones_like(bp[:1])
-        k = int(np.searchsorted(bp[1:], 1))  # the pieces that end before 1
-        return StepFunction(
-            np.concatenate((bp[: k + 1], one)), np.concatenate((self._values, zero))[: k + 1]
-        )
-
-    def support_intervals(self):
-        """Maximal intervals (l, r] where the function is positive."""
-        out = []
-        bp = self._breakpoints
-        for i, v in enumerate(self._values):
-            if v > 0:
-                l, r = bp[i], bp[i + 1]
-                if out and out[-1][1] == l:
-                    out[-1] = (out[-1][0], r)
-                else:
-                    out.append((l, r))
         return out
 
     # ---------------------------------------------------------- serialization

@@ -393,6 +393,19 @@ def test_non_finite_table_node_exits_two(capsys, tmp_path, bad, column):
         assert "table nodes must be finite" in err
 
 
+def test_table_with_unparsed_rows_after_the_first_exits_two(capsys, tmp_path):
+    # only the first row may be a header, so a ';'-delimited table cannot lose
+    # every row before the first ',' one
+    p = tmp_path / "psi.csv"
+    p.write_text("0.25;0.5\n0.5;0.7\n1,1\n")
+    for argv in (("norm", "--space", f"lorentz:table:{p}", "--indicator", "1/4"),
+                 ("opnorm", "--psi", f"table:{p}", "--n", "4")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "bad table row" in err
+
+
 @pytest.mark.parametrize(
     "content",
     ["[1, 2]", '{"breakpoints": [0, 1]}', '{"breakpoints": [0, null], "values": [1]}'],

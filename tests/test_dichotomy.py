@@ -9,10 +9,9 @@ from rispaces import (
     KruglovVerdict,
     classify,
     indicator_ratio,
-    indicator_ratio_small_u_limit,
     inv_sqrt_log,
     kruglov_check,
-    kruglov_series,
+    limsup_tail_sum_ratio,
     logpow,
     lorentz_operator_norm,
     power,
@@ -46,12 +45,13 @@ def test_indicator_ratio_in_unit_interval():
 
 
 def test_small_u_limit():
-    # for psi = sqrt(t) the one-active-summand regime gives n^(-1/2)
-    est = indicator_ratio_small_u_limit(power(0.5), 4)
+    # limsup_{u->0} g(n, u) is the tail-sum ratio over n; for psi = sqrt(t) the
+    # one-active-summand regime gives n^(-1/2)
+    est = limsup_tail_sum_ratio(power(0.5), 4)
     assert est.converged
-    assert est.value == pytest.approx(0.5, abs=1e-6)
-    est16 = indicator_ratio_small_u_limit(power(0.5), 16)
-    assert est16.value == pytest.approx(0.25, abs=1e-6)
+    assert est.value / 4 == pytest.approx(0.5, abs=1e-6)
+    est16 = limsup_tail_sum_ratio(power(0.5), 16)
+    assert est16.value / 16 == pytest.approx(0.25, abs=1e-6)
 
 
 def test_sup_ratio_saturates_for_linear_generator():
@@ -150,14 +150,18 @@ def test_kruglov_check_inconclusive():
 
 
 def test_kruglov_series_anchors():
-    assert kruglov_series(power(1.0), 1.0, 30) == pytest.approx(math.e - 1.0, abs=1e-12)
-    assert kruglov_series(power(0.5), 1.0, 30) == pytest.approx(2.469506314521048, abs=1e-9)
+    # on a one-point grid the reported sup is that t's N-term partial sum
+    v = kruglov_check(power(1.0), t_grid=(1.0,), num_terms=30)
+    assert v.sup_value == pytest.approx(math.e - 1.0, abs=1e-12)
+    v = kruglov_check(power(0.5), t_grid=(1.0,), num_terms=30)
+    assert v.sup_value == pytest.approx(2.469506314521048, abs=1e-9)
     # the slowly varying generator accumulates two digits within 1e4 terms
-    assert kruglov_series(inv_sqrt_log(), math.exp(-1.5), 10**4) > 10.0
+    v = kruglov_check(inv_sqrt_log(), t_grid=(math.exp(-1.5),), num_terms=10**4, threshold=10.0)
+    assert not v.finite and math.isinf(v.sup_value) and v.N_used <= 10**4
     with pytest.raises(ValueError):
-        kruglov_series(power(1.0), 1.5, 10)
+        kruglov_check(power(1.0), t_grid=(1.5,), num_terms=10)
     with pytest.raises(ValueError):
-        kruglov_series(power(1.0), 0.5, 0)
+        kruglov_check(power(1.0), t_grid=(0.5,), num_terms=0)
 
 
 def test_kruglov_check_linear_generator_finite():

@@ -11,16 +11,15 @@ from rispaces import (
     Lpq,
     Marcinkiewicz,
     Orlicz,
+    SamplerSpec,
     StepFunction,
     custom_sampler,
-    disjoint_sum_norm,
     exp_lp,
     fit_growth,
     gamma_iid_endpoint,
     gaussian_law,
     gaussian_selfsimilarity_check,
     growth_table,
-    kruglov_sampler,
     logpow,
     mc_iid_sum_norm,
     parse_sampler,
@@ -122,15 +121,6 @@ def _old_draw_sums(spec, n, trials, chunk=2**22):
     return out
 
 
-def _old_kruglov_sampler(law, trials):
-    rng = _rng_for(law, 0)
-    counts = rng.poisson(1.0, size=trials)
-    draws = _old_draw_block(law, rng, (int(counts.sum()),))
-    csum = np.concatenate(([0.0], np.cumsum(draws)))
-    ends = np.cumsum(counts)
-    return csum[ends] - csum[ends - counts]
-
-
 SIGN_LAWS = [rademacher(seed=21)] + [
     signed_indicator(u, seed=22) for u in (1.0, 0.5, 1.0 / 3.0, 1e-9)
 ]
@@ -160,10 +150,9 @@ def test_sign_draw_thresholds_at_the_edges():
     assert np.array_equal(_draw_sums(spec, 4, 1000), _old_draw_sums(spec, 4, 1000))
 
 
-@pytest.mark.parametrize("spec", SIGN_LAWS, ids=lambda s: s.label())
-def test_kruglov_sampler_matches_numpy_samplers(spec):
-    for trials in (1, 999, 20_000):
-        assert np.array_equal(kruglov_sampler(spec, trials), _old_kruglov_sampler(spec, trials))
+def test_draw_sums_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown sampler kind"):
+        _draw_sums(SamplerSpec(kind="weird"), 4, 1000)
 
 
 # -------------------------------------------------------------- exact norms
@@ -408,9 +397,9 @@ def test_disjoint_sum_additive_measure():
         [Fraction(0), Fraction(1), Fraction(0)],
     )
     # equal-height blocks on touching intervals merge into one indicator
-    got = disjoint_sum_norm([f1, f2], Lorentz(power(1.0)))
+    got = space_norm(f1 + f2, Lorentz(power(1.0)))
     assert got == pytest.approx(0.5, rel=1e-13)
-    got_psi = disjoint_sum_norm([f1, f2], Lorentz(power(0.5)))
+    got_psi = space_norm(f1 + f2, Lorentz(power(0.5)))
     assert got_psi == pytest.approx(math.sqrt(0.5), rel=1e-13)
 
 
@@ -425,37 +414,5 @@ def test_disjoint_sum_lp_block_scaling():
                 [Fraction(0), Fraction(1), Fraction(0)] if i else [Fraction(1), Fraction(0)],
             )
         )
-    got = disjoint_sum_norm(blocks, Lpq(2.0, 2.0))
+    got = space_norm(sum(blocks[1:], blocks[0]), Lpq(2.0, 2.0))
     assert got == pytest.approx(math.sqrt(0.5), rel=1e-12)
-
-
-def test_disjoint_sum_rejects_overlap():
-    f1 = StepFunction([Fraction(0), Fraction(1, 3), Fraction(1)], [Fraction(1), Fraction(0)])
-    f2 = StepFunction([Fraction(0), Fraction(1, 4), Fraction(1)], [Fraction(2), Fraction(0)])
-    with pytest.raises(ValueError):
-        disjoint_sum_norm([f1, f2], Lorentz(power(1.0)))
-    with pytest.raises(ValueError):
-        disjoint_sum_norm([], Lorentz(power(1.0)))
-
-
-# ------------------------------------------------------- compound Poisson
-
-
-def test_kruglov_sampler_anchors():
-    trials = 200_000
-    x = kruglov_sampler(rademacher(seed=3), trials)
-    assert x.shape == (trials,)
-    # P(sum = 0) >= P(count = 0) = 1/e
-    p0 = float(np.mean(x == 0.0))
-    assert p0 >= math.exp(-1.0) - 3.0 / math.sqrt(trials)
-    # symmetric law: mean 0 within 3 standard errors of Var = E[count] = 1
-    assert abs(x.mean()) <= 3.0 / math.sqrt(trials)
-    assert np.all(x == np.round(x))
-
-
-def test_kruglov_sampler_deterministic():
-    a = kruglov_sampler(gaussian_law(seed=11), 5000)
-    b = kruglov_sampler(gaussian_law(seed=11), 5000)
-    assert np.array_equal(a, b)
-    with pytest.raises(ValueError):
-        kruglov_sampler(rademacher(), 0)

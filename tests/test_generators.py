@@ -9,7 +9,6 @@ from rispaces import (
     ConcaveGenerator,
     DEFAULT_GRID,
     GridConfig,
-    chained_power_ratio_bound,
     erfc_inverse,
     erfc_inverse_log,
     gauss,
@@ -259,11 +258,6 @@ def test_tail_sum_ratio():
     assert est.value == pytest.approx(2.0, abs=1e-9)
     est4 = limsup_tail_sum_ratio(power(0.5), 4)
     assert est4.value / 4.0 == pytest.approx(0.5, abs=1e-6)
-
-
-def test_chained_power_ratio_bound():
-    assert chained_power_ratio_bound(0.5, 8, 2) == pytest.approx(0.25, rel=1e-14)
-    assert chained_power_ratio_bound(0.7, 9, 3) == pytest.approx(0.7, rel=1e-14)
 
 
 def test_grid_too_shallow_rejected():

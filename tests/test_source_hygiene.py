@@ -1,0 +1,64 @@
+"""Guards for deletions: no module keeps an import nothing uses, and the package
+exports exactly the names pinned here."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import rispaces
+
+SRC = Path(rispaces.__file__).parent
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(tree: ast.Module):
+    """Names bound by a module-level import that no other line of the module reads."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:  # a name listed in __all__ is re-exported, so used
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_level_import(path):
+    assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_unused_import_check_sees_one():
+    tree = ast.parse("import os\nfrom typing import List, Tuple\nx: Tuple = os.sep\n")
+    assert _unused_imports(tree) == [(2, "List")]
+
+
+EXPORTS = [
+    "CLASSIFY_GRID", "ConcaveGenerator", "DEFAULT_GRID", "DEFAULT_KRUGLOV_T_GRID",
+    "DichotomyReport", "EXACT_MAX_STEPS", "GridConfig", "GrowthFit", "KruglovVerdict",
+    "LimitEstimate", "Lorentz", "Lpq", "Marcinkiewicz", "Orlicz", "OrliczFunction",
+    "SamplerSpec", "SpaceSpec", "StepFunction", "classify", "custom_sampler",
+    "erfc_inverse", "erfc_inverse_log", "exp_lp", "fit_growth", "gamma_iid_endpoint",
+    "gauss", "gaussian_law", "gaussian_selfsimilarity_check", "growth_table",
+    "indicator_ratio", "inv_sqrt_log", "kruglov_check", "limsup_dilation_ratio",
+    "limsup_power_ratio", "limsup_tail_sum_ratio", "logpow", "lorentz_operator_norm",
+    "lpq_norm", "mc_iid_sum_norm", "parse_generator", "parse_sampler", "parse_space",
+    "power", "quantile_from_samples", "rademacher", "rademacher_sum_norm",
+    "signed_indicator", "signed_indicator_sum_expectation",
+    "signed_indicator_sum_log_tails", "signed_indicator_sum_tail", "space_label",
+    "space_norm", "space_norm_from_layers", "sup_indicator_ratio", "table",
+    "table_from_csv", "upper_tail", "walk_abs_layers", "walk_distribution",
+]
+
+
+def test_package_exports_are_pinned():
+    assert len(rispaces.__all__) == len(set(rispaces.__all__)) == 59
+    assert sorted(rispaces.__all__) == EXPORTS
