@@ -1,9 +1,10 @@
-"""Byte-for-byte guard on the Monte Carlo, step-function, exact-law, layer and series-probe reports.
+"""Byte-for-byte guard on the Monte Carlo, step-function, exact-law, layer and series-probe reports,
+and on the Gaussian self-similarity ratio.
 
 Each command runs in-process and the sha256 of its stdout is compared with a
-recorded hash.  The Monte Carlo and float step-function hashes were recorded
-before the draws moved to raw generator words and the float step function lost
-its Python loops.  The exact growth tables (n <= 64, priced on the rational
+recorded hash; each self-similarity ratio is compared by its ``repr``.  The
+Monte Carlo and float step-function hashes were recorded before the draws moved
+to raw generator words and the float step function lost its Python loops.  The exact growth tables (n <= 64, priced on the rational
 walk law) and the rational indicator norm were recorded before the walk law
 became a single ``Fraction`` step function and the norms one dispatch.  The
 rational step-file norms, one per family, were recorded while exact step
@@ -16,7 +17,12 @@ layers came from the whole binomial row and the four cores evaluated plain
 array expressions, before the half row and the in-place cores.  Two more
 walk-layer tables, Lorentz with the Gaussian generator and Lpq with (p, q) =
 (1.5, 1.2), were recorded while the Lorentz and Lpq cores still took the whole
-law as two arrays, before they read it as a stream of chunks.
+law as two arrays, before they read it as a stream of chunks.  The Orlicz
+tables at p = 1 and 4, the Marcinkiewicz table with the Gaussian generator and
+the ``repr`` of the Gaussian self-similarity ratios (even and odd n, so both
+the squarings and the mixed products) were recorded while ``exp_lp`` clamped its
+exponent at 745, the Gaussian inverse ran on the whole array and each FFT
+product held its operands through the inverse transform, before those changed.
 Those rewrites promise the same bytes, so any change in a hash here is a change of
 results, not of speed.
 
@@ -37,6 +43,7 @@ from pathlib import Path
 import pytest
 
 from rispaces.cli import main
+from rispaces.experiments import gaussian_selfsimilarity_check
 
 # a two-atom custom law: +-1.5 with equal mass
 CUSTOM_CSV = "-1.5\n1.5\n"
@@ -103,6 +110,12 @@ COMMANDS = [
     ("growth-layers-orlicz-odd", ["growth", "--space", "orlicz:np:2", "--ns", "65,129,1025,4097"]),
     ("growth-layers-marcinkiewicz", ["growth", "--space", "marcinkiewicz:logpow:2",
                                      "--ns", "128,256,512,1024,2048,4096,8192,16384"]),
+    ("growth-layers-orlicz-np1", ["growth", "--space", "orlicz:np:1",
+                                  "--ns", "4096,16384,65536,262144"]),
+    ("growth-layers-orlicz-np4", ["growth", "--space", "orlicz:np:4",
+                                  "--ns", "4096,16384,65536,262144"]),
+    ("growth-layers-marcinkiewicz-gauss", ["growth", "--space", "marcinkiewicz:gauss",
+                                           "--ns", "4096,16384,65536,262144"]),
 ]
 # every other command exits 0
 EXIT_CODES = {"kruglov-power1-inconclusive": 1}
@@ -133,6 +146,20 @@ EXPECTED = {
     "growth-layers-lpq-1.5-1.2": "a83559d3b19a27cb5393a1ad1e5c69bfed850b1f6de542413c75eb704a10385c",
     "growth-layers-orlicz-odd": "6c199c21bb68f419e98a0558dc8972a44e5c017dbe1a39118b2460acd1bf393d",
     "growth-layers-marcinkiewicz": "afa7113d249f3ab90f0eb1e537b48ebbf3c926be115bf601f6e5dfe033749049",
+    "growth-layers-orlicz-np1": "9470b29ae87985f01929ab113a4b19c9778ee20459a8e6f0dc13e769d78400dd",
+    "growth-layers-orlicz-np4": "61ed1d6dc21d77908191bcf025c1cfaf21c563aa5613d071d08f3196e7e956fb",
+    "growth-layers-marcinkiewicz-gauss": "4a0bb1b3b59102749ee15f8eb29c8f18eb77a9050f5b758334bb593037a2e6f6",
+}
+
+# repr of gaussian_selfsimilarity_check(n, grid_size); the odd n multiply the
+# running power into the result as well as squaring it
+SELFSIMILARITY = {
+    (2, 2**12): "1.4141699133539172",
+    (3, 2**12): "1.7319577688956875",
+    (5, 2**12): "2.235881729637845",
+    (7, 2**12): "2.6454859384084743",
+    (3, 2**16): "1.732045698639024",
+    (5, 2**16): "2.236057290685284",
 }
 
 
@@ -155,7 +182,14 @@ def test_report_bytes_unchanged(tmp_path, cid, argv):
     assert hashlib.sha256(_run(cid, argv, tmp_path)).hexdigest() == EXPECTED[cid]
 
 
+@pytest.mark.parametrize("n, grid_size", SELFSIMILARITY, ids=[f"{n}-{g}" for n, g in SELFSIMILARITY])
+def test_selfsimilarity_repr_unchanged(n, grid_size):
+    assert repr(gaussian_selfsimilarity_check(n, grid_size)) == SELFSIMILARITY[n, grid_size]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as d:
         for cid, argv in COMMANDS:
             print(f'    "{cid}": "{hashlib.sha256(_run(cid, argv, Path(d))).hexdigest()}",')
+    for n, grid_size in SELFSIMILARITY:
+        print(f'    ({n}, {grid_size}): "{gaussian_selfsimilarity_check(n, grid_size)!r}",')
