@@ -258,12 +258,23 @@ def mc_iid_sum_norm(
 # ------------------------------------------------- Gaussian self-similarity
 
 
-def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two 1-D arrays through a real FFT."""
-    size = a.size + b.size - 1
+def fftconvolve(a, b: Optional[np.ndarray] = None) -> np.ndarray:
+    """Full linear convolution of two 1-D arrays through a real FFT.
+
+    ``b=None`` (or ``b is a``) squares ``a``.  ``a`` may come as a one-element
+    list, which this empties: a caller that hands its last reference over this
+    way has the array freed once its spectrum is taken, not after the inverse
+    transform, which is where the memory peaks.
+    """
+    if isinstance(a, list):
+        a = a.pop()
+    if b is a:
+        b = None
+    size = a.size + (a.size if b is None else b.size) - 1
     nfft = 1 << (size - 1).bit_length()  # power of two: a fast length
     fa = np.fft.rfft(a, nfft)
-    fa *= fa if b is a else np.fft.rfft(b, nfft)
+    del a
+    fa *= fa if b is None else np.fft.rfft(b, nfft)
     return np.fft.irfft(fa, nfft)[:size]
 
 
@@ -298,7 +309,7 @@ def gaussian_selfsimilarity_check(n: int, grid_size: int = 2**16) -> float:
     pmf[-1] += tail_mass
     pmf /= pmf.sum()
 
-    def product(a, b):
+    def product(a, b=None):
         conv = fftconvolve(a, b)
         # FFT noise (~1e-16 absolute) fabricates extreme-tail mass that the
         # maximal-average norm prices heavily; clip it, then renormalize.
@@ -307,14 +318,18 @@ def gaussian_selfsimilarity_check(n: int, grid_size: int = 2**16) -> float:
         return conv
 
     base_norm = _lattice_norm(pmf, edges, space)
-    conv, power, k = None, pmf, n
+    # The running power lives in a one-element list that each squaring hands
+    # to fftconvolve, which empties it: no reference to the operand is left
+    # while the inverse transform runs, where the memory peaks.
+    conv, power, k = None, [pmf], n
+    del pmf, cdf
     while True:
         if k & 1:
-            conv = power if conv is None else product(conv, power)
+            conv = power[0] if conv is None else product(conv, power[0])
         k >>= 1
         if not k:
             break
-        power = product(power, power)
+        power = [product(power)]
     sum_norm = _lattice_norm(conv, edges, space)
     return sum_norm / base_norm
 

@@ -68,6 +68,11 @@ def _log_erfc_asymptotic(x):
     return out
 
 
+# Entries per slice in ``erfc_inverse_log``.  The inverse is elementwise, so
+# slices give the same bits, and its half dozen temporaries stay this size.
+_SLICE = 2**14
+
+
 def erfc_inverse_log(lz):
     """Solve ln(upper_tail(x)) = lz; valid for arbitrarily negative lz.
 
@@ -78,14 +83,21 @@ def erfc_inverse_log(lz):
     lzz = np.asarray(lz, dtype=float)
     if np.any(lzz >= math.log(2.0)):
         raise ValueError("log-argument must be below log(2)")
-    out = np.empty_like(lzz)
-    direct = lzz >= -667.0
+    out = np.empty(lzz.shape)
+    flat_in, flat_out = lzz.reshape(-1), out.reshape(-1)  # both in C order
+    for k in range(0, flat_in.size, _SLICE):
+        _erfc_inverse_log_into(flat_in[k : k + _SLICE], flat_out[k : k + _SLICE])
+    return out if lzz.ndim else float(out)
+
+
+def _erfc_inverse_log_into(lz: np.ndarray, out: np.ndarray) -> None:
+    direct = lz >= -667.0
     if np.any(direct):
-        z = lzz[direct]
+        z = lz[direct]
         out[direct] = erfc_inverse(np.exp(z, out=z))
     deep = ~direct
     if np.any(deep):
-        t = lzz[deep]
+        t = lz[deep]
         x = np.negative(t)
         np.sqrt(x, out=x)
         # d/dx ln erfc = -2x / series; the series is ~1 at this depth.
@@ -96,4 +108,3 @@ def erfc_inverse_log(lz):
             x += step
             del step  # before the next step is built
         out[deep] = x
-    return out if lzz.ndim else float(out)

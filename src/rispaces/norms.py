@@ -101,7 +101,10 @@ def exp_lp(p) -> OrliczFunction:
             x = np.asarray(np.asarray(u, dtype=float) ** p)  # inf past the float range: M = inf
         # log(e^x - 1): x + log1p(-e^-x) for large x, log(expm1 x) below, in place.
         big = x > 30.0
-        y = np.minimum(x, 745.0, out=np.empty_like(x), where=big)
+        # Past x = 34, |log1p(-e^-x)| < ulp(x) / 2, so x + log1p(-e^-x) rounds
+        # to x whatever the clamp; clamping at 40, not near the float range,
+        # keeps e^-x and its log1p out of slow subnormal arithmetic.
+        y = np.minimum(x, 40.0, out=np.empty_like(x), where=big)
         for f in (np.negative, np.exp, np.negative, np.log1p):
             f(y, out=y, where=big)
         np.add(x, y, out=x, where=big)
@@ -295,7 +298,9 @@ def _lorentz_core(chunks: Iterable[Layers], psi: ConcaveGenerator) -> float:
             drops = np.subtract(values[:-1], values[1:])
             drops *= psis[:-1]
             for k in range(0, drops.size, _FSUM_SLICE):
-                yield drops[k : k + _FSUM_SLICE].tolist()
+                part = drops[k : k + _FSUM_SLICE]
+                # fsum is exact, so the zeros where psi underflowed add nothing
+                yield part[part != 0.0].tolist()
             last = values[-1], psis[-1]
         if last is not None:
             yield (last[0] * last[1],)  # the last positive layer drops to 0

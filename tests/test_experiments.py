@@ -248,6 +248,47 @@ def test_selfsimilarity_at_sixteen_keeps_its_bits():
     assert repr(gaussian_selfsimilarity_check(16)) == "3.9999671964023635"
 
 
+_OWN_PEAK_KIB = (
+    "print([l for l in open('/proc/self/status') if l.startswith('VmHWM:')][0].split()[1])"
+)
+
+
+def _own_peak_mib(code: str, env) -> float:
+    # the child's own high-water mark: wait4's ru_maxrss would start at ours
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\n" + _OWN_PEAK_KIB],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1]) / 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_selfsimilarity_at_sixteen_peak_memory(child_env):
+    # Above a child that only loads the package and SciPy, the check peaked
+    # 42 MiB higher while each squaring kept its input lattice through the
+    # inverse transform, and 34 MiB higher once the input was freed first.
+    base = _own_peak_mib("import rispaces, scipy.special", child_env)
+    check = _own_peak_mib(
+        "from rispaces import gaussian_selfsimilarity_check\n"
+        "gaussian_selfsimilarity_check(16)",
+        child_env,
+    )
+    assert check - base <= 38.0
+
+
+def test_fftconvolve_takes_its_first_operand_from_a_list():
+    rng = np.random.default_rng(3)
+    a, b = rng.random(100), rng.random(37)
+    handed = [a.copy()]
+    got = fftconvolve(handed, b)
+    assert handed == []
+    np.testing.assert_array_equal(got, fftconvolve(a, b))
+    handed = [a.copy()]
+    np.testing.assert_array_equal(fftconvolve(handed), fftconvolve(a, a))
+    assert handed == []
+
+
 @pytest.mark.parametrize("na, nb", [(1, 1), (1, 6), (2, 2), (3, 2), (7, 7), (64, 33), (1000, 17)])
 def test_fftconvolve_matches_direct_convolution(na, nb):
     rng = np.random.default_rng(na * 1000 + nb)

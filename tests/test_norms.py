@@ -326,6 +326,34 @@ def test_exp_lp_log_fn_matches_two_branch_expression():
         assert exp_lp(p).log_fn(switch) == both_branches(switch, p)
 
 
+def _exp_lp_log_fn_clamped_at_745(u, p):
+    # exp_lp(p).log_fn as it was while e^-x was clamped near the float range
+    with np.errstate(over="ignore"):
+        x = np.asarray(np.asarray(u, dtype=float) ** p)
+    big = x > 30.0
+    y = np.minimum(x, 745.0, out=np.empty_like(x), where=big)
+    for f in (np.negative, np.exp, np.negative, np.log1p):
+        f(y, out=y, where=big)
+    np.add(x, y, out=x, where=big)
+    small = ~big
+    np.expm1(x, out=x, where=small)
+    with np.errstate(divide="ignore"):
+        return np.log(x, out=x, where=small)
+
+
+def test_exp_lp_log_fn_clamp_keeps_bits():
+    # x = u^p densely over [0, 1000], and u itself at the points where the
+    # clamp and the branches meet, each with its neighbouring floats
+    marks = []
+    for m in (30.0, 34.0, 40.0):
+        marks += [np.nextafter(m, 0.0), m, np.nextafter(m, np.inf)]
+    marks += [708.0, 745.0, 746.0, 1e308, np.inf, np.nan]
+    xs = np.linspace(0.0, 1000.0, 400_001)
+    for p in (1.0, 1.5, 2.0, 4.0):
+        u = np.concatenate((xs ** (1.0 / p), marks, np.array(marks) ** (1.0 / p)))
+        np.testing.assert_array_equal(exp_lp(p).log_fn(u), _exp_lp_log_fn_clamped_at_745(u, p))
+
+
 def test_exp_lp_elasticity_is_log_derivative():
     for p in (1.0, 2.0, 7.5):
         M = exp_lp(p)

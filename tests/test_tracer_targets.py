@@ -3,10 +3,14 @@
 ``perfbench/tracer.py`` wraps its targets by module and attribute name and
 reports a missing one only in a traced benchmark run.  A rename in the package
 would otherwise zero that layer's metrics until then; here it fails at once.
+A target that still exists but is no longer called where the tracer looks
+would zero them too, so one traced command is run as well.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +40,16 @@ def test_tracer_targets_resolve_in_the_package(tracer):
         cls = getattr(importlib.import_module(f"rispaces.{home}"), cls_name, None)
         # the tracer wraps the method where the class itself defines it
         assert cls is not None and meth in vars(cls), f"rispaces.{home}.{cls_name}.{meth}"
+
+
+def test_traced_selfsimilarity_records_the_fft_and_the_gaussian_inverse(tmp_path, child_env):
+    out = tmp_path / "spans.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-B", str(TRACER), str(out), "selfsim-gauss", "selfsim", "4"],
+        capture_output=True, text=True, env=child_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert not any("missing" in line for line in lines)
+    names = {line["name"] for line in lines}
+    assert {"experiments.fftconvolve", "gaussian.erfc_inverse_log"} <= names
