@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -258,7 +258,9 @@ def mc_iid_sum_norm(
 # ------------------------------------------------- Gaussian self-similarity
 
 
-def fftconvolve(a, b: Optional[np.ndarray] = None) -> np.ndarray:
+def fftconvolve(
+    a: Union[np.ndarray, List[np.ndarray]], b: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Full linear convolution of two 1-D arrays through a real FFT.
 
     ``b=None`` (or ``b is a``) squares ``a``.  ``a`` may come as a one-element
