@@ -428,8 +428,6 @@ def _render(payload, lines, rows, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
-        if rows is None:
-            raise ValueError("csv output is only available for growth tables")
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)
         return buf.getvalue()
@@ -439,6 +437,8 @@ def _render(payload, lines, rows, fmt: str) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.format == "csv" and args.command != "growth":  # checked before any compute
+            raise ValueError("csv output is only available for growth tables")
         payload, lines, rows, code = _HANDLERS[args.command](args)
         text = _render(payload, lines, rows, args.format)
         if args.out:

@@ -65,8 +65,8 @@ def indicator_ratio(psi: ConcaveGenerator, n: int, u) -> float:
     if not 0.0 < u <= 1.0:
         raise ValueError("indicator measure u must lie in (0, 1]")
     log_tails = signed_indicator_sum_log_tails(n, u)
-    terms = np.exp(np.asarray(psi.log_eval(log_tails)))
-    return float(math.fsum(terms) / (n * math.exp(float(psi.log_eval(math.log(u))))))
+    terms = np.exp(psi.log_eval(log_tails))
+    return float(math.fsum(terms) / (n * math.exp(psi.log_eval(math.log(u)))))
 
 
 def sup_indicator_ratio(psi: ConcaveGenerator, n: int, j_max: int = 40) -> float:
@@ -272,7 +272,7 @@ def _kruglov_walk(
     ``kruglov_check`` says why.
     """
     log_ts = [math.log(t) for t in ts]
-    log_phi_ts = [float(phi.log_eval(lt)) for lt in log_ts]
+    log_phi_ts = [phi.log_eval(lt) for lt in log_ts]
     quarter_n = num_terms // 4
     walks = [[0, None, 0.0] for _ in ts]  # crossing, quarter, total
     active = list(range(len(ts)))
@@ -286,7 +286,7 @@ def _kruglov_walk(
             walk = walks[i]
             largs = n * log_ts[i]
             largs -= log_n_fact  # log(t^n / n!)
-            terms = np.exp(np.asarray(phi.log_eval(largs)) - log_phi_ts[i])
+            terms = np.exp(phi.log_eval(largs) - log_phi_ts[i])
             underflowed = terms[-1] == 0.0
             terms[0] += walk[2]
             csum = np.cumsum(terms, out=terms)

@@ -45,22 +45,13 @@ __all__ = [
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def _ufunc(f):
-    """Coerce scalars to 1-d float arrays and back, so evals accept both."""
-
-    def wrapped(t):
-        tt = np.asarray(t, dtype=float)
-        out = np.asarray(f(np.atleast_1d(tt)))
-        return out.reshape(tt.shape) if tt.ndim else float(out[0])
-
-    return wrapped
-
-
 class ConcaveGenerator:
     """Increasing concave psi on (0, 1] with psi(0+) = 0.
 
-    ``fn`` evaluates psi and ``log_fn`` evaluates log psi(e^lt) from lt = log t.
-    Both accept floats or float arrays.
+    ``fn`` evaluates psi and ``log_fn`` evaluates log psi(e^lt) from lt = log t,
+    each on a 1-d float array.  Calling the generator and ``log_eval`` take a
+    float and return a float, or take an array and return a float array of its
+    shape.
     """
 
     __slots__ = ("_fn", "_log_fn", "label")
@@ -70,12 +61,18 @@ class ConcaveGenerator:
         self._log_fn = log_fn
         self.label = label
 
+    @staticmethod
+    def _on_1d(f, x):
+        x = np.asarray(x, dtype=float)
+        out = np.asarray(f(x.reshape(-1)), dtype=float)
+        return out.reshape(x.shape) if x.ndim else float(out[0])
+
     def __call__(self, t):
-        return self._fn(t)
+        return self._on_1d(self._fn, t)
 
     def log_eval(self, lt):
         """log psi(e^lt)."""
-        return self._log_fn(lt)
+        return self._on_1d(self._log_fn, lt)
 
     def __repr__(self):
         return f"ConcaveGenerator({self.label})"
@@ -84,24 +81,24 @@ class ConcaveGenerator:
         """Grid checks of the three structural invariants; raises ValueError."""
         js = np.arange(0, j_max + 1)
         u = np.exp2(-js.astype(float))
-        vals = np.asarray(self(u), dtype=float)
+        vals = self(u)
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
             raise ValueError(f"{self.label}: values must be finite and positive on (0, 1]")
         if not np.all(np.diff(vals) < 0):
             raise ValueError(f"{self.label}: not increasing on the geometric grid")
         # Vanishing at 0+, probed far below float range through log_eval.
-        deep = float(np.asarray(self.log_eval(-1.0e9)))
+        deep = self.log_eval(-1.0e9)
         if not deep < math.log(vals[0]) - 2.0:
             raise ValueError(f"{self.label}: does not vanish at 0+")
         # Midpoint concavity between adjacent grid points.
         mid = (u[:-1] + u[1:]) / 2.0
-        lhs = np.asarray(self(mid), dtype=float)
+        lhs = self(mid)
         rhs = (vals[:-1] + vals[1:]) / 2.0
         if np.any(lhs < rhs - tol * np.maximum(1.0, np.abs(rhs))):
             raise ValueError(f"{self.label}: midpoint concavity fails on the grid")
         # Sublinearity psi(u/m) >= psi(u)/m.
         for m in (2, 3, 10, 1000):
-            shrunk = np.asarray(self(u / m), dtype=float)
+            shrunk = self(u / m)
             if np.any(m * shrunk < vals * (1.0 - 1e-12)):
                 raise ValueError(f"{self.label}: sublinearity fails for m={m}")
 
@@ -114,13 +111,7 @@ def power(alpha) -> ConcaveGenerator:
     a = float(alpha)
     if not 0.0 < a <= 1.0:
         raise ValueError("power exponent must lie in (0, 1]")
-    return ConcaveGenerator(
-        _ufunc(lambda t: t**a),
-        log_fn=lambda lt: a * np.asarray(lt, dtype=float)
-        if np.ndim(lt)
-        else a * float(lt),
-        label=f"power:{a:g}",
-    )
+    return ConcaveGenerator(lambda t: t**a, log_fn=lambda lt: a * lt, label=f"power:{a:g}")
 
 
 def logpow(p) -> ConcaveGenerator:
@@ -134,11 +125,9 @@ def logpow(p) -> ConcaveGenerator:
         return t * np.log(np.e / t) ** ip
 
     def log_fn(lt):
-        ltt = np.asarray(lt, dtype=float)
-        out = ltt + ip * np.log1p(-ltt)
-        return out if ltt.ndim else float(out)
+        return lt + ip * np.log1p(-lt)
 
-    return ConcaveGenerator(_ufunc(fn), log_fn=log_fn, label=f"logpow:{p:g}")
+    return ConcaveGenerator(fn, log_fn=log_fn, label=f"logpow:{p:g}")
 
 
 # Slowly-varying generator: inverse square root of log(1/t), capped linearly so
@@ -153,7 +142,6 @@ def inv_sqrt_log() -> ConcaveGenerator:
     """psi(t) = log(1/t)^(-1/2) for t <= e^(-3/2), linear with matched slope above."""
 
     def fn(t):
-        t = np.asarray(t, dtype=float)
         curved = t <= _ISL_T0
         out = np.empty_like(t)
         with np.errstate(divide="ignore"):
@@ -162,14 +150,13 @@ def inv_sqrt_log() -> ConcaveGenerator:
         return out
 
     def log_fn(lt):
-        lt = np.asarray(lt, dtype=float)
         out = np.empty_like(lt)
         curved = lt <= -1.5
         out[curved] = -0.5 * np.log(-lt[curved])
         out[~curved] = np.log(_ISL_PSI0 + _ISL_SLOPE * (np.exp(lt[~curved]) - _ISL_T0))
         return out
 
-    return ConcaveGenerator(_ufunc(fn), log_fn=_ufunc(log_fn), label="invsqrtlog")
+    return ConcaveGenerator(fn, log_fn=log_fn, label="invsqrtlog")
 
 
 def gauss() -> ConcaveGenerator:
@@ -186,7 +173,7 @@ def gauss() -> ConcaveGenerator:
         g = erfc_inverse_log(lt)
         return -np.square(g) - 0.5 * math.log(math.pi)
 
-    return ConcaveGenerator(_ufunc(fn), log_fn=_ufunc(log_fn), label="gauss")
+    return ConcaveGenerator(fn, log_fn=log_fn, label="gauss")
 
 
 def table(points: Sequence, label: str = "table") -> ConcaveGenerator:
@@ -228,14 +215,13 @@ def table(points: Sequence, label: str = "table") -> ConcaveGenerator:
         return np.interp(t, ts_ext, ys_ext)
 
     def log_fn(lt):
-        lt = np.asarray(lt, dtype=float)
         out = np.empty_like(lt)
         low = lt < lt0
         out[low] = lslope0 + lt[low]
         out[~low] = np.log(np.interp(np.exp(lt[~low]), ts_ext, ys_ext))
         return out
 
-    return ConcaveGenerator(_ufunc(fn), log_fn=_ufunc(log_fn), label=label)
+    return ConcaveGenerator(fn, log_fn=log_fn, label=label)
 
 
 def table_from_csv(path: str) -> ConcaveGenerator:
@@ -336,9 +322,7 @@ def limsup_dilation_ratio(
     j_lo = max(grid.j_min, math.ceil(math.log2(k)))
     js = np.arange(j_lo, grid.j_max + 1, dtype=float)
     lu = -js * LN2
-    ratios = np.exp(
-        np.asarray(psi.log_eval(lu + math.log(k))) - np.asarray(psi.log_eval(lu))
-    )
+    ratios = np.exp(psi.log_eval(lu + math.log(k)) - psi.log_eval(lu))
     return _window_estimate(ratios, grid, grid.j_max)
 
 
@@ -354,7 +338,7 @@ def limsup_power_ratio(
         raise ValueError("power l must be an integer >= 2")
     js = np.arange(max(grid.j_min, 1), grid.j_max + 1, dtype=float)
     lu = -js * LN2
-    ratios = np.exp(np.asarray(psi.log_eval(lu * l)) - np.asarray(psi.log_eval(lu)))
+    ratios = np.exp(psi.log_eval(lu * l) - psi.log_eval(lu))
     return _window_estimate(ratios, grid, grid.j_max)
 
 
@@ -377,6 +361,6 @@ def limsup_tail_sum_ratio(
     for i, j in enumerate(js):
         lu = -float(j) * LN2
         largs = lcomb + s * lu
-        terms = np.exp(np.asarray(psi.log_eval(largs)) - float(psi.log_eval(lu)))
+        terms = np.exp(psi.log_eval(largs) - psi.log_eval(lu))
         ratios[i] = float(np.sum(terms))
     return _window_estimate(ratios, grid, grid.j_max)

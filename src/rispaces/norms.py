@@ -1,12 +1,13 @@
 """Norms of rearrangement-invariant spaces on (0, 1].
 
 Four families behind one dispatch: weighted-rearrangement (``Lorentz``),
-maximal-average (``Marcinkiewicz``), Luxemburg (``Orlicz``), and the
-two-parameter interpolation scale (``Lpq``).  Every norm depends only on the
-decreasing rearrangement, so each routine canonicalizes first and then works on
-the layered form (values descending, log of cumulative measure): cumulative
-measures of deep tails live far below float underflow, and keeping them as
-logs is what makes the large-n experiments honest.
+maximal-average (``Marcinkiewicz``), Luxemburg on the exponential scale
+exp(L_p) (``Orlicz(exp_lp(p))``), and the two-parameter interpolation scale
+(``Lpq``).  Every norm depends only on the decreasing rearrangement, so each
+routine canonicalizes first and then works on the layered form (values
+descending, log of cumulative measure): cumulative measures of deep tails live
+far below float underflow, and keeping them as logs is what makes the large-n
+experiments honest.
 
 ``space_norm_from_layers`` exposes the layered entry point directly for laws
 that are generated as (value, log-tail) pairs without ever materializing a
@@ -21,7 +22,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Tuple, Union
+from typing import Iterable, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -36,7 +37,6 @@ __all__ = [
     "Orlicz",
     "Lpq",
     "SpaceSpec",
-    "OrliczFunction",
     "exp_lp",
     "lpq_norm",
     "space_norm",
@@ -46,59 +46,30 @@ __all__ = [
 ]
 
 
-class OrliczFunction:
-    """Convex Young function M with M(0) = 0, M increasing on [0, inf).
+@dataclass(frozen=True)
+class exp_lp:
+    """The Young function M(u) = e^(u^p) - 1 of exp(L_p), p >= 1; equal p, equal M.
 
-    Carries stable companions: ``log_fn(u) = log M(u)``, ``inverse_log(ly)``
-    solving M(x) = e^ly, both usable far outside the float range of M itself,
-    and ``elasticity(u) = u M'(u) / M(u)``, the slope of log M in log u.
+    The Orlicz norm reads M only through companions usable far outside the
+    float range of M itself: ``log_fn(u) = log M(u)``, ``inverse_log(ly)``
+    solving M(x) = e^ly, and ``elasticity(u) = u M'(u) / M(u)``, the slope of
+    log M in log u.
     """
 
-    __slots__ = ("fn", "inverse", "log_fn", "inverse_log", "elasticity", "label")
+    p: float
 
-    def __init__(
-        self,
-        fn: Callable,
-        inverse: Callable,
-        log_fn: Callable,
-        inverse_log: Callable,
-        elasticity: Callable,
-        label: str,
-    ):
-        self.fn = fn
-        self.inverse = inverse
-        self.log_fn = log_fn
-        self.inverse_log = inverse_log
-        self.elasticity = elasticity
-        self.label = label
+    def __post_init__(self):
+        object.__setattr__(self, "p", float(self.p))
+        if self.p < 1.0:
+            raise ValueError("exponential-Orlicz order must be >= 1")
 
-    def __call__(self, u):
-        return self.fn(u)
+    @property
+    def label(self) -> str:
+        return f"Np:{self.p:g}"
 
-    def __repr__(self):
-        return f"OrliczFunction({self.label})"
-
-    def __eq__(self, other):
-        if not isinstance(other, OrliczFunction):
-            return NotImplemented
-        return self.label == other.label
-
-    def __hash__(self):
-        return hash(self.label)
-
-
-def exp_lp(p) -> OrliczFunction:
-    """M(u) = e^(u^p) - 1, the Orlicz function of exponential integrability order p."""
-    p = float(p)
-    if p < 1.0:
-        raise ValueError("exponential-Orlicz order must be >= 1")
-
-    def fn(u):
-        return np.expm1(np.asarray(u, dtype=float) ** p)
-
-    def log_fn(u):
-        with np.errstate(over="ignore"):
-            x = np.asarray(np.asarray(u, dtype=float) ** p)  # inf past the float range: M = inf
+    def log_fn(self, u):
+        with np.errstate(over="ignore"):  # inf past the float range: M = inf
+            x = np.asarray(np.asarray(u, dtype=float) ** self.p)
         # log(e^x - 1): x + log1p(-e^-x) for large x, log(expm1 x) below, in place.
         big = x > 30.0
         # Past x = 34, |log1p(-e^-x)| < ulp(x) / 2, so x + log1p(-e^-x) rounds
@@ -113,8 +84,13 @@ def exp_lp(p) -> OrliczFunction:
         with np.errstate(divide="ignore"):
             return np.log(x, out=x, where=small)
 
-    def elasticity(u):
+    def inverse_log(self, ly):
+        # solve e^(x^p) - 1 = e^ly: x = log(1 + e^ly)^(1/p), stably in ly.
+        return np.logaddexp(0.0, np.asarray(ly, dtype=float)) ** (1.0 / self.p)
+
+    def elasticity(self, u):
         # u M'(u) / M(u) = p x / (1 - e^-x) with x = u^p; it tends to p as x -> 0.
+        p = self.p
         with np.errstate(over="ignore", invalid="ignore"):
             x = np.asarray(np.asarray(u, dtype=float) ** p)
             positive = x > 0.0
@@ -125,15 +101,6 @@ def exp_lp(p) -> OrliczFunction:
             x /= denom
         x[~positive] = p
         return x
-
-    def inverse(y):
-        return np.log1p(np.asarray(y, dtype=float)) ** (1.0 / p)
-
-    def inverse_log(ly):
-        # solve e^(x^p) - 1 = e^ly: x = log(1 + e^ly)^(1/p), stably in ly.
-        return np.logaddexp(0.0, np.asarray(ly, dtype=float)) ** (1.0 / p)
-
-    return OrliczFunction(fn, inverse, log_fn, inverse_log, elasticity, f"Np:{p:g}")
 
 
 # ------------------------------------------------------------ space descriptors
@@ -151,7 +118,7 @@ class Marcinkiewicz:
 
 @dataclass(frozen=True)
 class Orlicz:
-    M: OrliczFunction
+    M: exp_lp
 
 
 @dataclass(frozen=True)
@@ -270,7 +237,7 @@ _FSUM_SLICE = 2**14
 
 def _log_eval(gen: ConcaveGenerator, lT: np.ndarray) -> np.ndarray:
     """gen.log_eval(lT) as a float array that the caller may overwrite."""
-    out = np.asarray(gen.log_eval(lT), dtype=float)
+    out = gen.log_eval(lT)
     return out.copy() if np.may_share_memory(out, lT) else out
 
 
@@ -335,14 +302,14 @@ def _marcinkiewicz_core(values: np.ndarray, lT: np.ndarray, phi: ConcaveGenerato
             lo = base_T + (T - base_T) * 1e-9
 
             def obj(taus):
-                return (base_I + slope * (taus - base_T)) / np.asarray(phi(taus))
+                return (base_I + slope * (taus - base_T)) / phi(taus)
 
             _, ref = golden_max_vec(obj, lo, T)
             best = max(best, float(np.max(ref)))
     return best
 
 
-def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: OrliczFunction) -> float:
+def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: exp_lp) -> float:
     if values[0] <= 0:
         return 0.0
     k = _positive_count(values)
@@ -487,11 +454,11 @@ def space_norm(f: StepFunction, space: SpaceSpec) -> float:
 
     - ``Lorentz(psi)``: the integral of f* against d psi (a Stieltjes sum).
     - ``Marcinkiewicz(phi)``: sup over tau of (integral of f* up to tau) / phi(tau).
-    - ``Orlicz(M)``: the Luxemburg norm, the lambda at which the modular of
-      f/lambda equals 1, by safeguarded Newton in log lambda from a lower bound
-      that costs no evaluation.  There the modular is within 1e-12 of 1 for
-      continuous strictly increasing M (within 1e-9 when the modular is so
-      steep that float lambda granularity is the binding constraint).
+    - ``Orlicz(exp_lp(p))``: the Luxemburg norm for M(u) = e^(u^p) - 1, the
+      lambda at which the modular of f/lambda equals 1, by safeguarded Newton
+      in log lambda from a lower bound that costs no evaluation.  There the
+      modular is within 1e-12 of 1 (within 1e-9 when the modular is so steep
+      that float lambda granularity is the binding constraint).
     - ``Lpq(p, q)``: the prefactor-inside convention, ||chi_(0,u]|| = u^(1/p).
     """
     return _price(*_layers_from_step(f), space)

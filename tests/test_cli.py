@@ -296,13 +296,21 @@ def test_out_writes_file(capsys, tmp_path):
     assert json.loads(target.read_text())["norm"] == 0.5
 
 
-def test_csv_rejected_outside_growth(capsys):
-    code, _, err = run_cli(
-        capsys, "norm", "--space", "lorentz:power:1", "--indicator", "0.5",
-        "--format", "csv",
-    )
-    assert code == 2
-    assert "csv" in err
+def test_csv_rejected_outside_growth(capsys, monkeypatch):
+    def reached(*args, **kwargs):
+        pytest.fail("csv output outside growth was checked only after the compute")
+
+    monkeypatch.setattr(cli, "mc_iid_sum_norm", reached)
+    monkeypatch.setattr(cli, "space_norm", reached)
+    for argv in (
+        ["norm", "--space", "lorentz:power:1", "--indicator", "0.5"],
+        ["mc", "--space", "lpq:2:1", "--sampler", "rademacher", "--n", "1024",
+         "--trials", "1000000"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert err == "error: csv output is only available for growth tables\n"
 
 
 def test_bad_flags_exit_two():
@@ -584,3 +592,160 @@ def test_kruglov_cli_fuzz(psi, t_grid, bad_t, threshold, max_terms):
     report = json.loads(out)
     # the one documented non-finite value: the sup of a divergent probe
     assert report["sup_value"] != "inf" or not (report["finite"] or report["inconclusive"])
+
+
+# The other commands, fuzzed at small sizes.  Each case draws valid options
+# and, half the time, makes exactly one of them invalid: a valid case must end
+# in exit 0 with a finite report or exit 1 (inconclusive), an invalid one in
+# exit 2 with a one-line error, and no case may raise.
+_GEN_OK = ["power:0.5", "power:1", "power:0.01", "logpow:1", "logpow:2", "invsqrtlog",
+           "example7", "gauss"]
+_GEN_BAD = ["power:0", "power:2", "power:nan", "power:-1", "logpow:0.5", "logpow:inf",
+            "table:", "table:/nonexistent.csv", "frob", ""]
+_SPACE_OK = [f"{family}:{g}" for family in ("lorentz", "marcinkiewicz") for g in _GEN_OK] + [
+    "orlicz:np:1", "orlicz:np:1.5", "orlicz:np:2", "orlicz:np:4",
+    "lpq:2:1", "lpq:1.5:1.2", "lpq:4:3",
+]
+_SPACE_BAD = ["orlicz:np:0.5", "orlicz:np:nan", "orlicz:np:inf", "orlicz:exp:2", "lpq:1:1",
+              "lpq:2:0.5", "lpq:inf:1", "lpq:2", "banach:2", "", "lorentz:frob",
+              "marcinkiewicz:power:2"]
+_SAMPLER_OK = ["rademacher", "signed:0.5", "signed:1", "gauss", "gaussian"]
+_SAMPLER_BAD = ["signed:0", "signed:2", "signed:nan", "signed:-1", "custom:",
+                "custom:/nonexistent.csv", "frob", ""]
+_NOT_AN_INT = ["x", "", "1.5", "1e3", "nan"]
+
+
+def _ints(lo, hi):
+    return st.integers(min_value=lo, max_value=hi).map(str)
+
+
+def _int_lists(lo, hi, min_size, max_size):
+    return st.lists(st.integers(min_value=lo, max_value=hi), min_size=min_size,
+                    max_size=max_size).map(lambda xs: ",".join(map(str, xs)))
+
+
+@st.composite
+def _options(draw, fields, config=False):
+    """``--flag=VALUE`` options drawn valid, and at most one of them made invalid.
+
+    ``fields`` maps a flag to (valid values, invalid values, optional), each
+    set of values a list or a strategy; an optional flag may be left out,
+    unless it is the invalid one.  With
+    ``config``, each value goes on the command line or into the returned
+    ``key = value`` lines, which carry an error of their own when the invalid
+    one is an unknown key or a line without "=".  Returns the options, the
+    config lines and whether anything was made invalid.
+    """
+    names = list(fields) + (["<unknown key>", "<no equals sign>"] if config else [])
+    bad = draw(st.one_of(st.none(), st.sampled_from(names)))
+    argv, lines = [], []
+    for flag, (good, wrong, optional) in fields.items():
+        if flag != bad and optional and draw(st.booleans()):
+            continue
+        values = wrong if flag == bad else good
+        if isinstance(values, list):
+            values = st.sampled_from(values)
+        value = draw(values)
+        if config and draw(st.booleans()):
+            lines.append(f"{flag[2:].replace('-', '_')} = {value}")
+        else:  # "=" keeps a leading "-" a value rather than an option
+            argv.append(f"{flag}={value}")
+    if bad == "<unknown key>":
+        lines.append("frob = 1")
+    elif bad == "<no equals sign>":
+        lines.append("trials 2000")
+    return argv, lines, bad is not None
+
+
+def _fuzz_run(argv, lines, bad, kruglov_inf=False):
+    with tempfile.TemporaryDirectory() as tmp:
+        if lines:
+            path = os.path.join(tmp, "exp.cfg")
+            with open(path, "w") as fh:
+                fh.write("# fuzzed\n" + "\n".join(lines) + "\n")
+            argv = argv + ["--config", path]
+        code, out, err = _run_in_process(argv)
+    assert "Traceback" not in err, argv
+    if bad:
+        assert code == 2 and out == "" and err.count("\n") == 1, (argv, lines, code, err)
+        return
+    assert code in (0, 1), (argv, lines, code, err)
+    if kruglov_inf:  # the one documented non-finite value: the sup of a divergent probe
+        out = out.replace('"sup_value": "inf"', "").replace("sup = inf at", "")
+    assert not re.search(r"nan", out, re.IGNORECASE), (argv, lines, out)
+    if code == 0:
+        assert not re.search(r"inf", out, re.IGNORECASE), (argv, lines, out)
+
+
+_OPNORM = {
+    "--psi": (_GEN_OK, _GEN_BAD, False),
+    "--n": (_ints(1, 48), ["0", "-1", *_NOT_AN_INT], False),
+    "--j-max": (st.one_of(_ints(0, 80), st.just("1074")), ["-1", "1075", "x"], True),
+    "--format": (["text", "json"], ["csv", "xml"], True),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(opts=_options(_OPNORM))
+def test_opnorm_cli_fuzz(opts):
+    argv, lines, bad = opts
+    _fuzz_run(["opnorm", *argv], lines, bad)
+
+
+_CLASSIFY = {
+    "--psi": (_GEN_OK, _GEN_BAD, False),
+    "--k-list": (_int_lists(2, 5, 1, 3), ["1", "", "x", "2,x"], True),
+    "--l-list": (_int_lists(2, 4, 1, 2), ["1", "0", "", "x"], True),
+    "--n-list": (_int_lists(1, 16, 1, 3), ["0", "-1", "", "x"], True),
+    "--margin": (["0", "1e-3", "0.1", "0.5"], ["-1", "1", "nan", "inf", "x"], True),
+    "--j-max": (_ints(40, 120), ["-1", "x", "1.5"], True),
+    "--window": (_ints(1, 12), ["0", "-1", "x"], True),
+    "--format": (["text", "json"], ["csv", "xml"], True),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(opts=_options(_CLASSIFY), kruglov=st.booleans())
+def test_classify_cli_fuzz(opts, kruglov):
+    argv, lines, bad = opts
+    argv = ["classify", *argv] + (["--with-kruglov"] if kruglov else [])
+    _fuzz_run(argv, lines, bad, kruglov_inf=kruglov)
+
+
+# four or five distinct sizes up to 64 that span two octaves
+_SIZES = st.lists(st.integers(min_value=1, max_value=64), min_size=4, max_size=5,
+                  unique=True).filter(lambda ns: max(ns) >= 4 * min(ns))
+_MC_COMMON = {
+    "--space": (_SPACE_OK, _SPACE_BAD, False),
+    "--sampler": (_SAMPLER_OK, _SAMPLER_BAD, False),
+    "--trials": (_ints(1000, 2000), ["999", *_NOT_AN_INT], True),
+    "--m": (_ints(256, 512), ["255", *_NOT_AN_INT], True),
+    "--seed": (_ints(0, 9), _NOT_AN_INT, True),
+}
+_GROWTH_EXACT = {
+    "--space": _MC_COMMON["--space"],
+    "--ns": (_SIZES.map(lambda ns: ",".join(map(str, ns))),
+             ["4,8,16", "4,4,8,16", "0,4,16,64", "2,3,4,5", "x", ""], False),
+    "--mode": (["exact"], ["frob"], True),
+    "--burn-in": (_ints(0, 1), ["-1", "3", "9", "x"], True),
+}
+_GROWTH_MC = {**_GROWTH_EXACT, "--mode": (["mc"], ["frob"], False), **_MC_COMMON}
+# signed:1e-9 draws all-zero sums at these sizes: a norm of 0 is a valid mc
+# report, but a growth table of zeros has no power fit (exit 2)
+_MC = {**_MC_COMMON, "--n": (_ints(1, 64), ["0", "-1", *_NOT_AN_INT], False),
+       "--sampler": ([*_SAMPLER_OK, "signed:1e-9"], _SAMPLER_BAD, False)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(opts=st.one_of(_options(_GROWTH_EXACT, config=True), _options(_GROWTH_MC, config=True)),
+       fmt=st.sampled_from(["text", "json", "csv"]))
+def test_growth_cli_fuzz(opts, fmt):
+    argv, lines, bad = opts
+    _fuzz_run(["growth", *argv, "--format", fmt], lines, bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(opts=_options(_MC, config=True), fmt=st.sampled_from(["text", "json"]))
+def test_mc_cli_fuzz(opts, fmt):
+    argv, lines, bad = opts
+    _fuzz_run(["mc", *argv, "--format", fmt], lines, bad)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -21,6 +22,7 @@ from rispaces import (
     power,
     table,
     table_from_csv,
+    upper_tail,
     walk_abs_layers,
 )
 from rispaces.gaussian import _log_erfc_asymptotic
@@ -29,6 +31,39 @@ from rispaces.gaussian import _log_erfc_asymptotic
 def test_builtins_validate():
     for psi in (power(1.0), power(0.5), logpow(1.0), logpow(2.0), inv_sqrt_log(), gauss()):
         psi.validate()
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [power(1.0), power(0.5), logpow(1.0), logpow(2.0), inv_sqrt_log(), gauss(),
+     table([(0.1, 0.3), (0.5, 0.8), (1.0, 1.0)])],
+    ids=lambda psi: psi.label,
+)
+def test_evaluations_keep_scalars_and_shapes(psi):
+    # t on both sides of the inv_sqrt_log switch and of the first table node
+    t = np.array([[0.01, 0.125, 0.2], [0.5, 0.9, 1.0]])
+    for evaluate, x in ((psi, t), (psi.log_eval, np.log(t))):
+        whole = evaluate(x)
+        assert isinstance(whole, np.ndarray) and whole.dtype == float
+        for index in ((0, 1), (1, 2)):
+            scalar = evaluate(float(x[index]))
+            assert isinstance(scalar, float)
+            assert scalar == pytest.approx(whole[index], rel=1e-15)
+            assert np.shape(evaluate(np.array(x[index]))) == ()
+        row = evaluate(x[1])
+        assert row.shape == (3,)
+        np.testing.assert_allclose(row, whole[1], rtol=1e-15)
+        assert evaluate(x.T).shape == (3, 2)
+
+
+def test_upper_tail_is_the_two_sided_gaussian_tail():
+    # P(|N(0, 1/2)| > x) = erfc(x), against mpmath at 50 digits
+    for x in (0.0, 1e-8, 0.3, 1.0, 2.5, 6.0, 26.0):
+        with mpmath.workdps(50):
+            want = float(mpmath.erfc(x))
+        assert float(upper_tail(x)) == pytest.approx(want, rel=1e-14)
+    np.testing.assert_array_equal(upper_tail(np.array([0.3, 1.0])),
+                                  [upper_tail(0.3), upper_tail(1.0)])
 
 
 def test_validate_rejects_non_concave():

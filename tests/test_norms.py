@@ -12,7 +12,6 @@ from rispaces import (
     Lpq,
     Marcinkiewicz,
     Orlicz,
-    OrliczFunction,
     StepFunction,
     exp_lp,
     logpow,
@@ -226,6 +225,24 @@ def test_parse_space_and_labels():
         parse_space("lpq:1:1")
 
 
+def test_exp_lp_is_a_value_of_its_order():
+    assert exp_lp(2) == exp_lp(2.0) and hash(exp_lp(2)) == hash(exp_lp(2.0))
+    assert exp_lp(2) != exp_lp(3) and isinstance(exp_lp(2).p, float)
+    assert Orlicz(exp_lp(2)) == parse_space("orlicz:np:2")
+    with pytest.raises(ValueError, match="must be >= 1"):
+        exp_lp(0.5)
+    # log(2)^(1/p) solves e^(x^p) - 1 = 1
+    assert exp_lp(4).inverse_log(0.0) == pytest.approx(math.log(2.0) ** 0.25, rel=1e-15)
+
+
+def test_space_labels():
+    assert space_label(Orlicz(exp_lp(2))) == "orlicz:Np:2"
+    for token, label in (("lorentz:power:0.5", "lorentz:power:0.5"),
+                         ("marcinkiewicz:logpow:2", "marcinkiewicz:logpow:2"),
+                         ("orlicz:np:1.5", "orlicz:Np:1.5"), ("lpq:2:1", "lpq:2:1")):
+        assert space_label(parse_space(token)) == label
+
+
 def test_layers_validation():
     with pytest.raises(ValueError):
         space_norm_from_layers(
@@ -254,7 +271,7 @@ def _orlicz_bisection(values, lT, M):
         return float(logsumexp(ll + M.log_fn(v / lam)))
 
     lo = vmax / float(M.inverse_log(-l_mu))
-    hi = vmax * max(1.0, 1.0 / float(M.inverse(1.0)))
+    hi = vmax * max(1.0, 1.0 / float(M.inverse_log(0.0)))
     for _ in range(200):
         if log_modular(lo) >= 0.0:
             break
@@ -629,13 +646,22 @@ def test_orlicz_root_matches_bisection_on_indicators(p, u):
     assert M.calls <= 3
 
 
+class _Altered:
+    """A Young function M with some of its companions replaced by the keywords."""
+
+    def __init__(self, M, **companions):
+        self._M = M
+        vars(self).update(companions)
+
+    def __getattr__(self, attr):
+        return getattr(self._M, attr)
+
+
 def test_orlicz_root_survives_inexact_elasticity():
     # a slope off by a factor 2 sends unguarded Newton back and forth across
     # the root; the search must fall back to bisection and still converge
     M = exp_lp(2.0)
-    rough = OrliczFunction(
-        M.fn, M.inverse, M.log_fn, M.inverse_log, lambda u: 0.5 * M.elasticity(u), "rough"
-    )
+    rough = _Altered(M, elasticity=lambda u: 0.5 * M.elasticity(u))
     for f in _random_float_steps(3, 10):
         values, lT = _layers_from_step(f)
         assert _orlicz_core(values, lT, rough) == pytest.approx(
@@ -665,12 +691,9 @@ def test_orlicz_root_halve_and_double_fallbacks():
     # inverse 64 times too small) it must halve lam.  Doubling lam halves every
     # u = v / lam exactly, so the log of the first layer's u shows each fallback.
     M = exp_lp(2.0)
-    backward = OrliczFunction(
-        M.fn, M.inverse, M.log_fn, M.inverse_log, lambda u: -M.elasticity(u), "backward"
-    )
-    high_start = OrliczFunction(
-        M.fn, M.inverse, M.log_fn, lambda ly: M.inverse_log(ly) / 64.0,
-        lambda u: -M.elasticity(u), "high start",
+    backward = _Altered(M, elasticity=lambda u: -M.elasticity(u))
+    high_start = _Altered(
+        M, inverse_log=lambda ly: M.inverse_log(ly) / 64.0, elasticity=lambda u: -M.elasticity(u)
     )
     layers = [_layers_from_step(f) for f in _random_float_steps(5, 8)]
     layers += [walk_abs_layers(2**8), walk_abs_layers(2**12)]

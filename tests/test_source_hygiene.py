@@ -44,7 +44,7 @@ def test_unused_import_check_sees_one():
 EXPORTS = [
     "CLASSIFY_GRID", "ConcaveGenerator", "DEFAULT_GRID", "DEFAULT_KRUGLOV_T_GRID",
     "DichotomyReport", "EXACT_MAX_STEPS", "GridConfig", "GrowthFit", "KruglovVerdict",
-    "LimitEstimate", "Lorentz", "Lpq", "Marcinkiewicz", "Orlicz", "OrliczFunction",
+    "LimitEstimate", "Lorentz", "Lpq", "Marcinkiewicz", "Orlicz",
     "SamplerSpec", "SpaceSpec", "StepFunction", "classify", "custom_sampler",
     "erfc_inverse", "erfc_inverse_log", "exp_lp", "fit_growth", "gamma_iid_endpoint",
     "gauss", "gaussian_law", "gaussian_selfsimilarity_check", "growth_table",
@@ -60,5 +60,5 @@ EXPORTS = [
 
 
 def test_package_exports_are_pinned():
-    assert len(rispaces.__all__) == len(set(rispaces.__all__)) == 59
+    assert len(rispaces.__all__) == len(set(rispaces.__all__)) == 58
     assert sorted(rispaces.__all__) == EXPORTS
