@@ -7,15 +7,16 @@ import math
 import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_ITERS = 60  # iterations of either search: 0.618^60, about 3e-13, of the bracket is left
 
 
-def golden_max(fn, lo: float, hi: float, iters: int = 80):
+def golden_max(fn, lo: float, hi: float):
     """Maximize a scalar function on [lo, hi]; returns (argmax, max)."""
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(_ITERS):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -29,7 +30,7 @@ def golden_max(fn, lo: float, hi: float, iters: int = 80):
     return d, fd
 
 
-def golden_max_vec(fn, lo: np.ndarray, hi: np.ndarray, iters: int = 60):
+def golden_max_vec(fn, lo: np.ndarray, hi: np.ndarray):
     """Batched golden-section max over independent brackets; fn maps arrays to arrays.
 
     Both probe ordinates are recomputed every sweep, trading one extra batched
@@ -40,7 +41,7 @@ def golden_max_vec(fn, lo: np.ndarray, hi: np.ndarray, iters: int = 60):
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(_ITERS):
         left = fc >= fd
         b = np.where(left, d, b)
         a = np.where(left, a, c)

@@ -202,13 +202,6 @@ def _cmd_opnorm(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     return payload, lines, None, 0
 
 
-def _grid_from_args(args) -> GridConfig:
-    g = CLASSIFY_GRID
-    j_max = args.j_max if args.j_max is not None else g.j_max
-    window = args.window if args.window is not None else g.window
-    return GridConfig(j_min=g.j_min, j_max=j_max, window=window, tol=g.tol)
-
-
 def _estimate_line(label: str, est) -> str:
     status = "converged" if est.converged else "NOT converged"
     return (
@@ -219,7 +212,7 @@ def _estimate_line(label: str, est) -> str:
 
 def _cmd_classify(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     psi = parse_generator(args.psi)
-    grid = _grid_from_args(args)
+    grid = GridConfig(j_max=args.j_max, window=args.window)
     _check_caps(n_list=args.n_list, j_max=grid.j_max)
     report = classify(
         psi,
@@ -375,8 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-list", type=_int_list, default=[2, 3])
     p.add_argument("--n-list", type=_int_list, default=[2, 4, 8, 16, 32, 64])
     p.add_argument("--margin", type=float, default=1e-3)
-    p.add_argument("--j-max", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--j-max", type=int, default=CLASSIFY_GRID.j_max)
+    p.add_argument("--window", type=int, default=CLASSIFY_GRID.window)
     p.add_argument("--with-kruglov", action="store_true")
     common(p)
 

@@ -51,7 +51,7 @@ __all__ = [
 # Slowly-varying generators need thousands of octaves before their dilation
 # ratios settle to within 1e-3; the deep grid is cheap because every built-in
 # evaluates in log-u coordinates.
-CLASSIFY_GRID = GridConfig(j_min=1, j_max=2000, window=10, tol=1e-3)
+CLASSIFY_GRID = GridConfig(j_max=2000, window=10)
 
 
 def indicator_ratio(psi: ConcaveGenerator, n: int, u) -> float:
@@ -90,20 +90,18 @@ def sup_indicator_ratio(psi: ConcaveGenerator, n: int, j_max: int = 40) -> float
     i = int(np.argmax(vals))
     lo = lus[min(lus.size - 1, i + 1)]  # lus decreasing: one grid step deeper
     hi = lus[max(0, i - 1)]
-    _, refined = golden_max(g, lo, hi, iters=60)
+    _, refined = golden_max(g, lo, hi)
     best = max(float(np.max(vals)), float(refined))
     limit = limsup_tail_sum_ratio(psi, n, GridConfig(j_max=max(60, j_max))).value / n
     return min(1.0, max(best, limit))
 
 
-def lorentz_operator_norm(psi: ConcaveGenerator, n: int, j_max: int = 40) -> float:
+def lorentz_operator_norm(psi: ConcaveGenerator, n: int) -> float:
     """||A_n|| on the psi-weighted space: n times the indicator-ratio supremum."""
-    return n * sup_indicator_ratio(psi, n, j_max=j_max)
+    return n * sup_indicator_ratio(psi, n)
 
 
 # ------------------------------------------------------------------ classifier
-
-_SQRT2P1 = math.sqrt(2.0) + 1.0
 
 
 @dataclass(frozen=True)
@@ -152,16 +150,16 @@ def classify(
         raise ValueError(f"margin must lie in [0, 1), got {margin!r}")
     a_est = {int(k): limsup_dilation_ratio(psi, int(k), grid) for k in k_list}
     c_est = {int(l): limsup_power_ratio(psi, int(l), grid) for l in l_list}
-    inconclusive = any(not e.converged for e in a_est.values()) or any(
-        not e.converged for e in c_est.values()
-    )
+    inconclusive = not all(e.converged for e in (*a_est.values(), *c_est.values()))
     cond1 = any(e.value < k - margin for k, e in a_est.items())
     cond2 = any(e.value < 1.0 - margin for l, e in c_est.items())
     kruglov = kruglov_check(psi) if with_kruglov else None
 
     opnorms: Dict[int, float] = {}
-    if cond1 and cond2:
-        witness = None
+    witness = q = C = failing = None
+    if not (cond1 and cond2):
+        failing = "both" if not (cond1 or cond2) else ("first" if not cond1 else "second")
+    else:
         for n in sorted(int(n) for n in n_list):
             opnorms[n] = lorentz_operator_norm(psi, n)
             # the sup search carries ~1e-15 noise; require a real gap so a
@@ -169,43 +167,25 @@ def classify(
             if opnorms[n] < n * (1.0 - 1e-9):
                 witness = n
                 break
-        if witness is None:
+        else:
             # Conditions hold but no probed n measured below n: the probe list
             # is too short to certify the constants.
-            return DichotomyReport(
-                branch="NormEqualsN",
-                margin=margin,
-                a_estimates=a_est,
-                c_estimates=c_est,
-                opnorms=opnorms,
-                failing_condition="norm-measurement",
-                inconclusive=True,
-                kruglov=kruglov,
-            )
+            failing, inconclusive = "norm-measurement", True
+    if witness is not None:
         for s in range(1, witness + 1):
             if s not in opnorms:
                 opnorms[s] = lorentz_operator_norm(psi, s)
         q = max(0.5, math.log(opnorms[witness]) / math.log(witness))
-        C = _SQRT2P1 * witness**q * max(opnorms[s] for s in range(1, witness + 1))
-        return DichotomyReport(
-            branch="PowerBound",
-            margin=margin,
-            a_estimates=a_est,
-            c_estimates=c_est,
-            opnorms=opnorms,
-            witness_n0=witness,
-            q=q,
-            C=C,
-            inconclusive=inconclusive,
-            kruglov=kruglov,
-        )
-    failing = "both" if not (cond1 or cond2) else ("first" if not cond1 else "second")
+        C = (math.sqrt(2.0) + 1.0) * witness**q * max(opnorms[s] for s in range(1, witness + 1))
     return DichotomyReport(
-        branch="NormEqualsN",
+        branch="NormEqualsN" if witness is None else "PowerBound",
         margin=margin,
         a_estimates=a_est,
         c_estimates=c_est,
         opnorms=opnorms,
+        witness_n0=witness,
+        q=q,
+        C=C,
         failing_condition=failing,
         inconclusive=inconclusive,
         kruglov=kruglov,
@@ -248,6 +228,9 @@ class KruglovVerdict:
     inconclusive: bool = False
 
 
+# Relative gap between the N/4 and N partial sums below which a t has stabilized.
+_KRUGLOV_RTOL = 1e-6
+
 # Terms per chunk of the Kruglov walk: the probe holds a few arrays of this
 # size, whatever its num_terms.
 _KRUGLOV_CHUNK = 2**14
@@ -257,7 +240,7 @@ def _kruglov_walk(
     phi: ConcaveGenerator,
     ts: Sequence[float],
     num_terms: int,
-    threshold: float = math.inf,
+    threshold: float,
 ) -> List[Tuple[int, Optional[float], float]]:
     """Walk the partial sums of (1/phi(t)) * sum_{n=1}^N phi(t^n / n!) in chunks.
 
@@ -311,13 +294,12 @@ def kruglov_check(
     t_grid: Sequence[float] = DEFAULT_KRUGLOV_T_GRID,
     num_terms: int = 1_048_576,
     threshold: float = 1e3,
-    stabilization_rtol: float = 1e-6,
 ) -> KruglovVerdict:
     """Probe the series criterion on a t-grid.
 
     Divergent as soon as some t's partial sum crosses the threshold (the
     crossing index is reported); finite when every t stabilizes, i.e. the
-    partial sums at N/4 and N agree within the relative tolerance.  The whole
+    partial sums at N/4 and N agree within ``_KRUGLOV_RTOL``.  The whole
     t-grid is validated before any term is summed.
 
     The t's walk n = 1..N side by side in chunks of ``_KRUGLOV_CHUNK`` terms,
@@ -355,21 +337,15 @@ def kruglov_check(
     any_unsettled = False
     for t, (crossing, quarter, full) in zip(ts, _kruglov_walk(phi, ts, num_terms, threshold)):
         if crossing:
-            return KruglovVerdict(
-                finite=False, sup_value=math.inf, N_used=crossing, t_argmax=t
-            )
-        if abs(full - quarter) > stabilization_rtol * max(1.0, abs(full)):
+            return KruglovVerdict(finite=False, sup_value=math.inf, N_used=crossing, t_argmax=t)
+        if abs(full - quarter) > _KRUGLOV_RTOL * max(1.0, abs(full)):
             any_unsettled = True
         if full > best:
             best, best_t = full, t
-    if any_unsettled:
-        return KruglovVerdict(
-            finite=False,
-            sup_value=best,
-            N_used=num_terms,
-            t_argmax=best_t,
-            inconclusive=True,
-        )
     return KruglovVerdict(
-        finite=True, sup_value=best, N_used=num_terms, t_argmax=best_t
+        finite=not any_unsettled,
+        sup_value=best,
+        N_used=num_terms,
+        t_argmax=best_t,
+        inconclusive=any_unsettled,
     )

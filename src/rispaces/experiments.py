@@ -153,33 +153,29 @@ def _signed_thresholds(u: float) -> Tuple[np.uint64, np.uint64]:
     return np.uint64(below), np.uint64(min(above, 2**64 - 1))
 
 
-def _sign_draws(spec: SamplerSpec, rng: np.random.Generator, count: int):
-    """Masks of the +1 and of the -1 values among the next count draws of a sign law.
+def _row_sums(spec: SamplerSpec, rng: np.random.Generator, c: int, n: int) -> np.ndarray:
+    """Sums of c rows of n draws each, from the next c * n draws of the law.
 
-    A Rademacher draw is -1 wherever it is not +1, so its -1 mask is None.
-
+    The sign laws count their +1 and -1 values in raw generator words.
     ``integers(0, 2)`` is bit 31 of a 32-bit output, and PCG64 hands out the
     low half of each 64-bit word before the high half, which it keeps for the
-    next call; ``random_raw`` bypasses that buffer.  So an odd count is only
-    the same as NumPy's draw when nothing is drawn after it.
+    next call; ``random_raw`` bypasses that buffer.  So an odd count of
+    Rademacher draws is only the same as NumPy's draw when nothing is drawn
+    after it.
     """
     if spec.kind == "rademacher":
-        words = rng.bit_generator.random_raw((count + 1) // 2)
-        return words.astype("<u8", copy=False).view("<i4")[:count] < 0, None  # bit 31 set
-    below, above = _signed_thresholds(spec.u)
-    words = rng.bit_generator.random_raw(count)
-    return words < below, words > above
-
-
-_SIGN_KINDS = ("rademacher", "signed_indicator")
-
-
-def _draw_block(spec: SamplerSpec, rng: np.random.Generator, shape) -> np.ndarray:
+        words = rng.bit_generator.random_raw((c * n + 1) // 2)
+        plus = words.astype("<u8", copy=False).view("<i4")[: c * n] < 0  # bit 31 set
+        return 2 * np.count_nonzero(plus.reshape(c, n), axis=1) - n
+    if spec.kind == "signed_indicator":
+        below, above = _signed_thresholds(spec.u)
+        words = rng.bit_generator.random_raw(c * n).reshape(c, n)
+        return np.count_nonzero(words < below, axis=1) - np.count_nonzero(words > above, axis=1)
     if spec.kind == "gaussian":
-        return rng.standard_normal(size=shape)
+        return rng.standard_normal(size=(c, n)).sum(axis=1)
     if spec.kind == "custom":
         atoms = np.asarray(spec.quantiles)
-        return atoms[rng.integers(0, atoms.size, size=shape)]
+        return atoms[rng.integers(0, atoms.size, size=(c, n))].sum(axis=1)
     raise ValueError(f"unknown sampler kind {spec.kind!r}")
 
 
@@ -189,19 +185,9 @@ def _draw_sums(spec: SamplerSpec, n: int, trials: int) -> np.ndarray:
     # An even row count keeps every chunk but the last on a whole number of
     # Rademacher words, so no half-word is left over between chunks.
     rows_per_chunk = 2 * max(1, _MC_CHUNK // (2 * n))
-    done = 0
-    while done < trials:
+    for done in range(0, trials, rows_per_chunk):
         c = min(rows_per_chunk, trials - done)
-        if spec.kind in _SIGN_KINDS:
-            plus, minus = _sign_draws(spec, rng, c * n)
-            row_plus = np.count_nonzero(plus.reshape(c, n), axis=1)
-            if minus is None:  # Rademacher: the n - row_plus others are -1
-                out[done : done + c] = 2 * row_plus - n
-            else:
-                out[done : done + c] = row_plus - np.count_nonzero(minus.reshape(c, n), axis=1)
-        else:
-            out[done : done + c] = _draw_block(spec, rng, (c, n)).sum(axis=1)
-        done += c
+        out[done : done + c] = _row_sums(spec, rng, c, n)
     return out
 
 
@@ -243,7 +229,9 @@ def mc_iid_sum_norm(
     """Monte Carlo norm of an n-fold i.i.d. sum, deterministic given the seed.
 
     Draws the sums, compresses |sums| to an m-piece equal-measure quantile
-    step function, and evaluates the space norm on it.
+    step function, and evaluates the space norm on it.  Raises ValueError
+    before any draw if a custom law's n-fold sum can pass the float range, and
+    RuntimeError if every sum is 0 though the law is not.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
@@ -251,7 +239,14 @@ def mc_iid_sum_norm(
         raise ValueError("need trials >= 1000")
     if m < 256:
         raise ValueError("need m >= 256 quantile pieces")
+    if sampler.kind == "custom":
+        top = max(map(abs, sampler.quantiles))
+        if not math.isfinite(n * top):
+            raise ValueError(f"a sum of n = {n} draws of atom {top!r} can pass the float range")
     sums = _draw_sums(sampler, n, trials)
+    if not sums.any() and (sampler.kind != "custom" or any(sampler.quantiles)):
+        raise RuntimeError(f"every one of {trials} trials drew a sum of 0 at n = {n}; "
+                           "the law is not 0, so more trials are needed")
     return space_norm(quantile_from_samples(np.abs(sums), m), space)
 
 
@@ -391,6 +386,8 @@ def fit_growth(pairs: Iterable[Tuple[int, float]], burn_in: int = 2) -> GrowthFi
     ln = np.log([n for n, _ in fitted])
     lv = np.log([v for _, v in fitted])
     q, logC = np.polyfit(ln, lv, 1)
+    if logC > math.log(np.finfo(float).max):
+        raise RuntimeError(f"the fitted constant C = exp({logC:.6g}) is past the float range")
     C = math.exp(logC)
     residual = float(np.max(np.abs(np.exp(q * ln + logC - lv) - 1.0)))
     vals = [v for _, v in fitted]
@@ -428,12 +425,16 @@ def growth_table(
         raise ValueError("sizes must be positive")
     if ns[-1] < 4 * ns[0]:
         raise ValueError("sizes must span at least two octaves")
+    if burn_in < 0 or len(ns) - burn_in < 2:  # fit_growth's check, before any compute
+        raise ValueError("need at least two pairs after burn-in")
     if mode == "exact":
         values = [rademacher_sum_norm(n, space) for n in ns]
     elif mode == "mc":
         if sampler is None:
             raise ValueError("mc mode needs a sampler")
-        values = [mc_iid_sum_norm(sampler, n, space, trials, m) for n in ns]
+        # largest n first, so a custom law that overflows there fails before
+        # any draw; each n has its own stream, so the order sets no value
+        values = [mc_iid_sum_norm(sampler, n, space, trials, m) for n in reversed(ns)][::-1]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return fit_growth(zip(ns, values), burn_in=burn_in)

@@ -9,8 +9,8 @@ long after u^l leaves float range.
 
 The limit estimators implement one fixed protocol: probe on the geometric grid
 u = 2^-j, report the maximum over the last ``window`` grid points, and flag
-convergence iff the last two window maxima agree within the configured
-tolerance.  They never extrapolate.
+convergence iff the last two window maxima agree within ``GridConfig.tol``.
+They never extrapolate.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "table_from_csv",
     "parse_generator",
     "GridConfig",
-    "DEFAULT_GRID",
     "LimitEstimate",
     "limsup_dilation_ratio",
     "limsup_power_ratio",
@@ -198,11 +197,7 @@ def table(points: Sequence, label: str = "table") -> ConcaveGenerator:
     ts_ext = np.concatenate(([0.0], ts))
     ys_ext = np.concatenate(([0.0], ys))
     if ts[-1] < 1.0:
-        last_slope = (
-            (ys_ext[-1] - ys_ext[-2]) / (ts_ext[-1] - ts_ext[-2])
-            if len(ts_ext) > 1
-            else ys[-1] / ts[-1]
-        )
+        last_slope = (ys_ext[-1] - ys_ext[-2]) / (ts_ext[-1] - ts_ext[-2])
         ts_ext = np.concatenate((ts_ext, [1.0]))
         ys_ext = np.concatenate((ys_ext, [ys[-1] + last_slope * (1.0 - ts[-1])]))
     slopes = np.diff(ys_ext) / np.diff(ts_ext)
@@ -266,21 +261,18 @@ def parse_generator(token: str) -> ConcaveGenerator:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Geometric probing grid u = 2^-j for j in [j_min, j_max]."""
+    """Geometric probing grid u = 2^-j for j up to j_max; an estimate has converged
+    when its last two window maxima agree within the relative ``tol``."""
 
-    j_min: int = 1
     j_max: int = 60
     window: int = 10
-    tol: float = 1e-3
+    tol = 1e-3
 
     def __post_init__(self):
-        if self.j_min < 0 or self.j_max < self.j_min:
-            raise ValueError("need 0 <= j_min <= j_max")
+        if self.j_max < 1:
+            raise ValueError(f"need j_max >= 1, got {self.j_max}")
         if self.window < 1:
             raise ValueError("window must be positive")
-
-
-DEFAULT_GRID = GridConfig()
 
 
 @dataclass(frozen=True)
@@ -294,40 +286,41 @@ class LimitEstimate:
     j_max: int
 
 
-def _window_estimate(ratios: np.ndarray, grid: GridConfig, j_max: int) -> LimitEstimate:
+def _limit(ratio: Callable, j_lo: int, grid: GridConfig) -> LimitEstimate:
+    """Window estimate of ``ratio`` (an array of log u to an array of ratios)
+    on the grid u = 2^-j, j_lo <= j <= grid.j_max."""
+    ratios = ratio(-np.arange(j_lo, grid.j_max + 1, dtype=float) * LN2)
     w = grid.window
     if ratios.size < 2 * w:
-        raise ValueError(
-            f"grid too short for window {w}: only {ratios.size} usable points"
-        )
+        raise ValueError(f"grid too short for window {w}: only {ratios.size} usable points")
     last = float(np.max(ratios[-w:]))
     prev = float(np.max(ratios[-2 * w : -w]))
     converged = abs(last - prev) <= grid.tol * max(1.0, abs(last))
-    grid_min = 2.0**-j_max  # underflows to 0.0 on very deep grids, by design
+    grid_min = 2.0**-grid.j_max  # underflows to 0.0 on very deep grids, by design
     return LimitEstimate(
-        value=last, grid_min=grid_min, window=w, converged=converged, j_max=j_max
+        value=last, grid_min=grid_min, window=w, converged=converged, j_max=grid.j_max
     )
 
 
 def limsup_dilation_ratio(
-    psi: ConcaveGenerator, k: int, grid: GridConfig = DEFAULT_GRID
+    psi: ConcaveGenerator, k: int, grid: GridConfig = GridConfig()
 ) -> LimitEstimate:
     """Estimate limsup_{u->0} psi(k u) / psi(u) for integer k >= 2.
 
     Concavity forces the true limit into (0, k]; the probe stays at or below
-    k + O(eps) on every grid point.
+    k + O(eps) on every grid point.  The grid starts where k u <= 1.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError("dilation factor k must be an integer >= 2")
-    j_lo = max(grid.j_min, math.ceil(math.log2(k)))
-    js = np.arange(j_lo, grid.j_max + 1, dtype=float)
-    lu = -js * LN2
-    ratios = np.exp(psi.log_eval(lu + math.log(k)) - psi.log_eval(lu))
-    return _window_estimate(ratios, grid, grid.j_max)
+
+    def ratio(lu):
+        return np.exp(psi.log_eval(lu + math.log(k)) - psi.log_eval(lu))
+
+    return _limit(ratio, math.ceil(math.log2(k)), grid)
 
 
 def limsup_power_ratio(
-    psi: ConcaveGenerator, l: int, grid: GridConfig = DEFAULT_GRID
+    psi: ConcaveGenerator, l: int, grid: GridConfig = GridConfig()
 ) -> LimitEstimate:
     """Estimate limsup_{u->0} psi(u^l) / psi(u) for integer l >= 2.
 
@@ -336,31 +329,27 @@ def limsup_power_ratio(
     """
     if not isinstance(l, int) or l < 2:
         raise ValueError("power l must be an integer >= 2")
-    js = np.arange(max(grid.j_min, 1), grid.j_max + 1, dtype=float)
-    lu = -js * LN2
-    ratios = np.exp(psi.log_eval(lu * l) - psi.log_eval(lu))
-    return _window_estimate(ratios, grid, grid.j_max)
+    return _limit(lambda lu: np.exp(psi.log_eval(lu * l) - psi.log_eval(lu)), 1, grid)
 
 
 def limsup_tail_sum_ratio(
-    psi: ConcaveGenerator, n: int, grid: GridConfig = DEFAULT_GRID
+    psi: ConcaveGenerator, n: int, grid: GridConfig = GridConfig()
 ) -> LimitEstimate:
     """Estimate limsup_{u->0} (1/psi(u)) * sum_{s=1}^n psi(2^(1-s) C(n,s) u^s).
 
     The summand arguments are assembled in log space (log-binomials from
     log-factorials), so the s-large terms survive far past float underflow.  The true
-    limit lies in (0, n]; finite-u probes exceed n by O(u).
+    limit lies in (0, n]; finite-u probes exceed n by O(u).  One u at a time,
+    so memory stays O(n) whatever the grid depth.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
-    j_lo = max(grid.j_min, math.ceil(math.log2(n)) if n > 1 else grid.j_min)
-    js = np.arange(j_lo, grid.j_max + 1)
     s = np.arange(1, n + 1, dtype=float)
     lcomb = (1.0 - s) * LN2 + log_binom(n, s)
-    ratios = np.empty(js.size)
-    for i, j in enumerate(js):
-        lu = -float(j) * LN2
-        largs = lcomb + s * lu
-        terms = np.exp(psi.log_eval(largs) - psi.log_eval(lu))
-        ratios[i] = float(np.sum(terms))
-    return _window_estimate(ratios, grid, grid.j_max)
+
+    def ratio(lus):
+        return np.array(
+            [np.sum(np.exp(psi.log_eval(lcomb + s * lu) - psi.log_eval(lu))) for lu in lus]
+        )
+
+    return _limit(ratio, max(1, math.ceil(math.log2(n))), grid)

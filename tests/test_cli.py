@@ -241,6 +241,47 @@ def test_monte_carlo_sizes_past_caps_exit_two(capsys, monkeypatch, tmp_path, arg
 
 
 @pytest.mark.parametrize(
+    "argv, n",
+    [
+        (("mc", "--space", "lpq:2:1", "--sampler", "signed:1e-9", "--n", "4"), 4),
+        (("growth", "--space", "lpq:2:1", "--mode", "mc", "--sampler", "signed:1e-9",
+          "--ns", "4,8,16,64"), 64),
+    ],
+    ids=["mc", "growth"],
+)
+def test_all_zero_monte_carlo_sums_are_inconclusive(capsys, tmp_path, argv, n):
+    code, out, err = run_cli(capsys, *argv, "--trials", "1000", "--m", "256")
+    assert code == 1 and out == ""
+    assert err == (f"inconclusive: every one of 1000 trials drew a sum of 0 at n = {n}; "
+                   "the law is not 0, so more trials are needed\n")
+    # a law whose atoms are all 0 has norm 0 exactly
+    zero = tmp_path / "zero.csv"
+    zero.write_text("0\n0\n")
+    code, out, _ = run_cli(capsys, "mc", "--space", "lpq:2:1", "--sampler", f"custom:{zero}",
+                           "--n", "4", "--trials", "1000", "--m", "256")
+    assert (code, out) == (0, "0.0\n")
+
+
+def test_custom_law_whose_sum_can_overflow_exits_two(capsys, monkeypatch, tmp_path):
+    e300, e308 = tmp_path / "e300.csv", tmp_path / "e308.csv"
+    e300.write_text("-1e300\n1e300\n")
+    e308.write_text("-1e308\n1e308\n")
+    mc = ("--space", "orlicz:np:2", "--trials", "1000", "--m", "256")
+    code, out, _ = run_cli(capsys, "mc", *mc, "--sampler", f"custom:{e300}", "--n", "4")
+    assert (code, out) == (0, "2.971670751312298e+300\n")
+
+    def no_draws(*args):
+        raise AssertionError("drew samples of a law whose sum can overflow")
+
+    monkeypatch.setattr(experiments, "_draw_sums", no_draws)
+    for argv, n in ((("mc", "--n", "4"), 4),
+                    (("growth", "--mode", "mc", "--ns", "4,8,16,64"), 64)):
+        code, out, err = run_cli(capsys, argv[0], *mc, "--sampler", f"custom:{e308}", *argv[1:])
+        assert code == 2 and out == ""
+        assert err == f"error: a sum of n = {n} draws of atom 1e+308 can pass the float range\n"
+
+
+@pytest.mark.parametrize(
     "argv, target, key",
     [
         (("opnorm", "--psi", "power:0.5", "--n", "{n}"), "sup_indicator_ratio", "n"),
@@ -657,17 +698,43 @@ def _options(draw, fields, config=False):
     return argv, lines, bad is not None
 
 
-def _fuzz_run(argv, lines, bad, kruglov_inf=False):
+def _value(argv, lines, key):
+    """The value of option ``key`` on the command line, else in the config lines."""
+    for arg in argv:
+        if arg.startswith(f"--{key}="):
+            return arg.partition("=")[2]
+    for line in lines:
+        name, _, value = line.partition("=")
+        if name.strip() == key:
+            return value.strip()
+    return None
+
+
+def _fuzz_run(argv, lines, bad, kruglov_inf=False, atoms=None):
+    """Run one fuzz case.  ``atoms`` are the magnitudes of the law that a
+    ``custom:{atoms}`` sampler reads, each atom with its negative."""
+    if not bad and atoms and _value(argv, lines, "sampler") == "custom:{atoms}":
+        sizes = _value(argv, lines, "n") or _value(argv, lines, "ns")
+        overflows = not math.isfinite(max(map(int, sizes.split(","))) * max(atoms))
+    else:
+        overflows = False
     with tempfile.TemporaryDirectory() as tmp:
+        if atoms:
+            path = os.path.join(tmp, "atoms.csv")
+            with open(path, "w") as fh:
+                fh.write("".join(f"{-a!r}\n{a!r}\n" for a in atoms))
+            argv = [arg.replace("{atoms}", path) for arg in argv]
+            lines = [line.replace("{atoms}", path) for line in lines]
         if lines:
             path = os.path.join(tmp, "exp.cfg")
             with open(path, "w") as fh:
                 fh.write("# fuzzed\n" + "\n".join(lines) + "\n")
             argv = argv + ["--config", path]
         code, out, err = _run_in_process(argv)
-    assert "Traceback" not in err, argv
-    if bad:
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    if bad or overflows:
         assert code == 2 and out == "" and err.count("\n") == 1, (argv, lines, code, err)
+        assert bad or "float range" in err, (argv, lines, err)
         return
     assert code in (0, 1), (argv, lines, code, err)
     if kruglov_inf:  # the one documented non-finite value: the sup of a divergent probe
@@ -715,9 +782,12 @@ def test_classify_cli_fuzz(opts, kruglov):
 # four or five distinct sizes up to 64 that span two octaves
 _SIZES = st.lists(st.integers(min_value=1, max_value=64), min_size=4, max_size=5,
                   unique=True).filter(lambda ns: max(ns) >= 4 * min(ns))
+# Besides _SAMPLER_OK: signed:1e-9, whose sums at these sizes are all 0 (exit 1,
+# inconclusive), and a custom law of atoms from 5e-324 up to 1e308, whose sum
+# is refused (exit 2) when n times its largest atom passes the float range.
 _MC_COMMON = {
     "--space": (_SPACE_OK, _SPACE_BAD, False),
-    "--sampler": (_SAMPLER_OK, _SAMPLER_BAD, False),
+    "--sampler": ([*_SAMPLER_OK, "signed:1e-9", "custom:{atoms}"], _SAMPLER_BAD, False),
     "--trials": (_ints(1000, 2000), ["999", *_NOT_AN_INT], True),
     "--m": (_ints(256, 512), ["255", *_NOT_AN_INT], True),
     "--seed": (_ints(0, 9), _NOT_AN_INT, True),
@@ -727,25 +797,42 @@ _GROWTH_EXACT = {
     "--ns": (_SIZES.map(lambda ns: ",".join(map(str, ns))),
              ["4,8,16", "4,4,8,16", "0,4,16,64", "2,3,4,5", "x", ""], False),
     "--mode": (["exact"], ["frob"], True),
-    "--burn-in": (_ints(0, 1), ["-1", "3", "9", "x"], True),
+    "--burn-in": (_ints(0, 1), ["-1", "4", "9", "x"], True),
 }
 _GROWTH_MC = {**_GROWTH_EXACT, "--mode": (["mc"], ["frob"], False), **_MC_COMMON}
-# signed:1e-9 draws all-zero sums at these sizes: a norm of 0 is a valid mc
-# report, but a growth table of zeros has no power fit (exit 2)
-_MC = {**_MC_COMMON, "--n": (_ints(1, 64), ["0", "-1", *_NOT_AN_INT], False),
-       "--sampler": ([*_SAMPLER_OK, "signed:1e-9"], _SAMPLER_BAD, False)}
+_MC = {**_MC_COMMON, "--n": (_ints(1, 64), ["0", "-1", *_NOT_AN_INT], False)}
+_ATOMS = st.lists(
+    st.one_of(st.sampled_from([5e-324, 1e-300, 1.0, 1e300, 1e308]),
+              st.floats(min_value=5e-324, max_value=1e308)),
+    min_size=1, max_size=3,
+)
 
 
 @settings(max_examples=60, deadline=None)
+@example(opts=(["--space=orlicz:np:2", "--ns=4,8,16,64", "--mode=mc", "--sampler=signed:1e-9",
+                "--trials=1000", "--m=256"], [], False), fmt="csv", atoms=[1.0])
+@example(opts=(["--space=lorentz:gauss", "--ns=1,2,4,8", "--mode=mc", "--trials=1000",
+                "--m=256"], ["sampler = custom:{atoms}"], False), fmt="text", atoms=[5e-324])
+# a bad burn-in is refused before the draws, whose sums here would all be 0
+@example(opts=(["--space=lorentz:power:0.5", "--ns=1,2,3,4", "--mode=mc", "--burn-in=-1",
+                "--sampler=signed:1e-9", "--trials=1000"], [], True), fmt="text", atoms=[1.0])
+# two close sizes after the burn-in fit C = exp(723): inconclusive, not an OverflowError
+@example(opts=(["--space=lorentz:power:0.01", "--ns=61,62,1,2", "--mode=mc",
+                "--sampler=custom:{atoms}", "--trials=1000", "--m=256", "--seed=0"], [], False),
+         fmt="text", atoms=[1e300])
 @given(opts=st.one_of(_options(_GROWTH_EXACT, config=True), _options(_GROWTH_MC, config=True)),
-       fmt=st.sampled_from(["text", "json", "csv"]))
-def test_growth_cli_fuzz(opts, fmt):
+       fmt=st.sampled_from(["text", "json", "csv"]), atoms=_ATOMS)
+def test_growth_cli_fuzz(opts, fmt, atoms):
     argv, lines, bad = opts
-    _fuzz_run(["growth", *argv, "--format", fmt], lines, bad)
+    _fuzz_run(["growth", *argv, "--format", fmt], lines, bad, atoms=atoms)
 
 
 @settings(max_examples=60, deadline=None)
-@given(opts=_options(_MC, config=True), fmt=st.sampled_from(["text", "json"]))
-def test_mc_cli_fuzz(opts, fmt):
+@example(opts=(["--space=lpq:1.5:1.2", "--sampler=custom:{atoms}", "--n=1", "--trials=1000",
+                "--m=256"], [], False), fmt="json", atoms=[5e-324, 1e308])
+@example(opts=(["--space=marcinkiewicz:power:0.5", "--n=2"], ["sampler = custom:{atoms}"],
+               False), fmt="text", atoms=[5e-324, 1e308])
+@given(opts=_options(_MC, config=True), fmt=st.sampled_from(["text", "json"]), atoms=_ATOMS)
+def test_mc_cli_fuzz(opts, fmt, atoms):
     argv, lines, bad = opts
-    _fuzz_run(["mc", *argv, "--format", fmt], lines, bad)
+    _fuzz_run(["mc", *argv, "--format", fmt], lines, bad, atoms=atoms)

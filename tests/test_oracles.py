@@ -46,8 +46,6 @@ ORACLES = {
                         "closed-form values of each token's generator; pytest.approx"),
     "GridConfig": ("test_generators::test_dilation_ratio_slowly_varying_needs_deep_grid",
                    "a 2000-octave grid reaches the recorded limit 1.0002512247244757; abs 1e-9"),
-    "DEFAULT_GRID": ("test_generators::test_dilation_ratio_slowly_varying_needs_deep_grid",
-                     "too shallow to converge on a slowly varying generator"),
     "LimitEstimate": ("test_generators::test_dilation_ratio_power",
                       "the limit k^a of psi(ku)/psi(u) for psi = t^a; abs 1e-9"),
     "limsup_dilation_ratio": ("test_generators::test_dilation_ratio_power",

@@ -41,8 +41,38 @@ def test_unused_import_check_sees_one():
     assert _unused_imports(tree) == [(2, "List")]
 
 
+def _unread_private_names(trees):
+    """(module, name) for each private module-level name that no module reads."""
+    read = {n.id for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [(module, name) for name in names
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    return sorted(unread)
+
+
+def test_every_private_name_is_read_in_the_package():
+    # only the package's own modules count: a helper that just the tests read is dead
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SRC.glob("*.py")}
+    assert _unread_private_names(trees) == []
+
+
+def test_dead_helper_check_sees_one():
+    tree = ast.parse("_A = 1\n_B = _A\n\ndef _f():\n    return _B\n\nclass _C:\n    pass\n")
+    assert _unread_private_names({"m.py": tree}) == [("m.py", "_C"), ("m.py", "_f")]
+
+
 EXPORTS = [
-    "CLASSIFY_GRID", "ConcaveGenerator", "DEFAULT_GRID", "DEFAULT_KRUGLOV_T_GRID",
+    "CLASSIFY_GRID", "ConcaveGenerator", "DEFAULT_KRUGLOV_T_GRID",
     "DichotomyReport", "EXACT_MAX_STEPS", "GridConfig", "GrowthFit", "KruglovVerdict",
     "LimitEstimate", "Lorentz", "Lpq", "Marcinkiewicz", "Orlicz",
     "SamplerSpec", "SpaceSpec", "StepFunction", "classify", "custom_sampler",
@@ -60,5 +90,5 @@ EXPORTS = [
 
 
 def test_package_exports_are_pinned():
-    assert len(rispaces.__all__) == len(set(rispaces.__all__)) == 58
+    assert len(rispaces.__all__) == len(set(rispaces.__all__)) == 57
     assert sorted(rispaces.__all__) == EXPORTS
