@@ -144,12 +144,20 @@ def classify(
     smallest witness n0 with measured ||A_{n0}|| < n0 fixes
     q = max(1/2, log ||A_{n0}|| / log n0) and the constant C.
     """
+    k_list, l_list, n_list = ([int(x) for x in xs] for xs in (k_list, l_list, n_list))
     if not (k_list and l_list and n_list):
         raise ValueError("probe lists must be nonempty")
+    # every probe is checked before any limit is computed
+    if min(k_list) < 2:
+        raise ValueError("dilation factor k must be an integer >= 2")
+    if min(l_list) < 2:
+        raise ValueError("power l must be an integer >= 2")
+    if min(n_list) < 1:
+        raise ValueError("n must be a positive integer")
     if not 0.0 <= margin < 1.0:
         raise ValueError(f"margin must lie in [0, 1), got {margin!r}")
-    a_est = {int(k): limsup_dilation_ratio(psi, int(k), grid) for k in k_list}
-    c_est = {int(l): limsup_power_ratio(psi, int(l), grid) for l in l_list}
+    a_est = {k: limsup_dilation_ratio(psi, k, grid) for k in k_list}
+    c_est = {l: limsup_power_ratio(psi, l, grid) for l in l_list}
     inconclusive = not all(e.converged for e in (*a_est.values(), *c_est.values()))
     cond1 = any(e.value < k - margin for k, e in a_est.items())
     cond2 = any(e.value < 1.0 - margin for l, e in c_est.items())
@@ -160,7 +168,7 @@ def classify(
     if not (cond1 and cond2):
         failing = "both" if not (cond1 or cond2) else ("first" if not cond1 else "second")
     else:
-        for n in sorted(int(n) for n in n_list):
+        for n in sorted(n_list):
             opnorms[n] = lorentz_operator_norm(psi, n)
             # the sup search carries ~1e-15 noise; require a real gap so a
             # measurement of n - epsilon never certifies a witness

@@ -378,8 +378,9 @@ def fit_growth(pairs: Iterable[Tuple[int, float]], burn_in: int = 2) -> GrowthFi
     pairs = tuple((int(n), float(v)) for n, v in pairs)
     if any(b <= a for (a, _), (b, _) in zip(pairs, pairs[1:])):
         raise ValueError("pairs must be strictly increasing in n")
-    if any(v <= 0 for _, v in pairs):
-        raise ValueError("values must be positive")
+    for n, v in pairs:
+        if v <= 0:
+            raise ValueError(f"values must be positive, got {v!r} at n = {n}")
     if burn_in < 0 or len(pairs) - burn_in < 2:
         raise ValueError("need at least two pairs after burn-in")
     fitted = pairs[burn_in:]
@@ -432,6 +433,9 @@ def growth_table(
     elif mode == "mc":
         if sampler is None:
             raise ValueError("mc mode needs a sampler")
+        if sampler.kind == "custom" and not any(sampler.quantiles):
+            raise ValueError("every atom of the custom law is 0, so every norm is 0 "
+                             "and there is no power fit")
         # largest n first, so a custom law that overflows there fails before
         # any draw; each n has its own stream, so the order sets no value
         values = [mc_iid_sum_norm(sampler, n, space, trials, m) for n in reversed(ns)][::-1]

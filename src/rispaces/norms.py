@@ -129,8 +129,9 @@ class Lpq:
     def __post_init__(self):
         if not self.p > 1.0:
             raise ValueError("Lpq needs p > 1")
-        if not self.q >= 1.0:
-            raise ValueError("Lpq needs q >= 1")
+        # with q <= 1e300 each term q log v + (q / p) log T stays in the float range
+        if not 1.0 <= self.q <= 1e300:
+            raise ValueError("Lpq needs 1 <= q <= 1e300")
 
 
 SpaceSpec = Union[Lorentz, Marcinkiewicz, Orlicz, Lpq]
@@ -229,6 +230,13 @@ def _positive_count(values: np.ndarray) -> int:
 # this size while the weights and the layers are held.
 _ORLICZ_CHUNK = 2**14
 
+# A law whose largest value is below 2^-_ORLICZ_TINY is priced scaled up by
+# 2^_ORLICZ_TINY, and its root scaled back: among subnormals the root search's
+# bracket closes at a float spacing too coarse for the modular to reach 1.  The
+# scale is a power of two, so exact, and the norm is homogeneous; a law with a
+# larger value takes no scale and keeps its bits.
+_ORLICZ_TINY = 960
+
 
 # Terms per list handed to ``math.fsum``: it sums Python floats without boxing
 # each NumPy scalar, and the slice bounds the list.
@@ -312,6 +320,8 @@ def _marcinkiewicz_core(values: np.ndarray, lT: np.ndarray, phi: ConcaveGenerato
 def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: exp_lp) -> float:
     if values[0] <= 0:
         return 0.0
+    if values[0] < 2.0**-_ORLICZ_TINY:
+        return math.ldexp(_orlicz_core(np.ldexp(values, _ORLICZ_TINY), lT, M), -_ORLICZ_TINY)
     k = _positive_count(values)
     v = values[:k]
     ll = _log_lengths(lT)[:k]

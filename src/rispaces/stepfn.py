@@ -6,12 +6,13 @@ values: value ``v_i`` on the half-open piece ``(t_{i-1}, t_i]`` for a partition
 two arithmetics: ``float64`` for large discretized laws, or ``dtype=object``
 arrays of ``fractions.Fraction`` for combinatorial identities.  Each method runs
 one numpy code path on both.  The arithmetics differ only in the endpoint rule
-(exact 0 and 1, or floats snapped within ``_ENDPOINT_ATOL``), the merge rule
-(exact ties, or ``_merge_starts``) and the exact sums of ``measure_above`` and
-``integral``.  An exact function combined with a float argument or a float
-function gives a float result.  Every constructor puts the function into
-canonical form (strictly positive piece lengths, no two adjacent pieces sharing
-a value), so equimeasurability checks are plain data comparisons.
+(exact 0 and 1, or floats snapped within ``_ENDPOINT_ATOL``) and the exact sums
+of ``measure_above`` and ``integral``.  An exact function combined with a float
+argument or a float function gives a float result.  Every constructor puts the
+function into canonical form: strictly positive piece lengths, and adjacent
+pieces merged exactly when their values are equal, in either arithmetic.  Two
+floats that differ never merge, so no value moves, and equimeasurability
+checks are plain data comparisons.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ __all__ = ["StepFunction", "quantile_from_samples"]
 
 Number = Union[int, float, Fraction]
 
-# Float-mode canonicalization: adjacent values within this relative distance merge.
-_MERGE_RTOL = 1e-15
 # Slack allowed when snapping float endpoints to 0 and 1.
 _ENDPOINT_ATOL = 1e-9
 
@@ -40,41 +39,6 @@ def _is_exact(x) -> bool:
 def _like(x: Number, exact: bool) -> Number:
     """A scalar met by exact or float data: it stays exact only if both are."""
     return x if exact and _is_exact(x) else float(x)
-
-
-def _merge_starts(v: np.ndarray) -> np.ndarray:
-    """Mask of the values that open a merged piece: the first value of a run wins.
-
-    ``Fraction`` values open a piece whenever they differ from their neighbour.
-    A float value opens a new piece when it differs from the anchor, the value
-    that opened the current piece, by more than ``_MERGE_RTOL`` relative.  A tie
-    with its neighbour never does.  A neighbour gap above three times the
-    tolerance always does, since the anchor lies within one tolerance of the
-    neighbour; twice would do in exact arithmetic, but with a margin of order
-    tolerance squared, which rounding can eat.  Only the values in between
-    need the anchor, so only they are decided one by one.
-    """
-    starts = np.ones(v.size, dtype=bool)
-    if v.size < 2:
-        return starts
-    if v.dtype == object:
-        starts[1:] = v[1:] != v[:-1]
-        return starts
-    gap = np.abs(np.diff(v))
-    forced = gap > 3.0 * _MERGE_RTOL * np.maximum(v[1:], v[:-1])
-    starts[1:] = forced
-    unsure = np.flatnonzero((gap > 0) & ~forced) + 1
-    if unsure.size:
-        # the last forced start at or before each position
-        last_forced = np.maximum.accumulate(np.where(starts, np.arange(v.size), 0))
-        anchor = 0
-        for i in unsure.tolist():
-            anchor = max(anchor, int(last_forced[i]))
-            a, b = v[anchor], v[i]
-            if abs(a - b) > _MERGE_RTOL * max(abs(a), abs(b)):
-                starts[i] = True
-                anchor = i
-    return starts
 
 
 class StepFunction:
@@ -120,18 +84,20 @@ class StepFunction:
 
     def _canonicalize(self, bp: np.ndarray, v: np.ndarray):
         """Keep the canonical form of fresh arrays: nondecreasing breakpoints from 0
-        to 1 and nonnegative values, both ``float64`` or both ``Fraction`` objects."""
+        to 1 and nonnegative values, both ``float64`` or both ``Fraction`` objects.
+
+        Zero-length pieces go, then each run of equal adjacent values becomes one
+        piece; the merge is the same comparison in both arithmetics."""
         # Zero-length pieces arise from cumulative sums of underflowed masses; drop them.
         keep = np.diff(bp) > 0
         if not keep.any():
             raise ValueError("all pieces have zero length")
         bp = np.concatenate((bp[:1], bp[1:][keep]))
         v = v[keep]
-        starts = np.flatnonzero(_merge_starts(v))
-        if starts.size < v.size:
-            ends = np.concatenate((starts[1:] - 1, [v.size - 1]))
-            bp = np.concatenate((bp[:1], bp[1:][ends]))
-            v = v[starts]
+        starts = np.flatnonzero(v[1:] != v[:-1]) + 1  # every run's first piece but the first
+        if starts.size < v.size - 1:
+            bp = np.concatenate((bp[:1], bp[starts], bp[-1:]))
+            v = np.concatenate((v[:1], v[starts]))
         bp.flags.writeable = False
         v.flags.writeable = False
         self._breakpoints = bp

@@ -48,6 +48,15 @@ def test_norm_step_file(capsys, tmp_path):
     assert float(out) == pytest.approx(0.75, rel=1e-12)
 
 
+def test_norm_step_keeps_a_value_one_ulp_apart(capsys, tmp_path):
+    # 1 + 2^-52 on a piece of measure 2e-316 used to absorb the 1.0 that follows it
+    p = tmp_path / "step.json"
+    p.write_text(json.dumps({"breakpoints": [0, 1e-300, 1.0000000000000002e-300, 1],
+                             "values": [2.0, 1.0000000000000002, 1.0]}))
+    code, out, _ = run_cli(capsys, "norm", "--space", "lorentz:power:0.5", "--step", str(p))
+    assert (code, out) == (0, "1.0\n")
+
+
 def test_norm_requires_exactly_one_input(capsys):
     code, _, err = run_cli(capsys, "norm", "--space", "lorentz:power:1")
     assert code == 2
@@ -262,6 +271,42 @@ def test_all_zero_monte_carlo_sums_are_inconclusive(capsys, tmp_path, argv, n):
     assert (code, out) == (0, "0.0\n")
 
 
+def test_growth_of_an_all_zero_law_exits_two_before_any_draw(capsys, monkeypatch, tmp_path):
+    zero = tmp_path / "zero.csv"
+    zero.write_text("0\n0\n")
+
+    def no_draws(*args):
+        raise AssertionError("drew samples of a law with no power fit")
+
+    monkeypatch.setattr(experiments, "_draw_sums", no_draws)
+    code, out, err = run_cli(capsys, "growth", "--space", "lpq:2:1", "--mode", "mc",
+                             "--sampler", f"custom:{zero}", "--ns", "4,8,16,64",
+                             "--trials", "1000", "--m", "256")
+    assert code == 2 and out == ""
+    assert err == ("error: every atom of the custom law is 0, so every norm is 0 "
+                   "and there is no power fit\n")
+
+
+def test_orlicz_norm_of_subnormal_values_exits_zero(capsys, tmp_path):
+    step, atoms = tmp_path / "step.json", tmp_path / "atoms.csv"
+    step.write_text('{"breakpoints": [0, 1], "values": [5e-324]}')
+    atoms.write_text("-5e-324\n5e-324\n")
+    code, out, err = run_cli(capsys, "norm", "--space", "orlicz:np:2", "--step", str(step))
+    assert (code, out, err) == (0, "5e-324\n", "")
+    for n in ("1", "4"):
+        code, out, err = run_cli(capsys, "mc", "--space", "orlicz:np:2", "--sampler",
+                                 f"custom:{atoms}", "--n", n, "--trials", "1000", "--m", "256")
+        assert code == 0 and err == "" and 0.0 < float(out) < 1e-320
+
+
+def test_lpq_at_the_largest_q_prices_a_subnormal_value(capsys, tmp_path):
+    # q log 5e-324 is finite at q = 1e300; past it (q = 1e308 here) it overflowed
+    step = tmp_path / "step.json"
+    step.write_text('{"breakpoints": [0, 1], "values": [5e-324]}')
+    code, out, err = run_cli(capsys, "norm", "--space", "lpq:1.5:1e300", "--step", str(step))
+    assert (code, out, err) == (0, "5e-324\n", "")
+
+
 def test_custom_law_whose_sum_can_overflow_exits_two(capsys, monkeypatch, tmp_path):
     e300, e308 = tmp_path / "e300.csv", tmp_path / "e308.csv"
     e300.write_text("-1e300\n1e300\n")
@@ -384,6 +429,12 @@ def test_console_script_round_trip(child_env):
         # argparse reads "-inf" as an option, not a value: a usage error, still one line
         (("norm", "--space", "orlicz:np:2", "--indicator", "-inf"), "rispaces norm: error:",
          "expected one argument"),
+        # q log v overflowed past q = 1e300: a RuntimeWarning, then 0.0 or inf with exit 0
+        (("norm", "--space", "lpq:1.5:1e308", "--indicator", "1/4"), "error:",
+         "Lpq needs 1 <= q <= 1e300"),
+        # power:1 fails the limit conditions, so its n probes were never looked at
+        (("classify", "--psi", "power:1", "--n-list", "0"), "error:",
+         "n must be a positive integer"),
         (("classify", "--psi", "power:0.5", "--margin", "nan"), "error:", "margin"),
         (("classify", "--psi", "power:0.5", "--margin", "inf"), "error:", "margin"),
         (("kruglov", "--psi", "power:1", "--t-grid", "1", "--threshold", "-1"), "error:",
@@ -405,7 +456,7 @@ def test_console_script_round_trip(child_env):
          "error:", "No such file or directory"),
     ],
     ids=["lpq-inf", "logpow-inf", "negative-j-max", "underflowing-j-max", "option-like-value",
-         "nan-margin", "inf-margin", "negative-threshold", "nan-threshold", "half-threshold",
+         "lpq-q-past-1e300", "n-list-zero-failing-conditions", "nan-margin", "inf-margin", "negative-threshold", "nan-threshold", "half-threshold",
          "unit-threshold", "empty-t-grid", "comma-t-grid", "t-above-one-after-crossing",
          "nan-t-after-crossing", "unwritable-out"],
 )
@@ -742,6 +793,88 @@ def _fuzz_run(argv, lines, bad, kruglov_inf=False, atoms=None):
     assert not re.search(r"nan", out, re.IGNORECASE), (argv, lines, out)
     if code == 0:
         assert not re.search(r"inf", out, re.IGNORECASE), (argv, lines, out)
+
+
+# Step files that stress the canonical form: chains of near ties v (1 + k 1e-16),
+# which are exact ties or one ulp apart, pieces of measure near 1e-300 (and
+# below it, down to a subnormal width) and subnormal values.
+_TIE_CUT = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=5e-324, max_value=1e-298),
+    st.sampled_from([1e-300, 1.0000000000000002e-300, 2e-300]),
+)
+_TIE_BASE = st.one_of(
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),  # subnormal
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.sampled_from([0.0, 5e-324, 1e-320, 1.0, 2.0, 1e300]),
+)
+
+
+@st.composite
+def _near_tie_steps(draw):
+    cuts = sorted(draw(st.lists(_TIE_CUT, max_size=7)))
+    values = [draw(_TIE_BASE)]
+    for _ in cuts:  # a near tie of the value before, or a fresh value
+        k = draw(st.one_of(st.integers(min_value=-3, max_value=3), st.none()))
+        values.append(draw(_TIE_BASE) if k is None else values[-1] * (1.0 + k * 1e-16))
+    return {"breakpoints": [0.0, *cuts, 1.0], "values": values}
+
+
+@st.composite
+def _table_csvs(draw):
+    """t,psi rows through nodes of t^a, some near t = 1e-300, now and then one entry broken."""
+    a = draw(st.floats(min_value=0.01, max_value=1.0))
+    ts = draw(st.sets(st.one_of(st.floats(min_value=1e-3, max_value=1.0),
+                                st.floats(min_value=1e-300, max_value=1e-290), st.just(1.0)),
+                      min_size=1, max_size=5))
+    rows = [[repr(t), repr(t**a)] for t in sorted(ts)]
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(min_value=0, max_value=1))] = draw(
+            st.sampled_from(["nan", "inf", "-1", "0", "2", "x", ""]))
+    header = ["t,psi"] if draw(st.booleans()) else []
+    return "\n".join(header + [",".join(row) for row in rows]) + "\n"
+
+
+_NORM_SPACE = st.one_of(
+    st.builds("{}:{}".format, st.sampled_from(["lorentz", "marcinkiewicz"]),
+              st.sampled_from([*_GEN_OK, *_GEN_BAD, "table:{table}"])),
+    st.builds("lpq:{}:{}".format, _ORDER_TEXT, _ORDER_TEXT),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@example(space="marcinkiewicz:table:{table}", indicator="1/4", use_step=False, fmt="json",
+         table="t,psi\n1e-300,0.001\n0.5,0.9\n1,1\n", step={})
+@given(
+    space=_NORM_SPACE,
+    indicator=_MEASURE_TEXT,
+    step=st.one_of(_near_tie_steps(), _step_files()),
+    use_step=st.booleans(),
+    fmt=st.sampled_from(["text", "json"]),
+    table=_table_csvs(),
+)
+def test_norm_cli_fuzz(space, indicator, step, use_step, fmt, table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "psi.csv")
+        with open(path, "w") as fh:
+            fh.write(table)
+        argv = ["norm", "--space", space.replace("{table}", path), "--format", fmt]
+        if use_step:
+            step_path = os.path.join(tmp, "step.json")
+            with open(step_path, "w") as fh:
+                json.dump(step, fh)
+            argv += ["--step", step_path]
+        else:
+            argv += ["--indicator", indicator]
+        code, out, err = _run_in_process(argv)
+    out = out.replace(path, "")  # the report names the table file, whose name is random
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    if code == 0:
+        assert not re.search(r"nan|inf", out, re.IGNORECASE), (argv, out)
+    else:
+        assert out == "" and err.count("\n") == 1, (argv, code, err)
 
 
 _OPNORM = {

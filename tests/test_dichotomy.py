@@ -18,6 +18,7 @@ from rispaces import (
     sup_indicator_ratio,
     table,
 )
+from rispaces import dichotomy
 from rispaces._numeric import log_factorial
 from rispaces.dichotomy import _KRUGLOV_CHUNK
 from rispaces.generators import ConcaveGenerator, parse_generator
@@ -132,6 +133,24 @@ def test_classify_validation():
     for margin in (math.nan, math.inf, -1e-3, 1.0):
         with pytest.raises(ValueError, match="margin"):
             classify(power(0.5), margin=margin)
+
+
+@pytest.mark.parametrize("psi", [power(1.0), power(0.5)], ids=["power-1", "power-0.5"])
+@pytest.mark.parametrize(
+    "lists, fragment",
+    [({"n_list": (2, 0)}, "n must be"), ({"l_list": (2, 1)}, "power l"),
+     ({"k_list": (2, 1)}, "dilation factor k")],
+    ids=["n", "l", "k"],
+)
+def test_classify_checks_every_probe_before_any_limit(monkeypatch, psi, lists, fragment):
+    # the n probes used to be checked only when both limit conditions held
+    def no_limit(*args):
+        raise AssertionError("computed a limit before checking the probes")
+
+    monkeypatch.setattr(dichotomy, "limsup_dilation_ratio", no_limit)
+    monkeypatch.setattr(dichotomy, "limsup_power_ratio", no_limit)
+    with pytest.raises(ValueError, match=fragment):
+        classify(psi, **lists)
 
 
 def test_kruglov_check_threshold_validation():

@@ -403,6 +403,11 @@ def test_fit_growth_validation():
         fit_growth([(2, 1.0), (4, 2.0)], burn_in=2)
 
 
+def test_fit_growth_names_the_first_value_that_is_not_positive():
+    with pytest.raises(ValueError, match=r"^values must be positive, got 0\.0 at n = 4$"):
+        fit_growth([(2, 1.0), (4, 0.0), (8, -1.0)], burn_in=0)
+
+
 def test_growth_table_exact_sqrt_scale():
     fit = growth_table(Marcinkiewicz(logpow(1.0)), ns=[2**j for j in range(4, 11)])
     assert fit.q == pytest.approx(0.5, abs=0.05)

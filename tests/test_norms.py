@@ -124,6 +124,20 @@ def test_orlicz_scaled_indicator_homogeneous():
     )
 
 
+def test_orlicz_norm_of_subnormal_values():
+    # the one-layer root is v / M^-1(1), M^-1(1) = sqrt(log 2); below 2^-960 the
+    # law is priced scaled up by an exact power of two and the root scaled back
+    M = exp_lp(2.0)
+    for v in (5e-324, 1e-320, 2.0**-1000, 1e-300):
+        got = space_norm(StepFunction([0.0, 1.0], [v]), Orlicz(M))
+        assert got == pytest.approx(v / math.sqrt(math.log(2.0)), rel=1e-12, abs=5e-324)
+    f = StepFunction([0.0, 0.25, 0.5, 1.0], [3.0, 2.0, 0.5])
+    want = space_norm(f, Orlicz(M))
+    for e in (-970, -1020, -1040):
+        got = space_norm(f.scale(2.0**e), Orlicz(M))
+        assert got == pytest.approx(math.ldexp(want, e), rel=1e-12, abs=4 * 5e-324)
+
+
 def test_lpq_indicator_closed_form():
     cases = [
         (Fraction(1, 4), 2.0, 1.0, 0.5),

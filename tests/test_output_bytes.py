@@ -23,6 +23,9 @@ the ``repr`` of the Gaussian self-similarity ratios (even and odd n, so both
 the squarings and the mixed products) were recorded while ``exp_lp`` clamped its
 exponent at 745, the Gaussian inverse ran on the whole array and each FFT
 product held its operands through the inverse transform, before those changed.
+The Lorentz, Orlicz and Lpq norms of the float step file were recorded while
+float step functions still merged adjacent values within 1e-15 relative,
+before they merged exact ties only.
 Those rewrites promise the same bytes, so any change in a hash here is a change of
 results, not of speed.
 
@@ -59,9 +62,9 @@ def _step_file() -> dict:
     bps = [0.0, *cuts, 1.0]
     values = [rnd.expovariate(1.0) for _ in range(300)]
     values[20:24] = [values[19]] * 4  # exact ties
-    for i in range(40, 60):  # a chain drifting by under one tolerance per step
+    for i in range(40, 60):  # a chain drifting by 0.9e-15 relative per step
         values[i] = values[39] * (1.0 + 0.9e-15 * (i - 39))
-    for i in range(80, 90):  # a chain alternating around its anchor
+    for i in range(80, 90):  # a chain alternating around its first value
         values[i] = values[79] * (1.0 + (-1) ** i * 0.6e-15)
     return {"breakpoints": bps, "values": values}
 
@@ -85,6 +88,9 @@ COMMANDS = [
                           "--sampler", "signed:0.25", "--ns", "8,16,32,64",
                           "--trials", "2000", "--m", "256", "--seed", "11"]),
     ("norm-step", ["norm", "--space", "marcinkiewicz:logpow:2", "--step", "{step}"]),
+    ("norm-step-lorentz", ["norm", "--space", "lorentz:power:0.5", "--step", "{step}"]),
+    ("norm-step-orlicz", ["norm", "--space", "orlicz:np:2", "--step", "{step}"]),
+    ("norm-step-lpq", ["norm", "--space", "lpq:2:1", "--step", "{step}"]),
     ("growth-exact-orlicz", ["growth", "--space", "orlicz:np:2", "--ns", "8,16,32,64",
                              "--seed", "0"]),
     ("growth-exact-marcinkiewicz", ["growth", "--space", "marcinkiewicz:logpow:2",
@@ -129,6 +135,9 @@ EXPECTED = {
     "mc-custom": "b6bb8b2e46972221b8b1a051c2f7f0e4430033517e5d5dec8cce8f3b4785db20",
     "growth-mc-signed": "59d5e94ef2184bb002418a45660c8d229606679939f02c92c3e708c21497954c",
     "norm-step": "267bb1a8995052536efc94c74e8e59376fc753d4e9c601949209e02655faf95e",
+    "norm-step-lorentz": "d7a7b91391d98f03f3ab52d5afc3ab96735e6bebe943f32ff0bc2a14dd9a152a",
+    "norm-step-orlicz": "85c4948b2337c5079cd39a86f771091f18d3d80f143f1d76af18cbfee880f5d3",
+    "norm-step-lpq": "35b106c6015874ae33399af5e0b8e01b5c9358158ebded3740282ad03af019ac",
     "growth-exact-orlicz": "a8695fe223c66762168d0bc2d535b90154b495be7072b7900f59ce509de3c141",
     "growth-exact-marcinkiewicz": "58e65683e1d28535cacab06a9f8713a0bfa35faf078118954d367beee4da03f7",
     "norm-indicator-third": "2c5c6b4e9095d6f70066a5b220a5814265b3562fcb09409b509e53e38bfe13f0",

@@ -72,6 +72,16 @@ def test_add_keeps_one_ulp_pieces():
     assert list(h.values) == [6.0, 7.0, 9.0]
 
 
+def test_only_equal_neighbours_merge():
+    one_up = float(np.nextafter(1.0, 2.0))
+    f = StepFunction([0.0, 0.25, 0.5, 0.75, 1.0], [1.0, one_up, one_up, 1.0])
+    assert list(f.breakpoints) == [0.0, 0.25, 0.75, 1.0]
+    assert list(f.values) == [1.0, one_up, 1.0]
+    g = StepFunction([0, Fraction(1, 3), Fraction(2, 3), 1], [Fraction(1, 2), Fraction(2, 4), 1])
+    assert list(g.breakpoints) == [0, Fraction(2, 3), 1]
+    assert list(g.values) == [Fraction(1, 2), 1]
+
+
 def test_rearrange_sorts_descending():
     f = StepFunction(
         [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)],
@@ -279,8 +289,8 @@ def test_json_round_trip_float():
 
 
 
-# The float canonicalization as one Python loop, first value wins: the route
-# the vectorized merge replaced, kept here as its oracle.
+# The float canonicalization as one Python loop: a piece opens wherever its
+# value differs from the one before, the first value of a run wins.
 def _old_float_canonical(bps, vals):
     bp = np.asarray([float(x) for x in bps], dtype=float)
     v = np.asarray([float(x) for x in vals], dtype=float)
@@ -292,7 +302,7 @@ def _old_float_canonical(bps, vals):
         keep_idx = [0]
         for i in range(1, v.size):
             a, b = v[keep_idx[-1]], v[i]
-            if abs(a - b) > 1e-15 * max(abs(a), abs(b)):
+            if a != b:
                 keep_idx.append(i)
         keep_idx = np.asarray(keep_idx)
         ends = np.concatenate((keep_idx[1:] - 1, [v.size - 1]))
@@ -302,13 +312,13 @@ def _old_float_canonical(bps, vals):
 
 
 def _near_equal_chains(rng, size):
-    """Runs of values spaced below, at and just above the merge tolerance."""
+    """Runs of values a few 1e-15 relative apart, which never merge, and exact ties."""
     v = np.empty(size)
     i = 0
     while i < size:
         run = int(rng.integers(1, 40))
         base = float(rng.exponential(1.0)) if rng.random() < 0.9 else 0.0
-        # relative steps in units of the tolerance; drift, alternate or mix
+        # relative steps in units of 1e-15; drift, alternate or mix
         style = rng.integers(3)
         k = np.arange(run)
         if style == 0:
