@@ -1,5 +1,6 @@
-"""Numeric helpers shared by the modules: ln 2, log-factorials, log-binomials,
-logsumexp and finite parameters, all on NumPy alone so importing them loads no SciPy."""
+"""Numeric helpers shared by the modules: ln 2, the chunk size, log-factorials,
+log-binomials, logsumexp and finite parameters, all on NumPy alone so importing
+them loads no SciPy."""
 
 from __future__ import annotations
 
@@ -8,6 +9,13 @@ import math
 import numpy as np
 
 LN2 = math.log(2.0)
+
+# Entries per chunk of every pass over a layer-sized array: the walk law's
+# layers, the Orlicz elasticity, the Lorentz core's fsum lists, the Kruglov
+# terms and the Gaussian inverse.  Each pass is elementwise or carries its
+# running state from chunk to chunk, so the size changes no bit; it bounds the
+# pass's temporaries to a few arrays of this size, whatever the input's size.
+CHUNK = 2**14
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_FACTORIAL_TABLE = np.array([math.log(math.factorial(k)) for k in range(16)])

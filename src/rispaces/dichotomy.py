@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._numeric import LN2, log_factorial
+from ._numeric import CHUNK, LN2, log_factorial
 from ._search import golden_max
 from .generators import (
     ConcaveGenerator,
@@ -59,11 +59,7 @@ def indicator_ratio(psi: ConcaveGenerator, n: int, u) -> float:
 
     Always in (0, 1]; equals 1 exactly at n = 1.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
     u = float(u)
-    if not 0.0 < u <= 1.0:
-        raise ValueError("indicator measure u must lie in (0, 1]")
     log_tails = signed_indicator_sum_log_tails(n, u)
     terms = np.exp(psi.log_eval(log_tails))
     return float(math.fsum(terms) / (n * math.exp(psi.log_eval(math.log(u)))))
@@ -239,63 +235,6 @@ class KruglovVerdict:
 # Relative gap between the N/4 and N partial sums below which a t has stabilized.
 _KRUGLOV_RTOL = 1e-6
 
-# Terms per chunk of the Kruglov walk: the probe holds a few arrays of this
-# size, whatever its num_terms.
-_KRUGLOV_CHUNK = 2**14
-
-
-def _kruglov_walk(
-    phi: ConcaveGenerator,
-    ts: Sequence[float],
-    num_terms: int,
-    threshold: float,
-) -> List[Tuple[int, Optional[float], float]]:
-    """Walk the partial sums of (1/phi(t)) * sum_{n=1}^N phi(t^n / n!) in chunks.
-
-    Returns (crossing, quarter, full) for each t of ``ts``: the first n whose
-    partial sum reaches the threshold, or 0 if none does, and the partial sums
-    at n = N/4 and N.  The walks run side by side, a chunk of n at a time, and
-    share the chunk's log n!.  A crossing ends the walk of its t at the end of
-    its chunk, whose sum is then ``full`` (``quarter`` is None if the walk had
-    not reached it), and drops every later t of ``ts``, whose entries are then
-    partial: only the first crossing in grid order sets a verdict.  The
-    chunking and the early stop leave every sum as in one N-term pass;
-    ``kruglov_check`` says why.
-    """
-    log_ts = [math.log(t) for t in ts]
-    log_phi_ts = [phi.log_eval(lt) for lt in log_ts]
-    quarter_n = num_terms // 4
-    walks = [[0, None, 0.0] for _ in ts]  # crossing, quarter, total
-    active = list(range(len(ts)))
-    for start in range(1, num_terms + 1, _KRUGLOV_CHUNK):
-        if not active:
-            break
-        n = np.arange(start, min(start + _KRUGLOV_CHUNK, num_terms + 1), dtype=float)
-        log_n_fact = log_factorial(n)
-        still = []
-        for i in active:
-            walk = walks[i]
-            largs = n * log_ts[i]
-            largs -= log_n_fact  # log(t^n / n!)
-            terms = np.exp(phi.log_eval(largs) - log_phi_ts[i])
-            underflowed = terms[-1] == 0.0
-            terms[0] += walk[2]
-            csum = np.cumsum(terms, out=terms)
-            if start <= quarter_n < start + csum.size:
-                walk[1] = float(csum[quarter_n - start])
-            walk[2] = float(csum[-1])
-            crossed = np.flatnonzero(csum >= threshold)
-            if crossed.size:
-                walk[0] = start + int(crossed[0])
-                break
-            if not underflowed:
-                still.append(i)
-        active = still
-    return [
-        (crossing, total if crossing == 0 and quarter is None else quarter, total)
-        for crossing, quarter, total in walks
-    ]
-
 
 def kruglov_check(
     phi: ConcaveGenerator,
@@ -310,15 +249,13 @@ def kruglov_check(
     partial sums at N/4 and N agree within ``_KRUGLOV_RTOL``.  The whole
     t-grid is validated before any term is summed.
 
-    The t's walk n = 1..N side by side in chunks of ``_KRUGLOV_CHUNK`` terms,
-    so memory does not grow with N, and each chunk's log n! serves every t
-    still walking.  A chunk evaluates log(t^n / n!) elementwise, which gives
-    the terms one N-term array would hold, and the running sum enters the
-    chunk's cumsum through its first term, so every partial sum is the
-    sequential sum of the whole series, bit for bit.  Once a t crosses, the
-    t's after it in the grid stop (they cannot set the verdict) and the ones
-    before it walk on: the verdict is that of the first crossing t in grid
-    order, as if the t's were walked one after another.
+    The t's are walked one after another in grid order, so the verdict is
+    that of the first t that crosses.  Each t walks n = 1..N in chunks of
+    ``CHUNK`` terms, so memory does not grow with N.  A chunk evaluates
+    log(t^n / n!) elementwise, which gives the terms one N-term array would
+    hold, and the running sum enters the chunk's cumsum through its first
+    term, so every partial sum is the sequential sum of the whole series, bit
+    for bit.
 
     The walk of a t stops after a chunk whose last term is an exact 0.0, and
     the N/4 and N sums are then the running sum (the N/4 sum, if it came
@@ -340,13 +277,34 @@ def kruglov_check(
     ts = [float(t) for t in t_grid]
     if not all(0.0 < t <= 1.0 for t in ts):
         raise ValueError("t_grid values must lie in (0, 1]")
+    quarter_n = num_terms // 4
     best = -math.inf
     best_t = ts[0]
     any_unsettled = False
-    for t, (crossing, quarter, full) in zip(ts, _kruglov_walk(phi, ts, num_terms, threshold)):
-        if crossing:
-            return KruglovVerdict(finite=False, sup_value=math.inf, N_used=crossing, t_argmax=t)
-        if abs(full - quarter) > _KRUGLOV_RTOL * max(1.0, abs(full)):
+    for t in ts:
+        log_t = math.log(t)
+        log_phi_t = phi.log_eval(log_t)
+        quarter, full = None, 0.0  # the N/4 sum and the running sum
+        for start in range(1, num_terms + 1, CHUNK):
+            n = np.arange(start, min(start + CHUNK, num_terms + 1), dtype=float)
+            largs = n * log_t
+            largs -= log_factorial(n)  # log(t^n / n!)
+            terms = phi.log_eval(largs)
+            terms -= log_phi_t
+            np.exp(terms, out=terms)
+            underflowed = terms[-1] == 0.0
+            terms[0] += full
+            csum = np.cumsum(terms, out=terms)
+            crossed = np.flatnonzero(csum >= threshold)
+            if crossed.size:
+                return KruglovVerdict(finite=False, sup_value=math.inf,
+                                      N_used=start + int(crossed[0]), t_argmax=t)
+            if start <= quarter_n < start + csum.size:
+                quarter = float(csum[quarter_n - start])
+            full = float(csum[-1])
+            if underflowed:
+                break
+        if quarter is not None and abs(full - quarter) > _KRUGLOV_RTOL * max(1.0, abs(full)):
             any_unsettled = True
         if full > best:
             best, best_t = full, t

@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 
+from ._numeric import CHUNK
+
 __all__ = ["upper_tail", "erfc_inverse", "erfc_inverse_log"]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -68,11 +70,6 @@ def _log_erfc_asymptotic(x):
     return out
 
 
-# Entries per slice in ``erfc_inverse_log``.  The inverse is elementwise, so
-# slices give the same bits, and its half dozen temporaries stay this size.
-_SLICE = 2**14
-
-
 def erfc_inverse_log(lz):
     """Solve ln(upper_tail(x)) = lz; valid for arbitrarily negative lz.
 
@@ -85,8 +82,8 @@ def erfc_inverse_log(lz):
         raise ValueError("log-argument must be below log(2)")
     out = np.empty(lzz.shape)
     flat_in, flat_out = lzz.reshape(-1), out.reshape(-1)  # both in C order
-    for k in range(0, flat_in.size, _SLICE):
-        _erfc_inverse_log_into(flat_in[k : k + _SLICE], flat_out[k : k + _SLICE])
+    for k in range(0, flat_in.size, CHUNK):
+        _erfc_inverse_log_into(flat_in[k : k + CHUNK], flat_out[k : k + CHUNK])
     return out if lzz.ndim else float(out)
 
 

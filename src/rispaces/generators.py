@@ -121,7 +121,12 @@ def logpow(p) -> ConcaveGenerator:
     ip = 1.0 / p
 
     def fn(t):
-        return t * np.log(np.e / t) ** ip
+        with np.errstate(over="ignore"):
+            log_e_t = np.log(np.e / t)
+        # e / t overflows for t below e / DBL_MAX; there log(e/t) is 1 - log t
+        over = np.isinf(log_e_t)
+        log_e_t[over] = 1.0 - np.log(t[over])
+        return t * log_e_t ** ip
 
     def log_fn(lt):
         return lt + ip * np.log1p(-lt)

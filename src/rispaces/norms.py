@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Tuple, Union
 
 import numpy as np
 
-from ._numeric import LN2, finite_float, logsumexp
+from ._numeric import CHUNK, LN2, finite_float, logsumexp
 from ._search import golden_max_vec
 from .generators import ConcaveGenerator, parse_generator
 from .stepfn import StepFunction
@@ -226,21 +226,12 @@ def _positive_count(values: np.ndarray) -> int:
     return values.size - int(np.argmax(values[::-1] > 0))
 
 
-# Layers per call of the elasticity in ``_orlicz_core``: its temporaries stay
-# this size while the weights and the layers are held.
-_ORLICZ_CHUNK = 2**14
-
 # A law whose largest value is below 2^-_ORLICZ_TINY is priced scaled up by
 # 2^_ORLICZ_TINY, and its root scaled back: among subnormals the root search's
 # bracket closes at a float spacing too coarse for the modular to reach 1.  The
 # scale is a power of two, so exact, and the norm is homogeneous; a law with a
 # larger value takes no scale and keeps its bits.
 _ORLICZ_TINY = 960
-
-
-# Terms per list handed to ``math.fsum``: it sums Python floats without boxing
-# each NumPy scalar, and the slice bounds the list.
-_FSUM_SLICE = 2**14
 
 
 def _log_eval(gen: ConcaveGenerator, lT: np.ndarray) -> np.ndarray:
@@ -272,9 +263,10 @@ def _lorentz_core(chunks: Iterable[Layers], psi: ConcaveGenerator) -> float:
                 yield ((last[0] - values[0]) * last[1],)
             drops = np.subtract(values[:-1], values[1:])
             drops *= psis[:-1]
-            for k in range(0, drops.size, _FSUM_SLICE):
-                part = drops[k : k + _FSUM_SLICE]
-                # fsum is exact, so the zeros where psi underflowed add nothing
+            for k in range(0, drops.size, CHUNK):
+                part = drops[k : k + CHUNK]
+                # fsum is exact, so the zeros where psi underflowed add nothing;
+                # a list of Python floats spares it boxing each NumPy scalar
                 yield part[part != 0.0].tolist()
             last = values[-1], psis[-1]
         if last is not None:
@@ -370,8 +362,8 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: exp_lp) -> float:
         with np.errstate(all="ignore"):
             weights = np.exp(np.subtract(terms, L, out=terms), out=terms)
             elasticity = np.empty(v.size)
-            for i in range(0, v.size, _ORLICZ_CHUNK):
-                elasticity[i : i + _ORLICZ_CHUNK] = M.elasticity(v[i : i + _ORLICZ_CHUNK] / lam)
+            for i in range(0, v.size, CHUNK):
+                elasticity[i : i + CHUNK] = M.elasticity(v[i : i + CHUNK] / lam)
             slope = -float(np.dot(weights, elasticity))
             step = float(lam * np.exp(-L / slope))
         if step == lam:  # a step below float resolution still moves one ulp

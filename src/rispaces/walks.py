@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from ._numeric import LN2, log_factorial, logsumexp
+from ._numeric import CHUNK, LN2, log_factorial, logsumexp
 from .stepfn import StepFunction
 
 __all__ = [
@@ -80,13 +80,8 @@ def _abs_tail_fractions(k: int) -> Tuple[Fraction, ...]:
     return tuple(tails)
 
 
-# Layers per chunk of the walk law: the temporaries of one chunk are a few
-# arrays of this size, whatever k.
-_ROW_CHUNK = 2**14
-
-
 def _walk_abs_chunks(k: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """The layers of ``walk_abs_layers(k)`` as consecutive chunks of ``_ROW_CHUNK``.
+    """The layers of ``walk_abs_layers(k)`` as consecutive chunks of ``CHUNK``.
 
     The value v = k - 2j > 0 has log P(|W_k| >= v) = log 2 + log sum_{i <= j}
     P(W_k = k - 2i), by the symmetry of the row, so only j = 0..k//2 of the
@@ -102,8 +97,8 @@ def _walk_abs_chunks(k: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     size = k // 2 + 1  # the values k, k - 2, ..., down to 1 or 0
     log_k_fact = log_factorial(k)
     carry = None  # log sum_{i < start} P(W_k = k - 2i)
-    for start in range(0, size, _ROW_CHUNK):
-        stop = min(start + _ROW_CHUNK, size)
+    for start in range(0, size, CHUNK):
+        stop = min(start + CHUNK, size)
         j = np.arange(start, stop, dtype=float)
         row = np.subtract(log_k_fact, log_factorial(j))
         row -= log_factorial(k - j)

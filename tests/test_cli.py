@@ -307,6 +307,14 @@ def test_lpq_at_the_largest_q_prices_a_subnormal_value(capsys, tmp_path):
     assert (code, out, err) == (0, "5e-324\n", "")
 
 
+@pytest.mark.parametrize("p", ["1e100", "1e300"])
+def test_marcinkiewicz_logpow_of_a_tiny_indicator_is_warning_free(capsys, p):
+    # the golden refinement probes t near 1e-309, below which e / t overflowed
+    code, out, err = run_cli(capsys, "norm", "--space", f"marcinkiewicz:logpow:{p}",
+                             "--indicator", "1e-300")
+    assert (code, out, err) == (0, "1.0\n", "")
+
+
 def test_custom_law_whose_sum_can_overflow_exits_two(capsys, monkeypatch, tmp_path):
     e300, e308 = tmp_path / "e300.csv", tmp_path / "e308.csv"
     e300.write_text("-1e300\n1e300\n")
@@ -690,8 +698,8 @@ def test_kruglov_cli_fuzz(psi, t_grid, bad_t, threshold, max_terms):
 # and, half the time, makes exactly one of them invalid: a valid case must end
 # in exit 0 with a finite report or exit 1 (inconclusive), an invalid one in
 # exit 2 with a one-line error, and no case may raise.
-_GEN_OK = ["power:0.5", "power:1", "power:0.01", "logpow:1", "logpow:2", "invsqrtlog",
-           "example7", "gauss"]
+_GEN_OK = ["power:0.5", "power:1", "power:0.01", "power:1e-300", "logpow:1", "logpow:2",
+           "logpow:1e100", "logpow:1e300", "invsqrtlog", "example7", "gauss"]
 _GEN_BAD = ["power:0", "power:2", "power:nan", "power:-1", "logpow:0.5", "logpow:inf",
             "table:", "table:/nonexistent.csv", "frob", ""]
 _SPACE_OK = [f"{family}:{g}" for family in ("lorentz", "marcinkiewicz") for g in _GEN_OK] + [
@@ -846,6 +854,8 @@ _NORM_SPACE = st.one_of(
 @settings(max_examples=100, deadline=None)
 @example(space="marcinkiewicz:table:{table}", indicator="1/4", use_step=False, fmt="json",
          table="t,psi\n1e-300,0.001\n0.5,0.9\n1,1\n", step={})
+@example(space="marcinkiewicz:logpow:1e100", indicator="1e-300", use_step=False, fmt="text",
+         table="t,psi\n1,1\n", step={})
 @given(
     space=_NORM_SPACE,
     indicator=_MEASURE_TEXT,

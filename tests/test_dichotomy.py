@@ -19,8 +19,7 @@ from rispaces import (
     table,
 )
 from rispaces import dichotomy
-from rispaces._numeric import log_factorial
-from rispaces.dichotomy import _KRUGLOV_CHUNK
+from rispaces._numeric import CHUNK as _KRUGLOV_CHUNK, log_factorial
 from rispaces.generators import ConcaveGenerator, parse_generator
 
 SQRT_8_3 = math.sqrt(8.0 / 3.0)
@@ -290,8 +289,8 @@ def test_kruglov_check_memory_does_not_grow_with_terms(phi, kwargs):
 def test_kruglov_check_first_crossing_in_grid_order_wins():
     # At threshold 100, invsqrtlog crosses at n = 56966 for t = 1, 24483 for
     # t = 0.5 and 5584 for t = 0.01, in the fourth, second and first chunks.
-    # The walks run side by side, yet the verdict is that of the first t in
-    # grid order that crosses at all.
+    # The t's are walked in grid order, so the verdict is that of the first t
+    # in grid order that crosses at all, not of the first crossing in n.
     phi = inv_sqrt_log()
     alone = {t: kruglov_check(phi, t_grid=(t,), threshold=100.0) for t in (1.0, 0.5, 0.01)}
     assert [alone[t].N_used // _KRUGLOV_CHUNK for t in alone] == [3, 1, 0]

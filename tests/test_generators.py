@@ -99,6 +99,17 @@ def test_logpow_values():
         logpow(0.5)
 
 
+def test_logpow_past_the_overflow_of_e_over_t():
+    # e / t overflows below e / DBL_MAX ~ 1.5e-308, where log(e/t) was inf; it
+    # is taken as 1 - log t there, and every larger t keeps its bits
+    psi = logpow(2.0)
+    tiny = np.array([1e-309, 1.4e-308, 5e-324])
+    np.testing.assert_allclose(psi(tiny), tiny * np.sqrt(1.0 - np.log(tiny)), rtol=1e-15)
+    assert psi(1e-309) == pytest.approx(2.6692673034658083e-308, rel=1e-15)
+    normal = np.array([1.6e-308, 1e-300, 1e-3, 0.5, 1.0])
+    np.testing.assert_array_equal(psi(normal), normal * np.log(np.e / normal) ** 0.5)
+
+
 def test_inv_sqrt_log_values():
     psi = inv_sqrt_log()
     assert psi(math.exp(-4.0)) == pytest.approx(0.5, rel=1e-13)

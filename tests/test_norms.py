@@ -27,6 +27,7 @@ from rispaces import (
     walk_abs_layers,
     walk_distribution,
 )
+from rispaces._numeric import CHUNK as _ROW_CHUNK
 from rispaces._search import golden_max_vec
 from rispaces.generators import ConcaveGenerator, inv_sqrt_log
 from rispaces.norms import (
@@ -38,7 +39,6 @@ from rispaces.norms import (
     _orlicz_core,
     _price_chunks,
 )
-from rispaces.walks import _ROW_CHUNK
 
 ALL_SPACES = [
     Lorentz(power(0.5)),

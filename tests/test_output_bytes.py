@@ -25,7 +25,10 @@ exponent at 745, the Gaussian inverse ran on the whole array and each FFT
 product held its operands through the inverse transform, before those changed.
 The Lorentz, Orlicz and Lpq norms of the float step file were recorded while
 float step functions still merged adjacent values within 1e-15 relative,
-before they merged exact ties only.
+before they merged exact ties only.  Three more Kruglov probes (a verdict set
+by a t that crosses after another one in n, a stop and an N/4 point off chunk edges, and a
+t of 1e-300) were recorded while the t's still walked side by side sharing
+each chunk's log n!, before each t walked alone.
 Those rewrites promise the same bytes, so any change in a hash here is a change of
 results, not of speed.
 
@@ -105,6 +108,11 @@ COMMANDS = [
     ("kruglov-invsqrtlog-divergent", ["kruglov", "--psi", "invsqrtlog"]),
     ("kruglov-power1-inconclusive", ["kruglov", "--psi", "power:1", "--t-grid", "1",
                                      "--max-terms", "8", "--threshold", "1e9"]),
+    ("kruglov-invsqrtlog-first-in-grid", ["kruglov", "--psi", "invsqrtlog", "--t-grid", "0.5,1,0.01",
+                                          "--threshold", "100"]),
+    ("kruglov-gauss-off-chunk-edges", ["kruglov", "--psi", "gauss", "--max-terms", "65539"]),
+    ("kruglov-power-tiny-t", ["kruglov", "--psi", "power:0.5", "--t-grid", "1,1e-300",
+                              "--max-terms", "16387"]),
     ("classify-invsqrtlog-kruglov", ["classify", "--psi", "invsqrtlog", "--with-kruglov"]),
     ("growth-layers-lorentz", ["growth", "--space", "lorentz:power:0.5",
                                "--ns", "16384,65536,262144,1048576"]),
@@ -148,6 +156,9 @@ EXPECTED = {
     "kruglov-logpow2": "0b06ddc8ced6e63d75c30ea9dfcdf4509023ec543cf32eba2662f6c3daba034c",
     "kruglov-invsqrtlog-divergent": "1d975751146489bbed53df0c68ab00f49b44b62fbfe711f2fc81558f0ee24beb",
     "kruglov-power1-inconclusive": "48ca101e76057f2f684ff003f70e86c6c6a2beeaf5a82d95aa04520e12434af5",
+    "kruglov-invsqrtlog-first-in-grid": "d7a7f376dbcd0fbe2182e60cdc94ef84d9c990f865b9ef5a306fc6c60863ccbe",
+    "kruglov-gauss-off-chunk-edges": "0117a9f9bba61fdc1cb7f895e5ca0e6f57318444d9e43ded8fd9a2ee327d81dc",
+    "kruglov-power-tiny-t": "e75951d7d6a48ea08a02c4627348a36bb888ac87659bd45df1c8fc7176798557",
     "classify-invsqrtlog-kruglov": "941ee652eb39fe6420ae69168d47ce54524b2ace2a79356987b7cb91b611505e",
     "growth-layers-lorentz": "47314abdd31e0bce5c3dc7f3858e33be68e27a807e6e4abac02b887cfd5797fc",
     "growth-layers-lpq": "9380ebeae6b65595b1bf4dd3962ba1134b461c373ea1b16a29124278ff4a0043",

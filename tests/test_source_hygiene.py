@@ -1,7 +1,8 @@
-"""Guards for deletions: no module keeps an import nothing uses, and the package
-exports exactly the names pinned here."""
+"""Guards for deletions: no module keeps an import nothing uses, one module holds
+the chunk size, and the package exports exactly the names pinned here."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,13 @@ def test_every_private_name_is_read_in_the_package():
 def test_dead_helper_check_sees_one():
     tree = ast.parse("_A = 1\n_B = _A\n\ndef _f():\n    return _B\n\nclass _C:\n    pass\n")
     assert _unread_private_names({"m.py": tree}) == [("m.py", "_C"), ("m.py", "_f")]
+
+
+def test_only_numeric_spells_the_chunk_size():
+    # every layer-sized pass reads _numeric.CHUNK rather than a 2**14 of its own
+    spelled = re.compile(r"2\s*\*\*\s*14\b")
+    holders = sorted(p.name for p in SRC.glob("*.py") if spelled.search(p.read_text()))
+    assert holders == ["_numeric.py"]
 
 
 EXPORTS = [

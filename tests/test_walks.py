@@ -19,8 +19,8 @@ from rispaces import (
     walk_abs_layers,
     walk_distribution,
 )
-from rispaces._numeric import log_factorial
-from rispaces.walks import _ROW_CHUNK, _abs_tail_fractions
+from rispaces._numeric import CHUNK as _ROW_CHUNK, log_factorial
+from rispaces.walks import _abs_tail_fractions
 
 LN2 = math.log(2.0)
 
