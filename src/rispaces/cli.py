@@ -6,8 +6,8 @@ measures one averaged-operator norm, ``classify`` runs the growth dichotomy,
 series, and ``mc`` prices a Monte Carlo i.i.d. sum.
 
 Output is deterministic byte for byte: floats render with repr, JSON sorts
-its keys, and every random draw is seeded (flag, config file, or the
-RISPACES_SEED environment variable, in that order of precedence).  Exit codes:
+its keys, and every random draw is seeded (flag, config file, the RISPACES_SEED
+environment variable, then 0, in that order of precedence).  Exit codes:
 0 on a conclusive result, 1 when a verdict is inconclusive, a fit is
 degenerate or a numerical search does not converge, 2 on usage or input errors.
 """
@@ -62,14 +62,24 @@ def _int_list(text: str) -> List[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _float_list(text: str) -> List[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ValueError(f"expected comma-separated floats, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated floats, got {text!r}") from None
+
+
+def _mode(text: str) -> str:
+    # a type rather than choices=: argparse checks choices on flags only, not on
+    # the config value that a default carries
+    if text not in ("exact", "mc"):
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from 'exact', 'mc')")
+    return text
 
 
 def _parse_measure(text: str):
@@ -78,10 +88,6 @@ def _parse_measure(text: str):
         return Fraction(text) if "/" in text else float(text)
     except ZeroDivisionError:
         raise ValueError(f"measure {text!r} divides by zero") from None
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("RISPACES_SEED", "0"))
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
@@ -103,14 +109,6 @@ def parse_config_file(path: str) -> Dict[str, str]:
 _CONFIG_KEYS = {"space", "sampler", "ns", "n", "mode", "trials", "m", "seed", "burn_in"}
 
 
-def _merged_config(args: argparse.Namespace) -> Dict[str, str]:
-    cfg = parse_config_file(args.config) if args.config else {}
-    unknown = set(cfg) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return cfg
-
-
 # Caps on the values that size memory, flag or config key alike, checked before
 # any compute: Monte Carlo sums, draw chunks and quantile pieces, walk laws
 # (O(n) floats each) and limit grids (O(j_max)); the Kruglov probe sums in
@@ -125,14 +123,6 @@ def _check_caps(**sizes) -> None:
         for v in value if isinstance(value, list) else [value]:
             if v > cap:
                 raise ValueError(f"{key} = {v} is past its cap of {cap}")
-
-
-def _pick(flag, cfg: Dict[str, str], key: str, conv, default):
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return conv(cfg[key])
-    return default
 
 
 # ------------------------------------------------------------------- handlers
@@ -153,26 +143,21 @@ def _cmd_norm(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
 
 
 def _cmd_mc(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
-    cfg = _merged_config(args)
-    space = parse_space(_pick(args.space, cfg, "space", str, None) or _bad("--space"))
-    token = _pick(args.sampler, cfg, "sampler", str, None) or _bad("--sampler")
-    seed = _pick(args.seed, cfg, "seed", int, _default_seed())
-    n = _pick(args.n, cfg, "n", int, None)
-    if n is None:
+    space = parse_space(args.space or _bad("--space"))
+    token = args.sampler or _bad("--sampler")
+    if args.n is None:
         _bad("--n")
-    trials = _pick(args.trials, cfg, "trials", int, 100_000)
-    m = _pick(args.m, cfg, "m", int, 4096)
-    _check_caps(n=n, trials=trials, m=m)
-    sampler = parse_sampler(token, seed)
-    value = mc_iid_sum_norm(sampler, n, space, trials=trials, m=m)
+    _check_caps(n=args.n, trials=args.trials, m=args.m)
+    sampler = parse_sampler(token, args.seed)
+    value = mc_iid_sum_norm(sampler, args.n, space, trials=args.trials, m=args.m)
     payload = {
         "command": "mc",
         "space": space_label(space),
         "sampler": sampler.label(),
-        "n": n,
-        "trials": trials,
-        "m": m,
-        "seed": seed,
+        "n": args.n,
+        "trials": args.trials,
+        "m": args.m,
+        "seed": args.seed,
         "norm": value,
     }
     return payload, [_fmt(value)], None, 0
@@ -287,30 +272,21 @@ def _cmd_kruglov(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]
 
 
 def _cmd_growth(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
-    cfg = _merged_config(args)
-    space = parse_space(_pick(args.space, cfg, "space", str, None) or _bad("--space"))
-    mode = _pick(args.mode, cfg, "mode", str, "exact")
-    ns = _pick(args.ns, cfg, "ns", _int_list, None)
-    if ns is None:
+    space = parse_space(args.space or _bad("--space"))
+    if args.ns is None:
         _bad("--ns")
-    seed = _pick(args.seed, cfg, "seed", int, _default_seed())
-    trials = _pick(args.trials, cfg, "trials", int, 100_000)
-    m = _pick(args.m, cfg, "m", int, 4096)
-    burn_in = _pick(args.burn_in, cfg, "burn_in", int, 2)
-    _check_caps(ns=ns)
-    if mode == "mc":
-        _check_caps(trials=trials, m=m)
-    token = _pick(args.sampler, cfg, "sampler", str, None)
-    sampler = parse_sampler(token, seed) if token else None
-    fit = growth_table(
-        space, ns, mode=mode, sampler=sampler, trials=trials, m=m, burn_in=burn_in
-    )
+    _check_caps(ns=args.ns)
+    if args.mode == "mc":
+        _check_caps(trials=args.trials, m=args.m)
+    sampler = parse_sampler(args.sampler, args.seed) if args.sampler else None
+    fit = growth_table(space, args.ns, mode=args.mode, sampler=sampler,
+                       trials=args.trials, m=args.m, burn_in=args.burn_in)
     payload = {
         "command": "growth",
         "space": space_label(space),
-        "mode": mode,
+        "mode": args.mode,
         "sampler": None if sampler is None else sampler.label(),
-        "seed": seed,
+        "seed": args.seed,
     }
     payload.update(_jsonable(fit))
     width = max(len(str(n)) for n, _ in fit.pairs)
@@ -338,7 +314,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentParser:
+    """The parser; ``config`` values become the defaults of the ``growth`` and
+    ``mc`` options, converted like a flag's value when no flag is given."""
     parser = _Parser(
         prog="rispaces",
         description="Norms, operator growth, and series criteria for "
@@ -382,27 +360,25 @@ def _build_parser() -> argparse.ArgumentParser:
                    "since the first term is 1")
     common(p)
 
+    def experiment(p):
+        p.add_argument("--space")
+        p.add_argument("--sampler", help="rademacher | signed:U | gauss | custom:CSV")
+        p.add_argument("--trials", type=int, default=100_000)
+        p.add_argument("--m", type=int, default=4096)
+        p.add_argument("--seed", type=int, help="defaults to RISPACES_SEED or 0")
+        p.add_argument("--config", help="flat key=value experiment file")
+        common(p)
+        p.set_defaults(**(config or {}))
+
     p = sub.add_parser("growth", help="norm-vs-n table and power fit")
-    p.add_argument("--space")
     p.add_argument("--ns", type=_int_list, help="comma-separated sizes, e.g. 16,32,64,128")
-    p.add_argument("--mode", choices=("exact", "mc"))
-    p.add_argument("--sampler", help="rademacher | signed:U | gauss | custom:CSV")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--seed", type=int, help="defaults to RISPACES_SEED or 0")
-    p.add_argument("--burn-in", type=int)
-    p.add_argument("--config", help="flat key=value experiment file")
-    common(p)
+    p.add_argument("--mode", type=_mode, default="exact", help="exact | mc")
+    p.add_argument("--burn-in", type=int, default=2)
+    experiment(p)
 
     p = sub.add_parser("mc", help="Monte Carlo norm of an i.i.d. sum")
-    p.add_argument("--space")
-    p.add_argument("--sampler")
     p.add_argument("--n", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="flat key=value experiment file")
-    common(p)
+    experiment(p)
 
     return parser
 
@@ -432,6 +408,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.format == "csv" and args.command != "growth":  # checked before any compute
             raise ValueError("csv output is only available for growth tables")
+        if getattr(args, "config", None):
+            config = parse_config_file(args.config)
+            unknown = set(config) - _CONFIG_KEYS
+            if unknown:
+                raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            args = _build_parser(config).parse_args(argv)
+        if "seed" in args and args.seed is None:  # neither flag nor config key
+            env_seed = os.environ.get("RISPACES_SEED", "0")
+            try:
+                args.seed = int(env_seed)
+            except ValueError:
+                raise ValueError(f"RISPACES_SEED must be an integer, got {env_seed!r}") from None
         payload, lines, rows, code = _HANDLERS[args.command](args)
         text = _render(payload, lines, rows, args.format)
         if args.out:

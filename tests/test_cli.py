@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -214,6 +215,44 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     assert "trails" in err
 
 
+@pytest.mark.parametrize(
+    "argv, config, err",
+    [
+        (("mc", "--space", "lpq:2:1", "--sampler", "rademacher", "--n", "4"), "trials = 1e5\n",
+         "rispaces mc: error: argument --trials: invalid int value: '1e5'\n"),
+        (("growth", "--space", "lpq:2:1"), "ns = 16,32,x\n",
+         "rispaces growth: error: argument --ns: expected comma-separated integers, "
+         "got '16,32,x'\n"),
+        (("growth", "--space", "lpq:2:1", "--ns", "16,32,64,128"), "mode = frob\n",
+         "rispaces growth: error: argument --mode: invalid choice: 'frob' "
+         "(choose from 'exact', 'mc')\n"),
+    ],
+    ids=["mc-trials", "growth-ns", "growth-mode"],
+)
+def test_bad_config_value_names_its_option(capsys, tmp_path, argv, config, err):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config)
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == (2, "", err)
+
+
+def test_bad_list_flags_name_no_private_function(capsys):
+    assert run_cli(capsys, "classify", "--psi", "power:0.5", "--k-list", "2,x") == (
+        2, "", "rispaces classify: error: argument --k-list: expected comma-separated "
+        "integers, got '2,x'\n")
+    assert run_cli(capsys, "kruglov", "--psi", "power:0.5", "--t-grid", "0.5,y") == (
+        2, "", "rispaces kruglov: error: argument --t-grid: expected comma-separated "
+        "floats, got '0.5,y'\n")
+
+
+def test_every_experiment_option_has_a_config_key():
+    # the key list is kept by hand: each growth/mc option has a key, each key an option
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for name in ("growth", "mc") for a in sub.choices[name]._actions
+             if a.option_strings and a.dest not in ("help", "config", "format", "out")}
+    assert dests == cli._CONFIG_KEYS
+
+
 _MC = ("mc", "--space", "lorentz:power:1", "--sampler", "rademacher")
 _GROWTH_MC = ("growth", "--space", "lpq:2:1", "--mode", "mc", "--sampler", "rademacher")
 
@@ -377,6 +416,20 @@ def test_seed_env_default(capsys, monkeypatch):
     _, out2, _ = run_cli(capsys, *args)
     assert json.loads(out2)["seed"] == 124
     assert json.loads(out1)["norm"] != json.loads(out2)["norm"]
+
+
+def test_seed_env_read_only_when_no_seed_is_given(capsys, monkeypatch, tmp_path):
+    args = ("mc", "--space", "lpq:2:1", "--sampler", "rademacher", "--n", "4",
+            "--trials", "1000", "--m", "256", "--format", "json")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("seed = 3\n")
+    monkeypatch.setenv("RISPACES_SEED", "abc")
+    code, out, err = run_cli(capsys, *args, "--seed", "3")
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *args, "--config", str(cfg)) == (code, out, err)
+    assert json.loads(out)["seed"] == 3
+    assert run_cli(capsys, *args) == (2, "", "error: RISPACES_SEED must be an integer, "
+                                      "got 'abc'\n")
 
 
 def test_out_writes_file(capsys, tmp_path):

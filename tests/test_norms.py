@@ -52,10 +52,29 @@ def two_step(v1, v2, t1):
     return StepFunction([Fraction(0), t1, Fraction(1)], [v1, v2])
 
 
+# Tiny indicator measures, down to the least subnormal.  Their norms come back
+# through exp of a log-space value, so a closed form psi(u) holds to a relative
+# (1 + |ln u|) 2^-52, the rounding of ln u carried through exp.
+_TINY_U = tuple(10.0**-k for k in (5, 20, 50, 100, 200, 300, 310, 320, 323)) + tuple(
+    2.0**-j for j in (64, 380, 700, 1000, 1022, 1023, 1060, 1074))
+
+
+def _log_space_tol(u):
+    return (1.0 + abs(math.log(u))) * 2.0**-52
+
+
+def _assert_rel(got, want, rel):
+    assert abs(got - want) <= rel * want, (got, want, rel)
+
+
 def test_lorentz_indicator_closed_form():
     for u in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
         got = space_norm(StepFunction.indicator(u), Lorentz(power(0.5)))
         assert got == pytest.approx(math.sqrt(float(u)), rel=1e-13)
+    for u in _TINY_U:
+        for psi, want in ((power(1.0), u), (power(0.5), math.sqrt(u))):
+            got = space_norm(StepFunction.indicator(u), Lorentz(psi))
+            _assert_rel(got, want, _log_space_tol(u))
 
 
 def test_lorentz_two_step_closed_form():
@@ -84,6 +103,9 @@ def test_marcinkiewicz_indicator_closed_form():
         for u in (0.03, 0.25, 1.0):
             got = space_norm(StepFunction.indicator(float(u)), Marcinkiewicz(phi))
             assert got == pytest.approx(u / phi(u), rel=1e-12)
+    for u in _TINY_U:
+        got = space_norm(StepFunction.indicator(u), Marcinkiewicz(power(0.5)))
+        _assert_rel(got, math.sqrt(u), _log_space_tol(u))
 
 
 def test_marcinkiewicz_unit_indicator_logpow():
@@ -115,6 +137,9 @@ def test_orlicz_indicator_closed_form():
         for u in (0.25, 0.5, 1.0):
             got = space_norm(StepFunction.indicator(u), Orlicz(exp_lp(p)))
             assert got == pytest.approx(math.log1p(1.0 / u) ** (-1.0 / p), rel=1e-10)
+        for u in _TINY_U:  # log1p(1/u) = log1p(u) - ln u, where 1/u overflows
+            got = space_norm(StepFunction.indicator(u), Orlicz(exp_lp(p)))
+            _assert_rel(got, (math.log1p(u) - math.log(u)) ** (-1.0 / p), 4 * 2.0**-52)
 
 
 def test_orlicz_scaled_indicator_homogeneous():
@@ -149,6 +174,9 @@ def test_lpq_indicator_closed_form():
     for u, p, q, expect in cases:
         got = lpq_norm(StepFunction.indicator(u), p, q)
         assert got == pytest.approx(expect, rel=1e-12)
+    for u in _TINY_U:
+        _assert_rel(lpq_norm(StepFunction.indicator(u), 2.0, 1.0), math.sqrt(u),
+                    _log_space_tol(u))
 
 
 def test_lpq_parameter_validation():

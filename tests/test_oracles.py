@@ -68,17 +68,20 @@ ORACLES = {
     "signed_indicator_sum_expectation": ("test_walks::test_expectation_exact_small",
                                          "the sum of enumerated tails; rel 1e-12"),
     # norms
-    "Lorentz": ("test_norms::test_lorentz_indicator_closed_form", "psi(u); rel 1e-13"),
+    "Lorentz": ("test_norms::test_lorentz_indicator_closed_form",
+                "psi(u); rel 1e-13, and (1 + |ln u|) 2^-52 for u down to 2^-1074"),
     "Marcinkiewicz": ("test_norms::test_marcinkiewicz_indicator_closed_form",
-                      "u / phi(u); rel 1e-12"),
+                      "u / phi(u); rel 1e-12, and (1 + |ln u|) 2^-52 for u down to 2^-1074"),
     "Orlicz": ("test_norms::test_orlicz_indicator_closed_form",
-               "log1p(1/u)^(-1/p); rel 1e-10"),
-    "Lpq": ("test_norms::test_lpq_indicator_closed_form", "u^(1/p); rel 1e-12"),
+               "log1p(1/u)^(-1/p); rel 1e-10, and 4 2^-52 for u down to 2^-1074"),
+    "Lpq": ("test_norms::test_lpq_indicator_closed_form",
+            "u^(1/p); rel 1e-12, and (1 + |ln u|) 2^-52 for u down to 2^-1074"),
     "SpaceSpec": ("test_norms::test_three_route_agreement_on_walk_laws",
                   "exact, float and layered routes agree in all four families; rel 1e-9"),
     "exp_lp": ("test_norms::test_orlicz_root_modular_residual_in_high_precision",
                "the modular at the norm, in 50-digit arithmetic; |modular - 1| <= 1e-12"),
-    "lpq_norm": ("test_norms::test_lpq_indicator_closed_form", "u^(1/p); rel 1e-12"),
+    "lpq_norm": ("test_norms::test_lpq_indicator_closed_form",
+                 "u^(1/p); rel 1e-12, and (1 + |ln u|) 2^-52 for u down to 2^-1074"),
     "space_norm": ("test_norms::test_lorentz_two_step_closed_form",
                    "the Stieltjes sum by hand; rel 1e-13"),
     "space_norm_from_layers": ("test_norms::test_three_route_agreement_on_walk_laws",
