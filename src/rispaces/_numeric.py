@@ -1,6 +1,6 @@
 """Numeric helpers shared by the modules: ln 2, the chunk size, log-factorials,
-log-binomials, logsumexp and finite parameters, all on NumPy alone so importing
-them loads no SciPy."""
+log-binomials, logsumexp, finite parameters and the ``HEAD:REST`` token grammar,
+all on NumPy alone so importing them loads no SciPy."""
 
 from __future__ import annotations
 
@@ -92,3 +92,18 @@ def finite_float(text) -> float:
     if not math.isfinite(x):
         raise ValueError(f"parameter must be finite, got {str(text).strip()!r}")
     return x
+
+
+def parse_token(kind: str, token: str, forms: dict, paths=()):
+    """``forms[head](rest)`` for a ``HEAD:REST`` token, its head in any case, where a
+    head in ``paths`` needs a nonempty REST; any failure is one ValueError."""
+    head, _, rest = token.partition(":")
+    head = head.strip().lower()
+    if head not in forms:
+        raise ValueError(f"unknown {kind} token {token!r}")
+    try:
+        if head in paths and not rest:
+            raise ValueError(f"{head} token needs a path")
+        return forms[head](rest)
+    except ValueError as exc:
+        raise ValueError(f"bad {kind} token {token!r}: {exc}") from None

@@ -58,20 +58,26 @@ def _jsonable(x):
     return x
 
 
-def _int_list(text: str) -> List[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
+def _list_of(conv, kind: str):
+    """The type of a comma-separated list option, its items read by ``conv``."""
+    def parse(text: str) -> list:
+        try:
+            return [conv(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind}, got {text!r}") from None
+    return parse
 
 
-def _float_list(text: str) -> List[float]:
+def _seed(text: str) -> int:
+    # NumPy seeds are non-negative; the flag, a config key and RISPACES_SEED all come here
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        seed = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated floats, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _mode(text: str) -> str:
@@ -91,8 +97,9 @@ def _parse_measure(text: str):
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
-    """Flat ``key = value`` file; blank lines and # comments ignored."""
+    """Flat ``key = value`` file, each key once; blank lines and # comments ignored."""
     cfg: Dict[str, str] = {}
+    first: Dict[str, int] = {}  # the line of each key
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -100,8 +107,10 @@ def parse_config_file(path: str) -> Dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            cfg[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in first:
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {first[key]}")
+            first[key], cfg[key] = lineno, value
     return cfg
 
 
@@ -323,6 +332,7 @@ def _build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentP
         "rearrangement-invariant function spaces on (0, 1].",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    ints, floats = _list_of(int, "integers"), _list_of(float, "floats")
 
     def common(p):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -342,9 +352,9 @@ def _build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentP
 
     p = sub.add_parser("classify", help="growth dichotomy for a generator")
     p.add_argument("--psi", required=True)
-    p.add_argument("--k-list", type=_int_list, default=[2, 3, 4])
-    p.add_argument("--l-list", type=_int_list, default=[2, 3])
-    p.add_argument("--n-list", type=_int_list, default=[2, 4, 8, 16, 32, 64])
+    p.add_argument("--k-list", type=ints, default=[2, 3, 4])
+    p.add_argument("--l-list", type=ints, default=[2, 3])
+    p.add_argument("--n-list", type=ints, default=[2, 4, 8, 16, 32, 64])
     p.add_argument("--margin", type=float, default=1e-3)
     p.add_argument("--j-max", type=int, default=CLASSIFY_GRID.j_max)
     p.add_argument("--window", type=int, default=CLASSIFY_GRID.window)
@@ -353,7 +363,7 @@ def _build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentP
 
     p = sub.add_parser("kruglov", help="compound-Poisson series probe")
     p.add_argument("--psi", required=True)
-    p.add_argument("--t-grid", type=_float_list, default=None)
+    p.add_argument("--t-grid", type=floats, default=None)
     p.add_argument("--max-terms", type=int, default=1_048_576)
     p.add_argument("--threshold", type=float, default=1e3,
                    help="divergence bound on the partial sums; finite and > 1, "
@@ -365,13 +375,13 @@ def _build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentP
         p.add_argument("--sampler", help="rademacher | signed:U | gauss | custom:CSV")
         p.add_argument("--trials", type=int, default=100_000)
         p.add_argument("--m", type=int, default=4096)
-        p.add_argument("--seed", type=int, help="defaults to RISPACES_SEED or 0")
+        p.add_argument("--seed", type=_seed, help="defaults to RISPACES_SEED or 0")
         p.add_argument("--config", help="flat key=value experiment file")
         common(p)
         p.set_defaults(**(config or {}))
 
     p = sub.add_parser("growth", help="norm-vs-n table and power fit")
-    p.add_argument("--ns", type=_int_list, help="comma-separated sizes, e.g. 16,32,64,128")
+    p.add_argument("--ns", type=ints, help="comma-separated sizes, e.g. 16,32,64,128")
     p.add_argument("--mode", type=_mode, default="exact", help="exact | mc")
     p.add_argument("--burn-in", type=int, default=2)
     experiment(p)
@@ -417,9 +427,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if "seed" in args and args.seed is None:  # neither flag nor config key
             env_seed = os.environ.get("RISPACES_SEED", "0")
             try:
-                args.seed = int(env_seed)
-            except ValueError:
-                raise ValueError(f"RISPACES_SEED must be an integer, got {env_seed!r}") from None
+                args.seed = _seed(env_seed)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"RISPACES_SEED {exc}") from None
         payload, lines, rows, code = _HANDLERS[args.command](args)
         text = _render(payload, lines, rows, args.format)
         if args.out:

@@ -25,6 +25,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ._numeric import parse_token
 from .gaussian import erfc_inverse, upper_tail
 from .generators import gauss
 from .norms import (
@@ -32,7 +33,8 @@ from .norms import (
     Lpq,
     Marcinkiewicz,
     SpaceSpec,
-    _price_chunks,
+    _checked_chunks,
+    _price,
     space_norm,
     space_norm_from_layers,
 )
@@ -113,26 +115,20 @@ def custom_sampler(quantiles: Sequence[float], seed: int = 0) -> SamplerSpec:
     return SamplerSpec(kind="custom", quantiles=tuple(float(x) for x in q), seed=seed)
 
 
+def _csv_column(path: str) -> List[float]:
+    with open(path, newline="") as fh:
+        return [float(row[0]) for row in csv.reader(fh) if row and row[0].strip()]
+
+
 def parse_sampler(token: str, seed: int = 0) -> SamplerSpec:
     """Mini-DSL: rademacher | signed:U | gauss | custom:CSVPATH."""
-    head, _, rest = token.partition(":")
-    head = head.strip().lower()
-    try:
-        if head == "rademacher":
-            return rademacher(seed)
-        if head == "signed":
-            return signed_indicator(float(rest), seed)
-        if head in ("gauss", "gaussian"):
-            return gaussian_law(seed)
-        if head == "custom":
-            if not rest:
-                raise ValueError("custom token needs a path")
-            with open(rest, newline="") as fh:
-                vals = [float(row[0]) for row in csv.reader(fh) if row and row[0].strip()]
-            return custom_sampler(vals, seed)
-    except ValueError as exc:
-        raise ValueError(f"bad sampler token {token!r}: {exc}") from None
-    raise ValueError(f"unknown sampler token {token!r}")
+    return parse_token("sampler", token, {
+        "rademacher": lambda rest: rademacher(seed),
+        "signed": lambda rest: signed_indicator(float(rest), seed),
+        "gauss": lambda rest: gaussian_law(seed),
+        "gaussian": lambda rest: gaussian_law(seed),
+        "custom": lambda rest: custom_sampler(_csv_column(rest), seed),
+    }, paths=("custom",))
 
 
 def _rng_for(spec: SamplerSpec, stream: int) -> np.random.Generator:
@@ -211,7 +207,7 @@ def rademacher_sum_norm(n: int, space: SpaceSpec) -> float:
     if n <= EXACT_MAX_STEPS:
         return space_norm(walk_distribution(n), space)
     if isinstance(space, (Lorentz, Lpq)):
-        return _price_chunks(_walk_abs_chunks(n), n // 2 + 1, space)
+        return _price(_checked_chunks(_walk_abs_chunks(n)), n // 2 + 1, space)
     values, log_tails = walk_abs_layers(n)
     return space_norm_from_layers(values, log_tails, space)
 

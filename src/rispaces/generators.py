@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numeric import LN2, finite_float, log_binom
+from ._numeric import LN2, finite_float, log_binom, parse_token
 from .gaussian import erfc_inverse, erfc_inverse_log
 
 __all__ = [
@@ -241,24 +241,14 @@ def table_from_csv(path: str) -> ConcaveGenerator:
 
 def parse_generator(token: str) -> ConcaveGenerator:
     """Mini-DSL: power:A | logpow:P | example7 | invsqrtlog | gauss | table:PATH."""
-    head, _, rest = token.partition(":")
-    head = head.strip().lower()
-    try:
-        if head == "power":
-            return power(finite_float(rest))
-        if head == "logpow":
-            return logpow(finite_float(rest))
-        if head in ("example7", "invsqrtlog"):
-            return inv_sqrt_log()
-        if head == "gauss":
-            return gauss()
-        if head == "table":
-            if not rest:
-                raise ValueError("table token needs a path")
-            return table_from_csv(rest)
-    except ValueError as exc:
-        raise ValueError(f"bad generator token {token!r}: {exc}") from None
-    raise ValueError(f"unknown generator token {token!r}")
+    return parse_token("generator", token, {
+        "power": lambda rest: power(finite_float(rest)),
+        "logpow": lambda rest: logpow(finite_float(rest)),
+        "example7": lambda rest: inv_sqrt_log(),
+        "invsqrtlog": lambda rest: inv_sqrt_log(),
+        "gauss": lambda rest: gauss(),
+        "table": table_from_csv,
+    }, paths=("table",))
 
 
 # ------------------------------------------------------------ limit estimation

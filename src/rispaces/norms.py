@@ -11,9 +11,10 @@ experiments honest.
 
 ``space_norm_from_layers`` exposes the layered entry point directly for laws
 that are generated as (value, log-tail) pairs without ever materializing a
-float step function.  The Lorentz and Lpq norms read the layers once, so they
-also take them as a stream of consecutive chunks (``_price_chunks``), with the
-same bits wherever the stream is cut (the comment on the cores says why).
+float step function.  Every route prices through one dispatch, which takes the
+layers as a stream of consecutive chunks: the Lorentz and Lpq norms read the
+stream once, with the same bits wherever it is cut (the comment on the cores
+says why), and the Marcinkiewicz and Orlicz norms take a stream of one chunk.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterable, Iterator, Tuple, Union
 
 import numpy as np
 
-from ._numeric import CHUNK, LN2, finite_float, logsumexp
+from ._numeric import CHUNK, LN2, finite_float, logsumexp, parse_token
 from ._search import golden_max_vec
 from .generators import ConcaveGenerator, parse_generator
 from .stepfn import StepFunction
@@ -149,26 +150,21 @@ def space_label(space: SpaceSpec) -> str:
     raise TypeError(f"not a space spec: {space!r}")
 
 
+def _orlicz_token(rest: str) -> Orlicz:
+    kind, _, param = rest.partition(":")
+    if kind.strip().lower() != "np":
+        raise ValueError(f"unknown Orlicz family {kind!r}")
+    return Orlicz(exp_lp(finite_float(param)))
+
+
 def parse_space(token: str) -> SpaceSpec:
     """Mini-DSL: lorentz:GEN | marcinkiewicz:GEN | orlicz:Np:P | lpq:P:Q."""
-    head, _, rest = token.partition(":")
-    head = head.strip().lower()
-    try:
-        if head == "lorentz":
-            return Lorentz(parse_generator(rest))
-        if head == "marcinkiewicz":
-            return Marcinkiewicz(parse_generator(rest))
-        if head == "orlicz":
-            kind, _, param = rest.partition(":")
-            if kind.strip().lower() != "np":
-                raise ValueError(f"unknown Orlicz family {kind!r}")
-            return Orlicz(exp_lp(finite_float(param)))
-        if head == "lpq":
-            p, _, q = rest.partition(":")
-            return Lpq(finite_float(p), finite_float(q))
-    except ValueError as exc:
-        raise ValueError(f"bad space token {token!r}: {exc}") from None
-    raise ValueError(f"unknown space token {token!r}")
+    return parse_token("space", token, {
+        "lorentz": lambda rest: Lorentz(parse_generator(rest)),
+        "marcinkiewicz": lambda rest: Marcinkiewicz(parse_generator(rest)),
+        "orlicz": _orlicz_token,
+        "lpq": lambda rest: Lpq(*map(finite_float, rest.partition(":")[::2])),
+    })
 
 
 # ------------------------------------------------------------- layered internals
@@ -189,21 +185,17 @@ def _layers_from_step(f: StepFunction) -> Layers:
     return x.values.astype(float, copy=False), lT
 
 
-def _check_layers(values: np.ndarray, log_tails: np.ndarray) -> None:
-    if values.size == 0 or values.size != log_tails.size:
-        raise ValueError("layers need matching nonempty value/log-tail arrays")
-    # written so that a NaN fails: the cores take the positive values as a prefix
-    if not np.all(values >= 0) or np.any(np.diff(values) > 0):
-        raise ValueError("layer values must be nonnegative and nonincreasing")
-    if not np.all(log_tails <= 0) or np.any(np.diff(log_tails) <= 0):
-        raise ValueError("log tails must be strictly increasing and <= 0")
-
-
 def _checked_chunks(chunks: Iterable[Layers]) -> Iterator[Layers]:
     """The chunks, each checked as it comes and against the last layer before it."""
     before = None
     for values, log_tails in chunks:
-        _check_layers(values, log_tails)
+        if values.size == 0 or values.size != log_tails.size:
+            raise ValueError("layers need matching nonempty value/log-tail arrays")
+        # written so that a NaN fails: the cores take the positive values as a prefix
+        if not np.all(values >= 0) or np.any(np.diff(values) > 0):
+            raise ValueError("layer values must be nonnegative and nonincreasing")
+        if not np.all(log_tails <= 0) or np.any(np.diff(log_tails) <= 0):
+            raise ValueError("log tails must be strictly increasing and <= 0")
         if before is not None and not (before[0] >= values[0] and before[1] < log_tails[0]):
             raise ValueError("a chunk of layers must continue the layers before it")
         before = values[-1], log_tails[-1]
@@ -424,31 +416,24 @@ def _lpq_core(chunks: Iterable[Layers], size: int, p: float, q: float) -> float:
 # --------------------------------------------------------------- public norms
 
 
-def _price(values: np.ndarray, lT: np.ndarray, space: SpaceSpec) -> float:
-    if isinstance(space, Lorentz):
-        return _lorentz_core([(values, lT)], space.psi)
-    if isinstance(space, Marcinkiewicz):
-        return _marcinkiewicz_core(values, lT, space.phi)
-    if isinstance(space, Orlicz):
-        return _orlicz_core(values, lT, space.M)
-    if isinstance(space, Lpq):
-        return _lpq_core([(values, lT)], values.size, space.p, space.q)
-    raise TypeError(f"not a space spec: {space!r}")
+def _price(chunks: Iterable[Layers], size: int, space: SpaceSpec) -> float:
+    """The norm of at most ``size`` layers that come as consecutive chunks.
 
-
-def _price_chunks(chunks: Iterable[Layers], size: int, space: SpaceSpec) -> float:
-    """Lorentz or Lpq norm of ``size`` layers that come as consecutive chunks.
-
-    Each chunk is checked as ``space_norm_from_layers`` checks its arrays, and
-    against the layer before it.  The Marcinkiewicz and Orlicz cores revisit
-    layers, so they take whole arrays only.
+    The Lorentz and Lpq cores read the stream once; the Marcinkiewicz and
+    Orlicz cores revisit layers, so they take a stream of one chunk only.
     """
-    chunks = _checked_chunks(chunks)
     if isinstance(space, Lorentz):
         return _lorentz_core(chunks, space.psi)
     if isinstance(space, Lpq):
         return _lpq_core(chunks, size, space.p, space.q)
-    raise TypeError(f"layer chunks price Lorentz and Lpq norms only, not {space!r}")
+    (values, lT), *more = chunks
+    if more:
+        raise TypeError(f"layer chunks price Lorentz and Lpq norms only, not {space!r}")
+    if isinstance(space, Marcinkiewicz):
+        return _marcinkiewicz_core(values, lT, space.phi)
+    if isinstance(space, Orlicz):
+        return _orlicz_core(values, lT, space.M)
+    raise TypeError(f"not a space spec: {space!r}")
 
 
 def space_norm(f: StepFunction, space: SpaceSpec) -> float:
@@ -463,12 +448,13 @@ def space_norm(f: StepFunction, space: SpaceSpec) -> float:
       that float lambda granularity is the binding constraint).
     - ``Lpq(p, q)``: the prefactor-inside convention, ||chi_(0,u]|| = u^(1/p).
     """
-    return _price(*_layers_from_step(f), space)
+    layers = _layers_from_step(f)
+    return _price([layers], layers[0].size, space)
 
 
 def lpq_norm(f: StepFunction, p: float, q: float) -> float:
     """``space_norm(f, Lpq(p, q))``."""
-    return _price(*_layers_from_step(f), Lpq(p, q))
+    return space_norm(f, Lpq(p, q))
 
 
 def space_norm_from_layers(values, log_tails, space: SpaceSpec) -> float:
@@ -478,7 +464,6 @@ def space_norm_from_layers(values, log_tails, space: SpaceSpec) -> float:
     the extreme layers of large-n laws correctly.
     """
     values = np.asarray(values, dtype=float)
-    log_tails = np.asarray(log_tails, dtype=float)
-    _check_layers(values, log_tails)
-    return _price(values, log_tails, space)
+    layers = _checked_chunks([(values, np.asarray(log_tails, dtype=float))])
+    return _price(layers, values.size, space)
 

@@ -8,15 +8,19 @@ arrays of ``fractions.Fraction`` for combinatorial identities.  Each method runs
 one numpy code path on both.  The arithmetics differ only in the endpoint rule
 (exact 0 and 1, or floats snapped within ``_ENDPOINT_ATOL``) and the exact sums
 of ``measure_above`` and ``integral``.  An exact function combined with a float
-argument or a float function gives a float result.  Every constructor puts the
-function into canonical form: strictly positive piece lengths, and adjacent
-pieces merged exactly when their values are equal, in either arithmetic.  Two
+argument or a float function gives a float result.  Every step function, from
+``indicator`` to ``rearrange`` and ``from_json_dict``, is built by the one
+constructor.  It decides the arithmetic once from the entries, arrays and lists
+alike: ``Fraction`` objects when every entry is rational, one float array
+otherwise.  It then puts the function into canonical form: strictly positive
+piece lengths, and adjacent pieces merged exactly when their values are equal.  Two
 floats that differ never merge, so no value moves, and equimeasurability
 checks are plain data comparisons.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from numbers import Rational
@@ -47,27 +51,17 @@ class StepFunction:
     __slots__ = ("_breakpoints", "_values")
 
     def __init__(self, breakpoints: Sequence[Number], values: Sequence[Number]):
-        floats = all(
-            isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind == "f"
-            for a in (breakpoints, values)
-        )
-        bps = breakpoints if floats else list(breakpoints)
-        vals = values if floats else list(values)
-        if len(bps) != len(vals) + 1:
+        # one arithmetic, arrays and lists alike: Fractions if every entry is rational
+        exact = all(map(_is_exact, itertools.chain(breakpoints, values)))
+        bp, v = (np.array([Fraction(x) for x in a], dtype=object) if exact
+                 else np.array(a, dtype=float) for a in (breakpoints, values))
+        if bp.size != v.size + 1:
             raise ValueError(
-                "need len(breakpoints) == len(values) + 1, got %d and %d"
-                % (len(bps), len(vals))
+                "need len(breakpoints) == len(values) + 1, got %d and %d" % (bp.size, v.size)
             )
-        if not len(vals):
+        if not v.size:
             raise ValueError("a step function needs at least one piece")
-        if floats:
-            bp, v = np.array(bps, dtype=float), np.array(vals, dtype=float)
-        else:
-            exact = all(_is_exact(x) for x in bps + vals)
-            conv, dtype = (Fraction, object) if exact else (float, float)
-            bp = np.array([conv(x) for x in bps], dtype=dtype)
-            v = np.array([conv(x) for x in vals], dtype=dtype)
-        if bp.dtype == object:
+        if exact:
             if bp[0] != 0 or bp[-1] != 1:
                 raise ValueError("breakpoints must start at 0 and end at 1")
         else:
@@ -80,15 +74,9 @@ class StepFunction:
             raise ValueError("breakpoints must be nondecreasing")
         if np.any(v < 0):
             raise ValueError("values must be nonnegative")
-        self._canonicalize(bp, v)
-
-    def _canonicalize(self, bp: np.ndarray, v: np.ndarray):
-        """Keep the canonical form of fresh arrays: nondecreasing breakpoints from 0
-        to 1 and nonnegative values, both ``float64`` or both ``Fraction`` objects.
-
-        Zero-length pieces go, then each run of equal adjacent values becomes one
-        piece; the merge is the same comparison in both arithmetics."""
-        # Zero-length pieces arise from cumulative sums of underflowed masses; drop them.
+        # Canonical form: zero-length pieces, which arise from cumulative sums of
+        # underflowed masses, go; then each run of equal adjacent values becomes
+        # one piece, by the same comparison in both arithmetics.
         keep = np.diff(bp) > 0
         if not keep.any():
             raise ValueError("all pieces have zero length")
@@ -129,15 +117,11 @@ class StepFunction:
         """Indicator of (0, u]."""
         if not 0 < u <= 1:
             raise ValueError("indicator width must lie in (0, 1]")
-        one = 1 if _is_exact(u) else 1.0
-        zero = 0 if _is_exact(u) else 0.0
-        if u == 1:
-            return cls([zero, one], [one])
-        return cls([zero, u, one], [one, zero])
+        return cls([0, u, 1], [1, 0])  # at u = 1 the zero-length last piece goes
 
     @classmethod
     def constant(cls, c: Number) -> "StepFunction":
-        return cls([0, 1] if _is_exact(c) else [0.0, 1.0], [c])
+        return cls([0, 1], [c])
 
     def measure_above(self, s: Number):
         """Lebesgue measure of {f > s}."""
@@ -176,12 +160,7 @@ class StepFunction:
         lens = self.piece_lengths()[order]
         bp = np.concatenate((self._breakpoints[:1], np.cumsum(lens)))
         bp[-1] = self._breakpoints[-1]
-        # The values are already checked; only the rounded sums can misplace a breakpoint.
-        if np.any(np.diff(bp) < 0):
-            raise ValueError("breakpoints must be nondecreasing")
-        out = StepFunction.__new__(StepFunction)
-        out._canonicalize(bp, self._values[order])
-        return out
+        return StepFunction(bp, self._values[order])
 
     # ---------------------------------------------------------- serialization
 
@@ -200,13 +179,11 @@ class StepFunction:
         bps, vals = d["breakpoints"], d["values"]
         kinds = set(map(type, bps)) | set(map(type, vals))
         if float in kinds and kinds <= {float, int}:
-            # all plain numbers, not all integers: the float path, decoded at once
+            # all plain numbers, not all integers: the constructor's float path
             try:
-                entries = np.array(bps + vals, dtype=float)
+                return cls(bps, vals)
             except OverflowError:  # an integer past the float range: reported below
                 pass
-            else:
-                return cls(entries[: len(bps)], entries[len(bps) :])
 
         def dec(x):
             if isinstance(x, bool) or not isinstance(x, (int, float, str)):

@@ -432,6 +432,30 @@ def test_seed_env_read_only_when_no_seed_is_given(capsys, monkeypatch, tmp_path)
                                       "got 'abc'\n")
 
 
+_MC_ARGS = ("mc", "--space", "lpq:2:1", "--sampler", "rademacher", "--n", "4",
+            "--trials", "1000", "--m", "256")
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_negative_seed_is_refused_naming_its_source(capsys, monkeypatch, tmp_path, source):
+    # NumPy refuses a negative seed with a message that names neither source
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("seed = -5\n")
+    extra = {"flag": ("--seed=-5",), "config": ("--config", str(cfg)), "env": ()}[source]
+    monkeypatch.setenv("RISPACES_SEED", "-5" if source == "env" else "0")
+    err = ("error: RISPACES_SEED must be a non-negative integer, got '-5'\n" if source == "env"
+           else "rispaces mc: error: argument --seed: must be a non-negative integer, got '-5'\n")
+    assert run_cli(capsys, *_MC_ARGS, *extra) == (2, "", err)
+
+
+def test_repeated_config_key_is_refused(capsys, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("trials = 1000\n# a later line must not override an earlier one\n"
+                   "trials = 5000\n")
+    assert run_cli(capsys, *_MC_ARGS[:-4], "--config", str(cfg)) == (
+        2, "", f"error: {cfg}:3: key 'trials' repeats line 1\n")
+
+
 def test_out_writes_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -786,10 +810,11 @@ def _options(draw, fields, config=False):
     unless it is the invalid one.  With
     ``config``, each value goes on the command line or into the returned
     ``key = value`` lines, which carry an error of their own when the invalid
-    one is an unknown key or a line without "=".  Returns the options, the
-    config lines and whether anything was made invalid.
+    one is an unknown key, a line without "=" or a repeated key.  Returns the
+    options, the config lines and whether anything was made invalid.
     """
-    names = list(fields) + (["<unknown key>", "<no equals sign>"] if config else [])
+    names = list(fields) + (["<unknown key>", "<no equals sign>", "<repeated key>"]
+                            if config else [])
     bad = draw(st.one_of(st.none(), st.sampled_from(names)))
     argv, lines = [], []
     for flag, (good, wrong, optional) in fields.items():
@@ -807,6 +832,8 @@ def _options(draw, fields, config=False):
         lines.append("frob = 1")
     elif bad == "<no equals sign>":
         lines.append("trials 2000")
+    elif bad == "<repeated key>":  # a drawn line again, or one key given twice
+        lines += [draw(st.sampled_from(lines))] if lines else ["seed = 1", "seed = 2"]
     return argv, lines, bad is not None
 
 
@@ -986,7 +1013,7 @@ _MC_COMMON = {
     "--sampler": ([*_SAMPLER_OK, "signed:1e-9", "custom:{atoms}"], _SAMPLER_BAD, False),
     "--trials": (_ints(1000, 2000), ["999", *_NOT_AN_INT], True),
     "--m": (_ints(256, 512), ["255", *_NOT_AN_INT], True),
-    "--seed": (_ints(0, 9), _NOT_AN_INT, True),
+    "--seed": (_ints(0, 9), ["-1", "-5", *_NOT_AN_INT], True),
 }
 _GROWTH_EXACT = {
     "--space": _MC_COMMON["--space"],
@@ -1016,6 +1043,14 @@ _ATOMS = st.lists(
 @example(opts=(["--space=lorentz:power:0.01", "--ns=61,62,1,2", "--mode=mc",
                 "--sampler=custom:{atoms}", "--trials=1000", "--m=256", "--seed=0"], [], False),
          fmt="text", atoms=[1e300])
+# a negative seed exits 2 in either mode, from a flag or a config key, and so
+# does a key given twice
+@example(opts=(["--space=lpq:2:1", "--ns=4,8,16,64", "--seed=-3"], [], True), fmt="text",
+         atoms=[1.0])
+@example(opts=(["--space=lpq:2:1", "--ns=4,8,16,64", "--mode=mc", "--sampler=rademacher",
+                "--trials=1000", "--m=256"], ["seed = -5"], True), fmt="json", atoms=[1.0])
+@example(opts=(["--space=lpq:2:1", "--ns=4,8,16,64"], ["burn_in = 1", "burn_in = 1"], True),
+         fmt="csv", atoms=[1.0])
 @given(opts=st.one_of(_options(_GROWTH_EXACT, config=True), _options(_GROWTH_MC, config=True)),
        fmt=st.sampled_from(["text", "json", "csv"]), atoms=_ATOMS)
 def test_growth_cli_fuzz(opts, fmt, atoms):
@@ -1028,6 +1063,12 @@ def test_growth_cli_fuzz(opts, fmt, atoms):
                 "--m=256"], [], False), fmt="json", atoms=[5e-324, 1e308])
 @example(opts=(["--space=marcinkiewicz:power:0.5", "--n=2"], ["sampler = custom:{atoms}"],
                False), fmt="text", atoms=[5e-324, 1e308])
+@example(opts=(["--space=lpq:2:1", "--sampler=rademacher", "--n=4"], ["seed = -5"], True),
+         fmt="json", atoms=[1.0])
+@example(opts=(["--space=lpq:2:1", "--sampler=rademacher", "--n=4", "--seed=-1"], [], True),
+         fmt="text", atoms=[1.0])
+@example(opts=(["--space=lpq:2:1", "--sampler=rademacher", "--n=4"],
+               ["trials = 1000", "trials = 5000"], True), fmt="text", atoms=[1.0])
 @given(opts=_options(_MC, config=True), fmt=st.sampled_from(["text", "json"]), atoms=_ATOMS)
 def test_mc_cli_fuzz(opts, fmt, atoms):
     argv, lines, bad = opts

@@ -36,8 +36,9 @@ from rispaces.norms import (
     _lorentz_core,
     _lpq_core,
     _marcinkiewicz_core,
+    _checked_chunks,
     _orlicz_core,
-    _price_chunks,
+    _price,
 )
 
 ALL_SPACES = [
@@ -640,14 +641,15 @@ def test_layer_chunks_are_checked_across_the_cut():
         (values[:2], lT[:2], np.array([]), np.array([])),
     ]
     for space in (Lorentz(power(0.5)), Lpq(2.0, 1.0)):
-        assert _price_chunks(_cut(values, lT, np.random.default_rng(0)), 4, space) == (
-            space_norm_from_layers(values, lT, space)
-        )
+        chunks = _checked_chunks(_cut(values, lT, np.random.default_rng(0)))
+        assert _price(chunks, 4, space) == space_norm_from_layers(values, lT, space)
         for v1, l1, v2, l2 in bad_cuts:
             with pytest.raises(ValueError):
-                _price_chunks([(v1, l1), (v2, l2)], 4, space)
-    with pytest.raises(TypeError):
-        _price_chunks([(values, lT)], 4, Orlicz(exp_lp(2.0)))
+                _price(_checked_chunks([(v1, l1), (v2, l2)]), 4, space)
+    # the Marcinkiewicz and Orlicz cores revisit layers: a stream of two chunks is refused
+    for space in (Marcinkiewicz(logpow(2.0)), Orlicz(exp_lp(2.0))):
+        with pytest.raises(TypeError):
+            _price(_checked_chunks([(values[:2], lT[:2]), (values[2:], lT[2:])]), 4, space)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 8.0])

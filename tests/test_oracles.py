@@ -1,9 +1,10 @@
 """Every exported name of the package, mapped to the test that holds its oracle.
 
-Each entry names one test (``module::function``) and says what that test checks
-the name against and how closely.  A report or configuration type maps to the
-test that checks the values it carries.  The registry fails when an export has
-no entry, when an entry names no export, or when the test it names is gone.
+Each entry names one test (``module::function``), or a list of them, and says
+what that test checks the name against and how closely.  A report or
+configuration type maps to the test that checks the values it carries.  The
+registry fails when an export has no entry, when an entry names no export, or
+when the test it names is gone.
 """
 
 import ast
@@ -59,8 +60,11 @@ ORACLES = {
                         "every exact walk law up to the cap; exact equality"),
     "walk_distribution": ("test_walks::test_walk_distribution_matches_binomial_fold",
                           "binomial atoms folded by |k - 2j|; exact equality"),
-    "walk_abs_layers": ("test_walks::test_walk_layers_consistent_with_tails",
-                        "logs of the exact Fraction tails; rel 1e-12"),
+    "walk_abs_layers": [("test_walks::test_walk_layers_consistent_with_tails",
+                         "logs of the exact Fraction tails at k = 12; rel 1e-12"),
+                        ("test_walks::test_walk_layers_match_running_binomial",
+                         "40-digit running-binomial tails at k = 1000 and 4096; "
+                         "abs 2e-12 and 1e-11 times max(1, |log-tail|)")],
     "signed_indicator_sum_tail": ("test_walks::test_signed_sum_tails_match_enumeration",
                                   "enumeration of all sign patterns; exact equality"),
     "signed_indicator_sum_log_tails": ("test_walks::test_log_tails_match_exact_law",
@@ -119,8 +123,11 @@ ORACLES = {
                      "unit standard deviation; abs 0.01 over 2e5 draws"),
     "custom_sampler": ("test_experiments::test_mc_custom_two_atom_law_matches_rademacher",
                        "the exact Rademacher norm; 3 standard errors"),
-    "rademacher_sum_norm": ("test_experiments::test_rademacher_sum_norm_small_is_exact_law_norm",
-                            "the exact walk law priced directly; rel 1e-12"),
+    "rademacher_sum_norm": [("test_experiments::test_rademacher_sum_norm_small_is_exact_law_norm",
+                             "the exact walk law priced directly; rel 1e-12"),
+                            ("test_walks::test_walk_norms_match_running_binomial",
+                             "lorentz:power:0.5 and lpq:2:1 of 40-digit running-binomial "
+                             "tails at k = 1000 and 4096; rel 1e-12 and 5e-12")],
     "mc_iid_sum_norm": ("test_experiments::test_mc_matches_exact_within_three_standard_errors",
                         "the exact walk-law norm; 3 standard errors"),
     "gaussian_selfsimilarity_check": ("test_experiments::test_selfsimilarity_ratio_is_sqrt_n",
@@ -148,7 +155,8 @@ def test_every_export_has_an_oracle():
 
 @pytest.mark.parametrize("name", sorted(ORACLES))
 def test_oracle_test_exists(name):
-    target, description = ORACLES[name]
-    module, _, function = target.partition("::")
-    assert function.startswith("test_") and description
-    assert function in _test_functions(module), f"{name}: {target} is not a test"
+    entries = ORACLES[name]  # one (test, description) pair, or a list of them
+    for target, description in entries if isinstance(entries, list) else [entries]:
+        module, _, function = target.partition("::")
+        assert function.startswith("test_") and description
+        assert function in _test_functions(module), f"{name}: {target} is not a test"

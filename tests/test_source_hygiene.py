@@ -1,5 +1,6 @@
 """Guards for deletions: no module keeps an import nothing uses, one module holds
-the chunk size, and the package exports exactly the names pinned here."""
+the chunk size and the token errors, and the package exports exactly the names
+pinned here."""
 
 import ast
 import re
@@ -75,6 +76,14 @@ def test_dead_helper_check_sees_one():
 def test_only_numeric_spells_the_chunk_size():
     # every layer-sized pass reads _numeric.CHUNK rather than a 2**14 of its own
     spelled = re.compile(r"2\s*\*\*\s*14\b")
+    holders = sorted(p.name for p in SRC.glob("*.py") if spelled.search(p.read_text()))
+    assert holders == ["_numeric.py"]
+
+
+def test_only_numeric_spells_the_token_errors():
+    # the space, generator and sampler parsers share _numeric.parse_token's grammar
+    # and its two messages rather than each spelling its own
+    spelled = re.compile(r"\b(unknown|bad) \S+ token\b")
     holders = sorted(p.name for p in SRC.glob("*.py") if spelled.search(p.read_text()))
     assert holders == ["_numeric.py"]
 

@@ -356,7 +356,7 @@ def test_float_canonicalization_matches_sequential_merge():
         assert np.array_equal(f.values, want_v)
         # the caller's arrays are copied, not frozen or snapped
         assert bp.flags.writeable and v.flags.writeable
-        # the same data as Python lists takes the per-entry route to the same result
+        # the same data as Python lists gives the same result
         assert StepFunction(bp.tolist(), v.tolist()) == f
 
 
