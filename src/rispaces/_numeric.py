@@ -1,10 +1,11 @@
 """Numeric helpers shared by the modules: ln 2, the chunk size, log-factorials,
-log-binomials, logsumexp, finite parameters and the ``HEAD:REST`` token grammar,
-all on NumPy alone so importing them loads no SciPy."""
+log-binomials, the size check, logsumexp, finite parameters and the ``HEAD:REST``
+token grammar, all on NumPy alone so importing them loads no SciPy."""
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -58,6 +59,13 @@ def log_factorial(k):
 def log_binom(n, k):
     """log C(n, k) for integer-valued 0 <= k <= n; k may be a float array."""
     return log_factorial(n) - log_factorial(k) - log_factorial(n - k)
+
+
+def positive_int(n) -> int:
+    """n as a Python int, for an integral n >= 1 of any type but bool; else ValueError."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError("n must be a positive integer")
+    return int(n)
 
 
 def logsumexp(a, out=None) -> float:

@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._numeric import CHUNK, LN2, log_factorial
+from ._numeric import CHUNK, LN2, log_factorial, positive_int
 from ._search import golden_max
 from .generators import (
     ConcaveGenerator,
@@ -71,8 +71,7 @@ def sup_indicator_ratio(psi: ConcaveGenerator, n: int, j_max: int = 40) -> float
     The true sup lies in (0, 1]; the result is clamped there so grid noise at
     the 1e-16 level cannot leak past the boundary.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
+    n = positive_int(n)
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
     if j_max > 1074:  # 2^-1074 is the smallest positive double

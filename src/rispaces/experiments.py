@@ -21,11 +21,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._numeric import parse_token
+from ._numeric import parse_token, positive_int
 from .gaussian import erfc_inverse, upper_tail
 from .generators import gauss
 from .norms import (
@@ -79,6 +80,10 @@ class SamplerSpec:
     u: Optional[float] = None
     quantiles: Optional[Tuple[float, ...]] = None
     seed: int = 0
+
+    def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def label(self) -> str:
         if self.kind == "signed_indicator":
@@ -200,8 +205,7 @@ def rademacher_sum_norm(n: int, space: SpaceSpec) -> float:
     take one pass over the n // 2 + 1 layers, so they price each chunk of the
     law as it is built and never hold the whole of it.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
+    n = positive_int(n)
     if n > MAX_EXACT_N:
         raise ValueError(f"exact path supports n <= {MAX_EXACT_N}")
     if n <= EXACT_MAX_STEPS:
@@ -229,8 +233,7 @@ def mc_iid_sum_norm(
     before any draw if a custom law's n-fold sum can pass the float range, and
     RuntimeError if every sum is 0 though the law is not.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
+    n = positive_int(n)
     if trials < 1000:
         raise ValueError("need trials >= 1000")
     if m < 256:
@@ -283,8 +286,7 @@ def gaussian_selfsimilarity_check(n: int, grid_size: int = 2**16) -> float:
     The exact operator identity makes the ratio sqrt(n); the return value
     measures how well the discrete pipeline reproduces it.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
+    n = positive_int(n)
     if grid_size < 2**10:
         raise ValueError(
             f"grid_size {grid_size} cannot resolve the tails; need >= {2**10}"

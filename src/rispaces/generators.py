@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numeric import LN2, finite_float, log_binom, parse_token
+from ._numeric import LN2, finite_float, log_binom, parse_token, positive_int
 from .gaussian import erfc_inverse, erfc_inverse_log
 
 __all__ = [
@@ -337,8 +337,7 @@ def limsup_tail_sum_ratio(
     limit lies in (0, n]; finite-u probes exceed n by O(u).  One u at a time,
     so memory stays O(n) whatever the grid depth.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
+    n = positive_int(n)
     s = np.arange(1, n + 1, dtype=float)
     lcomb = (1.0 - s) * LN2 + log_binom(n, s)
 

@@ -7,14 +7,14 @@ k <= 64; ``walk_abs_layers(k)`` is the same law, for any k, as float layers
 upper tail P(|S_n| >= s) of the sum of n independent copies of (indicator of
 measure u) * (independent sign).
 
-A rational u with n <= 64 runs in exact ``fractions.Fraction`` arithmetic,
-which is fast and bit-reproducible there; anything else runs in floats.  Float
-routes run in log space: the deep tail atoms lie far below float underflow yet
-still dominate weighted-rearrangement norms.  Walk layers come from the half of
-the symmetric binomial row that the tails read, in fixed-size chunks that are
-bit for bit slices of the whole (``_walk_abs_chunks`` says why), so a norm that
-reads them once never holds the whole law; the law of S_n comes, for every n,
-from one O(n) backward three-term recurrence (``signed_indicator_sum_log_tails``).
+The law of S_n comes from one O(n) backward three-term recurrence, run on exact
+integers for a rational u and n <= 64 (``_exact_tails``, fast and bit-reproducible
+there; the exact walk law is its u = 1 case) and in floats for anything else
+(``signed_indicator_sum_log_tails``).  Float routes run in log space: the deep tail
+atoms lie far below float underflow yet still dominate weighted-rearrangement norms.
+Float walk layers come from the half of the symmetric binomial row that the tails
+read, in fixed-size chunks that are bit for bit slices of the whole
+(``_walk_abs_chunks`` says why), so a norm that reads them once never holds it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from ._numeric import CHUNK, LN2, log_factorial, logsumexp
+from ._numeric import CHUNK, LN2, log_binom, logsumexp, positive_int
 from .stepfn import StepFunction
 
 __all__ = [
@@ -39,8 +39,8 @@ __all__ = [
     "signed_indicator_sum_expectation",
 ]
 
-# Exact rational arithmetic on k-step walks costs ~k^2 big-int digits per
-# cumulative tail; 64 steps stays below a millisecond, 2^14 steps costs ~10 s.
+# The exact recurrence's n tails cost ~n^2 big-int digits: n = 64 takes 0.2-0.3 ms,
+# the walk at 2^14 steps ~8 s (Xeon, Python 3.11).
 EXACT_MAX_STEPS = 64
 
 Prob = Union[Fraction, float]
@@ -54,29 +54,28 @@ def walk_distribution(k: int) -> StepFunction:
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    tails = _abs_tail_fractions(k)
-    values = range(k, -1, -2)
-    return StepFunction([Fraction(0), *(tails[v] for v in values)], values)
+    if k > EXACT_MAX_STEPS:
+        raise ValueError(f"exact walk tails are capped at {EXACT_MAX_STEPS} steps")
+    tails = _exact_tails(k, Fraction(1))  # W_k is S_k at u = 1
+    return StepFunction([Fraction(0), *tails[k::-2]], range(k, -1, -2))
 
 
 @lru_cache(maxsize=256)
-def _abs_tail_fractions(k: int) -> Tuple[Fraction, ...]:
-    """(P(|W_k| >= s))_{s=0..k} as exact rationals.
+def _exact_tails(n: int, u: Fraction) -> Tuple[Fraction, ...]:
+    """(P(|S_n| >= s))_{s=0..n} as exact rationals, for n <= ``EXACT_MAX_STEPS``.
 
-    P(|W_k| >= s) = 2^(1-k) * sum_{j <= (k-s)//2} C(k,j) for s >= 1, by the
-    symmetry of the two strict half-tails.
+    The recurrence of ``signed_indicator_sum_log_tails`` on C_m = (2q)^n P(S_n = m),
+    u = p/q, the integer coefficients of (2(q-p) + p z + p/z)^n, so every division in
+    p (n-m+1) C_{m-1} = p (n+m+1) C_{m+1} + 2 (q-p) m C_m is exact.
     """
-    if k > EXACT_MAX_STEPS:
-        raise ValueError(f"exact walk tails are capped at {EXACT_MAX_STEPS} steps")
-    if k == 0:
-        return (Fraction(1),)
-    denom = 2 ** (k - 1)
-    comb_prefix = [math.comb(k, 0)]
-    for j in range(1, k + 1):
-        comb_prefix.append(comb_prefix[-1] + math.comb(k, j))
-    tails = [Fraction(1)]
-    for s in range(1, k + 1):
-        tails.append(Fraction(comb_prefix[(k - s) // 2], denom))
+    p, q = u.numerator, u.denominator
+    denom = (2 * q) ** n
+    cur, nxt, upper = p**n, 0, 0  # C_n, C_{n+1} and, as m falls, sum_{i >= m} C_i
+    tails = [Fraction(1)] * (n + 1)
+    for m in range(n, 0, -1):
+        upper += cur
+        tails[m] = Fraction(2 * upper, denom)
+        cur, nxt = (p * (n + m + 1) * nxt + 2 * (q - p) * m * cur) // (p * (n - m + 1)), cur
     return tuple(tails)
 
 
@@ -85,7 +84,7 @@ def _walk_abs_chunks(k: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
 
     The value v = k - 2j > 0 has log P(|W_k| >= v) = log 2 + log sum_{i <= j}
     P(W_k = k - 2i), by the symmetry of the row, so only j = 0..k//2 of the
-    k + 1 row entries log k! - log j! - log (k-j)! - k log 2 are built, a chunk
+    k + 1 row entries log C(k, j) - k log 2 (``log_binom``) are built, a chunk
     at a time.  Each chunk is accumulated with one sequential ``logaddexp``
     whose first entry takes in the last unshifted sum of the chunk before, and
     then shifted in place.  Each entry takes the same operations on the same
@@ -95,13 +94,11 @@ def _walk_abs_chunks(k: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     its slice of the full row's layers.
     """
     size = k // 2 + 1  # the values k, k - 2, ..., down to 1 or 0
-    log_k_fact = log_factorial(k)
     carry = None  # log sum_{i < start} P(W_k = k - 2i)
     for start in range(0, size, CHUNK):
         stop = min(start + CHUNK, size)
         j = np.arange(start, stop, dtype=float)
-        row = np.subtract(log_k_fact, log_factorial(j))
-        row -= log_factorial(k - j)
+        row = log_binom(k, j)
         row -= k * LN2
         if carry is not None:
             row[0] = np.logaddexp(carry, row[0])
@@ -133,13 +130,13 @@ def walk_abs_layers(k: int) -> Tuple[np.ndarray, np.ndarray]:
     return values, log_tails
 
 
-def _validate_nus(n: int, u, s: Optional[int] = None) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
+def _validate_nus(n: int, u, s: Optional[int] = None) -> int:
+    n = positive_int(n)
     if not 0 < u <= 1:
         raise ValueError("indicator measure u must lie in (0, 1]")
     if s is not None and not 1 <= s <= n:
         raise ValueError("level s must satisfy 1 <= s <= n")
+    return n
 
 
 def signed_indicator_sum_tail(n: int, u, s: int) -> Prob:
@@ -147,14 +144,9 @@ def signed_indicator_sum_tail(n: int, u, s: int) -> Prob:
 
     Exact for a rational u and n <= ``EXACT_MAX_STEPS``, a float otherwise.
     """
-    _validate_nus(n, u, s)
+    n = _validate_nus(n, u, s)
     if isinstance(u, Rational) and n <= EXACT_MAX_STEPS:
-        uf = Fraction(u)
-        total = Fraction(0)
-        for k in range(s, n + 1):
-            binom = math.comb(n, k) * uf**k * (1 - uf) ** (n - k)
-            total += binom * _abs_tail_fractions(k)[s]
-        return total
+        return _exact_tails(n, Fraction(u))[s]
     return float(np.exp(signed_indicator_sum_log_tails(n, float(u))[s - 1]))
 
 
@@ -169,7 +161,7 @@ def signed_indicator_sum_log_tails(n: int, u: float) -> np.ndarray:
     the odd and even chains); e is rescaled whenever it leaves [1e-200, 1e200].
     The tails 2 * sum_{m >= s} c_m are one reverse logaddexp accumulation.
     """
-    _validate_nus(n, u)
+    n = _validate_nus(n, u)
     u = float(u)
     a_plus_b = 1.0 - 0.5 * u
     alpha = (1.0 - u) / a_plus_b
@@ -199,8 +191,8 @@ def signed_indicator_sum_expectation(n: int, u) -> Prob:
 
     Exact for a rational u and n <= ``EXACT_MAX_STEPS``, a float otherwise.
     """
-    _validate_nus(n, u)
+    n = _validate_nus(n, u)
     if isinstance(u, Rational) and n <= EXACT_MAX_STEPS:
-        return sum(signed_indicator_sum_tail(n, u, s) for s in range(1, n + 1))
+        return sum(_exact_tails(n, Fraction(u))[1:])
     lt = signed_indicator_sum_log_tails(n, float(u))
     return float(np.exp(logsumexp(lt)))

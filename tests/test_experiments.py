@@ -58,6 +58,16 @@ def test_sampler_validation():
     custom_sampler([-2.0, -1.0, 1.0, 2.0])
 
 
+def test_sampler_refuses_a_bad_seed():
+    # NumPy refuses these only at the first draw, or fails there with a TypeError
+    for seed in (-5, 1.5, True, "3", None):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            rademacher(seed)
+    with pytest.raises(ValueError, match="got -5"):
+        parse_sampler("rademacher", -5)
+    assert rademacher(np.int64(3)).seed == 3
+
+
 def test_parse_sampler(tmp_path):
     assert parse_sampler("rademacher").kind == "rademacher"
     s = parse_sampler("signed:0.25", seed=3)

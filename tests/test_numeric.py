@@ -1,9 +1,22 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import special
 
+from rispaces import (
+    Lpq,
+    gaussian_selfsimilarity_check,
+    limsup_tail_sum_ratio,
+    mc_iid_sum_norm,
+    power,
+    rademacher,
+    rademacher_sum_norm,
+    signed_indicator_sum_log_tails,
+    signed_indicator_sum_tail,
+    sup_indicator_ratio,
+)
 from rispaces._numeric import log_binom, log_factorial, logsumexp
 
 
@@ -78,3 +91,29 @@ def test_logsumexp_is_bit_identical_to_scipy():
         assert got == want or (math.isnan(got) and math.isnan(want)), a
         scratch = a.copy()  # the shifted terms overwrite a copy of a
         assert repr(logsumexp(scratch, out=scratch)) == repr(got), a
+
+
+# ---------------------------------------------------------------- positive_int
+
+
+def test_sizes_take_any_integer_but_bool():
+    psi, space = power(0.5), Lpq(2.0, 1.0)
+    assert rademacher_sum_norm(np.int64(100), space) == rademacher_sum_norm(100, space)
+    assert sup_indicator_ratio(psi, np.int64(4)) == sup_indicator_ratio(psi, 4)
+    assert np.array_equal(signed_indicator_sum_log_tails(np.int64(8), 0.5),
+                          signed_indicator_sum_log_tails(8, 0.5))
+    # the exact route takes 2^64-sized powers of n, which an int64 would wrap
+    half = Fraction(1, 2)
+    assert signed_indicator_sum_tail(np.int64(64), half, 3) == signed_indicator_sum_tail(64, half, 3)
+    sized = [
+        lambda n: rademacher_sum_norm(n, space),
+        lambda n: sup_indicator_ratio(psi, n),
+        lambda n: signed_indicator_sum_log_tails(n, 0.5),
+        lambda n: limsup_tail_sum_ratio(psi, n),
+        lambda n: mc_iid_sum_norm(rademacher(), n, space),
+        gaussian_selfsimilarity_check,
+    ]
+    for call in sized:
+        for bad in (True, 0, -3, 2.0, "3"):
+            with pytest.raises(ValueError, match="^n must be a positive integer$"):
+                call(bad)

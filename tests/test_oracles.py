@@ -61,7 +61,7 @@ ORACLES = {
     "walk_distribution": ("test_walks::test_walk_distribution_matches_binomial_fold",
                           "binomial atoms folded by |k - 2j|; exact equality"),
     "walk_abs_layers": [("test_walks::test_walk_layers_consistent_with_tails",
-                         "logs of the exact Fraction tails at k = 12; rel 1e-12"),
+                         "logs of the binomial-fold tails at k = 12; rel 1e-12"),
                         ("test_walks::test_walk_layers_match_running_binomial",
                          "40-digit running-binomial tails at k = 1000 and 4096; "
                          "abs 2e-12 and 1e-11 times max(1, |log-tail|)")],
@@ -70,7 +70,8 @@ ORACLES = {
     "signed_indicator_sum_log_tails": ("test_walks::test_log_tails_match_exact_law",
                                        "logs of the exact law; abs 1e-12"),
     "signed_indicator_sum_expectation": ("test_walks::test_expectation_exact_small",
-                                         "the sum of enumerated tails; rel 1e-12"),
+                                         "the sum of the polynomial-expansion tails, "
+                                         "n <= 64; exact equality"),
     # norms
     "Lorentz": ("test_norms::test_lorentz_indicator_closed_form",
                 "psi(u); rel 1e-13, and (1 + |ln u|) 2^-52 for u down to 2^-1074"),

@@ -80,6 +80,13 @@ def test_only_numeric_spells_the_chunk_size():
     assert holders == ["_numeric.py"]
 
 
+def test_only_numeric_spells_the_log_binomial():
+    # every log-binomial goes through _numeric.log_binom, and no exact binomial is built
+    spelled = re.compile(r"\bcomb\(|log_factorial\([^)]*-")
+    holders = sorted(p.name for p in SRC.glob("*.py") if spelled.search(p.read_text()))
+    assert holders == ["_numeric.py"]
+
+
 def test_only_numeric_spells_the_token_errors():
     # the space, generator and sampler parsers share _numeric.parse_token's grammar
     # and its two messages rather than each spelling its own

@@ -25,7 +25,6 @@ from rispaces import (
     walk_distribution,
 )
 from rispaces._numeric import CHUNK as _ROW_CHUNK, log_factorial
-from rispaces.walks import _abs_tail_fractions
 
 LN2 = math.log(2.0)
 
@@ -81,11 +80,21 @@ def test_walk_distribution_matches_binomial_fold():
         assert walk_distribution(k) == StepFunction([Fraction(0), *ends], values), k
 
 
+def folded_walk_tail(k, s):
+    """P(|W_k| >= s) from the binomial atoms C(k, j) / 2^k, folded by |k - 2j|."""
+    return Fraction(sum(math.comb(k, j) for j in range(k + 1) if abs(k - 2 * j) >= s), 2**k)
+
+
 def test_walk_tail_anchors():
-    assert _abs_tail_fractions(4)[2] == Fraction(5, 8)
-    assert _abs_tail_fractions(5)[5] == Fraction(1, 16)
-    assert _abs_tail_fractions(2)[1] == Fraction(1, 2)
-    assert _abs_tail_fractions(3)[1] == 1
+    # P(|W_k| >= s) is where the last piece of walk_distribution(k) with value >= s ends
+    def tail(k, s):
+        f = walk_distribution(k)
+        return max(end for v, end in zip(f.values, f.breakpoints[1:]) if v >= s)
+
+    assert tail(4, 2) == Fraction(5, 8)
+    assert tail(5, 5) == Fraction(1, 16)
+    assert tail(2, 1) == Fraction(1, 2)
+    assert tail(3, 1) == 1
 
 
 def test_signed_sum_tail_anchors():
@@ -102,8 +111,9 @@ def test_extreme_tail_identity():
 
 
 def test_u_equal_one_reduces_to_walk():
-    for s in range(1, 7):
-        assert signed_indicator_sum_tail(6, Fraction(1), s) == _abs_tail_fractions(6)[s]
+    for n in range(1, EXACT_MAX_STEPS + 1):
+        for s in range(1, n + 1):
+            assert signed_indicator_sum_tail(n, Fraction(1), s) == folded_walk_tail(n, s), (n, s)
 
 
 def test_exact_vs_float_paths_agree():
@@ -121,6 +131,7 @@ def test_float_path_required_beyond_cap():
         walk_distribution(EXACT_MAX_STEPS + 1)
 
 
+@functools.lru_cache(maxsize=None)
 def exact_abs_tails(n_max, u):
     """Exact P(|S_n| >= s), s = 1..n, for n = 1..n_max, by expanding (a + b z + b/z)^n."""
     a, b = 1 - u, u / 2
@@ -132,6 +143,18 @@ def exact_abs_tails(n_max, u):
         upper = list(itertools.accumulate(reversed(coeffs[n + 1 :])))[::-1]
         out[n] = [2 * t for t in upper]
     return out
+
+
+EXACT_US = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(5, 7), Fraction(1, 1000)]
+
+
+@pytest.mark.parametrize("u", EXACT_US)
+def test_exact_tails_match_polynomial_expansion(u):
+    for n, tails in exact_abs_tails(EXACT_MAX_STEPS, u).items():
+        for s, want in enumerate(tails, start=1):
+            got = signed_indicator_sum_tail(n, u, s)
+            assert isinstance(got, Fraction)
+            assert got == want, (n, s)
 
 
 def log_fraction(x):
@@ -190,7 +213,7 @@ def test_walk_layers_consistent_with_tails():
     assert np.all(np.diff(values) < 0)
     assert np.all(log_tails <= 0.0)
     for v, lt in zip(values, log_tails):
-        assert lt == pytest.approx(math.log(float(_abs_tail_fractions(12)[int(v)])), rel=1e-12)
+        assert lt == pytest.approx(math.log(float(folded_walk_tail(12, int(v)))), rel=1e-12)
 
 
 def test_walk_layers_deep_tail():
@@ -315,13 +338,12 @@ def test_expectation_strictly_below_mean_of_absolute_sum():
 
 
 def test_expectation_exact_small():
-    # n=1: E|S| = u; n=2: E|S| = 2u(1-u) + u^2/2 + 2 * u^2/4... enumerate
-    for n in (1, 2, 3):
-        u = Fraction(1, 3)
-        law = enumerated_abs_tails(n, u)
-        expect = sum(law.values())  # sum_{s>=1} P(|S| >= s) = E|S|
-        got = signed_indicator_sum_expectation(n, u)
-        assert got == pytest.approx(float(expect), rel=1e-12)
+    # E|S_n| = sum_{s>=1} P(|S_n| >= s), the tails of the polynomial expansion
+    for u in EXACT_US:
+        for n, tails in exact_abs_tails(EXACT_MAX_STEPS, u).items():
+            got = signed_indicator_sum_expectation(n, u)
+            assert isinstance(got, Fraction)
+            assert got == sum(tails), (n, u)
 
 
 def test_validation():
