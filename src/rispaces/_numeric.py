@@ -1,5 +1,5 @@
 """Numeric helpers shared by the modules: ln 2, the chunk size, log-factorials,
-log-binomials, the size check, logsumexp, finite parameters and the ``HEAD:REST``
+log-binomials, the integer check, logsumexp, finite parameters and the ``HEAD:REST``
 token grammar, all on NumPy alone so importing them loads no SciPy."""
 
 from __future__ import annotations
@@ -61,11 +61,16 @@ def log_binom(n, k):
     return log_factorial(n) - log_factorial(k) - log_factorial(n - k)
 
 
+def integer(x, low: int, message: str) -> int:
+    """x as a Python int, for an integral x >= low of any type but bool; else ValueError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < low:
+        raise ValueError(message)
+    return int(x)
+
+
 def positive_int(n) -> int:
     """n as a Python int, for an integral n >= 1 of any type but bool; else ValueError."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError("n must be a positive integer")
-    return int(n)
+    return integer(n, 1, "n must be a positive integer")
 
 
 def logsumexp(a, out=None) -> float:

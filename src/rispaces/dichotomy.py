@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._numeric import CHUNK, LN2, log_factorial, positive_int
+from ._numeric import CHUNK, LN2, integer, log_factorial, positive_int
 from ._search import golden_max
 from .generators import (
     ConcaveGenerator,
@@ -72,8 +72,7 @@ def sup_indicator_ratio(psi: ConcaveGenerator, n: int, j_max: int = 40) -> float
     the 1e-16 level cannot leak past the boundary.
     """
     n = positive_int(n)
-    if j_max < 0:
-        raise ValueError("j_max must be nonnegative")
+    j_max = integer(j_max, 0, "j_max must be nonnegative")
     if j_max > 1074:  # 2^-1074 is the smallest positive double
         raise ValueError("j_max must be <= 1074: u = 2^-j underflows to 0 beyond it")
     lus = -np.arange(0, j_max + 1, dtype=float) * LN2
@@ -93,7 +92,7 @@ def sup_indicator_ratio(psi: ConcaveGenerator, n: int, j_max: int = 40) -> float
 
 def lorentz_operator_norm(psi: ConcaveGenerator, n: int) -> float:
     """||A_n|| on the psi-weighted space: n times the indicator-ratio supremum."""
-    return n * sup_indicator_ratio(psi, n)
+    return positive_int(n) * sup_indicator_ratio(psi, n)
 
 
 # ------------------------------------------------------------------ classifier
@@ -139,16 +138,13 @@ def classify(
     smallest witness n0 with measured ||A_{n0}|| < n0 fixes
     q = max(1/2, log ||A_{n0}|| / log n0) and the constant C.
     """
-    k_list, l_list, n_list = ([int(x) for x in xs] for xs in (k_list, l_list, n_list))
+    k_list, l_list, n_list = (list(xs) for xs in (k_list, l_list, n_list))
     if not (k_list and l_list and n_list):
         raise ValueError("probe lists must be nonempty")
     # every probe is checked before any limit is computed
-    if min(k_list) < 2:
-        raise ValueError("dilation factor k must be an integer >= 2")
-    if min(l_list) < 2:
-        raise ValueError("power l must be an integer >= 2")
-    if min(n_list) < 1:
-        raise ValueError("n must be a positive integer")
+    k_list = [integer(k, 2, "dilation factor k must be an integer >= 2") for k in k_list]
+    l_list = [integer(l, 2, "power l must be an integer >= 2") for l in l_list]
+    n_list = [positive_int(n) for n in n_list]
     if not 0.0 <= margin < 1.0:
         raise ValueError(f"margin must lie in [0, 1), got {margin!r}")
     a_est = {k: limsup_dilation_ratio(psi, k, grid) for k in k_list}
@@ -266,14 +262,13 @@ def kruglov_check(
     phi(t)/phi(t) = 1, so the running sum is at least 1 and absorbs any term
     below 2^-54 unchanged.
     """
-    if not t_grid:
+    ts = [float(t) for t in t_grid]
+    if not ts:
         raise ValueError("t_grid must be nonempty")
-    if num_terms < 4:
-        raise ValueError("num_terms must allow an N/4 checkpoint")
+    num_terms = integer(num_terms, 4, "num_terms must allow an N/4 checkpoint")
     # the n = 1 term phi(t)/phi(t) is 1, so a threshold <= 1 is crossed at once
     if not (math.isfinite(threshold) and threshold > 1):
         raise ValueError(f"threshold must be finite and > 1, got {threshold!r}")
-    ts = [float(t) for t in t_grid]
     if not all(0.0 < t <= 1.0 for t in ts):
         raise ValueError("t_grid values must lie in (0, 1]")
     quarter_n = num_terms // 4

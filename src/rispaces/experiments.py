@@ -21,12 +21,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._numeric import parse_token, positive_int
+from ._numeric import integer, parse_token, positive_int
 from .gaussian import erfc_inverse, upper_tail
 from .generators import gauss
 from .norms import (
@@ -82,8 +81,8 @@ class SamplerSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        message = f"seed must be a non-negative integer, got {self.seed!r}"
+        object.__setattr__(self, "seed", integer(self.seed, 0, message))
 
     def label(self) -> str:
         if self.kind == "signed_indicator":
@@ -234,10 +233,8 @@ def mc_iid_sum_norm(
     RuntimeError if every sum is 0 though the law is not.
     """
     n = positive_int(n)
-    if trials < 1000:
-        raise ValueError("need trials >= 1000")
-    if m < 256:
-        raise ValueError("need m >= 256 quantile pieces")
+    trials = integer(trials, 1000, "need trials >= 1000")
+    m = integer(m, 256, "need m >= 256 quantile pieces")
     if sampler.kind == "custom":
         top = max(map(abs, sampler.quantiles))
         if not math.isfinite(n * top):
@@ -287,10 +284,8 @@ def gaussian_selfsimilarity_check(n: int, grid_size: int = 2**16) -> float:
     measures how well the discrete pipeline reproduces it.
     """
     n = positive_int(n)
-    if grid_size < 2**10:
-        raise ValueError(
-            f"grid_size {grid_size} cannot resolve the tails; need >= {2**10}"
-        )
+    grid_size = integer(grid_size, 2**10,
+                        f"grid_size {grid_size} cannot resolve the tails; need >= {2**10}")
     if n == 1:
         return 1.0
     space = Marcinkiewicz(gauss())
@@ -373,14 +368,14 @@ class GrowthFit:
 
 def fit_growth(pairs: Iterable[Tuple[int, float]], burn_in: int = 2) -> GrowthFit:
     """Fit (q, C) by least squares on (log n, log value), dropping a burn-in."""
-    pairs = tuple((int(n), float(v)) for n, v in pairs)
+    pairs = tuple((positive_int(n), float(v)) for n, v in pairs)
     if any(b <= a for (a, _), (b, _) in zip(pairs, pairs[1:])):
         raise ValueError("pairs must be strictly increasing in n")
     for n, v in pairs:
         if v <= 0:
             raise ValueError(f"values must be positive, got {v!r} at n = {n}")
-    if burn_in < 0 or len(pairs) - burn_in < 2:
-        raise ValueError("need at least two pairs after burn-in")
+    burn_in = integer(burn_in, 0, "need at least two pairs after burn-in")
+    integer(len(pairs) - burn_in, 2, "need at least two pairs after burn-in")
     fitted = pairs[burn_in:]
     ln = np.log([n for n, _ in fitted])
     lv = np.log([v for _, v in fitted])
@@ -410,22 +405,20 @@ def growth_table(
     m: int = 4096,
     burn_in: int = 2,
 ) -> GrowthFit:
-    """Norm-vs-n table and its power fit.
+    """Norm-vs-n table and its power fit; fit_growth's burn-in check runs before any norm.
 
     mode "exact" prices the walk law itself (the sampler is not used); mode
     "mc" draws i.i.d. sums of the given sampler.
     """
-    ns = sorted(int(n) for n in ns)
+    ns = list(ns)
     if len(ns) != len(set(ns)):
         raise ValueError("ns must be distinct")
-    if len(ns) < 4:
-        raise ValueError("need at least 4 sizes")
-    if ns[0] < 1:
-        raise ValueError("sizes must be positive")
+    integer(len(ns), 4, "need at least 4 sizes")
+    ns = sorted(integer(n, 1, "sizes must be positive") for n in ns)
     if ns[-1] < 4 * ns[0]:
         raise ValueError("sizes must span at least two octaves")
-    if burn_in < 0 or len(ns) - burn_in < 2:  # fit_growth's check, before any compute
-        raise ValueError("need at least two pairs after burn-in")
+    burn_in = integer(burn_in, 0, "need at least two pairs after burn-in")
+    integer(len(ns) - burn_in, 2, "need at least two pairs after burn-in")
     if mode == "exact":
         values = [rademacher_sum_norm(n, space) for n in ns]
     elif mode == "mc":

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numeric import LN2, finite_float, log_binom, parse_token, positive_int
+from ._numeric import LN2, finite_float, integer, log_binom, parse_token, positive_int
 from .gaussian import erfc_inverse, erfc_inverse_log
 
 __all__ = [
@@ -78,7 +78,7 @@ class ConcaveGenerator:
 
     def validate(self, j_max: int = 60, tol: float = 1e-12) -> None:
         """Grid checks of the three structural invariants; raises ValueError."""
-        js = np.arange(0, j_max + 1)
+        js = np.arange(0, integer(j_max, 0, "j_max must be nonnegative") + 1)
         u = np.exp2(-js.astype(float))
         vals = self(u)
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
@@ -264,10 +264,8 @@ class GridConfig:
     tol = 1e-3
 
     def __post_init__(self):
-        if self.j_max < 1:
-            raise ValueError(f"need j_max >= 1, got {self.j_max}")
-        if self.window < 1:
-            raise ValueError("window must be positive")
+        object.__setattr__(self, "j_max", integer(self.j_max, 1, f"need j_max >= 1, got {self.j_max}"))
+        object.__setattr__(self, "window", integer(self.window, 1, "window must be positive"))
 
 
 @dataclass(frozen=True)
@@ -305,8 +303,7 @@ def limsup_dilation_ratio(
     Concavity forces the true limit into (0, k]; the probe stays at or below
     k + O(eps) on every grid point.  The grid starts where k u <= 1.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError("dilation factor k must be an integer >= 2")
+    k = integer(k, 2, "dilation factor k must be an integer >= 2")
 
     def ratio(lu):
         return np.exp(psi.log_eval(lu + math.log(k)) - psi.log_eval(lu))
@@ -322,8 +319,7 @@ def limsup_power_ratio(
     Runs entirely in log-u coordinates: u^l is never formed, so deep grids do
     not underflow.
     """
-    if not isinstance(l, int) or l < 2:
-        raise ValueError("power l must be an integer >= 2")
+    l = integer(l, 2, "power l must be an integer >= 2")
     return _limit(lambda lu: np.exp(psi.log_eval(lu * l) - psi.log_eval(lu)), 1, grid)
 
 

@@ -28,6 +28,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from ._numeric import integer
+
 __all__ = ["StepFunction", "quantile_from_samples"]
 
 Number = Union[int, float, Fraction]
@@ -226,8 +228,7 @@ def quantile_from_samples(samples: Iterable[float], m: int) -> StepFunction:
     a = np.abs(np.asarray(list(samples) if not hasattr(samples, "__len__") else samples, dtype=float)).ravel()
     if a.size == 0:
         raise ValueError("samples must be nonempty")
-    if m < 1:
-        raise ValueError("need at least one piece")
+    m = integer(m, 1, "need at least one piece")
     a.sort()
     a = a[::-1]
     idx = (np.arange(m) * a.size) // m

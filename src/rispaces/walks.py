@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from ._numeric import CHUNK, LN2, log_binom, logsumexp, positive_int
+from ._numeric import CHUNK, LN2, integer, log_binom, logsumexp, positive_int
 from .stepfn import StepFunction
 
 __all__ = [
@@ -52,8 +52,7 @@ def walk_distribution(k: int) -> StepFunction:
     The value v = k, k - 2, ... holds on (P(|W_k| > v), P(|W_k| >= v)].  Past
     ``EXACT_MAX_STEPS`` steps the law lives in log space: ``walk_abs_layers``.
     """
-    if k < 0:
-        raise ValueError("step count must be nonnegative")
+    k = integer(k, 0, "step count must be nonnegative")
     if k > EXACT_MAX_STEPS:
         raise ValueError(f"exact walk tails are capped at {EXACT_MAX_STEPS} steps")
     tails = _exact_tails(k, Fraction(1))  # W_k is S_k at u = 1
@@ -120,8 +119,7 @@ def walk_abs_layers(k: int) -> Tuple[np.ndarray, np.ndarray]:
     are the chunks of ``_walk_abs_chunks`` (which says why they are exact)
     laid end to end.
     """
-    if k < 0:
-        raise ValueError("step count must be nonnegative")
+    k = integer(k, 0, "step count must be nonnegative")
     values, log_tails = np.empty(k // 2 + 1), np.empty(k // 2 + 1)
     start = 0
     for v, lt in _walk_abs_chunks(k):
@@ -134,7 +132,7 @@ def _validate_nus(n: int, u, s: Optional[int] = None) -> int:
     n = positive_int(n)
     if not 0 < u <= 1:
         raise ValueError("indicator measure u must lie in (0, 1]")
-    if s is not None and not 1 <= s <= n:
+    if s is not None and integer(s, 1, "level s must satisfy 1 <= s <= n") > n:
         raise ValueError("level s must satisfy 1 <= s <= n")
     return n
 

@@ -152,6 +152,22 @@ def test_classify_checks_every_probe_before_any_limit(monkeypatch, psi, lists, f
         classify(psi, **lists)
 
 
+def test_kruglov_check_takes_a_numpy_t_grid():
+    # the grid is read into a list before the emptiness check: an array has no truth value
+    want = kruglov_check(power(0.5), t_grid=(1.0, 0.5), num_terms=64)
+    assert kruglov_check(power(0.5), t_grid=np.array([1.0, 0.5]), num_terms=64) == want
+    with pytest.raises(ValueError, match="^t_grid must be nonempty$"):
+        kruglov_check(power(0.5), t_grid=np.array([]))
+
+
+def test_classify_takes_numpy_probe_lists():
+    lists = {"k_list": (2, 3), "l_list": (2,), "n_list": (2, 4)}
+    want = classify(power(0.5), **lists)
+    assert classify(power(0.5), **{key: np.array(xs) for key, xs in lists.items()}) == want
+    with pytest.raises(ValueError, match="^probe lists must be nonempty$"):
+        classify(power(0.5), k_list=np.array([], dtype=int))
+
+
 def test_kruglov_check_threshold_validation():
     for threshold in (math.nan, math.inf, 0.0, -1.0, 0.5, 1.0):
         with pytest.raises(ValueError, match="threshold"):

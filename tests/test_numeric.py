@@ -6,16 +6,27 @@ import pytest
 from scipy import special
 
 from rispaces import (
+    GridConfig,
     Lpq,
+    classify,
+    fit_growth,
     gaussian_selfsimilarity_check,
+    growth_table,
+    kruglov_check,
+    limsup_dilation_ratio,
+    limsup_power_ratio,
     limsup_tail_sum_ratio,
+    lorentz_operator_norm,
     mc_iid_sum_norm,
     power,
+    quantile_from_samples,
     rademacher,
     rademacher_sum_norm,
     signed_indicator_sum_log_tails,
     signed_indicator_sum_tail,
     sup_indicator_ratio,
+    walk_abs_layers,
+    walk_distribution,
 )
 from rispaces._numeric import log_binom, log_factorial, logsumexp
 
@@ -93,27 +104,65 @@ def test_logsumexp_is_bit_identical_to_scipy():
         assert repr(logsumexp(scratch, out=scratch)) == repr(got), a
 
 
-# ---------------------------------------------------------------- positive_int
+# --------------------------------------------------------------------- integer
+
+_PSI, _SPACE = power(0.5), Lpq(2.0, 1.0)
+_N = "^n must be a positive integer$"
+_K = "^dilation factor k must be an integer >= 2$"
+_L = "^power l must be an integer >= 2$"
+_BURN_IN = "^need at least two pairs after burn-in$"
+
+# (call, low, anchored message, a valid argument): every integer argument of the
+# package, each call taking it as its one free argument.  Results that hold
+# arrays are read as lists so that == and repr compare them exactly.
+_INTEGER_SITES = [
+    (lambda n: rademacher_sum_norm(n, _SPACE), 1, _N, 100),
+    (lambda n: sup_indicator_ratio(_PSI, n), 1, _N, 4),
+    (lambda n: lorentz_operator_norm(_PSI, n), 1, _N, 4),
+    (lambda n: signed_indicator_sum_log_tails(n, 0.5).tolist(), 1, _N, 8),
+    (lambda n: limsup_tail_sum_ratio(_PSI, n), 1, _N, 4),
+    (lambda n: mc_iid_sum_norm(rademacher(), n, _SPACE, trials=1000, m=256), 1, _N, 4),
+    (gaussian_selfsimilarity_check, 1, _N, 2),
+    (walk_distribution, 0, "^step count must be nonnegative$", 64),
+    (lambda k: [a.tolist() for a in walk_abs_layers(k)], 0,
+     "^step count must be nonnegative$", 65),
+    (lambda s: signed_indicator_sum_tail(4, Fraction(1, 2), s), 1,
+     "^level s must satisfy 1 <= s <= n$", 2),
+    (lambda k: limsup_dilation_ratio(_PSI, k), 2, _K, 2),
+    (lambda l: limsup_power_ratio(_PSI, l), 2, _L, 2),
+    (lambda j: GridConfig(j_max=j), 1, r"^need j_max >= 1, got \S+$", 30),
+    (lambda w: GridConfig(window=w), 1, "^window must be positive$", 5),
+    (lambda j: _PSI.validate(j_max=j), 0, "^j_max must be nonnegative$", 3),
+    (lambda j: sup_indicator_ratio(_PSI, 4, j_max=j), 0, "^j_max must be nonnegative$", 3),
+    (lambda N: kruglov_check(_PSI, t_grid=(1.0,), num_terms=N), 4,
+     "^num_terms must allow an N/4 checkpoint$", 64),
+    (lambda k: classify(_PSI, k_list=(k,), n_list=(2,)), 2, _K, 2),
+    (lambda l: classify(_PSI, l_list=(l,), n_list=(2,)), 2, _L, 2),
+    (lambda n: classify(_PSI, n_list=(n,)), 1, _N, 2),
+    (rademacher, 0, r"^seed must be a non-negative integer, got \S+$", 3),
+    (lambda t: mc_iid_sum_norm(rademacher(), 4, _SPACE, trials=t, m=256), 1000,
+     "^need trials >= 1000$", 1000),
+    (lambda m: mc_iid_sum_norm(rademacher(), 4, _SPACE, trials=1000, m=m), 256,
+     "^need m >= 256 quantile pieces$", 256),
+    (lambda g: gaussian_selfsimilarity_check(2, grid_size=g), 2**10,
+     r"^grid_size \S+ cannot resolve the tails; need >= 1024$", 2**10),
+    (lambda n: growth_table(_SPACE, [n, 8, 16, 32]), 1, "^sizes must be positive$", 2),
+    (lambda b: growth_table(_SPACE, [2, 8, 16, 32], burn_in=b), 0, _BURN_IN, 1),
+    (lambda n: fit_growth([(n, 1.0), (8, 2.0), (16, 3.0)], burn_in=0), 1, _N, 2),
+    (lambda b: fit_growth([(2, 1.0), (8, 2.0), (16, 3.0)], burn_in=b), 0, _BURN_IN, 1),
+    (lambda m: quantile_from_samples([3.0, -1.0, 2.0], m), 1, "^need at least one piece$", 2),
+]
 
 
 def test_sizes_take_any_integer_but_bool():
-    psi, space = power(0.5), Lpq(2.0, 1.0)
-    assert rademacher_sum_norm(np.int64(100), space) == rademacher_sum_norm(100, space)
-    assert sup_indicator_ratio(psi, np.int64(4)) == sup_indicator_ratio(psi, 4)
-    assert np.array_equal(signed_indicator_sum_log_tails(np.int64(8), 0.5),
-                          signed_indicator_sum_log_tails(8, 0.5))
     # the exact route takes 2^64-sized powers of n, which an int64 would wrap
     half = Fraction(1, 2)
     assert signed_indicator_sum_tail(np.int64(64), half, 3) == signed_indicator_sum_tail(64, half, 3)
-    sized = [
-        lambda n: rademacher_sum_norm(n, space),
-        lambda n: sup_indicator_ratio(psi, n),
-        lambda n: signed_indicator_sum_log_tails(n, 0.5),
-        lambda n: limsup_tail_sum_ratio(psi, n),
-        lambda n: mc_iid_sum_norm(rademacher(), n, space),
-        gaussian_selfsimilarity_check,
-    ]
-    for call in sized:
-        for bad in (True, 0, -3, 2.0, "3"):
-            with pytest.raises(ValueError, match="^n must be a positive integer$"):
+    for call, low, message, valid in _INTEGER_SITES:
+        # a NumPy integer gives the int result exactly: same values, and any
+        # integer the result keeps is an int (repr shows an np.int64)
+        got, want = call(np.int64(valid)), call(valid)
+        assert got == want and repr(got) == repr(want), message
+        for bad in (True, 2.5, "3", np.float64(3.0), low - 1, low + 0.5, float(low), np.float64(low)):
+            with pytest.raises(ValueError, match=message):
                 call(bad)

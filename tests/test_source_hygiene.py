@@ -87,6 +87,14 @@ def test_only_numeric_spells_the_log_binomial():
     assert holders == ["_numeric.py"]
 
 
+def test_only_numeric_checks_integers():
+    # every count, size, probe and seed goes through _numeric.integer rather
+    # than an isinstance check of its own or an int() that truncates a float
+    spelled = re.compile(r"\bIntegral\b|isinstance\([^)]*\bint\)|\bint\(\w+\)(, float\(\w+\)\))? for\b")
+    holders = sorted(p.name for p in SRC.glob("*.py") if spelled.search(p.read_text()))
+    assert holders == ["_numeric.py"]
+
+
 def test_only_numeric_spells_the_token_errors():
     # the space, generator and sampler parsers share _numeric.parse_token's grammar
     # and its two messages rather than each spelling its own
