@@ -93,8 +93,7 @@ def logsumexp(a, out=None) -> float:
     shifted = np.subtract(a, a_max, out=out)
     shifted[at_max] = -math.inf
     s = np.sum(np.exp(shifted, out=shifted))
-    if s != 0.0:
-        s /= m
+    s /= m
     # NumPy's log1p, not math.log1p: the two differ in the last bit on some inputs.
     return float(np.log1p(s) + np.log(m) + a_max)
 

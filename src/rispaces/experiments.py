@@ -243,7 +243,7 @@ def mc_iid_sum_norm(
     if not sums.any() and (sampler.kind != "custom" or any(sampler.quantiles)):
         raise RuntimeError(f"every one of {trials} trials drew a sum of 0 at n = {n}; "
                            "the law is not 0, so more trials are needed")
-    return space_norm(quantile_from_samples(np.abs(sums), m), space)
+    return space_norm(quantile_from_samples(sums, m), space)
 
 
 # ------------------------------------------------- Gaussian self-similarity
@@ -254,15 +254,13 @@ def fftconvolve(
 ) -> np.ndarray:
     """Full linear convolution of two 1-D arrays through a real FFT.
 
-    ``b=None`` (or ``b is a``) squares ``a``.  ``a`` may come as a one-element
-    list, which this empties: a caller that hands its last reference over this
-    way has the array freed once its spectrum is taken, not after the inverse
-    transform, which is where the memory peaks.
+    ``b=None`` squares ``a``.  ``a`` may come as a one-element list, which this
+    empties: a caller that hands its last reference over this way has the array
+    freed once its spectrum is taken, not after the inverse transform, which is
+    where the memory peaks.
     """
     if isinstance(a, list):
         a = a.pop()
-    if b is a:
-        b = None
     size = a.size + (a.size if b is None else b.size) - 1
     nfft = 1 << (size - 1).bit_length()  # power of two: a fast length
     fa = np.fft.rfft(a, nfft)

@@ -213,11 +213,6 @@ def _checked_chunks(chunks: Iterable[Layers]) -> Iterator[Layers]:
 # ``math.fsum`` (correctly rounded, so in any grouping) or in one buffer.
 
 
-def _positive_count(values: np.ndarray) -> int:
-    """Number of positive values, a prefix since layer values descend; values[0] > 0."""
-    return values.size - int(np.argmax(values[::-1] > 0))
-
-
 # A law whose largest value is below 2^-_ORLICZ_TINY is priced scaled up by
 # 2^_ORLICZ_TINY, and its root scaled back: among subnormals the root search's
 # bracket closes at a float spacing too coarse for the modular to reach 1.  The
@@ -235,11 +230,10 @@ def _log_eval(gen: ConcaveGenerator, lT: np.ndarray) -> np.ndarray:
 def _log_lengths(lT: np.ndarray) -> np.ndarray:
     out = np.empty_like(lT)
     out[0] = lT[0]
-    if lT.size > 1:
-        d = np.subtract(lT[:-1], lT[1:], out=out[1:])
-        with np.errstate(divide="ignore"):
-            np.log1p(np.negative(np.exp(d, out=d), out=d), out=d)
-        d += lT[1:]
+    d = np.subtract(lT[:-1], lT[1:], out=out[1:])
+    with np.errstate(divide="ignore"):
+        np.log1p(np.negative(np.exp(d, out=d), out=d), out=d)
+    d += lT[1:]
     return out
 
 
@@ -269,8 +263,6 @@ def _lorentz_core(chunks: Iterable[Layers], psi: ConcaveGenerator) -> float:
 
 
 def _marcinkiewicz_core(values: np.ndarray, lT: np.ndarray, phi: ConcaveGenerator) -> float:
-    if values[0] <= 0:
-        return 0.0
     logI = _log_lengths(lT)
     with np.errstate(divide="ignore"):
         logI += np.log(values)
@@ -306,7 +298,7 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: exp_lp) -> float:
         return 0.0
     if values[0] < 2.0**-_ORLICZ_TINY:
         return math.ldexp(_orlicz_core(np.ldexp(values, _ORLICZ_TINY), lT, M), -_ORLICZ_TINY)
-    k = _positive_count(values)
+    k = np.count_nonzero(values)  # the positive values, a prefix since values descend
     v = values[:k]
     ll = _log_lengths(lT)[:k]
     # The modular is at least T_k M(v_k / lam) for every layer k, so each layer
@@ -392,7 +384,7 @@ def _lpq_core(chunks: Iterable[Layers], size: int, p: float, q: float) -> float:
     for values, lT in chunks:
         if values[0] <= 0:
             continue
-        m = _positive_count(values)
+        m = np.count_nonzero(values)
         v, lt, terms = values[:m], lT[:m], buf[k : k + m]
         terms[0] = lt_prev
         terms[1:] = lt[:-1]

@@ -80,14 +80,11 @@ class StepFunction:
         # underflowed masses, go; then each run of equal adjacent values becomes
         # one piece, by the same comparison in both arithmetics.
         keep = np.diff(bp) > 0
-        if not keep.any():
-            raise ValueError("all pieces have zero length")
         bp = np.concatenate((bp[:1], bp[1:][keep]))
         v = v[keep]
         starts = np.flatnonzero(v[1:] != v[:-1]) + 1  # every run's first piece but the first
-        if starts.size < v.size - 1:
-            bp = np.concatenate((bp[:1], bp[starts], bp[-1:]))
-            v = np.concatenate((v[:1], v[starts]))
+        bp = np.concatenate((bp[:1], bp[starts], bp[-1:]))
+        v = np.concatenate((v[:1], v[starts]))
         bp.flags.writeable = False
         v.flags.writeable = False
         self._breakpoints = bp

@@ -93,14 +93,13 @@ def _walk_abs_chunks(k: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     its slice of the full row's layers.
     """
     size = k // 2 + 1  # the values k, k - 2, ..., down to 1 or 0
-    carry = None  # log sum_{i < start} P(W_k = k - 2i)
+    carry = -math.inf  # log sum_{i < start} P(W_k = k - 2i)
     for start in range(0, size, CHUNK):
         stop = min(start + CHUNK, size)
         j = np.arange(start, stop, dtype=float)
         row = log_binom(k, j)
         row -= k * LN2
-        if carry is not None:
-            row[0] = np.logaddexp(carry, row[0])
+        row[0] = np.logaddexp(carry, row[0])
         np.logaddexp.accumulate(row, out=row)
         carry = row[-1]
         row += LN2

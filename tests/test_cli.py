@@ -539,11 +539,20 @@ def test_console_script_round_trip(child_env):
          "t_grid values must lie in (0, 1]"),
         (("norm", "--space", "lpq:2:1", "--indicator", "1/4", "--out", "/nonexistent/dir/x"),
          "error:", "No such file or directory"),
+        (("opnorm", "--psi", "table:", "--n", "4"), "error:", "table token needs a path"),
+        (("mc", "--space", "lpq:2:1", "--sampler", "custom:", "--n", "4"), "error:",
+         "custom token needs a path"),
+        (("mc", "--space", "lpq:2:1", "--sampler", "rademacher"), "error:",
+         "--n is required (flag or config file)"),
+        (("growth", "--space", "lpq:2:1"), "error:", "--ns is required (flag or config file)"),
+        (("norm", "--space", "orlicz:foo:2", "--indicator", "1/4"), "error:",
+         "unknown Orlicz family 'foo'"),
     ],
     ids=["lpq-inf", "logpow-inf", "negative-j-max", "underflowing-j-max", "option-like-value",
          "lpq-q-past-1e300", "n-list-zero-failing-conditions", "nan-margin", "inf-margin", "negative-threshold", "nan-threshold", "half-threshold",
          "unit-threshold", "empty-t-grid", "comma-t-grid", "t-above-one-after-crossing",
-         "nan-t-after-crossing", "unwritable-out"],
+         "nan-t-after-crossing", "unwritable-out", "table-without-path", "custom-without-path",
+         "mc-without-n", "growth-without-ns", "unknown-orlicz-family"],
 )
 def test_invalid_parameters_exit_two(capsys, argv, lead, fragment):
     code, out, err = run_cli(capsys, *argv)
@@ -603,6 +612,34 @@ def test_malformed_step_file_exits_two(capsys, tmp_path, content):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, content, fragment",
+    [
+        (("norm", "--space", "lpq:2:1", "--step", "{p}"), '{"breakpoints": [0, 1], "values": [-1]}',
+         "values must be nonnegative"),
+        (("mc", "--space", "lpq:2:1", "--sampler", "custom:{p}", "--n", "4"), "1\ninf\n-1\n-inf\n",
+         "custom quantiles must be finite"),
+        (("opnorm", "--psi", "table:{p}", "--n", "4"), "t,psi\n", "table needs at least one node"),
+        (("opnorm", "--psi", "table:{p}", "--n", "4"), "0,0.5\n1,1\n",
+         "table nodes must lie in (0, 1]"),
+        (("opnorm", "--psi", "table:{p}", "--n", "4"), "0.5,0.5\n0.5,0.7\n1,1\n",
+         "table nodes must have distinct t"),
+        (("opnorm", "--psi", "table:{p}", "--n", "4"), "0.5,0.8\n1,0.6\n",
+         "table values must be positive and strictly increasing"),
+    ],
+    ids=["negative-step-value", "infinite-custom-atom", "header-only-table", "table-node-at-zero",
+         "repeated-table-t", "falling-table-psi"],
+)
+def test_refused_input_file_exits_two(capsys, tmp_path, argv, content, fragment):
+    p = tmp_path / "input"
+    p.write_text(content)
+    code, out, err = run_cli(capsys, *(a.format(p=p) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert fragment in err
 
 
 def test_orlicz_norm_past_float_range_exits_two(capsys, tmp_path):

@@ -435,6 +435,8 @@ def test_growth_table_validation():
         growth_table(sp, ns=[4, 5, 6, 7])
     with pytest.raises(ValueError):
         growth_table(sp, ns=[4, 8, 16, 32], mode="mc")
+    with pytest.raises(ValueError, match="unknown mode 'x'"):
+        growth_table(sp, ns=[4, 8, 16, 32], mode="x")
 
 
 def test_gamma_endpoint_validation():

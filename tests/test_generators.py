@@ -72,6 +72,20 @@ def test_validate_rejects_non_concave():
         bad.validate()
 
 
+@pytest.mark.parametrize(
+    "fn, tol, message",
+    [(lambda t: np.asarray(t) - 0.5, 1e-12, "values must be finite and positive"),
+     (np.ones_like, 1e-12, "not increasing on the geometric grid"),
+     # a tolerance that waives the midpoint check leaves t^2 to the sublinearity check
+     (np.square, 1.0, "sublinearity fails for m=2")],
+    ids=["nonpositive", "constant", "square"],
+)
+def test_validate_rejects_each_broken_invariant(fn, tol, message):
+    bad = ConcaveGenerator(fn, log_fn=lambda lt: 2.0 * lt, label="bad")
+    with pytest.raises(ValueError, match=message):
+        bad.validate(tol=tol)
+
+
 def test_validate_rejects_not_vanishing():
     bad = ConcaveGenerator(lambda t: 0.5 + np.asarray(t), log_fn=lambda lt: np.log(0.5 + np.exp(lt)),
                            label="half-plus-t")
@@ -202,6 +216,10 @@ def test_gaussian_inverses_match_plain_expressions():
         )
     assert erfc_inverse(lzs[:0]).shape == (0,)
     assert erfc_inverse(zs[:6].reshape(2, 3)).shape == (2, 3)
+    with pytest.raises(ValueError, match=r"argument must lie in \(0, 2\)"):
+        erfc_inverse(2.5)
+    with pytest.raises(ValueError, match=r"log-argument must be below log\(2\)"):
+        erfc_inverse_log(1.0)
 
 
 def _erfc_inverse_log_whole(lz):

@@ -193,7 +193,10 @@ def test_lpq_parameter_validation():
 def test_zero_function_has_zero_norm():
     z = StepFunction.constant(0.0)
     for sp in ALL_SPACES:
-        assert space_norm(z, sp) == 0.0
+        assert repr(space_norm(z, sp)) == "0.0"
+        # one zero layer and two: +0.0 from each core, Marcinkiewicz's as exp(-inf)
+        for values, log_tails in (([0.0], [0.0]), ([0.0, 0.0], [-1.0, 0.0])):
+            assert repr(space_norm_from_layers(values, log_tails, sp)) == "0.0"
 
 
 def test_homogeneity_all_spaces():
@@ -276,6 +279,13 @@ def test_exp_lp_is_a_value_of_its_order():
         exp_lp(0.5)
     # log(2)^(1/p) solves e^(x^p) - 1 = 1
     assert exp_lp(4).inverse_log(0.0) == pytest.approx(math.log(2.0) ** 0.25, rel=1e-15)
+
+
+def test_objects_that_are_not_spaces_are_refused():
+    with pytest.raises(TypeError, match="not a space spec"):
+        space_label(object())
+    with pytest.raises(TypeError, match="not a space spec"):
+        space_norm(StepFunction.indicator(0.5), object())
 
 
 def test_space_labels():
@@ -711,6 +721,19 @@ def test_orlicz_root_survives_inexact_elasticity():
         assert _orlicz_core(values, lT, rough) == pytest.approx(
             _orlicz_bisection(values, lT, M), rel=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "log_fn, message",
+    [(lambda u: np.full(np.shape(u), np.nan), "evaluated to NaN"),
+     # log M = 1 holds the modular at e / 4 < 1 for every lam, so no bracket closes
+     (lambda u: np.ones(np.shape(u)), "failed after 200 iterations")],
+    ids=["nan", "constant"],
+)
+def test_orlicz_root_refuses_a_degenerate_young_function(log_fn, message):
+    values, lT = _layers_from_step(StepFunction.indicator(0.25))
+    with pytest.raises(RuntimeError, match=message):
+        _orlicz_core(values, lT, _Altered(exp_lp(2.0), log_fn=log_fn))
 
 
 class _LambdaLog:

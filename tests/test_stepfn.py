@@ -59,6 +59,12 @@ def test_scale_add():
     assert _at(h, Fraction(3, 8)) == 3
     assert _at(h, Fraction(3, 4)) == 0
     assert h.integral() == Fraction(3, 2) + Fraction(1, 4)
+    with pytest.raises(ValueError, match="scale factor must be nonnegative"):
+        g.scale(-1)
+    # a number is not a step function: no sum, and never equal
+    with pytest.raises(TypeError):
+        g + 1
+    assert (g == 1) is False
 
 
 def test_add_keeps_one_ulp_pieces():
@@ -269,6 +275,10 @@ def test_quantile_reproduces_discrete_rearrangement():
     q = quantile_from_samples(samples, 8)
     assert list(q.values) == [3.0, 2.0, 1.0]
     assert list(q.breakpoints) == [0.0, 0.25, 0.625, 1.0]
+    # the quantiles are of |samples|, so signs change nothing
+    assert quantile_from_samples([-x if i % 3 else x for i, x in enumerate(samples)], 8) == q
+    with pytest.raises(ValueError, match="samples must be nonempty"):
+        quantile_from_samples([], 4)
 
 
 def test_json_round_trip_exact():
