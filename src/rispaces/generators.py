@@ -116,7 +116,7 @@ def power(alpha) -> ConcaveGenerator:
 def logpow(p) -> ConcaveGenerator:
     """psi(t) = t * log(e/t)^(1/p), p >= 1 (the exp-L_p companion generator)."""
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError("logpow parameter must be >= 1")
     ip = 1.0 / p
 

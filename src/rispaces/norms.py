@@ -61,7 +61,7 @@ class exp_lp:
 
     def __post_init__(self):
         object.__setattr__(self, "p", float(self.p))
-        if self.p < 1.0:
+        if not self.p >= 1.0:
             raise ValueError("exponential-Orlicz order must be >= 1")
 
     @property

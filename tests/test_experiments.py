@@ -56,6 +56,20 @@ def test_sampler_validation():
     with pytest.raises(ValueError):
         custom_sampler([])
     custom_sampler([-2.0, -1.0, 1.0, 2.0])
+    # the type checks its own law: a direct construction meets the helpers' checks
+    refused = [
+        (dict(kind="weird"), "unknown sampler kind 'weird'"),
+        (dict(kind="signed_indicator"), r"u must lie in \(0, 1\]"),
+        (dict(kind="custom"), "needs at least one quantile"),
+        (dict(kind="custom", quantiles=()), "needs at least one quantile"),
+        (dict(kind="custom", quantiles=(math.inf,)), "quantiles must be finite"),
+        (dict(kind="custom", quantiles=(0.0, 5.0)), "law must be symmetric"),
+    ] + [(dict(kind="signed_indicator", u=u), r"u must lie in \(0, 1\]")
+         for u in (0.0, 5.0, math.nan)]
+    for kwargs, message in refused:
+        with pytest.raises(ValueError, match=message):
+            SamplerSpec(**kwargs)
+    assert SamplerSpec(kind="custom", quantiles=(2.0, -2.0)) == custom_sampler([-2.0, 2.0])
 
 
 def test_sampler_refuses_a_bad_seed():
@@ -106,7 +120,8 @@ def test_draw_distributions_match_laws():
 
 
 # The draws as NumPy's samplers make them, one float per draw: the route the
-# raw-word decoding of the sign laws replaced, kept here as its oracle.
+# raw-word Rademacher decoding and the counted signed draws replaced, kept
+# here as their oracle.
 
 
 def _old_draw_block(spec, rng, shape):
@@ -150,14 +165,12 @@ def test_sign_draws_match_numpy_samplers(monkeypatch, n):
 
 
 def test_sign_draw_thresholds_at_the_edges():
-    # u = 1: random() == 0.5 draws 0, the only value neither test takes
-    below, above = experiments._signed_thresholds(1.0)
-    assert int(below) == 2**63 and int(above) == 2**63 + 2**11 - 1
-    # u so small that 1 - u/2 rounds to 1: no word can draw -1
-    below, above = experiments._signed_thresholds(1e-17)
-    assert int(below) == 2**11 and int(above) == 2**64 - 1
-    spec = signed_indicator(1e-17, seed=1)
-    assert np.array_equal(_draw_sums(spec, 4, 1000), _old_draw_sums(spec, 4, 1000))
+    # u = 1: random() == 0.5 draws 0, the only value neither comparison takes;
+    # u = 1e-17: 1 - u/2 rounds to 1, so no draw can be -1
+    assert 1.0 - 1e-17 / 2.0 == 1.0
+    for u in (1.0, 1e-17):
+        spec = signed_indicator(u, seed=1)
+        assert np.array_equal(_draw_sums(spec, 4, 1000), _old_draw_sums(spec, 4, 1000))
 
 
 def test_draw_sums_rejects_unknown_kind():
@@ -416,6 +429,9 @@ def test_fit_growth_validation():
 def test_fit_growth_names_the_first_value_that_is_not_positive():
     with pytest.raises(ValueError, match=r"^values must be positive, got 0\.0 at n = 4$"):
         fit_growth([(2, 1.0), (4, 0.0), (8, -1.0)], burn_in=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"^values must be finite, got {bad!r} at n = 4$"):
+            fit_growth([(2, 1.0), (4, bad), (8, 3.0)], burn_in=0)
 
 
 def test_growth_table_exact_sqrt_scale():

@@ -109,8 +109,9 @@ def test_logpow_values():
     # t * log(e/t) at t = 1/e is 2/e
     assert psi(math.exp(-1)) == pytest.approx(2 * math.exp(-1), rel=1e-14)
     assert logpow(2.0)(1.0) == pytest.approx(1.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        logpow(0.5)
+    for p in (0.5, float("nan")):
+        with pytest.raises(ValueError, match="logpow parameter must be >= 1"):
+            logpow(p)
 
 
 def test_logpow_past_the_overflow_of_e_over_t():

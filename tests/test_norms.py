@@ -275,8 +275,9 @@ def test_exp_lp_is_a_value_of_its_order():
     assert exp_lp(2) == exp_lp(2.0) and hash(exp_lp(2)) == hash(exp_lp(2.0))
     assert exp_lp(2) != exp_lp(3) and isinstance(exp_lp(2).p, float)
     assert Orlicz(exp_lp(2)) == parse_space("orlicz:np:2")
-    with pytest.raises(ValueError, match="must be >= 1"):
-        exp_lp(0.5)
+    for p in (0.5, float("nan")):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            exp_lp(p)
     # log(2)^(1/p) solves e^(x^p) - 1 = 1
     assert exp_lp(4).inverse_log(0.0) == pytest.approx(math.log(2.0) ** 0.25, rel=1e-15)
 
