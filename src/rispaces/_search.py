@@ -11,7 +11,7 @@ _ITERS = 60  # iterations of either search: 0.618^60, about 3e-13, of the bracke
 
 
 def golden_max(fn, lo: float, hi: float):
-    """Maximize a scalar function on [lo, hi]; returns (argmax, max)."""
+    """Maximize a scalar function on [lo, hi]; returns the max."""
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -25,13 +25,11 @@ def golden_max(fn, lo: float, hi: float):
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = fn(d)
-    if fc >= fd:
-        return c, fc
-    return d, fd
+    return fc if fc >= fd else fd
 
 
 def golden_max_vec(fn, lo: np.ndarray, hi: np.ndarray):
-    """Batched golden-section max over independent brackets; fn maps arrays to arrays.
+    """The golden-section max of each of many brackets; fn maps arrays to arrays.
 
     Both probe ordinates are recomputed every sweep, trading one extra batched
     eval per iteration for branch-free control flow.
@@ -48,6 +46,4 @@ def golden_max_vec(fn, lo: np.ndarray, hi: np.ndarray):
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
         fc, fd = fn(c), fn(d)
-    best = np.maximum(fc, fd)
-    arg = np.where(fc >= fd, c, d)
-    return arg, best
+    return np.maximum(fc, fd)

@@ -84,7 +84,7 @@ def sup_indicator_ratio(psi: ConcaveGenerator, n: int, j_max: int = 40) -> float
     i = int(np.argmax(vals))
     lo = lus[min(lus.size - 1, i + 1)]  # lus decreasing: one grid step deeper
     hi = lus[max(0, i - 1)]
-    _, refined = golden_max(g, lo, hi)
+    refined = golden_max(g, lo, hi)
     best = max(float(np.max(vals)), float(refined))
     limit = limsup_tail_sum_ratio(psi, n, GridConfig(j_max=max(60, j_max))).value / n
     return min(1.0, max(best, limit))

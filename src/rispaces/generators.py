@@ -76,31 +76,6 @@ class ConcaveGenerator:
     def __repr__(self):
         return f"ConcaveGenerator({self.label})"
 
-    def validate(self, j_max: int = 60, tol: float = 1e-12) -> None:
-        """Grid checks of the three structural invariants; raises ValueError."""
-        js = np.arange(0, integer(j_max, 0, "j_max must be nonnegative") + 1)
-        u = np.exp2(-js.astype(float))
-        vals = self(u)
-        if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
-            raise ValueError(f"{self.label}: values must be finite and positive on (0, 1]")
-        if not np.all(np.diff(vals) < 0):
-            raise ValueError(f"{self.label}: not increasing on the geometric grid")
-        # Vanishing at 0+, probed far below float range through log_eval.
-        deep = self.log_eval(-1.0e9)
-        if not deep < math.log(vals[0]) - 2.0:
-            raise ValueError(f"{self.label}: does not vanish at 0+")
-        # Midpoint concavity between adjacent grid points.
-        mid = (u[:-1] + u[1:]) / 2.0
-        lhs = self(mid)
-        rhs = (vals[:-1] + vals[1:]) / 2.0
-        if np.any(lhs < rhs - tol * np.maximum(1.0, np.abs(rhs))):
-            raise ValueError(f"{self.label}: midpoint concavity fails on the grid")
-        # Sublinearity psi(u/m) >= psi(u)/m.
-        for m in (2, 3, 10, 1000):
-            shrunk = self(u / m)
-            if np.any(m * shrunk < vals * (1.0 - 1e-12)):
-                raise ValueError(f"{self.label}: sublinearity fails for m={m}")
-
 
 # ------------------------------------------------------------------ built-ins
 

@@ -288,7 +288,7 @@ def _marcinkiewicz_core(values: np.ndarray, lT: np.ndarray, phi: ConcaveGenerato
             def obj(taus):
                 return (base_I + slope * (taus - base_T)) / phi(taus)
 
-            _, ref = golden_max_vec(obj, lo, T)
+            ref = golden_max_vec(obj, lo, T)
             best = max(best, float(np.max(ref)))
     return best
 

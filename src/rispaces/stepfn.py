@@ -6,9 +6,9 @@ values: value ``v_i`` on the half-open piece ``(t_{i-1}, t_i]`` for a partition
 two arithmetics: ``float64`` for large discretized laws, or ``dtype=object``
 arrays of ``fractions.Fraction`` for combinatorial identities.  Each method runs
 one numpy code path on both.  The arithmetics differ only in the endpoint rule
-(exact 0 and 1, or floats snapped within ``_ENDPOINT_ATOL``) and the exact sums
-of ``measure_above`` and ``integral``.  An exact function combined with a float
-argument or a float function gives a float result.  Every step function, from
+(exact 0 and 1, or floats snapped within ``_ENDPOINT_ATOL``) and the exact sum
+in ``measure_above``.  An exact function combined with a float argument or a
+float function gives a float result.  Every step function, from
 ``indicator`` to ``rearrange`` and ``from_json_dict``, is built by the one
 constructor.  It decides the arithmetic once from the entries, arrays and lists
 alike: ``Fraction`` objects when every entry is rational, one float array
@@ -21,7 +21,6 @@ checks are plain data comparisons.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Sequence, Union
@@ -118,18 +117,10 @@ class StepFunction:
             raise ValueError("indicator width must lie in (0, 1]")
         return cls([0, u, 1], [1, 0])  # at u = 1 the zero-length last piece goes
 
-    @classmethod
-    def constant(cls, c: Number) -> "StepFunction":
-        return cls([0, 1], [c])
-
     def measure_above(self, s: Number):
         """Lebesgue measure of {f > s}."""
         lens = self.piece_lengths()[self._values > _like(s, self.is_exact)]
         return sum(lens, Fraction(0)) if self.is_exact else float(np.sum(lens))
-
-    def integral(self):
-        terms = self._values * self.piece_lengths()
-        return sum(terms, Fraction(0)) if self.is_exact else math.fsum(terms)
 
     def scale(self, c: Number) -> "StepFunction":
         if c < 0:

