@@ -69,21 +69,26 @@ class exp_lp:
         return f"Np:{self.p:g}"
 
     def log_fn(self, u):
-        with np.errstate(over="ignore"):  # inf past the float range: M = inf
-            x = np.asarray(np.asarray(u, dtype=float) ** self.p)
-        # log(e^x - 1): x + log1p(-e^-x) for large x, log(expm1 x) below, in place.
-        big = x > 30.0
-        # Past x = 34, |log1p(-e^-x)| < ulp(x) / 2, so x + log1p(-e^-x) rounds
-        # to x whatever the clamp; clamping at 40, not near the float range,
-        # keeps e^-x and its log1p out of slow subnormal arithmetic.
-        y = np.minimum(x, 40.0, out=np.empty_like(x), where=big)
-        for f in (np.negative, np.exp, np.negative, np.log1p):
-            f(y, out=y, where=big)
-        np.add(x, y, out=x, where=big)
-        small = ~big
-        np.expm1(x, out=x, where=small)
-        with np.errstate(divide="ignore"):
-            return np.log(x, out=x, where=small)
+        u = np.asarray(u, dtype=float)
+        out = np.empty(u.shape)  # a 0-d array for a scalar
+        flat_u, flat_out = u.reshape(-1), out.reshape(-1)
+        for i in range(0, flat_u.size, CHUNK):
+            with np.errstate(over="ignore"):  # inf past the float range: M = inf
+                x = flat_u[i : i + CHUNK] ** self.p
+            # log(e^x - 1): x + log1p(-e^-x) for large x, log(expm1 x) below.
+            big = x > 30.0
+            # Past x = 34, |log1p(-e^-x)| < ulp(x) / 2, so x + log1p(-e^-x) rounds
+            # to x whatever the clamp; clamping at 40, not near the float range,
+            # keeps e^-x and its log1p out of slow subnormal arithmetic.
+            y = np.minimum(x, 40.0, out=np.empty_like(x), where=big)
+            for f in (np.negative, np.exp, np.negative, np.log1p):
+                f(y, out=y, where=big)
+            np.add(x, y, out=flat_out[i : i + CHUNK], where=big)
+            small = ~big
+            np.expm1(x, out=x, where=small)
+            with np.errstate(divide="ignore"):
+                np.log(x, out=flat_out[i : i + CHUNK], where=small)
+        return out
 
     def inverse_log(self, ly):
         # solve e^(x^p) - 1 = e^ly: x = log(1 + e^ly)^(1/p), stably in ly.
@@ -204,7 +209,8 @@ def _checked_chunks(chunks: Iterable[Layers]) -> Iterator[Layers]:
 
 # The cores below keep the operation order of the plain array expressions and
 # run them in place (``out=``, reused buffers), so their results are the same
-# bits with a few layer-sized temporaries instead of a dozen.  The Lorentz and
+# bits with a few layer-sized temporaries instead of a dozen; the Orlicz core
+# holds three, the log lengths, the terms and one work buffer.  The Lorentz and
 # Lpq cores take one pass over the layers, so they take them as a stream of
 # consecutive (values, log-tails) chunks; an array enters as a single chunk.
 # Their results do not depend on where the stream is cut: each term is an
@@ -279,11 +285,16 @@ def _marcinkiewicz_core(values: np.ndarray, lT: np.ndarray, phi: ConcaveGenerato
         first = order == 0
         T, Tprev, Iprev = np.exp(lT[order]), np.exp(lT[order - 1]), np.exp(logI[order - 1])
         Tprev[first] = Iprev[first] = 0.0
-        keep = (T > 1e-300) & (T > Tprev) & (values[order] > 0)
+        slope = values[order]
+        lo = Tprev + (T - Tprev) * 1e-9
+        # The search takes the integral in linear scale, where below the normal
+        # range it keeps too few bits for a small phi to divide; the breakpoint
+        # candidates price those pieces.
+        keep = (T > 1e-300) & (T > Tprev) & (slope > 0)
+        keep &= Iprev + slope * (lo - Tprev) >= sys.float_info.min
         if keep.any():
             T, base_T, base_I = T[keep], Tprev[keep], Iprev[keep]
-            slope = values[order[keep]]
-            lo = base_T + (T - base_T) * 1e-9
+            slope, lo = slope[keep], lo[keep]
 
             def obj(taus):
                 return (base_I + slope * (taus - base_T)) / phi(taus)
@@ -299,12 +310,13 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: exp_lp) -> float:
     if values[0] < 2.0**-_ORLICZ_TINY:
         return math.ldexp(_orlicz_core(np.ldexp(values, _ORLICZ_TINY), lT, M), -_ORLICZ_TINY)
     k = np.count_nonzero(values)  # the positive values, a prefix since values descend
-    v = values[:k]
+    v, lt = values[:k], lT[:k]
     ll = _log_lengths(lT)[:k]
     # The modular is at least T_k M(v_k / lam) for every layer k, so each layer
     # bounds the root from below; for a single layer the bound is the root.
     with np.errstate(over="ignore"):
-        lam = float(np.max(v / M.inverse_log(-lT[:k])))
+        lam = float(np.max([np.max(v[i : i + CHUNK] / M.inverse_log(-lt[i : i + CHUNK]))
+                            for i in range(0, k, CHUNK)]))
     if lam == math.inf:  # a lower bound past the largest float
         raise ValueError("Orlicz norm exceeds the float range")
     lo, hi, L_hi = 0.0, math.inf, math.nan
@@ -312,10 +324,12 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: exp_lp) -> float:
     pruned = False
     # Safeguarded Newton on L(s) = log modular(e^s), convex and decreasing in
     # s = log lam: from below the root (L > 0) its steps rise to the root.
+    work = np.empty(k)  # u = v / lam, then the shifted terms, then the elasticities
     for _ in range(200):
-        terms = np.asarray(M.log_fn(v / lam), dtype=float)
+        u = np.divide(v, lam, out=work[: v.size])
+        terms = np.asarray(M.log_fn(u), dtype=float)
         terms += ll
-        L = float(logsumexp(terms))
+        L = float(logsumexp(terms, out=u))
         if math.isnan(L):
             raise RuntimeError("Orlicz modular evaluated to NaN: degenerate M")
         if abs(L) <= 1e-13:
@@ -345,10 +359,9 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: exp_lp) -> float:
         # elasticity of M; NaN once a term is infinite, which fails the test below.
         with np.errstate(all="ignore"):
             weights = np.exp(np.subtract(terms, L, out=terms), out=terms)
-            elasticity = np.empty(v.size)
             for i in range(0, v.size, CHUNK):
-                elasticity[i : i + CHUNK] = M.elasticity(v[i : i + CHUNK] / lam)
-            slope = -float(np.dot(weights, elasticity))
+                u[i : i + CHUNK] = M.elasticity(v[i : i + CHUNK] / lam)
+            slope = -float(np.dot(weights, u))
             step = float(lam * np.exp(-L / slope))
         if step == lam:  # a step below float resolution still moves one ulp
             step = float(np.nextafter(lam, math.inf if L > 0.0 else 0.0))

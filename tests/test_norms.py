@@ -1,10 +1,13 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import Phase, given, reject, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from rispaces import (
@@ -31,6 +34,7 @@ from rispaces._numeric import CHUNK as _ROW_CHUNK
 from rispaces._search import golden_max_vec
 from rispaces.generators import ConcaveGenerator, inv_sqrt_log
 from rispaces.norms import (
+    _ORLICZ_TINY,
     _layers_from_step,
     _log_lengths,
     _lorentz_core,
@@ -40,6 +44,7 @@ from rispaces.norms import (
     _orlicz_core,
     _price,
 )
+from test_cli import _near_tie_steps, _step_files
 
 ALL_SPACES = [
     Lorentz(power(0.5)),
@@ -107,6 +112,12 @@ def test_marcinkiewicz_indicator_closed_form():
     for u in _TINY_U:
         got = space_norm(StepFunction.indicator(u), Marcinkiewicz(power(0.5)))
         _assert_rel(got, math.sqrt(u), _log_space_tol(u))
+    # small values on sets just above the golden pass's 1e-300 floor: their
+    # integral v u, 1e-324 to 1e-321, is subnormal, and the norm v u^(1/4) is not
+    for u in (1.01e-300, 2e-300, 1e-299):
+        for v in (1e-24, 4e-24, 1e-23, 1e-22):
+            got = space_norm(StepFunction([0.0, u, 1.0], [v, 0.0]), Marcinkiewicz(power(0.75)))
+            _assert_rel(got, v * u**0.25, _log_space_tol(u))
 
 
 def test_marcinkiewicz_unit_indicator_logpow():
@@ -260,6 +271,58 @@ def test_exponential_orlicz_comparable_to_log_marcinkiewicz():
             assert 0.25 <= ratio <= 4.0
 
 
+# Every space below has the fundamental function t^a: Lorentz(t^a) is the
+# smallest such space and Marcinkiewicz(t^(1 - a)) the largest, so their norms
+# hold the L_{1/a, q} norm between them for each 1 <= q <= 1/a, where it is a
+# norm; and L_{P, q} norms, with the prefactor inside, fall as q grows.  Each
+# comparison allows a relative slack of 1e-12.
+def _at_most(x, y):
+    return x <= y * (1.0 + 1e-12)
+
+
+@pytest.fixture(scope="module")
+def sandwich_laws():
+    """Layers of the walk laws of 2^10 ... 2^16 steps and of the step files of
+    test_norm_cli_fuzz, drawn once for the two tests below."""
+    laws = [walk_abs_layers(2**k) for k in range(10, 17)]
+
+    @settings(max_examples=50, deadline=None, database=None, phases=[Phase.generate])
+    @given(step=st.one_of(_near_tie_steps(), _step_files()))
+    def draw(step):
+        try:
+            laws.append(_layers_from_step(StepFunction.from_json_dict(step)))
+        except ValueError:
+            reject()
+
+    draw()
+    return laws
+
+
+def _sandwich(price):
+    for a in (0.25, 0.5, 0.75):
+        low, high = price(Marcinkiewicz(power(1.0 - a))), price(Lorentz(power(a)))
+        for q in (1.0, 0.5 + 0.5 / a, 1.0 / a):
+            mid = price(Lpq(1.0 / a, q))
+            assert _at_most(low, mid) and _at_most(mid, high), (a, q, low, mid, high)
+
+
+def _lpq_falls_in_q(price):
+    for a in (0.25, 0.5, 0.75):
+        norms = [price(Lpq(1.0 / a, q)) for q in (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 8.0, 16.0)]
+        for q_index, (before, after) in enumerate(zip(norms, norms[1:])):
+            assert _at_most(after, before), (a, q_index, before, after)
+
+
+def test_fundamental_function_sandwich(sandwich_laws):
+    for values, lT in sandwich_laws:
+        _sandwich(lambda space: space_norm_from_layers(values, lT, space))
+
+
+def test_lpq_norm_does_not_increase_in_q(sandwich_laws):
+    for values, lT in sandwich_laws:
+        _lpq_falls_in_q(lambda space: space_norm_from_layers(values, lT, space))
+
+
 def test_parse_space_and_labels():
     for token in ("lorentz:power:0.5", "marcinkiewicz:logpow:2", "orlicz:np:2", "lpq:2:1"):
         sp = parse_space(token)
@@ -397,12 +460,13 @@ def test_exp_lp_log_fn_matches_two_branch_expression():
         assert exp_lp(p).log_fn(switch) == both_branches(switch, p)
 
 
-def _exp_lp_log_fn_clamped_at_745(u, p):
-    # exp_lp(p).log_fn as it was while e^-x was clamped near the float range
+def _exp_lp_log_fn_plain(u, p, clamp=40.0):
+    # exp_lp(p).log_fn on the whole array at once, as it was before it ran on
+    # slices; with clamp=745.0, as it was while e^-x was clamped near the float range
     with np.errstate(over="ignore"):
         x = np.asarray(np.asarray(u, dtype=float) ** p)
     big = x > 30.0
-    y = np.minimum(x, 745.0, out=np.empty_like(x), where=big)
+    y = np.minimum(x, clamp, out=np.empty_like(x), where=big)
     for f in (np.negative, np.exp, np.negative, np.log1p):
         f(y, out=y, where=big)
     np.add(x, y, out=x, where=big)
@@ -422,7 +486,7 @@ def test_exp_lp_log_fn_clamp_keeps_bits():
     xs = np.linspace(0.0, 1000.0, 400_001)
     for p in (1.0, 1.5, 2.0, 4.0):
         u = np.concatenate((xs ** (1.0 / p), marks, np.array(marks) ** (1.0 / p)))
-        np.testing.assert_array_equal(exp_lp(p).log_fn(u), _exp_lp_log_fn_clamped_at_745(u, p))
+        np.testing.assert_array_equal(exp_lp(p).log_fn(u), _exp_lp_log_fn_plain(u, p, 745.0))
 
 
 def test_exp_lp_elasticity_is_log_derivative():
@@ -504,17 +568,87 @@ def _marcinkiewicz_core_plain(values, lT, phi):
         Tprev = np.concatenate(([0.0], T[:-1]))
         Iprev = np.concatenate(([0.0], I[:-1]))
         order = np.argsort(cand)[::-1][:32]
-        sel = order[(T[order] > 1e-300) & (T[order] > Tprev[order]) & (values[order] > 0)]
+        lo = Tprev + (T - Tprev) * 1e-9
+        normal = Iprev + values * (lo - Tprev) >= sys.float_info.min
+        sel = order[(T[order] > 1e-300) & (T[order] > Tprev[order]) & (values[order] > 0)
+                    & normal[order]]
         if sel.size:
-            lo = Tprev[sel] + (T[sel] - Tprev[sel]) * 1e-9
             base_I, slope, base_T = Iprev[sel], values[sel], Tprev[sel]
 
             def obj(taus):
                 return (base_I + slope * (taus - base_T)) / np.asarray(phi(taus))
 
-            ref = golden_max_vec(obj, lo, T[sel])
+            ref = golden_max_vec(obj, lo[sel], T[sel])
             best = max(best, float(np.max(ref)))
     return best
+
+
+def _orlicz_core_plain(values, lT, M):
+    """The Orlicz core with a new array for each temporary and exp_lp(M.p).log_fn
+    on the whole array at once, before they ran in a fixed working set."""
+    if values[0] <= 0:
+        return 0.0
+    if values[0] < 2.0**-_ORLICZ_TINY:
+        scaled = _orlicz_core_plain(np.ldexp(values, _ORLICZ_TINY), lT, M)
+        return math.ldexp(scaled, -_ORLICZ_TINY)
+    k = np.count_nonzero(values)
+    v = values[:k]
+    ll = _log_lengths_plain(lT)[:k]
+    with np.errstate(over="ignore"):
+        lam = float(np.max(v / M.inverse_log(-lT[:k])))
+    if lam == math.inf:
+        raise ValueError("Orlicz norm exceeds the float range")
+    lo, hi, L_hi = 0.0, math.inf, math.nan
+    last = before = math.inf
+    pruned = False
+    for _ in range(200):
+        terms = _exp_lp_log_fn_plain(v / lam, M.p)
+        terms += ll
+        L = float(logsumexp(terms))
+        if math.isnan(L):
+            raise RuntimeError("Orlicz modular evaluated to NaN: degenerate M")
+        if abs(L) <= 1e-13:
+            return lam
+        if L > 0.0:
+            if lam == sys.float_info.max:
+                raise ValueError("Orlicz norm exceeds the float range")
+            lo = lam
+        else:
+            hi, L_hi = lam, L
+        if lo > 0.0 and hi <= math.nextafter(lo, math.inf):
+            if abs(L_hi) <= 1e-9:
+                return hi
+            raise RuntimeError("Orlicz root search stalled with modular away from 1")
+        prune = L > 0.0 and not pruned
+        if prune:
+            big = terms >= -60.0 - math.log(terms.size)
+            ll, pruned = ll[big], True
+        with np.errstate(all="ignore"):
+            weights = np.exp(np.subtract(terms, L, out=terms), out=terms)
+            elasticity = np.empty(v.size)
+            for i in range(0, v.size, _ROW_CHUNK):
+                elasticity[i : i + _ROW_CHUNK] = M.elasticity(v[i : i + _ROW_CHUNK] / lam)
+            slope = -float(np.dot(weights, elasticity))
+            step = float(lam * np.exp(-L / slope))
+        if step == lam:
+            step = float(np.nextafter(lam, math.inf if L > 0.0 else 0.0))
+        if prune:
+            v = v[big]
+        if lo < step < hi and (
+            hi == math.inf or abs(math.log(step / lam)) <= 0.5 * before
+        ):
+            move, nxt = abs(math.log(step / lam)), step
+        elif lo == 0.0:
+            move, nxt = math.log(2.0), hi / 2.0
+        elif hi == math.inf:
+            move, nxt = math.log(2.0), lo * 2.0
+        else:
+            nxt = math.exp(0.5 * (math.log(lo) + math.log(hi)))
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            move = abs(math.log(nxt / lam))
+        before, last, lam = last, move, nxt
+    raise RuntimeError("Orlicz root search failed after 200 iterations")
 
 
 def _oracle_layers():
@@ -555,6 +689,17 @@ def test_in_place_cores_match_plain_expressions():
             want = _lpq_core_plain(values, lT, p, q)
             assert _lpq_core([(values, lT)], values.size, p, q) == want
             assert _lpq_core(chunks, values.size, p, q) == want
+
+
+def test_orlicz_core_matches_plain_expressions():
+    # walks of 2, 4 and 16 slices of layers, then the random and tied layers
+    cases = [walk_abs_layers(2**k) for k in (15, 16, 18)] + _oracle_layers()
+    for p in (1.0, 2.0, 4.0):
+        M = exp_lp(p)
+        for values, lT in cases:
+            assert space_norm_from_layers(values, lT, Orlicz(M)) == _orlicz_core_plain(
+                values, lT, M
+            ), (p, values.size)
 
 
 # walks whose k // 2 + 1 layers fill one chunk, spill one zero or one positive
@@ -599,12 +744,14 @@ def layers_2_20():
 @pytest.mark.parametrize("space, bound_mib", [
     (Lorentz(power(0.5)), 12.0),
     (Lpq(2.0, 1.0), 10.0),
-    (Orlicz(exp_lp(2.0)), 18.5),
+    (Orlicz(exp_lp(2.0)), 14.0),
     (Marcinkiewicz(logpow(2.0)), 18.0),
 ], ids=["lorentz", "lpq", "orlicz", "marcinkiewicz"])
 def test_core_memory_on_the_largest_walk(layers_2_20, space, bound_mib):
     # Each layer array is 4 MiB.  The plain expressions peaked at 12.0, 20.5,
-    # 37.0 and 36.0 MiB above the layers.
+    # 37.0 and 36.0 MiB above the layers.  The Orlicz core holds three layer
+    # arrays (the log lengths, the terms and one work buffer) and slices of the
+    # rest, 13.3 MiB; with a new array for each temporary it peaked at 17.0 MiB.
     tracemalloc.start()
     try:
         space_norm_from_layers(*layers_2_20, space)
@@ -808,11 +955,17 @@ def test_orlicz_root_modular_residual_in_high_precision():
 
 
 def test_orlicz_root_evaluation_counts():
-    for k in (12, 14, 16, 18):
-        values, lT = walk_abs_layers(2**k)
-        M = _CountingYoung(exp_lp(2.0))
-        _orlicz_core(values, lT, M)
-        assert M.calls <= 15
+    # one log_fn call per modular evaluation, on walks of 2^12, 2^14, 2^16 and
+    # 2^18 steps: a call per slice of the layers would multiply these
+    want = {1.0: [6, 6, 6, 6], 2.0: [9, 9, 9, 10], 4.0: [5, 5, 4, 4]}
+    layers = [walk_abs_layers(2**k) for k in (12, 14, 16, 18)]
+    for p, counts in want.items():
+        calls = []
+        for values, lT in layers:
+            M = _CountingYoung(exp_lp(p))
+            _orlicz_core(values, lT, M)
+            calls.append(M.calls)
+        assert calls == counts, p
 
 
 def test_orlicz_norm_past_float_range_raises_before_evaluating():

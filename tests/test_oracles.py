@@ -75,10 +75,17 @@ ORACLES = {
                                          "the sum of the polynomial-expansion tails, "
                                          "n <= 64; exact equality"),
     # norms
-    "Lorentz": ("test_norms::test_lorentz_indicator_closed_form",
-                "psi(u); rel 1e-13, and (1 + |ln u|) 2^-52 for u down to 2^-1074"),
-    "Marcinkiewicz": ("test_norms::test_marcinkiewicz_indicator_closed_form",
-                      "u / phi(u); rel 1e-12, and (1 + |ln u|) 2^-52 for u down to 2^-1074"),
+    "Lorentz": [("test_norms::test_lorentz_indicator_closed_form",
+                 "psi(u); rel 1e-13, and (1 + |ln u|) 2^-52 for u down to 2^-1074"),
+                ("test_norms::test_fundamental_function_sandwich",
+                 "lorentz:power:a at least lpq:(1/a):q for 1 <= q <= 1/a, on walk laws of "
+                 "2^10 to 2^16 steps and fuzzed step files; rel 1e-12")],
+    "Marcinkiewicz": [("test_norms::test_marcinkiewicz_indicator_closed_form",
+                       "u / phi(u); rel 1e-12, and (1 + |ln u|) 2^-52 for u down to 2^-1074 "
+                       "and for values whose integral is subnormal"),
+                      ("test_norms::test_fundamental_function_sandwich",
+                       "marcinkiewicz:power:(1-a) at most lpq:(1/a):q for 1 <= q <= 1/a, on "
+                       "walk laws of 2^10 to 2^16 steps and fuzzed step files; rel 1e-12")],
     "Orlicz": ("test_norms::test_orlicz_indicator_closed_form",
                "log1p(1/u)^(-1/p); rel 1e-10, and 4 2^-52 for u down to 2^-1074"),
     "Lpq": [("test_norms::test_lpq_indicator_closed_form",
@@ -89,8 +96,11 @@ ORACLES = {
                   "exact, float and layered routes agree in all four families; rel 1e-9"),
     "exp_lp": ("test_norms::test_orlicz_root_modular_residual_in_high_precision",
                "the modular at the norm, in 50-digit arithmetic; |modular - 1| <= 1e-12"),
-    "lpq_norm": ("test_norms::test_lpq_indicator_closed_form",
-                 "u^(1/p); rel 1e-12, and (1 + |ln u|) 2^-52 for u down to 2^-1074"),
+    "lpq_norm": [("test_norms::test_lpq_indicator_closed_form",
+                  "u^(1/p); rel 1e-12, and (1 + |ln u|) 2^-52 for u down to 2^-1074"),
+                 ("test_norms::test_lpq_norm_does_not_increase_in_q",
+                  "lpq:P:q falls as q runs from 1 to 16, P in {4/3, 2, 4}, on walk laws of "
+                  "2^10 to 2^16 steps and fuzzed step files; rel 1e-12")],
     "space_norm": ("test_norms::test_lorentz_two_step_closed_form",
                    "the Stieltjes sum by hand; rel 1e-13"),
     "space_norm_from_layers": ("test_norms::test_three_route_agreement_on_walk_laws",
