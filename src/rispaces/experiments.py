@@ -275,8 +275,6 @@ def gaussian_selfsimilarity_check(n: int, grid_size: int = 2**16) -> float:
     n = positive_int(n)
     grid_size = integer(grid_size, 2**10,
                         f"grid_size {grid_size} cannot resolve the tails; need >= {2**10}")
-    if n == 1:
-        return 1.0
     space = Marcinkiewicz(gauss())
     L = float(erfc_inverse(1.0 / grid_size))
     edges = np.linspace(-L, L, grid_size + 1)

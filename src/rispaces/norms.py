@@ -201,6 +201,8 @@ def _checked_chunks(chunks: Iterable[Layers]) -> Iterator[Layers]:
             raise ValueError("layer values must be nonnegative and nonincreasing")
         if not np.all(log_tails <= 0) or np.any(np.diff(log_tails) <= 0):
             raise ValueError("log tails must be strictly increasing and <= 0")
+        if not log_tails[0] > -math.inf:  # the least one, so every one is finite
+            raise ValueError("log tails must be finite: a layer needs positive measure")
         if before is not None and not (before[0] >= values[0] and before[1] < log_tails[0]):
             raise ValueError("a chunk of layers must continue the layers before it")
         before = values[-1], log_tails[-1]
@@ -210,13 +212,14 @@ def _checked_chunks(chunks: Iterable[Layers]) -> Iterator[Layers]:
 # The cores below keep the operation order of the plain array expressions and
 # run them in place (``out=``, reused buffers), so their results are the same
 # bits with a few layer-sized temporaries instead of a dozen; the Orlicz core
-# holds three, the log lengths, the terms and one work buffer.  The Lorentz and
-# Lpq cores take one pass over the layers, so they take them as a stream of
-# consecutive (values, log-tails) chunks; an array enters as a single chunk.
-# Their results do not depend on where the stream is cut: each term is an
-# elementwise expression of its own layer and the one before it, which is
-# carried across the cut, and the terms are summed once, after the stream, in
-# ``math.fsum`` (correctly rounded, so in any grouping) or in one buffer.
+# holds three, the log lengths, the terms and one work buffer.  One formula,
+# ``_log_lengths``, gives the layer lengths to the Marcinkiewicz, Orlicz and Lpq
+# cores.  The Lorentz and Lpq cores take one pass over the layers, so they take
+# them as a stream of consecutive (values, log-tails) chunks; an array enters as
+# a single chunk.  Their results do not depend on where the stream is cut: each
+# term is an elementwise expression of its own layer and the one before it,
+# which is carried across the cut, and the terms are summed once, after the
+# stream, in ``math.fsum`` (correctly rounded, so in any grouping) or in one buffer.
 
 
 # A law whose largest value is below 2^-_ORLICZ_TINY is priced scaled up by
@@ -233,13 +236,17 @@ def _log_eval(gen: ConcaveGenerator, lT: np.ndarray) -> np.ndarray:
     return out.copy() if np.may_share_memory(out, lT) else out
 
 
-def _log_lengths(lT: np.ndarray) -> np.ndarray:
-    out = np.empty_like(lT)
-    out[0] = lT[0]
-    d = np.subtract(lT[:-1], lT[1:], out=out[1:])
+def _log_lengths(lT: np.ndarray, r=1.0, before=-math.inf, out=None) -> np.ndarray:
+    """log(T_i^r - T_(i-1)^r) for lT = log T and log T_(-1) = ``before``; r = 1 measures layers."""
+    out = np.empty_like(lT) if out is None else out
+    out[0] = before
+    out[1:] = lT[:-1]
+    out -= lT
+    out *= r
     with np.errstate(divide="ignore"):
-        np.log1p(np.negative(np.exp(d, out=d), out=d), out=d)
-    d += lT[1:]
+        np.log1p(np.negative(np.exp(out, out=out), out=out), out=out)
+    # r lT is lT at r = 1: the whole-array cores take no layer-sized temporary
+    out += lT if r == 1.0 else np.multiply(lT, r)
     return out
 
 
@@ -390,28 +397,19 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: exp_lp) -> float:
 
 def _lpq_core(chunks: Iterable[Layers], size: int, p: float, q: float) -> float:
     """The Lpq norm of at most ``size`` layers, its terms summed in one buffer."""
-    r = q / p
-    # terms = q log v + (r lt + log1p(-exp(r (lt_prev - lt)))), lt_prev = -inf first
+    # terms = log(T_i^(q/p) - T_(i-1)^(q/p)) + q log v_i, T_(-1) = 0 first
     buf = np.empty(size)
     k, lt_prev = 0, -math.inf
     for values, lT in chunks:
         if values[0] <= 0:
             continue
         m = np.count_nonzero(values)
-        v, lt, terms = values[:m], lT[:m], buf[k : k + m]
-        terms[0] = lt_prev
-        terms[1:] = lt[:-1]
-        terms -= lt
-        terms *= r
-        with np.errstate(divide="ignore"):
-            np.log1p(np.negative(np.exp(terms, out=terms), out=terms), out=terms)
-            ldiff = np.multiply(lt, r)
-            ldiff += terms
-            np.log(v, out=terms)
-        terms *= q
-        terms += ldiff
-        del ldiff
-        k, lt_prev = k + m, lt[-1]
+        terms = _log_lengths(lT[:m], q / p, lt_prev, out=buf[k : k + m])
+        qlogv = np.log(values[:m])
+        qlogv *= q
+        terms += qlogv
+        del qlogv  # gone before the next chunk's temporaries
+        k, lt_prev = k + m, lT[m - 1]
     if k == 0:
         return 0.0
     terms = buf[:k]

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from numbers import Rational
 from typing import Iterator, Optional, Tuple, Union
 
@@ -59,7 +58,6 @@ def walk_distribution(k: int) -> StepFunction:
     return StepFunction([Fraction(0), *tails[k::-2]], range(k, -1, -2))
 
 
-@lru_cache(maxsize=256)
 def _exact_tails(n: int, u: Fraction) -> Tuple[Fraction, ...]:
     """(P(|S_n| >= s))_{s=0..n} as exact rationals, for n <= ``EXACT_MAX_STEPS``.
 

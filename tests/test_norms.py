@@ -20,8 +20,10 @@ from rispaces import (
     logpow,
     lpq_norm,
     parse_generator,
+    parse_sampler,
     parse_space,
     power,
+    quantile_from_samples,
     rademacher_sum_norm,
     space_label,
     space_norm,
@@ -32,6 +34,7 @@ from rispaces import (
 )
 from rispaces._numeric import CHUNK as _ROW_CHUNK
 from rispaces._search import golden_max_vec
+from rispaces.experiments import _draw_sums
 from rispaces.generators import ConcaveGenerator, inv_sqrt_log
 from rispaces.norms import (
     _ORLICZ_TINY,
@@ -282,9 +285,14 @@ def _at_most(x, y):
 
 @pytest.fixture(scope="module")
 def sandwich_laws():
-    """Layers of the walk laws of 2^10 ... 2^16 steps and of the step files of
-    test_norm_cli_fuzz, drawn once for the two tests below."""
+    """Layers of the walk laws of 2^10 ... 2^16 steps, of the step files of
+    test_norm_cli_fuzz and of Monte Carlo quantile functions (20,000 sums of
+    n = 16 and 256 draws, 2,048 pieces), drawn once for the three tests below."""
     laws = [walk_abs_layers(2**k) for k in range(10, 17)]
+    for seed, token in enumerate(("rademacher", "signed:0.25", "gauss")):
+        for n in (16, 256):
+            sums = _draw_sums(parse_sampler(token, seed), n, 20_000)
+            laws.append(_layers_from_step(quantile_from_samples(sums, 2048)))
 
     @settings(max_examples=50, deadline=None, database=None, phases=[Phase.generate])
     @given(step=st.one_of(_near_tie_steps(), _step_files()))
@@ -321,6 +329,20 @@ def test_fundamental_function_sandwich(sandwich_laws):
 def test_lpq_norm_does_not_increase_in_q(sandwich_laws):
     for values, lT in sandwich_laws:
         _lpq_falls_in_q(lambda space: space_norm_from_layers(values, lT, space))
+
+
+def test_two_cores_price_the_sandwich_laws_alike(sandwich_laws):
+    # lpq:P:1 and lorentz:power:1/P are one norm priced by two cores.  The Lpq core
+    # exponentiates a log-space sum, so the rounding of log N becomes a relative
+    # error: up to 1.2e-13 on the step files, whose norms N run from 5e-324 to 9e307,
+    # and at most 0.67 (1 + |ln N|) 2^-51 there.  The largest relative gap measured
+    # elsewhere is 1.5e-15 on the walks and 3.2e-15 on the quantile functions.
+    for values, lT in sandwich_laws:
+        for p in (4.0 / 3.0, 2.0, 4.0):
+            lpq = space_norm_from_layers(values, lT, Lpq(p, 1.0))
+            lorentz = space_norm_from_layers(values, lT, Lorentz(power(1.0 / p)))
+            rel = 1e-14 + (1.0 + abs(math.log(lorentz or 1.0))) * 2.0**-51
+            assert lpq == pytest.approx(lorentz, rel=rel), (p, lpq, lorentz)
 
 
 def test_parse_space_and_labels():
@@ -768,6 +790,7 @@ def test_layers_with_nan_are_rejected():
         (np.array([np.nan, 1.0, 0.5]), good_lT),
         (good_values, np.array([-2.0, np.nan, 0.0])),
         (good_values, np.array([np.nan, -1.0, 0.0])),
+        (np.array([2.0, 1.0]), np.array([-np.inf, 0.0])),  # a top layer of zero measure
     ):
         for space in ALL_SPACES:
             with pytest.raises(ValueError):

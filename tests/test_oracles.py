@@ -20,8 +20,12 @@ ORACLES = {
     # stepfn
     "StepFunction": ("test_stepfn::test_exact_operations_match_tuple_oracle",
                      "a tuple-of-Fractions implementation; exact equality"),
-    "quantile_from_samples": ("test_stepfn::test_quantile_reproduces_discrete_rearrangement",
-                              "the rearrangement of an enumerated law; exact equality"),
+    "quantile_from_samples": [("test_stepfn::test_quantile_reproduces_discrete_rearrangement",
+                               "the rearrangement of an enumerated law; exact equality"),
+                              ("test_norms::test_fundamental_function_sandwich",
+                               "Marcinkiewicz <= Lpq <= Lorentz of one fundamental function "
+                               "on quantile functions of rademacher, signed:0.25 and gauss "
+                               "sums; rel 1e-12")],
     # gaussian
     "upper_tail": ("test_generators::test_upper_tail_is_the_two_sided_gaussian_tail",
                    "mpmath erfc at 50 digits; rel 1e-14"),
@@ -64,7 +68,10 @@ ORACLES = {
                          "logs of the binomial-fold tails at k = 12; rel 1e-12"),
                         ("test_walks::test_walk_layers_match_running_binomial",
                          "40-digit running-binomial tails at k = 1000 and 4096; "
-                         "abs 2e-12 and 1e-11 times max(1, |log-tail|)")],
+                         "abs 2e-12 and 1e-11 times max(1, |log-tail|)"),
+                        ("test_walks::test_walk_layers_hold_unit_mass",
+                         "P(|W_k| >= 1) = 1 at odd k to 2^20; abs 1.2e-11, 3e-10 and 6e-9 "
+                         "to 4097, 2^16 and 2^20; the even k's last layer (0, 0) exactly")],
     "signed_indicator_sum_tail": ("test_walks::test_signed_sum_tails_match_enumeration",
                                   "enumeration of all sign patterns; exact equality"),
     "signed_indicator_sum_log_tails": [("test_walks::test_log_tails_match_exact_law",
@@ -79,13 +86,14 @@ ORACLES = {
                  "psi(u); rel 1e-13, and (1 + |ln u|) 2^-52 for u down to 2^-1074"),
                 ("test_norms::test_fundamental_function_sandwich",
                  "lorentz:power:a at least lpq:(1/a):q for 1 <= q <= 1/a, on walk laws of "
-                 "2^10 to 2^16 steps and fuzzed step files; rel 1e-12")],
+                 "2^10 to 2^16 steps, fuzzed step files and quantile functions; rel 1e-12")],
     "Marcinkiewicz": [("test_norms::test_marcinkiewicz_indicator_closed_form",
                        "u / phi(u); rel 1e-12, and (1 + |ln u|) 2^-52 for u down to 2^-1074 "
                        "and for values whose integral is subnormal"),
                       ("test_norms::test_fundamental_function_sandwich",
                        "marcinkiewicz:power:(1-a) at most lpq:(1/a):q for 1 <= q <= 1/a, on "
-                       "walk laws of 2^10 to 2^16 steps and fuzzed step files; rel 1e-12")],
+                       "walk laws of 2^10 to 2^16 steps, fuzzed step files and quantile functions; "
+                       "rel 1e-12")],
     "Orlicz": ("test_norms::test_orlicz_indicator_closed_form",
                "log1p(1/u)^(-1/p); rel 1e-10, and 4 2^-52 for u down to 2^-1074"),
     "Lpq": [("test_norms::test_lpq_indicator_closed_form",
@@ -100,11 +108,15 @@ ORACLES = {
                   "u^(1/p); rel 1e-12, and (1 + |ln u|) 2^-52 for u down to 2^-1074"),
                  ("test_norms::test_lpq_norm_does_not_increase_in_q",
                   "lpq:P:q falls as q runs from 1 to 16, P in {4/3, 2, 4}, on walk laws of "
-                  "2^10 to 2^16 steps and fuzzed step files; rel 1e-12")],
+                  "2^10 to 2^16 steps, fuzzed step files and quantile functions; rel 1e-12")],
     "space_norm": ("test_norms::test_lorentz_two_step_closed_form",
                    "the Stieltjes sum by hand; rel 1e-13"),
-    "space_norm_from_layers": ("test_norms::test_three_route_agreement_on_walk_laws",
-                               "the exact-law route; rel 1e-9"),
+    "space_norm_from_layers": [("test_norms::test_three_route_agreement_on_walk_laws",
+                                "the exact-law route; rel 1e-9"),
+                               ("test_norms::test_two_cores_price_the_sandwich_laws_alike",
+                                "lpq:P:1 against lorentz:power:1/P, P in {4/3, 2, 4}, on walk "
+                                "laws, fuzzed step files and quantile functions; "
+                                "rel 1e-14 + (1 + |ln N|) 2^-51")],
     "parse_space": ("test_norms::test_space_labels", "the label of each family's token; equality"),
     "space_label": ("test_norms::test_space_labels", "the label of each family's token; equality"),
     # dichotomy

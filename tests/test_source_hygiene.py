@@ -117,6 +117,12 @@ def test_only_numeric_spells_the_chunk_size():
     assert holders == ["_numeric.py"]
 
 
+def test_only_log_lengths_spells_the_piece_length():
+    # every core takes log(T_i^r - T_(i-1)^r) from norms._log_lengths
+    count = sum(p.read_text().count("log1p(np.negative(np.exp(") for p in SRC.glob("*.py"))
+    assert count == 1
+
+
 def test_only_numeric_spells_the_log_binomial():
     # every log-binomial goes through _numeric.log_binom, and no exact binomial is built
     spelled = re.compile(r"\bcomb\(|log_factorial\([^)]*-")
