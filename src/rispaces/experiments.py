@@ -276,15 +276,6 @@ def gaussian_selfsimilarity_check(n: int, grid_size: int = 2**16) -> float:
     grid_size = integer(grid_size, 2**10,
                         f"grid_size {grid_size} cannot resolve the tails; need >= {2**10}")
     space = Marcinkiewicz(gauss())
-    L = float(erfc_inverse(1.0 / grid_size))
-    edges = np.linspace(-L, L, grid_size + 1)
-    cdf = 0.5 * upper_tail(-edges)
-    pmf = np.diff(cdf)
-    # lump the two out-of-lattice tails into the edge cells
-    tail_mass = 0.5 * float(upper_tail(L))
-    pmf[0] += tail_mass
-    pmf[-1] += tail_mass
-    pmf /= pmf.sum()
 
     def product(a, b=None):
         conv = fftconvolve(a, b)
@@ -294,12 +285,14 @@ def gaussian_selfsimilarity_check(n: int, grid_size: int = 2**16) -> float:
         conv /= conv.sum()
         return conv
 
-    base_norm = _lattice_norm(pmf, edges, space)
     # The running power lives in a one-element list that each squaring hands
     # to fftconvolve, which empties it: no reference to the operand is left
-    # while the inverse transform runs, where the memory peaks.
+    # while the inverse transform runs, where the memory peaks.  The n-fold law
+    # is priced first and the one-variable lattice rebuilt after it, so the
+    # last transform shares the heap with nothing else.
+    h, pmf = _gauss_lattice(grid_size)
     conv, power, k = None, [pmf], n
-    del pmf, cdf
+    del pmf
     while True:
         if k & 1:
             conv = power[0] if conv is None else product(conv, power[0])
@@ -307,13 +300,30 @@ def gaussian_selfsimilarity_check(n: int, grid_size: int = 2**16) -> float:
         if not k:
             break
         power = [product(power)]
-    sum_norm = _lattice_norm(conv, edges, space)
-    return sum_norm / base_norm
+    sum_norm = _lattice_norm(conv, h, space)
+    h, pmf = _gauss_lattice(grid_size)
+    return sum_norm / _lattice_norm(pmf, h, space)
 
 
-def _lattice_norm(pmf: np.ndarray, base_edges: np.ndarray, space: SpaceSpec) -> float:
-    """Norm of a symmetric law on a uniform value lattice, via layers."""
-    h = base_edges[1] - base_edges[0]
+def _gauss_lattice(grid_size: int) -> Tuple[float, np.ndarray]:
+    """(cell width, pmf) of the one-variable law on its uniform value lattice.
+
+    The grid_size cells span [-L, L] with erfc(L) = 1 / grid_size; the two
+    out-of-lattice tails are lumped into the edge cells.  The edges and the CDF
+    are freed on return.
+    """
+    L = float(erfc_inverse(1.0 / grid_size))
+    edges = np.linspace(-L, L, grid_size + 1)
+    pmf = np.diff(0.5 * upper_tail(-edges))
+    tail_mass = 0.5 * float(upper_tail(L))
+    pmf[0] += tail_mass
+    pmf[-1] += tail_mass
+    pmf /= pmf.sum()
+    return edges[1] - edges[0], pmf
+
+
+def _lattice_norm(pmf: np.ndarray, h: float, space: SpaceSpec) -> float:
+    """Norm of a symmetric law on a uniform value lattice of cell width h, via layers."""
     size = pmf.size
     # Fold the symmetric lattice onto |values|, descending: cell size - 1 - m
     # and its mirror m, for the size // 2 cells above the centre (an odd

@@ -187,7 +187,15 @@ def _layers_from_step(f: StepFunction) -> Layers:
     x = f.rearrange()
     ends = x.breakpoints[1:]
     lT = np.array([_log_fraction(b) for b in ends]) if x.is_exact else np.log(ends)
-    return x.values.astype(float, copy=False), lT
+    values = x.values.astype(float, copy=False)
+    # A layer whose log-tail does not pass every one before it has no measure at
+    # the log's resolution (two ends may even round backward): it is dropped, as
+    # ``experiments._lattice_norm`` drops one, and the log-tails stay increasing.
+    keep = np.greater(lT[1:], np.maximum.accumulate(lT[:-1]))
+    if not keep.all():
+        keep = np.r_[True, keep]
+        values, lT = values[keep], lT[keep]
+    return values, lT
 
 
 def _checked_chunks(chunks: Iterable[Layers]) -> Iterator[Layers]:

@@ -101,9 +101,9 @@ def _walk_abs_chunks(k: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         np.logaddexp.accumulate(row, out=row)
         carry = row[-1]
         row += LN2
-        if stop == size and k % 2 == 0:
-            row[-1] = 0.0  # the value 0 has the whole measure
         values = np.arange(k - 2 * start, k - 2 * stop, -2, dtype=float)
+        # an even k's value 0 reads log(1 + P(W_k = 0)) > 0 here: the clamp
+        # gives it the whole measure
         yield values, np.minimum(row, 0.0, out=row)
 
 

@@ -58,6 +58,19 @@ def test_norm_step_keeps_a_value_one_ulp_apart(capsys, tmp_path):
     assert (code, out) == (0, "1.0\n")
 
 
+@pytest.mark.parametrize("space", ["lorentz:power:0.5", "marcinkiewicz:logpow:2",
+                                   "orlicz:np:2", "lpq:2:1"])
+def test_norm_step_with_rational_ends_that_round_backward_is_finite(capsys, tmp_path, space):
+    # log((10^16 + 1) / 10^316) rounds 1.1e-13 below log(1 / 10^300): the middle
+    # layer used to make lpq and marcinkiewicz print nan and orlicz give up
+    p = tmp_path / "step.json"
+    p.write_text(json.dumps({"breakpoints": ["0", f"1/{10**300}", f"{10**16 + 1}/{10**316}", "1"],
+                             "values": [3, 2, 1]}))
+    code, out, err = run_cli(capsys, "norm", "--space", space, "--step", str(p))
+    assert (code, err) == (0, "")
+    assert math.isfinite(float(out))
+
+
 def test_norm_requires_exactly_one_input(capsys):
     code, _, err = run_cli(capsys, "norm", "--space", "lorentz:power:1")
     assert code == 2

@@ -6,6 +6,7 @@ import pytest
 
 from rispaces import (
     DEFAULT_KRUGLOV_T_GRID,
+    GridConfig,
     KruglovVerdict,
     classify,
     indicator_ratio,
@@ -21,6 +22,8 @@ from rispaces import (
 from rispaces import dichotomy
 from rispaces._numeric import CHUNK as _KRUGLOV_CHUNK, log_factorial
 from rispaces.generators import ConcaveGenerator, parse_generator
+
+from opnorm_bracket import indicator_ratio_bracket
 
 SQRT_8_3 = math.sqrt(8.0 / 3.0)
 
@@ -65,6 +68,19 @@ def test_sup_ratio_frozen_value():
     assert sup_indicator_ratio(power(0.5), 64) == pytest.approx(
         0.16268568372813239, abs=1e-9
     )
+
+
+@pytest.mark.parametrize("token, n", [("power:0.5", 4), ("power:0.5", 16), ("invsqrtlog", 4),
+                                      ("invsqrtlog", 16), ("invsqrtlog", 64)])
+def test_sup_ratio_lies_in_an_independent_bracket(token, n):
+    # A branch and bound over u in [2^-40, 1] on the binomial mixture of exact
+    # walk tails (tests/opnorm_bracket.py).  In each of these cases the grid
+    # side sets the sup: the u -> 0 limit lies below the bracket.
+    psi = parse_generator(token)
+    low, high = indicator_ratio_bracket(psi, n)
+    assert limsup_tail_sum_ratio(psi, n, GridConfig(j_max=60)).value / n < low
+    assert low * (1.0 - 1e-12) <= sup_indicator_ratio(psi, n) <= high
+    assert n * low * (1.0 - 1e-12) <= lorentz_operator_norm(psi, n) <= n * high
 
 
 def test_operator_norm_closed_form_n2():

@@ -289,7 +289,9 @@ def _own_peak_mib(code: str, env) -> float:
 def test_selfsimilarity_at_sixteen_peak_memory(child_env):
     # Above a child that only loads the package and SciPy, the check peaked
     # 42 MiB higher while each squaring kept its input lattice through the
-    # inverse transform, and 34 MiB higher once the input was freed first.
+    # inverse transform, 34 MiB higher once the input was freed first, and
+    # 33.3 MiB higher once the lattice edges went and the one-variable lattice
+    # was priced after the last transform.
     base = _own_peak_mib("import rispaces, scipy.special", child_env)
     check = _own_peak_mib(
         "from rispaces import gaussian_selfsimilarity_check\n"
@@ -338,7 +340,8 @@ def _selfsimilarity_by_sequential_convolution(n: int, grid_size: int) -> float:
         conv = np.convolve(conv, pmf)
         conv[conv < conv.max() * 1e-13] = 0.0
         conv = conv / conv.sum()
-    return _lattice_norm(conv, edges, space) / _lattice_norm(pmf, edges, space)
+    h = edges[1] - edges[0]
+    return _lattice_norm(conv, h, space) / _lattice_norm(pmf, h, space)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7])

@@ -797,6 +797,25 @@ def test_layers_with_nan_are_rejected():
                 space_norm_from_layers(values, lT, space)
 
 
+# The ends 1e-300 and the next piece's end differ by less than the log resolves:
+# the float twin's log-tails round together, the exact twin's 1.1e-13 backward.
+_SUB_RESOLUTION_LAYER = {
+    "float": StepFunction([0.0, 1e-300, np.nextafter(1e-300, 1.0), 1.0], [3, 2, 1]),
+    "exact": StepFunction([Fraction(0), Fraction(1, 10**300), Fraction(10**16 + 1, 10**316),
+                           Fraction(1)], [3, 2, 1]),
+}
+
+
+@pytest.mark.parametrize("twin", sorted(_SUB_RESOLUTION_LAYER))
+@pytest.mark.parametrize("space, want", zip(ALL_SPACES, [1.0, 1.0, 1.2011224087864498, 1.0]),
+                         ids=["lorentz", "marcinkiewicz", "orlicz", "lpq"])
+def test_a_layer_below_the_log_resolution_is_dropped(twin, space, want):
+    f = _SUB_RESOLUTION_LAYER[twin]
+    values, lT = _layers_from_step(f)
+    assert values.tolist() == [3.0, 1.0]
+    assert space_norm(f, space) == space_norm_from_layers(values, lT, space) == want
+
+
 @pytest.mark.parametrize("space", [Lorentz(power(0.5)), Lpq(2.0, 1.0)], ids=["lorentz", "lpq"])
 def test_walk_norm_memory_on_the_largest_walk(space):
     # Both read the 2^19 + 1 layers once, a chunk at a time as the walk law is

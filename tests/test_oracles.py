@@ -130,10 +130,16 @@ ORACLES = {
                        "the full-array walk; equal repr"),
     "indicator_ratio": ("test_dichotomy::test_indicator_ratio_anchors",
                         "closed forms at n = 1, 2; rel 1e-13"),
-    "sup_indicator_ratio": ("test_dichotomy::test_sup_ratio_frozen_value",
-                            "a recorded value; abs 1e-9"),
-    "lorentz_operator_norm": ("test_dichotomy::test_operator_norm_closed_form_n2",
-                              "sqrt(8/3) for sqrt(t) at n = 2; abs 1e-9"),
+    "sup_indicator_ratio": [("test_dichotomy::test_sup_ratio_frozen_value",
+                             "a recorded value; abs 1e-9"),
+                            ("test_dichotomy::test_sup_ratio_lies_in_an_independent_bracket",
+                             "a branch-and-bound bracket on the binomial mixture of exact walk "
+                             "tails over u in [2^-40, 1], power:0.5 and invsqrtlog to n = 64; "
+                             "rel 1e-12 below, the bracket's delta 1e-6 above")],
+    "lorentz_operator_norm": [("test_dichotomy::test_operator_norm_closed_form_n2",
+                               "sqrt(8/3) for sqrt(t) at n = 2; abs 1e-9"),
+                              ("test_dichotomy::test_sup_ratio_lies_in_an_independent_bracket",
+                               "n times the same bracket; rel 1e-12 below, delta 1e-6 above")],
     "classify": ("test_dichotomy::test_classify_power_half",
                  "q in closed form, C from its formula; abs 1e-9, rel 1e-12"),
     "kruglov_check": ("test_dichotomy::test_kruglov_check_matches_full_array_oracle",
