@@ -13,10 +13,10 @@ LN2 = math.log(2.0)
 
 # Entries per chunk of every pass over a layer-sized array: the walk law's
 # layers, the Orlicz Young function, lower bound and elasticity, the Lorentz
-# core's fsum lists, the Kruglov terms and the Gaussian inverse.  Each pass is
-# elementwise or carries its running state from chunk to chunk, so the size
-# changes no bit; it bounds the pass's temporaries to a few arrays of this
-# size, whatever the input's size.
+# core's fsum lists, the Kruglov terms, and the Gaussian erfc and its
+# inverses.  Each pass is elementwise or carries its running state from chunk
+# to chunk, so the size changes no bit; it bounds the pass's temporaries to a
+# few arrays of this size, whatever the input's size.
 CHUNK = 2**14
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)

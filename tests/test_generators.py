@@ -24,7 +24,7 @@ from rispaces import (
     upper_tail,
     walk_abs_layers,
 )
-from rispaces.gaussian import _log_erfc_asymptotic
+from rispaces.gaussian import _by_chunks, _erfcinv_into, _log_erfc_asymptotic
 
 
 def _validate(psi, j_max=60, tol=1e-12):
@@ -88,6 +88,43 @@ def test_upper_tail_is_the_two_sided_gaussian_tail():
         assert float(upper_tail(x)) == pytest.approx(want, rel=1e-14)
     np.testing.assert_array_equal(upper_tail(np.array([0.3, 1.0])),
                                   [upper_tail(0.3), upper_tail(1.0)])
+
+
+def test_erfc_and_erfcinv_are_scipys_bit_for_bit():
+    # The Cephes ports against SciPy's builds of the same routines, compared as
+    # bits: a seeded sweep of every branch, their edges, and the lattice edges
+    # of the self-similarity check.
+    from scipy import special
+
+    rng = np.random.default_rng(30)
+    n = 10**5
+    maxlog_edge = math.sqrt(7.09782712893383996843e2)  # 26.64: erfc underflows past it
+    x = np.concatenate((
+        rng.uniform(-1.0, 1.0, n),  # 1 - erf
+        rng.uniform(1.0, 8.0, n),  # exp(-x^2) P / Q
+        rng.uniform(8.0, maxlog_edge, n),  # exp(-x^2) R / S
+        -rng.uniform(1.0, maxlog_edge, n),  # 2 - erfc(-x)
+        rng.uniform(maxlog_edge, 40.0, n) * rng.choice([-1.0, 1.0], n),  # 0 and 2
+        _near(maxlog_edge), -_near(maxlog_edge), _near(1.0), -_near(1.0), _near(8.0), -_near(8.0),
+        [0.0, -0.0, 1e-300, 1e200, -1e200, math.inf, -math.inf],
+    ))
+    np.testing.assert_array_equal(upper_tail(x), special.erfc(x))
+    L = float(erfc_inverse(2.0**-16))
+    edges = np.linspace(-L, L, 2**16 + 1)
+    np.testing.assert_array_equal(upper_tail(-edges), special.erfc(-edges))
+
+    exp_m2 = 2.0 * math.exp(-2.0)  # ndtri's switch, doubled
+    y = np.concatenate((
+        rng.uniform(exp_m2, 2.0 - exp_m2, n),  # central
+        np.exp(rng.uniform(-744.0, math.log(exp_m2), n)),  # lower tail, x < 8 and beyond
+        2.0 - np.exp(rng.uniform(-36.0, math.log(exp_m2), n)),  # upper tail
+        _near(exp_m2), _near(2.0 - exp_m2), _near(2.0 * math.exp(-32.0)),
+        [5e-324, 1e-323, 2.0**-16, 1.0, 2.0 - 2.0**-52],
+        # where np.log rounds one of ndtri's two logs unlike the C library's log
+        [9.555288640136396e-65, 4.1552905498834145e-09, 0.12384588180890993,
+         2.5677652811739437e-06],
+    ))
+    np.testing.assert_array_equal(_by_chunks(_erfcinv_into, y), special.erfcinv(y))
 
 
 def test_validate_rejects_non_concave():
@@ -284,9 +321,10 @@ def test_erfc_inverse_log_slices_keep_bits():
 def test_gaussian_inverse_memory_on_walk_log_tails():
     # the 2^19 + 1 log-tails of the 2^20-step walk, 4 MiB, of which 18646 take
     # the direct inverse: the plain expressions peaked at 32.0 MiB above them,
-    # the in-place ones at 24.4, the in-place ones on 2^14-entry slices at 4.7
+    # the in-place ones at 24.4, the in-place ones on 2^14-entry slices at 4.7,
+    # and with the package's own erfc and erfcinv in place of SciPy's at 5.5
     _, lT = walk_abs_layers(2**20)
-    erfc_inverse_log(np.array([-1.0, -1e4]))  # SciPy loads outside the trace
+    erfc_inverse_log(np.array([-1.0, -1e4]))  # a warm-up call, outside the trace
     tracemalloc.start()
     try:
         erfc_inverse_log(lT)

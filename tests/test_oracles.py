@@ -27,10 +27,16 @@ ORACLES = {
                                "on quantile functions of rademacher, signed:0.25 and gauss "
                                "sums; rel 1e-12")],
     # gaussian
-    "upper_tail": ("test_generators::test_upper_tail_is_the_two_sided_gaussian_tail",
-                   "mpmath erfc at 50 digits; rel 1e-14"),
-    "erfc_inverse": ("test_generators::test_gauss_matches_quantile_integral",
-                     "its quadrature integral is the closed form of gauss(); abs 1e-10"),
+    "upper_tail": [("test_generators::test_upper_tail_is_the_two_sided_gaussian_tail",
+                    "mpmath erfc at 50 digits; rel 1e-14"),
+                   ("test_generators::test_erfc_and_erfcinv_are_scipys_bit_for_bit",
+                    "scipy.special.erfc on every Cephes branch and the lattice edges; "
+                    "bit-equal")],
+    "erfc_inverse": [("test_generators::test_gauss_matches_quantile_integral",
+                      "its quadrature integral is the closed form of gauss(); abs 1e-10"),
+                     ("test_generators::test_erfc_and_erfcinv_are_scipys_bit_for_bit",
+                      "scipy.special.erfcinv, its unpolished seed, on every ndtri branch; "
+                      "bit-equal")],
     "erfc_inverse_log": ("test_generators::test_gaussian_inverses_match_plain_expressions",
                          "the plain array expressions, across the -667 switch; bit-equal"),
     # generators

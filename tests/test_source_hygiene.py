@@ -1,6 +1,6 @@
-"""Guards for deletions: no module keeps an import nothing uses, every private name
-and public method has a caller, one module holds the chunk size and the token
-errors, and the package exports exactly the names pinned here."""
+"""Guards for deletions: no module keeps an import nothing uses or imports SciPy,
+every private name and public method has a caller, one module holds the chunk
+size and the token errors, and the package exports exactly the names pinned here."""
 
 import ast
 import re
@@ -144,6 +144,29 @@ def test_only_numeric_spells_the_token_errors():
     spelled = re.compile(r"\b(unknown|bad) \S+ token\b")
     holders = sorted(p.name for p in SRC.glob("*.py") if spelled.search(p.read_text()))
     assert holders == ["_numeric.py"]
+
+
+def _imported_roots(tree: ast.Module):
+    """Top-level package of every import statement anywhere in the tree, nested ones too."""
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.partition(".")[0])
+    return roots
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # the package runs on NumPy alone; SciPy is an oracle for the tests
+    assert "scipy" not in _imported_roots(ast.parse(path.read_text(), str(path)))
+
+
+def test_scipy_import_check_sees_one():
+    tree = ast.parse("import numpy as np\n\ndef f():\n    from scipy import special\n"
+                     "    return special\n")
+    assert _imported_roots(tree) == {"numpy", "scipy"}
 
 
 EXPORTS = [
