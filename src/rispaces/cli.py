@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -45,10 +44,11 @@ def _fmt(x: float) -> str:
 
 
 def _jsonable(x):
-    """The JSON form of a report: dataclasses become dicts of their fields,
-    dict keys strings, tuples lists, and an infinite float the string "inf"."""
-    if dataclasses.is_dataclass(x):
-        return {f.name: _jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    """The JSON form of a report: a record (a NamedTuple) becomes the dict of its
+    fields, tested before the tuple it also is; dict keys become strings, other
+    tuples lists, and an infinite float the string "inf"."""
+    if hasattr(x, "_asdict"):
+        return {k: _jsonable(v) for k, v in x._asdict().items()}
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (tuple, list)):

@@ -19,8 +19,7 @@ space so t can probe down to 1e-300.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,8 +97,7 @@ def lorentz_operator_norm(psi: ConcaveGenerator, n: int) -> float:
 # ------------------------------------------------------------------ classifier
 
 
-@dataclass(frozen=True)
-class DichotomyReport:
+class DichotomyReport(NamedTuple):
     """Measured verdict: branch, the limit estimates behind it, and constants.
 
     branch "PowerBound" carries (witness_n0, q, C) with
@@ -210,8 +208,7 @@ DEFAULT_KRUGLOV_T_GRID: Tuple[float, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class KruglovVerdict:
+class KruglovVerdict(NamedTuple):
     """Outcome of the compound-Poisson series probe.
 
     finite: every probed t stabilized (partial sums at N/4 and N agree within

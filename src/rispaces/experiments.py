@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,8 +66,9 @@ _MC_CHUNK = 2**18
 # ------------------------------------------------------------------- samplers
 
 
-@dataclass(frozen=True)
-class SamplerSpec:
+class SamplerSpec(NamedTuple("SamplerSpec", [
+        ("kind", str), ("u", Optional[float]), ("quantiles", Optional[Tuple[float, ...]]),
+        ("seed", int)])):
     """A symmetric i.i.d. law plus the master seed of its draw streams.
 
     kinds: "rademacher" (fair signs), "signed_indicator" (+-1 with mass u/2
@@ -77,23 +77,18 @@ class SamplerSpec:
     law, so a spec built directly is refused where the helpers below refuse.
     """
 
-    kind: str
-    u: Optional[float] = None
-    quantiles: Optional[Tuple[float, ...]] = None
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        message = f"seed must be a non-negative integer, got {self.seed!r}"
-        object.__setattr__(self, "seed", integer(self.seed, 0, message))
-        if self.kind not in ("rademacher", "signed_indicator", "gaussian", "custom"):
-            raise ValueError(f"unknown sampler kind {self.kind!r}")
-        if self.kind == "signed_indicator":
-            u = math.nan if self.u is None else float(self.u)
+    def __new__(cls, kind, u=None, quantiles=None, seed=0):
+        seed = integer(seed, 0, f"seed must be a non-negative integer, got {seed!r}")
+        if kind not in ("rademacher", "signed_indicator", "gaussian", "custom"):
+            raise ValueError(f"unknown sampler kind {kind!r}")
+        if kind == "signed_indicator":
+            u = math.nan if u is None else float(u)
             if not 0.0 < u <= 1.0:
                 raise ValueError("indicator measure u must lie in (0, 1]")
-            object.__setattr__(self, "u", u)
-        if self.kind == "custom":
-            q = np.sort(np.asarray(() if self.quantiles is None else self.quantiles, dtype=float))
+        if kind == "custom":
+            q = np.sort(np.asarray(() if quantiles is None else quantiles, dtype=float))
             if q.size == 0:
                 raise ValueError("custom sampler needs at least one quantile")
             if not np.all(np.isfinite(q)):
@@ -101,7 +96,8 @@ class SamplerSpec:
             scale = max(1.0, float(np.max(np.abs(q))))
             if np.any(np.abs(q + q[::-1]) > 1e-12 * scale):
                 raise ValueError("custom law must be symmetric: quantiles q and -q must match")
-            object.__setattr__(self, "quantiles", tuple(float(x) for x in q))
+            quantiles = tuple(float(x) for x in q)
+        return super().__new__(cls, kind, u, quantiles, seed)
 
     def label(self) -> str:
         if self.kind == "signed_indicator":
@@ -347,8 +343,7 @@ def _lattice_norm(pmf: np.ndarray, h: float, space: SpaceSpec) -> float:
 # ------------------------------------------------------------------ growth fits
 
 
-@dataclass(frozen=True)
-class GrowthFit:
+class GrowthFit(NamedTuple):
     """Least-squares fit value ~ C * n^q on log-log pairs.
 
     ``residual`` is the max relative deviation of the fit over the fitted

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -229,22 +228,19 @@ def parse_generator(token: str) -> ConcaveGenerator:
 # ------------------------------------------------------------ limit estimation
 
 
-@dataclass(frozen=True)
-class GridConfig:
+class GridConfig(NamedTuple("GridConfig", [("j_max", int), ("window", int)])):
     """Geometric probing grid u = 2^-j for j up to j_max; an estimate has converged
     when its last two window maxima agree within the relative ``tol``."""
 
-    j_max: int = 60
-    window: int = 10
+    __slots__ = ()
     tol = 1e-3
 
-    def __post_init__(self):
-        object.__setattr__(self, "j_max", integer(self.j_max, 1, f"need j_max >= 1, got {self.j_max}"))
-        object.__setattr__(self, "window", integer(self.window, 1, "window must be positive"))
+    def __new__(cls, j_max=60, window=10):
+        return super().__new__(cls, integer(j_max, 1, f"need j_max >= 1, got {j_max}"),
+                               integer(window, 1, "window must be positive"))
 
 
-@dataclass(frozen=True)
-class LimitEstimate:
+class LimitEstimate(NamedTuple):
     """Tail-window estimate of a u -> 0 limsuperior."""
 
     value: float

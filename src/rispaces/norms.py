@@ -23,7 +23,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple, Union
+from typing import Iterable, Iterator, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -47,8 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class exp_lp:
+class exp_lp(NamedTuple("exp_lp", [("p", float)])):
     """The Young function M(u) = e^(u^p) - 1 of exp(L_p), p >= 1; equal p, equal M.
 
     The Orlicz norm reads M only through companions usable far outside the
@@ -57,12 +56,13 @@ class exp_lp:
     log M in log u.
     """
 
-    p: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", float(self.p))
-        if not self.p >= 1.0:
+    def __new__(cls, p):
+        p = float(p)
+        if not p >= 1.0:
             raise ValueError("exponential-Orlicz order must be >= 1")
+        return super().__new__(cls, p)
 
     @property
     def label(self) -> str:
@@ -112,32 +112,30 @@ class exp_lp:
 # ------------------------------------------------------------ space descriptors
 
 
-@dataclass(frozen=True)
-class Lorentz:
+class Lorentz(NamedTuple):
     psi: ConcaveGenerator
 
 
-@dataclass(frozen=True)
-class Marcinkiewicz:
+class Marcinkiewicz(NamedTuple):
     phi: ConcaveGenerator
 
 
+# a dataclass, not a NamedTuple: perfbench/tracer.py rebuilds it with dataclasses.replace
 @dataclass(frozen=True)
 class Orlicz:
     M: exp_lp
 
 
-@dataclass(frozen=True)
-class Lpq:
-    p: float
-    q: float
+class Lpq(NamedTuple("Lpq", [("p", float), ("q", float)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.p > 1.0:
+    def __new__(cls, p, q):
+        if not p > 1.0:
             raise ValueError("Lpq needs p > 1")
         # with q <= 1e300 each term q log v + (q / p) log T stays in the float range
-        if not 1.0 <= self.q <= 1e300:
+        if not 1.0 <= q <= 1e300:
             raise ValueError("Lpq needs 1 <= q <= 1e300")
+        return super().__new__(cls, p, q)
 
 
 SpaceSpec = Union[Lorentz, Marcinkiewicz, Orlicz, Lpq]

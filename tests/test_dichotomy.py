@@ -97,6 +97,41 @@ def test_operator_norms_monotone_and_dominated():
         assert v <= n * (1 + 1e-9)
 
 
+_RELATION_NS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 256, 512)
+
+
+@pytest.mark.parametrize("token", ["power:0.5", "logpow:2", "invsqrtlog"])
+def test_operator_norms_obey_the_semigroup_relations(token):
+    # A_n f sums n independent copies of f >= 0, so the true norms do not decrease,
+    # ||A_(n+m)|| <= ||A_n|| + ||A_m||, ||A_(nm)|| <= ||A_n|| ||A_m|| and ||A_n|| <= n.
+    # The slack is 1e-12 relative; the tightest margins are 6.8e-3 for sums and
+    # 1.4e-4 for products, both at logpow:2.  The relations guard the walk law
+    # and the ratio, not the search: at these n a grid cut to j_max = 8 passes.
+    psi = parse_generator(token)
+    norm = {n: lorentz_operator_norm(psi, n) for n in _RELATION_NS}
+    slack = 1.0 + 1e-12
+    for n, m in zip(_RELATION_NS, _RELATION_NS[1:]):
+        assert norm[n] <= norm[m] * slack, (n, m)
+    for n in _RELATION_NS:
+        assert norm[n] <= n * slack, n
+        for m in _RELATION_NS:
+            if n + m in norm:
+                assert norm[n + m] <= (norm[n] + norm[m]) * slack, (n, m)
+            if n * m in norm:
+                assert norm[n * m] <= norm[n] * norm[m] * slack, (n, m)
+
+
+@pytest.mark.parametrize("token", ["power:0.5", "logpow:2", "invsqrtlog"])
+def test_classify_certificate_bounds_the_operator_norm(token):
+    # the PowerBound branch certifies ||A_n|| <= C n^q for every n; measured
+    # ratios at n = 128 and 512 are at most 0.105
+    psi = parse_generator(token)
+    rep = classify(psi)
+    assert rep.branch == "PowerBound" and not rep.inconclusive
+    for n in (128, 512):
+        assert lorentz_operator_norm(psi, n) <= rep.C * n**rep.q
+
+
 def test_classify_linear_generator_keeps_full_norm():
     rep = classify(power(1.0))
     assert rep.branch == "NormEqualsN"

@@ -11,10 +11,16 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from rispaces import (
+    DichotomyReport,
+    GridConfig,
+    GrowthFit,
+    KruglovVerdict,
+    LimitEstimate,
     Lorentz,
     Lpq,
     Marcinkiewicz,
     Orlicz,
+    SamplerSpec,
     StepFunction,
     exp_lp,
     logpow,
@@ -365,6 +371,39 @@ def test_exp_lp_is_a_value_of_its_order():
             exp_lp(p)
     # log(2)^(1/p) solves e^(x^p) - 1 = 1
     assert exp_lp(4).inverse_log(0.0) == pytest.approx(math.log(2.0) ** 0.25, rel=1e-15)
+
+
+def test_records_keep_their_reprs_and_keyword_constructors():
+    # the records are NamedTuples (Orlicz a frozen dataclass); each repr lists
+    # its fields in order, as the dataclass it replaced did, and no attribute
+    # can be set
+    psi = parse_generator("power:0.5")
+    cases = [
+        (exp_lp(p=2), "exp_lp(p=2.0)"),
+        (Lorentz(psi=psi), "Lorentz(psi=ConcaveGenerator(power:0.5))"),
+        (Marcinkiewicz(phi=psi), "Marcinkiewicz(phi=ConcaveGenerator(power:0.5))"),
+        (Orlicz(M=exp_lp(2)), "Orlicz(M=exp_lp(p=2.0))"),
+        (Lpq(p=2.0, q=1.0), "Lpq(p=2.0, q=1.0)"),
+        (GridConfig(j_max=8), "GridConfig(j_max=8, window=10)"),
+        (LimitEstimate(value=1.0, grid_min=0.5, window=2, converged=True, j_max=1),
+         "LimitEstimate(value=1.0, grid_min=0.5, window=2, converged=True, j_max=1)"),
+        (SamplerSpec("signed_indicator", u=1, seed=2),
+         "SamplerSpec(kind='signed_indicator', u=1.0, quantiles=None, seed=2)"),
+        (KruglovVerdict(finite=True, sup_value=1.0, N_used=4, t_argmax=0.5),
+         "KruglovVerdict(finite=True, sup_value=1.0, N_used=4, t_argmax=0.5, inconclusive=False)"),
+        (GrowthFit(pairs=((1, 1.0),), q=0.5, C=1.0, residual=0.0, burn_in=0, degenerate=False),
+         "GrowthFit(pairs=((1, 1.0),), q=0.5, C=1.0, residual=0.0, burn_in=0, degenerate=False)"),
+        (DichotomyReport("PowerBound", 1e-3, {}, {}, {2: 1.5}),
+         "DichotomyReport(branch='PowerBound', margin=0.001, a_estimates={}, c_estimates={}, "
+         "opnorms={2: 1.5}, witness_n0=None, q=None, C=None, failing_condition=None, "
+         "inconclusive=False, kruglov=None)"),
+    ]
+    for record, text in cases:
+        assert repr(record) == text
+        with pytest.raises(AttributeError):
+            record.extra = 1
+    with pytest.raises(AttributeError):
+        GridConfig().j_max = 2
 
 
 def test_objects_that_are_not_spaces_are_refused():

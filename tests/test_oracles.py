@@ -37,8 +37,11 @@ ORACLES = {
                      ("test_generators::test_erfc_and_erfcinv_are_scipys_bit_for_bit",
                       "scipy.special.erfcinv, its unpolished seed, on every ndtri branch; "
                       "bit-equal")],
-    "erfc_inverse_log": ("test_generators::test_gaussian_inverses_match_plain_expressions",
-                         "the plain array expressions, across the -667 switch; bit-equal"),
+    "erfc_inverse_log": [("test_generators::test_gaussian_inverses_match_plain_expressions",
+                          "the plain array expressions, across the -667 switch; bit-equal"),
+                         ("test_generators::test_erfc_inverse_log_matches_mpmath",
+                          "mpmath at 40 digits, the log residual over d ln erfc / dx, on "
+                          "1,200 points across the -667 switch down to -1e300; rel 1e-13")],
     # generators
     "ConcaveGenerator": ("test_generators::test_evaluations_keep_scalars_and_shapes",
                          "scalar and array evaluations agree; rel 1e-15, shapes kept"),
@@ -145,9 +148,16 @@ ORACLES = {
     "lorentz_operator_norm": [("test_dichotomy::test_operator_norm_closed_form_n2",
                                "sqrt(8/3) for sqrt(t) at n = 2; abs 1e-9"),
                               ("test_dichotomy::test_sup_ratio_lies_in_an_independent_bracket",
-                               "n times the same bracket; rel 1e-12 below, delta 1e-6 above")],
-    "classify": ("test_dichotomy::test_classify_power_half",
-                 "q in closed form, C from its formula; abs 1e-9, rel 1e-12"),
+                               "n times the same bracket; rel 1e-12 below, delta 1e-6 above"),
+                              ("test_dichotomy::test_operator_norms_obey_the_semigroup_relations",
+                               "non-decreasing, subadditive, submultiplicative and at most n, "
+                               "for power:0.5, logpow:2 and invsqrtlog at 16 n to 512; "
+                               "rel 1e-12")],
+    "classify": [("test_dichotomy::test_classify_power_half",
+                  "q in closed form, C from its formula; abs 1e-9, rel 1e-12"),
+                 ("test_dichotomy::test_classify_certificate_bounds_the_operator_norm",
+                  "C n^q bounds the measured ||A_n|| at n = 128 and 512 for power:0.5, "
+                  "logpow:2 and invsqrtlog; no slack")],
     "kruglov_check": ("test_dichotomy::test_kruglov_check_matches_full_array_oracle",
                       "the full-array walk; equal repr"),
     # experiments

@@ -1,6 +1,7 @@
 """Guards for deletions: no module keeps an import nothing uses or imports SciPy,
 every private name and public method has a caller, one module holds the chunk
-size and the token errors, and the package exports exactly the names pinned here."""
+size and the token errors, the records are NamedTuples but one, and the package
+exports exactly the names pinned here."""
 
 import ast
 import re
@@ -76,14 +77,20 @@ def test_dead_helper_check_sees_one():
 def _unread_public_methods(package, callers=()):
     """(module, class, method) for each public method of a package class that no tree
     of the package or of the callers reads as an attribute.  A class with a base
-    from outside the package is exempt: its methods may be called from there."""
+    from outside the package is exempt: its methods may be called from there.  A
+    record's ``NamedTuple`` base, bare or called, is not such a base."""
     classes = {c.name: (module, c) for module, tree in package.items()
                for c in ast.walk(tree) if isinstance(c, ast.ClassDef)}
     read = {n.attr for tree in [*package.values(), *callers] for n in ast.walk(tree)
             if isinstance(n, ast.Attribute)}
+
+    def own(base):
+        base = base.func if isinstance(base, ast.Call) else base
+        return isinstance(base, ast.Name) and (base.id in classes or base.id == "NamedTuple")
+
     unread = []
     for name, (module, cls) in classes.items():
-        if all(isinstance(b, ast.Name) and b.id in classes for b in cls.bases):
+        if all(own(b) for b in cls.bases):
             unread += [(module, name, f.name) for f in cls.body
                        if isinstance(f, ast.FunctionDef)
                        and not f.name.startswith("_") and f.name not in read]
@@ -103,11 +110,14 @@ def test_dead_method_check_sees_one():
         "import argparse\n\nclass A:\n    def used(self):\n        return self.kept()\n\n"
         "    def kept(self):\n        pass\n\n    def unused(self):\n        pass\n\n"
         "class B(A):\n    def extra(self):\n        pass\n\n"
-        "class P(argparse.ArgumentParser):\n    def error(self, message):\n        pass\n"
+        "class P(argparse.ArgumentParser):\n    def error(self, message):\n        pass\n\n"
+        "class R(NamedTuple):\n    x: int\n\n    def unread(self):\n        pass\n\n"
+        "class S(NamedTuple('S', [('y', int)])):\n    def unread(self):\n        pass\n"
     )
     caller = ast.parse("A().used()\n")
     assert _unread_public_methods({"m.py": tree}, [caller]) == [
-        ("m.py", "A", "unused"), ("m.py", "B", "extra")]
+        ("m.py", "A", "unused"), ("m.py", "B", "extra"), ("m.py", "R", "unread"),
+        ("m.py", "S", "unread")]
 
 
 def test_only_numeric_spells_the_chunk_size():
@@ -167,6 +177,39 @@ def test_scipy_import_check_sees_one():
     tree = ast.parse("import numpy as np\n\ndef f():\n    from scipy import special\n"
                      "    return special\n")
     assert _imported_roots(tree) == {"numpy", "scipy"}
+
+
+def _dataclasses(tree: ast.Module):
+    """Names of the classes a ``dataclass`` decorator makes: bare or called, by name
+    or as an attribute of the module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for deco in node.decorator_list:
+                deco = deco.func if isinstance(deco, ast.Call) else deco
+                if getattr(deco, "id", getattr(deco, "attr", None)) == "dataclass":
+                    found.append(node.name)
+    return found
+
+
+def test_records_are_named_tuples():
+    # A record is a NamedTuple: a frozen dataclass costs about 1 ms of import
+    # each.  Orlicz stays one, because perfbench/tracer.py rebuilds it with
+    # dataclasses.replace, so norms.py is the one module to import dataclasses.
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in MODULES + [SRC / "__init__.py"]}
+    assert {name: _dataclasses(t) for name, t in trees.items() if _dataclasses(t)} == {
+        "norms.py": ["Orlicz"]}
+    assert [name for name, t in trees.items() if "dataclasses" in _imported_roots(t)] == [
+        "norms.py"]
+
+
+def test_dataclass_check_sees_one():
+    tree = ast.parse("import dataclasses\nfrom dataclasses import dataclass\n\n"
+                     "@dataclass(frozen=True)\nclass A:\n    x: int\n\n"
+                     "@dataclasses.dataclass\nclass B:\n    y: int\n\n"
+                     "@functools.total_ordering\nclass C:\n    z: int\n")
+    assert _dataclasses(tree) == ["A", "B"]
+    assert _imported_roots(tree) == {"dataclasses"}
 
 
 EXPORTS = [
