@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from ._numeric import LN2, finite_float, integer, log_binom, parse_token, positive_int
-from .gaussian import erfc_inverse, erfc_inverse_log
+from .gaussian import _SQRT_PI, erfc_inverse, erfc_inverse_log
 
 __all__ = [
     "ConcaveGenerator",
@@ -39,8 +39,6 @@ __all__ = [
     "limsup_power_ratio",
     "limsup_tail_sum_ratio",
 ]
-
-_SQRT_PI = math.sqrt(math.pi)
 
 
 class ConcaveGenerator:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -205,7 +205,7 @@ class StepFunction:
         return f"StepFunction({self.num_pieces} pieces, {mode})"
 
 
-def quantile_from_samples(samples: Iterable[float], m: int) -> StepFunction:
+def quantile_from_samples(samples: Union[Sequence[float], np.ndarray], m: int) -> StepFunction:
     """Empirical decreasing quantile function of |samples| on m equal pieces.
 
     Piece i carries the upper empirical quantile at its left endpoint
@@ -213,7 +213,7 @@ def quantile_from_samples(samples: Iterable[float], m: int) -> StepFunction:
     samples enumerate a discrete uniform law and m divides the sample count this
     reproduces the exact rearrangement.
     """
-    a = np.abs(np.asarray(list(samples) if not hasattr(samples, "__len__") else samples, dtype=float)).ravel()
+    a = np.abs(np.asarray(samples, dtype=float)).ravel()
     if a.size == 0:
         raise ValueError("samples must be nonempty")
     m = integer(m, 1, "need at least one piece")

@@ -83,6 +83,17 @@ def test_sup_ratio_lies_in_an_independent_bracket(token, n):
     assert n * low * (1.0 - 1e-12) <= lorentz_operator_norm(psi, n) <= n * high
 
 
+def test_sup_ratio_grid_is_deep_enough():
+    # For t^0.9 the sup lies about 5.08e-6 above the u -> 0 limit n^-0.1, at a u
+    # that a grid of 8 octaves misses (it reads at most 1e-12 above); the
+    # default depth must find it and read what 60 octaves read.
+    psi = power(0.9)
+    for n in (4, 32, 512):
+        s = sup_indicator_ratio(psi, n)
+        assert s == sup_indicator_ratio(psi, n, j_max=60), n
+        assert s > n**-0.1 * (1.0 + 4e-6), n
+
+
 def test_operator_norm_closed_form_n2():
     # sup_u [sqrt(2 - 3u/2)/2 + sqrt(u/8)] peaks at u = 1/3 with value sqrt(2/3)
     assert lorentz_operator_norm(power(0.5), 2) == pytest.approx(SQRT_8_3, abs=1e-9)

@@ -144,7 +144,10 @@ ORACLES = {
                             ("test_dichotomy::test_sup_ratio_lies_in_an_independent_bracket",
                              "a branch-and-bound bracket on the binomial mixture of exact walk "
                              "tails over u in [2^-40, 1], power:0.5 and invsqrtlog to n = 64; "
-                             "rel 1e-12 below, the bracket's delta 1e-6 above")],
+                             "rel 1e-12 below, the bracket's delta 1e-6 above"),
+                            ("test_dichotomy::test_sup_ratio_grid_is_deep_enough",
+                             "the j_max = 60 value for power:0.9 at n = 4, 32, 512; "
+                             "bit-equal, and above the u -> 0 limit n^-0.1 by rel 4e-6")],
     "lorentz_operator_norm": [("test_dichotomy::test_operator_norm_closed_form_n2",
                                "sqrt(8/3) for sqrt(t) at n = 2; abs 1e-9"),
                               ("test_dichotomy::test_sup_ratio_lies_in_an_independent_bracket",
