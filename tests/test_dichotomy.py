@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,15 +352,9 @@ def test_kruglov_check_matches_full_array_oracle(token):
     (power(1.0), {}),  # every t stops within its first chunk
     (inv_sqrt_log(), {"t_grid": (1.0,), "threshold": 1e9}),  # no stop: 256 chunks
 ], ids=["stops", "walks-to-the-end"])
-def test_kruglov_check_memory_does_not_grow_with_terms(phi, kwargs):
-    tracemalloc.start()
-    try:
-        kruglov_check(phi, num_terms=2**22, **kwargs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+def test_kruglov_check_memory_does_not_grow_with_terms(traced_peak, phi, kwargs):
     # a few chunk-sized arrays; one 2^22-term array alone is 32 MB
-    assert peak < 16 * 8 * _KRUGLOV_CHUNK
+    assert traced_peak(kruglov_check, phi, num_terms=2**22, **kwargs) < 16 * 8 * _KRUGLOV_CHUNK
 
 
 def test_kruglov_check_first_crossing_in_grid_order_wins():

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -341,20 +340,14 @@ def test_erfc_inverse_log_slices_keep_bits():
     np.testing.assert_array_equal(erfc_inverse_log(grid), _erfc_inverse_log_whole(grid))
 
 
-def test_gaussian_inverse_memory_on_walk_log_tails():
+def test_gaussian_inverse_memory_on_walk_log_tails(traced_peak):
     # the 2^19 + 1 log-tails of the 2^20-step walk, 4 MiB, of which 18646 take
     # the direct inverse: the plain expressions peaked at 32.0 MiB above them,
     # the in-place ones at 24.4, the in-place ones on 2^14-entry slices at 4.7,
     # and with the package's own erfc and erfcinv in place of SciPy's at 5.5
     _, lT = walk_abs_layers(2**20)
     erfc_inverse_log(np.array([-1.0, -1e4]))  # a warm-up call, outside the trace
-    tracemalloc.start()
-    try:
-        erfc_inverse_log(lT)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6 * 2**20
+    assert traced_peak(erfc_inverse_log, lT) <= 6 * 2**20
 
 
 def test_table_generator():

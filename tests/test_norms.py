@@ -1,6 +1,5 @@
 import math
 import sys
-import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -808,18 +807,12 @@ def layers_2_20():
     (Orlicz(exp_lp(2.0)), 14.0),
     (Marcinkiewicz(logpow(2.0)), 18.0),
 ], ids=["lorentz", "lpq", "orlicz", "marcinkiewicz"])
-def test_core_memory_on_the_largest_walk(layers_2_20, space, bound_mib):
+def test_core_memory_on_the_largest_walk(traced_peak, layers_2_20, space, bound_mib):
     # Each layer array is 4 MiB.  The plain expressions peaked at 12.0, 20.5,
     # 37.0 and 36.0 MiB above the layers.  The Orlicz core holds three layer
     # arrays (the log lengths, the terms and one work buffer) and slices of the
     # rest, 13.3 MiB; with a new array for each temporary it peaked at 17.0 MiB.
-    tracemalloc.start()
-    try:
-        space_norm_from_layers(*layers_2_20, space)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound_mib * 2**20
+    assert traced_peak(space_norm_from_layers, *layers_2_20, space) <= bound_mib * 2**20
 
 
 def test_layers_with_nan_are_rejected():
@@ -856,17 +849,12 @@ def test_a_layer_below_the_log_resolution_is_dropped(twin, space, want):
 
 
 @pytest.mark.parametrize("space", [Lorentz(power(0.5)), Lpq(2.0, 1.0)], ids=["lorentz", "lpq"])
-def test_walk_norm_memory_on_the_largest_walk(space):
+def test_walk_norm_memory_on_the_largest_walk(traced_peak, space):
     # Both read the 2^19 + 1 layers once, a chunk at a time as the walk law is
     # built; the whole law and a core's two layer-sized temporaries came to
     # 16.0 MiB.  Lpq keeps one buffer of its terms, 4 MiB.
     rademacher_sum_norm(2**14, space)  # the one-time caches fill outside the trace
-    tracemalloc.start()
-    try:
-        rademacher_sum_norm(2**20, space)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(rademacher_sum_norm, 2**20, space)
     assert peak <= (2.0 if isinstance(space, Lorentz) else 6.0) * 2**20
 
 

@@ -1,30 +1,13 @@
-"""``tools/samebits.py`` runs every benchmark command under a wrapper that reports
-the child's own peak on the last line of stderr.  Its byte comparison holds only
-if cutting that line leaves exactly what a bare run of the command prints.
+"""``tools/samebits.py`` compares two checkouts by their output bytes, traced
+counts and peaks.  Its byte comparison holds only if cutting the wrapper's peak
+line leaves exactly what a bare run prints; its traced counts must come from
+the harness's tracer without leaving files behind; and its seed-7 pass may skip
+only commands that the seed does not change.
 """
 
-import importlib.util
 import subprocess
-import sys
-from pathlib import Path
 
 import pytest
-
-SAMEBITS = Path(__file__).resolve().parent.parent / "tools" / "samebits.py"
-
-
-@pytest.fixture(scope="module")
-def samebits():
-    spec = importlib.util.spec_from_file_location("samebits", SAMEBITS)
-    module = importlib.util.module_from_spec(spec)
-    path = list(sys.path)
-    writes_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)  # leaves no bytecode cache in tools/ or perfbench/
-    finally:
-        sys.dont_write_bytecode = writes_bytecode
-        sys.path[:] = path  # it puts perfbench/ first to import the harness
-    return module
 
 
 @pytest.mark.parametrize("args, code", [
@@ -33,13 +16,36 @@ def samebits():
 ])
 def test_wrapped_run_prints_what_a_bare_run_prints(samebits, args, code):
     cmd = samebits.workloads.Command("probe", "cli", args, check=None)
-    env = {**samebits.bench.child_env(), "PYTHONPATH": str(samebits.ROOT / "src"),
-           "PYTHONDONTWRITEBYTECODE": "1"}
-    bare = subprocess.run(samebits.bench.command_argv(cmd), cwd=samebits.ROOT, env=env,
-                          stdin=subprocess.DEVNULL, capture_output=True)
+    bare = subprocess.run(samebits.bench.command_argv(cmd), cwd=samebits.ROOT,
+                          env=samebits.env(samebits.ROOT), stdin=subprocess.DEVNULL,
+                          capture_output=True)
     *wrapped, peak = samebits.run(samebits.ROOT, cmd)
     assert bare.returncode == code
     assert bare.stdout if code == 0 else bare.stderr  # an empty and a nonempty stderr
     assert wrapped == [bare.returncode, bare.stdout, bare.stderr]
     if samebits.LINUX:
         assert isinstance(peak, float) and peak > 0
+
+
+def test_traced_pass_counts_work_and_leaves_no_files(samebits, tmp_path, monkeypatch):
+    cmd = samebits.workloads.Command(
+        "probe", "cli", ["norm", "--space", "orlicz:np:2", "--indicator", "1/4", "--format", "json"],
+        check=lambda out, ref: [])
+    trees = [samebits.ROOT / "perfbench", samebits.ROOT / "tools"]
+    before = [sorted(tree.rglob("*")) for tree in trees]
+    monkeypatch.setattr(samebits.bench, "WORK", tmp_path)
+    counts = samebits.counted(samebits.ROOT, [cmd])
+    assert counts["norms.space_norm.orlicz.calls"] == 1
+    assert counts["norms.orlicz.modular_evals"] > 0
+    assert [sorted(tree.rglob("*")) for tree in trees] == before
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_seed_7_pass_skips_only_commands_the_seed_leaves_alone(samebits, tmp_path):
+    # a seed-dependent command without seeded=True would drop out of the comparison
+    kept = {(name, cmd.id) for name, seed, cmd in samebits.commands(tmp_path) if seed == 7}
+    for name, build in samebits.workloads.WORKLOADS.items():
+        for at_0, at_7 in zip(build(0, "full", tmp_path), build(7, "full", tmp_path)):
+            assert at_0.id == at_7.id
+            if (name, at_7.id) not in kept:
+                assert (at_7.kind, at_7.args) == (at_0.kind, at_0.args), at_7.id

@@ -1,7 +1,7 @@
 """Guards for deletions: no module keeps an import nothing uses or imports SciPy,
 every private name and public method has a caller, one module holds the chunk
-size and the token errors, the records are NamedTuples but one, and the package
-exports exactly the names pinned here."""
+size, the integer checks and the token errors, and the records are NamedTuples
+but one, and the package exports exactly the names in ``test_oracles.ORACLES``."""
 
 import ast
 import re
@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import rispaces
+from test_oracles import ORACLES
 
 SRC = Path(rispaces.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -120,40 +121,26 @@ def test_dead_method_check_sees_one():
         ("m.py", "S", "unread")]
 
 
-def test_only_numeric_spells_the_chunk_size():
-    # every layer-sized pass reads _numeric.CHUNK rather than a 2**14 of its own
-    spelled = re.compile(r"2\s*\*\*\s*14\b")
-    holders = sorted(p.name for p in SRC.glob("*.py") if spelled.search(p.read_text()))
-    assert holders == ["_numeric.py"]
+@pytest.mark.parametrize("spelled, reason", [
+    (r"2\s*\*\*\s*14\b", "every layer-sized pass reads _numeric.CHUNK rather than a "
+     "2**14 of its own"),
+    (r"\bcomb\(|log_factorial\([^)]*-", "every log-binomial goes through "
+     "_numeric.log_binom, and no exact binomial is built"),
+    (r"\bIntegral\b|isinstance\([^)]*\bint\)|\bint\(\w+\)(, float\(\w+\)\))? for\b",
+     "every count, size, probe and seed goes through _numeric.integer rather than an "
+     "isinstance check of its own or an int() that truncates a float"),
+    (r"\b(unknown|bad) \S+ token\b", "the space, generator and sampler parsers share "
+     "_numeric.parse_token's grammar and its two messages rather than each spelling its own"),
+], ids=["chunk-size", "log-binomial", "integer-check", "token-errors"])
+def test_only_numeric_spells(spelled, reason):
+    holders = sorted(p.name for p in SRC.glob("*.py") if re.search(spelled, p.read_text()))
+    assert holders == ["_numeric.py"], reason
 
 
 def test_only_log_lengths_spells_the_piece_length():
     # every core takes log(T_i^r - T_(i-1)^r) from norms._log_lengths
     count = sum(p.read_text().count("log1p(np.negative(np.exp(") for p in SRC.glob("*.py"))
     assert count == 1
-
-
-def test_only_numeric_spells_the_log_binomial():
-    # every log-binomial goes through _numeric.log_binom, and no exact binomial is built
-    spelled = re.compile(r"\bcomb\(|log_factorial\([^)]*-")
-    holders = sorted(p.name for p in SRC.glob("*.py") if spelled.search(p.read_text()))
-    assert holders == ["_numeric.py"]
-
-
-def test_only_numeric_checks_integers():
-    # every count, size, probe and seed goes through _numeric.integer rather
-    # than an isinstance check of its own or an int() that truncates a float
-    spelled = re.compile(r"\bIntegral\b|isinstance\([^)]*\bint\)|\bint\(\w+\)(, float\(\w+\)\))? for\b")
-    holders = sorted(p.name for p in SRC.glob("*.py") if spelled.search(p.read_text()))
-    assert holders == ["_numeric.py"]
-
-
-def test_only_numeric_spells_the_token_errors():
-    # the space, generator and sampler parsers share _numeric.parse_token's grammar
-    # and its two messages rather than each spelling its own
-    spelled = re.compile(r"\b(unknown|bad) \S+ token\b")
-    holders = sorted(p.name for p in SRC.glob("*.py") if spelled.search(p.read_text()))
-    assert holders == ["_numeric.py"]
 
 
 def _imported_roots(tree: ast.Module):
@@ -212,24 +199,7 @@ def test_dataclass_check_sees_one():
     assert _imported_roots(tree) == {"dataclasses"}
 
 
-EXPORTS = [
-    "CLASSIFY_GRID", "ConcaveGenerator", "DEFAULT_KRUGLOV_T_GRID",
-    "DichotomyReport", "EXACT_MAX_STEPS", "GridConfig", "GrowthFit", "KruglovVerdict",
-    "LimitEstimate", "Lorentz", "Lpq", "Marcinkiewicz", "Orlicz",
-    "SamplerSpec", "SpaceSpec", "StepFunction", "classify", "custom_sampler",
-    "erfc_inverse", "erfc_inverse_log", "exp_lp", "fit_growth", "gamma_iid_endpoint",
-    "gauss", "gaussian_law", "gaussian_selfsimilarity_check", "growth_table",
-    "indicator_ratio", "inv_sqrt_log", "kruglov_check", "limsup_dilation_ratio",
-    "limsup_power_ratio", "limsup_tail_sum_ratio", "logpow", "lorentz_operator_norm",
-    "lpq_norm", "mc_iid_sum_norm", "parse_generator", "parse_sampler", "parse_space",
-    "power", "quantile_from_samples", "rademacher", "rademacher_sum_norm",
-    "signed_indicator", "signed_indicator_sum_expectation",
-    "signed_indicator_sum_log_tails", "signed_indicator_sum_tail", "space_label",
-    "space_norm", "space_norm_from_layers", "sup_indicator_ratio", "table",
-    "table_from_csv", "upper_tail", "walk_abs_layers", "walk_distribution",
-]
-
-
 def test_package_exports_are_pinned():
+    # the oracle registry is the one list of exported names
     assert len(rispaces.__all__) == len(set(rispaces.__all__)) == 57
-    assert sorted(rispaces.__all__) == EXPORTS
+    assert sorted(rispaces.__all__) == sorted(ORACLES)

@@ -8,27 +8,12 @@ would zero them too, so one traced command is run as well.
 """
 
 import importlib
-import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-
-
-@pytest.fixture(scope="module")
-def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    writes_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)  # leaves no bytecode cache in perfbench/
-    finally:
-        sys.dont_write_bytecode = writes_bytecode
-    return module
 
 
 def test_tracer_targets_resolve_in_the_package(tracer):

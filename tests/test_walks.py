@@ -2,7 +2,6 @@ import functools
 import itertools
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -375,15 +374,9 @@ def test_walk_layers_match_full_row_drawn(k):
     _assert_walk_matches_full_row(k)
 
 
-def test_walk_layers_memory_is_the_result():
-    tracemalloc.start()
-    try:
-        walk_abs_layers(2**20)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+def test_walk_layers_memory_is_the_result(traced_peak):
     # the result is 2 * 8 * (2^19 + 1) bytes, 8 MiB; the full row held 37 MiB
-    assert peak < 16 * 2**20
+    assert traced_peak(walk_abs_layers, 2**20) < 16 * 2**20
 
 
 def test_expectation_strictly_below_mean_of_absolute_sum():

@@ -2,41 +2,35 @@
 the same traced counts and each command's own peak memory.
 
 Usage: ``python3 tools/samebits.py OTHER_CHECKOUT``.  It byte-compiles both
-``src`` trees (``compileall``), as the benchmark's first child leaves its
-checkout: a child that compiles the package peaks about 0.3 MiB higher.  It
-runs every command of ``perfbench/workloads.py`` at full size and workload
-seeds 0 and 7, with this checkout's ``src`` on ``PYTHONPATH`` and with
-OTHER_CHECKOUT's, as ``perfbench/run.py``'s child command and environment.
-Both sides read the same step files, written once to a temporary directory.
-On Linux each child runs under a ``-c`` wrapper that writes its own ``VmHWM``
-to stderr at exit (the harness's ``ru_maxrss`` starts at the size of the
-harness that forked the child), and ``run`` cuts that line off again.  It
-prints, in order:
+``src`` trees, as the benchmark's first child leaves its checkout (compiling
+costs a child about 0.3 MiB of peak).  Per side, with that side's ``src`` on
+``PYTHONPATH`` and the harness's child environment, it runs 144 children, two
+at a time: ``RUNS`` runs of each of the 23 commands of ``perfbench/workloads.py``
+at full size and seed 0, the 6 that the seed changes (``Command.seeded``) at
+seed 7, and one traced pass per workload at seed 0 under this checkout's
+``perfbench/tracer.py``.  Step, output and trace files go in a temporary
+directory: OTHER_CHECKOUT gets only ``src`` bytecode.  On Linux each untraced
+child runs under a ``-c`` wrapper that writes its own ``VmHWM`` to stderr at exit
+(``ru_maxrss`` starts at the forking harness's size); ``run`` cuts it off.  It prints:
 
-1. each command whose exit code, stdout or stderr differs;
-2. each seed-0 command's peak here and there and their difference, in MiB, the
-   median of ``RUNS`` runs per side, the first of which is the byte run;
-3. each per-layer metric whose ``BENCHMARK.json`` unit is not ``s`` and whose
-   value differs, from one ``perfbench/run.py --trace 1 --seed 0`` run per
-   workload in each checkout (which writes the harness's bytecode and work
-   files into OTHER_CHECKOUT, as it does here);
+1. each of the 29 commands whose exit code, stdout or stderr differs;
+2. each seed-0 command's median peak of ``RUNS`` runs here and there, in MiB;
+3. each of the 135 traced counts (``COUNTED`` per workload) that differs;
 4. the counts of differing commands and traced counts.
 
 It exits 1 if a command or traced count differs or a peak is missing, else 0,
-and 2 on a usage error; peaks are reported, not judged.  Off Linux there is no
-``/proc/self/status``: the children run unwrapped, section 2 is one line that
-says so, and bytes and counts are still compared.  It uses the standard library
-only (the workload module uses NumPy), two children at a time: about 60 s on
-2 vCPU.
+and 2 on a usage error; peaks are reported, not judged.  Off Linux the children
+run unwrapped and section 2 is one line that says so.  It uses the standard
+library only (the workload module uses NumPy): about 47 s on 2 vCPU.
 """
 
 from __future__ import annotations
 
-import json
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -45,15 +39,15 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import run as bench  # noqa: E402  (perfbench/ is not a package)
 import workloads  # noqa: E402
 
-SEEDS = (0, 7)
 RUNS = 5  # peak samples of each seed-0 command on each side
 LINUX = sys.platform.startswith("linux")
-# the traced metrics that count work rather than time it
-COUNTED = [m["name"] for m in bench.BENCH["per_layer"] if m["unit"] != "s"]
+# The per-layer metrics that count work (unit not s) but cli.stdout_changed: it counts
+# stdouts unlike perfbench/reference.json, which section 1 already compares.
+COUNTED = [m["name"] for m in bench.BENCH["per_layer"]
+           if m["unit"] != "s" and m["name"] != "cli.stdout_changed"]
 
-# ``python -c WRAPPER -m MODULE ARGS`` or ``python -c WRAPPER -c CODE ARGS`` runs
-# the child as ``python -m MODULE ARGS`` or ``python -c CODE ARGS`` would, then
-# reports its own peak as the last line of stderr.
+# ``python -c WRAPPER -m MODULE ARGS`` (or ``-c CODE ARGS``) runs the child as
+# ``python -m MODULE ARGS`` would, then reports its own peak as the last line of stderr.
 WRAPPER = """\
 import atexit, runpy, sys
 def report():
@@ -71,15 +65,25 @@ else:
 """
 
 
+def env(checkout: Path) -> dict:
+    """The harness's child environment with the checkout's src and no bytecode writes."""
+    return {**bench.child_env(), "PYTHONPATH": str(checkout / "src"),
+            "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def commands(workdir: Path) -> list:
+    """(workload, seed, command): every command at seed 0, the seeded ones at 7."""
+    return [(name, seed, cmd) for name, build in workloads.WORKLOADS.items()
+            for seed in (0, 7) for cmd in build(seed, "full", workdir) if seed == 0 or cmd.seeded]
+
+
 def run(checkout: Path, cmd) -> tuple:
-    """The command's exit code, stdout, own stderr and own peak in MiB (None off
-    Linux or if it reported none), run as the harness's child with the
-    checkout's src and no bytecode written into it."""
+    """The command's exit code, stdout, own stderr and own peak in MiB (None off Linux
+    or if it reported none), run as the harness's child with the checkout's src."""
     py, *rest = bench.command_argv(cmd)
-    env = {**bench.child_env(), "PYTHONPATH": str(checkout / "src"),
-           "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run([py, "-c", WRAPPER, *rest] if LINUX else [py, *rest], cwd=checkout,
-                          env=env, stdin=subprocess.DEVNULL, capture_output=True, timeout=600)
+                          env=env(checkout), stdin=subprocess.DEVNULL, capture_output=True,
+                          timeout=600)
     stderr, peak = proc.stderr, None
     head, line, kib = stderr.rpartition(b"\nVmHWM ")
     if LINUX and line and kib.endswith(b"\n") and kib[:-1].isdigit():
@@ -95,17 +99,14 @@ def sample(checkout: Path, cmd, times: int) -> tuple:
     return results[0][:3], None if None in peaks else statistics.median(peaks)
 
 
-def counted_metrics(checkout: Path) -> dict:
-    """{"workload metric": value} of the counted metrics of one checkout, from one
-    ``--trace 1 --seed 0`` run of the checkout's own harness per workload."""
-    values = {}
-    for name in workloads.WORKLOADS:
-        proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", name,
-                               "--seed", "0", "--trace", "1"], cwd=checkout,
-                              stdin=subprocess.DEVNULL, capture_output=True, timeout=600)
-        metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
-        values.update({f"{name} {m}": metrics.get(m, {}).get("value") for m in COUNTED})
-    return values
+def counted(checkout: Path, cmds) -> dict:
+    """{metric: value} of one traced pass over ``cmds`` with the checkout's src."""
+    runner = bench.Runner(env(checkout), time.perf_counter())
+    with tempfile.TemporaryDirectory(dir=bench.WORK) as tmp:
+        rows = [bench.run_command(runner, cmd, refs={}, trace_file=Path(tmp) / f"{i}.jsonl")
+                for i, cmd in enumerate(cmds)]
+    metrics = bench.layer_metrics(rows, cmds)
+    return {m: metrics.get(m, 0.0) for m in COUNTED}
 
 
 def main(args) -> int:
@@ -116,17 +117,19 @@ def main(args) -> int:
     if not (other / "src" / "rispaces").is_dir():
         print(f"samebits.py: {other} has no src/rispaces", file=sys.stderr)
         return 2
-    for checkout in (ROOT, other):
-        subprocess.run([sys.executable, "-m", "compileall", "-q", str(checkout / "src")],
-                       check=True)
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(ROOT / "src"),
+                    str(other / "src")], check=True)
     with tempfile.TemporaryDirectory() as tmp:
-        commands = [(name, seed, cmd) for name, build in workloads.WORKLOADS.items()
-                    for seed in SEEDS for cmd in build(seed, "full", Path(tmp))]
+        bench.WORK = Path(tmp)
+        todo = commands(bench.WORK)
         with ThreadPoolExecutor(2) as pool:
+            # the whole-workload traced passes first, so the short jobs fill in behind
+            traced = [[(name, pool.submit(counted, side, [cmd for n, seed, cmd in todo
+                                                          if n == name and seed == 0]))
+                       for name in workloads.WORKLOADS] for side in (ROOT, other)]
             jobs = [(name, seed, cmd.id,
                      *(pool.submit(sample, side, cmd, RUNS if LINUX and seed == 0 else 1)
-                       for side in (ROOT, other))) for name, seed, cmd in commands]
-            traced = [pool.submit(counted_metrics, side) for side in (ROOT, other)]
+                       for side in (ROOT, other))) for name, seed, cmd in todo]
             differ, rows = 0, []
             for name, seed, cid, here, there in jobs:
                 (here, here_peak), (there, there_peak) = here.result(), there.result()
@@ -148,11 +151,12 @@ def main(args) -> int:
                 print(f"{label:<36} {here:9.2f} {there:9.2f} {here - there:+7.2f}")
     else:
         print("peaks not read: there is no /proc/self/status off Linux")
-    here, there = (job.result() for job in traced)
+    here, there = ({f"{name} {metric}": value for name, job in side
+                    for metric, value in job.result().items()} for side in traced)
     moved = [key for key in here if here[key] != there[key]]
     for key in moved:
         print(f"trace {key}: {here[key]!r} here, {there[key]!r} in {other}")
-    print(f"{differ} of {len(commands)} commands differ")
+    print(f"{differ} of {len(todo)} commands differ")
     print(f"{len(moved)} of {len(here)} traced counts differ")
     return 1 if differ or moved or missing else 0
 
