@@ -1,6 +1,6 @@
-"""Numeric helpers shared by the modules: ln 2, the chunk size, log-factorials,
-log-binomials, the integer check, logsumexp, finite parameters and the ``HEAD:REST``
-token grammar, all on NumPy alone so importing them loads no SciPy."""
+"""Numeric helpers shared by the modules: ln 2, the chunk size, the elementwise runner,
+log-factorials, log-binomials, the integer check, logsumexp, finite parameters and the
+``HEAD:REST`` token grammar, all on NumPy alone so importing them loads no SciPy."""
 
 from __future__ import annotations
 
@@ -11,12 +11,11 @@ import numpy as np
 
 LN2 = math.log(2.0)
 
-# Entries per chunk of every pass over a layer-sized array: the walk law's
-# layers, the Orlicz Young function, lower bound and elasticity, the Lorentz
-# core's fsum lists, the Kruglov terms, and the Gaussian erfc and its
-# inverses.  Each pass is elementwise or carries its running state from chunk
-# to chunk, so the size changes no bit; it bounds the pass's temporaries to a
-# few arrays of this size, whatever the input's size.
+# Entries per slice of every pass over a layer-sized array: it bounds the pass's
+# temporaries and changes no bit.  ``elementwise`` is the one elementwise pass (psi and
+# log psi, log k!, the Gaussian erfc and its inverses, the exp(L_p) Young function).
+# The passes that carry state from chunk to chunk loop on their own: the walk law's
+# rows, the Kruglov sums, the Lorentz fsum lists, the Orlicz lower bound and slope.
 CHUNK = 2**14
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -25,17 +24,27 @@ _LOG_FACTORIAL_TABLE = np.array([math.log(math.factorial(k)) for k in range(16)]
 _STIRLING = (1.0 / 1188.0, -1.0 / 1680.0, 1.0 / 1260.0, -1.0 / 360.0, 1.0 / 12.0)
 
 
-def log_factorial(k):
-    """log k! for integer-valued k >= 0, a float for a scalar, an array for an array.
+def elementwise(f, x):
+    """f over the entries of x: a float for a scalar, a new float array of x's shape for an array.
 
-    Below 16 from a table; above, Stirling's series for log Gamma(z), z = k + 1:
-    (z - 1/2) log z - z + log(2 pi)/2 + 1/(12 z) - ... + 1/(1188 z^9), whose next
-    term is below 1e-16 of the result; measured within 2 ulps of
-    scipy.special.gammaln(k + 1) for every k <= 2^21.
-    The polynomial is evaluated in place, so the call holds three arrays of k's size.
+    f maps a 1-D float array to the array of its values.  Past ``CHUNK`` entries it runs
+    on one slice at a time, written into one result, so an elementwise f keeps its bits
+    and its temporaries stay slice-sized.  The result never shares memory with x.
     """
-    k = np.asarray(k, dtype=float)
-    z = k.reshape(-1) + 1.0
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    if flat.size > CHUNK:
+        out = np.empty(flat.size)
+        for k in range(0, flat.size, CHUNK):
+            out[k : k + CHUNK] = f(flat[k : k + CHUNK])
+        return out.reshape(x.shape)
+    out = np.asarray(f(flat), dtype=float)  # one slice: f's own array, unless it is x's
+    out = out.copy() if np.may_share_memory(out, x) else out
+    return out.reshape(x.shape) if x.ndim else float(out[0])
+
+
+def _log_factorial(k):
+    z = k + 1.0
     small = z < 17.0
     out = z - 0.5
     w = np.log(z)
@@ -52,9 +61,19 @@ def log_factorial(k):
     series += _STIRLING[-1]
     series *= w
     out += series
-    out[small] = _LOG_FACTORIAL_TABLE[k.reshape(-1)[small].astype(np.intp)]
-    out = out.reshape(k.shape)
-    return out if k.ndim else float(out)
+    out[small] = _LOG_FACTORIAL_TABLE[k[small].astype(np.intp)]
+    return out
+
+
+def log_factorial(k):
+    """log k! for integer-valued k >= 0, a float for a scalar, an array for an array.
+
+    Below 16 from a table; above, Stirling's series for log Gamma(z), z = k + 1:
+    (z - 1/2) log z - z + log(2 pi)/2 + 1/(12 z) - ... + 1/(1188 z^9), whose next
+    term is below 1e-16 of the result; measured within 2 ulps of
+    scipy.special.gammaln(k + 1) for every k <= 2^21.
+    """
+    return elementwise(_log_factorial, k)
 
 
 def log_binom(n, k):

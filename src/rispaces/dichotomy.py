@@ -72,8 +72,8 @@ def sup_indicator_ratio(psi: ConcaveGenerator, n: int, j_max: int = 40) -> float
     """
     n = positive_int(n)
     j_max = integer(j_max, 0, "j_max must be nonnegative")
-    if j_max > 1074:  # 2^-1074 is the smallest positive double
-        raise ValueError("j_max must be <= 1074: u = 2^-j underflows to 0 beyond it")
+    if j_max > 1022:  # g is read through psi(u), whose ratio loses bits once u is subnormal
+        raise ValueError("j_max must be <= 1022: u = 2^-j is subnormal beyond it")
     lus = -np.arange(0, j_max + 1, dtype=float) * LN2
 
     def g(lu: float) -> float:

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from ._numeric import CHUNK
+from ._numeric import elementwise
 
 __all__ = ["upper_tail", "erfc_inverse", "erfc_inverse_log"]
 
@@ -103,17 +103,9 @@ def _libm(f, x):
     return np.fromiter(map(f, memoryview(x)), float, x.size)
 
 
-def _by_chunks(into, a: np.ndarray) -> np.ndarray:
-    """A new array of a's shape, filled by into(a_slice, out_slice) over CHUNK-entry slices."""
-    out = np.empty(a.shape)
-    flat_in, flat_out = a.reshape(-1), out.reshape(-1)  # both in C order
-    for k in range(0, flat_in.size, CHUNK):
-        into(flat_in[k : k + CHUNK], flat_out[k : k + CHUNK])
-    return out
-
-
-def _erfc_into(a: np.ndarray, out: np.ndarray) -> None:
+def _erfc(a: np.ndarray) -> np.ndarray:
     # Cephes erfc of each entry of a
+    out = np.empty(a.shape)
     x = np.abs(a)
     small = x < 1.0
     if np.any(small):
@@ -143,10 +135,12 @@ def _erfc_into(a: np.ndarray, out: np.ndarray) -> None:
             y[live] = e
         np.subtract(2.0, y, out=y, where=b < 0.0)
         out[big] = y
+    return out
 
 
-def _erfcinv_into(y: np.ndarray, out: np.ndarray) -> None:
+def _erfcinv(y: np.ndarray) -> np.ndarray:
     # Cephes erfcinv, -ndtri(y / 2) / sqrt(2), of each entry of y in (0, 2)
+    out = np.empty(y.shape)
     h = np.multiply(y, 0.5)
     upper = h > 1.0 - _EXP_M2
     np.subtract(1.0, h, out=h, where=upper)
@@ -185,13 +179,12 @@ def _erfcinv_into(y: np.ndarray, out: np.ndarray) -> None:
         np.negative(r, out=r, where=upper[tail])  # ndtri is -r below 1/2 and r above
         r *= _SQRT1_2
         out[tail] = r
+    return out
 
 
 def upper_tail(x):
     """erfc(x), the measure of {|N(0, 1/2)| > x}."""
-    xx = np.asarray(x, dtype=float)
-    out = _by_chunks(_erfc_into, xx)
-    return out if xx.ndim else float(out)
+    return elementwise(_erfc, x)
 
 
 def erfc_inverse(z):
@@ -199,22 +192,21 @@ def erfc_inverse(z):
     zz = np.asarray(z, dtype=float)
     if np.any((zz <= 0) | (zz >= 2)):
         raise ValueError("argument must lie in (0, 2)")
-    out = _by_chunks(_erfc_inverse_into, zz)
-    return out if zz.ndim else float(out)
+    return elementwise(_erfc_inverse, zz)
 
 
-def _erfc_inverse_into(z: np.ndarray, x: np.ndarray) -> None:
-    _erfcinv_into(z, x)
+def _erfc_inverse(z: np.ndarray) -> np.ndarray:
+    x = _erfcinv(z)
     # One Newton step on erfc(x) - z; derivative -2/sqrt(pi) exp(-x^2).
     # Skip where exp(x^2) would overflow (the seed is already at full precision there).
     safe = np.abs(x) < 26.0
     xs = np.where(safe, x, 0.0)
-    corr = np.empty(xs.shape)
-    _erfc_into(xs, corr)
+    corr = _erfc(xs)
     corr -= z
     corr *= _SQRT_PI / 2.0
     corr *= np.exp(np.square(xs, out=xs), out=xs)
     np.add(x, corr, out=x, where=safe)  # x + 0.0 is x elsewhere: there |x| >= 26
+    return x
 
 
 def _log_erfc_asymptotic(x):
@@ -222,11 +214,7 @@ def _log_erfc_asymptotic(x):
     # -x*x - ln(x sqrt(pi)) + ln(1 + ix2 (-1/2 + ix2 (3/4 - 15/8 ix2))), ix2 = 1/(x*x).
     ix2 = np.multiply(x, x)
     np.divide(1.0, ix2, out=ix2)
-    series = np.multiply(-1.875, ix2)  # Horner; adding -b is subtracting b, bit for bit
-    for c in (0.75, -0.5):
-        series += c
-        series *= ix2
-    series += 1.0
+    series = _polevl(ix2, (-1.875, 0.75, -0.5, 1.0))  # adding -b is subtracting b, bit for bit
     log_x = np.log(np.multiply(x, _SQRT_PI, out=ix2), out=ix2)
     out = np.negative(x)
     out *= x
@@ -245,15 +233,15 @@ def erfc_inverse_log(lz):
     lzz = np.asarray(lz, dtype=float)
     if np.any(lzz >= math.log(2.0)):
         raise ValueError("log-argument must be below log(2)")
-    out = _by_chunks(_erfc_inverse_log_into, lzz)
-    return out if lzz.ndim else float(out)
+    return elementwise(_erfc_inverse_log, lzz)
 
 
-def _erfc_inverse_log_into(lz: np.ndarray, out: np.ndarray) -> None:
+def _erfc_inverse_log(lz: np.ndarray) -> np.ndarray:
+    out = np.empty(lz.shape)
     direct = lz >= -667.0
     if np.any(direct):
         z = lz[direct]
-        out[direct] = erfc_inverse(np.exp(z, out=z))
+        out[direct] = _erfc_inverse(np.exp(z, out=z))
     deep = ~direct
     if np.any(deep):
         t = lz[deep]
@@ -267,3 +255,4 @@ def _erfc_inverse_log_into(lz: np.ndarray, out: np.ndarray) -> None:
             x += step
             del step  # before the next step is built
         out[deep] = x
+    return out

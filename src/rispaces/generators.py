@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._numeric import LN2, finite_float, integer, log_binom, parse_token, positive_int
+from ._numeric import LN2, elementwise, finite_float, integer, log_binom, parse_token, positive_int
 from .gaussian import _SQRT_PI, erfc_inverse, erfc_inverse_log
 
 __all__ = [
@@ -44,10 +44,9 @@ __all__ = [
 class ConcaveGenerator:
     """Increasing concave psi on (0, 1] with psi(0+) = 0.
 
-    ``fn`` evaluates psi and ``log_fn`` evaluates log psi(e^lt) from lt = log t,
-    each on a 1-d float array.  Calling the generator and ``log_eval`` take a
-    float and return a float, or take an array and return a float array of its
-    shape.
+    ``fn`` evaluates psi and ``log_fn`` evaluates log psi(e^lt) from lt = log t, each on a
+    1-d float array of at most ``CHUNK`` entries; ``__call__`` and ``log_eval`` run them
+    through ``_numeric.elementwise``, so they take and return a float or an array.
     """
 
     __slots__ = ("_fn", "_log_fn", "label")
@@ -57,18 +56,12 @@ class ConcaveGenerator:
         self._log_fn = log_fn
         self.label = label
 
-    @staticmethod
-    def _on_1d(f, x):
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(f(x.reshape(-1)), dtype=float)
-        return out.reshape(x.shape) if x.ndim else float(out[0])
-
     def __call__(self, t):
-        return self._on_1d(self._fn, t)
+        return elementwise(self._fn, t)
 
     def log_eval(self, lt):
         """log psi(e^lt)."""
-        return self._on_1d(self._log_fn, lt)
+        return elementwise(self._log_fn, lt)
 
     def __repr__(self):
         return f"ConcaveGenerator({self.label})"

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, NamedTuple, Tuple, Union
 
 import numpy as np
 
-from ._numeric import CHUNK, LN2, finite_float, logsumexp, parse_token
+from ._numeric import CHUNK, LN2, elementwise, finite_float, logsumexp, parse_token
 from ._search import golden_max_vec
 from .generators import ConcaveGenerator, parse_generator
 from .stepfn import StepFunction
@@ -69,12 +69,9 @@ class exp_lp(NamedTuple("exp_lp", [("p", float)])):
         return f"Np:{self.p:g}"
 
     def log_fn(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.empty(u.shape)  # a 0-d array for a scalar
-        flat_u, flat_out = u.reshape(-1), out.reshape(-1)
-        for i in range(0, flat_u.size, CHUNK):
+        def log_m(u):
             with np.errstate(over="ignore"):  # inf past the float range: M = inf
-                x = flat_u[i : i + CHUNK] ** self.p
+                x = u**self.p
             # log(e^x - 1): x + log1p(-e^-x) for large x, log(expm1 x) below.
             big = x > 30.0
             # Past x = 34, |log1p(-e^-x)| < ulp(x) / 2, so x + log1p(-e^-x) rounds
@@ -83,12 +80,14 @@ class exp_lp(NamedTuple("exp_lp", [("p", float)])):
             y = np.minimum(x, 40.0, out=np.empty_like(x), where=big)
             for f in (np.negative, np.exp, np.negative, np.log1p):
                 f(y, out=y, where=big)
-            np.add(x, y, out=flat_out[i : i + CHUNK], where=big)
+            np.add(x, y, out=y, where=big)
             small = ~big
             np.expm1(x, out=x, where=small)
             with np.errstate(divide="ignore"):
-                np.log(x, out=flat_out[i : i + CHUNK], where=small)
-        return out
+                np.log(x, out=y, where=small)
+            return y
+
+        return elementwise(log_m, u)
 
     def inverse_log(self, ly):
         # solve e^(x^p) - 1 = e^ly: x = log(1 + e^ly)^(1/p), stably in ly.
@@ -236,12 +235,6 @@ def _checked_chunks(chunks: Iterable[Layers]) -> Iterator[Layers]:
 _ORLICZ_TINY = 960
 
 
-def _log_eval(gen: ConcaveGenerator, lT: np.ndarray) -> np.ndarray:
-    """gen.log_eval(lT) as a float array that the caller may overwrite."""
-    out = gen.log_eval(lT)
-    return out.copy() if np.may_share_memory(out, lT) else out
-
-
 def _log_lengths(lT: np.ndarray, r=1.0, before=-math.inf, out=None) -> np.ndarray:
     """log(T_i^r - T_(i-1)^r) for lT = log T and log T_(-1) = ``before``; r = 1 measures layers."""
     out = np.empty_like(lT) if out is None else out
@@ -262,7 +255,7 @@ def _lorentz_core(chunks: Iterable[Layers], psi: ConcaveGenerator) -> float:
         for values, lT in chunks:
             if values[0] <= 0:
                 continue  # zero from here on: the drop into it is the final term
-            psis = _log_eval(psi, lT)
+            psis = psi.log_eval(lT)  # a new array, never lT itself
             np.exp(psis, out=psis)
             if last is not None:
                 yield ((last[0] - values[0]) * last[1],)
@@ -286,7 +279,7 @@ def _marcinkiewicz_core(values: np.ndarray, lT: np.ndarray, phi: ConcaveGenerato
     with np.errstate(divide="ignore"):
         logI += np.log(values)
     np.logaddexp.accumulate(logI, out=logI)
-    cand = _log_eval(phi, lT)
+    cand = phi.log_eval(lT)
     np.subtract(logI, cand, out=cand)
     best = float(np.exp(np.max(cand)))
     # For concave phi the per-piece objective is minimized in the interior, so
@@ -340,7 +333,7 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: exp_lp) -> float:
     work = np.empty(k)  # u = v / lam, then the shifted terms, then the elasticities
     for _ in range(200):
         u = np.divide(v, lam, out=work[: v.size])
-        terms = np.asarray(M.log_fn(u), dtype=float)
+        terms = M.log_fn(u)
         terms += ll
         L = float(logsumexp(terms, out=u))
         if math.isnan(L):

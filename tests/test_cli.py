@@ -523,7 +523,10 @@ def test_console_script_round_trip(child_env):
         (("norm", "--space", "lorentz:logpow:inf", "--indicator", "1/4"), "error:", "finite"),
         (("opnorm", "--psi", "power:0.5", "--n", "4", "--j-max", "-1"), "error:", "j_max"),
         (("opnorm", "--psi", "power:0.5", "--n", "4", "--j-max", "1075"), "error:",
-         "j_max must be <= 1074"),
+         "j_max must be <= 1022"),
+        # g went 0.99575, 0.98821, 1.00694 at j = 1060, 1073, 1074: clamped, 512.0 with exit 0
+        (("opnorm", "--psi", "logpow:2", "--n", "512", "--j-max", "1074"), "error:",
+         "j_max must be <= 1022: u = 2^-j is subnormal beyond it"),
         # argparse reads "-inf" as an option, not a value: a usage error, still one line
         (("norm", "--space", "orlicz:np:2", "--indicator", "-inf"), "rispaces norm: error:",
          "expected one argument"),
@@ -561,8 +564,8 @@ def test_console_script_round_trip(child_env):
         (("norm", "--space", "orlicz:foo:2", "--indicator", "1/4"), "error:",
          "unknown Orlicz family 'foo'"),
     ],
-    ids=["lpq-inf", "logpow-inf", "negative-j-max", "underflowing-j-max", "option-like-value",
-         "lpq-q-past-1e300", "n-list-zero-failing-conditions", "nan-margin", "inf-margin", "negative-threshold", "nan-threshold", "half-threshold",
+    ids=["lpq-inf", "logpow-inf", "negative-j-max", "underflowing-j-max", "subnormal-j-max",
+         "option-like-value", "lpq-q-past-1e300", "n-list-zero-failing-conditions", "nan-margin", "inf-margin", "negative-threshold", "nan-threshold", "half-threshold",
          "unit-threshold", "empty-t-grid", "comma-t-grid", "t-above-one-after-crossing",
          "nan-t-after-crossing", "unwritable-out", "table-without-path", "custom-without-path",
          "mc-without-n", "growth-without-ns", "unknown-orlicz-family"],
@@ -1020,7 +1023,7 @@ def test_norm_cli_fuzz(space, indicator, step, use_step, fmt, table):
 _OPNORM = {
     "--psi": (_GEN_OK, _GEN_BAD, False),
     "--n": (_ints(1, 48), ["0", "-1", *_NOT_AN_INT], False),
-    "--j-max": (st.one_of(_ints(0, 80), st.just("1074")), ["-1", "1075", "x"], True),
+    "--j-max": (st.one_of(_ints(0, 80), st.just("1022")), ["-1", "1023", "1075", "x"], True),
     "--format": (["text", "json"], ["csv", "xml"], True),
 }
 

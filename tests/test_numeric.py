@@ -9,13 +9,19 @@ from rispaces import (
     GridConfig,
     Lpq,
     classify,
+    erfc_inverse,
+    erfc_inverse_log,
+    exp_lp,
     fit_growth,
+    gauss,
     gaussian_selfsimilarity_check,
     growth_table,
+    inv_sqrt_log,
     kruglov_check,
     limsup_dilation_ratio,
     limsup_power_ratio,
     limsup_tail_sum_ratio,
+    logpow,
     lorentz_operator_norm,
     mc_iid_sum_norm,
     power,
@@ -25,6 +31,8 @@ from rispaces import (
     signed_indicator_sum_log_tails,
     signed_indicator_sum_tail,
     sup_indicator_ratio,
+    table,
+    upper_tail,
     walk_abs_layers,
     walk_distribution,
 )
@@ -67,6 +75,61 @@ def test_log_binom_matches_exact_binomials():
     want = np.array([math.log(math.comb(n, j)) for j in range(n + 1)])
     # three log-factorials near log 300! = 1414 (ulp 2.3e-13) cancel: an absolute bound
     np.testing.assert_allclose(log_binom(n, k), want, rtol=0, atol=8 * np.spacing(1414.0))
+
+
+# ----------------------------------------------------------------- elementwise
+
+
+def _log_t(rng, n):
+    return -rng.exponential(300.0, n)  # log t <= 0, a tenth of it below -667
+
+
+def _gaussian_z(rng, n):
+    return np.where(rng.random(n) < 0.5, rng.uniform(0.01, 1.99, n),
+                    np.exp(rng.uniform(-700.0, -5.0, n)))
+
+
+_GENERATORS = [power(0.5), logpow(2.0), inv_sqrt_log(), gauss(),
+               table([(0.25, 0.5), (0.5, 0.7), (1.0, 1.0)])]
+# every function that _numeric.elementwise serves, with a draw from its domain
+_SERVED = {
+    "upper_tail": (upper_tail, lambda rng, n: rng.uniform(-30.0, 30.0, n)),
+    "erfc_inverse": (erfc_inverse, _gaussian_z),
+    "erfc_inverse_log": (erfc_inverse_log, lambda rng, n: rng.uniform(-2000.0, 0.5, n)),
+    "log_factorial": (log_factorial, lambda rng, n: np.floor(rng.uniform(0.0, 40.0, n))),
+    **{f"exp_lp({p}).log_fn": (exp_lp(p).log_fn, lambda rng, n: rng.uniform(0.0, 8.0, n))
+       for p in (1, 2)},
+    **{f"{g.label}.log_eval": (g.log_eval, _log_t) for g in _GENERATORS},
+    **{g.label: (g, lambda rng, n: np.exp(-rng.exponential(30.0, n))) for g in _GENERATORS},
+}
+
+
+@pytest.mark.parametrize("name", list(_SERVED))
+def test_elementwise_results_do_not_depend_on_the_chunk(monkeypatch, name):
+    f, draw = _SERVED[name]
+    rng = np.random.default_rng(36)
+    scalar = float(draw(rng, 1)[0])
+    arrays = [np.asarray(scalar), *(draw(rng, n) for n in (0, 1, 7, 8, 50)),
+              draw(rng, 54).reshape(6, 9), draw(rng, 54).reshape(9, 6).T]  # and a strided view
+    whole = [f(a) for a in arrays]
+    assert type(f(scalar)) is float and type(whole[0]) is float
+    monkeypatch.setattr("rispaces._numeric.CHUNK", 7)
+    assert repr(f(scalar)) == repr(whole[0])
+    for a, want in zip(arrays[1:], whole[1:]):
+        got = f(a)
+        assert got.shape == a.shape and got.tobytes() == want.tobytes(), a.shape
+        assert not np.may_share_memory(got, a)
+
+
+def test_log_eval_on_the_walk_log_tails_holds_chunk_sized_temporaries(traced_peak):
+    # the 2^19 + 1 log-tails of the 2^20-step walk, 4 MiB: 8.00 MiB on whole arrays
+    lT = walk_abs_layers(2**20)[1]
+    assert traced_peak(logpow(2.0).log_eval, lT) <= 5 * 2**20
+
+
+def test_log_factorial_holds_chunk_sized_temporaries(traced_peak):
+    # 2^19 entries, 4 MiB: 12.50 MiB on whole arrays
+    assert traced_peak(log_factorial, np.arange(2.0**19)) <= 5 * 2**20
 
 
 # ------------------------------------------------------------------- logsumexp

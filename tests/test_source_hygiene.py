@@ -131,7 +131,9 @@ def test_dead_method_check_sees_one():
      "isinstance check of its own or an int() that truncates a float"),
     (r"\b(unknown|bad) \S+ token\b", "the space, generator and sampler parsers share "
      "_numeric.parse_token's grammar and its two messages rather than each spelling its own"),
-], ids=["chunk-size", "log-binomial", "integer-check", "token-errors"])
+    (r"\.ndim else float\(", "every kernel that takes a scalar or an array runs through "
+     "_numeric.elementwise rather than an adapter of its own"),
+], ids=["chunk-size", "log-binomial", "integer-check", "token-errors", "scalar-or-array"])
 def test_only_numeric_spells(spelled, reason):
     holders = sorted(p.name for p in SRC.glob("*.py") if re.search(spelled, p.read_text()))
     assert holders == ["_numeric.py"], reason

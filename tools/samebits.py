@@ -19,9 +19,14 @@ child runs under a ``-c`` wrapper that writes its own ``VmHWM`` to stderr at exi
 4. the counts of differing commands and traced counts.
 
 It exits 1 if a command or traced count differs or a peak is missing, else 0,
-and 2 on a usage error; peaks are reported, not judged.  Off Linux the children
-run unwrapped and section 2 is one line that says so.  It uses the standard
-library only (the workload module uses NumPy): about 47 s on 2 vCPU.
+and 2 on a usage error; peaks are reported, not judged.  Read a peak row against
+two spreads, both measured on 2 vCPU.  Within one copy, five runs of a command
+spread 0.02-0.32 MiB for 21 of the 23 commands, and up to about 1 MiB for
+``norm-step-orlicz`` and ``norm-step-marcinkiewicz``, whose peaks sit on two
+levels.  Between copies of the same tree, a command's median moves by up to
+0.35 MiB.  Off Linux the children run unwrapped and section 2 is one line that
+says so.  It uses the standard library only (the workload module uses NumPy):
+about 47 s on 2 vCPU.
 """
 
 from __future__ import annotations
