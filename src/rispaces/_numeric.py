@@ -14,8 +14,10 @@ LN2 = math.log(2.0)
 # Entries per slice of every pass over a layer-sized array: it bounds the pass's
 # temporaries and changes no bit.  ``elementwise`` is the one elementwise pass (psi and
 # log psi, log k!, the Gaussian erfc and its inverses, the exp(L_p) Young function).
-# The passes that carry state from chunk to chunk loop on their own: the walk law's
-# rows, the Kruglov sums, the Lorentz fsum lists, the Orlicz lower bound and slope.
+# The walk law's rows, the Kruglov sums and the Lorentz fsum lists carry state from chunk
+# to chunk and loop on their own.  So do the Orlicz lower bound, a max of slice maxima, and
+# slope, which writes each slice's elasticities into the core's work buffer: the runner's
+# new array would be a fourth layer-sized one (4 MiB at 2^19 layers).
 CHUNK = 2**14
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)

@@ -6,8 +6,8 @@ measures one averaged-operator norm, ``classify`` runs the growth dichotomy,
 series, and ``mc`` prices a Monte Carlo i.i.d. sum.
 
 Output is deterministic byte for byte: floats render with repr, JSON sorts
-its keys, and every random draw is seeded (flag, config file, the RISPACES_SEED
-environment variable, then 0, in that order of precedence).  Exit codes:
+its keys, and every random draw is seeded (the last ``--seed``, typed or read
+from an ``@FILE``, then the RISPACES_SEED variable, then 0).  Exit codes:
 0 on a conclusive result, 1 when a verdict is inconclusive, a fit is
 degenerate or a numerical search does not converge, 2 on usage or input errors.
 """
@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .dichotomy import (
     CLASSIFY_GRID,
@@ -70,7 +70,7 @@ def _list_of(conv, kind: str):
 
 
 def _seed(text: str) -> int:
-    # NumPy seeds are non-negative; the flag, a config key and RISPACES_SEED all come here
+    # NumPy seeds are non-negative; the flag and RISPACES_SEED both come here
     try:
         seed = int(text)
     except ValueError:
@@ -78,14 +78,6 @@ def _seed(text: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return seed
-
-
-def _mode(text: str) -> str:
-    # a type rather than choices=: argparse checks choices on flags only, not on
-    # the config value that a default carries
-    if text not in ("exact", "mc"):
-        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from 'exact', 'mc')")
-    return text
 
 
 def _parse_measure(text: str):
@@ -96,32 +88,10 @@ def _parse_measure(text: str):
         raise ValueError(f"measure {text!r} divides by zero") from None
 
 
-def parse_config_file(path: str) -> Dict[str, str]:
-    """Flat ``key = value`` file, each key once; blank lines and # comments ignored."""
-    cfg: Dict[str, str] = {}
-    first: Dict[str, int] = {}  # the line of each key
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key in first:
-                raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {first[key]}")
-            first[key], cfg[key] = lineno, value
-    return cfg
-
-
-# one experiment file can back both commands; each reads only its own keys
-_CONFIG_KEYS = {"space", "sampler", "ns", "n", "mode", "trials", "m", "seed", "burn_in"}
-
-
-# Caps on the values that size memory, flag or config key alike, checked before
-# any compute: Monte Carlo sums, draw chunks and quantile pieces, walk laws
-# (O(n) floats each) and limit grids (O(j_max)); the Kruglov probe sums in
-# bounded chunks, so its term cap bounds time only.
+# Caps on the values that size memory, from the command line or an argument
+# file, checked before any compute: Monte Carlo sums, draw chunks and quantile
+# pieces, walk laws (O(n) floats each) and limit grids (O(j_max)); the Kruglov
+# probe sums in bounded chunks, so its term cap bounds time only.
 _CAPS = {"n": 2**20, "ns": 2**20, "n_list": 2**20, "trials": 10**7, "m": 10**7,
          "j_max": 10**5, "max_terms": 2**22}
 
@@ -152,12 +122,9 @@ def _cmd_norm(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
 
 
 def _cmd_mc(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
-    space = parse_space(args.space or _bad("--space"))
-    token = args.sampler or _bad("--sampler")
-    if args.n is None:
-        _bad("--n")
+    space = parse_space(args.space)
     _check_caps(n=args.n, trials=args.trials, m=args.m)
-    sampler = parse_sampler(token, args.seed)
+    sampler = parse_sampler(args.sampler, args.seed)
     value = mc_iid_sum_norm(sampler, args.n, space, trials=args.trials, m=args.m)
     payload = {
         "command": "mc",
@@ -170,10 +137,6 @@ def _cmd_mc(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
         "norm": value,
     }
     return payload, [_fmt(value)], None, 0
-
-
-def _bad(flag: str):
-    raise ValueError(f"{flag} is required (flag or config file)")
 
 
 def _cmd_opnorm(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
@@ -281,9 +244,7 @@ def _cmd_kruglov(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]
 
 
 def _cmd_growth(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
-    space = parse_space(args.space or _bad("--space"))
-    if args.ns is None:
-        _bad("--ns")
+    space = parse_space(args.space)
     _check_caps(ns=args.ns)
     if args.mode == "mc":
         _check_caps(trials=args.trials, m=args.m)
@@ -322,20 +283,25 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
+    def convert_arg_line_to_args(self, arg_line):
+        # an @FILE holds one argument a line; blank lines and # comments hold none
+        line = arg_line.strip()
+        return [line] if line and not line.startswith("#") else []
 
-def _build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentParser:
-    """The parser; ``config`` values become the defaults of the ``growth`` and
-    ``mc`` options, converted like a flag's value when no flag is given."""
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser; ``@FILE`` reads arguments from FILE as if typed in its place."""
     parser = _Parser(
         prog="rispaces",
+        fromfile_prefix_chars="@",
         description="Norms, operator growth, and series criteria for "
         "rearrangement-invariant function spaces on (0, 1].",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     ints, floats = _list_of(int, "integers"), _list_of(float, "floats")
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    def common(p, formats=("text", "json")):
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", help="write the report to this file instead of stdout")
 
     p = sub.add_parser("norm", help="norm of a step function in a space")
@@ -370,25 +336,26 @@ def _build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentP
                    "since the first term is 1")
     common(p)
 
-    def experiment(p):
-        p.add_argument("--space")
-        p.add_argument("--sampler", help="rademacher | signed:U | gauss | custom:CSV")
+    def experiment(p, sampler_required):
+        p.add_argument("--space", required=True)
+        p.add_argument("--sampler", required=sampler_required,
+                       help="rademacher | signed:U | gauss | custom:CSV")
         p.add_argument("--trials", type=int, default=100_000)
         p.add_argument("--m", type=int, default=4096)
         p.add_argument("--seed", type=_seed, help="defaults to RISPACES_SEED or 0")
-        p.add_argument("--config", help="flat key=value experiment file")
-        common(p)
-        p.set_defaults(**(config or {}))
 
     p = sub.add_parser("growth", help="norm-vs-n table and power fit")
-    p.add_argument("--ns", type=ints, help="comma-separated sizes, e.g. 16,32,64,128")
-    p.add_argument("--mode", type=_mode, default="exact", help="exact | mc")
+    p.add_argument("--ns", type=ints, required=True,
+                   help="comma-separated sizes, e.g. 16,32,64,128")
+    p.add_argument("--mode", choices=("exact", "mc"), default="exact")
     p.add_argument("--burn-in", type=int, default=2)
-    experiment(p)
+    experiment(p, sampler_required=False)
+    common(p, formats=("text", "json", "csv"))
 
     p = sub.add_parser("mc", help="Monte Carlo norm of an i.i.d. sum")
-    p.add_argument("--n", type=int)
-    experiment(p)
+    p.add_argument("--n", type=int, required=True)
+    experiment(p, sampler_required=True)
+    common(p)
 
     return parser
 
@@ -416,15 +383,7 @@ def _render(payload, lines, rows, fmt: str) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.format == "csv" and args.command != "growth":  # checked before any compute
-            raise ValueError("csv output is only available for growth tables")
-        if getattr(args, "config", None):
-            config = parse_config_file(args.config)
-            unknown = set(config) - _CONFIG_KEYS
-            if unknown:
-                raise ValueError(f"unknown config keys: {sorted(unknown)}")
-            args = _build_parser(config).parse_args(argv)
-        if "seed" in args and args.seed is None:  # neither flag nor config key
+        if "seed" in args and args.seed is None:  # no --seed argument
             env_seed = os.environ.get("RISPACES_SEED", "0")
             try:
                 args.seed = _seed(env_seed)

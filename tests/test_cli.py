@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rispaces import experiments, lorentz_operator_norm, power
+from rispaces import dichotomy, experiments, lorentz_operator_norm, power
 from rispaces import cli
-from rispaces.cli import _CAPS, main, parse_config_file
+from rispaces.cli import _CAPS, main
 
 
 def run_cli(capsys, *argv):
@@ -187,65 +188,83 @@ def test_growth_exact_csv(capsys):
 
 
 def test_growth_config_file_with_flag_override(capsys, tmp_path):
-    cfg = tmp_path / "exp.cfg"
+    cfg = tmp_path / "exp.args"
     cfg.write_text(
         "# growth experiment\n"
-        "space = lpq:1.5:1.2\n"
-        "sampler = signed:0.5\n"
-        "ns = 16,32,64,128\n"
-        "mode = mc\n"
-        "trials = 2000\n"
-        "m = 256\n"
-        "seed = 9\n"
+        "--space=lpq:1.5:1.2\n"
+        "--sampler=signed:0.5\n"
+        "--ns=16,32,64,128\n"
+        "--mode=mc\n"
+        "--trials=2000\n"
+        "--m=256\n"
+        "--seed=9\n"
     )
-    code, out, _ = run_cli(capsys, "growth", "--config", str(cfg), "--format", "json")
+    code, out, _ = run_cli(capsys, "growth", f"@{cfg}", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["seed"] == 9
     assert [p[0] for p in payload["pairs"]] == [16, 32, 64, 128]
     assert all(isinstance(p, list) and len(p) == 2 and isinstance(p[1], float)
                for p in payload["pairs"])
+    # the later argument wins, so a flag overrides the file only after it
     code2, out2, _ = run_cli(
-        capsys, "growth", "--config", str(cfg), "--seed", "11", "--format", "json"
+        capsys, "growth", f"@{cfg}", "--seed", "11", "--format", "json"
     )
     assert json.loads(out2)["seed"] == 11
     assert json.loads(out2)["pairs"] != payload["pairs"]
 
 
-def test_config_parsing_errors(tmp_path):
-    bad = tmp_path / "bad.cfg"
+def test_config_parsing_errors(capsys, tmp_path):
+    # a line is one argument, so a line that is not an option is left unrecognized
+    bad = tmp_path / "bad.args"
     bad.write_text("space lorentz:power:1\n")
-    with pytest.raises(ValueError):
-        parse_config_file(str(bad))
+    argv = ("growth", "--space", "lorentz:power:1", "--ns", "16,32,64,128", f"@{bad}")
+    assert run_cli(capsys, *argv) == (
+        2, "", "rispaces: error: unrecognized arguments: space lorentz:power:1\n")
 
 
 def test_config_unknown_key_rejected(capsys, tmp_path):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("trails = 500\n")
-    code, _, err = run_cli(capsys, "mc", "--config", str(cfg), "--space", "lorentz:power:1",
-                           "--sampler", "rademacher", "--n", "4")
-    assert code == 2
-    assert "trails" in err
+    cfg = tmp_path / "exp.args"
+    cfg.write_text("--trails=500\n")
+    code, out, err = run_cli(capsys, "mc", f"@{cfg}", "--space", "lorentz:power:1",
+                             "--sampler", "rademacher", "--n", "4")
+    assert (code, out) == (2, "")
+    assert err == "rispaces: error: unrecognized arguments: --trails=500\n"
+
+
+def test_argument_file_skips_blank_and_comment_lines(capsys, tmp_path):
+    cfg = tmp_path / "exp.args"
+    cfg.write_text("\n# the size\n  --n=4  \n\n   # the trials\n--trials=1000\n\n")
+    assert run_cli(capsys, *_MC_ARGS[:-6], "--m", "256", f"@{cfg}") == run_cli(
+        capsys, *_MC_ARGS)
+
+
+def test_missing_argument_file_exits_two(capsys, tmp_path):
+    missing = tmp_path / "missing.args"
+    code, out, err = run_cli(capsys, *_MC_ARGS, f"@{missing}")
+    assert (code, out) == (2, "")
+    assert err.startswith("rispaces: error:") and err.count("\n") == 1
+    assert str(missing) in err
 
 
 @pytest.mark.parametrize(
     "argv, config, err",
     [
-        (("mc", "--space", "lpq:2:1", "--sampler", "rademacher", "--n", "4"), "trials = 1e5\n",
+        (("mc", "--space", "lpq:2:1", "--sampler", "rademacher", "--n", "4"), "--trials=1e5\n",
          "rispaces mc: error: argument --trials: invalid int value: '1e5'\n"),
-        (("growth", "--space", "lpq:2:1"), "ns = 16,32,x\n",
+        (("growth", "--space", "lpq:2:1"), "--ns=16,32,x\n",
          "rispaces growth: error: argument --ns: expected comma-separated integers, "
          "got '16,32,x'\n"),
-        (("growth", "--space", "lpq:2:1", "--ns", "16,32,64,128"), "mode = frob\n",
+        (("growth", "--space", "lpq:2:1", "--ns", "16,32,64,128"), "--mode=frob\n",
          "rispaces growth: error: argument --mode: invalid choice: 'frob' "
          "(choose from 'exact', 'mc')\n"),
     ],
     ids=["mc-trials", "growth-ns", "growth-mode"],
 )
 def test_bad_config_value_names_its_option(capsys, tmp_path, argv, config, err):
-    cfg = tmp_path / "exp.cfg"
+    cfg = tmp_path / "exp.args"
     cfg.write_text(config)
-    assert run_cli(capsys, *argv, "--config", str(cfg)) == (2, "", err)
+    assert run_cli(capsys, *argv, f"@{cfg}") == (2, "", err)
 
 
 def test_bad_list_flags_name_no_private_function(capsys):
@@ -257,13 +276,52 @@ def test_bad_list_flags_name_no_private_function(capsys):
         "floats, got '0.5,y'\n")
 
 
-def test_every_experiment_option_has_a_config_key():
-    # the key list is kept by hand: each growth/mc option has a key, each key an option
+# a value off its option's default for each growth/mc option
+_EXPERIMENT_VALUES = {"space": "lpq:2:1", "sampler": "gauss", "ns": "4,8,16", "n": "8",
+                      "mode": "mc", "trials": "1000", "m": "256", "seed": "5",
+                      "burn_in": "1", "format": "json", "out": "report.json"}
+
+
+def test_every_experiment_option_has_a_config_key(tmp_path):
+    # each growth/mc option read from an @file line parses to the value its flag gives
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    dests = {a.dest for name in ("growth", "mc") for a in sub.choices[name]._actions
-             if a.option_strings and a.dest not in ("help", "config", "format", "out")}
-    assert dests == cli._CONFIG_KEYS
+    for name in ("growth", "mc"):
+        options = {a.dest: a for a in sub.choices[name]._actions if a.dest != "help"}
+        lines = [f"{a.option_strings[0]}={_EXPERIMENT_VALUES[dest]}"
+                 for dest, a in options.items()]
+        cfg = tmp_path / f"{name}.args"
+        cfg.write_text("\n".join(lines) + "\n")
+        from_flags = cli._build_parser().parse_args([name, *lines])
+        from_file = cli._build_parser().parse_args([name, f"@{cfg}"])
+        assert vars(from_file) == vars(from_flags)
+        assert all(getattr(from_file, dest) != a.default for dest, a in options.items())
+
+
+def test_cli_defaults_are_the_library_defaults(capsys):
+    # the parser restates these defaults; each must stay the one its library call has
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+
+    def library(fn, param):
+        return inspect.signature(fn).parameters[param].default
+
+    for command, dest, fn, param in [
+        ("opnorm", "j_max", dichotomy.sup_indicator_ratio, "j_max"),
+        *(("classify", d, dichotomy.classify, d)
+          for d in ("k_list", "l_list", "n_list", "margin")),
+        ("kruglov", "max_terms", dichotomy.kruglov_check, "num_terms"),
+        ("kruglov", "threshold", dichotomy.kruglov_check, "threshold"),
+        *(("mc", d, experiments.mc_iid_sum_norm, d) for d in ("trials", "m")),
+        *(("growth", d, experiments.growth_table, d) for d in ("trials", "m", "burn_in", "mode")),
+        ("growth", "burn_in", experiments.fit_growth, "burn_in"),
+    ]:
+        default = sub.choices[command].get_default(dest)
+        default = tuple(default) if isinstance(default, list) else default
+        assert default == library(fn, param), (command, dest)
+    code, out, _ = run_cli(capsys, "classify", "--psi", "power:0.5", "--with-kruglov")
+    threshold = library(dichotomy.kruglov_check, "threshold")
+    assert code == 0 and f"threshold {float(threshold)!r}]" in out
 
 
 _MC = ("mc", "--space", "lorentz:power:1", "--sampler", "rademacher")
@@ -276,11 +334,11 @@ _GROWTH_MC = ("growth", "--space", "lpq:2:1", "--mode", "mc", "--sampler", "rade
         ((*_MC, "--n", "{n}"), "", "n"),
         ((*_MC, "--n", "4", "--trials", "{trials}"), "", "trials"),
         ((*_MC, "--n", "4", "--m", "{m}"), "", "m"),
-        ((*_MC,), "n = 4\nm = {m}\n", "m"),
+        ((*_MC,), "--n=4\n--m={m}\n", "m"),
         ((*_GROWTH_MC, "--ns", "16,32,64,{ns}"), "", "ns"),
         ((*_GROWTH_MC, "--ns", "16,32,64,128", "--trials", "{trials}"), "", "trials"),
         ((*_GROWTH_MC, "--ns", "16,32,64,128", "--m", "{m}"), "", "m"),
-        ((*_GROWTH_MC,), "ns = 16,32,64,128\ntrials = {trials}\n", "trials"),
+        ((*_GROWTH_MC,), "--ns=16,32,64,128\n--trials={trials}\n", "trials"),
     ],
     ids=["mc-n", "mc-trials", "mc-m", "mc-config-m", "growth-ns", "growth-trials", "growth-m",
          "growth-config-trials"],
@@ -293,9 +351,9 @@ def test_monte_carlo_sizes_past_caps_exit_two(capsys, monkeypatch, tmp_path, arg
     over = {k: cap + 1 for k, cap in _CAPS.items()}
     argv = [a.format(**over) for a in argv]
     if config:
-        cfg = tmp_path / "exp.cfg"
+        cfg = tmp_path / "exp.args"
         cfg.write_text(config.format(**over))
-        argv += ["--config", str(cfg)]
+        argv.append(f"@{cfg}")
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {key} = {over[key]} is past its cap of {_CAPS[key]}\n"
@@ -434,12 +492,12 @@ def test_seed_env_default(capsys, monkeypatch):
 def test_seed_env_read_only_when_no_seed_is_given(capsys, monkeypatch, tmp_path):
     args = ("mc", "--space", "lpq:2:1", "--sampler", "rademacher", "--n", "4",
             "--trials", "1000", "--m", "256", "--format", "json")
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("seed = 3\n")
+    cfg = tmp_path / "exp.args"
+    cfg.write_text("--seed=3\n")
     monkeypatch.setenv("RISPACES_SEED", "abc")
     code, out, err = run_cli(capsys, *args, "--seed", "3")
     assert (code, err) == (0, "")
-    assert run_cli(capsys, *args, "--config", str(cfg)) == (code, out, err)
+    assert run_cli(capsys, *args, f"@{cfg}") == (code, out, err)
     assert json.loads(out)["seed"] == 3
     assert run_cli(capsys, *args) == (2, "", "error: RISPACES_SEED must be an integer, "
                                       "got 'abc'\n")
@@ -452,21 +510,23 @@ _MC_ARGS = ("mc", "--space", "lpq:2:1", "--sampler", "rademacher", "--n", "4",
 @pytest.mark.parametrize("source", ["flag", "config", "env"])
 def test_negative_seed_is_refused_naming_its_source(capsys, monkeypatch, tmp_path, source):
     # NumPy refuses a negative seed with a message that names neither source
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("seed = -5\n")
-    extra = {"flag": ("--seed=-5",), "config": ("--config", str(cfg)), "env": ()}[source]
+    cfg = tmp_path / "exp.args"
+    cfg.write_text("--seed=-5\n")
+    extra = {"flag": ("--seed=-5",), "config": (f"@{cfg}",), "env": ()}[source]
     monkeypatch.setenv("RISPACES_SEED", "-5" if source == "env" else "0")
     err = ("error: RISPACES_SEED must be a non-negative integer, got '-5'\n" if source == "env"
            else "rispaces mc: error: argument --seed: must be a non-negative integer, got '-5'\n")
     assert run_cli(capsys, *_MC_ARGS, *extra) == (2, "", err)
 
 
-def test_repeated_config_key_is_refused(capsys, tmp_path):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("trials = 1000\n# a later line must not override an earlier one\n"
-                   "trials = 5000\n")
-    assert run_cli(capsys, *_MC_ARGS[:-4], "--config", str(cfg)) == (
-        2, "", f"error: {cfg}:3: key 'trials' repeats line 1\n")
+def test_repeated_option_in_an_argument_file_takes_the_last_value(capsys, tmp_path):
+    cfg = tmp_path / "exp.args"
+    cfg.write_text("--trials=1000\n# the later line wins, as a repeated flag does\n"
+                   "--trials=2000\n")
+    argv = (*_MC_ARGS[:-4], "--m", "256", "--format", "json")
+    code, out, err = run_cli(capsys, *argv, f"@{cfg}")
+    assert (code, err) == (0, "") and json.loads(out)["trials"] == 2000
+    assert run_cli(capsys, *argv, "--trials", "1000", "--trials", "2000") == (code, out, err)
 
 
 def test_out_writes_file(capsys, tmp_path):
@@ -494,7 +554,8 @@ def test_csv_rejected_outside_growth(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv, "--format", "csv")
         assert code == 2
         assert out == ""
-        assert err == "error: csv output is only available for growth tables\n"
+        assert err == (f"rispaces {argv[0]}: error: argument --format: invalid choice: 'csv' "
+                       "(choose from 'text', 'json')\n")
 
 
 def test_bad_flags_exit_two():
@@ -558,9 +619,9 @@ def test_console_script_round_trip(child_env):
         (("opnorm", "--psi", "table:", "--n", "4"), "error:", "table token needs a path"),
         (("mc", "--space", "lpq:2:1", "--sampler", "custom:", "--n", "4"), "error:",
          "custom token needs a path"),
-        (("mc", "--space", "lpq:2:1", "--sampler", "rademacher"), "error:",
-         "--n is required (flag or config file)"),
-        (("growth", "--space", "lpq:2:1"), "error:", "--ns is required (flag or config file)"),
+        (("mc", "--space", "lpq:2:1", "--sampler", "rademacher"), "rispaces mc: error:",
+         "required: --n"),
+        (("growth", "--space", "lpq:2:1"), "rispaces growth: error:", "required: --ns"),
         (("norm", "--space", "orlicz:foo:2", "--indicator", "1/4"), "error:",
          "unknown Orlicz family 'foo'"),
     ],
@@ -861,10 +922,11 @@ def _options(draw, fields, config=False):
     ``fields`` maps a flag to (valid values, invalid values, optional), each
     set of values a list or a strategy; an optional flag may be left out,
     unless it is the invalid one.  With
-    ``config``, each value goes on the command line or into the returned
-    ``key = value`` lines, which carry an error of their own when the invalid
-    one is an unknown key, a line without "=" or a repeated key.  Returns the
-    options, the config lines and whether anything was made invalid.
+    ``config``, each option goes on the command line or into the returned
+    lines of an argument file, which carry an error of their own when the
+    invalid one is an unknown option or a line with a space for its "=".  A
+    repeated line is valid: the later one wins.  Returns the options, the file
+    lines and whether anything was made invalid.
     """
     names = list(fields) + (["<unknown key>", "<no equals sign>", "<repeated key>"]
                             if config else [])
@@ -877,29 +939,21 @@ def _options(draw, fields, config=False):
         if isinstance(values, list):
             values = st.sampled_from(values)
         value = draw(values)
-        if config and draw(st.booleans()):
-            lines.append(f"{flag[2:].replace('-', '_')} = {value}")
-        else:  # "=" keeps a leading "-" a value rather than an option
-            argv.append(f"{flag}={value}")
+        # "=" keeps a leading "-" a value rather than an option
+        (lines if config and draw(st.booleans()) else argv).append(f"{flag}={value}")
     if bad == "<unknown key>":
-        lines.append("frob = 1")
+        lines.append("--frob=1")
     elif bad == "<no equals sign>":
-        lines.append("trials 2000")
-    elif bad == "<repeated key>":  # a drawn line again, or one key given twice
-        lines += [draw(st.sampled_from(lines))] if lines else ["seed = 1", "seed = 2"]
-    return argv, lines, bad is not None
+        lines.append("--trials 2000")
+    elif bad == "<repeated key>":  # a drawn line again, or one option given twice
+        lines += [draw(st.sampled_from(lines))] if lines else ["--seed=1", "--seed=2"]
+    return argv, lines, bad not in (None, "<repeated key>")
 
 
 def _value(argv, lines, key):
-    """The value of option ``key`` on the command line, else in the config lines."""
-    for arg in argv:
-        if arg.startswith(f"--{key}="):
-            return arg.partition("=")[2]
-    for line in lines:
-        name, _, value = line.partition("=")
-        if name.strip() == key:
-            return value.strip()
-    return None
+    """The value that option ``key`` ends with; the file's lines come after the command line."""
+    values = [arg.partition("=")[2] for arg in argv + lines if arg.startswith(f"--{key}=")]
+    return values[-1] if values else None
 
 
 def _fuzz_run(argv, lines, bad, kruglov_inf=False, atoms=None):
@@ -918,10 +972,10 @@ def _fuzz_run(argv, lines, bad, kruglov_inf=False, atoms=None):
             argv = [arg.replace("{atoms}", path) for arg in argv]
             lines = [line.replace("{atoms}", path) for line in lines]
         if lines:
-            path = os.path.join(tmp, "exp.cfg")
+            path = os.path.join(tmp, "exp.args")
             with open(path, "w") as fh:
                 fh.write("# fuzzed\n" + "\n".join(lines) + "\n")
-            argv = argv + ["--config", path]
+            argv = argv + [f"@{path}"]
         code, out, err = _run_in_process(argv)
     assert "Traceback" not in err and "Warning" not in err, (argv, err)
     if bad or overflows:
@@ -1088,7 +1142,7 @@ _ATOMS = st.lists(
 @example(opts=(["--space=orlicz:np:2", "--ns=4,8,16,64", "--mode=mc", "--sampler=signed:1e-9",
                 "--trials=1000", "--m=256"], [], False), fmt="csv", atoms=[1.0])
 @example(opts=(["--space=lorentz:gauss", "--ns=1,2,4,8", "--mode=mc", "--trials=1000",
-                "--m=256"], ["sampler = custom:{atoms}"], False), fmt="text", atoms=[5e-324])
+                "--m=256"], ["--sampler=custom:{atoms}"], False), fmt="text", atoms=[5e-324])
 # a bad burn-in is refused before the draws, whose sums here would all be 0
 @example(opts=(["--space=lorentz:power:0.5", "--ns=1,2,3,4", "--mode=mc", "--burn-in=-1",
                 "--sampler=signed:1e-9", "--trials=1000"], [], True), fmt="text", atoms=[1.0])
@@ -1096,13 +1150,13 @@ _ATOMS = st.lists(
 @example(opts=(["--space=lorentz:power:0.01", "--ns=61,62,1,2", "--mode=mc",
                 "--sampler=custom:{atoms}", "--trials=1000", "--m=256", "--seed=0"], [], False),
          fmt="text", atoms=[1e300])
-# a negative seed exits 2 in either mode, from a flag or a config key, and so
-# does a key given twice
+# a negative seed exits 2 in either mode, from a flag or an argument file; an
+# option given twice takes its last value
 @example(opts=(["--space=lpq:2:1", "--ns=4,8,16,64", "--seed=-3"], [], True), fmt="text",
          atoms=[1.0])
 @example(opts=(["--space=lpq:2:1", "--ns=4,8,16,64", "--mode=mc", "--sampler=rademacher",
-                "--trials=1000", "--m=256"], ["seed = -5"], True), fmt="json", atoms=[1.0])
-@example(opts=(["--space=lpq:2:1", "--ns=4,8,16,64"], ["burn_in = 1", "burn_in = 1"], True),
+                "--trials=1000", "--m=256"], ["--seed=-5"], True), fmt="json", atoms=[1.0])
+@example(opts=(["--space=lpq:2:1", "--ns=4,8,16,64"], ["--burn-in=1", "--burn-in=1"], False),
          fmt="csv", atoms=[1.0])
 @given(opts=st.one_of(_options(_GROWTH_EXACT, config=True), _options(_GROWTH_MC, config=True)),
        fmt=st.sampled_from(["text", "json", "csv"]), atoms=_ATOMS)
@@ -1114,14 +1168,14 @@ def test_growth_cli_fuzz(opts, fmt, atoms):
 @settings(max_examples=60, deadline=None)
 @example(opts=(["--space=lpq:1.5:1.2", "--sampler=custom:{atoms}", "--n=1", "--trials=1000",
                 "--m=256"], [], False), fmt="json", atoms=[5e-324, 1e308])
-@example(opts=(["--space=marcinkiewicz:power:0.5", "--n=2"], ["sampler = custom:{atoms}"],
+@example(opts=(["--space=marcinkiewicz:power:0.5", "--n=2"], ["--sampler=custom:{atoms}"],
                False), fmt="text", atoms=[5e-324, 1e308])
-@example(opts=(["--space=lpq:2:1", "--sampler=rademacher", "--n=4"], ["seed = -5"], True),
+@example(opts=(["--space=lpq:2:1", "--sampler=rademacher", "--n=4"], ["--seed=-5"], True),
          fmt="json", atoms=[1.0])
 @example(opts=(["--space=lpq:2:1", "--sampler=rademacher", "--n=4", "--seed=-1"], [], True),
          fmt="text", atoms=[1.0])
 @example(opts=(["--space=lpq:2:1", "--sampler=rademacher", "--n=4"],
-               ["trials = 1000", "trials = 5000"], True), fmt="text", atoms=[1.0])
+               ["--trials=1000", "--trials=5000"], False), fmt="text", atoms=[1.0])
 @given(opts=_options(_MC, config=True), fmt=st.sampled_from(["text", "json"]), atoms=_ATOMS)
 def test_mc_cli_fuzz(opts, fmt, atoms):
     argv, lines, bad = opts
