@@ -10,6 +10,7 @@ its keys, and every random draw is seeded (the last ``--seed``, typed or read
 from an ``@FILE``, then the RISPACES_SEED variable, then 0).  Exit codes:
 0 on a conclusive result, 1 when a verdict is inconclusive, a fit is
 degenerate or a numerical search does not converge, 2 on usage or input errors.
+The parser checks every option, size caps included, before any token is read.
 """
 
 from __future__ import annotations
@@ -88,20 +89,23 @@ def _parse_measure(text: str):
         raise ValueError(f"measure {text!r} divides by zero") from None
 
 
-# Caps on the values that size memory, from the command line or an argument
-# file, checked before any compute: Monte Carlo sums, draw chunks and quantile
-# pieces, walk laws (O(n) floats each) and limit grids (O(j_max)); the Kruglov
-# probe sums in bounded chunks, so its term cap bounds time only.
+# Caps on the values that size memory, each checked by its option's type, so
+# before any token is read: Monte Carlo sums, draw chunks and quantile pieces,
+# walk laws (O(n) floats each) and limit grids (O(j_max)); the Kruglov probe
+# sums in bounded chunks, so its term cap bounds time only.
 _CAPS = {"n": 2**20, "ns": 2**20, "n_list": 2**20, "trials": 10**7, "m": 10**7,
          "j_max": 10**5, "max_terms": 2**22}
 
 
-def _check_caps(**sizes) -> None:
-    for key, value in sizes.items():
-        cap = _CAPS[key]
-        for v in value if isinstance(value, list) else [value]:
-            if v > cap:
-                raise ValueError(f"{key} = {v} is past its cap of {cap}")
+def _capped(key: str):
+    """The type of an integer option whose values stop at ``_CAPS[key]``."""
+    def capped(text: str) -> int:
+        value = int(text)
+        if value > _CAPS[key]:
+            raise argparse.ArgumentTypeError(f"{value} is past its cap of {_CAPS[key]}")
+        return value
+    capped.__name__ = "int"  # a token that is no integer reads "invalid int value"
+    return capped
 
 
 # ------------------------------------------------------------------- handlers
@@ -109,8 +113,6 @@ def _check_caps(**sizes) -> None:
 
 def _cmd_norm(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     space = parse_space(args.space)
-    if (args.indicator is None) == (args.step is None):
-        raise ValueError("provide exactly one of --indicator or --step")
     if args.indicator is not None:
         f = StepFunction.indicator(_parse_measure(args.indicator))
     else:
@@ -123,7 +125,6 @@ def _cmd_norm(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
 
 def _cmd_mc(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     space = parse_space(args.space)
-    _check_caps(n=args.n, trials=args.trials, m=args.m)
     sampler = parse_sampler(args.sampler, args.seed)
     value = mc_iid_sum_norm(sampler, args.n, space, trials=args.trials, m=args.m)
     payload = {
@@ -141,7 +142,6 @@ def _cmd_mc(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
 
 def _cmd_opnorm(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     psi = parse_generator(args.psi)
-    _check_caps(n=args.n)
     sup = sup_indicator_ratio(psi, args.n, j_max=args.j_max)
     value = args.n * sup  # lorentz_operator_norm, without a second search
     payload = {
@@ -170,7 +170,6 @@ def _estimate_line(label: str, est) -> str:
 def _cmd_classify(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     psi = parse_generator(args.psi)
     grid = GridConfig(j_max=args.j_max, window=args.window)
-    _check_caps(n_list=args.n_list, j_max=grid.j_max)
     report = classify(
         psi,
         k_list=tuple(args.k_list),
@@ -228,26 +227,18 @@ def _kruglov_lines(verdict, threshold: float) -> List[str]:
 
 def _cmd_kruglov(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     phi = parse_generator(args.psi)
-    _check_caps(max_terms=args.max_terms)
     t_grid = DEFAULT_KRUGLOV_T_GRID if args.t_grid is None else tuple(args.t_grid)
     verdict = kruglov_check(
         phi, t_grid=t_grid, num_terms=args.max_terms, threshold=args.threshold
     )
     payload = {"command": "kruglov", "psi": args.psi, "threshold": args.threshold}
     payload.update(_jsonable(verdict))
-    return (
-        payload,
-        _kruglov_lines(verdict, args.threshold),
-        None,
-        1 if verdict.inconclusive else 0,
-    )
+    lines = _kruglov_lines(verdict, args.threshold)
+    return payload, lines, None, 1 if verdict.inconclusive else 0
 
 
 def _cmd_growth(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     space = parse_space(args.space)
-    _check_caps(ns=args.ns)
-    if args.mode == "mc":
-        _check_caps(trials=args.trials, m=args.m)
     sampler = parse_sampler(args.sampler, args.seed) if args.sampler else None
     fit = growth_table(space, args.ns, mode=args.mode, sampler=sampler,
                        trials=args.trials, m=args.m, burn_in=args.burn_in)
@@ -278,7 +269,10 @@ def _cmd_growth(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors as one ``<prog>: error: <message>`` line and exit 2, no usage block."""
+    """Usage errors as one ``<prog>: error: <message>`` line and exit 2; no option prefixes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -306,13 +300,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("norm", help="norm of a step function in a space")
     p.add_argument("--space", required=True, help="e.g. lorentz:power:0.5, orlicz:np:2, lpq:2:1")
-    p.add_argument("--indicator", help="measure of an indicator input, e.g. 0.25 or 1/4")
-    p.add_argument("--step", help="JSON file holding a step function")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--indicator", help="measure of an indicator input, e.g. 0.25 or 1/4")
+    one.add_argument("--step", help="JSON file holding a step function")
     common(p)
 
     p = sub.add_parser("opnorm", help="norm of the n-fold averaged operator")
     p.add_argument("--psi", required=True, help="generator token, e.g. power:0.5")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_capped("n"), required=True)
     p.add_argument("--j-max", type=int, default=40, help="u-grid depth in octaves")
     common(p)
 
@@ -320,9 +315,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", required=True)
     p.add_argument("--k-list", type=ints, default=[2, 3, 4])
     p.add_argument("--l-list", type=ints, default=[2, 3])
-    p.add_argument("--n-list", type=ints, default=[2, 4, 8, 16, 32, 64])
+    p.add_argument("--n-list", type=_list_of(_capped("n_list"), "integers"),
+                   default=[2, 4, 8, 16, 32, 64])
     p.add_argument("--margin", type=float, default=1e-3)
-    p.add_argument("--j-max", type=int, default=CLASSIFY_GRID.j_max)
+    p.add_argument("--j-max", type=_capped("j_max"), default=CLASSIFY_GRID.j_max)
     p.add_argument("--window", type=int, default=CLASSIFY_GRID.window)
     p.add_argument("--with-kruglov", action="store_true")
     common(p)
@@ -330,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kruglov", help="compound-Poisson series probe")
     p.add_argument("--psi", required=True)
     p.add_argument("--t-grid", type=floats, default=None)
-    p.add_argument("--max-terms", type=int, default=1_048_576)
+    p.add_argument("--max-terms", type=_capped("max_terms"), default=1_048_576)
     p.add_argument("--threshold", type=float, default=1e3,
                    help="divergence bound on the partial sums; finite and > 1, "
                    "since the first term is 1")
@@ -340,12 +336,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--space", required=True)
         p.add_argument("--sampler", required=sampler_required,
                        help="rademacher | signed:U | gauss | custom:CSV")
-        p.add_argument("--trials", type=int, default=100_000)
-        p.add_argument("--m", type=int, default=4096)
+        p.add_argument("--trials", type=_capped("trials"), default=100_000)
+        p.add_argument("--m", type=_capped("m"), default=4096)
         p.add_argument("--seed", type=_seed, help="defaults to RISPACES_SEED or 0")
 
     p = sub.add_parser("growth", help="norm-vs-n table and power fit")
-    p.add_argument("--ns", type=ints, required=True,
+    p.add_argument("--ns", type=_list_of(_capped("ns"), "integers"), required=True,
                    help="comma-separated sizes, e.g. 16,32,64,128")
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
     p.add_argument("--burn-in", type=int, default=2)
@@ -353,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, formats=("text", "json", "csv"))
 
     p = sub.add_parser("mc", help="Monte Carlo norm of an i.i.d. sum")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_capped("n"), required=True)
     experiment(p, sampler_required=True)
     common(p)
 
@@ -384,9 +380,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if "seed" in args and args.seed is None:  # no --seed argument
-            env_seed = os.environ.get("RISPACES_SEED", "0")
             try:
-                args.seed = _seed(env_seed)
+                args.seed = _seed(os.environ.get("RISPACES_SEED", "0"))
             except argparse.ArgumentTypeError as exc:
                 raise ValueError(f"RISPACES_SEED {exc}") from None
         payload, lines, rows, code = _HANDLERS[args.command](args)

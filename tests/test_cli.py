@@ -73,13 +73,11 @@ def test_norm_step_with_rational_ends_that_round_backward_is_finite(capsys, tmp_
 
 
 def test_norm_requires_exactly_one_input(capsys):
-    code, _, err = run_cli(capsys, "norm", "--space", "lorentz:power:1")
-    assert code == 2
-    assert err.startswith("error:")
-    code, _, err = run_cli(
+    assert run_cli(capsys, "norm", "--space", "lorentz:power:1") == (
+        2, "", "rispaces norm: error: one of the arguments --indicator --step is required\n")
+    assert run_cli(
         capsys, "norm", "--space", "lorentz:power:1", "--indicator", "0.5", "--step", "x.json"
-    )
-    assert code == 2
+    ) == (2, "", "rispaces norm: error: argument --step: not allowed with argument --indicator\n")
 
 
 def test_norm_json_format(capsys):
@@ -232,6 +230,29 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     assert err == "rispaces: error: unrecognized arguments: --trails=500\n"
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("--space", "lpq:2:1", "--n", "4,8,16,64"),
+         "rispaces growth: error: the following arguments are required: --ns\n"),
+        (("--space", "lpq:2:1", "--ns", "4,8,16,64", "--tri", "5"),
+         "rispaces: error: unrecognized arguments: --tri 5\n"),
+        (("@{mc}",), "rispaces growth: error: the following arguments are required: --ns\n"),
+        (("@{mc}", "--ns", "16,32,64,128"), "rispaces: error: unrecognized arguments: --n=64\n"),
+    ],
+    ids=["n-for-ns", "tri-for-trials", "mc-file", "mc-file-with-ns"],
+)
+def test_option_prefixes_are_not_options(capsys, monkeypatch, tmp_path, argv, err):
+    # a prefix of an option would run a different experiment, so it is no option
+    def no_compute(*args, **kwargs):
+        raise AssertionError("ran an experiment on a prefix of an option")
+
+    monkeypatch.setattr(cli, "growth_table", no_compute)
+    mc = tmp_path / "mc.args"
+    mc.write_text("--space=lpq:2:1\n--sampler=rademacher\n--n=64\n--trials=1000\n--m=256\n")
+    assert run_cli(capsys, "growth", *(a.format(mc=mc) for a in argv)) == (2, "", err)
+
+
 def test_argument_file_skips_blank_and_comment_lines(capsys, tmp_path):
     cfg = tmp_path / "exp.args"
     cfg.write_text("\n# the size\n  --n=4  \n\n   # the trials\n--trials=1000\n\n")
@@ -325,38 +346,50 @@ def test_cli_defaults_are_the_library_defaults(capsys):
 
 
 _MC = ("mc", "--space", "lorentz:power:1", "--sampler", "rademacher")
-_GROWTH_MC = ("growth", "--space", "lpq:2:1", "--mode", "mc", "--sampler", "rademacher")
+_GROWTH = ("growth", "--space", "lpq:2:1")
+_GROWTH_MC = (*_GROWTH, "--mode", "mc", "--sampler", "rademacher")
+# every size cap, by each command that reads it: the arguments before the capped
+# option, the option, its value (with the value past the cap for "{}") and its key
+_CAPPED = {
+    "mc-n": (_MC, "--n", "{}", "n"),
+    "mc-trials": ((*_MC, "--n", "4"), "--trials", "{}", "trials"),
+    "mc-m": ((*_MC, "--n", "4"), "--m", "{}", "m"),
+    "opnorm-n": (("opnorm", "--psi", "power:0.5"), "--n", "{}", "n"),
+    "classify-n-list": (("classify", "--psi", "power:0.5"), "--n-list", "2,4,{}", "n_list"),
+    "classify-j-max": (("classify", "--psi", "power:0.5"), "--j-max", "{}", "j_max"),
+    "kruglov-max-terms": (("kruglov", "--psi", "power:1"), "--max-terms", "{}", "max_terms"),
+    "growth-exact-ns": (_GROWTH, "--ns", "4,16,{}", "ns"),
+    "growth-ns": (_GROWTH_MC, "--ns", "16,32,64,{}", "ns"),
+    "growth-trials": ((*_GROWTH_MC, "--ns", "16,32,64,128"), "--trials", "{}", "trials"),
+    "growth-m": ((*_GROWTH_MC, "--ns", "16,32,64,128"), "--m", "{}", "m"),
+    "growth-exact-trials": ((*_GROWTH, "--ns", "16,32,64,128"), "--trials", "{}", "trials"),
+    "growth-exact-m": ((*_GROWTH, "--ns", "16,32,64,128"), "--m", "{}", "m"),
+}
 
 
-@pytest.mark.parametrize(
-    "argv, config, key",
-    [
-        ((*_MC, "--n", "{n}"), "", "n"),
-        ((*_MC, "--n", "4", "--trials", "{trials}"), "", "trials"),
-        ((*_MC, "--n", "4", "--m", "{m}"), "", "m"),
-        ((*_MC,), "--n=4\n--m={m}\n", "m"),
-        ((*_GROWTH_MC, "--ns", "16,32,64,{ns}"), "", "ns"),
-        ((*_GROWTH_MC, "--ns", "16,32,64,128", "--trials", "{trials}"), "", "trials"),
-        ((*_GROWTH_MC, "--ns", "16,32,64,128", "--m", "{m}"), "", "m"),
-        ((*_GROWTH_MC,), "--ns=16,32,64,128\n--trials={trials}\n", "trials"),
-    ],
-    ids=["mc-n", "mc-trials", "mc-m", "mc-config-m", "growth-ns", "growth-trials", "growth-m",
-         "growth-config-trials"],
-)
-def test_monte_carlo_sizes_past_caps_exit_two(capsys, monkeypatch, tmp_path, argv, config, key):
-    def no_draws(*args):
-        raise AssertionError("drew samples past a size cap")
+@pytest.mark.parametrize("case, config", [
+    pytest.param(case, config, id=case.replace("-", "-config-", 1) if config else case)
+    for case in _CAPPED for config in (False, True)])
+def test_monte_carlo_sizes_past_caps_exit_two(capsys, monkeypatch, tmp_path, case, config):
+    # every size cap, Monte Carlo or not, refused by the parser from a flag or an
+    # argument file line, before any token is read or anything computed
+    def no_compute(*args, **kwargs):
+        raise AssertionError("read a token or computed past a size cap")
 
-    monkeypatch.setattr(experiments, "_draw_sums", no_draws)
-    over = {k: cap + 1 for k, cap in _CAPS.items()}
-    argv = [a.format(**over) for a in argv]
+    for name in ("parse_space", "parse_generator", "parse_sampler", "sup_indicator_ratio",
+                 "classify", "kruglov_check", "growth_table", "mc_iid_sum_norm"):
+        monkeypatch.setattr(cli, name, no_compute)
+    monkeypatch.setattr(experiments, "_draw_sums", no_compute)
+    argv, option, value, key = _CAPPED[case]
+    over = _CAPS[key] + 1
+    given = f"{option}={value.format(over)}"
     if config:
         cfg = tmp_path / "exp.args"
-        cfg.write_text(config.format(**over))
-        argv.append(f"@{cfg}")
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err == f"error: {key} = {over[key]} is past its cap of {_CAPS[key]}\n"
+        cfg.write_text(given + "\n")
+        given = f"@{cfg}"
+    assert run_cli(capsys, *argv, given) == (
+        2, "", f"rispaces {argv[0]}: error: argument {option}: {over} is past its cap of "
+        f"{_CAPS[key]}\n")
 
 
 @pytest.mark.parametrize(
@@ -442,30 +475,6 @@ def test_custom_law_whose_sum_can_overflow_exits_two(capsys, monkeypatch, tmp_pa
         code, out, err = run_cli(capsys, argv[0], *mc, "--sampler", f"custom:{e308}", *argv[1:])
         assert code == 2 and out == ""
         assert err == f"error: a sum of n = {n} draws of atom 1e+308 can pass the float range\n"
-
-
-@pytest.mark.parametrize(
-    "argv, target, key",
-    [
-        (("opnorm", "--psi", "power:0.5", "--n", "{n}"), "sup_indicator_ratio", "n"),
-        (("classify", "--psi", "power:0.5", "--n-list", "2,4,{n_list}"), "classify", "n_list"),
-        (("classify", "--psi", "power:0.5", "--j-max", "{j_max}"), "classify", "j_max"),
-        (("kruglov", "--psi", "power:1", "--max-terms", "{max_terms}"), "kruglov_check",
-         "max_terms"),
-        (("growth", "--space", "orlicz:np:2", "--ns", "4,16,{ns}"), "growth_table", "ns"),
-    ],
-    ids=["opnorm-n", "classify-n-list", "classify-j-max", "kruglov-max-terms",
-         "growth-exact-ns"],
-)
-def test_operator_sizes_past_caps_exit_two(capsys, monkeypatch, argv, target, key):
-    def no_compute(*args, **kwargs):
-        raise AssertionError("computed past a size cap")
-
-    monkeypatch.setattr(cli, target, no_compute)
-    over = {k: cap + 1 for k, cap in _CAPS.items()}
-    code, out, err = run_cli(capsys, *(a.format(**over) for a in argv))
-    assert code == 2 and out == ""
-    assert err == f"error: {key} = {over[key]} is past its cap of {_CAPS[key]}\n"
 
 
 def test_mc_deterministic_output(capsys):
