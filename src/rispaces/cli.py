@@ -7,10 +7,10 @@ series, and ``mc`` prices a Monte Carlo i.i.d. sum.
 
 Output is deterministic byte for byte: floats render with repr, JSON sorts
 its keys, and every random draw is seeded (the last ``--seed``, typed or read
-from an ``@FILE``, then the RISPACES_SEED variable, then 0).  Exit codes:
-0 on a conclusive result, 1 when a verdict is inconclusive, a fit is
-degenerate or a numerical search does not converge, 2 on usage or input errors.
-The parser checks every option, size caps included, before any token is read.
+from an ``@FILE``, else 0).  Exit codes: 0 on a conclusive result, 1 when a
+verdict is inconclusive, a fit is degenerate or a numerical search does not
+converge, 2 on usage or input errors.  The parser is the one source of every
+value a command reads, defaults included, and checks each before any token is read.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -71,7 +70,7 @@ def _list_of(conv, kind: str):
 
 
 def _seed(text: str) -> int:
-    # NumPy seeds are non-negative; the flag and RISPACES_SEED both come here
+    # NumPy seeds are non-negative; a --seed typed or read from an @FILE comes here
     try:
         seed = int(text)
     except ValueError:
@@ -81,12 +80,13 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _parse_measure(text: str):
+def _measure(text: str):
     # "1/4" stays an exact rational; "0.25" goes through the float path
     try:
         return Fraction(text) if "/" in text else float(text)
-    except ZeroDivisionError:
-        raise ValueError(f"measure {text!r} divides by zero") from None
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a measure such as 0.25 or 1/4, got {text!r}") from None
 
 
 # Caps on the values that size memory, each checked by its option's type, so
@@ -114,7 +114,7 @@ def _capped(key: str):
 def _cmd_norm(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     space = parse_space(args.space)
     if args.indicator is not None:
-        f = StepFunction.indicator(_parse_measure(args.indicator))
+        f = StepFunction.indicator(args.indicator)
     else:
         with open(args.step) as fh:
             f = StepFunction.from_json_dict(json.load(fh))
@@ -127,16 +127,9 @@ def _cmd_mc(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     space = parse_space(args.space)
     sampler = parse_sampler(args.sampler, args.seed)
     value = mc_iid_sum_norm(sampler, args.n, space, trials=args.trials, m=args.m)
-    payload = {
-        "command": "mc",
-        "space": space_label(space),
-        "sampler": sampler.label(),
-        "n": args.n,
-        "trials": args.trials,
-        "m": args.m,
-        "seed": args.seed,
-        "norm": value,
-    }
+    payload = {"command": "mc", "space": space_label(space), "sampler": sampler.label(),
+               "n": args.n, "trials": args.trials, "m": args.m, "seed": args.seed,
+               "norm": value}
     return payload, [_fmt(value)], None, 0
 
 
@@ -144,14 +137,8 @@ def _cmd_opnorm(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     psi = parse_generator(args.psi)
     sup = sup_indicator_ratio(psi, args.n, j_max=args.j_max)
     value = args.n * sup  # lorentz_operator_norm, without a second search
-    payload = {
-        "command": "opnorm",
-        "psi": args.psi,
-        "n": args.n,
-        "j_max": args.j_max,
-        "opnorm": value,
-        "sup_ratio": sup,
-    }
+    payload = {"command": "opnorm", "psi": args.psi, "n": args.n, "j_max": args.j_max,
+               "opnorm": value, "sup_ratio": sup}
     lines = [
         f"||A_n|| = {_fmt(value)}   (n = {args.n}, psi = {args.psi})",
         f"sup ratio = {_fmt(sup)}   [u-grid j <= {args.j_max} + golden refine]",
@@ -227,10 +214,8 @@ def _kruglov_lines(verdict, threshold: float) -> List[str]:
 
 def _cmd_kruglov(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     phi = parse_generator(args.psi)
-    t_grid = DEFAULT_KRUGLOV_T_GRID if args.t_grid is None else tuple(args.t_grid)
-    verdict = kruglov_check(
-        phi, t_grid=t_grid, num_terms=args.max_terms, threshold=args.threshold
-    )
+    verdict = kruglov_check(phi, t_grid=args.t_grid, num_terms=args.max_terms,
+                            threshold=args.threshold)
     payload = {"command": "kruglov", "psi": args.psi, "threshold": args.threshold}
     payload.update(_jsonable(verdict))
     lines = _kruglov_lines(verdict, args.threshold)
@@ -278,9 +263,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
     def convert_arg_line_to_args(self, arg_line):
-        # an @FILE holds one argument a line; blank lines and # comments hold none
+        # an @FILE holds one argument a line; blank lines and # comments hold none,
+        # and a line naming another @FILE is refused, so no file can name itself
         line = arg_line.strip()
+        if line.startswith("@"):
+            self.error(f"an argument file cannot name another argument file: {line}")
         return [line] if line and not line.startswith("#") else []
+
+    def _read_args_from_files(self, arg_strings):
+        # argparse's reader decodes in the locale's encoding and makes only an OSError
+        # a usage error; here an @FILE is UTF-8, and one that fails is one error line
+        args = []
+        for arg in arg_strings:
+            if not arg.startswith("@"):
+                args.append(arg)
+                continue
+            try:
+                with open(arg[1:], encoding="utf-8") as fh:
+                    lines = fh.read().splitlines()
+            except OSError as exc:
+                self.error(str(exc))
+            except UnicodeDecodeError as exc:
+                self.error(f"cannot decode argument file {arg[1:]!r}: {exc}")
+            args += [a for line in lines for a in self.convert_arg_line_to_args(line)]
+        return args
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -294,22 +300,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     ints, floats = _list_of(int, "integers"), _list_of(float, "floats")
 
-    def common(p, formats=("text", "json")):
+    def common(p, run, formats=("text", "json")):
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", help="write the report to this file instead of stdout")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("norm", help="norm of a step function in a space")
     p.add_argument("--space", required=True, help="e.g. lorentz:power:0.5, orlicz:np:2, lpq:2:1")
     one = p.add_mutually_exclusive_group(required=True)
-    one.add_argument("--indicator", help="measure of an indicator input, e.g. 0.25 or 1/4")
+    one.add_argument("--indicator", type=_measure,
+                     help="measure of an indicator input, e.g. 0.25 or 1/4")
     one.add_argument("--step", help="JSON file holding a step function")
-    common(p)
+    common(p, _cmd_norm)
 
     p = sub.add_parser("opnorm", help="norm of the n-fold averaged operator")
     p.add_argument("--psi", required=True, help="generator token, e.g. power:0.5")
     p.add_argument("--n", type=_capped("n"), required=True)
     p.add_argument("--j-max", type=int, default=40, help="u-grid depth in octaves")
-    common(p)
+    common(p, _cmd_opnorm)
 
     p = sub.add_parser("classify", help="growth dichotomy for a generator")
     p.add_argument("--psi", required=True)
@@ -321,16 +329,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j-max", type=_capped("j_max"), default=CLASSIFY_GRID.j_max)
     p.add_argument("--window", type=int, default=CLASSIFY_GRID.window)
     p.add_argument("--with-kruglov", action="store_true")
-    common(p)
+    common(p, _cmd_classify)
 
     p = sub.add_parser("kruglov", help="compound-Poisson series probe")
     p.add_argument("--psi", required=True)
-    p.add_argument("--t-grid", type=floats, default=None)
+    p.add_argument("--t-grid", type=floats, default=DEFAULT_KRUGLOV_T_GRID)
     p.add_argument("--max-terms", type=_capped("max_terms"), default=1_048_576)
     p.add_argument("--threshold", type=float, default=1e3,
                    help="divergence bound on the partial sums; finite and > 1, "
                    "since the first term is 1")
-    common(p)
+    common(p, _cmd_kruglov)
 
     def experiment(p, sampler_required):
         p.add_argument("--space", required=True)
@@ -338,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="rademacher | signed:U | gauss | custom:CSV")
         p.add_argument("--trials", type=_capped("trials"), default=100_000)
         p.add_argument("--m", type=_capped("m"), default=4096)
-        p.add_argument("--seed", type=_seed, help="defaults to RISPACES_SEED or 0")
+        p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("growth", help="norm-vs-n table and power fit")
     p.add_argument("--ns", type=_list_of(_capped("ns"), "integers"), required=True,
@@ -346,24 +354,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
     p.add_argument("--burn-in", type=int, default=2)
     experiment(p, sampler_required=False)
-    common(p, formats=("text", "json", "csv"))
+    common(p, _cmd_growth, formats=("text", "json", "csv"))
 
     p = sub.add_parser("mc", help="Monte Carlo norm of an i.i.d. sum")
     p.add_argument("--n", type=_capped("n"), required=True)
     experiment(p, sampler_required=True)
-    common(p)
+    common(p, _cmd_mc)
 
     return parser
-
-
-_HANDLERS = {
-    "norm": _cmd_norm,
-    "opnorm": _cmd_opnorm,
-    "classify": _cmd_classify,
-    "kruglov": _cmd_kruglov,
-    "growth": _cmd_growth,
-    "mc": _cmd_mc,
-}
 
 
 def _render(payload, lines, rows, fmt: str) -> str:
@@ -379,12 +377,7 @@ def _render(payload, lines, rows, fmt: str) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if "seed" in args and args.seed is None:  # no --seed argument
-            try:
-                args.seed = _seed(os.environ.get("RISPACES_SEED", "0"))
-            except argparse.ArgumentTypeError as exc:
-                raise ValueError(f"RISPACES_SEED {exc}") from None
-        payload, lines, rows, code = _HANDLERS[args.command](args)
+        payload, lines, rows, code = args.run(args)
         text = _render(payload, lines, rows, args.format)
         if args.out:
             with open(args.out, "w") as fh:

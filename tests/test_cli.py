@@ -268,6 +268,24 @@ def test_missing_argument_file_exits_two(capsys, tmp_path):
     assert str(missing) in err
 
 
+def test_argument_file_naming_itself_exits_two(capsys, tmp_path):
+    # argparse reads an @ line of a file as a file in turn, so a file that
+    # names itself would recurse until RecursionError
+    cfg = tmp_path / "self.args"
+    cfg.write_text(f"--trials=1000\n@{cfg}\n")
+    assert run_cli(capsys, *_MC_ARGS, f"@{cfg}") == (
+        2, "", f"rispaces: error: an argument file cannot name another argument file: @{cfg}\n")
+
+
+def test_argument_file_that_is_not_utf8_exits_two(capsys, tmp_path):
+    # argparse's reader turns only an OSError into a usage error
+    bad = tmp_path / "bad.args"
+    bad.write_bytes(b"\xff\xfe--space=lpq:2:1\n")
+    assert run_cli(capsys, "norm", f"@{bad}", "--indicator", "1/4") == (
+        2, "", f"rispaces: error: cannot decode argument file {str(bad)!r}: 'utf-8' codec "
+        "can't decode byte 0xff in position 0: invalid start byte\n")
+
+
 @pytest.mark.parametrize(
     "argv, config, err",
     [
@@ -336,6 +354,8 @@ def test_cli_defaults_are_the_library_defaults(capsys):
         *(("mc", d, experiments.mc_iid_sum_norm, d) for d in ("trials", "m")),
         *(("growth", d, experiments.growth_table, d) for d in ("trials", "m", "burn_in", "mode")),
         ("growth", "burn_in", experiments.fit_growth, "burn_in"),
+        ("kruglov", "t_grid", dichotomy.kruglov_check, "t_grid"),
+        *((command, "seed", experiments.SamplerSpec, "seed") for command in ("mc", "growth")),
     ]:
         default = sub.choices[command].get_default(dest)
         default = tuple(default) if isinstance(default, list) else default
@@ -486,46 +506,33 @@ def test_mc_deterministic_output(capsys):
     assert out1 == out2
 
 
-def test_seed_env_default(capsys, monkeypatch):
-    args = ("mc", "--space", "lorentz:power:1", "--sampler", "rademacher",
-            "--n", "8", "--trials", "2000", "--m", "256", "--format", "json")
-    monkeypatch.setenv("RISPACES_SEED", "123")
-    _, out1, _ = run_cli(capsys, *args)
-    assert json.loads(out1)["seed"] == 123
-    monkeypatch.setenv("RISPACES_SEED", "124")
-    _, out2, _ = run_cli(capsys, *args)
-    assert json.loads(out2)["seed"] == 124
-    assert json.loads(out1)["norm"] != json.loads(out2)["norm"]
-
-
-def test_seed_env_read_only_when_no_seed_is_given(capsys, monkeypatch, tmp_path):
+def test_seed_variable_is_not_read(capsys, monkeypatch):
+    # the parser is the one source of the seed: without --seed it is 0, whatever
+    # the environment holds
     args = ("mc", "--space", "lpq:2:1", "--sampler", "rademacher", "--n", "4",
-            "--trials", "1000", "--m", "256", "--format", "json")
-    cfg = tmp_path / "exp.args"
-    cfg.write_text("--seed=3\n")
-    monkeypatch.setenv("RISPACES_SEED", "abc")
-    code, out, err = run_cli(capsys, *args, "--seed", "3")
-    assert (code, err) == (0, "")
-    assert run_cli(capsys, *args, f"@{cfg}") == (code, out, err)
-    assert json.loads(out)["seed"] == 3
-    assert run_cli(capsys, *args) == (2, "", "error: RISPACES_SEED must be an integer, "
-                                      "got 'abc'\n")
+            "--trials", "1000", "--m", "256")
+    monkeypatch.delenv("RISPACES_SEED", raising=False)
+    unset = run_cli(capsys, *args)
+    _, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert unset[0] == 0 and json.loads(out)["seed"] == 0
+    for value in ("5", "abc", "-5"):
+        monkeypatch.setenv("RISPACES_SEED", value)
+        assert run_cli(capsys, *args) == unset, value
+        assert json.loads(run_cli(capsys, *args, "--format", "json")[1])["seed"] == 0, value
 
 
 _MC_ARGS = ("mc", "--space", "lpq:2:1", "--sampler", "rademacher", "--n", "4",
             "--trials", "1000", "--m", "256")
 
 
-@pytest.mark.parametrize("source", ["flag", "config", "env"])
-def test_negative_seed_is_refused_naming_its_source(capsys, monkeypatch, tmp_path, source):
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_is_refused_naming_its_source(capsys, tmp_path, source):
     # NumPy refuses a negative seed with a message that names neither source
     cfg = tmp_path / "exp.args"
     cfg.write_text("--seed=-5\n")
-    extra = {"flag": ("--seed=-5",), "config": (f"@{cfg}",), "env": ()}[source]
-    monkeypatch.setenv("RISPACES_SEED", "-5" if source == "env" else "0")
-    err = ("error: RISPACES_SEED must be a non-negative integer, got '-5'\n" if source == "env"
-           else "rispaces mc: error: argument --seed: must be a non-negative integer, got '-5'\n")
-    assert run_cli(capsys, *_MC_ARGS, *extra) == (2, "", err)
+    extra = {"flag": ("--seed=-5",), "config": (f"@{cfg}",)}[source]
+    assert run_cli(capsys, *_MC_ARGS, *extra) == (
+        2, "", "rispaces mc: error: argument --seed: must be a non-negative integer, got '-5'\n")
 
 
 def test_repeated_option_in_an_argument_file_takes_the_last_value(capsys, tmp_path):
@@ -633,12 +640,16 @@ def test_console_script_round_trip(child_env):
         (("growth", "--space", "lpq:2:1"), "rispaces growth: error:", "required: --ns"),
         (("norm", "--space", "orlicz:foo:2", "--indicator", "1/4"), "error:",
          "unknown Orlicz family 'foo'"),
+        *((("norm", "--space", "lpq:2:1", "--indicator", bad),
+           "rispaces norm: error: argument --indicator:", f"got {bad!r}")
+          for bad in ("1/0", "abc", "1.5/2")),
     ],
     ids=["lpq-inf", "logpow-inf", "negative-j-max", "underflowing-j-max", "subnormal-j-max",
          "option-like-value", "lpq-q-past-1e300", "n-list-zero-failing-conditions", "nan-margin", "inf-margin", "negative-threshold", "nan-threshold", "half-threshold",
          "unit-threshold", "empty-t-grid", "comma-t-grid", "t-above-one-after-crossing",
          "nan-t-after-crossing", "unwritable-out", "table-without-path", "custom-without-path",
-         "mc-without-n", "growth-without-ns", "unknown-orlicz-family"],
+         "mc-without-n", "growth-without-ns", "unknown-orlicz-family",
+         "indicator-over-zero", "indicator-not-a-number", "indicator-float-over-int"],
 )
 def test_invalid_parameters_exit_two(capsys, argv, lead, fragment):
     code, out, err = run_cli(capsys, *argv)

@@ -1,7 +1,8 @@
-"""Guards for deletions: no module keeps an import nothing uses or imports SciPy,
-every private name and public method has a caller, one module holds the chunk
-size, the integer checks and the token errors, and the records are NamedTuples
-but one, and the package exports exactly the names in ``test_oracles.ORACLES``."""
+"""Guards for deletions: no module keeps an import nothing uses, imports SciPy or
+reads the environment, every private name and public method has a caller, one
+module holds the chunk size, the integer checks and the token errors, and the
+records are NamedTuples but one, and the package exports exactly the names in
+``test_oracles.ORACLES``."""
 
 import ast
 import re
@@ -166,6 +167,31 @@ def test_scipy_import_check_sees_one():
     tree = ast.parse("import numpy as np\n\ndef f():\n    from scipy import special\n"
                      "    return special\n")
     assert _imported_roots(tree) == {"numpy", "scipy"}
+
+
+def _environment_reads(tree: ast.Module):
+    """Lines that read the environment: ``os.environ``, ``os.getenv`` or either
+    imported from ``os``."""
+    names = ("environ", "getenv")
+    lines = [n.lineno for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr in names
+             and isinstance(n.value, ast.Name) and n.value.id == "os"]
+    lines += [n.lineno for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+              and n.module == "os" and any(a.name in names for a in n.names)]
+    return sorted(lines)
+
+
+def test_no_module_reads_the_environment():
+    # the CLI's parser is the one source of every value a run reads
+    reads = {p.name: _environment_reads(ast.parse(p.read_text(), str(p)))
+             for p in MODULES + [SRC / "__init__.py"]}
+    assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def test_environment_check_sees_one():
+    tree = ast.parse("import os\nfrom os import getenv, sep\n\n"
+                     "def f():\n    return os.environ.get('X'), os.path.sep\n")
+    assert _environment_reads(tree) == [2, 5]
 
 
 def _dataclasses(tree: ast.Module):
