@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -92,8 +93,9 @@ def _measure(text: str):
 # Caps on the values that size memory, each checked by its option's type, so
 # before any token is read: Monte Carlo sums, draw chunks and quantile pieces,
 # walk laws (O(n) floats each) and limit grids (O(j_max)); the Kruglov probe
-# sums in bounded chunks, so its term cap bounds time only.
-_CAPS = {"n": 2**20, "ns": 2**20, "n_list": 2**20, "trials": 10**7, "m": 10**7,
+# sums in bounded chunks, so its term cap bounds time only, as does classify's
+# n-list cap, since its witness loop prices ||A_s|| for every s <= n0.
+_CAPS = {"n": 2**20, "ns": 2**20, "n_list": 2**10, "trials": 10**7, "m": 10**7,
          "j_max": 10**5, "max_terms": 2**22}
 
 
@@ -375,6 +377,10 @@ def _render(payload, lines, rows, fmt: str) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if argv is None:
+        # the process entry: freezing the import-time heap spares it the collections at
+        # exit (about 30 ms a command); a caller passing argv keeps its collector as is
+        gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
         payload, lines, rows, code = args.run(args)

@@ -61,3 +61,8 @@ def tracer():
 @pytest.fixture(scope="session")
 def samebits():
     return _load(ROOT / "tools" / "samebits.py")
+
+
+@pytest.fixture(scope="session")
+def compare():
+    return _load(ROOT / "tools" / "compare.py")

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import gc
 import inspect
 import io
 import json
@@ -591,6 +592,19 @@ def test_console_script_round_trip(child_env):
     )
     assert proc.returncode == 0
     assert proc.stdout == "0.5\n"
+
+
+def test_only_the_process_entry_freezes_the_heap(capsys, monkeypatch):
+    # main() as the process entry spares the import-time heap the collections at
+    # exit; a caller that passes argv (a test, the tracer, a library user) keeps
+    # its collector as it was
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append(1))
+    argv = ["norm", "--space", "lorentz:power:0.5", "--indicator", "0.25"]
+    monkeypatch.setattr(sys, "argv", ["rispaces", *argv])
+    assert main() == 0
+    assert capsys.readouterr().out == "0.5\n" and calls == [1]
+    assert run_cli(capsys, *argv) == (0, "0.5\n", "") and calls == [1]
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,8 @@
 """Guards for deletions: no module keeps an import nothing uses, imports SciPy or
-reads the environment, every private name and public method has a caller, one
-module holds the chunk size, the integer checks and the token errors, and the
-records are NamedTuples but one, and the package exports exactly the names in
-``test_oracles.ORACLES``."""
+reads the environment, none but the CLI touches the garbage collector, every
+private name and public method has a caller, one module holds the chunk size,
+the integer checks and the token errors, and the records are NamedTuples but
+one, and the package exports exactly the names in ``test_oracles.ORACLES``."""
 
 import ast
 import re
@@ -192,6 +192,31 @@ def test_environment_check_sees_one():
     tree = ast.parse("import os\nfrom os import getenv, sep\n\n"
                      "def f():\n    return os.environ.get('X'), os.path.sep\n")
     assert _environment_reads(tree) == [2, 5]
+
+
+def _collector_uses(tree: ast.Module):
+    """Lines that import the ``gc`` module, or anything from it, or read an
+    attribute of ``gc``."""
+    lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+             and isinstance(n.value, ast.Name) and n.value.id == "gc"]
+    lines += [n.lineno for n in ast.walk(tree)
+              if isinstance(n, ast.Import) and any(a.name == "gc" for a in n.names)
+              or isinstance(n, ast.ImportFrom) and n.module == "gc"]
+    return sorted(lines)
+
+
+def test_only_the_cli_touches_the_collector():
+    # cli.main freezes the heap only as the process entry; a library module that
+    # used gc would change the collector of any program that imports the package
+    uses = {p.name: _collector_uses(ast.parse(p.read_text(), str(p)))
+            for p in MODULES + [SRC / "__init__.py"] if p.name != "cli.py"}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def test_collector_check_sees_one():
+    tree = ast.parse("import os\nfrom gc import freeze\n\n"
+                     "def f():\n    import gc\n    gc.disable()\n    return os.sep\n")
+    assert _collector_uses(tree) == [2, 5, 6]
 
 
 def _dataclasses(tree: ast.Module):
