@@ -264,17 +264,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
-    def convert_arg_line_to_args(self, arg_line):
-        # an @FILE holds one argument a line; blank lines and # comments hold none,
-        # and a line naming another @FILE is refused, so no file can name itself
-        line = arg_line.strip()
-        if line.startswith("@"):
-            self.error(f"an argument file cannot name another argument file: {line}")
-        return [line] if line and not line.startswith("#") else []
-
     def _read_args_from_files(self, arg_strings):
         # argparse's reader decodes in the locale's encoding and makes only an OSError
-        # a usage error; here an @FILE is UTF-8, and one that fails is one error line
+        # a usage error; here an @FILE is UTF-8, and one that fails is one error line.
+        # It holds one argument a line; blank lines and # comments hold none, and a
+        # line naming another @FILE is refused, so no file can name itself
         args = []
         for arg in arg_strings:
             if not arg.startswith("@"):
@@ -287,7 +281,11 @@ class _Parser(argparse.ArgumentParser):
                 self.error(str(exc))
             except UnicodeDecodeError as exc:
                 self.error(f"cannot decode argument file {arg[1:]!r}: {exc}")
-            args += [a for line in lines for a in self.convert_arg_line_to_args(line)]
+            for line in map(str.strip, lines):
+                if line.startswith("@"):
+                    self.error(f"an argument file cannot name another argument file: {line}")
+                if line and not line.startswith("#"):
+                    args.append(line)
         return args
 
 

@@ -61,7 +61,8 @@ def indicator_ratio(psi: ConcaveGenerator, n: int, u) -> float:
     u = float(u)
     log_tails = signed_indicator_sum_log_tails(n, u)
     terms = np.exp(psi.log_eval(log_tails))
-    return float(math.fsum(terms) / (n * math.exp(psi.log_eval(math.log(u)))))
+    # fsum is correctly rounded; a list of Python floats spares it boxing each NumPy scalar
+    return float(math.fsum(terms.tolist()) / (n * math.exp(psi.log_eval(math.log(u)))))
 
 
 def sup_indicator_ratio(psi: ConcaveGenerator, n: int, j_max: int = 40) -> float:

@@ -1,4 +1,6 @@
+import contextlib
 import importlib.util
+import io
 import os
 import sys
 import tracemalloc
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import settings
 
 import rispaces
+from rispaces.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -15,6 +18,17 @@ ROOT = Path(__file__).resolve().parent.parent
 # that changed nothing; each test keeps its own max_examples.
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
+
+
+def run_main(*argv):
+    """(exit code, stdout, stderr) of ``rispaces.cli.main`` on ``argv``, in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture
@@ -49,18 +63,13 @@ def _load(path: Path):
         spec.loader.exec_module(module)  # leaves no bytecode cache in perfbench/ or tools/
     finally:
         sys.dont_write_bytecode = writes_bytecode
-        sys.path[:] = saved_path  # samebits puts perfbench/ first to import the harness
+        sys.path[:] = saved_path  # compare puts perfbench/ first to import the harness
     return module
 
 
 @pytest.fixture(scope="session")
 def tracer():
     return _load(ROOT / "perfbench" / "tracer.py")
-
-
-@pytest.fixture(scope="session")
-def samebits():
-    return _load(ROOT / "tools" / "samebits.py")
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,4 @@
 import argparse
-import contextlib
 import csv
 import gc
 import inspect
@@ -19,71 +18,63 @@ from hypothesis import strategies as st
 from rispaces import dichotomy, experiments, lorentz_operator_norm, power
 from rispaces import cli
 from rispaces.cli import _CAPS, main
+from conftest import run_main
 
 
-def run_cli(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse usage errors
-        code = exc.code
-    out = capsys.readouterr()
-    return code, out.out, out.err
-
-
-def test_norm_indicator_anchor(capsys):
-    code, out, err = run_cli(capsys, "norm", "--space", "lorentz:power:0.5", "--indicator", "0.25")
+def test_norm_indicator_anchor():
+    code, out, err = run_main("norm", "--space", "lorentz:power:0.5", "--indicator", "0.25")
     assert code == 0
     assert out == "0.5\n"
     assert err == ""
 
 
-def test_norm_rational_indicator(capsys):
-    code, out, _ = run_cli(capsys, "norm", "--space", "lpq:2:1", "--indicator", "1/4")
+def test_norm_rational_indicator():
+    code, out, _ = run_main("norm", "--space", "lpq:2:1", "--indicator", "1/4")
     assert code == 0
     assert float(out) == pytest.approx(0.5, rel=1e-12)
 
 
-def test_norm_step_file(capsys, tmp_path):
+def test_norm_step_file(tmp_path):
     p = tmp_path / "step.json"
     p.write_text(json.dumps({"breakpoints": [0.0, 0.25, 1.0], "values": [3.0, 0.0]}))
-    code, out, _ = run_cli(capsys, "norm", "--space", "lorentz:power:1", "--step", str(p))
+    code, out, _ = run_main("norm", "--space", "lorentz:power:1", "--step", str(p))
     assert code == 0
     assert float(out) == pytest.approx(0.75, rel=1e-12)
 
 
-def test_norm_step_keeps_a_value_one_ulp_apart(capsys, tmp_path):
+def test_norm_step_keeps_a_value_one_ulp_apart(tmp_path):
     # 1 + 2^-52 on a piece of measure 2e-316 used to absorb the 1.0 that follows it
     p = tmp_path / "step.json"
     p.write_text(json.dumps({"breakpoints": [0, 1e-300, 1.0000000000000002e-300, 1],
                              "values": [2.0, 1.0000000000000002, 1.0]}))
-    code, out, _ = run_cli(capsys, "norm", "--space", "lorentz:power:0.5", "--step", str(p))
+    code, out, _ = run_main("norm", "--space", "lorentz:power:0.5", "--step", str(p))
     assert (code, out) == (0, "1.0\n")
 
 
 @pytest.mark.parametrize("space", ["lorentz:power:0.5", "marcinkiewicz:logpow:2",
                                    "orlicz:np:2", "lpq:2:1"])
-def test_norm_step_with_rational_ends_that_round_backward_is_finite(capsys, tmp_path, space):
+def test_norm_step_with_rational_ends_that_round_backward_is_finite(tmp_path, space):
     # log((10^16 + 1) / 10^316) rounds 1.1e-13 below log(1 / 10^300): the middle
     # layer used to make lpq and marcinkiewicz print nan and orlicz give up
     p = tmp_path / "step.json"
     p.write_text(json.dumps({"breakpoints": ["0", f"1/{10**300}", f"{10**16 + 1}/{10**316}", "1"],
                              "values": [3, 2, 1]}))
-    code, out, err = run_cli(capsys, "norm", "--space", space, "--step", str(p))
+    code, out, err = run_main("norm", "--space", space, "--step", str(p))
     assert (code, err) == (0, "")
     assert math.isfinite(float(out))
 
 
-def test_norm_requires_exactly_one_input(capsys):
-    assert run_cli(capsys, "norm", "--space", "lorentz:power:1") == (
+def test_norm_requires_exactly_one_input():
+    assert run_main("norm", "--space", "lorentz:power:1") == (
         2, "", "rispaces norm: error: one of the arguments --indicator --step is required\n")
-    assert run_cli(
-        capsys, "norm", "--space", "lorentz:power:1", "--indicator", "0.5", "--step", "x.json"
+    assert run_main(
+        "norm", "--space", "lorentz:power:1", "--indicator", "0.5", "--step", "x.json"
     ) == (2, "", "rispaces norm: error: argument --step: not allowed with argument --indicator\n")
 
 
-def test_norm_json_format(capsys):
-    code, out, _ = run_cli(
-        capsys, "norm", "--space", "lorentz:power:0.5", "--indicator", "0.25",
+def test_norm_json_format():
+    code, out, _ = run_main(
+        "norm", "--space", "lorentz:power:0.5", "--indicator", "0.25",
         "--format", "json",
     )
     assert code == 0
@@ -92,39 +83,39 @@ def test_norm_json_format(capsys):
     assert payload["space"] == "lorentz:power:0.5"
 
 
-def test_opnorm_matches_library(capsys):
-    code, out, _ = run_cli(capsys, "opnorm", "--psi", "power:0.5", "--n", "2", "--format", "json")
+def test_opnorm_matches_library():
+    code, out, _ = run_main("opnorm", "--psi", "power:0.5", "--n", "2", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["opnorm"] == pytest.approx(lorentz_operator_norm(power(0.5), 2), rel=1e-12)
     assert payload["opnorm"] == pytest.approx(math.sqrt(8.0 / 3.0), abs=1e-9)
 
 
-def test_classify_linear_generator(capsys):
-    code, out, _ = run_cli(capsys, "classify", "--psi", "power:1")
+def test_classify_linear_generator():
+    code, out, _ = run_main("classify", "--psi", "power:1")
     assert code == 0
     assert "branch: NormEqualsN" in out
     assert "first condition" in out
 
 
-def test_classify_slowly_varying_generator(capsys):
-    code, out, _ = run_cli(capsys, "classify", "--psi", "example7")
+def test_classify_slowly_varying_generator():
+    code, out, _ = run_main("classify", "--psi", "example7")
     assert code == 0
     assert "branch: PowerBound" in out
     assert "witness n0 = 2" in out
 
 
-def test_classify_json_reparses_into_report(capsys):
-    code, out, _ = run_cli(capsys, "classify", "--psi", "power:0.5", "--format", "json")
+def test_classify_json_reparses_into_report():
+    code, out, _ = run_main("classify", "--psi", "power:0.5", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["branch"] == "PowerBound"
     assert payload["q"] == pytest.approx(0.7075187496394222, abs=1e-9)
 
 
-def test_classify_json_shape(capsys):
-    code, out, _ = run_cli(
-        capsys, "classify", "--psi", "power:0.5", "--k-list", "2,3,16", "--n-list", "16",
+def test_classify_json_shape():
+    code, out, _ = run_main(
+        "classify", "--psi", "power:0.5", "--k-list", "2,3,16", "--n-list", "16",
         "--format", "json",
     )
     assert code == 0
@@ -136,47 +127,47 @@ def test_classify_json_shape(capsys):
         assert set(est) == {"value", "grid_min", "window", "converged", "j_max"}
 
 
-def test_classify_shallow_grid_is_inconclusive(capsys):
+def test_classify_shallow_grid_is_inconclusive():
     # the slowly varying generator does not settle within 60 octaves
-    code, out, _ = run_cli(capsys, "classify", "--psi", "example7", "--j-max", "60")
+    code, out, _ = run_main("classify", "--psi", "example7", "--j-max", "60")
     assert code == 1
     assert "NOT converged" in out
 
 
-def test_kruglov_finite(capsys):
-    code, out, _ = run_cli(capsys, "kruglov", "--psi", "power:1", "--t-grid", "1,0.5,0.1")
+def test_kruglov_finite():
+    code, out, _ = run_main("kruglov", "--psi", "power:1", "--t-grid", "1,0.5,0.1")
     assert code == 0
     assert "finite" in out
-    payload_code, jout, _ = run_cli(
-        capsys, "kruglov", "--psi", "power:1", "--t-grid", "1,0.5,0.1", "--format", "json"
+    payload_code, jout, _ = run_main(
+        "kruglov", "--psi", "power:1", "--t-grid", "1,0.5,0.1", "--format", "json"
     )
     assert json.loads(jout)["sup_value"] == pytest.approx(math.e - 1.0, abs=1e-6)
 
 
-def test_kruglov_divergent(capsys):
-    code, out, _ = run_cli(capsys, "kruglov", "--psi", "example7", "--t-grid", "0.01")
+def test_kruglov_divergent():
+    code, out, _ = run_main("kruglov", "--psi", "example7", "--t-grid", "0.01")
     assert code == 0
     assert "divergent" in out
-    code, out, _ = run_cli(
-        capsys, "kruglov", "--psi", "example7", "--t-grid", "0.01", "--format", "json"
+    code, out, _ = run_main(
+        "kruglov", "--psi", "example7", "--t-grid", "0.01", "--format", "json"
     )
     assert code == 0
     assert '"sup_value": "inf"' in out
 
 
-def test_kruglov_inconclusive(capsys):
+def test_kruglov_inconclusive():
     # N = 8 terms of sum 1/n!: the N/4 sum 1.5 and the N sum 1.71827877 differ by > 1e-6
-    code, out, _ = run_cli(
-        capsys, "kruglov", "--psi", "power:1", "--t-grid", "1", "--max-terms", "8",
+    code, out, _ = run_main(
+        "kruglov", "--psi", "power:1", "--t-grid", "1", "--max-terms", "8",
         "--threshold", "1e9",
     )
     assert code == 1
     assert "INCONCLUSIVE" in out
 
 
-def test_growth_exact_csv(capsys):
-    code, out, _ = run_cli(
-        capsys, "growth", "--space", "marcinkiewicz:logpow:2",
+def test_growth_exact_csv():
+    code, out, _ = run_main(
+        "growth", "--space", "marcinkiewicz:logpow:2",
         "--ns", "16,32,64,128", "--format", "csv",
     )
     assert code == 0
@@ -186,7 +177,7 @@ def test_growth_exact_csv(capsys):
     assert len({r[2] for r in rows[1:]}) == 1  # one fit, repeated per row
 
 
-def test_growth_config_file_with_flag_override(capsys, tmp_path):
+def test_growth_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "exp.args"
     cfg.write_text(
         "# growth experiment\n"
@@ -198,7 +189,7 @@ def test_growth_config_file_with_flag_override(capsys, tmp_path):
         "--m=256\n"
         "--seed=9\n"
     )
-    code, out, _ = run_cli(capsys, "growth", f"@{cfg}", "--format", "json")
+    code, out, _ = run_main("growth", f"@{cfg}", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["seed"] == 9
@@ -206,26 +197,26 @@ def test_growth_config_file_with_flag_override(capsys, tmp_path):
     assert all(isinstance(p, list) and len(p) == 2 and isinstance(p[1], float)
                for p in payload["pairs"])
     # the later argument wins, so a flag overrides the file only after it
-    code2, out2, _ = run_cli(
-        capsys, "growth", f"@{cfg}", "--seed", "11", "--format", "json"
+    code2, out2, _ = run_main(
+        "growth", f"@{cfg}", "--seed", "11", "--format", "json"
     )
     assert json.loads(out2)["seed"] == 11
     assert json.loads(out2)["pairs"] != payload["pairs"]
 
 
-def test_config_parsing_errors(capsys, tmp_path):
+def test_config_parsing_errors(tmp_path):
     # a line is one argument, so a line that is not an option is left unrecognized
     bad = tmp_path / "bad.args"
     bad.write_text("space lorentz:power:1\n")
     argv = ("growth", "--space", "lorentz:power:1", "--ns", "16,32,64,128", f"@{bad}")
-    assert run_cli(capsys, *argv) == (
+    assert run_main(*argv) == (
         2, "", "rispaces: error: unrecognized arguments: space lorentz:power:1\n")
 
 
-def test_config_unknown_key_rejected(capsys, tmp_path):
+def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "exp.args"
     cfg.write_text("--trails=500\n")
-    code, out, err = run_cli(capsys, "mc", f"@{cfg}", "--space", "lorentz:power:1",
+    code, out, err = run_main("mc", f"@{cfg}", "--space", "lorentz:power:1",
                              "--sampler", "rademacher", "--n", "4")
     assert (code, out) == (2, "")
     assert err == "rispaces: error: unrecognized arguments: --trails=500\n"
@@ -243,7 +234,7 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     ],
     ids=["n-for-ns", "tri-for-trials", "mc-file", "mc-file-with-ns"],
 )
-def test_option_prefixes_are_not_options(capsys, monkeypatch, tmp_path, argv, err):
+def test_option_prefixes_are_not_options(monkeypatch, tmp_path, argv, err):
     # a prefix of an option would run a different experiment, so it is no option
     def no_compute(*args, **kwargs):
         raise AssertionError("ran an experiment on a prefix of an option")
@@ -251,38 +242,38 @@ def test_option_prefixes_are_not_options(capsys, monkeypatch, tmp_path, argv, er
     monkeypatch.setattr(cli, "growth_table", no_compute)
     mc = tmp_path / "mc.args"
     mc.write_text("--space=lpq:2:1\n--sampler=rademacher\n--n=64\n--trials=1000\n--m=256\n")
-    assert run_cli(capsys, "growth", *(a.format(mc=mc) for a in argv)) == (2, "", err)
+    assert run_main("growth", *(a.format(mc=mc) for a in argv)) == (2, "", err)
 
 
-def test_argument_file_skips_blank_and_comment_lines(capsys, tmp_path):
+def test_argument_file_skips_blank_and_comment_lines(tmp_path):
     cfg = tmp_path / "exp.args"
     cfg.write_text("\n# the size\n  --n=4  \n\n   # the trials\n--trials=1000\n\n")
-    assert run_cli(capsys, *_MC_ARGS[:-6], "--m", "256", f"@{cfg}") == run_cli(
-        capsys, *_MC_ARGS)
+    assert run_main(*_MC_ARGS[:-6], "--m", "256", f"@{cfg}") == run_main(
+        *_MC_ARGS)
 
 
-def test_missing_argument_file_exits_two(capsys, tmp_path):
+def test_missing_argument_file_exits_two(tmp_path):
     missing = tmp_path / "missing.args"
-    code, out, err = run_cli(capsys, *_MC_ARGS, f"@{missing}")
+    code, out, err = run_main(*_MC_ARGS, f"@{missing}")
     assert (code, out) == (2, "")
     assert err.startswith("rispaces: error:") and err.count("\n") == 1
     assert str(missing) in err
 
 
-def test_argument_file_naming_itself_exits_two(capsys, tmp_path):
+def test_argument_file_naming_itself_exits_two(tmp_path):
     # argparse reads an @ line of a file as a file in turn, so a file that
     # names itself would recurse until RecursionError
     cfg = tmp_path / "self.args"
     cfg.write_text(f"--trials=1000\n@{cfg}\n")
-    assert run_cli(capsys, *_MC_ARGS, f"@{cfg}") == (
+    assert run_main(*_MC_ARGS, f"@{cfg}") == (
         2, "", f"rispaces: error: an argument file cannot name another argument file: @{cfg}\n")
 
 
-def test_argument_file_that_is_not_utf8_exits_two(capsys, tmp_path):
+def test_argument_file_that_is_not_utf8_exits_two(tmp_path):
     # argparse's reader turns only an OSError into a usage error
     bad = tmp_path / "bad.args"
     bad.write_bytes(b"\xff\xfe--space=lpq:2:1\n")
-    assert run_cli(capsys, "norm", f"@{bad}", "--indicator", "1/4") == (
+    assert run_main("norm", f"@{bad}", "--indicator", "1/4") == (
         2, "", f"rispaces: error: cannot decode argument file {str(bad)!r}: 'utf-8' codec "
         "can't decode byte 0xff in position 0: invalid start byte\n")
 
@@ -301,17 +292,17 @@ def test_argument_file_that_is_not_utf8_exits_two(capsys, tmp_path):
     ],
     ids=["mc-trials", "growth-ns", "growth-mode"],
 )
-def test_bad_config_value_names_its_option(capsys, tmp_path, argv, config, err):
+def test_bad_config_value_names_its_option(tmp_path, argv, config, err):
     cfg = tmp_path / "exp.args"
     cfg.write_text(config)
-    assert run_cli(capsys, *argv, f"@{cfg}") == (2, "", err)
+    assert run_main(*argv, f"@{cfg}") == (2, "", err)
 
 
-def test_bad_list_flags_name_no_private_function(capsys):
-    assert run_cli(capsys, "classify", "--psi", "power:0.5", "--k-list", "2,x") == (
+def test_bad_list_flags_name_no_private_function():
+    assert run_main("classify", "--psi", "power:0.5", "--k-list", "2,x") == (
         2, "", "rispaces classify: error: argument --k-list: expected comma-separated "
         "integers, got '2,x'\n")
-    assert run_cli(capsys, "kruglov", "--psi", "power:0.5", "--t-grid", "0.5,y") == (
+    assert run_main("kruglov", "--psi", "power:0.5", "--t-grid", "0.5,y") == (
         2, "", "rispaces kruglov: error: argument --t-grid: expected comma-separated "
         "floats, got '0.5,y'\n")
 
@@ -338,7 +329,7 @@ def test_every_experiment_option_has_a_config_key(tmp_path):
         assert all(getattr(from_file, dest) != a.default for dest, a in options.items())
 
 
-def test_cli_defaults_are_the_library_defaults(capsys):
+def test_cli_defaults_are_the_library_defaults():
     # the parser restates these defaults; each must stay the one its library call has
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -361,7 +352,7 @@ def test_cli_defaults_are_the_library_defaults(capsys):
         default = sub.choices[command].get_default(dest)
         default = tuple(default) if isinstance(default, list) else default
         assert default == library(fn, param), (command, dest)
-    code, out, _ = run_cli(capsys, "classify", "--psi", "power:0.5", "--with-kruglov")
+    code, out, _ = run_main("classify", "--psi", "power:0.5", "--with-kruglov")
     threshold = library(dichotomy.kruglov_check, "threshold")
     assert code == 0 and f"threshold {float(threshold)!r}]" in out
 
@@ -391,7 +382,7 @@ _CAPPED = {
 @pytest.mark.parametrize("case, config", [
     pytest.param(case, config, id=case.replace("-", "-config-", 1) if config else case)
     for case in _CAPPED for config in (False, True)])
-def test_monte_carlo_sizes_past_caps_exit_two(capsys, monkeypatch, tmp_path, case, config):
+def test_monte_carlo_sizes_past_caps_exit_two(monkeypatch, tmp_path, case, config):
     # every size cap, Monte Carlo or not, refused by the parser from a flag or an
     # argument file line, before any token is read or anything computed
     def no_compute(*args, **kwargs):
@@ -408,7 +399,7 @@ def test_monte_carlo_sizes_past_caps_exit_two(capsys, monkeypatch, tmp_path, cas
         cfg = tmp_path / "exp.args"
         cfg.write_text(given + "\n")
         given = f"@{cfg}"
-    assert run_cli(capsys, *argv, given) == (
+    assert run_main(*argv, given) == (
         2, "", f"rispaces {argv[0]}: error: argument {option}: {over} is past its cap of "
         f"{_CAPS[key]}\n")
 
@@ -422,20 +413,20 @@ def test_monte_carlo_sizes_past_caps_exit_two(capsys, monkeypatch, tmp_path, cas
     ],
     ids=["mc", "growth"],
 )
-def test_all_zero_monte_carlo_sums_are_inconclusive(capsys, tmp_path, argv, n):
-    code, out, err = run_cli(capsys, *argv, "--trials", "1000", "--m", "256")
+def test_all_zero_monte_carlo_sums_are_inconclusive(tmp_path, argv, n):
+    code, out, err = run_main(*argv, "--trials", "1000", "--m", "256")
     assert code == 1 and out == ""
     assert err == (f"inconclusive: every one of 1000 trials drew a sum of 0 at n = {n}; "
                    "the law is not 0, so more trials are needed\n")
     # a law whose atoms are all 0 has norm 0 exactly
     zero = tmp_path / "zero.csv"
     zero.write_text("0\n0\n")
-    code, out, _ = run_cli(capsys, "mc", "--space", "lpq:2:1", "--sampler", f"custom:{zero}",
+    code, out, _ = run_main("mc", "--space", "lpq:2:1", "--sampler", f"custom:{zero}",
                            "--n", "4", "--trials", "1000", "--m", "256")
     assert (code, out) == (0, "0.0\n")
 
 
-def test_growth_of_an_all_zero_law_exits_two_before_any_draw(capsys, monkeypatch, tmp_path):
+def test_growth_of_an_all_zero_law_exits_two_before_any_draw(monkeypatch, tmp_path):
     zero = tmp_path / "zero.csv"
     zero.write_text("0\n0\n")
 
@@ -443,7 +434,7 @@ def test_growth_of_an_all_zero_law_exits_two_before_any_draw(capsys, monkeypatch
         raise AssertionError("drew samples of a law with no power fit")
 
     monkeypatch.setattr(experiments, "_draw_sums", no_draws)
-    code, out, err = run_cli(capsys, "growth", "--space", "lpq:2:1", "--mode", "mc",
+    code, out, err = run_main("growth", "--space", "lpq:2:1", "--mode", "mc",
                              "--sampler", f"custom:{zero}", "--ns", "4,8,16,64",
                              "--trials", "1000", "--m", "256")
     assert code == 2 and out == ""
@@ -451,40 +442,40 @@ def test_growth_of_an_all_zero_law_exits_two_before_any_draw(capsys, monkeypatch
                    "and there is no power fit\n")
 
 
-def test_orlicz_norm_of_subnormal_values_exits_zero(capsys, tmp_path):
+def test_orlicz_norm_of_subnormal_values_exits_zero(tmp_path):
     step, atoms = tmp_path / "step.json", tmp_path / "atoms.csv"
     step.write_text('{"breakpoints": [0, 1], "values": [5e-324]}')
     atoms.write_text("-5e-324\n5e-324\n")
-    code, out, err = run_cli(capsys, "norm", "--space", "orlicz:np:2", "--step", str(step))
+    code, out, err = run_main("norm", "--space", "orlicz:np:2", "--step", str(step))
     assert (code, out, err) == (0, "5e-324\n", "")
     for n in ("1", "4"):
-        code, out, err = run_cli(capsys, "mc", "--space", "orlicz:np:2", "--sampler",
+        code, out, err = run_main("mc", "--space", "orlicz:np:2", "--sampler",
                                  f"custom:{atoms}", "--n", n, "--trials", "1000", "--m", "256")
         assert code == 0 and err == "" and 0.0 < float(out) < 1e-320
 
 
-def test_lpq_at_the_largest_q_prices_a_subnormal_value(capsys, tmp_path):
+def test_lpq_at_the_largest_q_prices_a_subnormal_value(tmp_path):
     # q log 5e-324 is finite at q = 1e300; past it (q = 1e308 here) it overflowed
     step = tmp_path / "step.json"
     step.write_text('{"breakpoints": [0, 1], "values": [5e-324]}')
-    code, out, err = run_cli(capsys, "norm", "--space", "lpq:1.5:1e300", "--step", str(step))
+    code, out, err = run_main("norm", "--space", "lpq:1.5:1e300", "--step", str(step))
     assert (code, out, err) == (0, "5e-324\n", "")
 
 
 @pytest.mark.parametrize("p", ["1e100", "1e300"])
-def test_marcinkiewicz_logpow_of_a_tiny_indicator_is_warning_free(capsys, p):
+def test_marcinkiewicz_logpow_of_a_tiny_indicator_is_warning_free(p):
     # the golden refinement probes t near 1e-309, below which e / t overflowed
-    code, out, err = run_cli(capsys, "norm", "--space", f"marcinkiewicz:logpow:{p}",
+    code, out, err = run_main("norm", "--space", f"marcinkiewicz:logpow:{p}",
                              "--indicator", "1e-300")
     assert (code, out, err) == (0, "1.0\n", "")
 
 
-def test_custom_law_whose_sum_can_overflow_exits_two(capsys, monkeypatch, tmp_path):
+def test_custom_law_whose_sum_can_overflow_exits_two(monkeypatch, tmp_path):
     e300, e308 = tmp_path / "e300.csv", tmp_path / "e308.csv"
     e300.write_text("-1e300\n1e300\n")
     e308.write_text("-1e308\n1e308\n")
     mc = ("--space", "orlicz:np:2", "--trials", "1000", "--m", "256")
-    code, out, _ = run_cli(capsys, "mc", *mc, "--sampler", f"custom:{e300}", "--n", "4")
+    code, out, _ = run_main("mc", *mc, "--sampler", f"custom:{e300}", "--n", "4")
     assert (code, out) == (0, "2.971670751312298e+300\n")
 
     def no_draws(*args):
@@ -493,33 +484,33 @@ def test_custom_law_whose_sum_can_overflow_exits_two(capsys, monkeypatch, tmp_pa
     monkeypatch.setattr(experiments, "_draw_sums", no_draws)
     for argv, n in ((("mc", "--n", "4"), 4),
                     (("growth", "--mode", "mc", "--ns", "4,8,16,64"), 64)):
-        code, out, err = run_cli(capsys, argv[0], *mc, "--sampler", f"custom:{e308}", *argv[1:])
+        code, out, err = run_main(argv[0], *mc, "--sampler", f"custom:{e308}", *argv[1:])
         assert code == 2 and out == ""
         assert err == f"error: a sum of n = {n} draws of atom 1e+308 can pass the float range\n"
 
 
-def test_mc_deterministic_output(capsys):
+def test_mc_deterministic_output():
     args = ("mc", "--space", "lorentz:power:1", "--sampler", "rademacher",
             "--n", "16", "--trials", "2000", "--m", "256", "--format", "json")
-    code1, out1, _ = run_cli(capsys, *args)
-    code2, out2, _ = run_cli(capsys, *args)
+    code1, out1, _ = run_main(*args)
+    code2, out2, _ = run_main(*args)
     assert code1 == code2 == 0
     assert out1 == out2
 
 
-def test_seed_variable_is_not_read(capsys, monkeypatch):
+def test_seed_variable_is_not_read(monkeypatch):
     # the parser is the one source of the seed: without --seed it is 0, whatever
     # the environment holds
     args = ("mc", "--space", "lpq:2:1", "--sampler", "rademacher", "--n", "4",
             "--trials", "1000", "--m", "256")
     monkeypatch.delenv("RISPACES_SEED", raising=False)
-    unset = run_cli(capsys, *args)
-    _, out, _ = run_cli(capsys, *args, "--format", "json")
+    unset = run_main(*args)
+    _, out, _ = run_main(*args, "--format", "json")
     assert unset[0] == 0 and json.loads(out)["seed"] == 0
     for value in ("5", "abc", "-5"):
         monkeypatch.setenv("RISPACES_SEED", value)
-        assert run_cli(capsys, *args) == unset, value
-        assert json.loads(run_cli(capsys, *args, "--format", "json")[1])["seed"] == 0, value
+        assert run_main(*args) == unset, value
+        assert json.loads(run_main(*args, "--format", "json")[1])["seed"] == 0, value
 
 
 _MC_ARGS = ("mc", "--space", "lpq:2:1", "--sampler", "rademacher", "--n", "4",
@@ -527,29 +518,29 @@ _MC_ARGS = ("mc", "--space", "lpq:2:1", "--sampler", "rademacher", "--n", "4",
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
-def test_negative_seed_is_refused_naming_its_source(capsys, tmp_path, source):
+def test_negative_seed_is_refused_naming_its_source(tmp_path, source):
     # NumPy refuses a negative seed with a message that names neither source
     cfg = tmp_path / "exp.args"
     cfg.write_text("--seed=-5\n")
     extra = {"flag": ("--seed=-5",), "config": (f"@{cfg}",)}[source]
-    assert run_cli(capsys, *_MC_ARGS, *extra) == (
+    assert run_main(*_MC_ARGS, *extra) == (
         2, "", "rispaces mc: error: argument --seed: must be a non-negative integer, got '-5'\n")
 
 
-def test_repeated_option_in_an_argument_file_takes_the_last_value(capsys, tmp_path):
+def test_repeated_option_in_an_argument_file_takes_the_last_value(tmp_path):
     cfg = tmp_path / "exp.args"
     cfg.write_text("--trials=1000\n# the later line wins, as a repeated flag does\n"
                    "--trials=2000\n")
     argv = (*_MC_ARGS[:-4], "--m", "256", "--format", "json")
-    code, out, err = run_cli(capsys, *argv, f"@{cfg}")
+    code, out, err = run_main(*argv, f"@{cfg}")
     assert (code, err) == (0, "") and json.loads(out)["trials"] == 2000
-    assert run_cli(capsys, *argv, "--trials", "1000", "--trials", "2000") == (code, out, err)
+    assert run_main(*argv, "--trials", "1000", "--trials", "2000") == (code, out, err)
 
 
-def test_out_writes_file(capsys, tmp_path):
+def test_out_writes_file(tmp_path):
     target = tmp_path / "report.json"
-    code, out, _ = run_cli(
-        capsys, "norm", "--space", "lorentz:power:0.5", "--indicator", "0.25",
+    code, out, _ = run_main(
+        "norm", "--space", "lorentz:power:0.5", "--indicator", "0.25",
         "--format", "json", "--out", str(target),
     )
     assert code == 0
@@ -557,7 +548,7 @@ def test_out_writes_file(capsys, tmp_path):
     assert json.loads(target.read_text())["norm"] == 0.5
 
 
-def test_csv_rejected_outside_growth(capsys, monkeypatch):
+def test_csv_rejected_outside_growth(monkeypatch):
     def reached(*args, **kwargs):
         pytest.fail("csv output outside growth was checked only after the compute")
 
@@ -568,7 +559,7 @@ def test_csv_rejected_outside_growth(capsys, monkeypatch):
         ["mc", "--space", "lpq:2:1", "--sampler", "rademacher", "--n", "1024",
          "--trials", "1000000"],
     ):
-        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        code, out, err = run_main(*argv, "--format", "csv")
         assert code == 2
         assert out == ""
         assert err == (f"rispaces {argv[0]}: error: argument --format: invalid choice: 'csv' "
@@ -604,7 +595,7 @@ def test_only_the_process_entry_freezes_the_heap(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["rispaces", *argv])
     assert main() == 0
     assert capsys.readouterr().out == "0.5\n" and calls == [1]
-    assert run_cli(capsys, *argv) == (0, "0.5\n", "") and calls == [1]
+    assert run_main(*argv) == (0, "0.5\n", "") and calls == [1]
 
 
 @pytest.mark.parametrize(
@@ -665,8 +656,8 @@ def test_only_the_process_entry_freezes_the_heap(capsys, monkeypatch):
          "mc-without-n", "growth-without-ns", "unknown-orlicz-family",
          "indicator-over-zero", "indicator-not-a-number", "indicator-float-over-int"],
 )
-def test_invalid_parameters_exit_two(capsys, argv, lead, fragment):
-    code, out, err = run_cli(capsys, *argv)
+def test_invalid_parameters_exit_two(argv, lead, fragment):
+    code, out, err = run_main(*argv)
     assert code == 2
     assert out == ""
     assert err.startswith(lead) and err.count("\n") == 1
@@ -685,27 +676,27 @@ def test_module_entry_point_is_warning_free(child_env):
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 @pytest.mark.parametrize("column", [0, 1], ids=["t", "psi"])
-def test_non_finite_table_node_exits_two(capsys, tmp_path, bad, column):
+def test_non_finite_table_node_exits_two(tmp_path, bad, column):
     row = ["0.5", "0.75"]
     row[column] = bad
     p = tmp_path / "psi.csv"
     p.write_text("t,psi\n0.25,0.5\n" + ",".join(row) + "\n1,1\n")
     for argv in (("norm", "--space", f"lorentz:table:{p}", "--indicator", "1/4"),
                  ("opnorm", "--psi", f"table:{p}", "--n", "4")):
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_main(*argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "table nodes must be finite" in err
 
 
-def test_table_with_unparsed_rows_after_the_first_exits_two(capsys, tmp_path):
+def test_table_with_unparsed_rows_after_the_first_exits_two(tmp_path):
     # only the first row may be a header, so a ';'-delimited table cannot lose
     # every row before the first ',' one
     p = tmp_path / "psi.csv"
     p.write_text("0.25;0.5\n0.5;0.7\n1,1\n")
     for argv in (("norm", "--space", f"lorentz:table:{p}", "--indicator", "1/4"),
                  ("opnorm", "--psi", f"table:{p}", "--n", "4")):
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_main(*argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "bad table row" in err
@@ -716,10 +707,10 @@ def test_table_with_unparsed_rows_after_the_first_exits_two(capsys, tmp_path):
     ["[1, 2]", '{"breakpoints": [0, 1]}', '{"breakpoints": [0, null], "values": [1]}'],
     ids=["top-level-list", "missing-values", "null-entry"],
 )
-def test_malformed_step_file_exits_two(capsys, tmp_path, content):
+def test_malformed_step_file_exits_two(tmp_path, content):
     p = tmp_path / "step.json"
     p.write_text(content)
-    code, out, err = run_cli(capsys, "norm", "--space", "lpq:2:1", "--step", str(p))
+    code, out, err = run_main("norm", "--space", "lpq:2:1", "--step", str(p))
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
@@ -743,31 +734,31 @@ def test_malformed_step_file_exits_two(capsys, tmp_path, content):
     ids=["negative-step-value", "infinite-custom-atom", "header-only-table", "table-node-at-zero",
          "repeated-table-t", "falling-table-psi"],
 )
-def test_refused_input_file_exits_two(capsys, tmp_path, argv, content, fragment):
+def test_refused_input_file_exits_two(tmp_path, argv, content, fragment):
     p = tmp_path / "input"
     p.write_text(content)
-    code, out, err = run_cli(capsys, *(a.format(p=p) for a in argv))
+    code, out, err = run_main(*(a.format(p=p) for a in argv))
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert fragment in err
 
 
-def test_orlicz_norm_past_float_range_exits_two(capsys, tmp_path):
+def test_orlicz_norm_past_float_range_exits_two(tmp_path):
     p = tmp_path / "step.json"
     p.write_text('{"breakpoints": [0, 1], "values": [1.7e308]}')
-    code, out, err = run_cli(capsys, "norm", "--space", "orlicz:np:1", "--step", str(p))
+    code, out, err = run_main("norm", "--space", "orlicz:np:1", "--step", str(p))
     assert code == 2
     assert out == ""
     assert err == "error: Orlicz norm exceeds the float range\n"
 
 
-def test_orlicz_norm_just_past_the_largest_float_exits_two(capsys, tmp_path):
+def test_orlicz_norm_just_past_the_largest_float_exits_two(tmp_path):
     # the start point is the largest float itself and the modular there is still
     # above 1; bracketing the root from it used to overflow np.nextafter
     p = tmp_path / "step.json"
     p.write_text('{"breakpoints": [0.0, 1.0], "values": [1.7976931348623157e+308]}')
-    code, out, err = run_cli(capsys, "norm", "--space", "orlicz:np:8467029476126897.0",
+    code, out, err = run_main("norm", "--space", "orlicz:np:8467029476126897.0",
                              "--step", str(p))
     assert code == 2
     assert out == ""
@@ -833,16 +824,6 @@ def _step_files():
     return st.one_of(proper, loose)
 
 
-def _run_in_process(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
 @settings(max_examples=150, deadline=None)
 @example(p="2", indicator="1/0", step={}, use_step=False, fmt="text")
 @example(p="2", indicator="", step={"breakpoints": [0, 1], "values": ["1/0"]}, use_step=True,
@@ -869,7 +850,7 @@ def test_orlicz_norm_cli_fuzz(p, indicator, step, use_step, fmt):
         else:
             argv += ["--indicator", indicator]
         # in-process, an exception main() lets through fails the test here
-        code, out, err = _run_in_process(argv)
+        code, out, err = run_main(*argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 0:
@@ -906,7 +887,7 @@ def test_kruglov_cli_fuzz(psi, t_grid, bad_t, threshold, max_terms):
     # "=" keeps a leading "-" a value rather than an option
     argv = ["kruglov", "--psi", psi, f"--t-grid={','.join(t_grid + bad_t)}",
             f"--threshold={threshold}", f"--max-terms={max_terms}", "--format", "json"]
-    code, out, err = _run_in_process(argv)
+    code, out, err = run_main(*argv)
     assert "Traceback" not in err
     threshold_ok = math.isfinite(float(threshold)) and float(threshold) > 1
     if bad_t or not threshold_ok or max_terms < 4:
@@ -1010,7 +991,7 @@ def _fuzz_run(argv, lines, bad, kruglov_inf=False, atoms=None):
             with open(path, "w") as fh:
                 fh.write("# fuzzed\n" + "\n".join(lines) + "\n")
             argv = argv + [f"@{path}"]
-        code, out, err = _run_in_process(argv)
+        code, out, err = run_main(*argv)
     assert "Traceback" not in err and "Warning" not in err, (argv, err)
     if bad or overflows:
         assert code == 2 and out == "" and err.count("\n") == 1, (argv, lines, code, err)
@@ -1098,7 +1079,7 @@ def test_norm_cli_fuzz(space, indicator, step, use_step, fmt, table):
             argv += ["--step", step_path]
         else:
             argv += ["--indicator", indicator]
-        code, out, err = _run_in_process(argv)
+        code, out, err = run_main(*argv)
     out = out.replace(path, "")  # the report names the table file, whose name is random
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err and "Warning" not in err, (argv, err)

@@ -38,9 +38,7 @@ another platform may differ in the last bit.  To print the current hashes, run
 ``python tests/test_output_bytes.py``.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import random
 import tempfile
@@ -48,8 +46,8 @@ from pathlib import Path
 
 import pytest
 
-from rispaces.cli import main
 from rispaces.experiments import gaussian_selfsimilarity_check
+from conftest import run_main
 
 # a two-atom custom law: +-1.5 with equal mass
 CUSTOM_CSV = "-1.5\n1.5\n"
@@ -189,12 +187,9 @@ def _run(cid, argv, tmp: Path) -> bytes:
     step.write_text(json.dumps(_step_file()))
     rational.write_text(json.dumps(RATIONAL_STEP))
     argv = [a.format(custom=custom, step=step, rational=rational) for a in argv]
-    argv += ["--format", "json"]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
+    code, out, _ = run_main(*argv, "--format", "json")
     assert code == EXIT_CODES.get(cid, 0)
-    return out.getvalue().encode()
+    return out.encode()
 
 
 @pytest.mark.parametrize("cid, argv", COMMANDS, ids=[c for c, _ in COMMANDS])

@@ -1,8 +1,8 @@
-"""Guards for deletions: no module keeps an import nothing uses, imports SciPy or
-reads the environment, none but the CLI touches the garbage collector, every
-private name and public method has a caller, one module holds the chunk size,
-the integer checks and the token errors, and the records are NamedTuples but
-one, and the package exports exactly the names in ``test_oracles.ORACLES``."""
+"""Guards for deletions: no module or tool keeps an import nothing uses, no module
+imports SciPy or reads the environment, none but the CLI touches the garbage
+collector, every private name and public method has a caller, one module holds the
+chunk size, the integer checks and the token errors, the records are NamedTuples
+but one, and the package exports exactly the names in ``test_oracles.ORACLES``."""
 
 import ast
 import re
@@ -15,6 +15,7 @@ from test_oracles import ORACLES
 
 SRC = Path(rispaces.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TOOLS = sorted((Path(__file__).resolve().parent.parent / "tools").glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module):
@@ -36,7 +37,7 @@ def _unused_imports(tree: ast.Module):
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TOOLS, ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
 

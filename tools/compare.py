@@ -1,45 +1,187 @@
-"""Compare the benchmark of this checkout with another's, in alternated pairs.
+"""Check this checkout against its parent: the same work, then the benchmark in pairs.
 
 Usage: ``python3 tools/compare.py PARENT_CHECKOUT LABEL [--pairs N] [--first-seed S]``.
 
-For each workload of ``BENCHMARK.json`` it runs N pairs (default 10) of
-``python3 perfbench/run.py --workload W --seed S --trace 0``, one run in
-PARENT_CHECKOUT and one here, at seeds S, S + 1, ... (default 21).  The parent
-runs first in even pairs and this checkout in odd ones, so neither side always
-meets the machine in the state the other left.  Each run is its checkout's own
-harness on its own ``src``, as the benchmark runs them, one at a time.  Per
-workload and end-to-end metric of ``BENCHMARK.json`` it prints both medians,
-the parent's quartile spread (IQR), the pairs this checkout won (ties count for
-neither) and a verdict, the first that holds of:
+PARENT_CHECKOUT must hold ``perfbench/run.py`` and ``src/rispaces``.  Both ``src``
+trees are byte-compiled once first, so no run pays for bytecode.  Then:
 
-- ``gain`` (``loss``): this checkout (the parent) won at least 9 of 10 pairs,
-  and the medians differ by more than the parent's IQR;
-- ``unresolved``: the parent's IQR exceeds the metric's bound;
-- ``past bound``: this checkout's median is worse than the parent's by more
-  than the bound;
-- ``within bound``.
+1. Same work (about 47 s on 2 vCPU).  Per side, with that side's ``src`` on
+   ``PYTHONPATH`` and the harness's child environment, 144 children run two at a
+   time: ``RUNS`` runs of each of the 23 commands of ``perfbench/workloads.py`` at
+   full size and seed 0, the 6 that the seed changes (``Command.seeded``) at seed 7,
+   and one pass per workload at seed 0 under this checkout's ``perfbench/tracer.py``.
+   Their files go in a temporary directory.  On Linux each untraced child runs
+   under a ``-c`` wrapper that writes its own ``VmHWM`` to stderr at exit
+   (``ru_maxrss`` starts at the forking harness's size); ``run`` cuts it off.  It
+   prints each seed-0 command's median peak in MiB on each side beside that side's
+   spread (max - min) over its runs, each of the 29 commands whose exit code,
+   stdout or stderr differs, each of the 135 traced counts (``COUNTED`` per
+   workload) that differs, and how many of each differ.
+2. Pairs (about 6 minutes for 10 pairs on 2 vCPU).  Per workload it runs N pairs
+   (default 10) of each checkout's own ``perfbench/run.py --workload W --seed S
+   --trace 0`` at seeds S, S + 1, ... (default 21), the parent first in even pairs.
+   Per end-to-end metric of ``BENCHMARK.json`` it prints both medians, the
+   parent's quartile spread (IQR), the pairs this checkout won (ties count for
+   neither) and the first verdict that holds: ``gain`` (``loss``) if this checkout
+   (the parent) won at least 9 of 10 pairs and the medians differ by more than the
+   IQR; ``unresolved`` if the IQR exceeds the bound, read as a fraction of the
+   parent's median; ``past bound`` if this checkout's median is worse by more than
+   the bound; else ``within bound``.  A run with no result drops its pair; per
+   workload it also prints the failed operations and the runs that exited non-zero.
 
-A bound is read as a fraction of the parent's median.  A run that prints no
-result drops its pair from the medians; per workload it also prints the failed
-operations each side's runs report and the runs that exited non-zero.  Every
-run and the summary go to ``BENCH_<LABEL>.json`` at the root of this checkout.
-An A/A run, with a second copy of one commit as PARENT_CHECKOUT, should show
-no ``gain`` and no ``loss``.  It exits 1 if a run failed, 2 on a usage error,
-else 0.  It uses the standard library only: about 6 minutes for 10 pairs of
-the three workloads on 2 vCPU.
+Two noise limits, seen on 2 vCPU with a second copy of one commit as the parent
+(an A/A run, which should show no difference, ``gain`` or ``loss``): between
+copies a command's median peak moved by up to 0.35 MiB, and the growth ``wall_s``
+of one A/A batch came 0.035 s from reading ``loss``.  A peak row inside its
+spreads, or a verdict that close to its line, reads as noise; peaks are not judged.
+
+Both sections go to ``BENCH_<LABEL>.json`` at the root of this checkout, under
+``same_work`` and ``workloads``.  It exits 1 if a command or traced count differs,
+a peak is missing or a run failed, 2 on a usage error, else 0.  It uses the
+standard library only (the workload module uses NumPy).
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
+sys.path.insert(0, str(ROOT / "perfbench"))
+import run as bench  # noqa: E402  (perfbench/ is not a package)
+import workloads  # noqa: E402
+
+RUNS = 5  # peak samples of each seed-0 command on each side
+LINUX = sys.platform.startswith("linux")
+# The per-layer metrics that count work (unit not s) but cli.stdout_changed: it counts
+# stdouts unlike perfbench/reference.json, which the command comparison already covers.
+COUNTED = [m["name"] for m in bench.BENCH["per_layer"]
+           if m["unit"] != "s" and m["name"] != "cli.stdout_changed"]
+
+# ``python -c WRAPPER -m MODULE ARGS`` (or ``-c CODE ARGS``) runs the child as
+# ``python -m MODULE ARGS`` would, then reports its own peak as the last line of stderr.
+WRAPPER = """\
+import atexit, runpy, sys
+def report():
+    with open('/proc/self/status') as fh:
+        kib = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))
+    sys.stderr.write(f'\\nVmHWM {kib}\\n')
+atexit.register(report)
+mode, target = sys.argv[1:3]
+if mode == '-m':
+    sys.argv = [target, *sys.argv[3:]]
+    runpy.run_module(target, run_name='__main__', alter_sys=True)
+else:
+    sys.argv = ['-c', *sys.argv[3:]]
+    exec(compile(target, '<string>', 'exec'), {'__name__': '__main__'})
+"""
+
+
+def env(checkout: Path) -> dict:
+    """The harness's child environment with the checkout's src and no bytecode writes."""
+    return {**bench.child_env(), "PYTHONPATH": str(checkout / "src"),
+            "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def commands(workdir: Path) -> list:
+    """(workload, seed, command): every command at seed 0, the seeded ones at 7."""
+    return [(name, seed, cmd) for name, build in workloads.WORKLOADS.items()
+            for seed in (0, 7) for cmd in build(seed, "full", workdir) if seed == 0 or cmd.seeded]
+
+
+def run(checkout: Path, cmd) -> tuple:
+    """The command's exit code, stdout, own stderr and own peak in MiB (None off Linux
+    or if it reported none), run as the harness's child with the checkout's src."""
+    py, *rest = bench.command_argv(cmd)
+    proc = subprocess.run([py, "-c", WRAPPER, *rest] if LINUX else [py, *rest], cwd=checkout,
+                          env=env(checkout), stdin=subprocess.DEVNULL, capture_output=True,
+                          timeout=600)
+    stderr, peak = proc.stderr, None
+    head, line, kib = stderr.rpartition(b"\nVmHWM ")
+    if LINUX and line and kib.endswith(b"\n") and kib[:-1].isdigit():
+        stderr, peak = head, int(kib) / 1024
+    return proc.returncode, proc.stdout, stderr, peak
+
+
+def sample(checkout: Path, cmd, times: int) -> tuple:
+    """The first run's exit code, stdout and stderr, and the peaks of ``times`` runs
+    (None if any reported none)."""
+    results = [run(checkout, cmd) for _ in range(times)]
+    peaks = [peak for *_, peak in results]
+    return results[0][:3], None if None in peaks else peaks
+
+
+def counted(checkout: Path, cmds) -> dict:
+    """{metric: value} of one traced pass over ``cmds`` with the checkout's src."""
+    runner = bench.Runner(env(checkout), time.perf_counter())
+    with tempfile.TemporaryDirectory(dir=bench.WORK) as tmp:
+        rows = [bench.run_command(runner, cmd, refs={}, trace_file=Path(tmp) / f"{i}.jsonl")
+                for i, cmd in enumerate(cmds)]
+    metrics = bench.layer_metrics(rows, cmds)
+    return {m: metrics.get(m, 0.0) for m in COUNTED}
+
+
+def same_work(parent: Path) -> dict:
+    """Run and print the same-work section: its record, whose ``commands_differing``,
+    ``counts_differing`` and ``peaks_missing`` list what makes the tool exit 1."""
+    sides = {"head": ROOT, "parent": parent}
+    with tempfile.TemporaryDirectory() as tmp:
+        bench.WORK = Path(tmp)
+        todo = commands(bench.WORK)
+        with ThreadPoolExecutor(2) as pool:
+            # the whole-workload traced passes first, so the short jobs fill in behind
+            traced = {side: [(name, pool.submit(counted, checkout, [
+                cmd for n, seed, cmd in todo if n == name and seed == 0]))
+                for name in workloads.WORKLOADS] for side, checkout in sides.items()}
+            jobs = [(name, seed, cmd.id, {side: pool.submit(
+                sample, checkout, cmd, RUNS if LINUX and seed == 0 else 1)
+                for side, checkout in sides.items()}) for name, seed, cmd in todo]
+            results = [(name, seed, cid, {side: job.result() for side, job in pair.items()})
+                       for name, seed, cid, pair in jobs]
+    record = {"commands": {}, "commands_differing": [], "peaks_missing": []}
+    print(f"{'command':<36} {'here MiB':>9} {'spread':>6} {'parent MiB':>10} {'spread':>6} "
+          f"{'diff':>7}" if LINUX else "peaks not read: there is no /proc/self/status off Linux")
+    for name, seed, cid, result in results:
+        label = f"{name} seed {seed} {cid}"
+        (here, here_peaks), (there, there_peaks) = result["head"], result["parent"]
+        parts = [part for part, a, b in zip(("exit code", "stdout", "stderr"), here, there)
+                 if a != b]
+        record["commands"][label] = {"differs": parts, **{
+            side: {"code": code, "stdout": out.decode(errors="backslashreplace"),
+                   "stderr": err.decode(errors="backslashreplace"), "peaks_mib": peaks}
+            for side, ((code, out, err), peaks) in result.items()}}
+        if parts:
+            record["commands_differing"].append(label)
+        if not LINUX or seed != 0:
+            continue
+        if here_peaks is None or there_peaks is None:
+            record["peaks_missing"].append(label)
+            print(f"{name + ' ' + cid:<36} reported no peak")
+            continue
+        mid_here, mid_there = statistics.median(here_peaks), statistics.median(there_peaks)
+        print(f"{name + ' ' + cid:<36} {mid_here:9.2f} {max(here_peaks) - min(here_peaks):6.2f} "
+              f"{mid_there:10.2f} {max(there_peaks) - min(there_peaks):6.2f} "
+              f"{mid_here - mid_there:+7.2f}")
+    for label in record["commands_differing"]:
+        print(f"{label}: differs in {', '.join(record['commands'][label]['differs'])}")
+    record["counts"] = {side: {f"{name} {metric}": value for name, job in passes
+                               for metric, value in job.result().items()}
+                        for side, passes in traced.items()}
+    here, there = record["counts"]["head"], record["counts"]["parent"]
+    record["counts_differing"] = [key for key in here if here[key] != there[key]]
+    for key in record["counts_differing"]:
+        print(f"trace {key}: {here[key]!r} here, {there[key]!r} in {parent}")
+    print(f"{len(record['commands_differing'])} of {len(todo)} commands differ")
+    print(f"{len(record['counts_differing'])} of {len(here)} traced counts differ", flush=True)
+    return record
 
 
 def bench_run(checkout: Path, workload: str, seed: int) -> dict:
@@ -68,7 +210,7 @@ def summarize(parent: list, head: list, metrics: list) -> dict:
     for metric in metrics:
         name, bound = metric["name"], metric["bound"]
         sign = 1 if metric["better"] == "lower" else -1
-        a, b = [run[name] for run in parent], [run[name] for run in head]
+        a, b = [r[name] for r in parent], [r[name] for r in head]
         q1, _, q3 = statistics.quantiles(a, n=4)
         iqr, med_a, med_b = q3 - q1, statistics.median(a), statistics.median(b)
         won = sum(sign * (y - x) < 0 for x, y in zip(a, b))
@@ -107,14 +249,20 @@ def main(argv=None) -> int:
     ap.add_argument("--first-seed", type=int, default=21)
     args = ap.parse_args(argv)
     parent = args.parent.resolve()
-    if not (parent / "perfbench" / "run.py").is_file():
-        ap.error(f"{parent} has no perfbench/run.py")
+    for need in ("perfbench/run.py", "src/rispaces"):
+        if not (parent / need).exists():
+            ap.error(f"{parent} has no {need}")
     if args.pairs < 2:
         ap.error("--pairs must be at least 2, to give the parent a spread")
+    for checkout in (ROOT, parent):
+        compileall.compile_dir(checkout / "src", quiet=1)
     sides = {"parent": parent, "head": ROOT}
     seeds = range(args.first_seed, args.first_seed + args.pairs)
-    report, failed = {"label": args.label, "seeds": list(seeds), "workloads": {}}, 0
-    for workload in BENCH["workloads"]:
+    report = {"label": args.label, "seeds": list(seeds), "same_work": same_work(parent),
+              "workloads": {}}
+    failed = sum(len(report["same_work"][key])
+                 for key in ("commands_differing", "counts_differing", "peaks_missing"))
+    for workload in bench.BENCH["workloads"]:
         name, runs = workload["name"], []
         for i, seed in enumerate(seeds):
             order = ["parent", "head"] if i % 2 == 0 else ["head", "parent"]
@@ -123,7 +271,7 @@ def main(argv=None) -> int:
         done = [r for r in runs if all("metrics" in r[side] for side in sides)]
         summary = summarize([r["parent"]["metrics"] for r in done],
                             [r["head"]["metrics"] for r in done],
-                            BENCH["end_to_end"]) if len(done) > 1 else {}
+                            bench.BENCH["end_to_end"]) if len(done) > 1 else {}
         report["workloads"][name] = {"runs": runs, "summary": summary}
         counts = {side: (sum(r[side].get("failed", 0) for r in runs),
                          sum(r[side].get("attempted", 0) for r in runs)) for side in sides}
