@@ -1,12 +1,52 @@
-"""``tools/compare.py`` judges paired benchmark runs.  Its summary is checked here
-on fixed numbers, so no benchmark runs: a gain needs 9 of 10 pairs won, ties
-counting for neither, and a median drop past the parent's IQR; a parent spread
-past the bound leaves a metric unresolved.  With its runners replaced, a whole
-run starts no child and shows that one differing stdout fails the tool."""
+"""Tests of ``tools/compare.py``: its same-work runner, traced pass and seed-7 pass on
+real children; its verdicts on fixed numbers; and, with its runners replaced so that
+no child starts, a run failed by one differing stdout, and its usage errors."""
 
 import json
+import subprocess
 
 import pytest
+
+
+@pytest.mark.parametrize("args, code", [
+    (["norm", "--space", "lpq:2:1", "--indicator", "1/4", "--format", "json"], 0),
+    (["norm", "--space", "bogus:1", "--indicator", "1/4"], 2),
+])
+def test_wrapped_run_prints_what_a_bare_run_prints(compare, args, code):
+    cmd = compare.workloads.Command("probe", "cli", args, check=None)
+    bare = subprocess.run(compare.bench.command_argv(cmd), cwd=compare.ROOT,
+                          env=compare.env(compare.ROOT), stdin=subprocess.DEVNULL,
+                          capture_output=True)
+    *wrapped, peak = compare.run(compare.ROOT, cmd)
+    assert bare.returncode == code
+    assert bare.stdout if code == 0 else bare.stderr  # an empty and a nonempty stderr
+    assert wrapped == [bare.returncode, bare.stdout, bare.stderr]
+    assert isinstance(peak, float) and peak > 0
+
+
+def test_traced_pass_counts_work_and_leaves_no_files(compare, tmp_path, monkeypatch):
+    cmd = compare.workloads.Command(
+        "probe", "cli", ["norm", "--space", "orlicz:np:2", "--indicator", "1/4", "--format", "json"],
+        check=lambda out, ref: [])
+    trees = [compare.ROOT / "perfbench", compare.ROOT / "tools"]
+    before = [sorted(tree.rglob("*")) for tree in trees]
+    monkeypatch.setattr(compare.bench, "WORK", tmp_path)
+    counts = compare.counted(compare.ROOT, [cmd])
+    assert counts["norms.space_norm.orlicz.calls"] == 1
+    assert counts["norms.orlicz.modular_evals"] > 0
+    assert [sorted(tree.rglob("*")) for tree in trees] == before
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_seed_7_pass_skips_only_commands_the_seed_leaves_alone(compare, tmp_path):
+    # a seed-dependent command without seeded=True would drop out of the comparison
+    kept = {(name, cmd.id) for name, seed, cmd in compare.commands(tmp_path) if seed == 7}
+    for name, build in compare.workloads.WORKLOADS.items():
+        for at_0, at_7 in zip(build(0, "full", tmp_path), build(7, "full", tmp_path)):
+            assert at_0.id == at_7.id
+            if (name, at_7.id) not in kept:
+                assert (at_7.kind, at_7.args) == (at_0.kind, at_0.args), at_7.id
+
 
 PARENT = [1.0 + i / 10 for i in range(10)]  # median 1.45, IQR 0.55
 TIGHT = [1.0 + i / 100 for i in range(10)]  # median 1.045, IQR 0.055
@@ -49,9 +89,8 @@ def test_summary_medians_and_spread(compare):
 
 def test_a_differing_stdout_fails_the_run_and_is_named(compare, tmp_path, monkeypatch, capsys):
     head, parent = tmp_path / "head", tmp_path / "parent"
-    for tree in head, parent:
-        (tree / "src" / "rispaces").mkdir(parents=True)
-    (parent / "perfbench").mkdir()
+    for tree in head / "src" / "rispaces", parent / "src" / "rispaces", parent / "perfbench":
+        tree.mkdir(parents=True)
     (parent / "perfbench" / "run.py").write_text("")
     target = compare.workloads.WORKLOADS["operator"](0, "full", tmp_path)[0].id
 
@@ -76,3 +115,20 @@ def test_a_differing_stdout_fails_the_run_and_is_named(compare, tmp_path, monkey
     assert record["commands"][label]["parent"]["stdout"] == "0.6\n"
     assert record["counts_differing"] == record["peaks_missing"] == []
     assert f"{label}: differs in stdout" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("parent, argv, platform, message", [
+    ("src", [], "linux", "has no perfbench/run.py"),
+    (".", ["--pairs", "1"], "linux", "--pairs must be at least 2"),
+    (".", [], "darwin", "needs Linux"),
+], ids=["no-harness", "one-pair", "darwin"])
+def test_usage_errors_exit_2_before_any_child(compare, monkeypatch, capsys,
+                                              parent, argv, platform, message):
+    for name in ("run", "counted", "bench_run"):
+        monkeypatch.setattr(compare, name, lambda *args: pytest.fail("a child started"))
+    monkeypatch.setattr(compare.sys, "platform", platform)
+    with pytest.raises(SystemExit) as exc:
+        compare.main([str(compare.ROOT / parent), "probe", *argv])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]

@@ -1,44 +1,41 @@
 """Check this checkout against its parent: the same work, then the benchmark in pairs.
 
-Usage: ``python3 tools/compare.py PARENT_CHECKOUT LABEL [--pairs N] [--first-seed S]``.
-
+Usage: ``python3 tools/compare.py PARENT_CHECKOUT LABEL [--pairs N] [--first-seed S]``
+on Linux (the harness reads the CPU affinity, each child ``/proc/self/status``).
 PARENT_CHECKOUT must hold ``perfbench/run.py`` and ``src/rispaces``.  Both ``src``
 trees are byte-compiled once first, so no run pays for bytecode.  Then:
 
 1. Same work (about 47 s on 2 vCPU).  Per side, with that side's ``src`` on
    ``PYTHONPATH`` and the harness's child environment, 144 children run two at a
-   time: ``RUNS`` runs of each of the 23 commands of ``perfbench/workloads.py`` at
-   full size and seed 0, the 6 that the seed changes (``Command.seeded``) at seed 7,
-   and one pass per workload at seed 0 under this checkout's ``perfbench/tracer.py``.
-   Their files go in a temporary directory.  On Linux each untraced child runs
-   under a ``-c`` wrapper that writes its own ``VmHWM`` to stderr at exit
-   (``ru_maxrss`` starts at the forking harness's size); ``run`` cuts it off.  It
-   prints each seed-0 command's median peak in MiB on each side beside that side's
-   spread (max - min) over its runs, each of the 29 commands whose exit code,
-   stdout or stderr differs, each of the 135 traced counts (``COUNTED`` per
-   workload) that differs, and how many of each differ.
-2. Pairs (about 6 minutes for 10 pairs on 2 vCPU).  Per workload it runs N pairs
-   (default 10) of each checkout's own ``perfbench/run.py --workload W --seed S
-   --trace 0`` at seeds S, S + 1, ... (default 21), the parent first in even pairs.
-   Per end-to-end metric of ``BENCHMARK.json`` it prints both medians, the
-   parent's quartile spread (IQR), the pairs this checkout won (ties count for
-   neither) and the first verdict that holds: ``gain`` (``loss``) if this checkout
-   (the parent) won at least 9 of 10 pairs and the medians differ by more than the
-   IQR; ``unresolved`` if the IQR exceeds the bound, read as a fraction of the
-   parent's median; ``past bound`` if this checkout's median is worse by more than
-   the bound; else ``within bound``.  A run with no result drops its pair; per
-   workload it also prints the failed operations and the runs that exited non-zero.
+   time, their files in a temporary directory: ``RUNS`` runs of each of the 23
+   commands of ``perfbench/workloads.py`` at full size and seed 0, the 6 that the
+   seed changes (``Command.seeded``) at seed 7, and one pass per workload at seed 0
+   under this checkout's ``perfbench/tracer.py``.  Each untraced child runs under a
+   ``-c`` wrapper that writes its own ``VmHWM`` to stderr at exit (``ru_maxrss``
+   starts at the forking harness's size); ``run`` cuts it off.  It prints each
+   seed-0 command's median peak in MiB on each side beside that side's spread
+   (max - min), each of the 29 commands whose exit code, stdout or stderr differs,
+   each of the 135 traced counts (``COUNTED`` per workload) that differs, and how
+   many of each differ.
+2. Pairs (about 6 minutes for 10 pairs on 2 vCPU).  Per workload, N pairs (default
+   10) of each checkout's own ``perfbench/run.py --workload W --seed S --trace 0``
+   at seeds S, S + 1, ... (default 21), the parent first in even pairs.  Per
+   end-to-end metric of ``BENCHMARK.json`` it prints both medians, the parent's
+   quartile spread (IQR), the pairs this checkout won (ties count for neither) and
+   the first verdict that holds: ``gain`` (``loss``) if this checkout (the parent)
+   won at least 9 of 10 pairs and the medians differ by more than the IQR;
+   ``unresolved`` if the IQR exceeds the bound, read as a fraction of the parent's
+   median; ``past bound`` if this checkout's median is worse by more than the
+   bound; else ``within bound``.  A run with no result drops its pair; per workload
+   it also prints the failed operations and the runs that exited non-zero.
 
-Two noise limits, seen on 2 vCPU with a second copy of one commit as the parent
-(an A/A run, which should show no difference, ``gain`` or ``loss``): between
-copies a command's median peak moved by up to 0.35 MiB, and the growth ``wall_s``
-of one A/A batch came 0.035 s from reading ``loss``.  A peak row inside its
-spreads, or a verdict that close to its line, reads as noise; peaks are not judged.
-
-Both sections go to ``BENCH_<LABEL>.json`` at the root of this checkout, under
-``same_work`` and ``workloads``.  It exits 1 if a command or traced count differs,
-a peak is missing or a run failed, 2 on a usage error, else 0.  It uses the
-standard library only (the workload module uses NumPy).
+Noise, seen on 2 vCPU against a second copy of one commit: a command's median peak
+moved by up to 0.35 MiB, and growth's ``wall_s`` came 0.035 s from reading ``loss``.
+A peak row inside its spreads, or a verdict that close to its line, is noise; peaks
+are not judged.  Both sections go to ``BENCH_<LABEL>.json`` at the root of this
+checkout, under ``same_work`` and ``workloads``.  It exits 1 if a command or traced
+count differs, a peak is missing or a run failed, 2 on a usage error, else 0.  It
+uses the standard library only (the workload module uses NumPy).
 """
 
 from __future__ import annotations
@@ -60,7 +57,6 @@ import run as bench  # noqa: E402  (perfbench/ is not a package)
 import workloads  # noqa: E402
 
 RUNS = 5  # peak samples of each seed-0 command on each side
-LINUX = sys.platform.startswith("linux")
 # The per-layer metrics that count work (unit not s) but cli.stdout_changed: it counts
 # stdouts unlike perfbench/reference.json, which the command comparison already covers.
 COUNTED = [m["name"] for m in bench.BENCH["per_layer"]
@@ -75,13 +71,12 @@ def report():
         kib = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))
     sys.stderr.write(f'\\nVmHWM {kib}\\n')
 atexit.register(report)
-mode, target = sys.argv[1:3]
+mode, target, *args = sys.argv[1:]
+sys.argv = ['-c', *args]  # run_module puts the module's path first, as -m does
 if mode == '-m':
-    sys.argv = [target, *sys.argv[3:]]
     runpy.run_module(target, run_name='__main__', alter_sys=True)
 else:
-    sys.argv = ['-c', *sys.argv[3:]]
-    exec(compile(target, '<string>', 'exec'), {'__name__': '__main__'})
+    exec(target, {'__name__': '__main__'})
 """
 
 
@@ -98,15 +93,14 @@ def commands(workdir: Path) -> list:
 
 
 def run(checkout: Path, cmd) -> tuple:
-    """The command's exit code, stdout, own stderr and own peak in MiB (None off Linux
-    or if it reported none), run as the harness's child with the checkout's src."""
+    """The command's exit code, stdout, own stderr and own peak in MiB (None if it
+    reported none), run as the harness's child with the checkout's src."""
     py, *rest = bench.command_argv(cmd)
-    proc = subprocess.run([py, "-c", WRAPPER, *rest] if LINUX else [py, *rest], cwd=checkout,
-                          env=env(checkout), stdin=subprocess.DEVNULL, capture_output=True,
-                          timeout=600)
+    proc = subprocess.run([py, "-c", WRAPPER, *rest], cwd=checkout, env=env(checkout),
+                          stdin=subprocess.DEVNULL, capture_output=True, timeout=600)
     stderr, peak = proc.stderr, None
     head, line, kib = stderr.rpartition(b"\nVmHWM ")
-    if LINUX and line and kib.endswith(b"\n") and kib[:-1].isdigit():
+    if line and kib.endswith(b"\n") and kib[:-1].isdigit():
         stderr, peak = head, int(kib) / 1024
     return proc.returncode, proc.stdout, stderr, peak
 
@@ -129,10 +123,9 @@ def counted(checkout: Path, cmds) -> dict:
     return {m: metrics.get(m, 0.0) for m in COUNTED}
 
 
-def same_work(parent: Path) -> dict:
-    """Run and print the same-work section: its record, whose ``commands_differing``,
+def same_work(sides: dict) -> dict:
+    """Run and print the same-work section of ``sides``: its record, whose ``commands_differing``,
     ``counts_differing`` and ``peaks_missing`` list what makes the tool exit 1."""
-    sides = {"head": ROOT, "parent": parent}
     with tempfile.TemporaryDirectory() as tmp:
         bench.WORK = Path(tmp)
         todo = commands(bench.WORK)
@@ -142,13 +135,13 @@ def same_work(parent: Path) -> dict:
                 cmd for n, seed, cmd in todo if n == name and seed == 0]))
                 for name in workloads.WORKLOADS] for side, checkout in sides.items()}
             jobs = [(name, seed, cmd.id, {side: pool.submit(
-                sample, checkout, cmd, RUNS if LINUX and seed == 0 else 1)
+                sample, checkout, cmd, RUNS if seed == 0 else 1)
                 for side, checkout in sides.items()}) for name, seed, cmd in todo]
             results = [(name, seed, cid, {side: job.result() for side, job in pair.items()})
                        for name, seed, cid, pair in jobs]
-    record = {"commands": {}, "commands_differing": [], "peaks_missing": []}
+    record = {"commands": {}, "peaks_missing": []}
     print(f"{'command':<36} {'here MiB':>9} {'spread':>6} {'parent MiB':>10} {'spread':>6} "
-          f"{'diff':>7}" if LINUX else "peaks not read: there is no /proc/self/status off Linux")
+          f"{'diff':>7}")
     for name, seed, cid, result in results:
         label = f"{name} seed {seed} {cid}"
         (here, here_peaks), (there, there_peaks) = result["head"], result["parent"]
@@ -158,9 +151,7 @@ def same_work(parent: Path) -> dict:
             side: {"code": code, "stdout": out.decode(errors="backslashreplace"),
                    "stderr": err.decode(errors="backslashreplace"), "peaks_mib": peaks}
             for side, ((code, out, err), peaks) in result.items()}}
-        if parts:
-            record["commands_differing"].append(label)
-        if not LINUX or seed != 0:
+        if seed != 0:
             continue
         if here_peaks is None or there_peaks is None:
             record["peaks_missing"].append(label)
@@ -170,6 +161,7 @@ def same_work(parent: Path) -> dict:
         print(f"{name + ' ' + cid:<36} {mid_here:9.2f} {max(here_peaks) - min(here_peaks):6.2f} "
               f"{mid_there:10.2f} {max(there_peaks) - min(there_peaks):6.2f} "
               f"{mid_here - mid_there:+7.2f}")
+    record["commands_differing"] = [k for k, v in record["commands"].items() if v["differs"]]
     for label in record["commands_differing"]:
         print(f"{label}: differs in {', '.join(record['commands'][label]['differs'])}")
     record["counts"] = {side: {f"{name} {metric}": value for name, job in passes
@@ -178,7 +170,7 @@ def same_work(parent: Path) -> dict:
     here, there = record["counts"]["head"], record["counts"]["parent"]
     record["counts_differing"] = [key for key in here if here[key] != there[key]]
     for key in record["counts_differing"]:
-        print(f"trace {key}: {here[key]!r} here, {there[key]!r} in {parent}")
+        print(f"trace {key}: {here[key]!r} here, {there[key]!r} in {sides['parent']}")
     print(f"{len(record['commands_differing'])} of {len(todo)} commands differ")
     print(f"{len(record['counts_differing'])} of {len(here)} traced counts differ", flush=True)
     return record
@@ -248,17 +240,19 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=21)
     args = ap.parse_args(argv)
+    if not sys.platform.startswith("linux"):
+        ap.error(f"needs Linux, for the CPU affinity and /proc/self/status; not {sys.platform}")
     parent = args.parent.resolve()
     for need in ("perfbench/run.py", "src/rispaces"):
         if not (parent / need).exists():
             ap.error(f"{parent} has no {need}")
     if args.pairs < 2:
         ap.error("--pairs must be at least 2, to give the parent a spread")
-    for checkout in (ROOT, parent):
-        compileall.compile_dir(checkout / "src", quiet=1)
     sides = {"parent": parent, "head": ROOT}
+    for checkout in sides.values():
+        compileall.compile_dir(checkout / "src", quiet=1)
     seeds = range(args.first_seed, args.first_seed + args.pairs)
-    report = {"label": args.label, "seeds": list(seeds), "same_work": same_work(parent),
+    report = {"label": args.label, "seeds": list(seeds), "same_work": same_work(sides),
               "workloads": {}}
     failed = sum(len(report["same_work"][key])
                  for key in ("commands_differing", "counts_differing", "peaks_missing"))
