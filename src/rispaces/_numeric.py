@@ -1,9 +1,11 @@
 """Numeric helpers shared by the modules: ln 2, the chunk size, the elementwise runner,
-log-factorials, log-binomials, the integer check, logsumexp, finite parameters and the
-``HEAD:REST`` token grammar, all on NumPy alone so importing them loads no SciPy."""
+log-factorials, log-binomials, the integer check, logsumexp, finite parameters, the
+``HEAD:REST`` token grammar and the CSV reader of its path forms, all on NumPy alone so
+importing them loads no SciPy."""
 
 from __future__ import annotations
 
+import csv
 import math
 import numbers
 
@@ -141,3 +143,30 @@ def parse_token(kind: str, token: str, forms: dict, paths=()):
         return forms[head](rest)
     except ValueError as exc:
         raise ValueError(f"bad {kind} token {token!r}: {exc}") from None
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def csv_rows(path: str, width: int) -> list:
+    """The rows of a CSV file, each as a tuple of its first ``width`` cells as floats.
+
+    UTF-8 with an optional byte-order mark; a row with no text is skipped, a first row
+    with no number in it is a header, and any other row that does not parse is one
+    ValueError naming the row and the file (README "Input files").
+    """
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+    out = []
+    for i, row in enumerate(rows):
+        try:
+            out.append(tuple(float(row[k]) for k in range(width)))
+        except (ValueError, IndexError):
+            if i or any(map(_is_number, row)):
+                raise ValueError(f"bad table row {row!r} in {path}") from None
+    return out

@@ -118,7 +118,7 @@ def _cmd_norm(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     if args.indicator is not None:
         f = StepFunction.indicator(args.indicator)
     else:
-        with open(args.step) as fh:
+        with open(args.step, encoding="utf-8-sig") as fh:
             f = StepFunction.from_json_dict(json.load(fh))
     value = space_norm(f, space)
     payload = {"command": "norm", "space": space_label(space), "norm": value}
@@ -266,7 +266,7 @@ class _Parser(argparse.ArgumentParser):
 
     def _read_args_from_files(self, arg_strings):
         # argparse's reader decodes in the locale's encoding and makes only an OSError
-        # a usage error; here an @FILE is UTF-8, and one that fails is one error line.
+        # a usage error; here an @FILE is UTF-8, BOM or not, and one that fails is one error line.
         # It holds one argument a line; blank lines and # comments hold none, and a
         # line naming another @FILE is refused, so no file can name itself
         args = []
@@ -275,7 +275,7 @@ class _Parser(argparse.ArgumentParser):
                 args.append(arg)
                 continue
             try:
-                with open(arg[1:], encoding="utf-8") as fh:
+                with open(arg[1:], encoding="utf-8-sig") as fh:
                     lines = fh.read().splitlines()
             except OSError as exc:
                 self.error(str(exc))

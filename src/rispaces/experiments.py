@@ -19,13 +19,12 @@ which bounds memory and never changes a result.
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._numeric import integer, parse_token, positive_int
+from ._numeric import csv_rows, integer, parse_token, positive_int
 from .gaussian import erfc_inverse, upper_tail
 from .generators import gauss
 from .norms import (
@@ -123,11 +122,6 @@ def custom_sampler(quantiles: Sequence[float], seed: int = 0) -> SamplerSpec:
     return SamplerSpec(kind="custom", quantiles=tuple(quantiles), seed=seed)
 
 
-def _csv_column(path: str) -> List[float]:
-    with open(path, newline="") as fh:
-        return [float(row[0]) for row in csv.reader(fh) if row and row[0].strip()]
-
-
 def parse_sampler(token: str, seed: int = 0) -> SamplerSpec:
     """Mini-DSL: rademacher | signed:U | gauss | custom:CSVPATH."""
     return parse_token("sampler", token, {
@@ -135,7 +129,7 @@ def parse_sampler(token: str, seed: int = 0) -> SamplerSpec:
         "signed": lambda rest: signed_indicator(float(rest), seed),
         "gauss": lambda rest: gaussian_law(seed),
         "gaussian": lambda rest: gaussian_law(seed),
-        "custom": lambda rest: custom_sampler(_csv_column(rest), seed),
+        "custom": lambda rest: custom_sampler([row[0] for row in csv_rows(rest, 1)], seed),
     }, paths=("custom",))
 
 

@@ -15,13 +15,13 @@ They never extrapolate.
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._numeric import LN2, elementwise, finite_float, integer, log_binom, parse_token, positive_int
+from ._numeric import (LN2, csv_rows, elementwise, finite_float, integer, log_binom, parse_token,
+                       positive_int)
 from .gaussian import _SQRT_PI, erfc_inverse, erfc_inverse_log
 
 __all__ = [
@@ -190,18 +190,8 @@ def table(points: Sequence, label: str = "table") -> ConcaveGenerator:
 
 
 def table_from_csv(path: str) -> ConcaveGenerator:
-    """Read t,psi rows (the first non-blank one may be a header) into a table generator."""
-    pts = []
-    with open(path, newline="") as fh:
-        rows = (row for row in csv.reader(fh) if row and row[0].strip())
-        for i, row in enumerate(rows):
-            try:
-                pts.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError):
-                if i:
-                    raise ValueError(f"bad table row {row!r} in {path}")
-                # header row
-    return table(pts, label=f"table:{path}")
+    """A table generator through the t,psi rows of a CSV file (README "Input files")."""
+    return table(csv_rows(path, 2), label=f"table:{path}")
 
 
 def parse_generator(token: str) -> ConcaveGenerator:

@@ -730,9 +730,18 @@ def test_malformed_step_file_exits_two(tmp_path, content):
          "table nodes must have distinct t"),
         (("opnorm", "--psi", "table:{p}", "--n", "4"), "0.5,0.8\n1,0.6\n",
          "table values must be positive and strictly increasing"),
+        # a first row with a number in it is no header, so a typo there is refused
+        (("norm", "--space", "lorentz:table:{p}", "--indicator", "1/20"),
+         "0.1x,0.3\n0.5,0.7\n1,1\n", "bad table row ['0.1x', '0.3'] in "),
+        # only a row with no text at all is skipped
+        (("norm", "--space", "lorentz:table:{p}", "--indicator", "1/20"),
+         "0.1,0.3\n,0.6\n1,1\n", "bad table row ['', '0.6'] in "),
+        (("mc", "--space", "lpq:2:1", "--sampler", "custom:{p}", "--n", "4"), "-1\n1\n,2\n",
+         "bad table row ['', '2'] in "),
     ],
     ids=["negative-step-value", "infinite-custom-atom", "header-only-table", "table-node-at-zero",
-         "repeated-table-t", "falling-table-psi"],
+         "repeated-table-t", "falling-table-psi", "misspelt-first-table-row",
+         "table-row-without-t", "custom-row-without-atom"],
 )
 def test_refused_input_file_exits_two(tmp_path, argv, content, fragment):
     p = tmp_path / "input"
@@ -742,6 +751,29 @@ def test_refused_input_file_exits_two(tmp_path, argv, content, fragment):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (("norm", "--space", "lorentz:table:{p}", "--indicator", "1/20"),
+         "0.1,0.3\n0.5,0.7\n1,1\n"),
+        (("mc", "--space", "lpq:2:1", "--sampler", "custom:{p}", "--n", "4", "--trials", "1000",
+          "--m", "256"), "-1\n1\n"),
+        (("norm", "--space", "lpq:2:1", "--step", "{p}"),
+         '{"breakpoints": [0, 0.5, 1], "values": [2, 1]}'),
+        (("norm", "@{p}", "--indicator", "1/4"), "--space=lpq:2:1\n"),
+    ],
+    ids=["table", "custom", "step", "argument-file"],
+)
+def test_leading_byte_order_mark_changes_no_output(tmp_path, argv, content):
+    # every input file decodes as UTF-8 with a leading byte-order mark dropped
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(content, encoding="utf-8")
+    marked.write_text("\ufeff" + content, encoding="utf-8")
+    code, out, _ = run_main(*(a.format(p=plain) for a in argv))
+    assert code == 0 and out
+    assert run_main(*(a.format(p=marked) for a in argv))[:2] == (code, out)
 
 
 def test_orlicz_norm_past_float_range_exits_two(tmp_path):

@@ -96,6 +96,14 @@ def test_parse_sampler(tmp_path):
         parse_sampler("weird")
 
 
+def test_custom_file_may_start_with_a_header(tmp_path):
+    # the custom: file is read by the table's rules: a first row with no number in it
+    # is a header, and a row with no text is skipped
+    p = tmp_path / "law.csv"
+    p.write_text("atom\n-1.5\n\n , \n1.5\n")
+    assert parse_sampler(f"custom:{p}").quantiles == (-1.5, 1.5)
+
+
 def test_draws_deterministic_and_independent_of_batching():
     s = signed_indicator(0.5, seed=7)
     a = _draw_sums(s, 8, 3000)

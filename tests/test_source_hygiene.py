@@ -1,8 +1,9 @@
 """Guards for deletions: no module or tool keeps an import nothing uses, no module
 imports SciPy or reads the environment, none but the CLI touches the garbage
 collector, every private name and public method has a caller, one module holds the
-chunk size, the integer checks and the token errors, the records are NamedTuples
-but one, and the package exports exactly the names in ``test_oracles.ORACLES``."""
+chunk size, the integer checks, the token errors and the CSV reader, every input file
+decodes one way, the records are NamedTuples but one, and the package exports exactly
+the names in ``test_oracles.ORACLES``."""
 
 import ast
 import re
@@ -135,7 +136,10 @@ def test_dead_method_check_sees_one():
      "_numeric.parse_token's grammar and its two messages rather than each spelling its own"),
     (r"\.ndim else float\(", "every kernel that takes a scalar or an array runs through "
      "_numeric.elementwise rather than an adapter of its own"),
-], ids=["chunk-size", "log-binomial", "integer-check", "token-errors", "scalar-or-array"])
+    (r"csv\.reader\(", "the table and custom: files are read by _numeric.csv_rows, so their "
+     "row rules live in one place"),
+], ids=["chunk-size", "log-binomial", "integer-check", "token-errors", "scalar-or-array",
+        "csv-reader"])
 def test_only_numeric_spells(spelled, reason):
     holders = sorted(p.name for p in SRC.glob("*.py") if re.search(spelled, p.read_text()))
     assert holders == ["_numeric.py"], reason
@@ -145,6 +149,34 @@ def test_only_log_lengths_spells_the_piece_length():
     # every core takes log(T_i^r - T_(i-1)^r) from norms._log_lengths
     count = sum(p.read_text().count("log1p(np.negative(np.exp(") for p in SRC.glob("*.py"))
     assert count == 1
+
+
+def _undecoded_reads(tree: ast.Module):
+    """Lines of the ``open`` calls that read text (a mode with none of w, a, x and b)
+    without ``encoding="utf-8-sig"``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+            keywords = {k.arg: k.value for k in node.keywords}
+            mode = node.args[1] if len(node.args) > 1 else keywords.get("mode", ast.Constant("r"))
+            reads = not (isinstance(mode, ast.Constant) and set(mode.value) & set("waxb"))
+            if reads and getattr(keywords.get("encoding"), "value", None) != "utf-8-sig":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_every_input_file_decodes_one_way():
+    # the step file, @FILEs and the table and custom: CSVs are UTF-8 with an
+    # optional byte-order mark, whatever the locale
+    reads = {p.name: _undecoded_reads(ast.parse(p.read_text(), str(p))) for p in MODULES}
+    assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def test_undecoded_read_check_sees_one():
+    tree = ast.parse('open("a", encoding="utf-8-sig")\nopen("b")\nopen("c", "w")\n'
+                     'open("d", mode="rb")\nopen("e", encoding="utf-8")\nopen("f", "r+")\n'
+                     'p.open("g")\n')
+    assert _undecoded_reads(tree) == [2, 5, 6]
 
 
 def _imported_roots(tree: ast.Module):
