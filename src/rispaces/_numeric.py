@@ -154,19 +154,19 @@ def _is_number(cell: str) -> bool:
 
 
 def csv_rows(path: str, width: int) -> list:
-    """The rows of a CSV file, each as a tuple of its first ``width`` cells as floats.
+    """The rows of a CSV file, each as a tuple of its ``width`` cells as floats.
 
     UTF-8 with an optional byte-order mark; a row with no text is skipped, a first row
-    with no number in it is a header, and any other row that does not parse is one
-    ValueError naming the row and the file (README "Input files").
+    with no number in it is a header, and any other row that does not parse or holds text
+    past ``width`` cells is one ValueError naming the row and the file (README "Input files").
     """
     with open(path, encoding="utf-8-sig", newline="") as fh:
         rows = [row for row in csv.reader(fh) if "".join(row).strip()]
     out = []
     for i, row in enumerate(rows):
-        try:
-            out.append(tuple(float(row[k]) for k in range(width)))
-        except (ValueError, IndexError):
-            if i or any(map(_is_number, row)):
-                raise ValueError(f"bad table row {row!r} in {path}") from None
+        cells, rest = row[:width], "".join(row[width:])
+        if len(cells) == width and all(map(_is_number, cells)) and not rest.strip():
+            out.append(tuple(map(float, cells)))
+        elif i or any(map(_is_number, row)):
+            raise ValueError(f"bad table row {row!r} in {path}")
     return out

@@ -166,9 +166,9 @@ def _cmd_classify(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int
         n_list=tuple(args.n_list),
         margin=args.margin,
         grid=grid,
-        with_kruglov=args.with_kruglov,
     )
-    payload = {"command": "classify", "psi": args.psi}
+    kruglov = kruglov_check(psi) if args.with_kruglov else None
+    payload = {"command": "classify", "psi": args.psi, "kruglov": _jsonable(kruglov)}
     payload.update(_jsonable(report))
     lines = [
         f"branch: {report.branch}"
@@ -194,8 +194,8 @@ def _cmd_classify(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int
         )
     else:
         lines.append(f"failed strictness: {report.failing_condition} condition")
-    if report.kruglov is not None:
-        lines.extend(_kruglov_lines(report.kruglov, threshold=1e3))
+    if kruglov is not None:
+        lines.extend(_kruglov_lines(kruglov, threshold=1e3))
     return payload, lines, None, 1 if report.inconclusive else 0
 
 

@@ -118,7 +118,6 @@ class DichotomyReport(NamedTuple):
     C: Optional[float] = None
     failing_condition: Optional[str] = None
     inconclusive: bool = False
-    kruglov: Optional["KruglovVerdict"] = None
 
 
 def classify(
@@ -128,7 +127,6 @@ def classify(
     n_list: Sequence[int] = (2, 4, 8, 16, 32, 64),
     margin: float = 1e-3,
     grid: GridConfig = CLASSIFY_GRID,
-    with_kruglov: bool = False,
 ) -> DichotomyReport:
     """Decide the operator-norm dichotomy from measured limit conditions.
 
@@ -151,7 +149,6 @@ def classify(
     inconclusive = not all(e.converged for e in (*a_est.values(), *c_est.values()))
     cond1 = any(e.value < k - margin for k, e in a_est.items())
     cond2 = any(e.value < 1.0 - margin for l, e in c_est.items())
-    kruglov = kruglov_check(psi) if with_kruglov else None
 
     opnorms: Dict[int, float] = {}
     witness = q = C = failing = None
@@ -186,7 +183,6 @@ def classify(
         C=C,
         failing_condition=failing,
         inconclusive=inconclusive,
-        kruglov=kruglov,
     )
 
 

@@ -127,6 +127,18 @@ def test_classify_json_shape():
         assert set(est) == {"value", "grid_min", "window", "converged", "j_max"}
 
 
+def test_classify_json_holds_the_series_probe_only_with_its_flag():
+    # "kruglov" is always a key: null without --with-kruglov, the probe's verdict with it
+    argv = ("classify", "--psi", "power:0.5", "--format", "json")
+    (code, out, _), (kcode, kout, _) = run_main(*argv), run_main(*argv, "--with-kruglov")
+    assert code == kcode == 0
+    plain, probed = json.loads(out), json.loads(kout)
+    assert plain.pop("kruglov") is None
+    assert set(probed.pop("kruglov")) == {"finite", "sup_value", "N_used", "t_argmax",
+                                          "inconclusive"}
+    assert plain == probed
+
+
 def test_classify_shallow_grid_is_inconclusive():
     # the slowly varying generator does not settle within 60 octaves
     code, out, _ = run_main("classify", "--psi", "example7", "--j-max", "60")
@@ -738,10 +750,16 @@ def test_malformed_step_file_exits_two(tmp_path, content):
          "0.1,0.3\n,0.6\n1,1\n", "bad table row ['', '0.6'] in "),
         (("mc", "--space", "lpq:2:1", "--sampler", "custom:{p}", "--n", "4"), "-1\n1\n,2\n",
          "bad table row ['', '2'] in "),
+        # a cell past the row's width must be blank
+        (("norm", "--space", "lorentz:table:{p}", "--indicator", "1/20"),
+         "0.1,0.3,junk\n0.5,0.7\n1,1\n", "bad table row ['0.1', '0.3', 'junk'] in "),
+        (("mc", "--space", "lpq:2:1", "--sampler", "custom:{p}", "--n", "4"), "-1,5\n1\n",
+         "bad table row ['-1', '5'] in "),
     ],
     ids=["negative-step-value", "infinite-custom-atom", "header-only-table", "table-node-at-zero",
          "repeated-table-t", "falling-table-psi", "misspelt-first-table-row",
-         "table-row-without-t", "custom-row-without-atom"],
+         "table-row-without-t", "custom-row-without-atom", "table-row-with-a-third-cell",
+         "custom-row-with-a-second-cell"],
 )
 def test_refused_input_file_exits_two(tmp_path, argv, content, fragment):
     p = tmp_path / "input"
@@ -751,6 +769,26 @@ def test_refused_input_file_exits_two(tmp_path, argv, content, fragment):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (("norm", "--space", "lorentz:table:{p}", "--indicator", "1/20"),
+         "t,psi,\n0.1,0.3,\n0.5,0.7,\n1,1, \n"),
+        (("mc", "--space", "lpq:2:1", "--sampler", "custom:{p}", "--n", "4", "--trials", "1000",
+          "--m", "256"), "-1,\n1,,\n"),
+    ],
+    ids=["table", "custom"],
+)
+def test_blank_cells_past_a_rows_width_change_no_output(tmp_path, argv, content):
+    # a spreadsheet's trailing commas read as the rows without them
+    padded, plain = tmp_path / "padded", tmp_path / "plain"
+    padded.write_text(content)
+    plain.write_text("\n".join(line.rstrip(", ") for line in content.splitlines()) + "\n")
+    code, out, _ = run_main(*(a.format(p=plain) for a in argv))
+    assert code == 0 and out
+    assert run_main(*(a.format(p=padded) for a in argv))[:2] == (code, out)
 
 
 @pytest.mark.parametrize(

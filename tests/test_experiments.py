@@ -11,11 +11,9 @@ from rispaces import (
     Lorentz,
     Lpq,
     Marcinkiewicz,
-    Orlicz,
     SamplerSpec,
     StepFunction,
     custom_sampler,
-    exp_lp,
     fit_growth,
     gamma_iid_endpoint,
     gaussian_law,
@@ -35,13 +33,7 @@ from rispaces import experiments
 from rispaces.experiments import _draw_sums, _lattice_norm, _rng_for, _row_sums, fftconvolve
 from rispaces.gaussian import erfc_inverse, upper_tail
 from rispaces.generators import gauss
-
-ALL_SPACES = [
-    Lorentz(power(0.5)),
-    Marcinkiewicz(logpow(2.0)),
-    Orlicz(exp_lp(2.0)),
-    Lpq(2.0, 1.0),
-]
+from test_norms import ALL_SPACES
 
 
 # ------------------------------------------------------------------- samplers

@@ -395,7 +395,7 @@ def test_records_keep_their_reprs_and_keyword_constructors():
         (DichotomyReport("PowerBound", 1e-3, {}, {}, {2: 1.5}),
          "DichotomyReport(branch='PowerBound', margin=0.001, a_estimates={}, c_estimates={}, "
          "opnorms={2: 1.5}, witness_n0=None, q=None, C=None, failing_condition=None, "
-         "inconclusive=False, kruglov=None)"),
+         "inconclusive=False)"),
     ]
     for record, text in cases:
         assert repr(record) == text

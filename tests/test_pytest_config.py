@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from test_source_hygiene import _imported_roots
+
 TESTS = Path(__file__).resolve().parent
 PYPROJECT = TESTS.parent / "pyproject.toml"
 
@@ -49,13 +51,8 @@ def _normalized(distribution):
 def _third_party_imports():
     """Top-level modules imported under tests/ that are neither stdlib nor local."""
     local = {"rispaces"} | {p.stem for p in TESTS.glob("*.py")}
-    found = set()
-    for path in TESTS.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                found |= {alias.name.partition(".")[0] for alias in node.names}
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                found.add(node.module.partition(".")[0])
+    found = set().union(*(_imported_roots(ast.parse(p.read_text(), str(p)))
+                          for p in TESTS.glob("*.py")))
     return sorted(found - set(sys.stdlib_module_names) - local)
 
 

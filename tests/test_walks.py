@@ -25,28 +25,15 @@ from rispaces import (
     walk_distribution,
 )
 from rispaces._numeric import CHUNK as _ROW_CHUNK, log_factorial
+from test_acceptance import _enumerated_tails
 
 LN2 = math.log(2.0)
-
-
-def enumerated_abs_tails(n, u):
-    """Brute force over all 3^n outcomes of n signed indicators."""
-    atom = [(1, u / 2), (-1, u / 2), (0, 1 - u)]
-    law = {}
-    for outcome in itertools.product(atom, repeat=n):
-        s = abs(sum(v for v, _ in outcome))
-        p = math.prod((q for _, q in outcome), start=Fraction(1))
-        law[s] = law.get(s, Fraction(0)) + p
-    return {
-        s: sum((p for v, p in law.items() if v >= s), Fraction(0))
-        for s in range(1, n + 1)
-    }
 
 
 @pytest.mark.parametrize("u", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_signed_sum_tails_match_enumeration(n, u):
-    oracle = enumerated_abs_tails(n, u)
+    oracle = _enumerated_tails(n, u)
     for s in range(1, n + 1):
         got = signed_indicator_sum_tail(n, u, s)
         assert isinstance(got, Fraction)

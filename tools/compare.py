@@ -31,6 +31,9 @@ trees are byte-compiled once first, so no run pays for bytecode.  Then:
 
 Noise, seen on 2 vCPU against a second copy of one commit: a command's median peak
 moved by up to 0.35 MiB, and growth's ``wall_s`` came 0.035 s from reading ``loss``.
+The peaks of ``norm-step-orlicz`` and ``norm-step-marcinkiewicz`` sit at about
+40.7 MiB or at 41.2-41.5 MiB, and a change that only imports one more small module
+moves them to the upper level, so a +0.5 to +0.75 MiB row on those two is noise too.
 A peak row inside its spreads, or a verdict that close to its line, is noise; peaks
 are not judged.  Both sections go to ``BENCH_<LABEL>.json`` at the root of this
 checkout, under ``same_work`` and ``workloads``.  It exits 1 if a command or traced
