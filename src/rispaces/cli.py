@@ -207,7 +207,7 @@ def _kruglov_lines(verdict, threshold: float) -> List[str]:
     else:
         head = "series probe: divergent"
     detail = (
-        f"  sup = {'inf' if math.isinf(verdict.sup_value) else _fmt(verdict.sup_value)}"
+        f"  sup = {_fmt(verdict.sup_value)}"
         f" at t = {_fmt(verdict.t_argmax)}   [N = {verdict.N_used} terms, "
         f"threshold {_fmt(threshold)}]"
     )

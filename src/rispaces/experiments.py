@@ -32,6 +32,7 @@ from .norms import (
     Lpq,
     Marcinkiewicz,
     SpaceSpec,
+    _advancing,
     _checked_chunks,
     _price,
     space_norm,
@@ -323,15 +324,8 @@ def _lattice_norm(pmf: np.ndarray, h: float, space: SpaceSpec) -> float:
     vals = (np.arange(size - 1, size - half - 1, -1) - (size - 1) / 2.0) * h
     keep = tails > 0
     tails, vals = tails[keep], vals[keep]
-    np.cumsum(tails, out=tails)
-    ok = np.empty(tails.size, dtype=bool)
-    ok[0] = tails[0] > 0
-    np.greater(tails[1:], tails[:-1], out=ok[1:])  # drop sub-ulp layers that stall the cumsum
-    log_tails, vals = tails[ok], vals[ok]
-    del tails
-    with np.errstate(divide="ignore"):
-        np.log(log_tails, out=log_tails)
-    return space_norm_from_layers(vals, np.minimum(log_tails, 0.0, out=log_tails), space)
+    log_tails = np.log(np.cumsum(tails, out=tails), out=tails)
+    return space_norm_from_layers(*_advancing(vals, log_tails), space)
 
 
 # ------------------------------------------------------------------ growth fits

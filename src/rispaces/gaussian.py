@@ -95,6 +95,14 @@ def _p1evl(x, coef):
     return out
 
 
+def _rational(x, w, p, q):
+    # P(x) w / Q(x), P by _polevl and Q by _p1evl, in Cephes's operation order
+    out = _polevl(x, p)
+    out *= w
+    out /= _p1evl(x, q)
+    return out
+
+
 def _libm(f, x):
     """f of each entry of x, a contiguous 1-D array, through ``math``: the C library's f.
 
@@ -110,10 +118,7 @@ def _erfc(a: np.ndarray) -> np.ndarray:
     small = x < 1.0
     if np.any(small):
         s = a[small]  # Cephes's erf(s) = -erf(-s) is s T / U for either sign of s
-        s2 = np.square(s)
-        y = _polevl(s2, _ERF_T)
-        y *= s
-        y /= _p1evl(s2, _ERF_U)
+        y = _rational(np.square(s), s, _ERF_T, _ERF_U)
         out[small] = np.subtract(1.0, y, out=y)
     big = ~small
     if np.any(big):
@@ -127,11 +132,8 @@ def _erfc(a: np.ndarray) -> np.ndarray:
             e = _libm(math.exp, np.negative(z[live]))
             mid = x < 8.0
             for part, p, q in ((mid, _ERFC_P, _ERFC_Q), (~mid, _ERFC_R, _ERFC_S)):
-                if np.any(part):
-                    xp, ep = x[part], e[part]
-                    ep *= _polevl(xp, p)
-                    ep /= _p1evl(xp, q)
-                    e[part] = ep
+                if np.any(part):  # Cephes's e P / Q: P e is e P bit for bit
+                    e[part] = _rational(x[part], e[part], p, q)
             y[live] = e
         np.subtract(2.0, y, out=y, where=b < 0.0)
         out[big] = y
@@ -149,9 +151,7 @@ def _erfcinv(y: np.ndarray) -> np.ndarray:
         c = h[central]
         c -= 0.5
         c2 = np.square(c)
-        r = _polevl(c2, _NDTRI_P0)
-        r *= c2
-        r /= _p1evl(c2, _NDTRI_Q0)
+        r = _rational(c2, c2, _NDTRI_P0, _NDTRI_Q0)
         r *= c
         r += c
         r *= _S2PI
@@ -172,10 +172,7 @@ def _erfcinv(y: np.ndarray) -> np.ndarray:
         for part, p, q in ((~deep, _NDTRI_P1, _NDTRI_Q1), (deep, _NDTRI_P2, _NDTRI_Q2)):
             if np.any(part):
                 zp = z[part]
-                x1 = _polevl(zp, p)
-                x1 *= zp
-                x1 /= _p1evl(zp, q)
-                r[part] -= x1
+                r[part] -= _rational(zp, zp, p, q)
         np.negative(r, out=r, where=upper[tail])  # ndtri is -r below 1/2 and r above
         r *= _SQRT1_2
         out[tail] = r

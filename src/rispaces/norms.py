@@ -184,15 +184,21 @@ def _layers_from_step(f: StepFunction) -> Layers:
     x = f.rearrange()
     ends = x.breakpoints[1:]
     lT = np.array([_log_fraction(b) for b in ends]) if x.is_exact else np.log(ends)
-    values = x.values.astype(float, copy=False)
-    # A layer whose log-tail does not pass every one before it has no measure at
-    # the log's resolution (two ends may even round backward): it is dropped, as
-    # ``experiments._lattice_norm`` drops one, and the log-tails stay increasing.
-    keep = np.greater(lT[1:], np.maximum.accumulate(lT[:-1]))
+    return _advancing(x.values.astype(float, copy=False), lT)
+
+
+def _advancing(values: np.ndarray, log_tails: np.ndarray) -> Layers:
+    """The layers whose log-tail, clamped at 0 in place, passes every one before it.
+
+    A layer that does not pass has no measure at the log's resolution (two ends
+    may even round backward), so it is dropped and the log-tails stay increasing.
+    """
+    np.minimum(log_tails, 0.0, out=log_tails)
+    keep = np.greater(log_tails[1:], np.maximum.accumulate(log_tails[:-1]))
     if not keep.all():
         keep = np.r_[True, keep]
-        values, lT = values[keep], lT[keep]
-    return values, lT
+        values, log_tails = values[keep], log_tails[keep]
+    return values, log_tails
 
 
 def _checked_chunks(chunks: Iterable[Layers]) -> Iterator[Layers]:

@@ -7,6 +7,7 @@ from rispaces import (
     DEFAULT_KRUGLOV_T_GRID,
     GridConfig,
     KruglovVerdict,
+    Lorentz,
     classify,
     indicator_ratio,
     inv_sqrt_log,
@@ -15,10 +16,11 @@ from rispaces import (
     logpow,
     lorentz_operator_norm,
     power,
+    signed_indicator_sum_log_tails,
     sup_indicator_ratio,
     table,
 )
-from rispaces import dichotomy
+from rispaces import dichotomy, norms
 from rispaces._numeric import CHUNK as _KRUGLOV_CHUNK, log_factorial
 from rispaces.generators import ConcaveGenerator, parse_generator
 
@@ -34,6 +36,19 @@ def test_indicator_ratio_anchors():
     for psi in (p1, power(0.5), inv_sqrt_log()):
         for u in (1e-6, 0.3, 1.0):
             assert indicator_ratio(psi, 1, u) == pytest.approx(1.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("token", ["power:0.5", "power:1", "logpow:2", "invsqrtlog", "gauss"])
+def test_indicator_ratio_is_the_lorentz_norm_of_the_walk_law(token):
+    # n psi(u) g(n, u) is the Lorentz norm of |S_n|, whose layers are the values
+    # n, ..., 1 over the tails P(|S_n| >= s); ties at u = 1 are priced as they come
+    psi = parse_generator(token)
+    for n in (1, 2, 17, 512):
+        for u in (1.0, 0.5, 2.0**-40, 1e-300):
+            layers = (np.arange(n, 0, -1, dtype=float), signed_indicator_sum_log_tails(n, u)[::-1])
+            want = norms._price([layers], n, Lorentz(psi))
+            got = indicator_ratio(psi, n, u) * n * math.exp(psi.log_eval(math.log(u)))
+            assert abs(got - want) <= 4 * math.ulp(want), (n, u, got, want)
 
 
 def test_indicator_ratio_in_unit_interval():

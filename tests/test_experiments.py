@@ -351,6 +351,19 @@ def test_selfsimilarity_binary_powering_matches_sequential_route(n):
     assert gaussian_selfsimilarity_check(n, 2**12) == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("space", [Marcinkiewicz(gauss()), Lorentz(power(0.5))],
+                         ids=["marcinkiewicz-gauss", "lorentz-power-0.5"])
+def test_lattice_layer_below_the_logs_resolution_is_dropped(space):
+    # the two middle cells grow the cumulative tail by one ulp, which its log does
+    # not see: that layer has no measure at the log's resolution and goes, as it
+    # does from a step function, so the lattice prices as if the cells were empty
+    a = 0.5e-3
+    b = np.nextafter(2 * a, 1.0) - 2 * a
+    assert np.log(2 * a + b) == np.log(2 * a)
+    got = _lattice_norm(np.array([a, b / 2, b / 2, a]), 1.0, space)
+    assert got == _lattice_norm(np.array([a, 0.0, 0.0, a]), 1.0, space)
+
+
 def test_import_does_not_load_scipy_signal(child_env):
     proc = subprocess.run(
         [sys.executable, "-c",

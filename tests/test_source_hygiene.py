@@ -1,9 +1,10 @@
 """Guards for deletions: no module or tool keeps an import nothing uses, no module
 imports SciPy or reads the environment, none but the CLI touches the garbage
 collector, every private name and public method has a caller, one module holds the
-chunk size, the integer checks, the token errors and the CSV reader, every input file
-decodes one way, the records are NamedTuples but one, and the package exports exactly
-the names in ``test_oracles.ORACLES``."""
+chunk size, the integer checks, the token errors and the CSV reader, one helper each
+holds the layer rule and the Cephes rational step, every input file decodes one way,
+the records are NamedTuples but one, and the package exports exactly the names in
+``test_oracles.ORACLES``."""
 
 import ast
 import re
@@ -149,6 +150,18 @@ def test_only_log_lengths_spells_the_piece_length():
     # every core takes log(T_i^r - T_(i-1)^r) from norms._log_lengths
     count = sum(p.read_text().count("log1p(np.negative(np.exp(") for p in SRC.glob("*.py"))
     assert count == 1
+
+
+def test_only_advancing_spells_the_layer_rule():
+    # every law, step function or Gaussian lattice, keeps the layers norms._advancing keeps
+    holders = sorted(p.name for p in SRC.glob("*.py") if "maximum.accumulate" in p.read_text())
+    assert holders == ["norms.py"]
+
+
+def test_only_rational_divides_by_a_cephes_denominator():
+    # gaussian._rational is the one place that computes P(x) w / Q(x): the definition
+    # of _p1evl and its one call
+    assert (SRC / "gaussian.py").read_text().count("_p1evl(") == 2
 
 
 def _undecoded_reads(tree: ast.Module):
