@@ -9,8 +9,8 @@ Output is deterministic byte for byte: floats render with repr, JSON sorts
 its keys, and every random draw is seeded (the last ``--seed``, typed or read
 from an ``@FILE``, else 0).  Exit codes: 0 on a conclusive result, 1 when a
 verdict is inconclusive, a fit is degenerate or a numerical search does not
-converge, 2 on usage or input errors.  The parser is the one source of every
-value a command reads, defaults included, and checks each before any token is read.
+converge, 2 on usage or input errors.  The parser is the one source of every value a
+command reads, and checks each before any token is read; a default is its library call's.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import inspect
 import io
 import json
 import math
@@ -25,13 +26,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .dichotomy import (
-    CLASSIFY_GRID,
-    DEFAULT_KRUGLOV_T_GRID,
-    classify,
-    kruglov_check,
-    sup_indicator_ratio,
-)
+from .dichotomy import classify, kruglov_check, sup_indicator_ratio
 from .generators import GridConfig, parse_generator
 from .experiments import growth_table, mc_iid_sum_norm, parse_sampler
 from .norms import parse_space, space_label, space_norm
@@ -57,6 +52,11 @@ def _jsonable(x):
     if isinstance(x, float) and math.isinf(x):
         return "inf"
     return x
+
+
+def _default(fn, param: str):
+    """The default that ``fn`` declares for ``param``: an option feeding ``fn`` states none."""
+    return inspect.signature(fn).parameters[param].default
 
 
 def _list_of(conv, kind: str):
@@ -159,14 +159,8 @@ def _estimate_line(label: str, est) -> str:
 def _cmd_classify(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     psi = parse_generator(args.psi)
     grid = GridConfig(j_max=args.j_max, window=args.window)
-    report = classify(
-        psi,
-        k_list=tuple(args.k_list),
-        l_list=tuple(args.l_list),
-        n_list=tuple(args.n_list),
-        margin=args.margin,
-        grid=grid,
-    )
+    report = classify(psi, k_list=args.k_list, l_list=args.l_list, n_list=args.n_list,
+                      margin=args.margin, grid=grid)
     kruglov = kruglov_check(psi) if args.with_kruglov else None
     payload = {"command": "classify", "psi": args.psi, "kruglov": _jsonable(kruglov)}
     payload.update(_jsonable(report))
@@ -195,7 +189,7 @@ def _cmd_classify(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int
     else:
         lines.append(f"failed strictness: {report.failing_condition} condition")
     if kruglov is not None:
-        lines.extend(_kruglov_lines(kruglov, threshold=1e3))
+        lines.extend(_kruglov_lines(kruglov, _default(kruglov_check, "threshold")))
     return payload, lines, None, 1 if report.inconclusive else 0
 
 
@@ -316,52 +310,59 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("opnorm", help="norm of the n-fold averaged operator")
     p.add_argument("--psi", required=True, help="generator token, e.g. power:0.5")
     p.add_argument("--n", type=_capped("n"), required=True)
-    p.add_argument("--j-max", type=int, default=40, help="u-grid depth in octaves")
+    p.add_argument("--j-max", type=int, default=_default(sup_indicator_ratio, "j_max"),
+                   help="u-grid depth in octaves")
     common(p, _cmd_opnorm)
 
     p = sub.add_parser("classify", help="growth dichotomy for a generator")
     p.add_argument("--psi", required=True)
-    p.add_argument("--k-list", type=ints, default=[2, 3, 4])
-    p.add_argument("--l-list", type=ints, default=[2, 3])
+    p.add_argument("--k-list", type=ints, default=_default(classify, "k_list"))
+    p.add_argument("--l-list", type=ints, default=_default(classify, "l_list"))
     p.add_argument("--n-list", type=_list_of(_capped("n_list"), "integers"),
-                   default=[2, 4, 8, 16, 32, 64])
-    p.add_argument("--margin", type=float, default=1e-3)
-    p.add_argument("--j-max", type=_capped("j_max"), default=CLASSIFY_GRID.j_max)
-    p.add_argument("--window", type=int, default=CLASSIFY_GRID.window)
+                   default=_default(classify, "n_list"))
+    p.add_argument("--margin", type=float, default=_default(classify, "margin"))
+    p.add_argument("--j-max", type=_capped("j_max"), default=_default(classify, "grid").j_max)
+    p.add_argument("--window", type=int, default=_default(classify, "grid").window)
     p.add_argument("--with-kruglov", action="store_true")
     common(p, _cmd_classify)
 
     p = sub.add_parser("kruglov", help="compound-Poisson series probe")
     p.add_argument("--psi", required=True)
-    p.add_argument("--t-grid", type=floats, default=DEFAULT_KRUGLOV_T_GRID)
-    p.add_argument("--max-terms", type=_capped("max_terms"), default=1_048_576)
-    p.add_argument("--threshold", type=float, default=1e3,
+    p.add_argument("--t-grid", type=floats, default=_default(kruglov_check, "t_grid"))
+    p.add_argument("--max-terms", type=_capped("max_terms"),
+                   default=_default(kruglov_check, "num_terms"))
+    p.add_argument("--threshold", type=float, default=_default(kruglov_check, "threshold"),
                    help="divergence bound on the partial sums; finite and > 1, "
                    "since the first term is 1")
     common(p, _cmd_kruglov)
 
-    def experiment(p, sampler_required):
+    def experiment(p, call, sampler_required):
         p.add_argument("--space", required=True)
         p.add_argument("--sampler", required=sampler_required,
                        help="rademacher | signed:U | gauss | custom:CSV")
-        p.add_argument("--trials", type=_capped("trials"), default=100_000)
-        p.add_argument("--m", type=_capped("m"), default=4096)
-        p.add_argument("--seed", type=_seed, default=0)
+        p.add_argument("--trials", type=_capped("trials"), default=_default(call, "trials"))
+        p.add_argument("--m", type=_capped("m"), default=_default(call, "m"))
+        p.add_argument("--seed", type=_seed, default=_default(parse_sampler, "seed"))
 
     p = sub.add_parser("growth", help="norm-vs-n table and power fit")
     p.add_argument("--ns", type=_list_of(_capped("ns"), "integers"), required=True,
                    help="comma-separated sizes, e.g. 16,32,64,128")
-    p.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    p.add_argument("--burn-in", type=int, default=2)
-    experiment(p, sampler_required=False)
+    p.add_argument("--mode", choices=("exact", "mc"), default=_default(growth_table, "mode"))
+    p.add_argument("--burn-in", type=int, default=_default(growth_table, "burn_in"))
+    experiment(p, growth_table, sampler_required=False)
     common(p, _cmd_growth, formats=("text", "json", "csv"))
 
     p = sub.add_parser("mc", help="Monte Carlo norm of an i.i.d. sum")
     p.add_argument("--n", type=_capped("n"), required=True)
-    experiment(p, sampler_required=True)
+    experiment(p, mc_iid_sum_norm, sampler_required=True)
     common(p, _cmd_mc)
 
     return parser
+
+
+# built once, at import, so each default comes from the library call's own signature
+# even where a caller later stands a stub in for the call
+_PARSER = _build_parser()
 
 
 def _render(payload, lines, rows, fmt: str) -> str:
@@ -379,7 +380,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # the process entry: freezing the import-time heap spares it the collections at
         # exit (about 30 ms a command); a caller passing argv keeps its collector as is
         gc.freeze()
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         payload, lines, rows, code = args.run(args)
         text = _render(payload, lines, rows, args.format)

@@ -54,9 +54,10 @@ def traced_peak():
 
 
 def _load(path: Path):
-    """The module at ``path``, run with no bytecode written and ``sys.path`` restored."""
+    """The module at ``path``, run with no bytecode written and ``sys.path`` restored, and
+    registered under its file's stem, as a dataclass in it needs."""
     spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
+    module = sys.modules[path.stem] = importlib.util.module_from_spec(spec)
     saved_path = list(sys.path)
     writes_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:

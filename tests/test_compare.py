@@ -1,6 +1,7 @@
 """Tests of ``tools/compare.py``: its same-work runner, traced pass and seed-7 pass on
 real children; its verdicts on fixed numbers; and, with its runners replaced so that
-no child starts, a run failed by one differing stdout, and its usage errors."""
+no child starts, a run failed by one differing stdout, the host in its record, and its
+usage errors."""
 
 import json
 import subprocess
@@ -87,17 +88,13 @@ def test_summary_medians_and_spread(compare):
                                                  "10/10", "gain"]
 
 
-def test_a_differing_stdout_fails_the_run_and_is_named(compare, tmp_path, monkeypatch, capsys):
+def _fake_children(compare, monkeypatch, tmp_path, run):
+    """(head, parent): two bare checkouts, with ``run`` standing in for each same-work
+    child, and the traced passes and benchmark runs all reading 1."""
     head, parent = tmp_path / "head", tmp_path / "parent"
     for tree in head / "src" / "rispaces", parent / "src" / "rispaces", parent / "perfbench":
         tree.mkdir(parents=True)
     (parent / "perfbench" / "run.py").write_text("")
-    target = compare.workloads.WORKLOADS["operator"](0, "full", tmp_path)[0].id
-
-    def run(checkout, cmd):
-        out = b"0.6\n" if checkout == parent and cmd.id == target else b"0.5\n"
-        return 0, out, b"", 30.0
-
     metrics = {m["name"]: 1.0 for m in compare.bench.BENCH["end_to_end"]}
     monkeypatch.setattr(compare, "ROOT", head)
     monkeypatch.setattr(compare.bench, "WORK", tmp_path)  # restored after the run moves it
@@ -106,6 +103,17 @@ def test_a_differing_stdout_fails_the_run_and_is_named(compare, tmp_path, monkey
                         lambda checkout, cmds: dict.fromkeys(compare.COUNTED, 1))
     monkeypatch.setattr(compare, "bench_run", lambda checkout, workload, seed: {
         "code": 0, "attempted": 1, "failed": 0, "metrics": metrics})
+    return head, parent
+
+
+def test_a_differing_stdout_fails_the_run_and_is_named(compare, tmp_path, monkeypatch, capsys):
+    target = compare.workloads.WORKLOADS["operator"](0, "full", tmp_path)[0].id
+
+    def run(checkout, cmd):
+        out = b"0.6\n" if checkout == parent and cmd.id == target else b"0.5\n"
+        return 0, out, b"", 30.0
+
+    head, parent = _fake_children(compare, monkeypatch, tmp_path, run)
     assert compare.main([str(parent), "probe", "--pairs", "2"]) == 1
     record = json.loads((head / "BENCH_probe.json").read_text())["same_work"]
     label = f"operator seed 0 {target}"
@@ -115,6 +123,17 @@ def test_a_differing_stdout_fails_the_run_and_is_named(compare, tmp_path, monkey
     assert record["commands"][label]["parent"]["stdout"] == "0.6\n"
     assert record["counts_differing"] == record["peaks_missing"] == []
     assert f"{label}: differs in stdout" in capsys.readouterr().out
+
+
+def test_the_record_names_the_host(compare, tmp_path, monkeypatch):
+    # only points taken on one machine compare, so each record says which machine ran it
+    head, parent = _fake_children(compare, monkeypatch, tmp_path,
+                                  lambda checkout, cmd: (0, b"0.5\n", b"", 30.0))
+    assert compare.main([str(parent), "probe", "--pairs", "2"]) == 0
+    environment = json.loads((head / "BENCH_probe.json").read_text())["environment"]
+    assert environment == compare.bench.environment()
+    assert {"python", "numpy", "nproc", "cpu_model"} <= environment.keys()
+    assert environment["child_env"]["OPENBLAS_NUM_THREADS"] == "1"
 
 
 @pytest.mark.parametrize("parent, argv, platform, message", [

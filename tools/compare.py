@@ -36,7 +36,9 @@ The peaks of ``norm-step-orlicz`` and ``norm-step-marcinkiewicz`` sit at about
 moves them to the upper level, so a +0.5 to +0.75 MiB row on those two is noise too.
 A peak row inside its spreads, or a verdict that close to its line, is noise; peaks
 are not judged.  Both sections go to ``BENCH_<LABEL>.json`` at the root of this
-checkout, under ``same_work`` and ``workloads``.  It exits 1 if a command or traced
+checkout, under ``same_work`` and ``workloads``, and the host under ``environment``
+(the harness's ``environment()``: Python and NumPy versions, CPU count and model,
+the children's pins), since only points from one machine compare.  It exits 1 if a command or traced
 count differs, a peak is missing or a run failed, 2 on a usage error, else 0.  It
 uses the standard library only (the workload module uses NumPy).
 """
@@ -255,8 +257,8 @@ def main(argv=None) -> int:
     for checkout in sides.values():
         compileall.compile_dir(checkout / "src", quiet=1)
     seeds = range(args.first_seed, args.first_seed + args.pairs)
-    report = {"label": args.label, "seeds": list(seeds), "same_work": same_work(sides),
-              "workloads": {}}
+    report = {"label": args.label, "seeds": list(seeds), "environment": bench.environment(),
+              "same_work": same_work(sides), "workloads": {}}
     failed = sum(len(report["same_work"][key])
                  for key in ("commands_differing", "counts_differing", "peaks_missing"))
     for workload in bench.BENCH["workloads"]:
