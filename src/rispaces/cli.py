@@ -389,7 +389,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:  # RecursionError: a step file too deep
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # numerical non-convergence

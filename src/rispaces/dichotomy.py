@@ -50,7 +50,7 @@ __all__ = [
 # Slowly-varying generators need thousands of octaves before their dilation
 # ratios settle to within 1e-3; the deep grid is cheap because every built-in
 # evaluates in log-u coordinates.
-CLASSIFY_GRID = GridConfig(j_max=2000, window=10)
+CLASSIFY_GRID = GridConfig(j_max=2000)
 
 
 def indicator_ratio(psi: ConcaveGenerator, n: int, u) -> float:

@@ -61,6 +61,8 @@ MAX_EXACT_N = 2**20
 # Generator words per Monte Carlo chunk (2 MB of them): one word per draw, or
 # two Rademacher draws per word.  It sets memory only, never a result.
 _MC_CHUNK = 2**18
+# Defaults stated once for every signature: seed, Monte Carlo trials and pieces, fit burn-in.
+_SEED, _TRIALS, _PIECES, _BURN_IN = 0, 100_000, 4096, 2
 
 
 # ------------------------------------------------------------------- samplers
@@ -79,7 +81,7 @@ class SamplerSpec(NamedTuple("SamplerSpec", [
 
     __slots__ = ()
 
-    def __new__(cls, kind, u=None, quantiles=None, seed=0):
+    def __new__(cls, kind, u=None, quantiles=None, seed=_SEED):
         seed = integer(seed, 0, f"seed must be a non-negative integer, got {seed!r}")
         if kind not in ("rademacher", "signed_indicator", "gaussian", "custom"):
             raise ValueError(f"unknown sampler kind {kind!r}")
@@ -107,23 +109,23 @@ class SamplerSpec(NamedTuple("SamplerSpec", [
         return self.kind
 
 
-def rademacher(seed: int = 0) -> SamplerSpec:
+def rademacher(seed: int = _SEED) -> SamplerSpec:
     return SamplerSpec(kind="rademacher", seed=seed)
 
 
-def signed_indicator(u, seed: int = 0) -> SamplerSpec:
+def signed_indicator(u, seed: int = _SEED) -> SamplerSpec:
     return SamplerSpec(kind="signed_indicator", u=u, seed=seed)
 
 
-def gaussian_law(seed: int = 0) -> SamplerSpec:
+def gaussian_law(seed: int = _SEED) -> SamplerSpec:
     return SamplerSpec(kind="gaussian", seed=seed)
 
 
-def custom_sampler(quantiles: Sequence[float], seed: int = 0) -> SamplerSpec:
+def custom_sampler(quantiles: Sequence[float], seed: int = _SEED) -> SamplerSpec:
     return SamplerSpec(kind="custom", quantiles=tuple(quantiles), seed=seed)
 
 
-def parse_sampler(token: str, seed: int = 0) -> SamplerSpec:
+def parse_sampler(token: str, seed: int = _SEED) -> SamplerSpec:
     """Mini-DSL: rademacher | signed:U | gauss | custom:CSVPATH."""
     return parse_token("sampler", token, {
         "rademacher": lambda rest: rademacher(seed),
@@ -204,8 +206,8 @@ def mc_iid_sum_norm(
     sampler: SamplerSpec,
     n: int,
     space: SpaceSpec,
-    trials: int = 100_000,
-    m: int = 4096,
+    trials: int = _TRIALS,
+    m: int = _PIECES,
 ) -> float:
     """Monte Carlo norm of an n-fold i.i.d. sum, deterministic given the seed.
 
@@ -346,7 +348,7 @@ class GrowthFit(NamedTuple):
     burn_in: int
     degenerate: bool
 
-def fit_growth(pairs: Iterable[Tuple[int, float]], burn_in: int = 2) -> GrowthFit:
+def fit_growth(pairs: Iterable[Tuple[int, float]], burn_in: int = _BURN_IN) -> GrowthFit:
     """Fit (q, C) by least squares on (log n, log value), dropping a burn-in."""
     pairs = tuple((positive_int(n), float(v)) for n, v in pairs)
     if any(b <= a for (a, _), (b, _) in zip(pairs, pairs[1:])):
@@ -383,9 +385,9 @@ def growth_table(
     ns: Sequence[int],
     mode: str = "exact",
     sampler: Optional[SamplerSpec] = None,
-    trials: int = 100_000,
-    m: int = 4096,
-    burn_in: int = 2,
+    trials: int = _TRIALS,
+    m: int = _PIECES,
+    burn_in: int = _BURN_IN,
 ) -> GrowthFit:
     """Norm-vs-n table and its power fit; fit_growth's burn-in check runs before any norm.
 

@@ -428,8 +428,20 @@ def _price(chunks: Iterable[Layers], size: int, space: SpaceSpec) -> float:
     """The norm of at most ``size`` layers that come as consecutive chunks.
 
     The Lorentz and Lpq cores read the stream once; the Marcinkiewicz and
-    Orlicz cores revisit layers, so they take a stream of one chunk only.
+    Orlicz cores revisit layers, so they take a stream of one chunk only.  A
+    norm past the float range raises ValueError, in every family.
     """
+    try:
+        with np.errstate(over="ignore"):  # an overflow is refused below, not warned of
+            norm = _dispatch(chunks, size, space)
+    except OverflowError:  # math.fsum's partial sums passed the largest float
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise ValueError(f"{type(space).__name__} norm exceeds the float range")
+    return norm
+
+
+def _dispatch(chunks: Iterable[Layers], size: int, space: SpaceSpec) -> float:
     if isinstance(space, Lorentz):
         return _lorentz_core(chunks, space.psi)
     if isinstance(space, Lpq):

@@ -835,6 +835,54 @@ def test_orlicz_norm_just_past_the_largest_float_exits_two(tmp_path):
     assert err == "error: Orlicz norm exceeds the float range\n"
 
 
+_PAST_THE_FLOAT_RANGE = {
+    # psi(1) = 1.76 for invsqrtlog: math.fsum's partial sums overflow, or the one product
+    "lorentz-fsum": ("lorentz:invsqrtlog", [1.283e308, 0.85e308]),
+    "lorentz-product": ("lorentz:invsqrtlog", [1.7976931348623157e308]),
+    # phi(1) = 2e-20 for the table: exp overflows in the Marcinkiewicz core
+    "marcinkiewicz": ("marcinkiewicz:table:{table}", [1e308, 1e308]),
+}
+_TINY_PHI = "0.5,1e-20\n1,2e-20\n"
+
+
+@pytest.mark.parametrize("space, values", _PAST_THE_FLOAT_RANGE.values(),
+                         ids=_PAST_THE_FLOAT_RANGE)
+def test_norm_past_the_float_range_exits_two_in_every_family(tmp_path, space, values):
+    (tmp_path / "phi.csv").write_text(_TINY_PHI)
+    step = tmp_path / "step.json"
+    cuts = [i / len(values) for i in range(len(values) + 1)]
+    step.write_text(json.dumps({"breakpoints": cuts, "values": values}))
+    space = space.format(table=tmp_path / "phi.csv")
+    code, out, err = run_main("norm", "--space", space, "--step", str(step))
+    family = space.partition(":")[0].capitalize()
+    assert (code, out, err) == (2, "", f"error: {family} norm exceeds the float range\n")
+
+
+@pytest.mark.parametrize("space, atom, n", [
+    ("lorentz:invsqrtlog", 1.7e308, 1),  # |sum| = 1.7e308, so the norm is 1.76 times that
+    ("marcinkiewicz:table:{table}", 1.7e307, 10),
+], ids=["lorentz", "marcinkiewicz"])
+def test_mc_norm_past_the_float_range_exits_two(tmp_path, space, atom, n):
+    # n times the atom is a float, so the draws run; the norm of their sums is not
+    (tmp_path / "phi.csv").write_text(_TINY_PHI)
+    (tmp_path / "atoms.csv").write_text(f"{-atom!r}\n{atom!r}\n")
+    space = space.format(table=tmp_path / "phi.csv")
+    code, out, err = run_main("mc", "--space", space, "--sampler", f"custom:{tmp_path}/atoms.csv",
+                              "--n", str(n), "--trials", "1000", "--m", "256")
+    family = space.partition(":")[0].capitalize()
+    assert (code, out, err) == (2, "", f"error: {family} norm exceeds the float range\n")
+
+
+def test_step_file_nested_too_deep_exits_two(tmp_path):
+    # the JSON decoder gives up with a RecursionError, which is a RuntimeError: the
+    # file is bad input, not an inconclusive computation
+    step = tmp_path / "deep.json"
+    step.write_text("[" * 100_000)
+    code, out, err = run_main("norm", "--space", "lpq:2:1", "--step", str(step))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1
+
+
 def test_orlicz_non_convergence_is_inconclusive(child_env):
     # M(u) = e^(u^1e308) - 1 jumps from 0 to inf at u = 1: the root search cannot close
     proc = subprocess.run(
@@ -1128,6 +1176,13 @@ _NORM_SPACE = st.one_of(
          table="t,psi\n1e-300,0.001\n0.5,0.9\n1,1\n", step={})
 @example(space="marcinkiewicz:logpow:1e100", indicator="1e-300", use_step=False, fmt="text",
          table="t,psi\n1,1\n", step={})
+# norms past the float range, each refused in one line
+@example(space="lorentz:invsqrtlog", indicator="1", use_step=True, fmt="text", table=_TINY_PHI,
+         step={"breakpoints": [0, 0.5, 1], "values": [1.283e308, 0.85e308]})
+@example(space="lorentz:invsqrtlog", indicator="1", use_step=True, fmt="text", table=_TINY_PHI,
+         step={"breakpoints": [0, 1], "values": [1.7976931348623157e308]})
+@example(space="marcinkiewicz:table:{table}", indicator="1", use_step=True, fmt="text",
+         table=_TINY_PHI, step={"breakpoints": [0, 0.5, 1], "values": [1e308, 1e308]})
 @given(
     space=_NORM_SPACE,
     indicator=_MEASURE_TEXT,

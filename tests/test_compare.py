@@ -1,7 +1,7 @@
 """Tests of ``tools/compare.py``: its same-work runner, traced pass and seed-7 pass on
 real children; its verdicts on fixed numbers; and, with its runners replaced so that
-no child starts, a run failed by one differing stdout, the host in its record, and its
-usage errors."""
+no child starts, a run failed by one differing stdout, the host and each side's size in
+its record, and its usage errors."""
 
 import json
 import subprocess
@@ -90,11 +90,15 @@ def test_summary_medians_and_spread(compare):
 
 def _fake_children(compare, monkeypatch, tmp_path, run):
     """(head, parent): two bare checkouts, with ``run`` standing in for each same-work
-    child, and the traced passes and benchmark runs all reading 1."""
+    child, and the traced passes and benchmark runs all reading 1.  Each holds a
+    package of its own size: head 2 source lines and 1 exported name, parent 4 and 2."""
     head, parent = tmp_path / "head", tmp_path / "parent"
     for tree in head / "src" / "rispaces", parent / "src" / "rispaces", parent / "perfbench":
         tree.mkdir(parents=True)
     (parent / "perfbench" / "run.py").write_text("")
+    (head / "src" / "rispaces" / "__init__.py").write_text('__all__ = ["a"]\na = 1\n')
+    (parent / "src" / "rispaces" / "__init__.py").write_text('__all__ = ["a", "b"]\na = b = 1\n')
+    (parent / "src" / "rispaces" / "b.py").write_text("x = 1\ny = 2\n")
     metrics = {m["name"]: 1.0 for m in compare.bench.BENCH["end_to_end"]}
     monkeypatch.setattr(compare, "ROOT", head)
     monkeypatch.setattr(compare.bench, "WORK", tmp_path)  # restored after the run moves it
@@ -134,6 +138,20 @@ def test_the_record_names_the_host(compare, tmp_path, monkeypatch):
     assert environment == compare.bench.environment()
     assert {"python", "numpy", "nproc", "cpu_model"} <= environment.keys()
     assert environment["child_env"]["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_the_record_gives_each_sides_size(compare, tmp_path, monkeypatch, capsys):
+    # a simplicity change is measured in source lines and exported names, each read
+    # from its own side: the names by a child that imports that side's src
+    head, parent = _fake_children(compare, monkeypatch, tmp_path,
+                                  lambda checkout, cmd: (0, b"0.5\n", b"", 30.0))
+    assert compare.main([str(parent), "probe", "--pairs", "2"]) == 0
+    size = json.loads((head / "BENCH_probe.json").read_text())["size"]
+    assert size == {"parent": {"source_lines": 4, "exports": 2},
+                    "head": {"source_lines": 2, "exports": 1}}
+    assert "size (source lines, exported names): parent 4, 2; head 2, 1" in capsys.readouterr().out
+    (head / "src" / "rispaces" / "__init__.py").write_text("raise ImportError\n")
+    assert compare.size(head) == {"source_lines": 1, "exports": None}
 
 
 @pytest.mark.parametrize("parent, argv, platform, message", [

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -1044,3 +1045,21 @@ def test_orlicz_norm_past_float_range_raises_before_evaluating():
     with pytest.raises(ValueError, match="exceeds the float range"):
         _orlicz_core(values, lT, M)
     assert M.calls == 0
+
+
+@pytest.mark.parametrize("space, values", [
+    (Lorentz(inv_sqrt_log()), [1.283e308, 0.85e308]),  # math.fsum's partial sums overflow
+    (Lorentz(inv_sqrt_log()), [sys.float_info.max]),  # the one product overflows
+    (Marcinkiewicz(table([(0.5, 1e-20), (1.0, 2e-20)])), [1e308, 1e308]),  # exp overflows
+], ids=["lorentz-fsum", "lorentz-product", "marcinkiewicz"])
+def test_norm_past_the_float_range_raises_with_no_warning(space, values):
+    # psi(1) = 1.76 for invsqrtlog and phi(1) = 2e-20 for the table: each norm is
+    # past the largest float, and every family refuses it in the message Orlicz uses
+    f = StepFunction(np.linspace(0.0, 1.0, len(values) + 1), values)
+    family = type(space).__name__
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{family} norm exceeds the float range$"):
+            space_norm(f, space)
+        with pytest.raises(ValueError, match=f"^{family} norm exceeds the float range$"):
+            space_norm_from_layers(*_layers_from_step(f), space)

@@ -3,8 +3,8 @@ imports SciPy or reads the environment, none but the CLI touches the garbage
 collector, every private name and public method has a caller, one module holds the
 chunk size, the integer checks, the token errors and the CSV reader, one helper each
 holds the layer rule and the Cephes rational step, every input file decodes one way,
-the records are NamedTuples but one, and the package exports exactly the names in
-``test_oracles.ORACLES``."""
+no literal default is written in two signatures, the records are NamedTuples but one,
+and the package exports exactly the names in ``test_oracles.ORACLES``."""
 
 import ast
 import re
@@ -190,6 +190,45 @@ def test_undecoded_read_check_sees_one():
                      'open("d", mode="rb")\nopen("e", encoding="utf-8")\nopen("f", "r+")\n'
                      'p.open("g")\n')
     assert _undecoded_reads(tree) == [2, 5, 6]
+
+
+def _repeated_defaults(trees):
+    """{parameter: [(module, function), ...]} for each parameter name that carries the
+    same non-``None`` literal default in more than one signature."""
+    places = {}
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            pairs = [*zip(positional[len(positional) - len(a.defaults):], a.defaults),
+                     *zip(a.kwonlyargs, a.kw_defaults)]
+            for arg, default in pairs:
+                try:
+                    value = ast.literal_eval(default)
+                except ValueError:  # a name or an expression: no literal written here
+                    continue
+                if value is not None:
+                    where = (module, getattr(fn, "name", "<lambda>"))
+                    places.setdefault((arg.arg, repr(value)), []).append(where)
+    return {name: sorted(at) for (name, _), at in sorted(places.items()) if len(at) > 1}
+
+
+def test_each_default_is_stated_once():
+    # a default two signatures share is a module constant that both read, so the
+    # library calls and the CLI options that read their signatures cannot drift apart
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SRC.glob("*.py")}
+    assert _repeated_defaults(trees) == {}
+
+
+def test_repeated_default_check_sees_one():
+    tree = ast.parse("_SEED = 0\n\ndef f(seed=0, m=4, *, n=None):\n    pass\n\n"
+                     "def g(x, seed: int = 0, m=4.0, n=None, k=_SEED):\n    pass\n\n"
+                     "h = lambda seed=1, t=(1, 2): seed\n\n"
+                     "class C:\n    def __new__(cls, *, k=0, t=(1, 2)):\n        pass\n")
+    assert _repeated_defaults({"m.py": tree}) == {
+        "seed": [("m.py", "f"), ("m.py", "g")], "t": [("m.py", "<lambda>"), ("m.py", "__new__")]}
 
 
 def _imported_roots(tree: ast.Module):

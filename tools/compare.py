@@ -38,7 +38,10 @@ A peak row inside its spreads, or a verdict that close to its line, is noise; pe
 are not judged.  Both sections go to ``BENCH_<LABEL>.json`` at the root of this
 checkout, under ``same_work`` and ``workloads``, and the host under ``environment``
 (the harness's ``environment()``: Python and NumPy versions, CPU count and model,
-the children's pins), since only points from one machine compare.  It exits 1 if a command or traced
+the children's pins), since only points from one machine compare.  Each side's size,
+the measure of a simplicity change, goes under ``size``: its source lines (``wc -l
+src/rispaces/*.py``) and exported names (``len(rispaces.__all__)``, read by a child
+with that side's ``src``).  It exits 1 if a command or traced
 count differs, a peak is missing or a run failed, 2 on a usage error, else 0.  It
 uses the standard library only (the workload module uses NumPy).
 """
@@ -89,6 +92,16 @@ def env(checkout: Path) -> dict:
     """The harness's child environment with the checkout's src and no bytecode writes."""
     return {**bench.child_env(), "PYTHONPATH": str(checkout / "src"),
             "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def size(checkout: Path) -> dict:
+    """The checkout's source lines and exported names; ``exports`` is None if its
+    package does not import."""
+    lines = sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "rispaces").glob("*.py"))
+    proc = subprocess.run([sys.executable, "-c", "import rispaces; print(len(rispaces.__all__))"],
+                          cwd=checkout, env=env(checkout), stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=60)
+    return {"source_lines": lines, "exports": int(proc.stdout) if proc.returncode == 0 else None}
 
 
 def commands(workdir: Path) -> list:
@@ -258,7 +271,10 @@ def main(argv=None) -> int:
         compileall.compile_dir(checkout / "src", quiet=1)
     seeds = range(args.first_seed, args.first_seed + args.pairs)
     report = {"label": args.label, "seeds": list(seeds), "environment": bench.environment(),
+              "size": {side: size(checkout) for side, checkout in sides.items()},
               "same_work": same_work(sides), "workloads": {}}
+    print("size (source lines, exported names): " + "; ".join(
+        f"{side} {n['source_lines']}, {n['exports']}" for side, n in report["size"].items()))
     failed = sum(len(report["same_work"][key])
                  for key in ("commands_differing", "counts_differing", "peaks_missing"))
     for workload in bench.BENCH["workloads"]:
