@@ -56,13 +56,19 @@ CLASSIFY_GRID = GridConfig(j_max=2000)
 def indicator_ratio(psi: ConcaveGenerator, n: int, u) -> float:
     """g(n, u): the n-normalized psi-weighted layer sum of the |S_n| tails.
 
-    Always in (0, 1]; equals 1 exactly at n = 1.
+    In (0, 1] up to rounding: one ulp above 1 at n = 1, up to 1.1e-13 above for
+    a linear psi (n = 3, u = 2^-740); ``sup_indicator_ratio`` clamps at 1.
     """
     u = float(u)
-    log_tails = signed_indicator_sum_log_tails(n, u)
-    terms = np.exp(psi.log_eval(log_tails))
+    logs = psi.log_eval(signed_indicator_sum_log_tails(n, u))
+    log_psi_u = psi.log_eval(math.log(u))
+    # g does not change when psi is scaled: where psi(u) is subnormal (below 2^-1022) or n psi
+    # can pass 2^1023, psi(u) is divided out in log space; elsewhere x - 0.0 is x, bit for bit
+    big = math.log(n) + max(float(np.max(logs)), log_psi_u) > 1023 * LN2
+    shift = log_psi_u if big or math.exp(log_psi_u) < 2.0**-1022 else 0.0
+    terms = np.exp(np.subtract(logs, shift, out=logs), out=logs)
     # fsum is correctly rounded; a list of Python floats spares it boxing each NumPy scalar
-    return float(math.fsum(terms.tolist()) / (n * math.exp(psi.log_eval(math.log(u)))))
+    return float(math.fsum(terms.tolist()) / (n * math.exp(log_psi_u - shift)))
 
 
 def sup_indicator_ratio(psi: ConcaveGenerator, n: int, j_max: int = 40) -> float:

@@ -33,7 +33,6 @@ from .norms import (
     Marcinkiewicz,
     SpaceSpec,
     _advancing,
-    _checked_chunks,
     _price,
     space_norm,
     space_norm_from_layers,
@@ -194,7 +193,7 @@ def rademacher_sum_norm(n: int, space: SpaceSpec) -> float:
     if n <= EXACT_MAX_STEPS:
         return space_norm(walk_distribution(n), space)
     if isinstance(space, (Lorentz, Lpq)):
-        return _price(_checked_chunks(_walk_abs_chunks(n)), n // 2 + 1, space)
+        return _price(_walk_abs_chunks(n), n // 2 + 1, space)
     values, log_tails = walk_abs_layers(n)
     return space_norm_from_layers(values, log_tails, space)
 
@@ -348,6 +347,14 @@ class GrowthFit(NamedTuple):
     burn_in: int
     degenerate: bool
 
+
+def _burn_in(burn_in, pairs: int) -> int:
+    """The burn-in, an integer >= 0 that leaves at least two of ``pairs`` pairs to fit."""
+    burn_in = integer(burn_in, 0, "burn-in must be an integer >= 0")
+    integer(pairs - burn_in, 2, "need at least two pairs after burn-in")
+    return burn_in
+
+
 def fit_growth(pairs: Iterable[Tuple[int, float]], burn_in: int = _BURN_IN) -> GrowthFit:
     """Fit (q, C) by least squares on (log n, log value), dropping a burn-in."""
     pairs = tuple((positive_int(n), float(v)) for n, v in pairs)
@@ -358,8 +365,7 @@ def fit_growth(pairs: Iterable[Tuple[int, float]], burn_in: int = _BURN_IN) -> G
             raise ValueError(f"values must be finite, got {v!r} at n = {n}")
         if v <= 0:
             raise ValueError(f"values must be positive, got {v!r} at n = {n}")
-    burn_in = integer(burn_in, 0, "need at least two pairs after burn-in")
-    integer(len(pairs) - burn_in, 2, "need at least two pairs after burn-in")
+    burn_in = _burn_in(burn_in, len(pairs))
     fitted = pairs[burn_in:]
     ln = np.log([n for n, _ in fitted])
     lv = np.log([v for _, v in fitted])
@@ -401,8 +407,7 @@ def growth_table(
     ns = sorted(integer(n, 1, "sizes must be positive") for n in ns)
     if ns[-1] < 4 * ns[0]:
         raise ValueError("sizes must span at least two octaves")
-    burn_in = integer(burn_in, 0, "need at least two pairs after burn-in")
-    integer(len(ns) - burn_in, 2, "need at least two pairs after burn-in")
+    burn_in = _burn_in(burn_in, len(ns))
     if mode == "exact":
         values = [rademacher_sum_norm(n, space) for n in ns]
     elif mode == "mc":

@@ -166,11 +166,14 @@ def table(points: Sequence, label: str = "table") -> ConcaveGenerator:
         raise ValueError("table values must be positive and strictly increasing")
     ts_ext = np.concatenate(([0.0], ts))
     ys_ext = np.concatenate(([0.0], ys))
-    if ts[-1] < 1.0:
-        last_slope = (ys_ext[-1] - ys_ext[-2]) / (ts_ext[-1] - ts_ext[-2])
-        ts_ext = np.concatenate((ts_ext, [1.0]))
-        ys_ext = np.concatenate((ys_ext, [ys[-1] + last_slope * (1.0 - ts[-1])]))
-    slopes = np.diff(ys_ext) / np.diff(ts_ext)
+    with np.errstate(over="ignore"):  # a slope or value past the largest float is refused below
+        if ts[-1] < 1.0:
+            last_slope = (ys_ext[-1] - ys_ext[-2]) / (ts_ext[-1] - ts_ext[-2])
+            ts_ext = np.concatenate((ts_ext, [1.0]))
+            ys_ext = np.concatenate((ys_ext, [ys[-1] + last_slope * (1.0 - ts[-1])]))
+        slopes = np.diff(ys_ext) / np.diff(ts_ext)
+    if not np.all(np.isfinite(slopes)):  # an infinite value at t = 1 makes its slope infinite
+        raise ValueError("table slope or continuation to t = 1 passes the largest float")
     if np.any(np.diff(slopes) > 1e-12 * slopes[:-1]):
         raise ValueError("table is not concave: slopes must be nonincreasing")
     lslope0 = math.log(ys_ext[1]) - math.log(ts_ext[1])

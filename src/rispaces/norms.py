@@ -23,7 +23,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Tuple, Union
+from typing import Iterable, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -201,23 +201,18 @@ def _advancing(values: np.ndarray, log_tails: np.ndarray) -> Layers:
     return values, log_tails
 
 
-def _checked_chunks(chunks: Iterable[Layers]) -> Iterator[Layers]:
-    """The chunks, each checked as it comes and against the last layer before it."""
-    before = None
-    for values, log_tails in chunks:
-        if values.size == 0 or values.size != log_tails.size:
-            raise ValueError("layers need matching nonempty value/log-tail arrays")
-        # written so that a NaN fails: the cores take the positive values as a prefix
-        if not np.all(values >= 0) or np.any(np.diff(values) > 0):
-            raise ValueError("layer values must be nonnegative and nonincreasing")
-        if not np.all(log_tails <= 0) or np.any(np.diff(log_tails) <= 0):
-            raise ValueError("log tails must be strictly increasing and <= 0")
-        if not log_tails[0] > -math.inf:  # the least one, so every one is finite
-            raise ValueError("log tails must be finite: a layer needs positive measure")
-        if before is not None and not (before[0] >= values[0] and before[1] < log_tails[0]):
-            raise ValueError("a chunk of layers must continue the layers before it")
-        before = values[-1], log_tails[-1]
-        yield values, log_tails
+def _checked_layers(values: np.ndarray, log_tails: np.ndarray) -> Layers:
+    """The layers of a law from outside the package, refused unless the cores can price them."""
+    if values.size == 0 or values.size != log_tails.size:
+        raise ValueError("layers need matching nonempty value/log-tail arrays")
+    # written so that a NaN fails: the cores take the positive values as a prefix
+    if not np.all(values >= 0) or np.any(np.diff(values) > 0):
+        raise ValueError("layer values must be nonnegative and nonincreasing")
+    if not np.all(log_tails <= 0) or np.any(np.diff(log_tails) <= 0):
+        raise ValueError("log tails must be strictly increasing and <= 0")
+    if not log_tails[0] > -math.inf:  # the least one, so every one is finite
+        raise ValueError("log tails must be finite: a layer needs positive measure")
+    return values, log_tails
 
 
 # The cores below keep the operation order of the plain array expressions and
@@ -329,8 +324,8 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: exp_lp) -> float:
     with np.errstate(over="ignore"):
         lam = float(np.max([np.max(v[i : i + CHUNK] / M.inverse_log(-lt[i : i + CHUNK]))
                             for i in range(0, k, CHUNK)]))
-    if lam == math.inf:  # a lower bound past the largest float
-        raise ValueError("Orlicz norm exceeds the float range")
+    if lam == math.inf:  # a lower bound past the largest float: _price refuses it
+        return math.inf
     lo, hi, L_hi = 0.0, math.inf, math.nan
     last = before = math.inf  # |change of log lam| over the last two steps
     pruned = False
@@ -348,7 +343,7 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: exp_lp) -> float:
             return lam
         if L > 0.0:
             if lam == sys.float_info.max:  # the root lies past the largest float
-                raise ValueError("Orlicz norm exceeds the float range")
+                return math.inf
             lo = lam
         else:
             hi, L_hi = lam, L
@@ -429,7 +424,7 @@ def _price(chunks: Iterable[Layers], size: int, space: SpaceSpec) -> float:
 
     The Lorentz and Lpq cores read the stream once; the Marcinkiewicz and
     Orlicz cores revisit layers, so they take a stream of one chunk only.  A
-    norm past the float range raises ValueError, in every family.
+    core returns a norm past the float range as inf, and only this refuses it.
     """
     try:
         with np.errstate(over="ignore"):  # an overflow is refused below, not warned of
@@ -446,9 +441,7 @@ def _dispatch(chunks: Iterable[Layers], size: int, space: SpaceSpec) -> float:
         return _lorentz_core(chunks, space.psi)
     if isinstance(space, Lpq):
         return _lpq_core(chunks, size, space.p, space.q)
-    (values, lT), *more = chunks
-    if more:
-        raise TypeError(f"layer chunks price Lorentz and Lpq norms only, not {space!r}")
+    [(values, lT)] = chunks
     if isinstance(space, Marcinkiewicz):
         return _marcinkiewicz_core(values, lT, space.phi)
     if isinstance(space, Orlicz):
@@ -480,10 +473,9 @@ def lpq_norm(f: StepFunction, p: float, q: float) -> float:
 def space_norm_from_layers(values, log_tails, space: SpaceSpec) -> float:
     """Norm from layered data: values descending, log P(|X| >= value) increasing.
 
-    Accepts tails below float underflow; this is the only route that prices
-    the extreme layers of large-n laws correctly.
+    Accepts tails below float underflow, as large-n laws need.  The one entry
+    for layers from outside the package, it is the one place that checks them.
     """
-    values = np.asarray(values, dtype=float)
-    layers = _checked_chunks([(values, np.asarray(log_tails, dtype=float))])
-    return _price(layers, values.size, space)
+    layers = _checked_layers(np.asarray(values, dtype=float), np.asarray(log_tails, dtype=float))
+    return _price([layers], layers[0].size, space)
 

@@ -977,6 +977,76 @@ def test_orlicz_norm_cli_fuzz(p, indicator, step, use_step, fmt):
         assert out == ""
 
 
+@st.composite
+def _table_csvs(draw):
+    """t,psi rows through nodes of t^a, some near t = 1e-300, now and then one entry broken."""
+    a = draw(st.floats(min_value=0.01, max_value=1.0))
+    ts = draw(st.sets(st.one_of(st.floats(min_value=1e-3, max_value=1.0),
+                                st.floats(min_value=1e-300, max_value=1e-290), st.just(1.0)),
+                      min_size=1, max_size=5))
+    rows = [[repr(t), repr(t**a)] for t in sorted(ts)]
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(min_value=0, max_value=1))] = draw(
+            st.sampled_from(["nan", "inf", "-1", "0", "2", "x", ""]))
+    header = ["t,psi"] if draw(st.booleans()) else []
+    return "\n".join(header + [",".join(row) for row in rows]) + "\n"
+
+
+@st.composite
+def _scaled_table_csvs(draw):
+    """A ``_table_csvs`` table as it is, or its psi column scaled by 2^k, -1000 <= k <= 1000."""
+    k = draw(st.one_of(st.just(0), st.integers(min_value=-1000, max_value=1000)))
+
+    def scaled(line):
+        t, _, y = line.partition(",")
+        try:
+            return f"{t},{math.ldexp(float(y), k)!r}"
+        except ValueError:  # the header, or an entry broken on purpose
+            return line
+
+    return "".join(scaled(line) + "\n" for line in draw(_table_csvs()).splitlines())
+
+
+def _sqrt_nodes(scale):
+    """The concave nodes (2^-j, 2^(-j/2)) for j = 60, 56, ..., 0, psi scaled by 2^scale."""
+    return [(2.0**-j, math.ldexp(2.0**(-j // 2), scale)) for j in range(60, -1, -4)]
+
+
+# Tables near either end of the float range.  A slope, or the linear continuation
+# to t = 1, past the largest float is refused as the table is read; the scaled
+# sqrt table's first slope is 2^1030.
+_STEEP_TABLES = {"two-nodes": "0.5,1e308\n1,1.5e308\n", "one-node": "0.5,1e308\n",
+                 "scaled-sqrt": "".join(f"{t!r},{y!r}\n" for t, y in _sqrt_nodes(1000))}
+# linear tables whose n psi passes the largest float, or whose psi(2^-1022) is subnormal
+_FAR_TABLES = {"huge": ("1,1.5e308\n", "40"), "tiny": ("1,1e-20\n", "1022")}
+
+
+@pytest.mark.parametrize("command", [
+    ("opnorm", "--psi", "table:{table}", "--n", "4"),
+    ("norm", "--space", "lorentz:table:{table}", "--indicator", "1/4"),
+], ids=lambda c: c[0])
+@pytest.mark.parametrize("table", _STEEP_TABLES.values(), ids=_STEEP_TABLES)
+def test_table_past_the_float_range_is_refused_as_it_is_read(tmp_path, table, command):
+    (tmp_path / "psi.csv").write_text(table)
+    code, out, err = run_main(*(arg.format(table=tmp_path / "psi.csv") for arg in command))
+    assert (code, out, err.count("\n")) == (2, "", 1), err
+    assert err.endswith(": table slope or continuation to t = 1 passes the largest float\n")
+
+
+@pytest.mark.parametrize("table, j_max", _FAR_TABLES.values(), ids=_FAR_TABLES)
+def test_opnorm_of_a_table_at_either_end_of_the_float_range(tmp_path, table, j_max):
+    # a linear psi at either scale has the sup ratio of psi(t) = t: g does not see the scale
+    sups = []
+    for text in (table, "1,1\n"):
+        (tmp_path / "psi.csv").write_text(text)
+        code, out, err = run_main("opnorm", "--psi", f"table:{tmp_path / 'psi.csv'}", "--n", "4",
+                                  "--j-max", j_max, "--format", "json")
+        assert (code, err) == (0, "")
+        sups.append(json.loads(out)["sup_ratio"])
+    assert sups[0] == pytest.approx(sups[1], rel=1e-12) and 0.0 < sups[1] <= 1.0
+
+
 _T_TEXT = st.one_of(
     st.floats(min_value=0.0, max_value=1.0, exclude_min=True).map(repr),
     st.sampled_from(["1", "0.5", "0.01", "1e-300", "5e-324"]),
@@ -992,23 +1062,37 @@ _THRESHOLD_TEXT = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 # t = 0.01 crosses within a few terms; the bad value after it must still be rejected
-@example(psi="invsqrtlog", t_grid=["0.01"], bad_t=["2"], threshold="2", max_terms=4096)
-@example(psi="invsqrtlog", t_grid=["0.01"], bad_t=["nan"], threshold="1.5", max_terms=8)
+@example(psi="invsqrtlog", t_grid=["0.01"], bad_t=["2"], threshold="2", max_terms=4096,
+         table="1,1\n")
+@example(psi="invsqrtlog", t_grid=["0.01"], bad_t=["nan"], threshold="1.5", max_terms=8,
+         table="1,1\n")
+# tables whose slope and continuation to t = 1 pass the largest float
+@example(psi="table:{table}", t_grid=["0.5"], bad_t=[], threshold="1e3", max_terms=64,
+         table=_STEEP_TABLES["two-nodes"])
+@example(psi="table:{table}", t_grid=["0.5"], bad_t=[], threshold="1e3", max_terms=64,
+         table=_STEEP_TABLES["one-node"])
 @given(
-    psi=st.sampled_from(["invsqrtlog", "power:0.5"]),
+    psi=st.sampled_from(["invsqrtlog", "power:0.5", "table:{table}"]),
     t_grid=st.lists(_T_TEXT, min_size=1, max_size=4),
     bad_t=st.lists(_BAD_T_TEXT, max_size=1),  # placed after the valid values
     threshold=_THRESHOLD_TEXT,
     max_terms=st.integers(min_value=-2, max_value=2**12),
+    table=_scaled_table_csvs(),
 )
-def test_kruglov_cli_fuzz(psi, t_grid, bad_t, threshold, max_terms):
-    # "=" keeps a leading "-" a value rather than an option
-    argv = ["kruglov", "--psi", psi, f"--t-grid={','.join(t_grid + bad_t)}",
-            f"--threshold={threshold}", f"--max-terms={max_terms}", "--format", "json"]
-    code, out, err = run_main(*argv)
-    assert "Traceback" not in err
+def test_kruglov_cli_fuzz(psi, t_grid, bad_t, threshold, max_terms, table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "psi.csv")
+        with open(path, "w") as fh:
+            fh.write(table)
+        # "=" keeps a leading "-" a value rather than an option
+        argv = ["kruglov", "--psi", psi.replace("{table}", path),
+                f"--t-grid={','.join(t_grid + bad_t)}", f"--threshold={threshold}",
+                f"--max-terms={max_terms}", "--format", "json"]
+        code, out, err = run_main(*argv)
+    assert "Traceback" not in err and "Warning" not in err
     threshold_ok = math.isfinite(float(threshold)) and float(threshold) > 1
-    if bad_t or not threshold_ok or max_terms < 4:
+    refused = err.startswith("error: bad generator token 'table:")
+    if bad_t or not threshold_ok or max_terms < 4 or refused:
         assert code == 2 and out == "" and err.count("\n") == 1
         return
     assert code in (0, 1)
@@ -1089,9 +1173,11 @@ def _value(argv, lines, key):
     return values[-1] if values else None
 
 
-def _fuzz_run(argv, lines, bad, kruglov_inf=False, atoms=None):
+def _fuzz_run(argv, lines, bad, kruglov_inf=False, atoms=None, table=None):
     """Run one fuzz case.  ``atoms`` are the magnitudes of the law that a
-    ``custom:{atoms}`` sampler reads, each atom with its negative."""
+    ``custom:{atoms}`` sampler reads, each atom with its negative; ``table`` is
+    the text of the file that a ``table:{table}`` generator reads, which may be
+    refused as it is read (exit 2, in the generator token's one line)."""
     if not bad and atoms and _value(argv, lines, "sampler") == "custom:{atoms}":
         sizes = _value(argv, lines, "n") or _value(argv, lines, "ns")
         overflows = not math.isfinite(max(map(int, sizes.split(","))) * max(atoms))
@@ -1104,6 +1190,11 @@ def _fuzz_run(argv, lines, bad, kruglov_inf=False, atoms=None):
                 fh.write("".join(f"{-a!r}\n{a!r}\n" for a in atoms))
             argv = [arg.replace("{atoms}", path) for arg in argv]
             lines = [line.replace("{atoms}", path) for line in lines]
+        if table is not None:
+            path = os.path.join(tmp, "psi.csv")
+            with open(path, "w") as fh:
+                fh.write(table)
+            argv = [arg.replace("{table}", path) for arg in argv]
         if lines:
             path = os.path.join(tmp, "exp.args")
             with open(path, "w") as fh:
@@ -1111,9 +1202,10 @@ def _fuzz_run(argv, lines, bad, kruglov_inf=False, atoms=None):
             argv = argv + [f"@{path}"]
         code, out, err = run_main(*argv)
     assert "Traceback" not in err and "Warning" not in err, (argv, err)
-    if bad or overflows:
+    refused = table is not None and err.startswith("error: bad generator token 'table:")
+    if bad or overflows or refused:
         assert code == 2 and out == "" and err.count("\n") == 1, (argv, lines, code, err)
-        assert bad or "float range" in err, (argv, lines, err)
+        assert bad or refused or "float range" in err, (argv, lines, err)
         return
     assert code in (0, 1), (argv, lines, code, err)
     if kruglov_inf:  # the one documented non-finite value: the sup of a divergent probe
@@ -1148,22 +1240,6 @@ def _near_tie_steps(draw):
     return {"breakpoints": [0.0, *cuts, 1.0], "values": values}
 
 
-@st.composite
-def _table_csvs(draw):
-    """t,psi rows through nodes of t^a, some near t = 1e-300, now and then one entry broken."""
-    a = draw(st.floats(min_value=0.01, max_value=1.0))
-    ts = draw(st.sets(st.one_of(st.floats(min_value=1e-3, max_value=1.0),
-                                st.floats(min_value=1e-300, max_value=1e-290), st.just(1.0)),
-                      min_size=1, max_size=5))
-    rows = [[repr(t), repr(t**a)] for t in sorted(ts)]
-    if draw(st.integers(min_value=0, max_value=3)) == 0:
-        row = draw(st.sampled_from(rows))
-        row[draw(st.integers(min_value=0, max_value=1))] = draw(
-            st.sampled_from(["nan", "inf", "-1", "0", "2", "x", ""]))
-    header = ["t,psi"] if draw(st.booleans()) else []
-    return "\n".join(header + [",".join(row) for row in rows]) + "\n"
-
-
 _NORM_SPACE = st.one_of(
     st.builds("{}:{}".format, st.sampled_from(["lorentz", "marcinkiewicz"]),
               st.sampled_from([*_GEN_OK, *_GEN_BAD, "table:{table}"])),
@@ -1183,6 +1259,9 @@ _NORM_SPACE = st.one_of(
          step={"breakpoints": [0, 1], "values": [1.7976931348623157e308]})
 @example(space="marcinkiewicz:table:{table}", indicator="1", use_step=True, fmt="text",
          table=_TINY_PHI, step={"breakpoints": [0, 0.5, 1], "values": [1e308, 1e308]})
+# a table whose continuation to t = 1 passes the largest float is refused as it is read
+@example(space="lorentz:table:{table}", indicator="1/4", use_step=False, fmt="text",
+         table=_STEEP_TABLES["one-node"], step={})
 @given(
     space=_NORM_SPACE,
     indicator=_MEASURE_TEXT,
@@ -1215,7 +1294,7 @@ def test_norm_cli_fuzz(space, indicator, step, use_step, fmt, table):
 
 
 _OPNORM = {
-    "--psi": (_GEN_OK, _GEN_BAD, False),
+    "--psi": ([*_GEN_OK, "table:{table}"], _GEN_BAD, False),
     "--n": (_ints(1, 48), ["0", "-1", *_NOT_AN_INT], False),
     "--j-max": (st.one_of(_ints(0, 80), st.just("1022")), ["-1", "1023", "1075", "x"], True),
     "--format": (["text", "json"], ["csv", "xml"], True),
@@ -1223,14 +1302,20 @@ _OPNORM = {
 
 
 @settings(max_examples=60, deadline=None)
-@given(opts=_options(_OPNORM))
-def test_opnorm_cli_fuzz(opts):
+# n psi past the largest float, psi(u) subnormal at u = 2^-1022; then tables too steep to read
+@example(opts=(["--psi=table:{table}", "--n=4"], [], False), table=_FAR_TABLES["huge"][0])
+@example(opts=(["--psi=table:{table}", "--n=4", "--j-max=1022"], [], False),
+         table=_FAR_TABLES["tiny"][0])
+@example(opts=(["--psi=table:{table}", "--n=4"], [], False), table=_STEEP_TABLES["two-nodes"])
+@example(opts=(["--psi=table:{table}", "--n=64"], [], False), table=_STEEP_TABLES["scaled-sqrt"])
+@given(opts=_options(_OPNORM), table=_scaled_table_csvs())
+def test_opnorm_cli_fuzz(opts, table):
     argv, lines, bad = opts
-    _fuzz_run(["opnorm", *argv], lines, bad)
+    _fuzz_run(["opnorm", *argv], lines, bad, table=table)
 
 
 _CLASSIFY = {
-    "--psi": (_GEN_OK, _GEN_BAD, False),
+    "--psi": ([*_GEN_OK, "table:{table}"], _GEN_BAD, False),
     "--k-list": (_int_lists(2, 5, 1, 3), ["1", "", "x", "2,x"], True),
     "--l-list": (_int_lists(2, 4, 1, 2), ["1", "0", "", "x"], True),
     "--n-list": (_int_lists(1, 16, 1, 3), ["0", "-1", "", "x"], True),
@@ -1242,11 +1327,13 @@ _CLASSIFY = {
 
 
 @settings(max_examples=40, deadline=None)
-@given(opts=_options(_CLASSIFY), kruglov=st.booleans())
-def test_classify_cli_fuzz(opts, kruglov):
+@example(opts=(["--psi=table:{table}"], [], False), kruglov=True,
+         table=_STEEP_TABLES["two-nodes"])
+@given(opts=_options(_CLASSIFY), kruglov=st.booleans(), table=_scaled_table_csvs())
+def test_classify_cli_fuzz(opts, kruglov, table):
     argv, lines, bad = opts
     argv = ["classify", *argv] + (["--with-kruglov"] if kruglov else [])
-    _fuzz_run(argv, lines, bad, kruglov_inf=kruglov)
+    _fuzz_run(argv, lines, bad, kruglov_inf=kruglov, table=table)
 
 
 # four or five distinct sizes up to 64 that span two octaves

@@ -25,6 +25,7 @@ from rispaces._numeric import CHUNK as _KRUGLOV_CHUNK, log_factorial
 from rispaces.generators import ConcaveGenerator, parse_generator
 
 from opnorm_bracket import indicator_ratio_bracket
+from test_cli import _sqrt_nodes
 
 SQRT_8_3 = math.sqrt(8.0 / 3.0)
 
@@ -49,6 +50,26 @@ def test_indicator_ratio_is_the_lorentz_norm_of_the_walk_law(token):
             want = norms._price([layers], n, Lorentz(psi))
             got = indicator_ratio(psi, n, u) * n * math.exp(psi.log_eval(math.log(u)))
             assert abs(got - want) <= 4 * math.ulp(want), (n, u, got, want)
+
+
+@pytest.mark.parametrize("scale", [900, -900])
+def test_sup_indicator_ratio_does_not_see_the_scale_of_psi(scale):
+    # g(n, u) is unchanged when psi is scaled; at 2^-900 and j_max 1022, psi(u)
+    # underflows to 0 on the deep end of the grid
+    plain, scaled = table(_sqrt_nodes(0)), table(_sqrt_nodes(scale))
+    for n in (2, 4, 64):
+        for j_max in (40, 1022):
+            want = sup_indicator_ratio(plain, n, j_max)
+            assert sup_indicator_ratio(scaled, n, j_max) == pytest.approx(want, rel=1e-12)
+
+
+def test_indicator_ratio_with_a_subnormal_psi_of_u():
+    # psi(2^-1074) is subnormal.  At n = 2, P(|S_2| >= 1) = 2u - 3u^2/2 and
+    # psi(P(|S_2| = 2)) underflows, so g = psi(2u) / (2 psi(u)), which is
+    # (1 - log 2 / log(e/u))^(1/8) to within u.
+    u = 2.0**-1074
+    want = (1.0 - math.log(2.0) / (1.0 - math.log(u))) ** 0.125
+    assert indicator_ratio(logpow(8.0), 2, u) == pytest.approx(want, rel=1e-12)
 
 
 def test_indicator_ratio_in_unit_interval():

@@ -445,6 +445,17 @@ def test_fit_growth_validation():
         fit_growth([(2, 1.0), (4, 2.0)], burn_in=2)
 
 
+@pytest.mark.parametrize("fit, pairs", [
+    (lambda b: fit_growth([(2, 1.0), (8, 2.0), (16, 3.0)], burn_in=b), 3),
+    (lambda b: growth_table(Lpq(2.0, 1.0), [2, 8, 16, 32], burn_in=b), 4),
+], ids=["fit_growth", "growth_table"])
+def test_a_burn_in_that_leaves_one_pair_has_its_own_message(fit, pairs):
+    # a burn-in that is no integer >= 0 reads otherwise (test_numeric's integer sites)
+    with pytest.raises(ValueError, match="^need at least two pairs after burn-in$"):
+        fit(pairs - 1)
+    assert fit(pairs - 2).burn_in == pairs - 2
+
+
 def test_fit_growth_names_the_first_value_that_is_not_positive():
     with pytest.raises(ValueError, match=r"^values must be positive, got 0\.0 at n = 4$"):
         fit_growth([(2, 1.0), (4, 0.0), (8, -1.0)], burn_in=0)

@@ -25,6 +25,7 @@ from rispaces import (
 )
 from rispaces._numeric import elementwise
 from rispaces.gaussian import _erfcinv, _log_erfc_asymptotic
+from test_cli import _sqrt_nodes
 
 
 def _validate(psi, j_max=60, tol=1e-12):
@@ -381,6 +382,17 @@ def test_table_rejects_non_finite_nodes(bad, column):
     node[column] = bad
     with pytest.raises(ValueError, match="table nodes must be finite"):
         table([(0.25, 0.5), tuple(node), (1.0, 1.0)])
+
+
+@pytest.mark.parametrize("nodes", [
+    [(0.5, 1e308), (1.0, 1.5e308)],  # the first slope is 2e308
+    [(0.5, 1e308)],  # and so is the continuation's, which reads psi(1) = inf
+    _sqrt_nodes(1000),  # the first slope is 2^1030
+], ids=["two-nodes", "one-node", "scaled-sqrt"])
+def test_table_refuses_a_slope_past_the_largest_float(nodes):
+    # refused as it is read, with no overflow warning (warnings are errors here)
+    with pytest.raises(ValueError, match="^table slope or continuation to t = 1 passes the"):
+        table(nodes)
 
 
 def test_table_csv_round_trip(tmp_path):

@@ -49,7 +49,6 @@ from rispaces.norms import (
     _lorentz_core,
     _lpq_core,
     _marcinkiewicz_core,
-    _checked_chunks,
     _orlicz_core,
     _price,
 )
@@ -860,24 +859,12 @@ def test_walk_norm_memory_on_the_largest_walk(traced_peak, space):
 
 
 def test_layer_chunks_are_checked_across_the_cut():
+    # a stream of raw chunks prices as the checked whole: the package builds its
+    # own streams (the walk law's chunks) and hands them to the dispatch unchecked
     values, lT = np.array([4.0, 3.0, 2.0, 1.0]), np.array([-4.0, -3.0, -2.0, -1.0])
-    bad_cuts = [
-        (values[:2], lT[:2], np.array([3.5, 1.0]), lT[2:]),  # a value rises at the cut
-        (values[:2], lT[:2], values[2:], np.array([-3.0, -1.0])),  # a tail repeats at the cut
-        (values[:2], lT[:2], np.array([np.nan, 1.0]), lT[2:]),
-        (values[:2], lT[:2], values[2:], np.array([np.nan, -1.0])),
-        (values[:2], lT[:2], np.array([]), np.array([])),
-    ]
     for space in (Lorentz(power(0.5)), Lpq(2.0, 1.0)):
-        chunks = _checked_chunks(_cut(values, lT, np.random.default_rng(0)))
+        chunks = _cut(values, lT, np.random.default_rng(0))
         assert _price(chunks, 4, space) == space_norm_from_layers(values, lT, space)
-        for v1, l1, v2, l2 in bad_cuts:
-            with pytest.raises(ValueError):
-                _price(_checked_chunks([(v1, l1), (v2, l2)]), 4, space)
-    # the Marcinkiewicz and Orlicz cores revisit layers: a stream of two chunks is refused
-    for space in (Marcinkiewicz(logpow(2.0)), Orlicz(exp_lp(2.0))):
-        with pytest.raises(TypeError):
-            _price(_checked_chunks([(values[:2], lT[:2]), (values[2:], lT[2:])]), 4, space)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 8.0])
@@ -1042,8 +1029,8 @@ def test_orlicz_norm_past_float_range_raises_before_evaluating():
     # the norm of 1.7e308 on (0, 1] in exp(L_1) is 1.7e308 / log 2: its lower
     # bound already overflows, so no modular evaluation can help
     values, lT, M = np.array([1.7e308]), np.array([0.0]), _CountingYoung(exp_lp(1.0))
-    with pytest.raises(ValueError, match="exceeds the float range"):
-        _orlicz_core(values, lT, M)
+    with pytest.raises(ValueError, match="^Orlicz norm exceeds the float range$"):
+        space_norm_from_layers(values, lT, Orlicz(M))
     assert M.calls == 0
 
 

@@ -173,7 +173,7 @@ _PSI, _SPACE = power(0.5), Lpq(2.0, 1.0)
 _N = "^n must be a positive integer$"
 _K = "^dilation factor k must be an integer >= 2$"
 _L = "^power l must be an integer >= 2$"
-_BURN_IN = "^need at least two pairs after burn-in$"
+_BURN_IN = "^burn-in must be an integer >= 0$"
 
 # (call, low, anchored message, a valid argument): every integer argument of the
 # package, each call taking it as its one free argument.  Results that hold

@@ -2,7 +2,8 @@
 imports SciPy or reads the environment, none but the CLI touches the garbage
 collector, every private name and public method has a caller, one module holds the
 chunk size, the integer checks, the token errors and the CSV reader, one helper each
-holds the layer rule and the Cephes rational step, every input file decodes one way,
+holds the layer rule and the Cephes rational step, one function refuses a norm past the
+float range and one checks layers from outside, every input file decodes one way,
 no literal default is written in two signatures, the records are NamedTuples but one,
 and the package exports exactly the names in ``test_oracles.ORACLES``."""
 
@@ -162,6 +163,56 @@ def test_only_rational_divides_by_a_cephes_denominator():
     # gaussian._rational is the one place that computes P(x) w / Q(x): the definition
     # of _p1evl and its one call
     assert (SRC / "gaussian.py").read_text().count("_p1evl(") == 2
+
+
+def _spellings(texts, phrase):
+    """{module: count} for each module text that spells ``phrase``."""
+    return {name: text.count(phrase) for name, text in texts.items() if phrase in text}
+
+
+def test_only_price_refuses_a_norm_past_the_float_range():
+    # a core hands on a non-finite norm as inf, and norms._price alone refuses it,
+    # in one message for every family
+    texts = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert _spellings(texts, "norm exceeds the float range") == {"norms.py": 1}
+
+
+def test_float_range_refusal_check_sees_one():
+    texts = {"a.py": 'raise ValueError(f"{family} norm exceeds the float range")\n',
+             "b.py": '"Orlicz norm exceeds the float range"\n"x norm exceeds the float range"\n',
+             "c.py": '"norm exceeds the largest float"\n'}
+    assert _spellings(texts, "norm exceeds the float range") == {"a.py": 1, "b.py": 2}
+
+
+def _readers(trees, name):
+    """(module, function) of each function that reads ``name``, nested ones and
+    the functions around them alike; ``<module>`` for a read outside any function."""
+    readers = set()
+    for module, tree in trees.items():
+        functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.Lambda))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == name or (
+                    isinstance(node, ast.Attribute) and node.attr == name):
+                around = [getattr(f, "name", "<lambda>") for f in functions
+                          if any(child is node for child in ast.walk(f))]
+                readers.update((module, f) for f in around or ["<module>"])
+    return sorted(readers)
+
+
+def test_only_space_norm_from_layers_checks_layers():
+    # layers from outside the package enter at space_norm_from_layers, the one caller
+    # of the layer check; the package hands its own laws to the dispatch as built
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SRC.glob("*.py")}
+    assert _readers(trees, "_checked_layers") == [("norms.py", "space_norm_from_layers")]
+
+
+def test_layer_check_caller_check_sees_one():
+    tree = ast.parse("def check(x):\n    return x\n\ndef entry(x):\n    return check(x)\n\n"
+                     "def outer(x):\n    def inner():\n        return norms.check(x)\n"
+                     "    return inner\n\nf = lambda x: check\nalias = check\n")
+    assert _readers({"m.py": tree}, "check") == [
+        ("m.py", "<lambda>"), ("m.py", "<module>"), ("m.py", "entry"), ("m.py", "inner"),
+        ("m.py", "outer")]
 
 
 def _undecoded_reads(tree: ast.Module):
