@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .dichotomy import classify, kruglov_check, sup_indicator_ratio
-from .generators import GridConfig, parse_generator
+from .generators import _TOL, _WINDOW, parse_generator
 from .experiments import growth_table, mc_iid_sum_norm, parse_sampler
 from .norms import parse_space, space_label, space_norm
 from .stepfn import StepFunction
@@ -158,9 +158,8 @@ def _estimate_line(label: str, est) -> str:
 
 def _cmd_classify(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     psi = parse_generator(args.psi)
-    grid = GridConfig(j_max=args.j_max, window=args.window)
     report = classify(psi, k_list=args.k_list, l_list=args.l_list, n_list=args.n_list,
-                      margin=args.margin, grid=grid)
+                      margin=args.margin, j_max=args.j_max)
     kruglov = kruglov_check(psi) if args.with_kruglov else None
     payload = {"command": "classify", "psi": args.psi, "kruglov": _jsonable(kruglov)}
     payload.update(_jsonable(report))
@@ -168,7 +167,7 @@ def _cmd_classify(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int
         f"branch: {report.branch}"
         + (" (INCONCLUSIVE)" if report.inconclusive else ""),
         f"decision margin: {_fmt(report.margin)}   "
-        f"grid: j <= {grid.j_max}, window {grid.window}, tol {_fmt(grid.tol)}",
+        f"grid: j <= {args.j_max}, window {_WINDOW}, tol {_fmt(_TOL)}",
         "dilation ratios a(k), strict bound k - margin:",
     ]
     for k, est in sorted(report.a_estimates.items()):
@@ -220,7 +219,9 @@ def _cmd_kruglov(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]
 
 def _cmd_growth(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     space = parse_space(args.space)
-    sampler = parse_sampler(args.sampler, args.seed) if args.sampler else None
+    # exact mode prices the walk law: like --trials and --m, --sampler goes unread
+    mc = args.mode == "mc"
+    sampler = parse_sampler(args.sampler, args.seed) if mc and args.sampler else None
     fit = growth_table(space, args.ns, mode=args.mode, sampler=sampler,
                        trials=args.trials, m=args.m, burn_in=args.burn_in)
     payload = {
@@ -321,8 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", type=_list_of(_capped("n_list"), "integers"),
                    default=_default(classify, "n_list"))
     p.add_argument("--margin", type=float, default=_default(classify, "margin"))
-    p.add_argument("--j-max", type=_capped("j_max"), default=_default(classify, "grid").j_max)
-    p.add_argument("--window", type=int, default=_default(classify, "grid").window)
+    p.add_argument("--j-max", type=_capped("j_max"), default=_default(classify, "j_max"))
     p.add_argument("--with-kruglov", action="store_true")
     common(p, _cmd_classify)
 

@@ -26,8 +26,8 @@ import numpy as np
 from ._numeric import CHUNK, LN2, integer, log_factorial, positive_int
 from ._search import golden_max
 from .generators import (
+    _J_MAX,
     ConcaveGenerator,
-    GridConfig,
     LimitEstimate,
     limsup_dilation_ratio,
     limsup_power_ratio,
@@ -41,17 +41,10 @@ __all__ = [
     "lorentz_operator_norm",
     "DichotomyReport",
     "classify",
-    "CLASSIFY_GRID",
     "KruglovVerdict",
     "kruglov_check",
     "DEFAULT_KRUGLOV_T_GRID",
 ]
-
-# Slowly-varying generators need thousands of octaves before their dilation
-# ratios settle to within 1e-3; the deep grid is cheap because every built-in
-# evaluates in log-u coordinates.
-CLASSIFY_GRID = GridConfig(j_max=2000)
-
 
 def indicator_ratio(psi: ConcaveGenerator, n: int, u) -> float:
     """g(n, u): the n-normalized psi-weighted layer sum of the |S_n| tails.
@@ -92,7 +85,7 @@ def sup_indicator_ratio(psi: ConcaveGenerator, n: int, j_max: int = 40) -> float
     hi = lus[max(0, i - 1)]
     refined = golden_max(g, lo, hi)
     best = max(float(np.max(vals)), float(refined))
-    limit = limsup_tail_sum_ratio(psi, n, GridConfig(j_max=max(60, j_max))).value / n
+    limit = limsup_tail_sum_ratio(psi, n, max(_J_MAX, j_max)).value / n
     return min(1.0, max(best, limit))
 
 
@@ -132,7 +125,7 @@ def classify(
     l_list: Sequence[int] = (2, 3),
     n_list: Sequence[int] = (2, 4, 8, 16, 32, 64),
     margin: float = 1e-3,
-    grid: GridConfig = CLASSIFY_GRID,
+    j_max: int = 2000,
 ) -> DichotomyReport:
     """Decide the operator-norm dichotomy from measured limit conditions.
 
@@ -140,6 +133,10 @@ def classify(
     below k - margin AND some power ratio c(l) below 1 - margin.  Then the
     smallest witness n0 with measured ||A_{n0}|| < n0 fixes
     q = max(1/2, log ||A_{n0}|| / log n0) and the constant C.
+
+    Each limit is read on the grid u = 2^-j, j <= j_max.  Slowly-varying generators
+    need thousands of octaves before their dilation ratios settle to within 1e-3;
+    the deep grid is cheap because every built-in evaluates in log-u coordinates.
     """
     k_list, l_list, n_list = (list(xs) for xs in (k_list, l_list, n_list))
     if not (k_list and l_list and n_list):
@@ -150,8 +147,8 @@ def classify(
     n_list = [positive_int(n) for n in n_list]
     if not 0.0 <= margin < 1.0:
         raise ValueError(f"margin must lie in [0, 1), got {margin!r}")
-    a_est = {k: limsup_dilation_ratio(psi, k, grid) for k in k_list}
-    c_est = {l: limsup_power_ratio(psi, l, grid) for l in l_list}
+    a_est = {k: limsup_dilation_ratio(psi, k, j_max) for k in k_list}
+    c_est = {l: limsup_power_ratio(psi, l, j_max) for l in l_list}
     inconclusive = not all(e.converged for e in (*a_est.values(), *c_est.values()))
     cond1 = any(e.value < k - margin for k, e in a_est.items())
     cond2 = any(e.value < 1.0 - margin for l, e in c_est.items())

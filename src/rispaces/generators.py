@@ -8,9 +8,9 @@ probes never materialize t itself: ratios like psi(u^l)/psi(u) stay computable
 long after u^l leaves float range.
 
 The limit estimators implement one fixed protocol: probe on the geometric grid
-u = 2^-j, report the maximum over the last ``window`` grid points, and flag
-convergence iff the last two window maxima agree within ``GridConfig.tol``.
-They never extrapolate.
+u = 2^-j for j up to ``j_max``, report the maximum over the last ``_WINDOW`` grid
+points, and flag convergence iff the last two window maxima agree within the
+relative ``_TOL``.  They never extrapolate.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "table",
     "table_from_csv",
     "parse_generator",
-    "GridConfig",
     "LimitEstimate",
     "limsup_dilation_ratio",
     "limsup_power_ratio",
@@ -212,16 +211,9 @@ def parse_generator(token: str) -> ConcaveGenerator:
 # ------------------------------------------------------------ limit estimation
 
 
-class GridConfig(NamedTuple("GridConfig", [("j_max", int), ("window", int)])):
-    """Geometric probing grid u = 2^-j for j up to j_max; an estimate has converged
-    when its last two window maxima agree within the relative ``tol``."""
-
-    __slots__ = ()
-    tol = 1e-3
-
-    def __new__(cls, j_max=60, window=10):
-        return super().__new__(cls, integer(j_max, 1, f"need j_max >= 1, got {j_max}"),
-                               integer(window, 1, "window must be positive"))
+_J_MAX = 60  # the default depth; sup_indicator_ratio reads its u -> 0 limit no shallower
+_WINDOW = 10
+_TOL = 1e-3
 
 
 class LimitEstimate(NamedTuple):
@@ -234,25 +226,25 @@ class LimitEstimate(NamedTuple):
     j_max: int
 
 
-def _limit(ratio: Callable, j_lo: int, grid: GridConfig) -> LimitEstimate:
+def _limit(ratio: Callable, j_lo: int, j_max: int) -> LimitEstimate:
     """Window estimate of ``ratio`` (an array of log u to an array of ratios)
-    on the grid u = 2^-j, j_lo <= j <= grid.j_max."""
-    ratios = ratio(-np.arange(j_lo, grid.j_max + 1, dtype=float) * LN2)
-    w = grid.window
-    if ratios.size < 2 * w:
-        raise ValueError(f"grid too short for window {w}: only {ratios.size} usable points")
-    last = float(np.max(ratios[-w:]))
-    prev = float(np.max(ratios[-2 * w : -w]))
-    converged = abs(last - prev) <= grid.tol * max(1.0, abs(last))
-    grid_min = 2.0**-grid.j_max  # underflows to 0.0 on very deep grids, by design
+    on the grid u = 2^-j, j_lo <= j <= j_max."""
+    j_max = integer(j_max, 1, f"need j_max >= 1, got {j_max}")
+    lus = -np.arange(j_lo, j_max + 1, dtype=float) * LN2
+    if lus.size < 2 * _WINDOW:
+        raise ValueError(f"j_max = {j_max} leaves {lus.size} grid points; "
+                         f"a limit estimate needs {2 * _WINDOW}")
+    ratios = ratio(lus)
+    last = float(np.max(ratios[-_WINDOW:]))
+    prev = float(np.max(ratios[-2 * _WINDOW : -_WINDOW]))
+    converged = abs(last - prev) <= _TOL * max(1.0, abs(last))
+    grid_min = 2.0**-j_max  # underflows to 0.0 on very deep grids, by design
     return LimitEstimate(
-        value=last, grid_min=grid_min, window=w, converged=converged, j_max=grid.j_max
+        value=last, grid_min=grid_min, window=_WINDOW, converged=converged, j_max=j_max
     )
 
 
-def limsup_dilation_ratio(
-    psi: ConcaveGenerator, k: int, grid: GridConfig = GridConfig()
-) -> LimitEstimate:
+def limsup_dilation_ratio(psi: ConcaveGenerator, k: int, j_max: int = _J_MAX) -> LimitEstimate:
     """Estimate limsup_{u->0} psi(k u) / psi(u) for integer k >= 2.
 
     Concavity forces the true limit into (0, k]; the probe stays at or below
@@ -263,24 +255,20 @@ def limsup_dilation_ratio(
     def ratio(lu):
         return np.exp(psi.log_eval(lu + math.log(k)) - psi.log_eval(lu))
 
-    return _limit(ratio, math.ceil(math.log2(k)), grid)
+    return _limit(ratio, math.ceil(math.log2(k)), j_max)
 
 
-def limsup_power_ratio(
-    psi: ConcaveGenerator, l: int, grid: GridConfig = GridConfig()
-) -> LimitEstimate:
+def limsup_power_ratio(psi: ConcaveGenerator, l: int, j_max: int = _J_MAX) -> LimitEstimate:
     """Estimate limsup_{u->0} psi(u^l) / psi(u) for integer l >= 2.
 
     Runs entirely in log-u coordinates: u^l is never formed, so deep grids do
     not underflow.
     """
     l = integer(l, 2, "power l must be an integer >= 2")
-    return _limit(lambda lu: np.exp(psi.log_eval(lu * l) - psi.log_eval(lu)), 1, grid)
+    return _limit(lambda lu: np.exp(psi.log_eval(lu * l) - psi.log_eval(lu)), 1, j_max)
 
 
-def limsup_tail_sum_ratio(
-    psi: ConcaveGenerator, n: int, grid: GridConfig = GridConfig()
-) -> LimitEstimate:
+def limsup_tail_sum_ratio(psi: ConcaveGenerator, n: int, j_max: int = _J_MAX) -> LimitEstimate:
     """Estimate limsup_{u->0} (1/psi(u)) * sum_{s=1}^n psi(2^(1-s) C(n,s) u^s).
 
     The summand arguments are assembled in log space (log-binomials from
@@ -297,4 +285,4 @@ def limsup_tail_sum_ratio(
             [np.sum(np.exp(psi.log_eval(lcomb + s * lu) - psi.log_eval(lu))) for lu in lus]
         )
 
-    return _limit(ratio, max(1, math.ceil(math.log2(n))), grid)
+    return _limit(ratio, max(1, math.ceil(math.log2(n))), j_max)

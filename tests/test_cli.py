@@ -146,6 +146,24 @@ def test_classify_shallow_grid_is_inconclusive():
     assert "NOT converged" in out
 
 
+def test_classify_grid_too_short_for_two_windows_exits_two():
+    # at j_max = 20 the a(3) grid starts at j = 2, one point short of two windows of 10
+    assert run_main("classify", "--psi", "power:0.5", "--j-max", "20") == (
+        2, "", "error: j_max = 20 leaves 19 grid points; a limit estimate needs 20\n")
+    assert run_main("classify", "--psi", "power:0.5", "--j-max", "21")[0] in (0, 1)
+
+
+def test_classify_has_no_window_option(monkeypatch):
+    # the window is the estimators' constant, so the option is refused before any work
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed with an unknown option")
+
+    for name in ("parse_generator", "classify", "kruglov_check"):
+        monkeypatch.setattr(cli, name, no_compute)
+    assert run_main("classify", "--psi", "power:0.5", "--window", "10") == (
+        2, "", "rispaces: error: unrecognized arguments: --window 10\n")
+
+
 def test_kruglov_finite():
     code, out, _ = run_main("kruglov", "--psi", "power:1", "--t-grid", "1,0.5,0.1")
     assert code == 0
@@ -187,6 +205,17 @@ def test_growth_exact_csv():
     assert rows[0] == ["n", "value", "fit_q", "fit_C", "residual"]
     assert [r[0] for r in rows[1:]] == ["16", "32", "64", "128"]
     assert len({r[2] for r in rows[1:]}) == 1  # one fit, repeated per row
+
+
+def test_growth_exact_reads_no_sampler(tmp_path):
+    # exact mode prices the walk law, so a sampler it would never draw from is not
+    # named in its report, and a sampler file it would never read is not opened
+    argv = ("growth", "--space", "lpq:2:1", "--ns", "16,32,64,128", "--format", "json")
+    code, out, _ = run_main(*argv)
+    assert code == 0 and json.loads(out)["sampler"] is None
+    assert run_main(*argv, "--sampler", "gauss") == (0, out, "")
+    missing = tmp_path / "missing.csv"
+    assert run_main(*argv, "--sampler", f"custom:{missing}") == (0, out, "")
 
 
 def test_growth_config_file_with_flag_override(tmp_path):
@@ -352,7 +381,7 @@ def test_cli_defaults_are_the_library_defaults():
     for command, dest, fn, param in [
         ("opnorm", "j_max", dichotomy.sup_indicator_ratio, "j_max"),
         *(("classify", d, dichotomy.classify, d)
-          for d in ("k_list", "l_list", "n_list", "margin")),
+          for d in ("k_list", "l_list", "n_list", "margin", "j_max")),
         ("kruglov", "max_terms", dichotomy.kruglov_check, "num_terms"),
         ("kruglov", "threshold", dichotomy.kruglov_check, "threshold"),
         *(("mc", d, experiments.mc_iid_sum_norm, d) for d in ("trials", "m")),
@@ -1321,7 +1350,6 @@ _CLASSIFY = {
     "--n-list": (_int_lists(1, 16, 1, 3), ["0", "-1", "", "x"], True),
     "--margin": (["0", "1e-3", "0.1", "0.5"], ["-1", "1", "nan", "inf", "x"], True),
     "--j-max": (_ints(40, 120), ["-1", "x", "1.5"], True),
-    "--window": (_ints(1, 12), ["0", "-1", "x"], True),
     "--format": (["text", "json"], ["csv", "xml"], True),
 }
 

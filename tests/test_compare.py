@@ -3,10 +3,13 @@ real children; its verdicts on fixed numbers; and, with its runners replaced so 
 no child starts, a run failed by one differing stdout, the host and each side's size in
 its record, and its usage errors."""
 
+import argparse
 import json
 import subprocess
 
 import pytest
+
+from rispaces import cli
 
 
 @pytest.mark.parametrize("args, code", [
@@ -141,17 +144,29 @@ def test_the_record_names_the_host(compare, tmp_path, monkeypatch):
 
 
 def test_the_record_gives_each_sides_size(compare, tmp_path, monkeypatch, capsys):
-    # a simplicity change is measured in source lines and exported names, each read
-    # from its own side: the names by a child that imports that side's src
+    # a simplicity change is measured in source lines, exported names and CLI options,
+    # each read from its own side: the names and options by a child that imports that
+    # side's src, whose fake packages have no CLI
     head, parent = _fake_children(compare, monkeypatch, tmp_path,
                                   lambda checkout, cmd: (0, b"0.5\n", b"", 30.0))
     assert compare.main([str(parent), "probe", "--pairs", "2"]) == 0
     size = json.loads((head / "BENCH_probe.json").read_text())["size"]
-    assert size == {"parent": {"source_lines": 4, "exports": 2},
-                    "head": {"source_lines": 2, "exports": 1}}
-    assert "size (source lines, exported names): parent 4, 2; head 2, 1" in capsys.readouterr().out
+    assert size == {"parent": {"source_lines": 4, "exports": 2, "options": None},
+                    "head": {"source_lines": 2, "exports": 1, "options": None}}
+    assert ("size (source lines, exported names, options): parent 4, 2, None; head 2, 1, None"
+            in capsys.readouterr().out)
     (head / "src" / "rispaces" / "__init__.py").write_text("raise ImportError\n")
-    assert compare.size(head) == {"source_lines": 1, "exports": None}
+    assert compare.size(head) == {"source_lines": 1, "exports": None, "options": None}
+
+
+def test_the_size_counts_this_checkouts_options(compare):
+    # one option per (subcommand, destination) of the parser, --help aside
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = sum(len({a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)})
+                  for p in sub.choices.values())
+    assert len(sub.choices) == 6
+    assert compare.size(compare.ROOT)["options"] == options
 
 
 @pytest.mark.parametrize("parent, argv, platform, message", [

@@ -5,7 +5,6 @@ import pytest
 
 from rispaces import (
     DEFAULT_KRUGLOV_T_GRID,
-    GridConfig,
     KruglovVerdict,
     Lorentz,
     classify,
@@ -113,7 +112,7 @@ def test_sup_ratio_lies_in_an_independent_bracket(token, n):
     # side sets the sup: the u -> 0 limit lies below the bracket.
     psi = parse_generator(token)
     low, high = indicator_ratio_bracket(psi, n)
-    assert limsup_tail_sum_ratio(psi, n, GridConfig(j_max=60)).value / n < low
+    assert limsup_tail_sum_ratio(psi, n, 60).value / n < low
     assert low * (1.0 - 1e-12) <= sup_indicator_ratio(psi, n) <= high
     assert n * low * (1.0 - 1e-12) <= lorentz_operator_norm(psi, n) <= n * high
 
@@ -247,6 +246,14 @@ def test_classify_checks_every_probe_before_any_limit(monkeypatch, psi, lists, f
     monkeypatch.setattr(dichotomy, "limsup_power_ratio", no_limit)
     with pytest.raises(ValueError, match=fragment):
         classify(psi, **lists)
+
+
+def test_classify_checks_the_grid_depth_before_evaluating_psi():
+    def unread(lt):
+        raise AssertionError("evaluated psi before checking j_max")
+
+    with pytest.raises(ValueError, match="^need j_max >= 1, got 0$"):
+        classify(ConcaveGenerator(unread, log_fn=unread), j_max=0)
 
 
 def test_kruglov_check_takes_a_numpy_t_grid():

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from rispaces import (
     ConcaveGenerator,
-    GridConfig,
     erfc_inverse,
     erfc_inverse_log,
     gauss,
@@ -424,9 +423,9 @@ def test_dilation_ratio_power():
 
 def test_dilation_ratio_slowly_varying_needs_deep_grid():
     psi = inv_sqrt_log()
-    shallow = limsup_dilation_ratio(psi, 2, GridConfig())
+    shallow = limsup_dilation_ratio(psi, 2)
     assert not shallow.converged
-    deep = limsup_dilation_ratio(psi, 2, GridConfig(j_max=2000, window=10))
+    deep = limsup_dilation_ratio(psi, 2, 2000)
     assert deep.converged
     assert deep.value == pytest.approx(1.0002512247244757, abs=1e-9)
     assert deep.value == pytest.approx(1.0, abs=1e-3)
@@ -452,6 +451,6 @@ def test_tail_sum_ratio():
 
 def test_grid_too_shallow_rejected():
     with pytest.raises(ValueError):
-        limsup_dilation_ratio(power(1.0), 2, GridConfig(j_max=5, window=10))
+        limsup_dilation_ratio(power(1.0), 2, 5)
 
 

@@ -12,7 +12,6 @@ from scipy.special import logsumexp
 
 from rispaces import (
     DichotomyReport,
-    GridConfig,
     GrowthFit,
     KruglovVerdict,
     LimitEstimate,
@@ -383,7 +382,6 @@ def test_records_keep_their_reprs_and_keyword_constructors():
         (Marcinkiewicz(phi=psi), "Marcinkiewicz(phi=ConcaveGenerator(power:0.5))"),
         (Orlicz(M=exp_lp(2)), "Orlicz(M=exp_lp(p=2.0))"),
         (Lpq(p=2.0, q=1.0), "Lpq(p=2.0, q=1.0)"),
-        (GridConfig(j_max=8), "GridConfig(j_max=8, window=10)"),
         (LimitEstimate(value=1.0, grid_min=0.5, window=2, converged=True, j_max=1),
          "LimitEstimate(value=1.0, grid_min=0.5, window=2, converged=True, j_max=1)"),
         (SamplerSpec("signed_indicator", u=1, seed=2),
@@ -401,8 +399,6 @@ def test_records_keep_their_reprs_and_keyword_constructors():
         assert repr(record) == text
         with pytest.raises(AttributeError):
             record.extra = 1
-    with pytest.raises(AttributeError):
-        GridConfig().j_max = 2
 
 
 def test_objects_that_are_not_spaces_are_refused():

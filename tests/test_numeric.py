@@ -6,7 +6,6 @@ import pytest
 from scipy import special
 
 from rispaces import (
-    GridConfig,
     Lpq,
     classify,
     erfc_inverse,
@@ -193,8 +192,7 @@ _INTEGER_SITES = [
      "^level s must satisfy 1 <= s <= n$", 2),
     (lambda k: limsup_dilation_ratio(_PSI, k), 2, _K, 2),
     (lambda l: limsup_power_ratio(_PSI, l), 2, _L, 2),
-    (lambda j: GridConfig(j_max=j), 1, r"^need j_max >= 1, got \S+$", 30),
-    (lambda w: GridConfig(window=w), 1, "^window must be positive$", 5),
+    (lambda j: limsup_power_ratio(_PSI, 2, j), 1, r"^need j_max >= 1, got \S+$", 30),
     (lambda j: sup_indicator_ratio(_PSI, 4, j_max=j), 0, "^j_max must be nonnegative$", 3),
     (lambda N: kruglov_check(_PSI, t_grid=(1.0,), num_terms=N), 4,
      "^num_terms must allow an N/4 checkpoint$", 64),

@@ -58,8 +58,6 @@ ORACLES = {
                        "the interpolated value of the nodes written; rel 1e-14"),
     "parse_generator": ("test_generators::test_parse_generator_tokens",
                         "closed-form values of each token's generator; pytest.approx"),
-    "GridConfig": ("test_generators::test_dilation_ratio_slowly_varying_needs_deep_grid",
-                   "a 2000-octave grid reaches the recorded limit 1.0002512247244757; abs 1e-9"),
     "LimitEstimate": ("test_generators::test_dilation_ratio_power",
                       "the limit k^a of psi(ku)/psi(u) for psi = t^a; abs 1e-9"),
     "limsup_dilation_ratio": ("test_generators::test_dilation_ratio_power",
@@ -129,8 +127,6 @@ ORACLES = {
     "parse_space": ("test_norms::test_space_labels", "the label of each family's token; equality"),
     "space_label": ("test_norms::test_space_labels", "the label of each family's token; equality"),
     # dichotomy
-    "CLASSIFY_GRID": ("test_dichotomy::test_classify_power_half",
-                      "q = log sqrt(8/3) / log 2 on the default grid; abs 1e-9"),
     "DEFAULT_KRUGLOV_T_GRID": ("test_dichotomy::test_default_t_grid_probes_deep",
                                "its range reaches t = 1 and t <= 1e-300"),
     "DichotomyReport": ("test_dichotomy::test_classify_power_half",

@@ -390,5 +390,5 @@ def test_dataclass_check_sees_one():
 
 def test_package_exports_are_pinned():
     # the oracle registry is the one list of exported names
-    assert len(rispaces.__all__) == len(set(rispaces.__all__)) == 57
+    assert len(rispaces.__all__) == len(set(rispaces.__all__)) == 55
     assert sorted(rispaces.__all__) == sorted(ORACLES)

@@ -40,8 +40,9 @@ checkout, under ``same_work`` and ``workloads``, and the host under ``environmen
 (the harness's ``environment()``: Python and NumPy versions, CPU count and model,
 the children's pins), since only points from one machine compare.  Each side's size,
 the measure of a simplicity change, goes under ``size``: its source lines (``wc -l
-src/rispaces/*.py``) and exported names (``len(rispaces.__all__)``, read by a child
-with that side's ``src``).  It exits 1 if a command or traced
+src/rispaces/*.py``), exported names (``len(rispaces.__all__)``) and CLI options (each
+subcommand's destinations but ``--help``, from ``rispaces.cli._build_parser()``), the
+last two read by a child with that side's ``src``.  It exits 1 if a command or traced
 count differs, a peak is missing or a run failed, 2 on a usage error, else 0.  It
 uses the standard library only (the workload module uses NumPy).
 """
@@ -94,14 +95,29 @@ def env(checkout: Path) -> dict:
             "PYTHONDONTWRITEBYTECODE": "1"}
 
 
+# a child that prints [exported names, CLI options], options null where the CLI does not import
+SIZE = """\
+import argparse, json, rispaces
+try:
+    from rispaces.cli import _build_parser
+except ImportError:
+    options = None
+else:
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = len({(name, a.dest) for name, p in sub.choices.items() for a in p._actions
+                   if not isinstance(a, argparse._HelpAction)})
+print(json.dumps([len(rispaces.__all__), options]))
+"""
+
+
 def size(checkout: Path) -> dict:
-    """The checkout's source lines and exported names; ``exports`` is None if its
-    package does not import."""
+    """The checkout's source lines, exported names and CLI options; ``exports`` and
+    ``options`` are None if its package does not import, ``options`` if its CLI does not."""
     lines = sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "rispaces").glob("*.py"))
-    proc = subprocess.run([sys.executable, "-c", "import rispaces; print(len(rispaces.__all__))"],
-                          cwd=checkout, env=env(checkout), stdin=subprocess.DEVNULL,
-                          capture_output=True, text=True, timeout=60)
-    return {"source_lines": lines, "exports": int(proc.stdout) if proc.returncode == 0 else None}
+    proc = subprocess.run([sys.executable, "-c", SIZE], cwd=checkout, env=env(checkout),
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60)
+    exports, options = json.loads(proc.stdout) if proc.returncode == 0 else (None, None)
+    return {"source_lines": lines, "exports": exports, "options": options}
 
 
 def commands(workdir: Path) -> list:
@@ -273,8 +289,9 @@ def main(argv=None) -> int:
     report = {"label": args.label, "seeds": list(seeds), "environment": bench.environment(),
               "size": {side: size(checkout) for side, checkout in sides.items()},
               "same_work": same_work(sides), "workloads": {}}
-    print("size (source lines, exported names): " + "; ".join(
-        f"{side} {n['source_lines']}, {n['exports']}" for side, n in report["size"].items()))
+    print("size (source lines, exported names, options): " + "; ".join(
+        f"{side} {n['source_lines']}, {n['exports']}, {n['options']}"
+        for side, n in report["size"].items()))
     failed = sum(len(report["same_work"][key])
                  for key in ("commands_differing", "counts_differing", "peaks_missing"))
     for workload in bench.BENCH["workloads"]:
