@@ -158,8 +158,7 @@ def _estimate_line(label: str, est) -> str:
 
 def _cmd_classify(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     psi = parse_generator(args.psi)
-    report = classify(psi, k_list=args.k_list, l_list=args.l_list, n_list=args.n_list,
-                      margin=args.margin, j_max=args.j_max)
+    report = classify(psi, n_list=args.n_list, j_max=args.j_max)
     kruglov = kruglov_check(psi) if args.with_kruglov else None
     payload = {"command": "classify", "psi": args.psi, "kruglov": _jsonable(kruglov)}
     payload.update(_jsonable(report))
@@ -293,7 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "rearrangement-invariant function spaces on (0, 1].",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    ints, floats = _list_of(int, "integers"), _list_of(float, "floats")
 
     def common(p, run, formats=("text", "json")):
         p.add_argument("--format", choices=formats, default="text")
@@ -317,18 +315,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="growth dichotomy for a generator")
     p.add_argument("--psi", required=True)
-    p.add_argument("--k-list", type=ints, default=_default(classify, "k_list"))
-    p.add_argument("--l-list", type=ints, default=_default(classify, "l_list"))
     p.add_argument("--n-list", type=_list_of(_capped("n_list"), "integers"),
                    default=_default(classify, "n_list"))
-    p.add_argument("--margin", type=float, default=_default(classify, "margin"))
     p.add_argument("--j-max", type=_capped("j_max"), default=_default(classify, "j_max"))
     p.add_argument("--with-kruglov", action="store_true")
     common(p, _cmd_classify)
 
     p = sub.add_parser("kruglov", help="compound-Poisson series probe")
     p.add_argument("--psi", required=True)
-    p.add_argument("--t-grid", type=floats, default=_default(kruglov_check, "t_grid"))
+    p.add_argument("--t-grid", type=_list_of(float, "floats"),
+                   default=_default(kruglov_check, "t_grid"))
     p.add_argument("--max-terms", type=_capped("max_terms"),
                    default=_default(kruglov_check, "num_terms"))
     p.add_argument("--threshold", type=float, default=_default(kruglov_check, "threshold"),

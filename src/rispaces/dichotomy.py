@@ -119,39 +119,34 @@ class DichotomyReport(NamedTuple):
     inconclusive: bool = False
 
 
+# The decision rule: a ratio is strict when it reads more than _MARGIN below k (below 1)
+_K_PROBES, _L_PROBES, _MARGIN = (2, 3, 4), (2, 3), 1e-3
+
+
 def classify(
     psi: ConcaveGenerator,
-    k_list: Sequence[int] = (2, 3, 4),
-    l_list: Sequence[int] = (2, 3),
     n_list: Sequence[int] = (2, 4, 8, 16, 32, 64),
-    margin: float = 1e-3,
     j_max: int = 2000,
 ) -> DichotomyReport:
     """Decide the operator-norm dichotomy from measured limit conditions.
 
-    PowerBound requires both strict conditions: some dilation ratio a(k)
-    below k - margin AND some power ratio c(l) below 1 - margin.  Then the
-    smallest witness n0 with measured ||A_{n0}|| < n0 fixes
-    q = max(1/2, log ||A_{n0}|| / log n0) and the constant C.
+    PowerBound requires both strict conditions: some dilation ratio a(k), k in
+    _K_PROBES, below k - _MARGIN AND some power ratio c(l), l in _L_PROBES, below
+    1 - _MARGIN.  Then the smallest witness n0 in n_list with measured
+    ||A_{n0}|| < n0 fixes q = max(1/2, log ||A_{n0}|| / log n0) and the constant C.
 
     Each limit is read on the grid u = 2^-j, j <= j_max.  Slowly-varying generators
     need thousands of octaves before their dilation ratios settle to within 1e-3;
     the deep grid is cheap because every built-in evaluates in log-u coordinates.
     """
-    k_list, l_list, n_list = (list(xs) for xs in (k_list, l_list, n_list))
-    if not (k_list and l_list and n_list):
+    n_list = [positive_int(n) for n in n_list]  # all checked before any limit is read
+    if not n_list:
         raise ValueError("probe lists must be nonempty")
-    # every probe is checked before any limit is computed
-    k_list = [integer(k, 2, "dilation factor k must be an integer >= 2") for k in k_list]
-    l_list = [integer(l, 2, "power l must be an integer >= 2") for l in l_list]
-    n_list = [positive_int(n) for n in n_list]
-    if not 0.0 <= margin < 1.0:
-        raise ValueError(f"margin must lie in [0, 1), got {margin!r}")
-    a_est = {k: limsup_dilation_ratio(psi, k, j_max) for k in k_list}
-    c_est = {l: limsup_power_ratio(psi, l, j_max) for l in l_list}
+    a_est = {k: limsup_dilation_ratio(psi, k, j_max) for k in _K_PROBES}
+    c_est = {l: limsup_power_ratio(psi, l, j_max) for l in _L_PROBES}
     inconclusive = not all(e.converged for e in (*a_est.values(), *c_est.values()))
-    cond1 = any(e.value < k - margin for k, e in a_est.items())
-    cond2 = any(e.value < 1.0 - margin for l, e in c_est.items())
+    cond1 = any(e.value < k - _MARGIN for k, e in a_est.items())
+    cond2 = any(e.value < 1.0 - _MARGIN for e in c_est.values())
 
     opnorms: Dict[int, float] = {}
     witness = q = C = failing = None
@@ -177,7 +172,7 @@ def classify(
         C = (math.sqrt(2.0) + 1.0) * witness**q * max(opnorms[s] for s in range(1, witness + 1))
     return DichotomyReport(
         branch="NormEqualsN" if witness is None else "PowerBound",
-        margin=margin,
+        margin=_MARGIN,
         a_estimates=a_est,
         c_estimates=c_est,
         opnorms=opnorms,

@@ -84,6 +84,10 @@ class SamplerSpec(NamedTuple("SamplerSpec", [
         seed = integer(seed, 0, f"seed must be a non-negative integer, got {seed!r}")
         if kind not in ("rademacher", "signed_indicator", "gaussian", "custom"):
             raise ValueError(f"unknown sampler kind {kind!r}")
+        if u is not None and kind != "signed_indicator":
+            raise ValueError(f"a {kind} sampler takes no u: only signed_indicator reads it")
+        if quantiles is not None and kind != "custom":
+            raise ValueError(f"a {kind} sampler takes no quantiles: only custom reads it")
         if kind == "signed_indicator":
             u = math.nan if u is None else float(u)
             if not 0.0 < u <= 1.0:

@@ -203,8 +203,8 @@ def _advancing(values: np.ndarray, log_tails: np.ndarray) -> Layers:
 
 def _checked_layers(values: np.ndarray, log_tails: np.ndarray) -> Layers:
     """The layers of a law from outside the package, refused unless the cores can price them."""
-    if values.size == 0 or values.size != log_tails.size:
-        raise ValueError("layers need matching nonempty value/log-tail arrays")
+    if values.ndim != 1 or values.size == 0 or values.shape != log_tails.shape:
+        raise ValueError("layers need matching nonempty 1-D value/log-tail arrays")
     # written so that a NaN fails: the cores take the positive values as a prefix
     if not np.all(values >= 0) or np.any(np.diff(values) > 0):
         raise ValueError("layer values must be nonnegative and nonincreasing")

@@ -56,6 +56,8 @@ class StepFunction:
         exact = all(map(_is_exact, itertools.chain(breakpoints, values)))
         bp, v = (np.array([Fraction(x) for x in a], dtype=object) if exact
                  else np.array(a, dtype=float) for a in (breakpoints, values))
+        if bp.ndim != 1 or v.ndim != 1:
+            raise ValueError("breakpoints and values must be 1-D sequences")
         if bp.size != v.size + 1:
             raise ValueError(
                 "need len(breakpoints) == len(values) + 1, got %d and %d" % (bp.size, v.size)

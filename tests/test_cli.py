@@ -115,13 +115,11 @@ def test_classify_json_reparses_into_report():
 
 def test_classify_json_shape():
     code, out, _ = run_main(
-        "classify", "--psi", "power:0.5", "--k-list", "2,3,16", "--n-list", "16",
-        "--format", "json",
+        "classify", "--psi", "power:0.5", "--n-list", "16", "--format", "json",
     )
     assert code == 0
     payload = json.loads(out)  # keeps the key order of the text
     # integer keys are strings and sort as strings: "16" comes before "2"
-    assert list(payload["a_estimates"]) == ["16", "2", "3"]
     assert list(payload["opnorms"]) == sorted(str(n) for n in range(1, 17))
     for est in (*payload["a_estimates"].values(), *payload["c_estimates"].values()):
         assert set(est) == {"value", "grid_min", "window", "converged", "j_max"}
@@ -153,15 +151,25 @@ def test_classify_grid_too_short_for_two_windows_exits_two():
     assert run_main("classify", "--psi", "power:0.5", "--j-max", "21")[0] in (0, 1)
 
 
-def test_classify_has_no_window_option(monkeypatch):
-    # the window is the estimators' constant, so the option is refused before any work
+def _refused_before_any_work(monkeypatch, option, value):
     def no_compute(*args, **kwargs):
         raise AssertionError("computed with an unknown option")
 
     for name in ("parse_generator", "classify", "kruglov_check"):
         monkeypatch.setattr(cli, name, no_compute)
-    assert run_main("classify", "--psi", "power:0.5", "--window", "10") == (
-        2, "", "rispaces: error: unrecognized arguments: --window 10\n")
+    assert run_main("classify", "--psi", "power:0.5", option, value) == (
+        2, "", f"rispaces: error: unrecognized arguments: {option} {value}\n")
+
+
+def test_classify_has_no_window_option(monkeypatch):
+    # the window is the estimators' constant, so the option is refused before any work
+    _refused_before_any_work(monkeypatch, "--window", "10")
+
+
+def test_classify_has_no_probe_or_margin_options(monkeypatch):
+    # the factors k, the powers l and the margin are the decision rule's constants
+    for option, value in (("--k-list", "2,3"), ("--l-list", "2"), ("--margin", "0.01")):
+        _refused_before_any_work(monkeypatch, option, value)
 
 
 def test_kruglov_finite():
@@ -340,8 +348,8 @@ def test_bad_config_value_names_its_option(tmp_path, argv, config, err):
 
 
 def test_bad_list_flags_name_no_private_function():
-    assert run_main("classify", "--psi", "power:0.5", "--k-list", "2,x") == (
-        2, "", "rispaces classify: error: argument --k-list: expected comma-separated "
+    assert run_main("classify", "--psi", "power:0.5", "--n-list", "2,x") == (
+        2, "", "rispaces classify: error: argument --n-list: expected comma-separated "
         "integers, got '2,x'\n")
     assert run_main("kruglov", "--psi", "power:0.5", "--t-grid", "0.5,y") == (
         2, "", "rispaces kruglov: error: argument --t-grid: expected comma-separated "
@@ -381,7 +389,7 @@ def test_cli_defaults_are_the_library_defaults():
     for command, dest, fn, param in [
         ("opnorm", "j_max", dichotomy.sup_indicator_ratio, "j_max"),
         *(("classify", d, dichotomy.classify, d)
-          for d in ("k_list", "l_list", "n_list", "margin", "j_max")),
+          for d in ("n_list", "j_max")),
         ("kruglov", "max_terms", dichotomy.kruglov_check, "num_terms"),
         ("kruglov", "threshold", dichotomy.kruglov_check, "threshold"),
         *(("mc", d, experiments.mc_iid_sum_norm, d) for d in ("trials", "m")),
@@ -659,8 +667,6 @@ def test_only_the_process_entry_freezes_the_heap(capsys, monkeypatch):
         # power:1 fails the limit conditions, so its n probes were never looked at
         (("classify", "--psi", "power:1", "--n-list", "0"), "error:",
          "n must be a positive integer"),
-        (("classify", "--psi", "power:0.5", "--margin", "nan"), "error:", "margin"),
-        (("classify", "--psi", "power:0.5", "--margin", "inf"), "error:", "margin"),
         (("kruglov", "--psi", "power:1", "--t-grid", "1", "--threshold", "-1"), "error:",
          "threshold"),
         (("kruglov", "--psi", "power:1", "--t-grid", "1", "--threshold", "nan"), "error:",
@@ -691,7 +697,7 @@ def test_only_the_process_entry_freezes_the_heap(capsys, monkeypatch):
           for bad in ("1/0", "abc", "1.5/2")),
     ],
     ids=["lpq-inf", "logpow-inf", "negative-j-max", "underflowing-j-max", "subnormal-j-max",
-         "option-like-value", "lpq-q-past-1e300", "n-list-zero-failing-conditions", "nan-margin", "inf-margin", "negative-threshold", "nan-threshold", "half-threshold",
+         "option-like-value", "lpq-q-past-1e300", "n-list-zero-failing-conditions", "negative-threshold", "nan-threshold", "half-threshold",
          "unit-threshold", "empty-t-grid", "comma-t-grid", "t-above-one-after-crossing",
          "nan-t-after-crossing", "unwritable-out", "table-without-path", "custom-without-path",
          "mc-without-n", "growth-without-ns", "unknown-orlicz-family",
@@ -1345,10 +1351,7 @@ def test_opnorm_cli_fuzz(opts, table):
 
 _CLASSIFY = {
     "--psi": ([*_GEN_OK, "table:{table}"], _GEN_BAD, False),
-    "--k-list": (_int_lists(2, 5, 1, 3), ["1", "", "x", "2,x"], True),
-    "--l-list": (_int_lists(2, 4, 1, 2), ["1", "0", "", "x"], True),
     "--n-list": (_int_lists(1, 16, 1, 3), ["0", "-1", "", "x"], True),
-    "--margin": (["0", "1e-3", "0.1", "0.5"], ["-1", "1", "nan", "inf", "x"], True),
     "--j-max": (_ints(40, 120), ["-1", "x", "1.5"], True),
     "--format": (["text", "json"], ["csv", "xml"], True),
 }

@@ -94,14 +94,19 @@ def test_summary_medians_and_spread(compare):
 def _fake_children(compare, monkeypatch, tmp_path, run):
     """(head, parent): two bare checkouts, with ``run`` standing in for each same-work
     child, and the traced passes and benchmark runs all reading 1.  Each holds a
-    package of its own size: head 2 source lines and 1 exported name, parent 4 and 2."""
+    package of its own size: head 2 source lines, 1 test line and 1 exported name,
+    parent 4, 3 and 2."""
     head, parent = tmp_path / "head", tmp_path / "parent"
-    for tree in head / "src" / "rispaces", parent / "src" / "rispaces", parent / "perfbench":
+    for tree in (head / "src" / "rispaces", parent / "src" / "rispaces", parent / "perfbench",
+                 head / "tests", parent / "tests"):
         tree.mkdir(parents=True)
     (parent / "perfbench" / "run.py").write_text("")
     (head / "src" / "rispaces" / "__init__.py").write_text('__all__ = ["a"]\na = 1\n')
     (parent / "src" / "rispaces" / "__init__.py").write_text('__all__ = ["a", "b"]\na = b = 1\n')
     (parent / "src" / "rispaces" / "b.py").write_text("x = 1\ny = 2\n")
+    (head / "tests" / "test_a.py").write_text("def test_a(): pass\n")
+    (parent / "tests" / "test_a.py").write_text("def test_a():\n    pass\n\n")
+    (parent / "tests" / "notes.txt").write_text("not a test\n")  # only *.py counts
     metrics = {m["name"]: 1.0 for m in compare.bench.BENCH["end_to_end"]}
     monkeypatch.setattr(compare, "ROOT", head)
     monkeypatch.setattr(compare.bench, "WORK", tmp_path)  # restored after the run moves it
@@ -144,19 +149,21 @@ def test_the_record_names_the_host(compare, tmp_path, monkeypatch):
 
 
 def test_the_record_gives_each_sides_size(compare, tmp_path, monkeypatch, capsys):
-    # a simplicity change is measured in source lines, exported names and CLI options,
-    # each read from its own side: the names and options by a child that imports that
-    # side's src, whose fake packages have no CLI
+    # a simplicity change is measured in source and test lines, exported names and CLI
+    # options, each read from its own side: the names and options by a child that imports
+    # that side's src, whose fake packages have no CLI
     head, parent = _fake_children(compare, monkeypatch, tmp_path,
                                   lambda checkout, cmd: (0, b"0.5\n", b"", 30.0))
     assert compare.main([str(parent), "probe", "--pairs", "2"]) == 0
     size = json.loads((head / "BENCH_probe.json").read_text())["size"]
-    assert size == {"parent": {"source_lines": 4, "exports": 2, "options": None},
-                    "head": {"source_lines": 2, "exports": 1, "options": None}}
-    assert ("size (source lines, exported names, options): parent 4, 2, None; head 2, 1, None"
-            in capsys.readouterr().out)
+    assert size == {
+        "parent": {"source_lines": 4, "test_lines": 3, "exports": 2, "options": None},
+        "head": {"source_lines": 2, "test_lines": 1, "exports": 1, "options": None}}
+    assert ("size (source lines, test lines, exported names, options): "
+            "parent 4, 3, 2, None; head 2, 1, 1, None" in capsys.readouterr().out)
     (head / "src" / "rispaces" / "__init__.py").write_text("raise ImportError\n")
-    assert compare.size(head) == {"source_lines": 1, "exports": None, "options": None}
+    assert compare.size(head) == {"source_lines": 1, "test_lines": 1, "exports": None,
+                                  "options": None}
 
 
 def test_the_size_counts_this_checkouts_options(compare):

@@ -212,11 +212,12 @@ def test_classify_slowly_varying_generator():
     assert rep.C == pytest.approx(8.344121037687275, abs=1e-6)
 
 
-def test_classify_zero_margin_falls_back_on_norm_measurement():
+def test_classify_zero_margin_falls_back_on_norm_measurement(monkeypatch):
     # without the margin, float noise lets a(2) = 2 - 1e-13 pass the strict
     # test; the witness hunt then finds no n with ||A_n|| < n and refuses to
     # certify constants instead of fabricating them
-    rep = classify(power(1.0), margin=0.0)
+    monkeypatch.setattr(dichotomy, "_MARGIN", 0.0)
+    rep = classify(power(1.0))
     assert rep.branch == "NormEqualsN"
     assert rep.failing_condition == "norm-measurement"
     assert rep.inconclusive
@@ -224,18 +225,12 @@ def test_classify_zero_margin_falls_back_on_norm_measurement():
 
 def test_classify_validation():
     with pytest.raises(ValueError):
-        classify(power(1.0), k_list=())
-    for margin in (math.nan, math.inf, -1e-3, 1.0):
-        with pytest.raises(ValueError, match="margin"):
-            classify(power(0.5), margin=margin)
+        classify(power(1.0), n_list=())
 
 
 @pytest.mark.parametrize("psi", [power(1.0), power(0.5)], ids=["power-1", "power-0.5"])
 @pytest.mark.parametrize(
-    "lists, fragment",
-    [({"n_list": (2, 0)}, "n must be"), ({"l_list": (2, 1)}, "power l"),
-     ({"k_list": (2, 1)}, "dilation factor k")],
-    ids=["n", "l", "k"],
+    "lists, fragment", [({"n_list": (2, 0)}, "n must be")], ids=["n"],
 )
 def test_classify_checks_every_probe_before_any_limit(monkeypatch, psi, lists, fragment):
     # the n probes used to be checked only when both limit conditions held
@@ -265,11 +260,10 @@ def test_kruglov_check_takes_a_numpy_t_grid():
 
 
 def test_classify_takes_numpy_probe_lists():
-    lists = {"k_list": (2, 3), "l_list": (2,), "n_list": (2, 4)}
-    want = classify(power(0.5), **lists)
-    assert classify(power(0.5), **{key: np.array(xs) for key, xs in lists.items()}) == want
+    want = classify(power(0.5), n_list=(2, 4))
+    assert classify(power(0.5), n_list=np.array([2, 4])) == want
     with pytest.raises(ValueError, match="^probe lists must be nonempty$"):
-        classify(power(0.5), k_list=np.array([], dtype=int))
+        classify(power(0.5), n_list=np.array([], dtype=int))
 
 
 def test_kruglov_check_threshold_validation():

@@ -57,6 +57,12 @@ def test_sampler_validation():
         (dict(kind="custom", quantiles=()), "needs at least one quantile"),
         (dict(kind="custom", quantiles=(math.inf,)), "quantiles must be finite"),
         (dict(kind="custom", quantiles=(0.0, 5.0)), "law must be symmetric"),
+        # a field the kind never reads made two specs of one law compare unequal
+        (dict(kind="rademacher", u=7.0), "^a rademacher sampler takes no u: only signed_"),
+        (dict(kind="gaussian", quantiles=(1.0, -1.0)),
+         "^a gaussian sampler takes no quantiles: only custom reads it$"),
+        (dict(kind="signed_indicator", u=0.5, quantiles=(1.0, -1.0)),
+         "^a signed_indicator sampler takes no quantiles"),
     ] + [(dict(kind="signed_indicator", u=u), r"u must lie in \(0, 1\]")
          for u in (0.0, 5.0, math.nan)]
     for kwargs, message in refused:

@@ -740,11 +740,17 @@ def test_in_place_cores_match_plain_expressions():
             want = _lorentz_core_plain(values, lT, g)
             assert _lorentz_core([(values, lT)], g) == want
             assert _lorentz_core(chunks, g) == want
+            # raw chunks, cut anywhere, price as the checked whole: the package hands
+            # its own streams (the walk law's chunks) to _price unchecked
+            space = Lorentz(g)
+            assert _price(chunks, values.size, space) == space_norm_from_layers(values, lT, space)
             assert _marcinkiewicz_core(values, lT, g) == _marcinkiewicz_core_plain(values, lT, g)
         for p, q in ((2.0, 1.0), (1.5, 1.2), (3.0, 2.0), (1.1, 7.0)):
             want = _lpq_core_plain(values, lT, p, q)
             assert _lpq_core([(values, lT)], values.size, p, q) == want
             assert _lpq_core(chunks, values.size, p, q) == want
+            space = Lpq(p, q)
+            assert _price(chunks, values.size, space) == space_norm_from_layers(values, lT, space)
 
 
 def test_orlicz_core_matches_plain_expressions():
@@ -825,6 +831,17 @@ def test_layers_with_nan_are_rejected():
                 space_norm_from_layers(values, lT, space)
 
 
+@pytest.mark.parametrize("values, lT", [
+    ([[2.0], [1.0]], [[-1.0], [0.0]]),  # Marcinkiewicz priced these as the 1-D law, by accident
+    ([[2.0, 1.0]], [[-1.0, 0.0]]),
+    (2.0, -1.0),
+], ids=["columns", "row", "scalars"])
+def test_layers_that_are_not_1d_are_refused(values, lT):
+    for space in ALL_SPACES:
+        with pytest.raises(ValueError, match="^layers need matching nonempty 1-D value/log-tail"):
+            space_norm_from_layers(values, lT, space)
+
+
 # The ends 1e-300 and the next piece's end differ by less than the log resolves:
 # the float twin's log-tails round together, the exact twin's 1.1e-13 backward.
 _SUB_RESOLUTION_LAYER = {
@@ -852,15 +869,6 @@ def test_walk_norm_memory_on_the_largest_walk(traced_peak, space):
     rademacher_sum_norm(2**14, space)  # the one-time caches fill outside the trace
     peak = traced_peak(rademacher_sum_norm, 2**20, space)
     assert peak <= (2.0 if isinstance(space, Lorentz) else 6.0) * 2**20
-
-
-def test_layer_chunks_are_checked_across_the_cut():
-    # a stream of raw chunks prices as the checked whole: the package builds its
-    # own streams (the walk law's chunks) and hands them to the dispatch unchecked
-    values, lT = np.array([4.0, 3.0, 2.0, 1.0]), np.array([-4.0, -3.0, -2.0, -1.0])
-    for space in (Lorentz(power(0.5)), Lpq(2.0, 1.0)):
-        chunks = _cut(values, lT, np.random.default_rng(0))
-        assert _price(chunks, 4, space) == space_norm_from_layers(values, lT, space)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 8.0])

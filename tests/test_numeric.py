@@ -196,8 +196,6 @@ _INTEGER_SITES = [
     (lambda j: sup_indicator_ratio(_PSI, 4, j_max=j), 0, "^j_max must be nonnegative$", 3),
     (lambda N: kruglov_check(_PSI, t_grid=(1.0,), num_terms=N), 4,
      "^num_terms must allow an N/4 checkpoint$", 64),
-    (lambda k: classify(_PSI, k_list=(k,), n_list=(2,)), 2, _K, 2),
-    (lambda l: classify(_PSI, l_list=(l,), n_list=(2,)), 2, _L, 2),
     (lambda n: classify(_PSI, n_list=(n,)), 1, _N, 2),
     (rademacher, 0, r"^seed must be a non-negative integer, got \S+$", 3),
     (lambda t: mc_iid_sum_norm(rademacher(), 4, _SPACE, trials=t, m=256), 1000,

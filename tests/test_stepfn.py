@@ -28,6 +28,8 @@ def test_ctor_validation():
         StepFunction([Fraction(0), Fraction(1, 2)], [Fraction(1)])
     with pytest.raises(ValueError):
         StepFunction([0.0, 0.5, 1.0], [1.0])
+    with pytest.raises(ValueError, match="^breakpoints and values must be 1-D sequences$"):
+        StepFunction([[0.0], [0.5], [1.0]], [[1.0], [0.0]])  # columns, once an IndexError
     with pytest.raises(ValueError):
         StepFunction([Fraction(0), Fraction(3, 4), Fraction(1, 2), Fraction(1)], [1, 2, 3])
     with pytest.raises(ValueError):

@@ -40,7 +40,7 @@ checkout, under ``same_work`` and ``workloads``, and the host under ``environmen
 (the harness's ``environment()``: Python and NumPy versions, CPU count and model,
 the children's pins), since only points from one machine compare.  Each side's size,
 the measure of a simplicity change, goes under ``size``: its source lines (``wc -l
-src/rispaces/*.py``), exported names (``len(rispaces.__all__)``) and CLI options (each
+src/rispaces/*.py``), test lines (``wc -l tests/*.py``), exported names (``len(rispaces.__all__)``) and CLI options (each
 subcommand's destinations but ``--help``, from ``rispaces.cli._build_parser()``), the
 last two read by a child with that side's ``src``.  It exits 1 if a command or traced
 count differs, a peak is missing or a run failed, 2 on a usage error, else 0.  It
@@ -110,14 +110,19 @@ print(json.dumps([len(rispaces.__all__), options]))
 """
 
 
+def _lines(folder: Path) -> int:
+    """The newline count of the folder's ``*.py`` files, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in folder.glob("*.py"))
+
+
 def size(checkout: Path) -> dict:
-    """The checkout's source lines, exported names and CLI options; ``exports`` and
-    ``options`` are None if its package does not import, ``options`` if its CLI does not."""
-    lines = sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "rispaces").glob("*.py"))
+    """The checkout's source and test lines, exported names and CLI options; ``exports``
+    and ``options`` are None if its package does not import, ``options`` if its CLI does not."""
     proc = subprocess.run([sys.executable, "-c", SIZE], cwd=checkout, env=env(checkout),
                           stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60)
     exports, options = json.loads(proc.stdout) if proc.returncode == 0 else (None, None)
-    return {"source_lines": lines, "exports": exports, "options": options}
+    return {"source_lines": _lines(checkout / "src" / "rispaces"),
+            "test_lines": _lines(checkout / "tests"), "exports": exports, "options": options}
 
 
 def commands(workdir: Path) -> list:
@@ -289,8 +294,8 @@ def main(argv=None) -> int:
     report = {"label": args.label, "seeds": list(seeds), "environment": bench.environment(),
               "size": {side: size(checkout) for side, checkout in sides.items()},
               "same_work": same_work(sides), "workloads": {}}
-    print("size (source lines, exported names, options): " + "; ".join(
-        f"{side} {n['source_lines']}, {n['exports']}, {n['options']}"
+    print("size (source lines, test lines, exported names, options): " + "; ".join(
+        f"{side} {n['source_lines']}, {n['test_lines']}, {n['exports']}, {n['options']}"
         for side, n in report["size"].items()))
     failed = sum(len(report["same_work"][key])
                  for key in ("commands_differing", "counts_differing", "peaks_missing"))
