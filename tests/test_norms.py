@@ -740,16 +740,22 @@ def test_in_place_cores_match_plain_expressions():
             want = _lorentz_core_plain(values, lT, g)
             assert _lorentz_core([(values, lT)], g) == want
             assert _lorentz_core(chunks, g) == want
-            # raw chunks, cut anywhere, price as the checked whole: the package hands
-            # its own streams (the walk law's chunks) to _price unchecked
-            space = Lorentz(g)
-            assert _price(chunks, values.size, space) == space_norm_from_layers(values, lT, space)
             assert _marcinkiewicz_core(values, lT, g) == _marcinkiewicz_core_plain(values, lT, g)
         for p, q in ((2.0, 1.0), (1.5, 1.2), (3.0, 2.0), (1.1, 7.0)):
             want = _lpq_core_plain(values, lT, p, q)
             assert _lpq_core([(values, lT)], values.size, p, q) == want
             assert _lpq_core(chunks, values.size, p, q) == want
-            space = Lpq(p, q)
+
+
+def test_layer_chunks_are_checked_across_the_cut():
+    # raw chunks, cut anywhere, price as the checked whole: the package hands its
+    # own streams (the walk law's chunks) to _price unchecked
+    rng = np.random.default_rng(14)
+    spaces = [Lorentz(g) for g in (power(0.5), power(1.0), logpow(2.0), logpow(1.0), inv_sqrt_log())]
+    spaces += [Lpq(p, q) for p, q in ((2.0, 1.0), (1.5, 1.2), (3.0, 2.0), (1.1, 7.0))]
+    for values, lT in _oracle_layers():
+        chunks = _cut(values, lT, rng)
+        for space in spaces:
             assert _price(chunks, values.size, space) == space_norm_from_layers(values, lT, space)
 
 
