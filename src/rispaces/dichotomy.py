@@ -141,7 +141,7 @@ def classify(
     """
     n_list = [positive_int(n) for n in n_list]  # all checked before any limit is read
     if not n_list:
-        raise ValueError("probe lists must be nonempty")
+        raise ValueError("n_list must be nonempty")
     a_est = {k: limsup_dilation_ratio(psi, k, j_max) for k in _K_PROBES}
     c_est = {l: limsup_power_ratio(psi, l, j_max) for l in _L_PROBES}
     inconclusive = not all(e.converged for e in (*a_est.values(), *c_est.values()))

@@ -229,10 +229,10 @@ def _checked_layers(values: np.ndarray, log_tails: np.ndarray) -> Layers:
 
 
 # A law whose largest value is below 2^-_ORLICZ_TINY is priced scaled up by
-# 2^_ORLICZ_TINY, and its root scaled back: among subnormals the root search's
-# bracket closes at a float spacing too coarse for the modular to reach 1.  The
-# scale is a power of two, so exact, and the norm is homogeneous; a law with a
-# larger value takes no scale and keeps its bits.
+# 2^_ORLICZ_TINY, and its root scaled back: among subnormals the float spacing
+# is too coarse to hold the root to full relative precision.  The scale is a
+# power of two, so exact, and the norm is homogeneous; a law with a larger
+# value takes no scale and keeps its bits.
 _ORLICZ_TINY = 960
 
 
@@ -326,7 +326,7 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: exp_lp) -> float:
                             for i in range(0, k, CHUNK)]))
     if lam == math.inf:  # a lower bound past the largest float: _price refuses it
         return math.inf
-    lo, hi, L_hi = 0.0, math.inf, math.nan
+    lo, hi = 0.0, math.inf
     last = before = math.inf  # |change of log lam| over the last two steps
     pruned = False
     # Safeguarded Newton on L(s) = log modular(e^s), convex and decreasing in
@@ -346,15 +346,11 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: exp_lp) -> float:
                 return math.inf
             lo = lam
         else:
-            hi, L_hi = lam, L
+            hi = lam
         if lo > 0.0 and hi <= math.nextafter(lo, math.inf):
-            # The bracket is at float resolution; accept the feasible end if
-            # the modular is continuous there, otherwise M jumps across 1.
-            if abs(L_hi) <= 1e-9:
-                return hi
-            raise RuntimeError(
-                "Orlicz root search stalled with modular away from 1: degenerate M"
-            )
+            # The bracket is at float resolution: hi is the least float whose
+            # modular is at most 1, the Luxemburg norm rounded up.
+            return hi
         prune = L > 0.0 and not pruned
         if prune:
             # Every later lam is at least this one and the terms fall as lam
@@ -457,8 +453,8 @@ def space_norm(f: StepFunction, space: SpaceSpec) -> float:
     - ``Orlicz(exp_lp(p))``: the Luxemburg norm for M(u) = e^(u^p) - 1, the
       lambda at which the modular of f/lambda equals 1, by safeguarded Newton
       in log lambda from a lower bound that costs no evaluation.  There the
-      modular is within 1e-12 of 1 (within 1e-9 when the modular is so steep
-      that float lambda granularity is the binding constraint).
+      modular, summed in floats, is within 1e-12 of 1, or lambda is the upper
+      end of a one-float bracket: the least float at which it is at most 1.
     - ``Lpq(p, q)``: the prefactor-inside convention, ||chi_(0,u]|| = u^(1/p).
     """
     layers = _layers_from_step(f)

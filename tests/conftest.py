@@ -68,6 +68,12 @@ def _load(path: Path):
     return module
 
 
+def pytest_report_header():
+    # the pinned outputs' last bits depend on the CPU class of NumPy's kernels
+    kernel = _load(ROOT / "tools" / "compare.py").numpy_exp_kernel()
+    return f"numpy exp kernel: {kernel}"
+
+
 @pytest.fixture(scope="session")
 def tracer():
     return _load(ROOT / "perfbench" / "tracer.py")

@@ -6,6 +6,7 @@ its record, and its usage errors."""
 import argparse
 import json
 import subprocess
+import sys
 
 import pytest
 
@@ -143,9 +144,13 @@ def test_the_record_names_the_host(compare, tmp_path, monkeypatch):
                                   lambda checkout, cmd: (0, b"0.5\n", b"", 30.0))
     assert compare.main([str(parent), "probe", "--pairs", "2"]) == 0
     environment = json.loads((head / "BENCH_probe.json").read_text())["environment"]
-    assert environment == compare.bench.environment()
-    assert {"python", "numpy", "nproc", "cpu_model"} <= environment.keys()
+    assert environment == {**compare.bench.environment(),
+                           "numpy_exp_kernel": compare.numpy_exp_kernel()}
+    assert {"python", "numpy", "nproc", "cpu_model", "numpy_exp_kernel"} <= environment.keys()
     assert environment["child_env"]["OPENBLAS_NUM_THREADS"] == "1"
+    # NumPy < 2.0 has no introspect module to name the class
+    monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)
+    assert compare.numpy_exp_kernel() == "unknown"
 
 
 def test_the_record_gives_each_sides_size(compare, tmp_path, monkeypatch, capsys):

@@ -262,7 +262,7 @@ def test_kruglov_check_takes_a_numpy_t_grid():
 def test_classify_takes_numpy_probe_lists():
     want = classify(power(0.5), n_list=(2, 4))
     assert classify(power(0.5), n_list=np.array([2, 4])) == want
-    with pytest.raises(ValueError, match="^probe lists must be nonempty$"):
+    with pytest.raises(ValueError, match="^n_list must be nonempty$"):
         classify(power(0.5), n_list=np.array([], dtype=int))
 
 

@@ -465,9 +465,7 @@ def _orlicz_bisection(values, lT, M):
         else:
             hi = mid
         if hi - lo <= 2.0 * np.spacing(hi):
-            if abs(log_modular(hi)) <= 1e-9:
-                return hi
-            raise RuntimeError("Orlicz bisection stalled with modular away from 1")
+            return hi
     raise RuntimeError("Orlicz bisection failed after 200 iterations")
 
 
@@ -654,7 +652,7 @@ def _orlicz_core_plain(values, lT, M):
         lam = float(np.max(v / M.inverse_log(-lT[:k])))
     if lam == math.inf:
         raise ValueError("Orlicz norm exceeds the float range")
-    lo, hi, L_hi = 0.0, math.inf, math.nan
+    lo, hi = 0.0, math.inf
     last = before = math.inf
     pruned = False
     for _ in range(200):
@@ -670,11 +668,9 @@ def _orlicz_core_plain(values, lT, M):
                 raise ValueError("Orlicz norm exceeds the float range")
             lo = lam
         else:
-            hi, L_hi = lam, L
+            hi = lam
         if lo > 0.0 and hi <= math.nextafter(lo, math.inf):
-            if abs(L_hi) <= 1e-9:
-                return hi
-            raise RuntimeError("Orlicz root search stalled with modular away from 1")
+            return hi
         prune = L > 0.0 and not pruned
         if prune:
             big = terms >= -60.0 - math.log(terms.size)
@@ -901,17 +897,14 @@ def test_orlicz_root_matches_bisection_on_random_steps(p):
 @pytest.mark.parametrize("u", [1.0, 0.5, 1e-5, 1e-300, 5e-324])
 def test_orlicz_root_matches_bisection_on_indicators(p, u):
     # steep M: the modular jumps across 1 between adjacent floats, and both
-    # routes must then report non-convergence; near |log terms| ~ 700 the
-    # float spacing of the terms sets how close L can get to 0.  Either way
+    # routes then return the upper end of the one-float bracket; near
+    # |log terms| ~ 700 the float spacing of the terms sets how close L can
+    # get to 0.  Either way the root is the closed form log1p(1/u)^(-1/p) and
     # a single layer costs at most three modular evaluations.
     values, lT, M = np.array([1.0]), np.array([math.log(u)]), _CountingYoung(exp_lp(p))
-    try:
-        want = _orlicz_bisection(values, lT, exp_lp(p))
-    except RuntimeError:
-        with pytest.raises(RuntimeError):
-            _orlicz_core(values, lT, M)
-    else:
-        assert _orlicz_core(values, lT, M) == pytest.approx(want, rel=1e-12)
+    got = _orlicz_core(values, lT, M)
+    assert got == pytest.approx(_orlicz_bisection(values, lT, exp_lp(p)), rel=1e-12)
+    _assert_rel(got, (math.log1p(u) - math.log(u)) ** (-1.0 / p), 4 * 2.0**-52)
     assert M.calls <= 3
 
 
@@ -1019,6 +1012,44 @@ def test_orlicz_root_modular_residual_in_high_precision():
         for p in (1.0, 2.0, 4.0):
             lam = _orlicz_core(values, lT, exp_lp(p))
             assert abs(_mp_modular(values, lT, p, lam) - 1) <= 1e-12
+
+
+def _mp_modular_of_the_top_layers(values, lT, p, lam):
+    """``_mp_modular`` over the layers whose float terms lie within e^-80 of the largest.
+
+    Each kept layer takes its length from its own log-tail and the one before
+    it, so the deep tail needs no underflowing T; the layers left out add less
+    than n e^-80 of the modular.
+    """
+    before = np.concatenate(([-np.inf], lT[:-1]))
+    with np.errstate(divide="ignore"):
+        x = (values / lam) ** p
+        terms = x + np.log(-np.expm1(-x)) + lT + np.log(-np.expm1(before - lT))
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0)
+        for i in np.nonzero(terms >= np.max(terms) - 80.0)[0]:
+            T, T_before = (mpmath.exp(mpmath.mpf(float(t))) for t in (lT[i], before[i]))
+            u = mpmath.mpf(float(values[i])) / mpmath.mpf(lam)
+            total += (T - T_before) * mpmath.expm1(u**p)
+        return total
+
+
+@pytest.mark.parametrize("n", [2**17, 2**18, 2**19, 2**20])
+@pytest.mark.parametrize("p", [2.0, 20.0, 31.0, 64.0])
+def test_orlicz_walk_norm_at_the_size_cap(p, n):
+    # From p = 20 on, the modular moves by up to 4e-9 from one float lam to the
+    # next and can cross 1 between two, as at (20, 2^20): the root then ends at
+    # its one-float bracket.  The float sum of its log terms (1e5 to 1e6) errs
+    # by about one such move, so the least float at which the exact modular is
+    # at most 1 is lam or a neighbour of it
+    lam = rademacher_sum_norm(n, Orlicz(exp_lp(p)))
+    values, lT = walk_abs_layers(n)
+    at = _mp_modular_of_the_top_layers(values, lT, p, lam)
+    if abs(at - 1) > 1e-12:
+        two_below = math.nextafter(math.nextafter(lam, 0.0), 0.0)
+        below, above = (_mp_modular_of_the_top_layers(values, lT, p, x)
+                        for x in (two_below, math.nextafter(lam, math.inf)))
+        assert below > 1 >= above, (lam, below, at, above)
 
 
 def test_orlicz_root_evaluation_counts():

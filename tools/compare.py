@@ -38,13 +38,14 @@ A peak row inside its spreads, or a verdict that close to its line, is noise; pe
 are not judged.  Both sections go to ``BENCH_<LABEL>.json`` at the root of this
 checkout, under ``same_work`` and ``workloads``, and the host under ``environment``
 (the harness's ``environment()``: Python and NumPy versions, CPU count and model,
-the children's pins), since only points from one machine compare.  Each side's size,
+the children's pins; and ``numpy_exp_kernel``, the CPU class of NumPy's float64
+``exp``), since only points from one machine compare.  Each side's size,
 the measure of a simplicity change, goes under ``size``: its source lines (``wc -l
 src/rispaces/*.py``), test lines (``wc -l tests/*.py``), exported names (``len(rispaces.__all__)``) and CLI options (each
 subcommand's destinations but ``--help``, from ``rispaces.cli._build_parser()``), the
 last two read by a child with that side's ``src``.  It exits 1 if a command or traced
 count differs, a peak is missing or a run failed, 2 on a usage error, else 0.  It
-uses the standard library only (the workload module uses NumPy).
+uses the standard library and, for the kernel class, NumPy (as the workload module does).
 """
 
 from __future__ import annotations
@@ -93,6 +94,16 @@ def env(checkout: Path) -> dict:
     """The harness's child environment with the checkout's src and no bytecode writes."""
     return {**bench.child_env(), "PYTHONPATH": str(checkout / "src"),
             "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def numpy_exp_kernel() -> str:
+    """The CPU class of NumPy's float64 ``exp`` (``X86_V4`` for AVX-512), which sets the
+    last bits of some pinned outputs; ``"unknown"`` on NumPy < 2.0, which cannot tell."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return "unknown"
+    return opt_func_info(func_name="exp")["exp"]["dd"]["current"]
 
 
 # a child that prints [exported names, CLI options], options null where the CLI does not import
@@ -291,7 +302,8 @@ def main(argv=None) -> int:
     for checkout in sides.values():
         compileall.compile_dir(checkout / "src", quiet=1)
     seeds = range(args.first_seed, args.first_seed + args.pairs)
-    report = {"label": args.label, "seeds": list(seeds), "environment": bench.environment(),
+    report = {"label": args.label, "seeds": list(seeds),
+              "environment": {**bench.environment(), "numpy_exp_kernel": numpy_exp_kernel()},
               "size": {side: size(checkout) for side, checkout in sides.items()},
               "same_work": same_work(sides), "workloads": {}}
     print("size (source lines, test lines, exported names, options): " + "; ".join(
