@@ -222,7 +222,7 @@ def _cmd_growth(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     mc = args.mode == "mc"
     sampler = parse_sampler(args.sampler, args.seed) if mc and args.sampler else None
     fit = growth_table(space, args.ns, mode=args.mode, sampler=sampler,
-                       trials=args.trials, m=args.m, burn_in=args.burn_in)
+                       trials=args.trials, m=args.m)
     payload = {
         "command": "growth",
         "space": space_label(space),
@@ -344,7 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", type=_list_of(_capped("ns"), "integers"), required=True,
                    help="comma-separated sizes, e.g. 16,32,64,128")
     p.add_argument("--mode", choices=("exact", "mc"), default=_default(growth_table, "mode"))
-    p.add_argument("--burn-in", type=int, default=_default(growth_table, "burn_in"))
     experiment(p, growth_table, sampler_required=False)
     common(p, _cmd_growth, formats=("text", "json", "csv"))
 

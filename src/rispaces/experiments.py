@@ -60,7 +60,7 @@ MAX_EXACT_N = 2**20
 # Generator words per Monte Carlo chunk (2 MB of them): one word per draw, or
 # two Rademacher draws per word.  It sets memory only, never a result.
 _MC_CHUNK = 2**18
-# Defaults stated once for every signature: seed, Monte Carlo trials and pieces, fit burn-in.
+# Stated once: the seed, Monte Carlo trials and pieces defaults; the fit's constant burn-in.
 _SEED, _TRIALS, _PIECES, _BURN_IN = 0, 100_000, 4096, 2
 
 
@@ -352,15 +352,8 @@ class GrowthFit(NamedTuple):
     degenerate: bool
 
 
-def _burn_in(burn_in, pairs: int) -> int:
-    """The burn-in, an integer >= 0 that leaves at least two of ``pairs`` pairs to fit."""
-    burn_in = integer(burn_in, 0, "burn-in must be an integer >= 0")
-    integer(pairs - burn_in, 2, "need at least two pairs after burn-in")
-    return burn_in
-
-
-def fit_growth(pairs: Iterable[Tuple[int, float]], burn_in: int = _BURN_IN) -> GrowthFit:
-    """Fit (q, C) by least squares on (log n, log value), dropping a burn-in."""
+def fit_growth(pairs: Iterable[Tuple[int, float]]) -> GrowthFit:
+    """Fit (q, C) by least squares on (log n, log value), dropping the first ``_BURN_IN`` pairs."""
     pairs = tuple((positive_int(n), float(v)) for n, v in pairs)
     if any(b <= a for (a, _), (b, _) in zip(pairs, pairs[1:])):
         raise ValueError("pairs must be strictly increasing in n")
@@ -369,8 +362,8 @@ def fit_growth(pairs: Iterable[Tuple[int, float]], burn_in: int = _BURN_IN) -> G
             raise ValueError(f"values must be finite, got {v!r} at n = {n}")
         if v <= 0:
             raise ValueError(f"values must be positive, got {v!r} at n = {n}")
-    burn_in = _burn_in(burn_in, len(pairs))
-    fitted = pairs[burn_in:]
+    integer(len(pairs) - _BURN_IN, 2, "need at least two pairs after burn-in")
+    fitted = pairs[_BURN_IN:]
     ln = np.log([n for n, _ in fitted])
     lv = np.log([v for _, v in fitted])
     q, logC = np.polyfit(ln, lv, 1)
@@ -385,7 +378,7 @@ def fit_growth(pairs: Iterable[Tuple[int, float]], burn_in: int = _BURN_IN) -> G
         q=float(q),
         C=C,
         residual=residual,
-        burn_in=burn_in,
+        burn_in=_BURN_IN,
         degenerate=degenerate,
     )
 
@@ -397,9 +390,8 @@ def growth_table(
     sampler: Optional[SamplerSpec] = None,
     trials: int = _TRIALS,
     m: int = _PIECES,
-    burn_in: int = _BURN_IN,
 ) -> GrowthFit:
-    """Norm-vs-n table and its power fit; fit_growth's burn-in check runs before any norm.
+    """Norm-vs-n table and its power fit; four sizes leave fit_growth two pairs past its burn-in.
 
     mode "exact" prices the walk law itself (the sampler is not used); mode
     "mc" draws i.i.d. sums of the given sampler.
@@ -411,7 +403,6 @@ def growth_table(
     ns = sorted(integer(n, 1, "sizes must be positive") for n in ns)
     if ns[-1] < 4 * ns[0]:
         raise ValueError("sizes must span at least two octaves")
-    burn_in = _burn_in(burn_in, len(ns))
     if mode == "exact":
         values = [rademacher_sum_norm(n, space) for n in ns]
     elif mode == "mc":
@@ -425,7 +416,7 @@ def growth_table(
         values = [mc_iid_sum_norm(sampler, n, space, trials, m) for n in reversed(ns)][::-1]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return fit_growth(zip(ns, values), burn_in=burn_in)
+    return fit_growth(zip(ns, values))
 
 
 def gamma_iid_endpoint(fit: GrowthFit) -> float:

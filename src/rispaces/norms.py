@@ -9,12 +9,12 @@ descending, log of cumulative measure): cumulative measures of deep tails live
 far below float underflow, and keeping them as logs is what makes the large-n
 experiments honest.
 
-``space_norm_from_layers`` exposes the layered entry point directly for laws
-that are generated as (value, log-tail) pairs without ever materializing a
-float step function.  Every route prices through one dispatch, which takes the
-layers as a stream of consecutive chunks: the Lorentz and Lpq norms read the
-stream once, with the same bits wherever it is cut (the comment on the cores
-says why), and the Marcinkiewicz and Orlicz norms take a stream of one chunk.
+``space_norm_from_layers`` prices (value, log-tail) pairs that never become a
+float step function: a caller's, and some of the package's own (its docstring
+says which).  Every route prices through one dispatch, which takes the layers
+as a stream of consecutive chunks: the Lorentz and Lpq norms read the stream
+once, with the same bits wherever it is cut (the comment on the cores says
+why), and the Marcinkiewicz and Orlicz norms take a stream of one chunk.
 """
 
 from __future__ import annotations
@@ -469,8 +469,9 @@ def lpq_norm(f: StepFunction, p: float, q: float) -> float:
 def space_norm_from_layers(values, log_tails, space: SpaceSpec) -> float:
     """Norm from layered data: values descending, log P(|X| >= value) increasing.
 
-    Accepts tails below float underflow, as large-n laws need.  The one entry
-    for layers from outside the package, it is the one place that checks them.
+    Takes tails below float underflow and is the one check of layers.  The walk laws past
+    64 steps (Marcinkiewicz, Orlicz) and Gaussian lattices come here too, checked again, as
+    perfbench's tracer counts growth's Orlicz modular evaluations at this entry.
     """
     layers = _checked_layers(np.asarray(values, dtype=float), np.asarray(log_tails, dtype=float))
     return _price([layers], layers[0].size, space)

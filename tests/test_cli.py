@@ -151,25 +151,35 @@ def test_classify_grid_too_short_for_two_windows_exits_two():
     assert run_main("classify", "--psi", "power:0.5", "--j-max", "21")[0] in (0, 1)
 
 
-def _refused_before_any_work(monkeypatch, option, value):
+_CLASSIFY_WORK = (("classify", "--psi", "power:0.5"), ("parse_generator", "classify", "kruglov_check"))
+
+
+def _refused_before_any_work(monkeypatch, command, work, option, value):
+    # the command with an unknown option exits 2 before any of the names in work is called
     def no_compute(*args, **kwargs):
         raise AssertionError("computed with an unknown option")
 
-    for name in ("parse_generator", "classify", "kruglov_check"):
+    for name in work:
         monkeypatch.setattr(cli, name, no_compute)
-    assert run_main("classify", "--psi", "power:0.5", option, value) == (
+    assert run_main(*command, option, value) == (
         2, "", f"rispaces: error: unrecognized arguments: {option} {value}\n")
 
 
 def test_classify_has_no_window_option(monkeypatch):
     # the window is the estimators' constant, so the option is refused before any work
-    _refused_before_any_work(monkeypatch, "--window", "10")
+    _refused_before_any_work(monkeypatch, *_CLASSIFY_WORK, "--window", "10")
 
 
 def test_classify_has_no_probe_or_margin_options(monkeypatch):
     # the factors k, the powers l and the margin are the decision rule's constants
     for option, value in (("--k-list", "2,3"), ("--l-list", "2"), ("--margin", "0.01")):
-        _refused_before_any_work(monkeypatch, option, value)
+        _refused_before_any_work(monkeypatch, *_CLASSIFY_WORK, option, value)
+
+
+def test_growth_has_no_burn_in_option(monkeypatch):
+    # the fit always drops its first two sizes; --ns chooses the fitted range
+    _refused_before_any_work(monkeypatch, ("growth", "--space", "lpq:2:1", "--ns", "4,8,16,64"),
+                             ("parse_space", "growth_table"), "--burn-in", "2")
 
 
 def test_kruglov_finite():
@@ -359,7 +369,7 @@ def test_bad_list_flags_name_no_private_function():
 # a value off its option's default for each growth/mc option
 _EXPERIMENT_VALUES = {"space": "lpq:2:1", "sampler": "gauss", "ns": "4,8,16", "n": "8",
                       "mode": "mc", "trials": "1000", "m": "256", "seed": "5",
-                      "burn_in": "1", "format": "json", "out": "report.json"}
+                      "format": "json", "out": "report.json"}
 
 
 def test_every_experiment_option_has_a_config_key(tmp_path):
@@ -393,8 +403,7 @@ def test_cli_defaults_are_the_library_defaults():
         ("kruglov", "max_terms", dichotomy.kruglov_check, "num_terms"),
         ("kruglov", "threshold", dichotomy.kruglov_check, "threshold"),
         *(("mc", d, experiments.mc_iid_sum_norm, d) for d in ("trials", "m")),
-        *(("growth", d, experiments.growth_table, d) for d in ("trials", "m", "burn_in", "mode")),
-        ("growth", "burn_in", experiments.fit_growth, "burn_in"),
+        *(("growth", d, experiments.growth_table, d) for d in ("trials", "m", "mode")),
         ("kruglov", "t_grid", dichotomy.kruglov_check, "t_grid"),
         *((command, "seed", experiments.SamplerSpec, "seed") for command in ("mc", "growth")),
     ]:
@@ -1390,7 +1399,6 @@ _GROWTH_EXACT = {
     "--ns": (_SIZES.map(lambda ns: ",".join(map(str, ns))),
              ["4,8,16", "4,4,8,16", "0,4,16,64", "2,3,4,5", "x", ""], False),
     "--mode": (["exact"], ["frob"], True),
-    "--burn-in": (_ints(0, 1), ["-1", "4", "9", "x"], True),
 }
 _GROWTH_MC = {**_GROWTH_EXACT, "--mode": (["mc"], ["frob"], False), **_MC_COMMON}
 _MC = {**_MC_COMMON, "--n": (_ints(1, 64), ["0", "-1", *_NOT_AN_INT], False)}
@@ -1406,9 +1414,6 @@ _ATOMS = st.lists(
                 "--trials=1000", "--m=256"], [], False), fmt="csv", atoms=[1.0])
 @example(opts=(["--space=lorentz:gauss", "--ns=1,2,4,8", "--mode=mc", "--trials=1000",
                 "--m=256"], ["--sampler=custom:{atoms}"], False), fmt="text", atoms=[5e-324])
-# a bad burn-in is refused before the draws, whose sums here would all be 0
-@example(opts=(["--space=lorentz:power:0.5", "--ns=1,2,3,4", "--mode=mc", "--burn-in=-1",
-                "--sampler=signed:1e-9", "--trials=1000"], [], True), fmt="text", atoms=[1.0])
 # two close sizes after the burn-in fit C = exp(723): inconclusive, not an OverflowError
 @example(opts=(["--space=lorentz:power:0.01", "--ns=61,62,1,2", "--mode=mc",
                 "--sampler=custom:{atoms}", "--trials=1000", "--m=256", "--seed=0"], [], False),
@@ -1419,7 +1424,7 @@ _ATOMS = st.lists(
          atoms=[1.0])
 @example(opts=(["--space=lpq:2:1", "--ns=4,8,16,64", "--mode=mc", "--sampler=rademacher",
                 "--trials=1000", "--m=256"], ["--seed=-5"], True), fmt="json", atoms=[1.0])
-@example(opts=(["--space=lpq:2:1", "--ns=4,8,16,64"], ["--burn-in=1", "--burn-in=1"], False),
+@example(opts=(["--space=lpq:2:1", "--ns=4,8,16,64"], ["--seed=3", "--seed=3"], False),
          fmt="csv", atoms=[1.0])
 @given(opts=st.one_of(_options(_GROWTH_EXACT, config=True), _options(_GROWTH_MC, config=True)),
        fmt=st.sampled_from(["text", "json", "csv"]), atoms=_ATOMS)

@@ -432,42 +432,42 @@ def test_fit_growth_recovers_synthetic_power_law():
 
 
 def test_fit_growth_linear():
-    fit = fit_growth([(n, float(n)) for n in (2, 4, 8, 16, 32)], burn_in=0)
+    fit = fit_growth([(n, float(n)) for n in (1, 2, 4, 8, 16, 32, 64)])
     assert fit.q == pytest.approx(1.0, abs=1e-13)
     assert fit.C == pytest.approx(1.0, rel=1e-13)
 
 
 def test_fit_growth_flags_degenerate_sequences():
-    fit = fit_growth([(2, 1.0), (4, 2.0), (8, 1.0), (16, 2.0)], burn_in=0)
+    fit = fit_growth([(1, 1.0), (2, 1.0), (4, 1.0), (8, 2.0), (16, 1.0), (32, 2.0)])
     assert fit.degenerate
 
 
 def test_fit_growth_validation():
     with pytest.raises(ValueError):
-        fit_growth([(4, 1.0), (2, 2.0)], burn_in=0)
+        fit_growth([(1, 1.0), (2, 1.0), (4, 1.0), (2, 2.0)])
     with pytest.raises(ValueError):
-        fit_growth([(2, 1.0), (4, 0.0)], burn_in=0)
+        fit_growth([(1, 1.0), (2, 1.0), (4, 1.0), (8, 0.0)])
     with pytest.raises(ValueError):
-        fit_growth([(2, 1.0), (4, 2.0)], burn_in=2)
+        fit_growth([(2, 1.0), (4, 2.0)])
 
 
-@pytest.mark.parametrize("fit, pairs", [
-    (lambda b: fit_growth([(2, 1.0), (8, 2.0), (16, 3.0)], burn_in=b), 3),
-    (lambda b: growth_table(Lpq(2.0, 1.0), [2, 8, 16, 32], burn_in=b), 4),
-], ids=["fit_growth", "growth_table"])
-def test_a_burn_in_that_leaves_one_pair_has_its_own_message(fit, pairs):
-    # a burn-in that is no integer >= 0 reads otherwise (test_numeric's integer sites)
+def test_a_burn_in_that_leaves_one_pair_has_its_own_message():
+    # the fit always drops its first two pairs; growth_table's four sizes always leave two
     with pytest.raises(ValueError, match="^need at least two pairs after burn-in$"):
-        fit(pairs - 1)
-    assert fit(pairs - 2).burn_in == pairs - 2
+        fit_growth([(2, 1.0), (8, 2.0), (16, 3.0)])
+    assert fit_growth([(2, 1.0), (8, 2.0), (16, 3.0), (32, 4.0)]).burn_in == 2
+    with pytest.raises(TypeError):
+        fit_growth([(2, 1.0), (8, 2.0), (16, 3.0), (32, 4.0)], burn_in=0)
+    with pytest.raises(TypeError):
+        growth_table(Lpq(2.0, 1.0), [2, 8, 16, 32], burn_in=2)
 
 
 def test_fit_growth_names_the_first_value_that_is_not_positive():
     with pytest.raises(ValueError, match=r"^values must be positive, got 0\.0 at n = 4$"):
-        fit_growth([(2, 1.0), (4, 0.0), (8, -1.0)], burn_in=0)
+        fit_growth([(1, 1.0), (2, 1.0), (4, 0.0), (8, -1.0)])
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=rf"^values must be finite, got {bad!r} at n = 4$"):
-            fit_growth([(2, 1.0), (4, bad), (8, 3.0)], burn_in=0)
+            fit_growth([(1, 1.0), (2, 1.0), (4, bad), (8, 3.0)])
 
 
 def test_growth_table_exact_sqrt_scale():
@@ -492,7 +492,7 @@ def test_growth_table_validation():
 
 
 def test_gamma_endpoint_validation():
-    fit = fit_growth([(n, float(n) ** 1.5) for n in (2, 4, 8, 16)], burn_in=0)
+    fit = fit_growth([(n, float(n) ** 1.5) for n in (1, 2, 4, 8, 16, 32)])
     with pytest.raises(ValueError):
         gamma_iid_endpoint(fit)
 

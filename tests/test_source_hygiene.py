@@ -5,8 +5,10 @@ chunk size, the integer checks, the token errors and the CSV reader, one helper 
 holds the layer rule and the Cephes rational step, one function refuses a norm past the
 float range and one checks layers from outside, every input file decodes one way,
 no literal default is written in two signatures, the records are NamedTuples but one,
-and the package exports exactly the names in ``test_oracles.ORACLES``."""
+the package exports exactly the names in ``test_oracles.ORACLES`` and the CLI
+has a pinned number of options."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import rispaces
+from rispaces import cli
 from test_oracles import ORACLES
 
 SRC = Path(rispaces.__file__).parent
@@ -392,3 +395,11 @@ def test_package_exports_are_pinned():
     # the oracle registry is the one list of exported names
     assert len(rispaces.__all__) == len(set(rispaces.__all__)) == 55
     assert sorted(rispaces.__all__) == sorted(ORACLES)
+
+
+def test_cli_options_are_pinned():
+    # each (subcommand, destination) pair but --help, as tools/compare.py's size record counts
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert len({(name, a.dest) for name, p in sub.choices.items() for a in p._actions
+                if not isinstance(a, argparse._HelpAction)}) == 39
