@@ -5,12 +5,12 @@ measures one averaged-operator norm, ``classify`` runs the growth dichotomy,
 ``growth`` fits norm-vs-n tables, ``kruglov`` probes the compound-Poisson
 series, and ``mc`` prices a Monte Carlo i.i.d. sum.
 
-Output is deterministic byte for byte: floats render with repr, JSON sorts
-its keys, and every random draw is seeded (the last ``--seed``, typed or read
-from an ``@FILE``, else 0).  Exit codes: 0 on a conclusive result, 1 when a
-verdict is inconclusive, a fit is degenerate or a numerical search does not
-converge, 2 on usage or input errors.  The parser is the one source of every value a
-command reads, and checks each before any token is read; a default is its library call's.
+Every report goes to stdout, byte for byte deterministic: floats render with repr, JSON
+sorts its keys, and every random draw is seeded (the last ``--seed``, typed or read from
+an ``@FILE``, else 0).  Exit codes: 0 on a conclusive result, 1 when a verdict is
+inconclusive, a fit is degenerate or a numerical search does not converge, 2 on usage or
+input errors.  The parser is the one source of every value a command reads, and checks
+each before any token is read; a default is its library call's.
 """
 
 from __future__ import annotations
@@ -295,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, run, formats=("text", "json")):
         p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--out", help="write the report to this file instead of stdout")
         p.set_defaults(run=run)
 
     p = sub.add_parser("norm", help="norm of a step function in a space")
@@ -378,12 +377,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         payload, lines, rows, code = args.run(args)
-        text = _render(payload, lines, rows, args.format)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        sys.stdout.write(_render(payload, lines, rows, args.format))
     except (ValueError, OSError, RecursionError) as exc:  # RecursionError: a step file too deep
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -151,35 +151,59 @@ def test_classify_grid_too_short_for_two_windows_exits_two():
     assert run_main("classify", "--psi", "power:0.5", "--j-max", "21")[0] in (0, 1)
 
 
-_CLASSIFY_WORK = (("classify", "--psi", "power:0.5"), ("parse_generator", "classify", "kruglov_check"))
+# each subcommand's argv and the names in cli it calls to compute its report
+_WORK = {
+    "norm": (("norm", "--space", "lpq:2:1", "--indicator", "1/4"), ("parse_space", "space_norm")),
+    "opnorm": (("opnorm", "--psi", "power:0.5", "--n", "4"),
+               ("parse_generator", "sup_indicator_ratio")),
+    "classify": (("classify", "--psi", "power:0.5"),
+                 ("parse_generator", "classify", "kruglov_check")),
+    "kruglov": (("kruglov", "--psi", "power:1"), ("parse_generator", "kruglov_check")),
+    "growth": (("growth", "--space", "lpq:2:1", "--ns", "4,8,16,64"),
+               ("parse_space", "growth_table")),
+    "mc": (("mc", "--space", "lpq:2:1", "--sampler", "rademacher", "--n", "4"),
+           ("parse_space", "mc_iid_sum_norm")),
+}
 
 
-def _refused_before_any_work(monkeypatch, command, work, option, value):
-    # the command with an unknown option exits 2 before any of the names in work is called
+def _refused_before_any_work(monkeypatch, command, work, option, value, *given):
+    # the command with an unknown option, typed or in the arguments given in its place,
+    # exits 2 before any of the names in work is called
     def no_compute(*args, **kwargs):
         raise AssertionError("computed with an unknown option")
 
     for name in work:
         monkeypatch.setattr(cli, name, no_compute)
-    assert run_main(*command, option, value) == (
+    assert run_main(*command, *(given or (option, value))) == (
         2, "", f"rispaces: error: unrecognized arguments: {option} {value}\n")
 
 
 def test_classify_has_no_window_option(monkeypatch):
     # the window is the estimators' constant, so the option is refused before any work
-    _refused_before_any_work(monkeypatch, *_CLASSIFY_WORK, "--window", "10")
+    _refused_before_any_work(monkeypatch, *_WORK["classify"], "--window", "10")
 
 
 def test_classify_has_no_probe_or_margin_options(monkeypatch):
     # the factors k, the powers l and the margin are the decision rule's constants
     for option, value in (("--k-list", "2,3"), ("--l-list", "2"), ("--margin", "0.01")):
-        _refused_before_any_work(monkeypatch, *_CLASSIFY_WORK, option, value)
+        _refused_before_any_work(monkeypatch, *_WORK["classify"], option, value)
 
 
 def test_growth_has_no_burn_in_option(monkeypatch):
     # the fit always drops its first two sizes; --ns chooses the fitted range
-    _refused_before_any_work(monkeypatch, ("growth", "--space", "lpq:2:1", "--ns", "4,8,16,64"),
-                             ("parse_space", "growth_table"), "--burn-in", "2")
+    _refused_before_any_work(monkeypatch, *_WORK["growth"], "--burn-in", "2")
+
+
+def test_no_command_has_an_out_option(monkeypatch, tmp_path):
+    # every report goes to stdout; a file is a shell redirect's to make
+    target = str(tmp_path / "x")
+    for command, work in _WORK.values():
+        _refused_before_any_work(monkeypatch, command, work, "--out", target)
+        assert not os.path.exists(target), command[0]
+    argfile = tmp_path / "out.args"
+    argfile.write_text(f"--out\n{target}\n")
+    _refused_before_any_work(monkeypatch, *_WORK["norm"], "--out", target, f"@{argfile}")
+    assert not os.path.exists(target)
 
 
 def test_kruglov_finite():
@@ -369,7 +393,7 @@ def test_bad_list_flags_name_no_private_function():
 # a value off its option's default for each growth/mc option
 _EXPERIMENT_VALUES = {"space": "lpq:2:1", "sampler": "gauss", "ns": "4,8,16", "n": "8",
                       "mode": "mc", "trials": "1000", "m": "256", "seed": "5",
-                      "format": "json", "out": "report.json"}
+                      "format": "json"}
 
 
 def test_every_experiment_option_has_a_config_key(tmp_path):
@@ -595,17 +619,6 @@ def test_repeated_option_in_an_argument_file_takes_the_last_value(tmp_path):
     assert run_main(*argv, "--trials", "1000", "--trials", "2000") == (code, out, err)
 
 
-def test_out_writes_file(tmp_path):
-    target = tmp_path / "report.json"
-    code, out, _ = run_main(
-        "norm", "--space", "lorentz:power:0.5", "--indicator", "0.25",
-        "--format", "json", "--out", str(target),
-    )
-    assert code == 0
-    assert out == ""
-    assert json.loads(target.read_text())["norm"] == 0.5
-
-
 def test_csv_rejected_outside_growth(monkeypatch):
     def reached(*args, **kwargs):
         pytest.fail("csv output outside growth was checked only after the compute")
@@ -692,7 +705,7 @@ def test_only_the_process_entry_freezes_the_heap(capsys, monkeypatch):
          "t_grid values must lie in (0, 1]"),
         (("kruglov", "--psi", "invsqrtlog", "--t-grid", "0.01,nan"), "error:",
          "t_grid values must lie in (0, 1]"),
-        (("norm", "--space", "lpq:2:1", "--indicator", "1/4", "--out", "/nonexistent/dir/x"),
+        (("norm", "--space", "lpq:2:1", "--step", "/nonexistent/dir/x"),
          "error:", "No such file or directory"),
         (("opnorm", "--psi", "table:", "--n", "4"), "error:", "table token needs a path"),
         (("mc", "--space", "lpq:2:1", "--sampler", "custom:", "--n", "4"), "error:",
@@ -709,7 +722,7 @@ def test_only_the_process_entry_freezes_the_heap(capsys, monkeypatch):
     ids=["lpq-inf", "logpow-inf", "negative-j-max", "underflowing-j-max", "subnormal-j-max",
          "option-like-value", "lpq-q-past-1e300", "n-list-zero-failing-conditions", "negative-threshold", "nan-threshold", "half-threshold",
          "unit-threshold", "empty-t-grid", "comma-t-grid", "empty-n-list",
-         "t-above-one-after-crossing", "nan-t-after-crossing", "unwritable-out",
+         "t-above-one-after-crossing", "nan-t-after-crossing", "missing-step-file",
          "table-without-path", "custom-without-path",
          "mc-without-n", "growth-without-ns", "unknown-orlicz-family",
          "indicator-over-zero", "indicator-not-a-number", "indicator-float-over-int"],
@@ -1342,7 +1355,7 @@ def test_norm_cli_fuzz(space, indicator, step, use_step, fmt, table):
         assert out == "" and err.count("\n") == 1, (argv, code, err)
 
 
-_OPNORM = {
+_OPNORM_OPTIONS = {
     "--psi": ([*_GEN_OK, "table:{table}"], _GEN_BAD, False),
     "--n": (_ints(1, 48), ["0", "-1", *_NOT_AN_INT], False),
     "--j-max": (st.one_of(_ints(0, 80), st.just("1022")), ["-1", "1023", "1075", "x"], True),
@@ -1357,13 +1370,13 @@ _OPNORM = {
          table=_FAR_TABLES["tiny"][0])
 @example(opts=(["--psi=table:{table}", "--n=4"], [], False), table=_STEEP_TABLES["two-nodes"])
 @example(opts=(["--psi=table:{table}", "--n=64"], [], False), table=_STEEP_TABLES["scaled-sqrt"])
-@given(opts=_options(_OPNORM), table=_scaled_table_csvs())
+@given(opts=_options(_OPNORM_OPTIONS), table=_scaled_table_csvs())
 def test_opnorm_cli_fuzz(opts, table):
     argv, lines, bad = opts
     _fuzz_run(["opnorm", *argv], lines, bad, table=table)
 
 
-_CLASSIFY = {
+_CLASSIFY_OPTIONS = {
     "--psi": ([*_GEN_OK, "table:{table}"], _GEN_BAD, False),
     "--n-list": (_int_lists(1, 16, 1, 3), ["0", "-1", "", "x"], True),
     "--j-max": (_ints(40, 120), ["-1", "x", "1.5"], True),
@@ -1374,7 +1387,7 @@ _CLASSIFY = {
 @settings(max_examples=40, deadline=None)
 @example(opts=(["--psi=table:{table}"], [], False), kruglov=True,
          table=_STEEP_TABLES["two-nodes"])
-@given(opts=_options(_CLASSIFY), kruglov=st.booleans(), table=_scaled_table_csvs())
+@given(opts=_options(_CLASSIFY_OPTIONS), kruglov=st.booleans(), table=_scaled_table_csvs())
 def test_classify_cli_fuzz(opts, kruglov, table):
     argv, lines, bad = opts
     argv = ["classify", *argv] + (["--with-kruglov"] if kruglov else [])
@@ -1394,14 +1407,14 @@ _MC_COMMON = {
     "--m": (_ints(256, 512), ["255", *_NOT_AN_INT], True),
     "--seed": (_ints(0, 9), ["-1", "-5", *_NOT_AN_INT], True),
 }
-_GROWTH_EXACT = {
+_GROWTH_EXACT_OPTIONS = {
     "--space": _MC_COMMON["--space"],
     "--ns": (_SIZES.map(lambda ns: ",".join(map(str, ns))),
              ["4,8,16", "4,4,8,16", "0,4,16,64", "2,3,4,5", "x", ""], False),
     "--mode": (["exact"], ["frob"], True),
 }
-_GROWTH_MC = {**_GROWTH_EXACT, "--mode": (["mc"], ["frob"], False), **_MC_COMMON}
-_MC = {**_MC_COMMON, "--n": (_ints(1, 64), ["0", "-1", *_NOT_AN_INT], False)}
+_GROWTH_MC_OPTIONS = {**_GROWTH_EXACT_OPTIONS, "--mode": (["mc"], ["frob"], False), **_MC_COMMON}
+_MC_OPTIONS = {**_MC_COMMON, "--n": (_ints(1, 64), ["0", "-1", *_NOT_AN_INT], False)}
 _ATOMS = st.lists(
     st.one_of(st.sampled_from([5e-324, 1e-300, 1.0, 1e300, 1e308]),
               st.floats(min_value=5e-324, max_value=1e308)),
@@ -1426,7 +1439,8 @@ _ATOMS = st.lists(
                 "--trials=1000", "--m=256"], ["--seed=-5"], True), fmt="json", atoms=[1.0])
 @example(opts=(["--space=lpq:2:1", "--ns=4,8,16,64"], ["--seed=3", "--seed=3"], False),
          fmt="csv", atoms=[1.0])
-@given(opts=st.one_of(_options(_GROWTH_EXACT, config=True), _options(_GROWTH_MC, config=True)),
+@given(opts=st.one_of(_options(_GROWTH_EXACT_OPTIONS, config=True),
+                      _options(_GROWTH_MC_OPTIONS, config=True)),
        fmt=st.sampled_from(["text", "json", "csv"]), atoms=_ATOMS)
 def test_growth_cli_fuzz(opts, fmt, atoms):
     argv, lines, bad = opts
@@ -1444,7 +1458,8 @@ def test_growth_cli_fuzz(opts, fmt, atoms):
          fmt="text", atoms=[1.0])
 @example(opts=(["--space=lpq:2:1", "--sampler=rademacher", "--n=4"],
                ["--trials=1000", "--trials=5000"], False), fmt="text", atoms=[1.0])
-@given(opts=_options(_MC, config=True), fmt=st.sampled_from(["text", "json"]), atoms=_ATOMS)
+@given(opts=_options(_MC_OPTIONS, config=True), fmt=st.sampled_from(["text", "json"]),
+       atoms=_ATOMS)
 def test_mc_cli_fuzz(opts, fmt, atoms):
     argv, lines, bad = opts
     _fuzz_run(["mc", *argv, "--format", fmt], lines, bad, atoms=atoms)

@@ -3,10 +3,10 @@ imports SciPy or reads the environment, none but the CLI touches the garbage
 collector, every private name and public method has a caller, one module holds the
 chunk size, the integer checks, the token errors and the CSV reader, one helper each
 holds the layer rule and the Cephes rational step, one function refuses a norm past the
-float range and one checks layers from outside, every input file decodes one way,
-no literal default is written in two signatures, the records are NamedTuples but one,
-the package exports exactly the names in ``test_oracles.ORACLES`` and the CLI
-has a pinned number of options."""
+float range and one checks layers from outside, every file the package opens is read
+and decoded one way, no literal default is written in two signatures, no module binds
+a name twice, the records are NamedTuples but one, the package exports exactly the
+names in ``test_oracles.ORACLES`` and the CLI has a pinned number of options."""
 
 import argparse
 import ast
@@ -219,31 +219,68 @@ def test_layer_check_caller_check_sees_one():
 
 
 def _undecoded_reads(tree: ast.Module):
-    """Lines of the ``open`` calls that read text (a mode with none of w, a, x and b)
-    without ``encoding="utf-8-sig"``."""
+    """Lines of the ``open`` calls that do not read text as ``encoding="utf-8-sig"``:
+    another encoding or none, or a mode that is no literal or holds any of w, a, x, b and +."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
             keywords = {k.arg: k.value for k in node.keywords}
             mode = node.args[1] if len(node.args) > 1 else keywords.get("mode", ast.Constant("r"))
-            reads = not (isinstance(mode, ast.Constant) and set(mode.value) & set("waxb"))
-            if reads and getattr(keywords.get("encoding"), "value", None) != "utf-8-sig":
+            if (getattr(keywords.get("encoding"), "value", None) != "utf-8-sig"
+                    or not isinstance(mode, ast.Constant) or set(mode.value) & set("waxb+")):
                 lines.append(node.lineno)
     return sorted(lines)
 
 
 def test_every_input_file_decodes_one_way():
     # the step file, @FILEs and the table and custom: CSVs are UTF-8 with an
-    # optional byte-order mark, whatever the locale
+    # optional byte-order mark, whatever the locale; every report goes to stdout,
+    # so the package opens no file to write
     reads = {p.name: _undecoded_reads(ast.parse(p.read_text(), str(p))) for p in MODULES}
     assert {name: lines for name, lines in reads.items() if lines} == {}
 
 
 def test_undecoded_read_check_sees_one():
-    tree = ast.parse('open("a", encoding="utf-8-sig")\nopen("b")\nopen("c", "w")\n'
-                     'open("d", mode="rb")\nopen("e", encoding="utf-8")\nopen("f", "r+")\n'
-                     'p.open("g")\n')
-    assert _undecoded_reads(tree) == [2, 5, 6]
+    # c, f and h name the encoding, so only their modes flag them
+    tree = ast.parse('open("a", encoding="utf-8-sig")\nopen("b")\n'
+                     'open("c", "w", encoding="utf-8-sig")\nopen("d", mode="rb")\n'
+                     'open("e", encoding="utf-8")\nopen("f", "r+", encoding="utf-8-sig")\n'
+                     'p.open("g")\nopen("h", m, encoding="utf-8-sig")\n')
+    assert _undecoded_reads(tree) == [2, 3, 4, 5, 6, 8]
+
+
+def _double_bindings(tree: ast.Module):
+    """{name: [line, ...]} for each name that more than one module-level assignment,
+    ``def`` or ``class`` binds."""
+    lines = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        else:
+            continue
+        for name in names:
+            lines.setdefault(name, []).append(node.lineno)
+    return {name: at for name, at in lines.items() if len(at) > 1}
+
+
+def test_no_module_binds_a_name_twice():
+    # a second binding replaces the first without a word, so a reader of the
+    # name after it gets the wrong kind of value
+    paths = SRC.glob("*.py"), TOOLS, Path(__file__).parent.glob("*.py")
+    found = {p.name: _double_bindings(ast.parse(p.read_text(), str(p)))
+             for group in paths for p in group}
+    assert {name: at for name, at in found.items() if at} == {}
+
+
+def test_double_binding_check_sees_one():
+    tree = ast.parse("A = (1,)\nB, C = 2, 3\nA: dict = {}\nD: int\nD = 4\n\n"
+                     "def f():\n    B = 5\n\nclass C:\n    f = 6\n\n"
+                     "E = {}\nE['k'] = 7\n\nasync def f():\n    pass\n")
+    assert _double_bindings(tree) == {"A": [1, 3], "C": [2, 10], "f": [7, 16]}
 
 
 def _repeated_defaults(trees):
@@ -402,4 +439,4 @@ def test_cli_options_are_pinned():
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert len({(name, a.dest) for name, p in sub.choices.items() for a in p._actions
-                if not isinstance(a, argparse._HelpAction)}) == 39
+                if not isinstance(a, argparse._HelpAction)}) == 33
