@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .dichotomy import classify, kruglov_check, sup_indicator_ratio
+from .dichotomy import _THRESHOLD, classify, kruglov_check, sup_indicator_ratio
 from .generators import _TOL, _WINDOW, parse_generator
 from .experiments import growth_table, mc_iid_sum_norm, parse_sampler
 from .norms import parse_space, space_label, space_norm
@@ -59,14 +59,14 @@ def _default(fn, param: str):
     return inspect.signature(fn).parameters[param].default
 
 
-def _list_of(conv, kind: str):
-    """The type of a comma-separated list option, its items read by ``conv``."""
+def _int_list(key: str):
+    """The type of a comma-separated list option, each item capped at ``_CAPS[key]``."""
     def parse(text: str) -> list:
         try:
-            return [conv(tok) for tok in text.split(",") if tok.strip()]
+            return [_capped(key)(tok) for tok in text.split(",") if tok.strip()]
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"expected comma-separated {kind}, got {text!r}") from None
+                f"expected comma-separated integers, got {text!r}") from None
     return parse
 
 
@@ -187,11 +187,11 @@ def _cmd_classify(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int
     else:
         lines.append(f"failed strictness: {report.failing_condition} condition")
     if kruglov is not None:
-        lines.extend(_kruglov_lines(kruglov, _default(kruglov_check, "threshold")))
+        lines.extend(_kruglov_lines(kruglov))
     return payload, lines, None, 1 if report.inconclusive else 0
 
 
-def _kruglov_lines(verdict, threshold: float) -> List[str]:
+def _kruglov_lines(verdict) -> List[str]:
     if verdict.inconclusive:
         head = "series probe: INCONCLUSIVE (neither stabilized nor crossed)"
     elif verdict.finite:
@@ -201,18 +201,17 @@ def _kruglov_lines(verdict, threshold: float) -> List[str]:
     detail = (
         f"  sup = {_fmt(verdict.sup_value)}"
         f" at t = {_fmt(verdict.t_argmax)}   [N = {verdict.N_used} terms, "
-        f"threshold {_fmt(threshold)}]"
+        f"threshold {_fmt(_THRESHOLD)}]"
     )
     return [head, detail]
 
 
 def _cmd_kruglov(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     phi = parse_generator(args.psi)
-    verdict = kruglov_check(phi, t_grid=args.t_grid, num_terms=args.max_terms,
-                            threshold=args.threshold)
-    payload = {"command": "kruglov", "psi": args.psi, "threshold": args.threshold}
+    verdict = kruglov_check(phi, num_terms=args.max_terms)
+    payload = {"command": "kruglov", "psi": args.psi, "threshold": _THRESHOLD}
     payload.update(_jsonable(verdict))
-    lines = _kruglov_lines(verdict, args.threshold)
+    lines = _kruglov_lines(verdict)
     return payload, lines, None, 1 if verdict.inconclusive else 0
 
 
@@ -314,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="growth dichotomy for a generator")
     p.add_argument("--psi", required=True)
-    p.add_argument("--n-list", type=_list_of(_capped("n_list"), "integers"),
+    p.add_argument("--n-list", type=_int_list("n_list"),
                    default=_default(classify, "n_list"))
     p.add_argument("--j-max", type=_capped("j_max"), default=_default(classify, "j_max"))
     p.add_argument("--with-kruglov", action="store_true")
@@ -322,13 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kruglov", help="compound-Poisson series probe")
     p.add_argument("--psi", required=True)
-    p.add_argument("--t-grid", type=_list_of(float, "floats"),
-                   default=_default(kruglov_check, "t_grid"))
     p.add_argument("--max-terms", type=_capped("max_terms"),
                    default=_default(kruglov_check, "num_terms"))
-    p.add_argument("--threshold", type=float, default=_default(kruglov_check, "threshold"),
-                   help="divergence bound on the partial sums; finite and > 1, "
-                   "since the first term is 1")
     common(p, _cmd_kruglov)
 
     def experiment(p, call, sampler_required):
@@ -340,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_seed, default=_default(parse_sampler, "seed"))
 
     p = sub.add_parser("growth", help="norm-vs-n table and power fit")
-    p.add_argument("--ns", type=_list_of(_capped("ns"), "integers"), required=True,
+    p.add_argument("--ns", type=_int_list("ns"), required=True,
                    help="comma-separated sizes, e.g. 16,32,64,128")
     p.add_argument("--mode", choices=("exact", "mc"), default=_default(growth_table, "mode"))
     experiment(p, growth_table, sampler_required=False)

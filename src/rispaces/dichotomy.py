@@ -19,7 +19,7 @@ space so t can probe down to 1e-300.
 from __future__ import annotations
 
 import math
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "classify",
     "KruglovVerdict",
     "kruglov_check",
-    "DEFAULT_KRUGLOV_T_GRID",
 ]
 
 def indicator_ratio(psi: ConcaveGenerator, n: int, u) -> float:
@@ -186,7 +185,8 @@ def classify(
 
 # -------------------------------------------------------------- series criterion
 
-DEFAULT_KRUGLOV_T_GRID: Tuple[float, ...] = (
+# The decision rule: each t is probed in this order; a partial sum reaching _THRESHOLD diverges
+_T_GRID = (
     1.0,
     0.5,
     0.25,
@@ -201,6 +201,7 @@ DEFAULT_KRUGLOV_T_GRID: Tuple[float, ...] = (
     1e-250,
     1e-300,
 )
+_THRESHOLD = 1e3
 
 
 class KruglovVerdict(NamedTuple):
@@ -223,18 +224,14 @@ class KruglovVerdict(NamedTuple):
 _KRUGLOV_RTOL = 1e-6
 
 
-def kruglov_check(
-    phi: ConcaveGenerator,
-    t_grid: Sequence[float] = DEFAULT_KRUGLOV_T_GRID,
-    num_terms: int = 1_048_576,
-    threshold: float = 1e3,
-) -> KruglovVerdict:
-    """Probe the series criterion on a t-grid.
+def kruglov_check(phi: ConcaveGenerator, num_terms: int = 1_048_576) -> KruglovVerdict:
+    """Probe the series criterion at the fixed t's of ``_T_GRID``.
 
-    Divergent as soon as some t's partial sum crosses the threshold (the
-    crossing index is reported); finite when every t stabilizes, i.e. the
-    partial sums at N/4 and N agree within ``_KRUGLOV_RTOL``.  The whole
-    t-grid is validated before any term is summed.
+    The probes are t = 1, 0.5, 0.25, 0.1, 1e-2, 1e-4, 1e-8, ..., 1e-128, 1e-250
+    and 1e-300.  Divergent as soon as some t's partial sum crosses
+    ``_THRESHOLD`` = 1000 (the crossing index is reported); finite when every t
+    stabilizes, i.e. the partial sums at N/4 and N agree within
+    ``_KRUGLOV_RTOL``.
 
     The t's are walked one after another in grid order, so the verdict is
     that of the first t that crosses.  Each t walks n = 1..N in chunks of
@@ -254,20 +251,12 @@ def kruglov_check(
     phi(t)/phi(t) = 1, so the running sum is at least 1 and absorbs any term
     below 2^-54 unchanged.
     """
-    ts = [float(t) for t in t_grid]
-    if not ts:
-        raise ValueError("t_grid must be nonempty")
     num_terms = integer(num_terms, 4, "num_terms must allow an N/4 checkpoint")
-    # the n = 1 term phi(t)/phi(t) is 1, so a threshold <= 1 is crossed at once
-    if not (math.isfinite(threshold) and threshold > 1):
-        raise ValueError(f"threshold must be finite and > 1, got {threshold!r}")
-    if not all(0.0 < t <= 1.0 for t in ts):
-        raise ValueError("t_grid values must lie in (0, 1]")
     quarter_n = num_terms // 4
     best = -math.inf
-    best_t = ts[0]
+    best_t = _T_GRID[0]
     any_unsettled = False
-    for t in ts:
+    for t in _T_GRID:
         log_t = math.log(t)
         log_phi_t = phi.log_eval(log_t)
         quarter, full = None, 0.0  # the N/4 sum and the running sum
@@ -281,7 +270,7 @@ def kruglov_check(
             underflowed = terms[-1] == 0.0
             terms[0] += full
             csum = np.cumsum(terms, out=terms)
-            crossed = np.flatnonzero(csum >= threshold)
+            crossed = np.flatnonzero(csum >= _THRESHOLD)
             if crossed.size:
                 return KruglovVerdict(finite=False, sup_value=math.inf,
                                       N_used=start + int(crossed[0]), t_argmax=t)

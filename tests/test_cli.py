@@ -178,24 +178,8 @@ def _refused_before_any_work(monkeypatch, command, work, option, value, *given):
         2, "", f"rispaces: error: unrecognized arguments: {option} {value}\n")
 
 
-def test_classify_has_no_window_option(monkeypatch):
-    # the window is the estimators' constant, so the option is refused before any work
-    _refused_before_any_work(monkeypatch, *_WORK["classify"], "--window", "10")
-
-
-def test_classify_has_no_probe_or_margin_options(monkeypatch):
-    # the factors k, the powers l and the margin are the decision rule's constants
-    for option, value in (("--k-list", "2,3"), ("--l-list", "2"), ("--margin", "0.01")):
-        _refused_before_any_work(monkeypatch, *_WORK["classify"], option, value)
-
-
-def test_growth_has_no_burn_in_option(monkeypatch):
-    # the fit always drops its first two sizes; --ns chooses the fitted range
-    _refused_before_any_work(monkeypatch, *_WORK["growth"], "--burn-in", "2")
-
-
-def test_no_command_has_an_out_option(monkeypatch, tmp_path):
-    # every report goes to stdout; a file is a shell redirect's to make
+def test_an_unknown_option_is_refused_before_any_work(monkeypatch, tmp_path):
+    # --out, typed or in an @FILE, names a file that no subcommand creates
     target = str(tmp_path / "x")
     for command, work in _WORK.values():
         _refused_before_any_work(monkeypatch, command, work, "--out", target)
@@ -207,32 +191,25 @@ def test_no_command_has_an_out_option(monkeypatch, tmp_path):
 
 
 def test_kruglov_finite():
-    code, out, _ = run_main("kruglov", "--psi", "power:1", "--t-grid", "1,0.5,0.1")
+    code, out, _ = run_main("kruglov", "--psi", "power:1")
     assert code == 0
     assert "finite" in out
-    payload_code, jout, _ = run_main(
-        "kruglov", "--psi", "power:1", "--t-grid", "1,0.5,0.1", "--format", "json"
-    )
+    payload_code, jout, _ = run_main("kruglov", "--psi", "power:1", "--format", "json")
     assert json.loads(jout)["sup_value"] == pytest.approx(math.e - 1.0, abs=1e-6)
 
 
 def test_kruglov_divergent():
-    code, out, _ = run_main("kruglov", "--psi", "example7", "--t-grid", "0.01")
+    code, out, _ = run_main("kruglov", "--psi", "example7")
     assert code == 0
     assert "divergent" in out
-    code, out, _ = run_main(
-        "kruglov", "--psi", "example7", "--t-grid", "0.01", "--format", "json"
-    )
+    code, out, _ = run_main("kruglov", "--psi", "example7", "--format", "json")
     assert code == 0
     assert '"sup_value": "inf"' in out
 
 
 def test_kruglov_inconclusive():
     # N = 8 terms of sum 1/n!: the N/4 sum 1.5 and the N sum 1.71827877 differ by > 1e-6
-    code, out, _ = run_main(
-        "kruglov", "--psi", "power:1", "--t-grid", "1", "--max-terms", "8",
-        "--threshold", "1e9",
-    )
+    code, out, _ = run_main("kruglov", "--psi", "power:1", "--max-terms", "8")
     assert code == 1
     assert "INCONCLUSIVE" in out
 
@@ -260,7 +237,7 @@ def test_growth_exact_reads_no_sampler(tmp_path):
     assert run_main(*argv, "--sampler", f"custom:{missing}") == (0, out, "")
 
 
-def test_growth_config_file_with_flag_override(tmp_path):
+def test_growth_argument_file_with_flag_override(tmp_path):
     cfg = tmp_path / "exp.args"
     cfg.write_text(
         "# growth experiment\n"
@@ -287,7 +264,7 @@ def test_growth_config_file_with_flag_override(tmp_path):
     assert json.loads(out2)["pairs"] != payload["pairs"]
 
 
-def test_config_parsing_errors(tmp_path):
+def test_argument_file_parsing_errors(tmp_path):
     # a line is one argument, so a line that is not an option is left unrecognized
     bad = tmp_path / "bad.args"
     bad.write_text("space lorentz:power:1\n")
@@ -296,7 +273,7 @@ def test_config_parsing_errors(tmp_path):
         2, "", "rispaces: error: unrecognized arguments: space lorentz:power:1\n")
 
 
-def test_config_unknown_key_rejected(tmp_path):
+def test_argument_file_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "exp.args"
     cfg.write_text("--trails=500\n")
     code, out, err = run_main("mc", f"@{cfg}", "--space", "lorentz:power:1",
@@ -362,7 +339,7 @@ def test_argument_file_that_is_not_utf8_exits_two(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, config, err",
+    "argv, argfile, err",
     [
         (("mc", "--space", "lpq:2:1", "--sampler", "rademacher", "--n", "4"), "--trials=1e5\n",
          "rispaces mc: error: argument --trials: invalid int value: '1e5'\n"),
@@ -375,9 +352,9 @@ def test_argument_file_that_is_not_utf8_exits_two(tmp_path):
     ],
     ids=["mc-trials", "growth-ns", "growth-mode"],
 )
-def test_bad_config_value_names_its_option(tmp_path, argv, config, err):
+def test_bad_argument_file_value_names_its_option(tmp_path, argv, argfile, err):
     cfg = tmp_path / "exp.args"
-    cfg.write_text(config)
+    cfg.write_text(argfile)
     assert run_main(*argv, f"@{cfg}") == (2, "", err)
 
 
@@ -385,9 +362,6 @@ def test_bad_list_flags_name_no_private_function():
     assert run_main("classify", "--psi", "power:0.5", "--n-list", "2,x") == (
         2, "", "rispaces classify: error: argument --n-list: expected comma-separated "
         "integers, got '2,x'\n")
-    assert run_main("kruglov", "--psi", "power:0.5", "--t-grid", "0.5,y") == (
-        2, "", "rispaces kruglov: error: argument --t-grid: expected comma-separated "
-        "floats, got '0.5,y'\n")
 
 
 # a value off its option's default for each growth/mc option
@@ -396,7 +370,7 @@ _EXPERIMENT_VALUES = {"space": "lpq:2:1", "sampler": "gauss", "ns": "4,8,16", "n
                       "format": "json"}
 
 
-def test_every_experiment_option_has_a_config_key(tmp_path):
+def test_every_experiment_option_has_an_argument_file_line(tmp_path):
     # each growth/mc option read from an @file line parses to the value its flag gives
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -425,18 +399,15 @@ def test_cli_defaults_are_the_library_defaults():
         *(("classify", d, dichotomy.classify, d)
           for d in ("n_list", "j_max")),
         ("kruglov", "max_terms", dichotomy.kruglov_check, "num_terms"),
-        ("kruglov", "threshold", dichotomy.kruglov_check, "threshold"),
         *(("mc", d, experiments.mc_iid_sum_norm, d) for d in ("trials", "m")),
         *(("growth", d, experiments.growth_table, d) for d in ("trials", "m", "mode")),
-        ("kruglov", "t_grid", dichotomy.kruglov_check, "t_grid"),
         *((command, "seed", experiments.SamplerSpec, "seed") for command in ("mc", "growth")),
     ]:
         default = sub.choices[command].get_default(dest)
         default = tuple(default) if isinstance(default, list) else default
         assert default == library(fn, param), (command, dest)
     code, out, _ = run_main("classify", "--psi", "power:0.5", "--with-kruglov")
-    threshold = library(dichotomy.kruglov_check, "threshold")
-    assert code == 0 and f"threshold {float(threshold)!r}]" in out
+    assert code == 0 and f"threshold {dichotomy._THRESHOLD!r}]" in out
 
 
 _MC = ("mc", "--space", "lorentz:power:1", "--sampler", "rademacher")
@@ -599,12 +570,12 @@ _MC_ARGS = ("mc", "--space", "lpq:2:1", "--sampler", "rademacher", "--n", "4",
             "--trials", "1000", "--m", "256")
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("source", ["flag", "argument-file"])
 def test_negative_seed_is_refused_naming_its_source(tmp_path, source):
     # NumPy refuses a negative seed with a message that names neither source
     cfg = tmp_path / "exp.args"
     cfg.write_text("--seed=-5\n")
-    extra = {"flag": ("--seed=-5",), "config": (f"@{cfg}",)}[source]
+    extra = {"flag": ("--seed=-5",), "argument-file": (f"@{cfg}",)}[source]
     assert run_main(*_MC_ARGS, *extra) == (
         2, "", "rispaces mc: error: argument --seed: must be a non-negative integer, got '-5'\n")
 
@@ -689,22 +660,7 @@ def test_only_the_process_entry_freezes_the_heap(capsys, monkeypatch):
         # power:1 fails the limit conditions, so its n probes were never looked at
         (("classify", "--psi", "power:1", "--n-list", "0"), "error:",
          "n must be a positive integer"),
-        (("kruglov", "--psi", "power:1", "--t-grid", "1", "--threshold", "-1"), "error:",
-         "threshold"),
-        (("kruglov", "--psi", "power:1", "--t-grid", "1", "--threshold", "nan"), "error:",
-         "threshold"),
-        (("kruglov", "--psi", "logpow:2", "--t-grid", "1", "--threshold", "0.5"), "error:",
-         "threshold must be finite and > 1"),
-        (("kruglov", "--psi", "logpow:2", "--t-grid", "1", "--threshold", "1.0"), "error:",
-         "threshold must be finite and > 1"),
-        (("kruglov", "--psi", "power:1", "--t-grid", ""), "error:", "t_grid must be nonempty"),
-        (("kruglov", "--psi", "power:1", "--t-grid", ","), "error:", "t_grid must be nonempty"),
         (("classify", "--psi", "power:1", "--n-list", ""), "error:", "n_list must be nonempty"),
-        # t = 0.01 crosses at once: the bad value after it must still be caught
-        (("kruglov", "--psi", "invsqrtlog", "--t-grid", "0.01,2"), "error:",
-         "t_grid values must lie in (0, 1]"),
-        (("kruglov", "--psi", "invsqrtlog", "--t-grid", "0.01,nan"), "error:",
-         "t_grid values must lie in (0, 1]"),
         (("norm", "--space", "lpq:2:1", "--step", "/nonexistent/dir/x"),
          "error:", "No such file or directory"),
         (("opnorm", "--psi", "table:", "--n", "4"), "error:", "table token needs a path"),
@@ -720,9 +676,8 @@ def test_only_the_process_entry_freezes_the_heap(capsys, monkeypatch):
           for bad in ("1/0", "abc", "1.5/2")),
     ],
     ids=["lpq-inf", "logpow-inf", "negative-j-max", "underflowing-j-max", "subnormal-j-max",
-         "option-like-value", "lpq-q-past-1e300", "n-list-zero-failing-conditions", "negative-threshold", "nan-threshold", "half-threshold",
-         "unit-threshold", "empty-t-grid", "comma-t-grid", "empty-n-list",
-         "t-above-one-after-crossing", "nan-t-after-crossing", "missing-step-file",
+         "option-like-value", "lpq-q-past-1e300", "n-list-zero-failing-conditions",
+         "empty-n-list", "missing-step-file",
          "table-without-path", "custom-without-path",
          "mc-without-n", "growth-without-ns", "unknown-orlicz-family",
          "indicator-over-zero", "indicator-not-a-number", "indicator-float-over-int"],
@@ -1109,52 +1064,27 @@ def test_opnorm_of_a_table_at_either_end_of_the_float_range(tmp_path, table, j_m
     assert sups[0] == pytest.approx(sups[1], rel=1e-12) and 0.0 < sups[1] <= 1.0
 
 
-_T_TEXT = st.one_of(
-    st.floats(min_value=0.0, max_value=1.0, exclude_min=True).map(repr),
-    st.sampled_from(["1", "0.5", "0.01", "1e-300", "5e-324"]),
-)
-_BAD_T_TEXT = st.sampled_from(
-    ["nan", "inf", "-inf", "0", "-0.0", "-0.5", "1.0000000000000002", "2", "1e308"]
-)
-_THRESHOLD_TEXT = st.one_of(
-    st.floats(min_value=1.0, max_value=1e12).map(repr),
-    st.sampled_from(["1.5", "2", "1e3", "1e9", "1e308", "1", "nan", "inf", "0", "-1"]),
-)
-
-
 @settings(max_examples=200, deadline=None)
-# t = 0.01 crosses within a few terms; the bad value after it must still be rejected
-@example(psi="invsqrtlog", t_grid=["0.01"], bad_t=["2"], threshold="2", max_terms=4096,
-         table="1,1\n")
-@example(psi="invsqrtlog", t_grid=["0.01"], bad_t=["nan"], threshold="1.5", max_terms=8,
-         table="1,1\n")
 # tables whose slope and continuation to t = 1 pass the largest float
-@example(psi="table:{table}", t_grid=["0.5"], bad_t=[], threshold="1e3", max_terms=64,
-         table=_STEEP_TABLES["two-nodes"])
-@example(psi="table:{table}", t_grid=["0.5"], bad_t=[], threshold="1e3", max_terms=64,
-         table=_STEEP_TABLES["one-node"])
+@example(psi="table:{table}", max_terms=64, table=_STEEP_TABLES["two-nodes"])
+@example(psi="table:{table}", max_terms=64, table=_STEEP_TABLES["one-node"])
 @given(
     psi=st.sampled_from(["invsqrtlog", "power:0.5", "table:{table}"]),
-    t_grid=st.lists(_T_TEXT, min_size=1, max_size=4),
-    bad_t=st.lists(_BAD_T_TEXT, max_size=1),  # placed after the valid values
-    threshold=_THRESHOLD_TEXT,
     max_terms=st.integers(min_value=-2, max_value=2**12),
     table=_scaled_table_csvs(),
 )
-def test_kruglov_cli_fuzz(psi, t_grid, bad_t, threshold, max_terms, table):
+def test_kruglov_cli_fuzz(psi, max_terms, table):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "psi.csv")
         with open(path, "w") as fh:
             fh.write(table)
         # "=" keeps a leading "-" a value rather than an option
         argv = ["kruglov", "--psi", psi.replace("{table}", path),
-                f"--t-grid={','.join(t_grid + bad_t)}", f"--threshold={threshold}",
                 f"--max-terms={max_terms}", "--format", "json"]
         code, out, err = run_main(*argv)
     assert "Traceback" not in err and "Warning" not in err
-    threshold_ok = math.isfinite(float(threshold)) and float(threshold) > 1
     refused = err.startswith("error: bad generator token 'table:")
-    if bad_t or not threshold_ok or max_terms < 4 or refused:
+    if max_terms < 4 or refused:
         assert code == 2 and out == "" and err.count("\n") == 1
         return
     assert code in (0, 1)
@@ -1195,20 +1125,20 @@ def _int_lists(lo, hi, min_size, max_size):
 
 
 @st.composite
-def _options(draw, fields, config=False):
+def _options(draw, fields, argfile=False):
     """``--flag=VALUE`` options drawn valid, and at most one of them made invalid.
 
     ``fields`` maps a flag to (valid values, invalid values, optional), each
     set of values a list or a strategy; an optional flag may be left out,
     unless it is the invalid one.  With
-    ``config``, each option goes on the command line or into the returned
+    ``argfile``, each option goes on the command line or into the returned
     lines of an argument file, which carry an error of their own when the
     invalid one is an unknown option or a line with a space for its "=".  A
     repeated line is valid: the later one wins.  Returns the options, the file
     lines and whether anything was made invalid.
     """
     names = list(fields) + (["<unknown key>", "<no equals sign>", "<repeated key>"]
-                            if config else [])
+                            if argfile else [])
     bad = draw(st.one_of(st.none(), st.sampled_from(names)))
     argv, lines = [], []
     for flag, (good, wrong, optional) in fields.items():
@@ -1219,7 +1149,7 @@ def _options(draw, fields, config=False):
             values = st.sampled_from(values)
         value = draw(values)
         # "=" keeps a leading "-" a value rather than an option
-        (lines if config and draw(st.booleans()) else argv).append(f"{flag}={value}")
+        (lines if argfile and draw(st.booleans()) else argv).append(f"{flag}={value}")
     if bad == "<unknown key>":
         lines.append("--frob=1")
     elif bad == "<no equals sign>":
@@ -1439,8 +1369,8 @@ _ATOMS = st.lists(
                 "--trials=1000", "--m=256"], ["--seed=-5"], True), fmt="json", atoms=[1.0])
 @example(opts=(["--space=lpq:2:1", "--ns=4,8,16,64"], ["--seed=3", "--seed=3"], False),
          fmt="csv", atoms=[1.0])
-@given(opts=st.one_of(_options(_GROWTH_EXACT_OPTIONS, config=True),
-                      _options(_GROWTH_MC_OPTIONS, config=True)),
+@given(opts=st.one_of(_options(_GROWTH_EXACT_OPTIONS, argfile=True),
+                      _options(_GROWTH_MC_OPTIONS, argfile=True)),
        fmt=st.sampled_from(["text", "json", "csv"]), atoms=_ATOMS)
 def test_growth_cli_fuzz(opts, fmt, atoms):
     argv, lines, bad = opts
@@ -1458,7 +1388,7 @@ def test_growth_cli_fuzz(opts, fmt, atoms):
          fmt="text", atoms=[1.0])
 @example(opts=(["--space=lpq:2:1", "--sampler=rademacher", "--n=4"],
                ["--trials=1000", "--trials=5000"], False), fmt="text", atoms=[1.0])
-@given(opts=_options(_MC_OPTIONS, config=True), fmt=st.sampled_from(["text", "json"]),
+@given(opts=_options(_MC_OPTIONS, argfile=True), fmt=st.sampled_from(["text", "json"]),
        atoms=_ATOMS)
 def test_mc_cli_fuzz(opts, fmt, atoms):
     argv, lines, bad = opts

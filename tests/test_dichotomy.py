@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rispaces import (
-    DEFAULT_KRUGLOV_T_GRID,
     KruglovVerdict,
     Lorentz,
     classify,
@@ -251,14 +250,6 @@ def test_classify_checks_the_grid_depth_before_evaluating_psi():
         classify(ConcaveGenerator(unread, log_fn=unread), j_max=0)
 
 
-def test_kruglov_check_takes_a_numpy_t_grid():
-    # the grid is read into a list before the emptiness check: an array has no truth value
-    want = kruglov_check(power(0.5), t_grid=(1.0, 0.5), num_terms=64)
-    assert kruglov_check(power(0.5), t_grid=np.array([1.0, 0.5]), num_terms=64) == want
-    with pytest.raises(ValueError, match="^t_grid must be nonempty$"):
-        kruglov_check(power(0.5), t_grid=np.array([]))
-
-
 def test_classify_takes_numpy_probe_lists():
     want = classify(power(0.5), n_list=(2, 4))
     assert classify(power(0.5), n_list=np.array([2, 4])) == want
@@ -266,34 +257,35 @@ def test_classify_takes_numpy_probe_lists():
         classify(power(0.5), n_list=np.array([], dtype=int))
 
 
-def test_kruglov_check_threshold_validation():
-    for threshold in (math.nan, math.inf, 0.0, -1.0, 0.5, 1.0):
-        with pytest.raises(ValueError, match="threshold"):
-            kruglov_check(power(1.0), t_grid=(1.0,), threshold=threshold)
+def _kruglov_rule(monkeypatch, t_grid, threshold=dichotomy._THRESHOLD):
+    """Let ``kruglov_check`` probe ``t_grid`` against ``threshold`` for one test."""
+    monkeypatch.setattr(dichotomy, "_T_GRID", tuple(t_grid))
+    monkeypatch.setattr(dichotomy, "_THRESHOLD", threshold)
 
 
-def test_kruglov_check_inconclusive():
+def test_kruglov_check_inconclusive(monkeypatch):
     # N = 8: the N/4 partial sum is 1 + 1/2, the N sum is sum_{n <= 8} 1/n!
-    v = kruglov_check(power(1.0), t_grid=(1.0,), num_terms=8, threshold=1e9)
+    _kruglov_rule(monkeypatch, (1.0,), 1e9)
+    v = kruglov_check(power(1.0), num_terms=8)
     assert v.inconclusive and not v.finite
     assert v.sup_value == pytest.approx(math.fsum(1 / math.factorial(n) for n in range(1, 9)),
                                         rel=1e-14)
     assert v.N_used == 8 and v.t_argmax == 1.0
 
 
-def test_kruglov_series_anchors():
+def test_kruglov_series_anchors(monkeypatch):
     # on a one-point grid the reported sup is that t's N-term partial sum
-    v = kruglov_check(power(1.0), t_grid=(1.0,), num_terms=30)
+    _kruglov_rule(monkeypatch, (1.0,))
+    v = kruglov_check(power(1.0), num_terms=30)
     assert v.sup_value == pytest.approx(math.e - 1.0, abs=1e-12)
-    v = kruglov_check(power(0.5), t_grid=(1.0,), num_terms=30)
+    v = kruglov_check(power(0.5), num_terms=30)
     assert v.sup_value == pytest.approx(2.469506314521048, abs=1e-9)
     # the slowly varying generator accumulates two digits within 1e4 terms
-    v = kruglov_check(inv_sqrt_log(), t_grid=(math.exp(-1.5),), num_terms=10**4, threshold=10.0)
+    _kruglov_rule(monkeypatch, (math.exp(-1.5),), 10.0)
+    v = kruglov_check(inv_sqrt_log(), num_terms=10**4)
     assert not v.finite and math.isinf(v.sup_value) and v.N_used <= 10**4
     with pytest.raises(ValueError):
-        kruglov_check(power(1.0), t_grid=(1.5,), num_terms=10)
-    with pytest.raises(ValueError):
-        kruglov_check(power(1.0), t_grid=(0.5,), num_terms=0)
+        kruglov_check(power(1.0), num_terms=0)
 
 
 def test_kruglov_check_linear_generator_finite():
@@ -319,13 +311,14 @@ def test_kruglov_check_slowly_varying_divergent():
 
 
 def test_default_t_grid_probes_deep():
-    assert min(DEFAULT_KRUGLOV_T_GRID) <= 1e-300
-    assert max(DEFAULT_KRUGLOV_T_GRID) == 1.0
+    assert min(dichotomy._T_GRID) <= 1e-300
+    assert max(dichotomy._T_GRID) == 1.0
 
 
-def test_kruglov_check_crossing_counts_a_sum_equal_to_the_threshold():
+def test_kruglov_check_crossing_counts_a_sum_equal_to_the_threshold(monkeypatch):
     # at t = 1 the partial sums of 1/n! are 1, 1.5, ...: 1.5 is reached at n = 2
-    v = kruglov_check(power(1.0), t_grid=(1.0,), num_terms=8, threshold=1.5)
+    _kruglov_rule(monkeypatch, (1.0,), 1.5)
+    v = kruglov_check(power(1.0), num_terms=8)
     assert not v.finite and math.isinf(v.sup_value) and v.N_used == 2
 
 
@@ -373,34 +366,42 @@ _C = _KRUGLOV_CHUNK
 # no-crossing walk of the slowly varying generator, which 4C + 3 terms cover.
 _KRUGLOV_CASES = [(n, thr) for n in (4, 5, 8, _C - 1, _C, _C + 1, 4 * _C + 3)
                   for thr in (1e3, 1e9)] + [(2**20, 1e3)]
+_KRUGLOV_GRIDS = (dichotomy._T_GRID, (1.0,), (0.01,), (5e-324,))
 
 
 @pytest.mark.parametrize("token", list(_KRUGLOV_GENERATORS))
-def test_kruglov_check_matches_full_array_oracle(token):
+def test_kruglov_check_matches_full_array_oracle(monkeypatch, token):
     phi = _KRUGLOV_GENERATORS[token]
-    for t_grid in (DEFAULT_KRUGLOV_T_GRID, (1.0,), (0.01,), (5e-324,)):
+    for t_grid in _KRUGLOV_GRIDS:
         for num_terms, threshold in _KRUGLOV_CASES:
             want = _kruglov_check_full(phi, t_grid, num_terms, threshold)
-            got = kruglov_check(phi, t_grid, num_terms=num_terms, threshold=threshold)
+            _kruglov_rule(monkeypatch, t_grid, threshold)
+            got = kruglov_check(phi, num_terms=num_terms)
             assert repr(got) == repr(want), (t_grid, num_terms, threshold)
 
 
-@pytest.mark.parametrize("phi, kwargs", [
-    (power(1.0), {}),  # every t stops within its first chunk
-    (inv_sqrt_log(), {"t_grid": (1.0,), "threshold": 1e9}),  # no stop: 256 chunks
+@pytest.mark.parametrize("phi, rule", [
+    (power(1.0), None),  # every t stops within its first chunk
+    (inv_sqrt_log(), ((1.0,), 1e9)),  # no stop: 256 chunks
 ], ids=["stops", "walks-to-the-end"])
-def test_kruglov_check_memory_does_not_grow_with_terms(traced_peak, phi, kwargs):
+def test_kruglov_check_memory_does_not_grow_with_terms(monkeypatch, traced_peak, phi, rule):
+    if rule is not None:
+        _kruglov_rule(monkeypatch, *rule)
     # a few chunk-sized arrays; one 2^22-term array alone is 32 MB
-    assert traced_peak(kruglov_check, phi, num_terms=2**22, **kwargs) < 16 * 8 * _KRUGLOV_CHUNK
+    assert traced_peak(kruglov_check, phi, num_terms=2**22) < 16 * 8 * _KRUGLOV_CHUNK
 
 
-def test_kruglov_check_first_crossing_in_grid_order_wins():
+def test_kruglov_check_first_crossing_in_grid_order_wins(monkeypatch):
     # At threshold 100, invsqrtlog crosses at n = 56966 for t = 1, 24483 for
     # t = 0.5 and 5584 for t = 0.01, in the fourth, second and first chunks.
     # The t's are walked in grid order, so the verdict is that of the first t
     # in grid order that crosses at all, not of the first crossing in n.
     phi = inv_sqrt_log()
-    alone = {t: kruglov_check(phi, t_grid=(t,), threshold=100.0) for t in (1.0, 0.5, 0.01)}
+    alone = {}
+    for t in (1.0, 0.5, 0.01):
+        _kruglov_rule(monkeypatch, (t,), 100.0)
+        alone[t] = kruglov_check(phi)
     assert [alone[t].N_used // _KRUGLOV_CHUNK for t in alone] == [3, 1, 0]
     for grid in ((1.0, 0.5, 0.01), (0.5, 1.0, 0.01), (0.01, 1.0)):
-        assert kruglov_check(phi, t_grid=grid, threshold=100.0) == alone[grid[0]]
+        _kruglov_rule(monkeypatch, grid, 100.0)
+        assert kruglov_check(phi) == alone[grid[0]]

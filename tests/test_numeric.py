@@ -193,7 +193,7 @@ _INTEGER_SITES = [
     (lambda l: limsup_power_ratio(_PSI, l), 2, _L, 2),
     (lambda j: limsup_power_ratio(_PSI, 2, j), 1, r"^need j_max >= 1, got \S+$", 30),
     (lambda j: sup_indicator_ratio(_PSI, 4, j_max=j), 0, "^j_max must be nonnegative$", 3),
-    (lambda N: kruglov_check(_PSI, t_grid=(1.0,), num_terms=N), 4,
+    (lambda N: kruglov_check(_PSI, num_terms=N), 4,
      "^num_terms must allow an N/4 checkpoint$", 64),
     (lambda n: classify(_PSI, n_list=(n,)), 1, _N, 2),
     (rademacher, 0, r"^seed must be a non-negative integer, got \S+$", 3),

@@ -127,8 +127,6 @@ ORACLES = {
     "parse_space": ("test_norms::test_space_labels", "the label of each family's token; equality"),
     "space_label": ("test_norms::test_space_labels", "the label of each family's token; equality"),
     # dichotomy
-    "DEFAULT_KRUGLOV_T_GRID": ("test_dichotomy::test_default_t_grid_probes_deep",
-                               "its range reaches t = 1 and t <= 1e-300"),
     "DichotomyReport": ("test_dichotomy::test_classify_power_half",
                         "q in closed form, C from its formula; abs 1e-9, rel 1e-12"),
     "KruglovVerdict": ("test_dichotomy::test_kruglov_check_matches_full_array_oracle",

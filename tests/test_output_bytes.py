@@ -104,13 +104,9 @@ COMMANDS = [
     ("norm-rational-lpq", ["norm", "--space", "lpq:2:1", "--step", "{rational}"]),
     ("kruglov-logpow2", ["kruglov", "--psi", "logpow:2"]),
     ("kruglov-invsqrtlog-divergent", ["kruglov", "--psi", "invsqrtlog"]),
-    ("kruglov-power1-inconclusive", ["kruglov", "--psi", "power:1", "--t-grid", "1",
-                                     "--max-terms", "8", "--threshold", "1e9"]),
-    ("kruglov-invsqrtlog-first-in-grid", ["kruglov", "--psi", "invsqrtlog", "--t-grid", "0.5,1,0.01",
-                                          "--threshold", "100"]),
+    ("kruglov-power1-inconclusive", ["kruglov", "--psi", "power:1", "--max-terms", "8"]),
     ("kruglov-gauss-off-chunk-edges", ["kruglov", "--psi", "gauss", "--max-terms", "65539"]),
-    ("kruglov-power-tiny-t", ["kruglov", "--psi", "power:0.5", "--t-grid", "1,1e-300",
-                              "--max-terms", "16387"]),
+    ("kruglov-power-tiny-t", ["kruglov", "--psi", "power:0.5", "--max-terms", "16387"]),
     ("classify-invsqrtlog-kruglov", ["classify", "--psi", "invsqrtlog", "--with-kruglov"]),
     ("growth-layers-lorentz", ["growth", "--space", "lorentz:power:0.5",
                                "--ns", "16384,65536,262144,1048576"]),
@@ -153,8 +149,7 @@ EXPECTED = {
     "norm-rational-lpq": "9709a5a8d801ebd6e2f429acefaabbbccedbb3967256162b78bdeefa0ea99396",
     "kruglov-logpow2": "0b06ddc8ced6e63d75c30ea9dfcdf4509023ec543cf32eba2662f6c3daba034c",
     "kruglov-invsqrtlog-divergent": "1d975751146489bbed53df0c68ab00f49b44b62fbfe711f2fc81558f0ee24beb",
-    "kruglov-power1-inconclusive": "48ca101e76057f2f684ff003f70e86c6c6a2beeaf5a82d95aa04520e12434af5",
-    "kruglov-invsqrtlog-first-in-grid": "d7a7f376dbcd0fbe2182e60cdc94ef84d9c990f865b9ef5a306fc6c60863ccbe",
+    "kruglov-power1-inconclusive": "45a3327b3fe828327eca1522d275ebdbc350789bf93d50d9479ff0d160de5871",
     "kruglov-gauss-off-chunk-edges": "0117a9f9bba61fdc1cb7f895e5ca0e6f57318444d9e43ded8fd9a2ee327d81dc",
     "kruglov-power-tiny-t": "e75951d7d6a48ea08a02c4627348a36bb888ac87659bd45df1c8fc7176798557",
     "classify-invsqrtlog-kruglov": "941ee652eb39fe6420ae69168d47ce54524b2ace2a79356987b7cb91b611505e",

@@ -430,13 +430,25 @@ def test_dataclass_check_sees_one():
 
 def test_package_exports_are_pinned():
     # the oracle registry is the one list of exported names
-    assert len(rispaces.__all__) == len(set(rispaces.__all__)) == 55
+    assert len(rispaces.__all__) == len(set(rispaces.__all__)) == 54
     assert sorted(rispaces.__all__) == sorted(ORACLES)
 
 
+# every option of each subcommand but --help, 31 in all, as tools/compare.py's size record
+# counts them: an option that goes, comes or is renamed changes the table, not only a count
+_CLI_OPTIONS = {
+    "norm": ["--format", "--indicator", "--space", "--step"],
+    "opnorm": ["--format", "--j-max", "--n", "--psi"],
+    "classify": ["--format", "--j-max", "--n-list", "--psi", "--with-kruglov"],
+    "kruglov": ["--format", "--max-terms", "--psi"],
+    "growth": ["--format", "--m", "--mode", "--ns", "--sampler", "--seed", "--space", "--trials"],
+    "mc": ["--format", "--m", "--n", "--sampler", "--seed", "--space", "--trials"],
+}
+
+
 def test_cli_options_are_pinned():
-    # each (subcommand, destination) pair but --help, as tools/compare.py's size record counts
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    assert len({(name, a.dest) for name, p in sub.choices.items() for a in p._actions
-                if not isinstance(a, argparse._HelpAction)}) == 33
+    assert {name: sorted(s for a in p._actions if not isinstance(a, argparse._HelpAction)
+                         for s in a.option_strings)
+            for name, p in sub.choices.items()} == _CLI_OPTIONS
