@@ -26,8 +26,9 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .dichotomy import _THRESHOLD, classify, kruglov_check, sup_indicator_ratio
-from .generators import _TOL, _WINDOW, parse_generator
+from . import dichotomy, experiments, generators  # each report reads the rule its call applied
+from .dichotomy import classify, kruglov_check, sup_indicator_ratio
+from .generators import parse_generator
 from .experiments import growth_table, mc_iid_sum_norm, parse_sampler
 from .norms import parse_space, space_label, space_norm
 from .stepfn import StepFunction
@@ -148,11 +149,11 @@ def _cmd_opnorm(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     return payload, lines, None, 0
 
 
-def _estimate_line(label: str, est) -> str:
+def _estimate_line(label: str, est, j_max: int) -> str:
     status = "converged" if est.converged else "NOT converged"
     return (
-        f"  {label} = {_fmt(est.value)}   [{status}; window {est.window}, "
-        f"grid j <= {est.j_max}]"
+        f"  {label} = {_fmt(est.value)}   [{status}; window {generators._WINDOW}, "
+        f"grid j <= {j_max}]"
     )
 
 
@@ -160,20 +161,23 @@ def _cmd_classify(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int
     psi = parse_generator(args.psi)
     report = classify(psi, n_list=args.n_list, j_max=args.j_max)
     kruglov = kruglov_check(psi) if args.with_kruglov else None
-    payload = {"command": "classify", "psi": args.psi, "kruglov": _jsonable(kruglov)}
+    payload = {"command": "classify", "psi": args.psi, "kruglov": _jsonable(kruglov),
+               "margin": dichotomy._MARGIN}
     payload.update(_jsonable(report))
+    for est in (*payload["a_estimates"].values(), *payload["c_estimates"].values()):
+        est.update(window=generators._WINDOW, j_max=args.j_max, grid_min=2.0**-args.j_max)
     lines = [
         f"branch: {report.branch}"
         + (" (INCONCLUSIVE)" if report.inconclusive else ""),
-        f"decision margin: {_fmt(report.margin)}   "
-        f"grid: j <= {args.j_max}, window {_WINDOW}, tol {_fmt(_TOL)}",
+        f"decision margin: {_fmt(dichotomy._MARGIN)}   "
+        f"grid: j <= {args.j_max}, window {generators._WINDOW}, tol {_fmt(generators._TOL)}",
         "dilation ratios a(k), strict bound k - margin:",
     ]
     for k, est in sorted(report.a_estimates.items()):
-        lines.append(_estimate_line(f"a({k})", est))
+        lines.append(_estimate_line(f"a({k})", est, args.j_max))
     lines.append("power ratios c(l), strict bound 1 - margin:")
     for l, est in sorted(report.c_estimates.items()):
-        lines.append(_estimate_line(f"c({l})", est))
+        lines.append(_estimate_line(f"c({l})", est, args.j_max))
     if report.opnorms:
         lines.append("operator norms:")
         for n, v in sorted(report.opnorms.items()):
@@ -201,7 +205,7 @@ def _kruglov_lines(verdict) -> List[str]:
     detail = (
         f"  sup = {_fmt(verdict.sup_value)}"
         f" at t = {_fmt(verdict.t_argmax)}   [N = {verdict.N_used} terms, "
-        f"threshold {_fmt(_THRESHOLD)}]"
+        f"threshold {_fmt(dichotomy._THRESHOLD)}]"
     )
     return [head, detail]
 
@@ -209,7 +213,7 @@ def _kruglov_lines(verdict) -> List[str]:
 def _cmd_kruglov(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     phi = parse_generator(args.psi)
     verdict = kruglov_check(phi, num_terms=args.max_terms)
-    payload = {"command": "kruglov", "psi": args.psi, "threshold": _THRESHOLD}
+    payload = {"command": "kruglov", "psi": args.psi, "threshold": dichotomy._THRESHOLD}
     payload.update(_jsonable(verdict))
     lines = _kruglov_lines(verdict)
     return payload, lines, None, 1 if verdict.inconclusive else 0
@@ -228,6 +232,7 @@ def _cmd_growth(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
         "mode": args.mode,
         "sampler": None if sampler is None else sampler.label(),
         "seed": args.seed,
+        "burn_in": experiments._BURN_IN,
     }
     payload.update(_jsonable(fit))
     width = max(len(str(n)) for n, _ in fit.pairs)
@@ -236,7 +241,7 @@ def _cmd_growth(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
         lines.append(f"{str(n).rjust(width)}  {_fmt(v)}")
     lines.append(
         f"fit: value ~ C * n^q with q = {_fmt(fit.q)}, C = {_fmt(fit.C)}   "
-        f"[residual {_fmt(fit.residual)}, burn-in {fit.burn_in}]"
+        f"[residual {_fmt(fit.residual)}, burn-in {experiments._BURN_IN}]"
     )
     lines.append("status: " + ("DEGENERATE (power fit unreliable)" if fit.degenerate else "ok"))
     rows = [["n", "value", "fit_q", "fit_C", "residual"]]

@@ -64,14 +64,16 @@ def indicator_ratio(psi: ConcaveGenerator, n: int, u) -> float:
 
 
 def sup_indicator_ratio(psi: ConcaveGenerator, n: int, j_max: int = 40) -> float:
-    """sup over u in (0, 1] of g(n, u), grid + golden refinement + u->0 limit.
+    """sup over u in (0, 1] of g(n, u): the grid u = 2^-j, 0 <= j <= j_max <= 1022 (past
+    1022, u is subnormal and psi(u) loses bits), a golden search between the grid
+    neighbours of its argmax, and the u -> 0 limit, read at depth max(60, j_max).
 
     The true sup lies in (0, 1]; the result is clamped there so grid noise at
     the 1e-16 level cannot leak past the boundary.
     """
     n = positive_int(n)
     j_max = integer(j_max, 0, "j_max must be nonnegative")
-    if j_max > 1022:  # g is read through psi(u), whose ratio loses bits once u is subnormal
+    if j_max > 1022:
         raise ValueError("j_max must be <= 1022: u = 2^-j is subnormal beyond it")
     lus = -np.arange(0, j_max + 1, dtype=float) * LN2
 
@@ -107,7 +109,6 @@ class DichotomyReport(NamedTuple):
     """
 
     branch: str
-    margin: float
     a_estimates: Dict[int, LimitEstimate]
     c_estimates: Dict[int, LimitEstimate]
     opnorms: Dict[int, float]
@@ -171,7 +172,6 @@ def classify(
         C = (math.sqrt(2.0) + 1.0) * witness**q * max(opnorms[s] for s in range(1, witness + 1))
     return DichotomyReport(
         branch="NormEqualsN" if witness is None else "PowerBound",
-        margin=_MARGIN,
         a_estimates=a_est,
         c_estimates=c_est,
         opnorms=opnorms,

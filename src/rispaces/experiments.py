@@ -348,7 +348,6 @@ class GrowthFit(NamedTuple):
     q: float
     C: float
     residual: float
-    burn_in: int
     degenerate: bool
 
 
@@ -378,7 +377,6 @@ def fit_growth(pairs: Iterable[Tuple[int, float]]) -> GrowthFit:
         q=float(q),
         C=C,
         residual=residual,
-        burn_in=_BURN_IN,
         degenerate=degenerate,
     )
 

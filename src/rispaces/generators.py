@@ -217,18 +217,17 @@ _TOL = 1e-3
 
 
 class LimitEstimate(NamedTuple):
-    """Tail-window estimate of a u -> 0 limsuperior."""
+    """Tail-window estimate of a u -> 0 limsuperior: the largest ratio in the last
+    ``_WINDOW`` grid points, converged when the window before agrees within ``_TOL``."""
 
     value: float
-    grid_min: float
-    window: int
     converged: bool
-    j_max: int
 
 
 def _limit(ratio: Callable, j_lo: int, j_max: int) -> LimitEstimate:
     """Window estimate of ``ratio`` (an array of log u to an array of ratios)
-    on the grid u = 2^-j, j_lo <= j <= j_max."""
+    on the grid u = 2^-j, j_lo <= j <= j_max, given in log u, so a depth at which
+    2^-j_max underflows to 0.0 reads like any other."""
     j_max = integer(j_max, 1, f"need j_max >= 1, got {j_max}")
     lus = -np.arange(j_lo, j_max + 1, dtype=float) * LN2
     if lus.size < 2 * _WINDOW:
@@ -238,10 +237,7 @@ def _limit(ratio: Callable, j_lo: int, j_max: int) -> LimitEstimate:
     last = float(np.max(ratios[-_WINDOW:]))
     prev = float(np.max(ratios[-2 * _WINDOW : -_WINDOW]))
     converged = abs(last - prev) <= _TOL * max(1.0, abs(last))
-    grid_min = 2.0**-j_max  # underflows to 0.0 on very deep grids, by design
-    return LimitEstimate(
-        value=last, grid_min=grid_min, window=_WINDOW, converged=converged, j_max=j_max
-    )
+    return LimitEstimate(value=last, converged=converged)
 
 
 def limsup_dilation_ratio(psi: ConcaveGenerator, k: int, j_max: int = _J_MAX) -> LimitEstimate:

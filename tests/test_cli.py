@@ -125,6 +125,29 @@ def test_classify_json_shape():
         assert set(est) == {"value", "grid_min", "window", "converged", "j_max"}
 
 
+def test_classify_reports_a_grid_deeper_than_the_float_range():
+    # 2^-1100 underflows to 0.0, and the report says so; the grid itself is read in log u
+    argv = ("classify", "--psi", "power:0.5", "--j-max", "1100")
+    code, out, _ = run_main(*argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    estimates = (*payload["a_estimates"].values(), *payload["c_estimates"].values())
+    assert len(estimates) == 5
+    for est in estimates:
+        assert (est["grid_min"], est["j_max"], est["window"]) == (0.0, 1100, 10)
+    lines = [line for line in run_main(*argv)[1].splitlines() if "converged" in line]
+    assert len(lines) == 5
+    assert all(line.endswith("; window 10, grid j <= 1100]") for line in lines)
+
+
+def test_classify_prints_the_margin_it_applied(monkeypatch):
+    # the report reads the rule as it renders, so a patched margin is the margin printed
+    monkeypatch.setattr(dichotomy, "_MARGIN", 0.0)
+    argv = ("classify", "--psi", "power:1")
+    assert '\n  "margin": 0.0,\n' in run_main(*argv, "--format", "json")[1]
+    assert "\ndecision margin: 0.0   grid: j <= 2000" in run_main(*argv)[1]
+
+
 def test_classify_json_holds_the_series_probe_only_with_its_flag():
     # "kruglov" is always a key: null without --with-kruglov, the probe's verdict with it
     argv = ("classify", "--psi", "power:0.5", "--format", "json")

@@ -455,7 +455,14 @@ def test_a_burn_in_that_leaves_one_pair_has_its_own_message():
     # the fit always drops its first two pairs; growth_table's four sizes always leave two
     with pytest.raises(ValueError, match="^need at least two pairs after burn-in$"):
         fit_growth([(2, 1.0), (8, 2.0), (16, 3.0)])
-    assert fit_growth([(2, 1.0), (8, 2.0), (16, 3.0), (32, 4.0)]).burn_in == 2
+    # of four pairs the fit reads only the last two: the line through them, by hand
+    fit = fit_growth([(2, 1.0), (8, 2.0), (16, 3.0), (32, 4.0)])
+    q = math.log(4.0 / 3.0) / math.log(2.0)
+    assert fit.q == pytest.approx(q, rel=1e-12)
+    assert fit.C == pytest.approx(3.0 / 16.0**q, rel=1e-12)
+    assert fit.residual == pytest.approx(0.0, abs=1e-12)
+    other = fit_growth([(2, 9.0), (8, 0.5), (16, 3.0), (32, 4.0)])
+    assert other._replace(pairs=fit.pairs) == fit
     with pytest.raises(TypeError):
         fit_growth([(2, 1.0), (8, 2.0), (16, 3.0), (32, 4.0)], burn_in=0)
     with pytest.raises(TypeError):

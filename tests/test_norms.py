@@ -382,16 +382,15 @@ def test_records_keep_their_reprs_and_keyword_constructors():
         (Marcinkiewicz(phi=psi), "Marcinkiewicz(phi=ConcaveGenerator(power:0.5))"),
         (Orlicz(M=exp_lp(2)), "Orlicz(M=exp_lp(p=2.0))"),
         (Lpq(p=2.0, q=1.0), "Lpq(p=2.0, q=1.0)"),
-        (LimitEstimate(value=1.0, grid_min=0.5, window=2, converged=True, j_max=1),
-         "LimitEstimate(value=1.0, grid_min=0.5, window=2, converged=True, j_max=1)"),
+        (LimitEstimate(value=1.0, converged=True), "LimitEstimate(value=1.0, converged=True)"),
         (SamplerSpec("signed_indicator", u=1, seed=2),
          "SamplerSpec(kind='signed_indicator', u=1.0, quantiles=None, seed=2)"),
         (KruglovVerdict(finite=True, sup_value=1.0, N_used=4, t_argmax=0.5),
          "KruglovVerdict(finite=True, sup_value=1.0, N_used=4, t_argmax=0.5, inconclusive=False)"),
-        (GrowthFit(pairs=((1, 1.0),), q=0.5, C=1.0, residual=0.0, burn_in=0, degenerate=False),
-         "GrowthFit(pairs=((1, 1.0),), q=0.5, C=1.0, residual=0.0, burn_in=0, degenerate=False)"),
-        (DichotomyReport("PowerBound", 1e-3, {}, {}, {2: 1.5}),
-         "DichotomyReport(branch='PowerBound', margin=0.001, a_estimates={}, c_estimates={}, "
+        (GrowthFit(pairs=((1, 1.0),), q=0.5, C=1.0, residual=0.0, degenerate=False),
+         "GrowthFit(pairs=((1, 1.0),), q=0.5, C=1.0, residual=0.0, degenerate=False)"),
+        (DichotomyReport("PowerBound", {}, {}, {2: 1.5}),
+         "DichotomyReport(branch='PowerBound', a_estimates={}, c_estimates={}, "
          "opnorms={2: 1.5}, witness_n0=None, q=None, C=None, failing_condition=None, "
          "inconclusive=False)"),
     ]

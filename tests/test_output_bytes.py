@@ -32,10 +32,16 @@ each chunk's log n!, before each t walked alone.
 Those rewrites promise the same bytes, so any change in a hash here is a change of
 results, not of speed.
 
-The hashes were recorded with NumPy 2.4 on x86-64 Linux.  NumPy pins the PCG64
-streams and the samplers used here, but the float norms pass through libm, so
-another platform may differ in the last bit.  To print the current hashes, run
-``python tests/test_output_bytes.py``.
+The hashes were recorded with NumPy 2.4 on x86-64 Linux with AVX-512.  NumPy pins
+the PCG64 streams and the samplers used here, but picks its float64 ``exp``, ``log``
+and ``power`` kernels by CPU at import, and its AVX-512 kernels differ from glibc in
+the last bit on some inputs.  Measured with those kernels off
+(``NPY_DISABLE_CPU_FEATURES=X86_V4``, as on an x86-64 host without AVX-512), 9 of the
+33 commands and all 6 ``repr``s move in their last digits: most values by 1-10 ulp,
+some by up to 327, and a fit's q and residual, which amplify such moves, by more.  The
+AVX2 and SSE4.2 classes agree on all 33 commands but not on 4 of the ``repr``s.
+pytest's ``numpy exp kernel:`` header line names the class a run used.  To print the
+current hashes, run ``python tests/test_output_bytes.py``.
 """
 
 import hashlib

@@ -5,8 +5,9 @@ chunk size, the integer checks, the token errors and the CSV reader, one helper 
 holds the layer rule and the Cephes rational step, one function refuses a norm past the
 float range and one checks layers from outside, every file the package opens is read
 and decoded one way, no literal default is written in two signatures, no module binds
-a name twice, the records are NamedTuples but one, the package exports exactly the
-names in ``test_oracles.ORACLES`` and the CLI has a pinned number of options."""
+a name twice, the records are NamedTuples but one and none is built with a module
+constant, the package exports exactly the names in ``test_oracles.ORACLES`` and the
+CLI has a pinned number of options."""
 
 import argparse
 import ast
@@ -426,6 +427,47 @@ def test_dataclass_check_sees_one():
                      "@functools.total_ordering\nclass C:\n    z: int\n")
     assert _dataclasses(tree) == ["A", "B"]
     assert _imported_roots(tree) == {"dataclasses"}
+
+
+def _records_built_with_constants(trees):
+    """(module, line, record, name) for each call of a record, a class whose base is
+    ``NamedTuple`` or a call of it, that passes a module constant (``_UPPER_CASE``,
+    bare or read through its module) as a field value."""
+    records = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and any(
+                   getattr(b.func if isinstance(b, ast.Call) else b, "id", None) == "NamedTuple"
+                   for b in node.bases)}
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            record = getattr(node, "func", None)
+            record = getattr(record, "id", getattr(record, "attr", None))
+            if not isinstance(node, ast.Call) or record not in records:
+                continue
+            for value in [*node.args, *(k.value for k in node.keywords)]:
+                name = getattr(value, "id", getattr(value, "attr", ""))
+                if re.fullmatch(r"_[A-Z][A-Z0-9_]*", name):
+                    found.append((module, node.lineno, record, name))
+    return sorted(found)
+
+
+def test_no_record_is_built_with_a_module_constant():
+    # a record holds what a call measured; a constant it always holds is the rule, which
+    # the CLI reads from its module when it renders a report
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SRC.glob("*.py")}
+    assert _records_built_with_constants(trees) == []
+
+
+def test_constant_field_check_sees_one():
+    tree = ast.parse("from typing import NamedTuple\n\n_K, _WINDOW = 2, 10\n\n"
+                     "class Fit(NamedTuple):\n    q: float\n    window: int\n\n"
+                     "class Spec(NamedTuple('Spec', [('k', int)])):\n    pass\n\n"
+                     "class Plain:\n    pass\n\n"
+                     "def f(q, mod):\n    Plain(_K)\n    Spec(k=mod._K)\n"
+                     "    return Fit(q=q, window=_WINDOW), Fit(_K, _k), mod.Fit(q, _WINDOW)\n")
+    assert _records_built_with_constants({"m.py": tree}) == [
+        ("m.py", 17, "Spec", "_K"), ("m.py", 18, "Fit", "_K"), ("m.py", 18, "Fit", "_WINDOW"),
+        ("m.py", 18, "Fit", "_WINDOW")]
 
 
 def test_package_exports_are_pinned():
