@@ -1,9 +1,10 @@
 """Command line front end.
 
-Subcommands mirror the library: ``norm`` prices a step function, ``opnorm``
-measures one averaged-operator norm, ``classify`` runs the growth dichotomy,
-``growth`` fits norm-vs-n tables, ``kruglov`` probes the compound-Poisson
-series, and ``mc`` prices a Monte Carlo i.i.d. sum.
+Subcommands mirror the library: ``norm`` prices a step function, ``opnorm`` measures one
+averaged-operator norm, ``classify`` runs the growth dichotomy, ``growth`` fits norm-vs-n
+tables, ``kruglov`` probes the compound-Poisson series, and ``mc`` prices a Monte Carlo
+i.i.d. sum.  The library returns values and records; this module alone spells how a report
+names them, such as its ``space`` and ``sampler`` labels, which the package does not export.
 
 Every report goes to stdout, byte for byte deterministic: floats render with repr, JSON
 sorts its keys, and every random draw is seeded (the last ``--seed``, typed or read from
@@ -30,7 +31,7 @@ from . import dichotomy, experiments, generators  # each report reads the rule i
 from .dichotomy import classify, kruglov_check, sup_indicator_ratio
 from .generators import parse_generator
 from .experiments import growth_table, mc_iid_sum_norm, parse_sampler
-from .norms import parse_space, space_label, space_norm
+from .norms import Lorentz, Lpq, Marcinkiewicz, parse_space, space_norm
 from .stepfn import StepFunction
 
 __all__ = ["main"]
@@ -111,6 +112,23 @@ def _capped(key: str):
     return capped
 
 
+def _space_label(space) -> str:
+    """The canonical token of a space: ``parse_space`` builds only these four families."""
+    if isinstance(space, Lorentz):
+        return f"lorentz:{space.psi.label}"
+    if isinstance(space, Marcinkiewicz):
+        return f"marcinkiewicz:{space.phi.label}"
+    if isinstance(space, Lpq):
+        return f"lpq:{space.p:g}:{space.q:g}"
+    return f"orlicz:Np:{space.M.p:g}"
+
+
+def _sampler_label(spec) -> str:  # a custom law of N atoms reads custom[N]
+    if spec.kind == "signed_indicator":
+        return f"signed:{spec.u:g}"
+    return f"custom[{len(spec.quantiles)}]" if spec.kind == "custom" else spec.kind
+
+
 # ------------------------------------------------------------------- handlers
 
 
@@ -122,7 +140,7 @@ def _cmd_norm(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
         with open(args.step, encoding="utf-8-sig") as fh:
             f = StepFunction.from_json_dict(json.load(fh))
     value = space_norm(f, space)
-    payload = {"command": "norm", "space": space_label(space), "norm": value}
+    payload = {"command": "norm", "space": _space_label(space), "norm": value}
     return payload, [_fmt(value)], None, 0
 
 
@@ -130,7 +148,7 @@ def _cmd_mc(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     space = parse_space(args.space)
     sampler = parse_sampler(args.sampler, args.seed)
     value = mc_iid_sum_norm(sampler, args.n, space, trials=args.trials, m=args.m)
-    payload = {"command": "mc", "space": space_label(space), "sampler": sampler.label(),
+    payload = {"command": "mc", "space": _space_label(space), "sampler": _sampler_label(sampler),
                "n": args.n, "trials": args.trials, "m": args.m, "seed": args.seed,
                "norm": value}
     return payload, [_fmt(value)], None, 0
@@ -228,9 +246,9 @@ def _cmd_growth(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
                        trials=args.trials, m=args.m)
     payload = {
         "command": "growth",
-        "space": space_label(space),
+        "space": _space_label(space),
         "mode": args.mode,
-        "sampler": None if sampler is None else sampler.label(),
+        "sampler": None if sampler is None else _sampler_label(sampler),
         "seed": args.seed,
         "burn_in": experiments._BURN_IN,
     }

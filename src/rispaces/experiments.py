@@ -104,13 +104,6 @@ class SamplerSpec(NamedTuple("SamplerSpec", [
             quantiles = tuple(float(x) for x in q)
         return super().__new__(cls, kind, u, quantiles, seed)
 
-    def label(self) -> str:
-        if self.kind == "signed_indicator":
-            return f"signed:{self.u:g}"
-        if self.kind == "custom":
-            return f"custom[{len(self.quantiles)}]"
-        return self.kind
-
 
 def rademacher(seed: int = _SEED) -> SamplerSpec:
     return SamplerSpec(kind="rademacher", seed=seed)

@@ -43,7 +43,6 @@ __all__ = [
     "space_norm",
     "space_norm_from_layers",
     "parse_space",
-    "space_label",
 ]
 
 
@@ -63,10 +62,6 @@ class exp_lp(NamedTuple("exp_lp", [("p", float)])):
         if not p >= 1.0:
             raise ValueError("exponential-Orlicz order must be >= 1")
         return super().__new__(cls, p)
-
-    @property
-    def label(self) -> str:
-        return f"Np:{self.p:g}"
 
     def log_fn(self, u):
         def log_m(u):
@@ -138,18 +133,6 @@ class Lpq(NamedTuple("Lpq", [("p", float), ("q", float)])):
 
 
 SpaceSpec = Union[Lorentz, Marcinkiewicz, Orlicz, Lpq]
-
-
-def space_label(space: SpaceSpec) -> str:
-    if isinstance(space, Lorentz):
-        return f"lorentz:{space.psi.label}"
-    if isinstance(space, Marcinkiewicz):
-        return f"marcinkiewicz:{space.phi.label}"
-    if isinstance(space, Orlicz):
-        return f"orlicz:{space.M.label}"
-    if isinstance(space, Lpq):
-        return f"lpq:{space.p:g}:{space.q:g}"
-    raise TypeError(f"not a space spec: {space!r}")
 
 
 def _orlicz_token(rest: str) -> Orlicz:

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rispaces import dichotomy, experiments, lorentz_operator_norm, power
+from rispaces import (Orlicz, custom_sampler, dichotomy, exp_lp, experiments, gaussian_law,
+                      lorentz_operator_norm, parse_space, power, rademacher, signed_indicator)
 from rispaces import cli
 from rispaces.cli import _CAPS, main
 from conftest import run_main
@@ -81,6 +82,20 @@ def test_norm_json_format():
     payload = json.loads(out)
     assert payload["norm"] == 0.5
     assert payload["space"] == "lorentz:power:0.5"
+
+
+def test_space_labels():
+    # each report names its space and law by the canonical token the CLI spells
+    assert cli._space_label(Orlicz(exp_lp(2))) == "orlicz:Np:2"
+    for token, label in (("lorentz:power:0.5", "lorentz:power:0.5"),
+                         ("marcinkiewicz:logpow:2", "marcinkiewicz:logpow:2"),
+                         ("orlicz:np:1.5", "orlicz:Np:1.5"), ("lpq:2:1", "lpq:2:1")):
+        assert cli._space_label(parse_space(token)) == label
+        # a label is itself a token: it parses back to a space of the same label
+        assert cli._space_label(parse_space(label)) == label
+    for spec, label in ((rademacher(), "rademacher"), (signed_indicator(0.5), "signed:0.5"),
+                        (gaussian_law(), "gaussian"), (custom_sampler([-1.0, 1.0]), "custom[2]")):
+        assert cli._sampler_label(spec) == label
 
 
 def test_opnorm_matches_library():

@@ -176,6 +176,22 @@ def test_classify_certificate_bounds_the_operator_norm(token):
         assert lorentz_operator_norm(psi, n) <= rep.C * n**rep.q
 
 
+# Known defect (ROADMAP item 2): for logpow:p, psi(ku) / psi(u) =
+# k (1 - log k / log(e/u))^(1/p) -> k as u -> 0, so condition 1 fails, ||A_n|| = n
+# and the branch is NormEqualsN.  The u -> 0 limits settle as 1 / |log u|, far
+# below the grids the sup and the limit estimators read.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="lorentz_operator_norm(logpow(2.0), 512) reads 473.0176363800324")
+def test_opnorm_of_logpow_is_n():
+    assert lorentz_operator_norm(logpow(2.0), 512) == pytest.approx(512.0, abs=1e-3)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="classify(logpow(2.0)).branch reads PowerBound")
+def test_classify_logpow_is_norm_equals_n():
+    assert classify(logpow(2.0)).branch == "NormEqualsN"
+
+
 def test_classify_linear_generator_keeps_full_norm():
     rep = classify(power(1.0))
     assert rep.branch == "NormEqualsN"

@@ -168,7 +168,7 @@ def test_sign_draws_match_numpy_samplers(monkeypatch, n):
                 monkeypatch.setattr(experiments, "_MC_CHUNK", chunk)
                 got = _draw_sums(spec, n, trials)
                 monkeypatch.undo()
-                assert np.array_equal(got, want), (spec.label(), n, trials, chunk)
+                assert np.array_equal(got, want), (spec, n, trials, chunk)
 
 
 def test_sign_draw_thresholds_at_the_edges():

@@ -30,7 +30,6 @@ from rispaces import (
     power,
     quantile_from_samples,
     rademacher_sum_norm,
-    space_label,
     space_norm,
     space_norm_from_layers,
     table,
@@ -88,6 +87,15 @@ def test_lorentz_indicator_closed_form():
         for psi, want in ((power(1.0), u), (power(0.5), math.sqrt(u))):
             got = space_norm(StepFunction.indicator(u), Lorentz(psi))
             _assert_rel(got, want, _log_space_tol(u))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the norm of the indicator of 1e-300 reads 1.0000000000000237e-300")
+def test_lorentz_norm_of_a_tiny_indicator_is_its_measure():
+    # psi(u) = u is the norm, exactly 1e-300; it comes back through exp of a
+    # log-space value and loses about |log u| ulps
+    got = space_norm(StepFunction.indicator(1e-300), Lorentz(power(1.0)))
+    _assert_rel(got, 1e-300, 4e-16)
 
 
 def test_lorentz_two_step_closed_form():
@@ -353,7 +361,6 @@ def test_parse_space_and_labels():
     for token in ("lorentz:power:0.5", "marcinkiewicz:logpow:2", "orlicz:np:2", "lpq:2:1"):
         sp = parse_space(token)
         assert space_norm(StepFunction.indicator(1.0), sp) > 0
-        assert isinstance(space_label(sp), str)
     with pytest.raises(ValueError):
         parse_space("banach:power:1")
     with pytest.raises(ValueError):
@@ -402,17 +409,7 @@ def test_records_keep_their_reprs_and_keyword_constructors():
 
 def test_objects_that_are_not_spaces_are_refused():
     with pytest.raises(TypeError, match="not a space spec"):
-        space_label(object())
-    with pytest.raises(TypeError, match="not a space spec"):
         space_norm(StepFunction.indicator(0.5), object())
-
-
-def test_space_labels():
-    assert space_label(Orlicz(exp_lp(2))) == "orlicz:Np:2"
-    for token, label in (("lorentz:power:0.5", "lorentz:power:0.5"),
-                         ("marcinkiewicz:logpow:2", "marcinkiewicz:logpow:2"),
-                         ("orlicz:np:1.5", "orlicz:Np:1.5"), ("lpq:2:1", "lpq:2:1")):
-        assert space_label(parse_space(token)) == label
 
 
 def test_layers_validation():
@@ -1049,6 +1046,18 @@ def test_orlicz_walk_norm_at_the_size_cap(p, n):
         below, above = (_mp_modular_of_the_top_layers(values, lT, p, x)
                         for x in (two_below, math.nextafter(lam, math.inf)))
         assert below > 1 >= above, (lam, below, at, above)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="at (31, 2^19) the norm reads 346898.4437139423, where the 50-digit "
+                   "modular at the float below already reads 1 - 1.2e-11")
+def test_orlicz_walk_norm_is_the_least_float_with_modular_at_most_one():
+    # the float sum of log terms near 1e6 errs by about one float step of lam,
+    # so the root can end one float above the norm
+    lam = rademacher_sum_norm(2**19, Orlicz(exp_lp(31.0)))
+    values, lT = walk_abs_layers(2**19)
+    below = math.nextafter(lam, 0.0)
+    assert _mp_modular_of_the_top_layers(values, lT, 31.0, below) > 1, (lam, below)
 
 
 def test_orlicz_root_evaluation_counts():

@@ -124,8 +124,8 @@ ORACLES = {
                                 "lpq:P:1 against lorentz:power:1/P, P in {4/3, 2, 4}, on walk "
                                 "laws, fuzzed step files and quantile functions; "
                                 "rel 1e-14 + (1 + |ln N|) 2^-51")],
-    "parse_space": ("test_norms::test_space_labels", "the label of each family's token; equality"),
-    "space_label": ("test_norms::test_space_labels", "the label of each family's token; equality"),
+    "parse_space": ("test_cli::test_space_labels",
+                    "the label of each family's token, parsed back to the same label; equality"),
     # dichotomy
     "DichotomyReport": ("test_dichotomy::test_classify_power_half",
                         "q in closed form, C from its formula; abs 1e-9, rel 1e-12"),

@@ -472,7 +472,7 @@ def test_constant_field_check_sees_one():
 
 def test_package_exports_are_pinned():
     # the oracle registry is the one list of exported names
-    assert len(rispaces.__all__) == len(set(rispaces.__all__)) == 54
+    assert len(rispaces.__all__) == len(set(rispaces.__all__)) == 53
     assert sorted(rispaces.__all__) == sorted(ORACLES)
 
 

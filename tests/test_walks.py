@@ -313,6 +313,15 @@ def test_walk_layers_hold_unit_mass(lo, hi, worst, tol):
         assert (values[-1], log_tails[-1]) == (0.0, 0.0), k + 1
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the last log-tail of walk_abs_layers(4005) reads -8.41e-12")
+def test_odd_walk_law_keeps_all_its_mass():
+    # |W_k| >= 1 surely for odd k, so the last log-tail is exactly log 1; the
+    # log-factorial error of ROADMAP item 3 makes it read below 0
+    values, log_tails = walk_abs_layers(4005)
+    assert (values[-1], log_tails[-1]) == (1.0, 0.0)
+
+
 def _walk_abs_layers_full(k):
     """The former walk layers, kept as the oracle: the whole row of k + 1 entries."""
     if k == 0:
