@@ -1,7 +1,7 @@
-"""Numeric helpers shared by the modules: ln 2, the chunk size, the elementwise runner,
-log-factorials, log-binomials, the integer check, logsumexp, finite parameters, the
-``HEAD:REST`` token grammar and the CSV reader of its path forms, all on NumPy alone so
-importing them loads no SciPy."""
+"""Numeric helpers shared by the modules: ln 2, the chunk size, the ``Inconclusive`` error,
+the elementwise runner, log-factorials, log-binomials, the integer check, logsumexp, finite
+parameters, the ``HEAD:REST`` token grammar and the CSV reader of its path forms, all on
+NumPy alone so importing them loads no SciPy."""
 
 from __future__ import annotations
 
@@ -83,6 +83,10 @@ def log_factorial(k):
 def log_binom(n, k):
     """log C(n, k) for integer-valued 0 <= k <= n; k may be a float array."""
     return log_factorial(n) - log_factorial(k) - log_factorial(n - k)
+
+
+class Inconclusive(RuntimeError):
+    """A search or draw that ran to its end without an answer: the CLI's exit 1."""
 
 
 def integer(x, low: int, message: str) -> int:

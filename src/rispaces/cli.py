@@ -6,12 +6,12 @@ tables, ``kruglov`` probes the compound-Poisson series, and ``mc`` prices a Mont
 i.i.d. sum.  The library returns values and records; this module alone spells how a report
 names them, such as its ``space`` and ``sampler`` labels, which the package does not export.
 
-Every report goes to stdout, byte for byte deterministic: floats render with repr, JSON
-sorts its keys, and every random draw is seeded (the last ``--seed``, typed or read from
-an ``@FILE``, else 0).  Exit codes: 0 on a conclusive result, 1 when a verdict is
-inconclusive, a fit is degenerate or a numerical search does not converge, 2 on usage or
-input errors.  The parser is the one source of every value a command reads, and checks
-each before any token is read; a default is its library call's.
+Every report goes to stdout, byte for byte deterministic: floats render with repr, JSON sorts
+its keys, and every random draw is seeded (the last ``--seed``, typed or read from an ``@FILE``,
+else 0).  Exit codes: 0 on a conclusive result, 1 when a verdict is inconclusive, a fit is
+degenerate or a numerical search does not converge, 2 on usage or input errors and on an
+internal error, which names its type.  The parser is the one source of every value a command
+reads, and checks each before any token is read; a default is its library call's.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import dichotomy, experiments, generators  # each report reads the rule its call applied
+from ._numeric import Inconclusive
 from .dichotomy import classify, kruglov_check, sup_indicator_ratio
 from .generators import parse_generator
 from .experiments import growth_table, mc_iid_sum_norm, parse_sampler
@@ -398,9 +399,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, RecursionError) as exc:  # RecursionError: a step file too deep
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # numerical non-convergence
+    except Inconclusive as exc:  # raised on purpose: a search or draw without an answer
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:  # anything else is an internal error, named by its type
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

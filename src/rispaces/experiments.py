@@ -24,7 +24,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._numeric import csv_rows, integer, parse_token, positive_int
+from ._numeric import Inconclusive, csv_rows, integer, parse_token, positive_int
 from .gaussian import erfc_inverse, upper_tail
 from .generators import gauss
 from .norms import (
@@ -42,10 +42,6 @@ from .walks import EXACT_MAX_STEPS, _walk_abs_chunks, walk_abs_layers, walk_dist
 
 __all__ = [
     "SamplerSpec",
-    "rademacher",
-    "signed_indicator",
-    "gaussian_law",
-    "custom_sampler",
     "parse_sampler",
     "rademacher_sum_norm",
     "mc_iid_sum_norm",
@@ -74,8 +70,8 @@ class SamplerSpec(NamedTuple("SamplerSpec", [
 
     kinds: "rademacher" (fair signs), "signed_indicator" (+-1 with mass u/2
     each, else 0), "gaussian" (standard normal), "custom" (equally likely
-    atoms from an antisymmetric quantile table).  Construction checks the
-    law, so a spec built directly is refused where the helpers below refuse.
+    atoms from an antisymmetric quantile table).  It is the one constructor of
+    a sampler and checks its law; ``parse_sampler`` is its token form.
     """
 
     __slots__ = ()
@@ -89,11 +85,16 @@ class SamplerSpec(NamedTuple("SamplerSpec", [
         if quantiles is not None and kind != "custom":
             raise ValueError(f"a {kind} sampler takes no quantiles: only custom reads it")
         if kind == "signed_indicator":
+            if np.ndim(u):
+                raise ValueError(f"indicator measure u must be one number, got shape {np.shape(u)}")
             u = math.nan if u is None else float(u)
             if not 0.0 < u <= 1.0:
                 raise ValueError("indicator measure u must lie in (0, 1]")
         if kind == "custom":
-            q = np.sort(np.asarray(() if quantiles is None else quantiles, dtype=float))
+            q = np.asarray(() if quantiles is None else quantiles, dtype=float)
+            if q.ndim != 1:
+                raise ValueError(f"custom quantiles must be one list of numbers, got shape {q.shape}")
+            q = np.sort(q)
             if q.size == 0:
                 raise ValueError("custom sampler needs at least one quantile")
             if not np.all(np.isfinite(q)):
@@ -105,30 +106,15 @@ class SamplerSpec(NamedTuple("SamplerSpec", [
         return super().__new__(cls, kind, u, quantiles, seed)
 
 
-def rademacher(seed: int = _SEED) -> SamplerSpec:
-    return SamplerSpec(kind="rademacher", seed=seed)
-
-
-def signed_indicator(u, seed: int = _SEED) -> SamplerSpec:
-    return SamplerSpec(kind="signed_indicator", u=u, seed=seed)
-
-
-def gaussian_law(seed: int = _SEED) -> SamplerSpec:
-    return SamplerSpec(kind="gaussian", seed=seed)
-
-
-def custom_sampler(quantiles: Sequence[float], seed: int = _SEED) -> SamplerSpec:
-    return SamplerSpec(kind="custom", quantiles=tuple(quantiles), seed=seed)
-
-
 def parse_sampler(token: str, seed: int = _SEED) -> SamplerSpec:
     """Mini-DSL: rademacher | signed:U | gauss | custom:CSVPATH."""
     return parse_token("sampler", token, {
-        "rademacher": lambda rest: rademacher(seed),
-        "signed": lambda rest: signed_indicator(float(rest), seed),
-        "gauss": lambda rest: gaussian_law(seed),
-        "gaussian": lambda rest: gaussian_law(seed),
-        "custom": lambda rest: custom_sampler([row[0] for row in csv_rows(rest, 1)], seed),
+        "rademacher": lambda rest: SamplerSpec("rademacher", seed=seed),
+        "signed": lambda rest: SamplerSpec("signed_indicator", u=float(rest), seed=seed),
+        "gauss": lambda rest: SamplerSpec("gaussian", seed=seed),
+        "gaussian": lambda rest: SamplerSpec("gaussian", seed=seed),
+        "custom": lambda rest: SamplerSpec(
+            "custom", quantiles=[row[0] for row in csv_rows(rest, 1)], seed=seed),
     }, paths=("custom",))
 
 
@@ -210,7 +196,7 @@ def mc_iid_sum_norm(
     Draws the sums, compresses |sums| to an m-piece equal-measure quantile
     step function, and evaluates the space norm on it.  Raises ValueError
     before any draw if a custom law's n-fold sum can pass the float range, and
-    RuntimeError if every sum is 0 though the law is not.
+    Inconclusive if every sum is 0 though the law is not.
     """
     n = positive_int(n)
     trials = integer(trials, 1000, "need trials >= 1000")
@@ -221,7 +207,7 @@ def mc_iid_sum_norm(
             raise ValueError(f"a sum of n = {n} draws of atom {top!r} can pass the float range")
     sums = _draw_sums(sampler, n, trials)
     if not sums.any() and (sampler.kind != "custom" or any(sampler.quantiles)):
-        raise RuntimeError(f"every one of {trials} trials drew a sum of 0 at n = {n}; "
+        raise Inconclusive(f"every one of {trials} trials drew a sum of 0 at n = {n}; "
                            "the law is not 0, so more trials are needed")
     return space_norm(quantile_from_samples(sums, m), space)
 
@@ -360,7 +346,7 @@ def fit_growth(pairs: Iterable[Tuple[int, float]]) -> GrowthFit:
     lv = np.log([v for _, v in fitted])
     q, logC = np.polyfit(ln, lv, 1)
     if logC > math.log(np.finfo(float).max):
-        raise RuntimeError(f"the fitted constant C = exp({logC:.6g}) is past the float range")
+        raise Inconclusive(f"the fitted constant C = exp({logC:.6g}) is past the float range")
     C = math.exp(logC)
     residual = float(np.max(np.abs(np.exp(q * ln + logC - lv) - 1.0)))
     vals = [v for _, v in fitted]

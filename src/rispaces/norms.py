@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple, Tuple, Union
 
 import numpy as np
 
-from ._numeric import CHUNK, LN2, elementwise, finite_float, logsumexp, parse_token
+from ._numeric import CHUNK, LN2, Inconclusive, elementwise, finite_float, logsumexp, parse_token
 from ._search import golden_max_vec
 from .generators import ConcaveGenerator, parse_generator
 from .stepfn import StepFunction
@@ -39,7 +39,6 @@ __all__ = [
     "Lpq",
     "SpaceSpec",
     "exp_lp",
-    "lpq_norm",
     "space_norm",
     "space_norm_from_layers",
     "parse_space",
@@ -321,7 +320,7 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: exp_lp) -> float:
         terms += ll
         L = float(logsumexp(terms, out=u))
         if math.isnan(L):
-            raise RuntimeError("Orlicz modular evaluated to NaN: degenerate M")
+            raise Inconclusive("Orlicz modular evaluated to NaN: degenerate M")
         if abs(L) <= 1e-13:
             return lam
         if L > 0.0:
@@ -371,7 +370,7 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: exp_lp) -> float:
                 nxt = 0.5 * (lo + hi)
             move = abs(math.log(nxt / lam))
         before, last, lam = last, move, nxt
-    raise RuntimeError("Orlicz root search failed after 200 iterations: degenerate M")
+    raise Inconclusive("Orlicz root search failed after 200 iterations: degenerate M")
 
 
 def _lpq_core(chunks: Iterable[Layers], size: int, p: float, q: float) -> float:
@@ -442,11 +441,6 @@ def space_norm(f: StepFunction, space: SpaceSpec) -> float:
     """
     layers = _layers_from_step(f)
     return _price([layers], layers[0].size, space)
-
-
-def lpq_norm(f: StepFunction, p: float, q: float) -> float:
-    """``space_norm(f, Lpq(p, q))``."""
-    return space_norm(f, Lpq(p, q))
 
 
 def space_norm_from_layers(values, log_tails, space: SpaceSpec) -> float:

@@ -15,6 +15,7 @@ from rispaces import (
     Lpq,
     Marcinkiewicz,
     Orlicz,
+    SamplerSpec,
     StepFunction,
     classify,
     exp_lp,
@@ -26,12 +27,9 @@ from rispaces import (
     kruglov_check,
     logpow,
     lorentz_operator_norm,
-    lpq_norm,
     mc_iid_sum_norm,
     power,
-    rademacher,
     rademacher_sum_norm,
-    signed_indicator,
     signed_indicator_sum_expectation,
     signed_indicator_sum_tail,
     space_norm,
@@ -226,7 +224,7 @@ def test_criterion_8_property_suites():
     for sp in spaces:
         for n in (4, 16, 64):
             exact = rademacher_sum_norm(n, sp)
-            vals = [mc_iid_sum_norm(rademacher(seed=s), n, sp, trials=20_000, m=20_000)
+            vals = [mc_iid_sum_norm(SamplerSpec("rademacher", seed=s), n, sp, trials=20_000, m=20_000)
                     for s in range(6)]
             se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
             mc_ok = mc_ok and abs(float(np.mean(vals)) - exact) <= 3.0 * se
@@ -256,7 +254,7 @@ def test_criterion_9_lpq_consistency():
         (Fraction(9, 16), 4.0, 4.0),
     ]
     exact_ok = all(
-        abs(lpq_norm(StepFunction.indicator(u), p, q) - float(u) ** (1.0 / p))
+        abs(space_norm(StepFunction.indicator(u), Lpq(p, q)) - float(u) ** (1.0 / p))
         <= 1e-12 * float(u) ** (1.0 / p)
         for u, p, q in triples
     )
@@ -264,7 +262,7 @@ def test_criterion_9_lpq_consistency():
         Lpq(1.5, 1.2),
         ns=[16, 32, 64, 128, 256],
         mode="mc",
-        sampler=signed_indicator(0.5, seed=11),
+        sampler=SamplerSpec("signed_indicator", u=0.5, seed=11),
         trials=20_000,
         m=2048,
     )

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rispaces import (Orlicz, custom_sampler, dichotomy, exp_lp, experiments, gaussian_law,
-                      lorentz_operator_norm, parse_space, power, rademacher, signed_indicator)
+from rispaces import (Orlicz, SamplerSpec, dichotomy, exp_lp, experiments, lorentz_operator_norm,
+                      parse_space, power)
 from rispaces import cli
 from rispaces.cli import _CAPS, main
 from conftest import run_main
@@ -93,8 +93,10 @@ def test_space_labels():
         assert cli._space_label(parse_space(token)) == label
         # a label is itself a token: it parses back to a space of the same label
         assert cli._space_label(parse_space(label)) == label
-    for spec, label in ((rademacher(), "rademacher"), (signed_indicator(0.5), "signed:0.5"),
-                        (gaussian_law(), "gaussian"), (custom_sampler([-1.0, 1.0]), "custom[2]")):
+    for spec, label in ((SamplerSpec("rademacher"), "rademacher"),
+                        (SamplerSpec("signed_indicator", u=0.5), "signed:0.5"),
+                        (SamplerSpec("gaussian"), "gaussian"),
+                        (SamplerSpec("custom", quantiles=[-1.0, 1.0]), "custom[2]")):
         assert cli._sampler_label(spec) == label
 
 
@@ -425,7 +427,8 @@ def test_every_experiment_option_has_an_argument_file_line(tmp_path):
 
 
 def test_cli_defaults_are_the_library_defaults():
-    # the parser restates these defaults; each must stay the one its library call has
+    # guards that each option default is read through cli._default, from the library call
+    # the option feeds
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
 
@@ -933,6 +936,40 @@ def test_step_file_nested_too_deep_exits_two(tmp_path):
     code, out, err = run_main("norm", "--space", "lpq:2:1", "--step", str(step))
     assert (code, out) == (2, "")
     assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc, line", [
+    (RuntimeError("boom"), "error: RuntimeError: boom\n"),
+    (NotImplementedError("no such core"), "error: NotImplementedError: no such core\n"),
+], ids=["runtime", "not-implemented"])
+def test_an_unexpected_runtime_error_is_an_internal_error(monkeypatch, exc, line):
+    # only a _numeric.Inconclusive reads as "inconclusive"; any other RuntimeError is a
+    # fault of the program, one line that names its type
+    def fail(*args):
+        raise exc
+    monkeypatch.setattr(cli, "space_norm", fail)
+    assert run_main("norm", "--space", "lpq:2:1", "--indicator", "1/4") == (2, "", line)
+
+
+@pytest.mark.parametrize("log_fn, line", [
+    (lambda self, u: u * math.nan, "Orlicz modular evaluated to NaN: degenerate M"),
+    # log M = 1 holds the modular at e / 4 < 1 for every lam, so no bracket closes
+    (lambda self, u: u * 0.0 + 1.0, "Orlicz root search failed after 200 iterations: degenerate M"),
+], ids=["nan", "constant"])
+def test_a_degenerate_orlicz_root_is_inconclusive(monkeypatch, log_fn, line):
+    monkeypatch.setattr(exp_lp, "log_fn", log_fn)
+    code, out, err = run_main("norm", "--space", "orlicz:np:2", "--indicator", "1/4")
+    assert (code, out, err) == (1, "", f"inconclusive: {line}\n")
+
+
+def test_a_fitted_constant_past_the_float_range_is_inconclusive(tmp_path):
+    (tmp_path / "atoms.csv").write_text("-1e300\n1e300\n")
+    code, out, err = run_main("growth", "--space", "lorentz:power:0.01", "--ns", "1,2,61,62",
+                              "--mode", "mc", "--sampler", f"custom:{tmp_path}/atoms.csv",
+                              "--trials", "1000", "--m", "256")
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"inconclusive: the fitted constant C = exp\(\S+\) is past the float "
+                        r"range\n", err)
 
 
 def test_orlicz_root_at_float_resolution_is_the_norm(child_env):

@@ -13,19 +13,15 @@ from rispaces import (
     Marcinkiewicz,
     SamplerSpec,
     StepFunction,
-    custom_sampler,
     fit_growth,
     gamma_iid_endpoint,
-    gaussian_law,
     gaussian_selfsimilarity_check,
     growth_table,
     logpow,
     mc_iid_sum_norm,
     parse_sampler,
     power,
-    rademacher,
     rademacher_sum_norm,
-    signed_indicator,
     space_norm,
     walk_distribution,
 )
@@ -41,15 +37,15 @@ from test_norms import ALL_SPACES
 
 def test_sampler_validation():
     with pytest.raises(ValueError):
-        signed_indicator(0.0)
+        SamplerSpec("signed_indicator", u=0.0)
     with pytest.raises(ValueError):
-        signed_indicator(1.5)
+        SamplerSpec("signed_indicator", u=1.5)
     with pytest.raises(ValueError):
-        custom_sampler([1.0, 2.0])
+        SamplerSpec("custom", quantiles=[1.0, 2.0])
     with pytest.raises(ValueError):
-        custom_sampler([])
-    custom_sampler([-2.0, -1.0, 1.0, 2.0])
-    # the type checks its own law: a direct construction meets the helpers' checks
+        SamplerSpec("custom", quantiles=[])
+    SamplerSpec("custom", quantiles=[-2.0, -1.0, 1.0, 2.0])
+    # the one constructor checks its own law
     refused = [
         (dict(kind="weird"), "unknown sampler kind 'weird'"),
         (dict(kind="signed_indicator"), r"u must lie in \(0, 1\]"),
@@ -63,22 +59,33 @@ def test_sampler_validation():
          "^a gaussian sampler takes no quantiles: only custom reads it$"),
         (dict(kind="signed_indicator", u=0.5, quantiles=(1.0, -1.0)),
          "^a signed_indicator sampler takes no quantiles"),
+        # a field of the wrong shape raised TypeError or NumPy's AxisError, or read a row
+        # as a law that is not symmetric
+        (dict(kind="custom", quantiles=[[1.0], [-1.0]]),
+         r"^custom quantiles must be one list of numbers, got shape \(2, 1\)$"),
+        (dict(kind="custom", quantiles=[[1.0, -1.0]]),
+         r"^custom quantiles must be one list of numbers, got shape \(1, 2\)$"),
+        (dict(kind="custom", quantiles="12"),
+         r"^custom quantiles must be one list of numbers, got shape \(\)$"),
+        (dict(kind="signed_indicator", u=np.array([0.5])),
+         r"^indicator measure u must be one number, got shape \(1,\)$"),
     ] + [(dict(kind="signed_indicator", u=u), r"u must lie in \(0, 1\]")
          for u in (0.0, 5.0, math.nan)]
     for kwargs, message in refused:
         with pytest.raises(ValueError, match=message):
             SamplerSpec(**kwargs)
-    assert SamplerSpec(kind="custom", quantiles=(2.0, -2.0)) == custom_sampler([-2.0, 2.0])
+    assert SamplerSpec(kind="custom", quantiles=(2.0, -2.0)) == SamplerSpec(
+        "custom", quantiles=[-2.0, 2.0])
 
 
 def test_sampler_refuses_a_bad_seed():
     # NumPy refuses these only at the first draw, or fails there with a TypeError
     for seed in (-5, 1.5, True, "3", None):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-            rademacher(seed)
+            SamplerSpec("rademacher", seed=seed)
     with pytest.raises(ValueError, match="got -5"):
         parse_sampler("rademacher", -5)
-    assert rademacher(np.int64(3)).seed == 3
+    assert SamplerSpec("rademacher", seed=np.int64(3)).seed == 3
 
 
 def test_parse_sampler(tmp_path):
@@ -103,7 +110,7 @@ def test_custom_file_may_start_with_a_header(tmp_path):
 
 
 def test_draws_deterministic_and_independent_of_batching():
-    s = signed_indicator(0.5, seed=7)
+    s = SamplerSpec("signed_indicator", u=0.5, seed=7)
     a = _draw_sums(s, 8, 3000)
     b = _draw_sums(s, 8, 3000)
     assert np.array_equal(a, b)
@@ -114,14 +121,15 @@ def test_draws_deterministic_and_independent_of_batching():
 
 def test_draw_distributions_match_laws():
     n, trials = 1, 200_000
-    r = _draw_sums(rademacher(seed=1), n, trials)
+    r = _draw_sums(SamplerSpec("rademacher", seed=1), n, trials)
     assert set(np.unique(r)) == {-1.0, 1.0}
     assert abs(r.mean()) < 4.0 / math.sqrt(trials)
-    s = _draw_sums(signed_indicator(0.25, seed=2), n, trials)
+    s = _draw_sums(SamplerSpec("signed_indicator", u=0.25, seed=2), n, trials)
     assert abs(float(np.mean(s == 0.0)) - 0.75) < 0.005
-    g = _draw_sums(gaussian_law(seed=3), n, trials)
+    g = _draw_sums(SamplerSpec("gaussian", seed=3), n, trials)
     assert abs(g.std() - 1.0) < 0.01
-    c = _draw_sums(custom_sampler([-2.0, -1.0, 1.0, 2.0], seed=4), n, trials)
+    c = _draw_sums(SamplerSpec("custom", quantiles=[-2.0, -1.0, 1.0, 2.0], seed=4), n,
+                   trials)
     assert set(np.unique(c)) == {-2.0, -1.0, 1.0, 2.0}
     assert abs(float(np.mean(np.abs(c) == 2.0)) - 0.5) < 0.005
 
@@ -153,8 +161,8 @@ def _old_draw_sums(spec, n, trials, chunk=2**22):
     return out
 
 
-SIGN_LAWS = [rademacher(seed=21)] + [
-    signed_indicator(u, seed=22) for u in (1.0, 0.5, 1.0 / 3.0, 1e-9)
+SIGN_LAWS = [SamplerSpec("rademacher", seed=21)] + [
+    SamplerSpec("signed_indicator", u=u, seed=22) for u in (1.0, 0.5, 1.0 / 3.0, 1e-9)
 ]
 
 
@@ -176,10 +184,11 @@ def test_sign_draw_thresholds_at_the_edges():
     # while the largest double below 1 draws -1 and 0.0 draws +1; a seeded
     # stream gives exactly 0.5 with chance 2^-53 per draw, so a stub feeds them
     rolls = SimpleNamespace(random=lambda shape: np.reshape([0.5, 1.0 - 2.0**-53, 0.0], shape))
-    assert _row_sums(signed_indicator(1.0), rolls, 3, 1).tolist() == [0, -1, 1]
+    spec = SamplerSpec("signed_indicator", u=1.0)
+    assert _row_sums(spec, rolls, 3, 1).tolist() == [0, -1, 1]
     # u = 1e-17: 1 - u/2 rounds to 1, so no draw can be -1
     assert 1.0 - 1e-17 / 2.0 == 1.0
-    spec = signed_indicator(1e-17, seed=1)
+    spec = SamplerSpec("signed_indicator", u=1e-17, seed=1)
     assert np.array_equal(_draw_sums(spec, 4, 1000), _old_draw_sums(spec, 4, 1000))
 
 
@@ -221,7 +230,8 @@ def test_mc_matches_exact_within_three_standard_errors():
         for n in (4, 16, 64):
             exact = rademacher_sum_norm(n, sp)
             vals = [
-                mc_iid_sum_norm(rademacher(seed=s), n, sp, trials=20_000, m=20_000)
+                mc_iid_sum_norm(SamplerSpec("rademacher", seed=s), n, sp, trials=20_000,
+                                m=20_000)
                 for s in range(6)
             ]
             mean = float(np.mean(vals))
@@ -235,8 +245,8 @@ def test_mc_custom_two_atom_law_matches_rademacher():
         for n in (4, 16):
             exact = rademacher_sum_norm(n, sp)
             vals = [
-                mc_iid_sum_norm(custom_sampler([-1.0, 1.0], seed=s), n, sp,
-                                trials=20_000, m=20_000)
+                mc_iid_sum_norm(SamplerSpec("custom", quantiles=[-1.0, 1.0], seed=s), n,
+                                sp, trials=20_000, m=20_000)
                 for s in range(6)
             ]
             mean = float(np.mean(vals))
@@ -246,17 +256,17 @@ def test_mc_custom_two_atom_law_matches_rademacher():
 
 def test_mc_deterministic():
     sp = Lpq(2.0, 1.0)
-    a = mc_iid_sum_norm(rademacher(seed=5), 8, sp, trials=2000, m=256)
-    b = mc_iid_sum_norm(rademacher(seed=5), 8, sp, trials=2000, m=256)
+    a = mc_iid_sum_norm(SamplerSpec("rademacher", seed=5), 8, sp, trials=2000, m=256)
+    b = mc_iid_sum_norm(SamplerSpec("rademacher", seed=5), 8, sp, trials=2000, m=256)
     assert a == b
 
 
 def test_mc_validation():
     sp = Lorentz(power(1.0))
     with pytest.raises(ValueError):
-        mc_iid_sum_norm(rademacher(), 4, sp, trials=500)
+        mc_iid_sum_norm(SamplerSpec("rademacher"), 4, sp, trials=500)
     with pytest.raises(ValueError):
-        mc_iid_sum_norm(rademacher(), 4, sp, trials=2000, m=16)
+        mc_iid_sum_norm(SamplerSpec("rademacher"), 4, sp, trials=2000, m=16)
 
 
 # --------------------------------------------------- Gaussian self-similarity

@@ -23,7 +23,6 @@ from rispaces import (
     StepFunction,
     exp_lp,
     logpow,
-    lpq_norm,
     parse_generator,
     parse_sampler,
     parse_space,
@@ -199,21 +198,21 @@ def test_lpq_indicator_closed_form():
         (Fraction(1), 2.0, 1.0, 1.0),
     ]
     for u, p, q, expect in cases:
-        got = lpq_norm(StepFunction.indicator(u), p, q)
+        got = space_norm(StepFunction.indicator(u), Lpq(p, q))
         assert got == pytest.approx(expect, rel=1e-12)
     for u in _TINY_U:
-        _assert_rel(lpq_norm(StepFunction.indicator(u), 2.0, 1.0), math.sqrt(u),
+        _assert_rel(space_norm(StepFunction.indicator(u), Lpq(2.0, 1.0)), math.sqrt(u),
                     _log_space_tol(u))
 
 
 def test_lpq_parameter_validation():
     f = StepFunction.indicator(0.5)
     with pytest.raises(ValueError):
-        lpq_norm(f, 1.0, 1.0)
+        space_norm(f, Lpq(1.0, 1.0))
     with pytest.raises(ValueError):
-        lpq_norm(f, 2.0, 0.5)
+        space_norm(f, Lpq(2.0, 0.5))
     # q = 1 is allowed
-    lpq_norm(f, 2.0, 1.0)
+    space_norm(f, Lpq(2.0, 1.0))
 
 
 def test_zero_function_has_zero_norm():

@@ -7,6 +7,7 @@ from scipy import special
 
 from rispaces import (
     Lpq,
+    SamplerSpec,
     classify,
     erfc_inverse,
     erfc_inverse_log,
@@ -25,7 +26,6 @@ from rispaces import (
     mc_iid_sum_norm,
     power,
     quantile_from_samples,
-    rademacher,
     rademacher_sum_norm,
     signed_indicator_sum_log_tails,
     signed_indicator_sum_tail,
@@ -182,7 +182,8 @@ _INTEGER_SITES = [
     (lambda n: lorentz_operator_norm(_PSI, n), 1, _N, 4),
     (lambda n: signed_indicator_sum_log_tails(n, 0.5).tolist(), 1, _N, 8),
     (lambda n: limsup_tail_sum_ratio(_PSI, n), 1, _N, 4),
-    (lambda n: mc_iid_sum_norm(rademacher(), n, _SPACE, trials=1000, m=256), 1, _N, 4),
+    (lambda n: mc_iid_sum_norm(SamplerSpec("rademacher"), n, _SPACE, trials=1000, m=256), 1,
+     _N, 4),
     (gaussian_selfsimilarity_check, 1, _N, 2),
     (walk_distribution, 0, "^step count must be nonnegative$", 64),
     (lambda k: [a.tolist() for a in walk_abs_layers(k)], 0,
@@ -196,11 +197,12 @@ _INTEGER_SITES = [
     (lambda N: kruglov_check(_PSI, num_terms=N), 4,
      "^num_terms must allow an N/4 checkpoint$", 64),
     (lambda n: classify(_PSI, n_list=(n,)), 1, _N, 2),
-    (rademacher, 0, r"^seed must be a non-negative integer, got \S+$", 3),
-    (lambda t: mc_iid_sum_norm(rademacher(), 4, _SPACE, trials=t, m=256), 1000,
-     "^need trials >= 1000$", 1000),
-    (lambda m: mc_iid_sum_norm(rademacher(), 4, _SPACE, trials=1000, m=m), 256,
-     "^need m >= 256 quantile pieces$", 256),
+    (lambda s: SamplerSpec("rademacher", seed=s), 0,
+     r"^seed must be a non-negative integer, got \S+$", 3),
+    (lambda t: mc_iid_sum_norm(SamplerSpec("rademacher"), 4, _SPACE, trials=t, m=256),
+     1000, "^need trials >= 1000$", 1000),
+    (lambda m: mc_iid_sum_norm(SamplerSpec("rademacher"), 4, _SPACE, trials=1000, m=m),
+     256, "^need m >= 256 quantile pieces$", 256),
     (lambda g: gaussian_selfsimilarity_check(2, grid_size=g), 2**10,
      r"^grid_size \S+ cannot resolve the tails; need >= 1024$", 2**10),
     (lambda n: growth_table(_SPACE, [n, 8, 16, 32]), 1, "^sizes must be positive$", 2),

@@ -106,16 +106,14 @@ ORACLES = {
     "Lpq": [("test_norms::test_lpq_indicator_closed_form",
              "u^(1/p); rel 1e-12, and (1 + |ln u|) 2^-52 for u down to 2^-1074"),
             ("test_walks::test_two_cores_price_the_walk_alike",
-             "lpq:2:1 against lorentz:power:0.5 on walk laws to 2^20 steps; rel 1e-14")],
+             "lpq:2:1 against lorentz:power:0.5 on walk laws to 2^20 steps; rel 1e-14"),
+            ("test_norms::test_lpq_norm_does_not_increase_in_q",
+             "lpq:P:q falls as q runs from 1 to 16, P in {4/3, 2, 4}, on walk laws of "
+             "2^10 to 2^16 steps, fuzzed step files and quantile functions; rel 1e-12")],
     "SpaceSpec": ("test_norms::test_three_route_agreement_on_walk_laws",
                   "exact, float and layered routes agree in all four families; rel 1e-9"),
     "exp_lp": ("test_norms::test_orlicz_root_modular_residual_in_high_precision",
                "the modular at the norm, in 50-digit arithmetic; |modular - 1| <= 1e-12"),
-    "lpq_norm": [("test_norms::test_lpq_indicator_closed_form",
-                  "u^(1/p); rel 1e-12, and (1 + |ln u|) 2^-52 for u down to 2^-1074"),
-                 ("test_norms::test_lpq_norm_does_not_increase_in_q",
-                  "lpq:P:q falls as q runs from 1 to 16, P in {4/3, 2, 4}, on walk laws of "
-                  "2^10 to 2^16 steps, fuzzed step files and quantile functions; rel 1e-12")],
     "space_norm": ("test_norms::test_lorentz_two_step_closed_form",
                    "the Stieltjes sum by hand; rel 1e-13"),
     "space_norm_from_layers": [("test_norms::test_three_route_agreement_on_walk_laws",
@@ -158,17 +156,16 @@ ORACLES = {
     "kruglov_check": ("test_dichotomy::test_kruglov_check_matches_full_array_oracle",
                       "the full-array walk; equal repr"),
     # experiments
-    "SamplerSpec": ("test_experiments::test_parse_sampler", "the fields of each token; equality"),
+    "SamplerSpec": [("test_experiments::test_parse_sampler", "the fields of each token; equality"),
+                    ("test_experiments::test_sign_draws_match_numpy_samplers",
+                     "rademacher and signed_indicator: NumPy's own sampler on the same stream; "
+                     "bit-equal"),
+                    ("test_experiments::test_draw_distributions_match_laws",
+                     "gaussian: unit standard deviation; abs 0.01 over 2e5 draws"),
+                    ("test_experiments::test_mc_custom_two_atom_law_matches_rademacher",
+                     "custom [-1, 1]: the exact Rademacher norm; 3 standard errors")],
     "parse_sampler": ("test_experiments::test_parse_sampler",
                       "the fields of each token; equality"),
-    "rademacher": ("test_experiments::test_sign_draws_match_numpy_samplers",
-                   "NumPy's own sampler on the same stream; bit-equal"),
-    "signed_indicator": ("test_experiments::test_sign_draws_match_numpy_samplers",
-                         "NumPy's own sampler on the same stream; bit-equal"),
-    "gaussian_law": ("test_experiments::test_draw_distributions_match_laws",
-                     "unit standard deviation; abs 0.01 over 2e5 draws"),
-    "custom_sampler": ("test_experiments::test_mc_custom_two_atom_law_matches_rademacher",
-                       "the exact Rademacher norm; 3 standard errors"),
     "rademacher_sum_norm": [("test_experiments::test_rademacher_sum_norm_small_is_exact_law_norm",
                              "the exact walk law priced directly; rel 1e-12"),
                             ("test_walks::test_walk_norms_match_running_binomial",

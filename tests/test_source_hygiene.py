@@ -1,13 +1,13 @@
-"""Guards for deletions: no module or tool keeps an import nothing uses, no module
-imports SciPy or reads the environment, none but the CLI touches the garbage
-collector, every private name and public method has a caller, one module holds the
-chunk size, the integer checks, the token errors and the CSV reader, one helper each
-holds the layer rule and the Cephes rational step, one function refuses a norm past the
-float range and one checks layers from outside, every file the package opens is read
-and decoded one way, no literal default is written in two signatures, no module binds
-a name twice, the records are NamedTuples but one and none is built with a module
-constant, the package exports exactly the names in ``test_oracles.ORACLES`` and the
-CLI has a pinned number of options."""
+"""Guards for deletions: no module or tool keeps an import nothing uses, no module imports
+SciPy or reads the environment, none but the CLI touches the garbage collector, every
+private name and public method has a caller, one module holds the chunk size, the
+integer checks, the token errors and the CSV reader, one helper each holds the layer
+rule and the Cephes rational step, one function refuses a norm past the float range and
+one checks layers from outside, no module raises a bare RuntimeError, every file the
+package opens is read and decoded one way, no literal default is written in two
+signatures, no module binds a name twice, the records are NamedTuples but one and none
+is built with a module constant, the package exports exactly the names in
+``test_oracles.ORACLES`` and the CLI has a pinned number of options."""
 
 import argparse
 import ast
@@ -172,6 +172,24 @@ def test_only_rational_divides_by_a_cephes_denominator():
 def _spellings(texts, phrase):
     """{module: count} for each module text that spells ``phrase``."""
     return {name: text.count(phrase) for name, text in texts.items() if phrase in text}
+
+
+_BARE_RUNTIME_ERROR = r"\braise\s+RuntimeError\b"
+
+
+def test_no_module_raises_a_bare_runtime_error():
+    # the CLI reads a RuntimeError as an internal error, exit 2, unless it is a
+    # _numeric.Inconclusive, which every search or draw without an answer raises
+    holders = sorted(p.name for p in SRC.glob("*.py")
+                     if re.search(_BARE_RUNTIME_ERROR, p.read_text()))
+    assert holders == []
+
+
+def test_bare_runtime_error_check_sees_one():
+    assert re.search(_BARE_RUNTIME_ERROR, 'raise RuntimeError("stalled")')
+    assert re.search(_BARE_RUNTIME_ERROR, "    raise RuntimeError")
+    assert not re.search(_BARE_RUNTIME_ERROR, 'raise Inconclusive("stalled")')
+    assert not re.search(_BARE_RUNTIME_ERROR, "except RuntimeError as exc:")
 
 
 def test_only_price_refuses_a_norm_past_the_float_range():
@@ -472,7 +490,7 @@ def test_constant_field_check_sees_one():
 
 def test_package_exports_are_pinned():
     # the oracle registry is the one list of exported names
-    assert len(rispaces.__all__) == len(set(rispaces.__all__)) == 53
+    assert len(rispaces.__all__) == len(set(rispaces.__all__)) == 48
     assert sorted(rispaces.__all__) == sorted(ORACLES)
 
 
