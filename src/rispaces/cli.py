@@ -5,6 +5,8 @@ averaged-operator norm, ``classify`` runs the growth dichotomy, ``growth`` fits 
 tables, ``kruglov`` probes the compound-Poisson series, and ``mc`` prices a Monte Carlo
 i.i.d. sum.  The library returns values and records; this module alone spells how a report
 names them, such as its ``space`` and ``sampler`` labels, which the package does not export.
+A handler returns a report as its payload, the JSON, and its lines, the text or growth's CSV;
+``main`` adds the payload's ``command`` key and writes one of the two.
 
 Every report goes to stdout, byte for byte deterministic: floats render with repr, JSON sorts
 its keys, and every random draw is seeded (the last ``--seed``, typed or read from an ``@FILE``,
@@ -17,10 +19,8 @@ reads, and checks each before any token is read; a default is its library call's
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import inspect
-import io
 import json
 import math
 import sys
@@ -133,7 +133,7 @@ def _sampler_label(spec) -> str:  # a custom law of N atoms reads custom[N]
 # ------------------------------------------------------------------- handlers
 
 
-def _cmd_norm(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
+def _cmd_norm(args) -> Tuple[dict, List[str], int]:
     space = parse_space(args.space)
     if args.indicator is not None:
         f = StepFunction.indicator(args.indicator)
@@ -141,31 +141,29 @@ def _cmd_norm(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
         with open(args.step, encoding="utf-8-sig") as fh:
             f = StepFunction.from_json_dict(json.load(fh))
     value = space_norm(f, space)
-    payload = {"command": "norm", "space": _space_label(space), "norm": value}
-    return payload, [_fmt(value)], None, 0
+    payload = {"space": _space_label(space), "norm": value}
+    return payload, [_fmt(value)], 0
 
 
-def _cmd_mc(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
+def _cmd_mc(args) -> Tuple[dict, List[str], int]:
     space = parse_space(args.space)
     sampler = parse_sampler(args.sampler, args.seed)
     value = mc_iid_sum_norm(sampler, args.n, space, trials=args.trials, m=args.m)
-    payload = {"command": "mc", "space": _space_label(space), "sampler": _sampler_label(sampler),
-               "n": args.n, "trials": args.trials, "m": args.m, "seed": args.seed,
-               "norm": value}
-    return payload, [_fmt(value)], None, 0
+    payload = {"space": _space_label(space), "sampler": _sampler_label(sampler),
+               "n": args.n, "trials": args.trials, "m": args.m, "seed": args.seed, "norm": value}
+    return payload, [_fmt(value)], 0
 
 
-def _cmd_opnorm(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
+def _cmd_opnorm(args) -> Tuple[dict, List[str], int]:
     psi = parse_generator(args.psi)
     sup = sup_indicator_ratio(psi, args.n, j_max=args.j_max)
     value = args.n * sup  # lorentz_operator_norm, without a second search
-    payload = {"command": "opnorm", "psi": args.psi, "n": args.n, "j_max": args.j_max,
-               "opnorm": value, "sup_ratio": sup}
+    payload = {"psi": args.psi, "n": args.n, "j_max": args.j_max, "opnorm": value, "sup_ratio": sup}
     lines = [
         f"||A_n|| = {_fmt(value)}   (n = {args.n}, psi = {args.psi})",
         f"sup ratio = {_fmt(sup)}   [u-grid j <= {args.j_max} + golden refine]",
     ]
-    return payload, lines, None, 0
+    return payload, lines, 0
 
 
 def _estimate_line(label: str, est, j_max: int) -> str:
@@ -176,12 +174,11 @@ def _estimate_line(label: str, est, j_max: int) -> str:
     )
 
 
-def _cmd_classify(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
+def _cmd_classify(args) -> Tuple[dict, List[str], int]:
     psi = parse_generator(args.psi)
     report = classify(psi, n_list=args.n_list, j_max=args.j_max)
     kruglov = kruglov_check(psi) if args.with_kruglov else None
-    payload = {"command": "classify", "psi": args.psi, "kruglov": _jsonable(kruglov),
-               "margin": dichotomy._MARGIN}
+    payload = {"psi": args.psi, "kruglov": _jsonable(kruglov), "margin": dichotomy._MARGIN}
     payload.update(_jsonable(report))
     for est in (*payload["a_estimates"].values(), *payload["c_estimates"].values()):
         est.update(window=generators._WINDOW, j_max=args.j_max, grid_min=2.0**-args.j_max)
@@ -211,7 +208,7 @@ def _cmd_classify(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int
         lines.append(f"failed strictness: {report.failing_condition} condition")
     if kruglov is not None:
         lines.extend(_kruglov_lines(kruglov))
-    return payload, lines, None, 1 if report.inconclusive else 0
+    return payload, lines, 1 if report.inconclusive else 0
 
 
 def _kruglov_lines(verdict) -> List[str]:
@@ -229,16 +226,16 @@ def _kruglov_lines(verdict) -> List[str]:
     return [head, detail]
 
 
-def _cmd_kruglov(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
+def _cmd_kruglov(args) -> Tuple[dict, List[str], int]:
     phi = parse_generator(args.psi)
     verdict = kruglov_check(phi, num_terms=args.max_terms)
-    payload = {"command": "kruglov", "psi": args.psi, "threshold": dichotomy._THRESHOLD}
+    payload = {"psi": args.psi, "threshold": dichotomy._THRESHOLD}
     payload.update(_jsonable(verdict))
     lines = _kruglov_lines(verdict)
-    return payload, lines, None, 1 if verdict.inconclusive else 0
+    return payload, lines, 1 if verdict.inconclusive else 0
 
 
-def _cmd_growth(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
+def _cmd_growth(args) -> Tuple[dict, List[str], int]:
     space = parse_space(args.space)
     # exact mode prices the walk law: like --trials and --m, --sampler goes unread
     mc = args.mode == "mc"
@@ -246,7 +243,6 @@ def _cmd_growth(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
     fit = growth_table(space, args.ns, mode=args.mode, sampler=sampler,
                        trials=args.trials, m=args.m)
     payload = {
-        "command": "growth",
         "space": _space_label(space),
         "mode": args.mode,
         "sampler": None if sampler is None else _sampler_label(sampler),
@@ -263,10 +259,11 @@ def _cmd_growth(args) -> Tuple[dict, List[str], Optional[List[List[str]]], int]:
         f"[residual {_fmt(fit.residual)}, burn-in {experiments._BURN_IN}]"
     )
     lines.append("status: " + ("DEGENERATE (power fit unreliable)" if fit.degenerate else "ok"))
-    rows = [["n", "value", "fit_q", "fit_C", "residual"]]
-    for n, v in fit.pairs:
-        rows.append([str(n), _fmt(v), _fmt(fit.q), _fmt(fit.C), _fmt(fit.residual)])
-    return payload, lines, rows, 1 if fit.degenerate else 0
+    if args.format == "csv":  # no cell holds a comma, a quote or a newline, so a join is CSV
+        fit_cells = f"{_fmt(fit.q)},{_fmt(fit.C)},{_fmt(fit.residual)}"
+        lines = ["n,value,fit_q,fit_C,residual"]
+        lines += [f"{n},{_fmt(v)},{fit_cells}" for n, v in fit.pairs]
+    return payload, lines, 1 if fit.degenerate else 0
 
 
 # ------------------------------------------------------------------ plumbing
@@ -377,13 +374,9 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
-def _render(payload, lines, rows, fmt: str) -> str:
+def _render(payload, lines, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
-        return buf.getvalue()
     return "\n".join(lines) + "\n"
 
 
@@ -394,8 +387,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         gc.freeze()
     args = _PARSER.parse_args(argv)
     try:
-        payload, lines, rows, code = args.run(args)
-        sys.stdout.write(_render(payload, lines, rows, args.format))
+        payload, lines, code = args.run(args)
+        payload["command"] = args.command
+        sys.stdout.write(_render(payload, lines, args.format))
     except (ValueError, OSError, RecursionError) as exc:  # RecursionError: a step file too deep
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple, Tuple, Union
 
 import numpy as np
 
-from ._numeric import CHUNK, LN2, Inconclusive, elementwise, finite_float, logsumexp, parse_token
+from ._numeric import CHUNK, Inconclusive, elementwise, finite_float, logsumexp, parse_token
 from ._search import golden_max_vec
 from .generators import ConcaveGenerator, parse_generator
 from .stepfn import StepFunction
@@ -123,8 +123,8 @@ class Lpq(NamedTuple("Lpq", [("p", float), ("q", float)])):
     __slots__ = ()
 
     def __new__(cls, p, q):
-        if not p > 1.0:
-            raise ValueError("Lpq needs p > 1")
+        if not 1.0 < p < math.inf:
+            raise ValueError("Lpq needs 1 < p < inf: p must be finite")
         # with q <= 1e300 each term q log v + (q / p) log T stays in the float range
         if not 1.0 <= q <= 1e300:
             raise ValueError("Lpq needs 1 <= q <= 1e300")
@@ -190,6 +190,8 @@ def _checked_layers(values: np.ndarray, log_tails: np.ndarray) -> Layers:
     # written so that a NaN fails: the cores take the positive values as a prefix
     if not np.all(values >= 0) or np.any(np.diff(values) > 0):
         raise ValueError("layer values must be nonnegative and nonincreasing")
+    if not values[0] < math.inf:  # the largest, since values descend
+        raise ValueError("layer values must be finite")
     if not np.all(log_tails <= 0) or np.any(np.diff(log_tails) <= 0):
         raise ValueError("log tails must be strictly increasing and <= 0")
     if not log_tails[0] > -math.inf:  # the least one, so every one is finite
@@ -356,20 +358,17 @@ def _orlicz_core(values: np.ndarray, lT: np.ndarray, M: exp_lp) -> float:
         # finite, move less than half as far as the step before the last one
         # (as in rtsafe), so an inexact elasticity cannot make it oscillate;
         # otherwise halve or double lam, or bisect in log lam.
-        if lo < step < hi and (
-            hi == math.inf or abs(math.log(step / lam)) <= 0.5 * before
-        ):
-            move, nxt = abs(math.log(step / lam)), step
+        if lo < step < hi and (hi == math.inf or abs(math.log(step / lam)) <= 0.5 * before):
+            nxt = step
         elif lo == 0.0:
-            move, nxt = LN2, hi / 2.0
+            nxt = hi / 2.0
         elif hi == math.inf:
-            move, nxt = LN2, lo * 2.0
+            nxt = lo * 2.0
         else:
             nxt = math.exp(0.5 * (math.log(lo) + math.log(hi)))
             if not lo < nxt < hi:
                 nxt = 0.5 * (lo + hi)
-            move = abs(math.log(nxt / lam))
-        before, last, lam = last, move, nxt
+        before, last, lam = last, abs(math.log(nxt / lam)), nxt
     raise Inconclusive("Orlicz root search failed after 200 iterations: degenerate M")
 
 

@@ -254,16 +254,32 @@ def test_kruglov_inconclusive():
     assert "INCONCLUSIVE" in out
 
 
-def test_growth_exact_csv():
-    code, out, _ = run_main(
-        "growth", "--space", "marcinkiewicz:logpow:2",
-        "--ns", "16,32,64,128", "--format", "csv",
-    )
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["n", "value", "fit_q", "fit_C", "residual"]
-    assert [r[0] for r in rows[1:]] == ["16", "32", "64", "128"]
-    assert len({r[2] for r in rows[1:]}) == 1  # one fit, repeated per row
+def test_growth_exact_csv(monkeypatch):
+    # the handler joins the cells with commas, which is CSV while no cell holds a
+    # comma, a quote or a newline: the text must be what csv.writer makes of them
+    def degenerate(*args, **kwargs):  # a fit whose last value halves: exit 1
+        return experiments.fit_growth([(16, 4.0), (32, 4.0), (64, 4.0), (128, 2.0)])
+
+    for argv, patch, expect_code in (
+        (("--space", "marcinkiewicz:logpow:2"), None, 0),
+        (("--space", "lpq:1.5:1.2", "--mode", "mc", "--sampler", "signed:0.5",
+          "--trials", "2000", "--m", "256", "--seed", "9"), None, 0),
+        (("--space", "lpq:2:1"), degenerate, 1),
+    ):
+        if patch is not None:
+            monkeypatch.setattr(cli, "growth_table", patch)
+        argv = ("growth", *argv, "--ns", "16,32,64,128")
+        code, out, _ = run_main(*argv, "--format", "csv")
+        assert code == expect_code
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["n", "value", "fit_q", "fit_C", "residual"]
+        assert [r[0] for r in rows[1:]] == ["16", "32", "64", "128"]
+        assert len({r[2] for r in rows[1:]}) == 1  # one fit, repeated per row
+        fit = json.loads(run_main(*argv, "--format", "json")[1])
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [rows[0]] + [[n, v, fit["q"], fit["C"], fit["residual"]] for n, v in fit["pairs"]])
+        assert out == buf.getvalue()
 
 
 def test_growth_exact_reads_no_sampler(tmp_path):

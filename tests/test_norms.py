@@ -211,6 +211,9 @@ def test_lpq_parameter_validation():
         space_norm(f, Lpq(1.0, 1.0))
     with pytest.raises(ValueError):
         space_norm(f, Lpq(2.0, 0.5))
+    # p = inf used to warn in _log_lengths, then read "Lpq norm exceeds the float range"
+    with pytest.raises(ValueError, match="p must be finite"):
+        space_norm(f, Lpq(math.inf, 1.0))
     # q = 1 is allowed
     space_norm(f, Lpq(2.0, 1.0))
 
@@ -825,6 +828,11 @@ def test_layers_with_nan_are_rejected():
     ):
         for space in ALL_SPACES:
             with pytest.raises(ValueError):
+                space_norm_from_layers(values, lT, space)
+    # an infinite value used to read "<Family> norm exceeds the float range"
+    for values, lT in (([np.inf], [0.0]), ([np.inf, 1.0], [-1.0, 0.0])):
+        for space in ALL_SPACES:
+            with pytest.raises(ValueError, match="layer values must be finite"):
                 space_norm_from_layers(values, lT, space)
 
 
