@@ -29,21 +29,18 @@ def golden_max(fn, lo: float, hi: float):
 
 
 def golden_max_vec(fn, lo: np.ndarray, hi: np.ndarray):
-    """The golden-section max of each of many brackets; fn maps arrays to arrays.
+    """The golden-section max of each of many brackets.
 
-    Both probe ordinates are recomputed every sweep, trading one extra batched
-    eval per iteration for branch-free control flow.
+    fn takes the (2, K) stack of a sweep's two probes and must map it elementwise.
+    Both probes are recomputed every sweep, so one batched call serves each sweep.
     """
-    a = np.asarray(lo, dtype=float).copy()
-    b = np.asarray(hi, dtype=float).copy()
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(_ITERS):
+    a = np.asarray(lo, dtype=float)
+    b = np.asarray(hi, dtype=float)
+    for _ in range(_ITERS + 1):
+        c = b - _INVPHI * (b - a)
+        d = a + _INVPHI * (b - a)
+        fc, fd = fn(np.array([c, d]))
         left = fc >= fd
         b = np.where(left, d, b)
         a = np.where(left, a, c)
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        fc, fd = fn(c), fn(d)
     return np.maximum(fc, fd)

@@ -44,8 +44,8 @@ class ConcaveGenerator:
     """Increasing concave psi on (0, 1] with psi(0+) = 0.
 
     ``fn`` evaluates psi and ``log_fn`` evaluates log psi(e^lt) from lt = log t, each on a
-    1-d float array of at most ``CHUNK`` entries; ``__call__`` and ``log_eval`` run them
-    through ``_numeric.elementwise``, so they take and return a float or an array.
+    1-d float array of at most ``CHUNK`` entries; ``__call__`` and ``log_eval`` flatten
+    through ``_numeric.elementwise``, so they act elementwise on a float or any array.
     """
 
     __slots__ = ("_fn", "_log_fn", "label")

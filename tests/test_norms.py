@@ -36,7 +36,7 @@ from rispaces import (
     walk_distribution,
 )
 from rispaces._numeric import CHUNK as _ROW_CHUNK
-from rispaces._search import golden_max_vec
+from rispaces._search import _INVPHI, _ITERS, golden_max_vec
 from rispaces.experiments import _draw_sums
 from rispaces.generators import ConcaveGenerator, inv_sqrt_log
 from rispaces.norms import (
@@ -739,6 +739,60 @@ def test_in_place_cores_match_plain_expressions():
             want = _lpq_core_plain(values, lT, p, q)
             assert _lpq_core([(values, lT)], values.size, p, q) == want
             assert _lpq_core(chunks, values.size, p, q) == want
+
+
+def _golden_max_vec_two_calls(fn, lo, hi):
+    """The batched golden search with one call of fn per probe, as it was before it
+    stacked each sweep's two probes into one call: the reference it must match."""
+    a = np.asarray(lo, dtype=float).copy()
+    b = np.asarray(hi, dtype=float).copy()
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(_ITERS):
+        left = fc >= fd
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        c = b - _INVPHI * (b - a)
+        d = a + _INVPHI * (b - a)
+        fc, fd = fn(c), fn(d)
+    return np.maximum(fc, fd)
+
+
+_GOLDEN_GENERATORS = {
+    "power:0.5": power(0.5),
+    "power:1": power(1.0),
+    "logpow:1": logpow(1.0),
+    "logpow:8": logpow(8.0),
+    "invsqrtlog": inv_sqrt_log(),
+    "gauss": parse_generator("gauss"),
+    "two-node": table([(0.5, 0.7), (1.0, 1.0)]),
+    "kinked": table([(1e-6, 1e-3), (1e-3, 0.05), (0.1, 0.4), (1.0, 1.0)]),
+}
+
+
+@pytest.mark.parametrize("phi", _GOLDEN_GENERATORS.values(), ids=_GOLDEN_GENERATORS)
+def test_golden_max_vec_calls_its_objective_once_per_sweep(phi):
+    # the Marcinkiewicz core's objective on random brackets with ends in (1e-12, 1]
+    rng = np.random.default_rng(59)
+    for k in range(1, 33):
+        lo, hi = np.sort(np.exp(rng.uniform(math.log(1e-12), 0.0, (2, k))), axis=0)
+        base_T = lo * rng.uniform(0.0, 1.0, k)
+        base_I = base_T * rng.exponential(1.0, k)
+        slope = rng.exponential(1.0, k)
+
+        def obj(taus):
+            return (base_I + slope * (taus - base_T)) / phi(taus)
+
+        shapes = []
+
+        def counted(taus):
+            shapes.append(taus.shape)
+            return obj(taus)
+
+        got = golden_max_vec(counted, lo, hi)
+        assert shapes == [(2, k)] * (_ITERS + 1)
+        assert got.tobytes() == _golden_max_vec_two_calls(obj, lo, hi).tobytes()
 
 
 def test_layer_chunks_are_checked_across_the_cut():
