@@ -10,12 +10,15 @@ asymptotic expansion erfc(x) ~ exp(-x^2) / (x sqrt(pi)) * (1 - 1/(2x^2) + ...).
 erfc and erfcinv(y) = -ndtri(y/2) / sqrt(2) are ports of the Cephes routines
 in ``ndtr.c`` and ``ndtri.c``, with their rational-approximation tables (S. L.
 Moshier, *Methods and Programs for Mathematical Functions*, 1989), the routines
-SciPy's ``special.erfc`` and ``special.erfcinv`` compile.  Each polynomial runs
-in Cephes's Horner order on whole arrays, where +, -, *, / and sqrt are
-correctly rounded.  The libm calls, ``exp`` in erfc and the two ``log`` in
-ndtri, go element by element through ``math``, which calls the C library's
-own functions: ``np.exp`` and ``np.log`` round differently on some inputs.  So
-the results equal SciPy's bit for bit, and the package runs on NumPy alone.
+SciPy's ``special.erfc`` and ``special.erfcinv`` compile.  Each kernel is one
+straight-line NumPy expression per branch, in Cephes's operation order (each
+polynomial in its Horner order), where +, -, *, / and sqrt are correctly
+rounded.  The libm calls, ``exp`` in erfc and the two ``log`` in ndtri, go
+element by element through ``math``, which calls the C library's own
+functions: ``np.exp`` and ``np.log`` round differently on some inputs.  So the
+results equal SciPy's bit for bit, and the package runs on NumPy alone.
+``elementwise`` runs each kernel on slices of at most ``CHUNK`` entries, so its
+temporaries stay slice-sized and no buffer is reused in place.
 """
 
 from __future__ import annotations
@@ -97,10 +100,7 @@ def _p1evl(x, coef):
 
 def _rational(x, w, p, q):
     # P(x) w / Q(x), P by _polevl and Q by _p1evl, in Cephes's operation order
-    out = _polevl(x, p)
-    out *= w
-    out /= _p1evl(x, q)
-    return out
+    return _polevl(x, p) * w / _p1evl(x, q)
 
 
 def _libm(f, x):
@@ -118,8 +118,7 @@ def _erfc(a: np.ndarray) -> np.ndarray:
     small = x < 1.0
     if np.any(small):
         s = a[small]  # Cephes's erf(s) = -erf(-s) is s T / U for either sign of s
-        y = _rational(np.square(s), s, _ERF_T, _ERF_U)
-        out[small] = np.subtract(1.0, y, out=y)
+        out[small] = 1.0 - _rational(np.square(s), s, _ERF_T, _ERF_U)
     big = ~small
     if np.any(big):
         b, x = a[big], x[big]
@@ -129,53 +128,39 @@ def _erfc(a: np.ndarray) -> np.ndarray:
         y = np.zeros(b.shape)
         if np.any(live):
             x = x[live]
-            e = _libm(math.exp, np.negative(z[live]))
+            e = _libm(math.exp, -z[live])
             mid = x < 8.0
             for part, p, q in ((mid, _ERFC_P, _ERFC_Q), (~mid, _ERFC_R, _ERFC_S)):
                 if np.any(part):  # Cephes's e P / Q: P e is e P bit for bit
                     e[part] = _rational(x[part], e[part], p, q)
             y[live] = e
-        np.subtract(2.0, y, out=y, where=b < 0.0)
-        out[big] = y
+        out[big] = np.where(b < 0.0, 2.0 - y, y)
     return out
 
 
 def _erfcinv(y: np.ndarray) -> np.ndarray:
     # Cephes erfcinv, -ndtri(y / 2) / sqrt(2), of each entry of y in (0, 2)
     out = np.empty(y.shape)
-    h = np.multiply(y, 0.5)
+    h = y * 0.5
     upper = h > 1.0 - _EXP_M2
-    np.subtract(1.0, h, out=h, where=upper)
+    h = np.where(upper, 1.0 - h, h)
     central = h > _EXP_M2  # never upper
     if np.any(central):
-        c = h[central]
-        c -= 0.5
+        c = h[central] - 0.5
         c2 = np.square(c)
-        r = _rational(c2, c2, _NDTRI_P0, _NDTRI_Q0)
-        r *= c
-        r += c
-        r *= _S2PI
-        r *= -_SQRT1_2
-        out[central] = r
+        out[central] = (_rational(c2, c2, _NDTRI_P0, _NDTRI_Q0) * c + c) * _S2PI * -_SQRT1_2
     zero = h == 0.0  # 5e-324 halves to 0, where ndtri is -inf
     out[zero] = math.inf
     tail = ~(central | zero)
     if np.any(tail):
-        x = _libm(math.log, h[tail])
-        x *= -2.0
-        np.sqrt(x, out=x)
+        x = np.sqrt(-2.0 * _libm(math.log, h[tail]))
+        r = x - _libm(math.log, x) / x
+        z = 1.0 / x
         deep = x >= 8.0
-        r = _libm(math.log, x)
-        r /= x
-        np.subtract(x, r, out=r)
-        z = np.reciprocal(x, out=x)
         for part, p, q in ((~deep, _NDTRI_P1, _NDTRI_Q1), (deep, _NDTRI_P2, _NDTRI_Q2)):
             if np.any(part):
-                zp = z[part]
-                r[part] -= _rational(zp, zp, p, q)
-        np.negative(r, out=r, where=upper[tail])  # ndtri is -r below 1/2 and r above
-        r *= _SQRT1_2
-        out[tail] = r
+                r[part] -= _rational(z[part], z[part], p, q)
+        out[tail] = np.where(upper[tail], -r, r) * _SQRT1_2  # ndtri is -r below 1/2
     return out
 
 
@@ -187,7 +172,7 @@ def upper_tail(x):
 def erfc_inverse(z):
     """Inverse of ``upper_tail`` on (0, 2), Newton-polished."""
     zz = np.asarray(z, dtype=float)
-    if np.any((zz <= 0) | (zz >= 2)):
+    if not np.all((zz > 0) & (zz < 2)):  # NaN fails too
         raise ValueError("argument must lie in (0, 2)")
     return elementwise(_erfc_inverse, zz)
 
@@ -198,26 +183,15 @@ def _erfc_inverse(z: np.ndarray) -> np.ndarray:
     # Skip where exp(x^2) would overflow (the seed is already at full precision there).
     safe = np.abs(x) < 26.0
     xs = np.where(safe, x, 0.0)
-    corr = _erfc(xs)
-    corr -= z
-    corr *= _SQRT_PI / 2.0
-    corr *= np.exp(np.square(xs, out=xs), out=xs)
-    np.add(x, corr, out=x, where=safe)  # x + 0.0 is x elsewhere: there |x| >= 26
-    return x
+    corr = (_erfc(xs) - z) * (_SQRT_PI / 2.0) * np.exp(np.square(xs))
+    return np.where(safe, x + corr, x)
 
 
 def _log_erfc_asymptotic(x):
     # ln erfc(x) for large x via the first four terms of the tail series:
     # -x*x - ln(x sqrt(pi)) + ln(1 + ix2 (-1/2 + ix2 (3/4 - 15/8 ix2))), ix2 = 1/(x*x).
-    ix2 = np.multiply(x, x)
-    np.divide(1.0, ix2, out=ix2)
-    series = _polevl(ix2, (-1.875, 0.75, -0.5, 1.0))  # adding -b is subtracting b, bit for bit
-    log_x = np.log(np.multiply(x, _SQRT_PI, out=ix2), out=ix2)
-    out = np.negative(x)
-    out *= x
-    out -= log_x
-    out += np.log(series, out=series)
-    return out
+    series = _polevl(1.0 / (x * x), (-1.875, 0.75, -0.5, 1.0))  # adding -b is subtracting b
+    return -x * x - np.log(x * _SQRT_PI) + np.log(series)
 
 
 def erfc_inverse_log(lz):
@@ -228,7 +202,7 @@ def erfc_inverse_log(lz):
     own accuracy (relative error < 1e-10 for x >= 26, improving rapidly).
     """
     lzz = np.asarray(lz, dtype=float)
-    if np.any(lzz >= math.log(2.0)):
+    if not np.all(lzz < math.log(2.0)):  # NaN fails too
         raise ValueError("log-argument must be below log(2)")
     return elementwise(_erfc_inverse_log, lzz)
 
@@ -237,19 +211,12 @@ def _erfc_inverse_log(lz: np.ndarray) -> np.ndarray:
     out = np.empty(lz.shape)
     direct = lz >= -667.0
     if np.any(direct):
-        z = lz[direct]
-        out[direct] = _erfc_inverse(np.exp(z, out=z))
+        out[direct] = _erfc_inverse(np.exp(lz[direct]))
     deep = ~direct
     if np.any(deep):
         t = lz[deep]
-        x = np.negative(t)
-        np.sqrt(x, out=x)
-        # d/dx ln erfc = -2x / series; the series is ~1 at this depth.
-        for _ in range(6):
-            step = _log_erfc_asymptotic(x)
-            step -= t
-            step /= 2.0 * x
-            x += step
-            del step  # before the next step is built
+        x = np.sqrt(-t)
+        for _ in range(6):  # d/dx ln erfc = -2x / series; the series is ~1 at this depth
+            x = x + (_log_erfc_asymptotic(x) - t) / (2.0 * x)
         out[deep] = x
     return out
